@@ -4,7 +4,7 @@ Subcommands: spectrum, weyl, mclaughlin, weights, classify, barcilon,
 reconstruct, twin, verify.  Results are machine-readable JSON (or CSV for
 grid outputs); complex numbers are serialized as [re, im] pairs everywhere.
 Exit codes: 0 success, 1 domain error (structured JSON on stderr), 2 usage
-error.  QS_THREADS bounds the worker count for grid evaluations.
+error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,12 +46,21 @@ def _jsonify(obj):
 
 
 def _emit(args, payload):
-    text = json.dumps(_jsonify(payload), indent=2)
+    _write(args, json.dumps(_jsonify(payload), indent=2))
+
+
+def _write(args, text):
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _csv_cell(v):
+    """a, a+bj or a-bj: forms that complex() parses."""
+    sign = "-" if v.imag < 0 else "+"
+    return repr(v.real) if v.imag == 0 else f"{v.real!r}{sign}{abs(v.imag)!r}j"
 
 
 def _load(args):
@@ -75,13 +83,6 @@ def _complex_arg(text):
     return complex(float(parts[0]), float(parts[1]))
 
 
-def _n_workers():
-    try:
-        return max(1, int(os.environ.get("QS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -101,22 +102,12 @@ def cmd_spectrum(args):
 
 def cmd_weyl(args):
     problem = _load(args)
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_count)
-
-    def one(lam):
-        sample = weyl.weyl_matrix(problem, lam, want_dlambda=False)
+    rows = []
+    for lam in np.linspace(args.lambda_min, args.lambda_max, args.lambda_count):
+        sample = weyl.weyl_matrix(problem, lam)
         m = sample.m
-        row = [lam.real if isinstance(lam, complex) else float(lam), 0.0]
-        row += [m[1, 0], m[2, 0], m[2, 1], m[3, 0], m[3, 1], m[3, 2]]
-        row += [sample.deltas[jk].value for jk in weyl.ALL_INDEX_PAIRS]
-        return row
-
-    workers = _n_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, lams))
-    else:
-        rows = [one(lam) for lam in lams]
+        row = [float(lam), 0.0, m[1, 0], m[2, 0], m[2, 1], m[3, 0], m[3, 1], m[3, 2]]
+        rows.append(row + [sample.deltas[jk].value for jk in weyl.ALL_INDEX_PAIRS])
 
     if args.format == "csv":
         header = ["lambda_re", "lambda_im",
@@ -124,17 +115,8 @@ def cmd_weyl(args):
         header += [f"delta{j}{k}" for j, k in weyl.ALL_INDEX_PAIRS]
         lines = [",".join(header)]
         for row in rows:
-            cells = []
-            for v in row:
-                v = complex(v)
-                cells.append(repr(v.real) if v.imag == 0 else f"{v.real!r}+{v.imag!r}j")
-            lines.append(",".join(cells))
-        text = "\n".join(lines)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+            lines.append(",".join(_csv_cell(complex(v)) for v in row))
+        _write(args, "\n".join(lines))
     else:
         _emit(args, rows)
     return 0
@@ -158,7 +140,7 @@ def cmd_mclaughlin(args):
 def cmd_weights(args):
     problem = _load(args)
     w = weights.weight_matrix(problem, args.lambda0)
-    d22 = weyl.all_deltas(problem, args.lambda0)[(2, 2)]
+    d22 = weyl.all_deltas(problem, args.lambda0, pairs=((2, 2),))[(2, 2)]
     if abs(d22.value) < 1e-6 * weyl.delta_scale(problem, 2):
         zeros = spectra.find_real_zeros(
             problem, spectra.SpectrumRequest((2, 2), (args.lambda0.real - 1, args.lambda0.real + 1)))

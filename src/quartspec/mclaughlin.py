@@ -57,11 +57,12 @@ def _sign_convention(gamma, xi):
     return 1.0
 
 
-def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
-    """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi)."""
-    deltas = all_deltas(problem, lam_n, want_dlambda=True)
+def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None, d22=None):
+    """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
+    d22 is Delta_22 at lam_n, if the caller has it."""
+    if d22 is None:
+        d22 = all_deltas(problem, lam_n, pairs=((2, 2),))[(2, 2)]
     scale = delta_scale(problem, 2)
-    d22 = deltas[(2, 2)]
     # at large lambda the residual at a true zero sits on the cancellation
     # floor of the end-value determinant, not on the global scale
     if abs(d22.value) > max(1e-5 * scale, 100 * d22.fp_floor):
@@ -106,13 +107,14 @@ def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
     for z in zeros:
         if abs(z.ddelta) <= 1e-6 * scale2:
             raise NonSimpleError(f"eigenvalue {z.lam} is not simple")
+        deltas = all_deltas(problem, z.lam, pairs=((2, 2), (3, 3)))
         try:
-            _, gamma, xi = eigenfunction(problem, z.lam)
+            _, gamma, xi = eigenfunction(problem, z.lam, d22=deltas[(2, 2)])
         except NormalizationError:
             points.append(SpectralPoint(lam=z.lam, norm_ok=False))
             continue
         pt = SpectralPoint(lam=z.lam, gamma=gamma, xi=xi)
-        d33 = all_deltas(problem, z.lam)[(3, 3)].value
+        d33 = deltas[(3, 3)].value
         pt.extras["delta33"] = d33
         if abs(d33) > 1e-6 * scale3 and abs(gamma) > GAMMA_FLOOR:
             pt.beta = -gamma ** 2

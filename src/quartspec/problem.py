@@ -32,6 +32,14 @@ class ProblemError(ValueError):
 # ---------------------------------------------------------------------------
 # coefficient fields
 
+def horner(coeffs, t):
+    """Polynomial with ascending coefficients `coeffs` at t."""
+    acc = 0.0 + 0.0j
+    for c in coeffs[::-1]:
+        acc = acc * t + c
+    return acc
+
+
 class CoefficientField:
     """A piecewise-polynomial complex coefficient on [0, 1].
 
@@ -106,14 +114,15 @@ class CoefficientField:
     def __call__(self, x):
         """Evaluate at scalar x in [0, 1]."""
         # breakpoints belong to the segment on their right (last point to the left)
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
+        x0, coeffs = self.piece(x, x)
+        return horner(coeffs, x - x0)
+
+    def piece(self, x0, x1):
+        """(origin, coeffs) of the segment containing [x0, x1], for `horner`."""
+        idx = np.searchsorted(self.breakpoints, 0.5 * (x0 + x1), side="right") - 1
         idx = min(max(idx, 0), len(self.segments) - 1)
-        x0, _, coeffs = self.segments[idx]
-        t = x - x0
-        acc = 0.0 + 0.0j
-        for c in coeffs[::-1]:
-            acc = acc * t + c
-        return acc
+        origin, _, coeffs = self.segments[idx]
+        return origin, tuple(complex(c) for c in coeffs)
 
     @property
     def is_real(self):

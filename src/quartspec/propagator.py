@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .problem import ProblemSpec, boundary_form_matrix
+from .problem import ProblemSpec, boundary_form_matrix, horner
 
 
 class PropagationError(RuntimeError):
@@ -90,11 +90,10 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
     nq = len(quad_pairs)
     ny = 4 * ncols
     tol = problem.tolerances
-    p, q = problem.p, problem.q
 
-    def rhs(x, state):
+    def rhs(x, state, p0, pc, q0, qc):   # pieces of p and q on the mesh segment
         Y = state[:ny].reshape(4, ncols)
-        px, qx = p(x), q(x)
+        px, qx = horner(pc, x - p0), horner(qc, x - q0)
         dY = np.empty_like(Y)
         dY[0] = Y[1]
         dY[1] = Y[2]
@@ -139,7 +138,8 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
             x0, x1 = x1, x0
         interior = grid[(grid > min(x0, x1) + 1e-15) & (grid < max(x0, x1) - 1e-15)]
         t_eval = np.concatenate([interior[:: -1 if direction == "backward" else 1], [x1]])
-        sol = solve_ivp(rhs, (x0, x1), state, method="DOP853",
+        pieces = problem.p.piece(x0, x1) + problem.q.piece(x0, x1)
+        sol = solve_ivp(rhs, (x0, x1), state, method="DOP853", args=pieces,
                         rtol=tol.ode_rel, atol=tol.ode_abs, t_eval=t_eval)
         if not sol.success:
             t_arr = np.asarray(sol.t)

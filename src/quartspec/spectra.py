@@ -15,6 +15,7 @@ principle over rectangles with recursive subdivision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -54,19 +55,19 @@ class BarcilonData:
 
 
 def _delta_fun(problem, selector):
+    """lam -> (Delta, dDelta or None, fp_floor) of the one selected pair."""
     selector = tuple(selector)
 
     def f(lam, want_dlambda=False):
-        cv = all_deltas(problem, lam, want_dlambda=want_dlambda)[selector]
-        f.last_floor = cv.fp_floor
-        return cv.value, cv.dvalue
+        cv = all_deltas(problem, lam, want_dlambda=want_dlambda, pairs=(selector,))[selector]
+        return cv.value, cv.dvalue, cv.fp_floor
 
-    f.last_floor = 0.0
     return f
 
 
 def _newton_refine(f, lam0, tol, bracket=None, max_iter=40, local_scale=None):
-    """Safeguarded Newton with secant fallback; bracket is kept if supplied.
+    """Safeguarded Newton with secant fallback; bracket (lo, hi, Re Delta(lo))
+    is kept if supplied.
 
     Accepts on a small step or on stagnation at the noise floor (|Delta| no
     longer decreasing), returning the best iterate seen.  local_scale sets
@@ -75,9 +76,8 @@ def _newton_refine(f, lam0, tol, bracket=None, max_iter=40, local_scale=None):
     a fixed reference scale would be meaningless.
     """
     lam = complex(lam0)
-    val, dval = f(lam, want_dlambda=True)
-    lo, hi = bracket if bracket is not None else (None, None)
-    flo = np.real(f(complex(lo))[0]) if bracket is not None else None
+    val, dval, _ = f(lam, want_dlambda=True)
+    lo, hi, flo = bracket if bracket is not None else (None, None, None)
     best = (lam, val, dval)
     prev = None
     stall = 0
@@ -96,7 +96,7 @@ def _newton_refine(f, lam0, tol, bracket=None, max_iter=40, local_scale=None):
             new = complex(0.5 * (lo + hi))
         prev = (lam, val)
         lam = new
-        val, dval = f(lam, want_dlambda=True)
+        val, dval, _ = f(lam, want_dlambda=True)
         if bracket is not None:
             if flo * np.real(val) < 0:
                 hi = lam.real
@@ -140,20 +140,18 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
         lams.extend(r ** 4)
     lams = np.unique(np.clip(np.asarray(lams), xmin, xmax))
 
-    vals = np.empty(len(lams))
-    floors = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        vals[i] = np.real(f(lam)[0])
-        floors[i] = f.last_floor
+    def scan():
+        # grid samples are taken only as the bracket walk below reaches them,
+        # so the walk stops sampling at the max_count-th zero
+        for lam in lams:
+            val, _, floor = f(lam)
+            yield lam, np.real(val), floor
+
     zeros = []
-    for i in range(len(lams) - 1):
-        if len(zeros) >= request.max_count:
-            break
-        a, b = lams[i], lams[i + 1]
-        fa, fb = vals[i], vals[i + 1]
+    for (a, fa, floor_a), (b, fb, floor_b) in pairwise(scan()):
         if not (np.isfinite(fa) and np.isfinite(fb)):
             continue
-        if max(abs(fa), abs(fb)) <= 4.0 * max(floors[i], floors[i + 1]):
+        if max(abs(fa), abs(fb)) <= 4.0 * max(floor_a, floor_b):
             # cancellation noise: at large |lambda| the determinant is the
             # difference of entry products that dwarf its true value, and a
             # sign change there carries no information about a root
@@ -169,7 +167,7 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
                 # |Delta| above the residual floor at large |lambda|
                 lam, val, dval = _newton_refine(f, 0.5 * (a + b),
                                                 request.refine_tol,
-                                                bracket=(a, b))
+                                                bracket=(a, b, fa))
             else:
                 continue
         except (PropagationError, SearchError):
@@ -179,6 +177,8 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
         mult = 1 if abs(dval) > SIMPLICITY_FLOOR * max(scale, local) else 2
         zeros.append(Zero(lam=complex(lam.real), selector=tuple(request.selector),
                           multiplicity_estimate=mult, ddelta=complex(dval)))
+        if len(zeros) >= request.max_count:
+            break
     zeros.sort(key=lambda z: z.lam.real)
     # drop duplicates from adjacent brackets converging to the same root
     dedup = []
@@ -255,21 +255,19 @@ def simplicity_check(zero: Zero, scale: float = 1.0) -> bool:
 
 
 def find_first_zeros(problem: ProblemSpec, selector, count, start=1e-6) -> list:
-    """First `count` real-axis zeros of Delta_selector, expanding the window."""
+    """First `count` real-axis zeros of Delta_selector above `start`.
+
+    One scan from `start` to a cap, which stops at the count-th zero; it
+    raises SearchError when the cap is reached with fewer zeros.
+    """
     # the zeros are near-uniform in rho = lambda^{1/4} with spacing about pi,
-    # so (pi (count+3))^4 bounds the window; past that the propagated entries
+    # so (pi (count+3))^4 bounds the scan; past that the propagated entries
     # overflow and the scan would only produce NaNs
     cap = (np.pi * (count + 3)) ** 4
-    hi = min(1000.0, cap)
-    for _ in range(12):
-        req = SpectrumRequest(selector, (start, hi), max_count=count)
-        zeros = find_real_zeros(problem, req)
-        if len(zeros) >= count:
-            return zeros[:count]
-        if hi >= cap:
-            break
-        hi = min(hi * 8, cap)
-    raise SearchError(f"could not locate {count} zeros of Delta_{selector}")
+    zeros = find_real_zeros(problem, SpectrumRequest(selector, (start, cap), max_count=count))
+    if len(zeros) < count:
+        raise SearchError(f"could not locate {count} zeros of Delta_{selector}")
+    return zeros
 
 
 def three_spectra(problem: ProblemSpec, count: int) -> BarcilonData:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .mclaughlin import GAMMA_FLOOR, SpectralPoint
 from .problem import ProblemSpec
-from .weyl import PoleError, delta_scale, weyl_matrix
+from .weyl import PoleError, all_deltas, delta_scale, weyl_matrix
 
 DEFAULT_NODES = 64
 CONVERGENCE_TOL = 1e-8
@@ -54,40 +54,41 @@ def default_contour_radius(lam0, nearby_zeros=()):
     return cap
 
 
-def _contour_average(problem, lam0, radius, order, nodes):
-    """(2 pi i)^-1 contour integral of M(lam) (lam - lam0)^(-order-1) dlam.
-
-    On the circle lam = lam0 + r e^(i t) the integral reduces to the mean of
-    M(lam) (r e^(i t))^(-order) over equispaced t; summed pairwise for a
-    deterministic reduction order.
-    """
-    ts = 2 * np.pi * np.arange(nodes) / nodes
-    zs = radius * np.exp(1j * ts)
-    terms = np.empty((nodes, 4, 4), dtype=complex)
-    for i, z in enumerate(zs):
-        try:
-            sample = weyl_matrix(problem, lam0 + z)
-        except PoleError as exc:
-            raise LaurentError(f"contour node at {lam0 + z} hits a pole") from exc
-        terms[i] = sample.m * z ** (-order)
+def _pairwise_mean(terms):
+    """Mean over the first axis, summed pairwise for a deterministic order."""
+    n = terms.shape[0]
     while terms.shape[0] > 1:
         half = terms.shape[0] // 2
         terms = terms[:half] + terms[half:]
-    return terms[0] / nodes
+    return terms[0] / n
 
 
 def laurent_coefficients(problem: ProblemSpec, lam0, orders=(-1, 0),
                          radius=None, nodes=None) -> dict:
-    """Laurent coefficients of M at lam0, with a node-doubling Cauchy check."""
+    """Laurent coefficients of M at lam0, with a node-doubling Cauchy check.
+
+    The coefficient of order k is (2 pi i)^-1 times the contour integral of
+    M(lam) (lam - lam0)^(-k-1) dlam; on the circle lam = lam0 + r e^(i t) it
+    is the mean of M(lam) (r e^(i t))^(-k) over equispaced t.  M is sampled
+    once at 2 * nodes points; the nodes-point rule uses the even-indexed ones.
+    """
     lam0 = complex(lam0)
     if radius is None:
         radius = default_contour_radius(lam0)
     if nodes is None:
         nodes = problem.tolerances.contour_nodes
+    zs = radius * np.exp(1j * (2 * np.pi * np.arange(2 * nodes) / (2 * nodes)))
+    ms = np.empty((2 * nodes, 4, 4), dtype=complex)
+    for i, z in enumerate(zs):
+        try:
+            ms[i] = weyl_matrix(problem, lam0 + z).m
+        except PoleError as exc:
+            raise LaurentError(f"contour node at {lam0 + z} hits a pole") from exc
     out = {}
     for order in orders:
-        coarse = _contour_average(problem, lam0, radius, order, nodes)
-        fine = _contour_average(problem, lam0, radius, order, 2 * nodes)
+        terms = ms * (zs ** (-order))[:, None, None]
+        coarse = _pairwise_mean(terms[::2])
+        fine = _pairwise_mean(terms)
         if np.max(np.abs(fine - coarse)) > CONVERGENCE_TOL * (1 + np.max(np.abs(fine))):
             raise LaurentError(
                 f"trapezoid quadrature for order {order} at {lam0} did not converge "
@@ -135,13 +136,13 @@ def classify_eigenvalue(point: SpectralPoint, m43, delta33=None,
 
 
 def classify_on_problem(problem: ProblemSpec, point: SpectralPoint) -> str:
-    from .weyl import all_deltas
-
-    deltas = all_deltas(problem, point.lam)
+    """classify_eigenvalue with Delta_33 and m43 from one C-only evaluation."""
+    pairs = ((3, 3), (4, 3))
+    deltas = all_deltas(problem, point.lam, pairs=pairs)
     d33 = deltas[(3, 3)].value
 
     def m43(lam):
-        d = all_deltas(problem, lam)
+        d = deltas if lam == point.lam else all_deltas(problem, lam, pairs=pairs)
         return -d[(4, 3)].value / d[(3, 3)].value
 
     return classify_eigenvalue(point, m43, delta33=d33,

@@ -8,7 +8,8 @@ entries of the unit lower-triangular Weyl matrix are
 
 Delta_31 and Delta_41 are evaluated both as 3x3 determinants and through the
 backward solution S_4 (Delta_31 = -S_4(0), Delta_41 = -S_4'(0)); the S-route
-value is reported, the determinant route is kept as a cross-check.
+value is reported, the determinant route is kept as a cross-check.  C is
+integrated once per call, S only when Delta_31 or Delta_41 is asked for.
 """
 
 from __future__ import annotations
@@ -96,33 +97,36 @@ def _det_and_dlambda(sub, dsub):
     return val, dval
 
 
-def all_deltas(problem: ProblemSpec, lam, want_dlambda=False) -> dict:
-    """All nine characteristic values at one lambda from two propagations."""
+def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
+               pairs=ALL_INDEX_PAIRS) -> dict:
+    """The characteristic values of `pairs` at one lambda, keyed by pair.
+
+    One propagation of C, plus one of S when (3, 1) or (4, 1) is requested.
+    """
     C = fundamental_C(problem, lam, want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
     end = C.end                    # rows y, y', y'', y^[3]; columns C_1..C_4
     dend = C.dlambda[-1] if want_dlambda else None
 
     out = {}
-    for (j, k), cols in _DELTA_COLS.items():
-        rows = _DELTA_ROWS[k]
-        sub = end[np.ix_(rows, [c - 1 for c in cols])]
-        dsub = dend[np.ix_(rows, [c - 1 for c in cols])] if dend is not None else None
-        val, dval = _det_and_dlambda(sub, dsub)
+    for jk in pairs:
+        ix = np.ix_(_DELTA_ROWS[jk[1]], [c - 1 for c in _DELTA_COLS[jk]])
+        sub = end[ix]
+        val, dval = _det_and_dlambda(sub, dend[ix] if dend is not None else None)
         floor = float(np.finfo(float).eps) * sub.shape[0] * _abs_permanent(sub)
-        out[(j, k)] = CharacteristicValue((j, k), val, dval, fp_floor=floor)
+        out[jk] = CharacteristicValue(jk, val, dval, fp_floor=floor)
 
-    # better-conditioned route for Delta_31 and Delta_41 via S_4 at x=0
-    S = fundamental_S(problem, lam, want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
-    s4 = S.start[:, 3]
+    s_pairs = [jk for jk in ((3, 1), (4, 1)) if jk in out]
+    if s_pairs:
+        # better-conditioned route for Delta_31 and Delta_41 via S_4 at x=0
+        S = fundamental_S(problem, lam, want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
     eps = float(np.finfo(float).eps)
-    out[(3, 1)] = CharacteristicValue((3, 1), -complex(s4[0]),
-                                      -complex(S.dlambda[0][0, 3]) if want_dlambda else None,
-                                      alt_value=out[(3, 1)].value,
-                                      fp_floor=eps * abs(s4[0]))
-    out[(4, 1)] = CharacteristicValue((4, 1), -complex(s4[1]),
-                                      -complex(S.dlambda[0][1, 3]) if want_dlambda else None,
-                                      alt_value=out[(4, 1)].value,
-                                      fp_floor=eps * abs(s4[1]))
+    for jk in s_pairs:
+        row = jk[0] - 3            # Delta_31 = -S_4(0), Delta_41 = -S_4'(0)
+        s = S.start[row, 3]
+        out[jk] = CharacteristicValue(jk, -complex(s),
+                                      -complex(S.dlambda[0][row, 3]) if want_dlambda else None,
+                                      alt_value=out[jk].value,
+                                      fp_floor=eps * abs(s))
     return out
 
 
@@ -130,15 +134,19 @@ def characteristic_delta(problem: ProblemSpec, lam, jk, want_dlambda=False) -> C
     jk = tuple(jk)
     if jk not in _DELTA_COLS:
         raise ValueError(f"no characteristic function with index pair {jk}")
-    return all_deltas(problem, lam, want_dlambda=want_dlambda)[jk]
+    return all_deltas(problem, lam, want_dlambda=want_dlambda, pairs=(jk,))[jk]
 
 
 def delta_scale(problem: ProblemSpec, k: int) -> float:
-    """max |Delta_kk| over a reference grid, cached per problem."""
+    """max |Delta_kk| over a reference grid, cached per problem; the first
+    call fills k = 1, 2, 3 from one sweep of C-only evaluations."""
     key = ("delta_scale", k)
     if key not in problem._cache:
-        vals = [abs(all_deltas(problem, lam)[(k, k)].value) for lam in _SCALE_GRID]
-        problem._cache[key] = max(max(vals), 1e-300)
+        diag = ((1, 1), (2, 2), (3, 3))
+        sweep = [all_deltas(problem, lam, pairs=diag) for lam in _SCALE_GRID]
+        for kk, _ in diag:
+            top = max(abs(d[(kk, kk)].value) for d in sweep)
+            problem._cache[("delta_scale", kk)] = max(top, 1e-300)
     return problem._cache[key]
 
 

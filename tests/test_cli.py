@@ -81,12 +81,16 @@ class TestGridCommands:
         from conftest import oracle_m43
         assert m43[0] == pytest.approx(oracle_m43(rows[0][0]).real, rel=1e-8)
 
-    def test_weyl_threaded_matches_serial(self, beam_json, capsys, monkeypatch):
-        main(["weyl", "--problem", beam_json, "--lambda-count", "4"])
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("QS_THREADS", "4")
-        main(["weyl", "--problem", beam_json, "--lambda-count", "4"])
-        assert capsys.readouterr().out == serial
+    def test_weyl_csv_cells_parse_as_complex(self, complex_json, capsys):
+        # entries with a negative imaginary part are written a-bj, not a+-bj
+        code = main(["weyl", "--problem", complex_json, "--lambda-count", "3",
+                     "--format", "csv"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        cells = [c for line in lines[1:] for c in line.split(",")]
+        assert len(cells) == 3 * 17
+        values = [complex(c) for c in cells]
+        assert any(v.imag < 0 for v in values)
 
 
 class TestDataCommands:

@@ -35,6 +35,9 @@ class TestCoefficientField:
         assert f(0.75) == pytest.approx(3.0)
         # breakpoint belongs to the right segment
         assert f(0.5) == pytest.approx(3.0)
+        # a mesh segment resolves to the piece containing it, both ends included
+        assert f.piece(0.25, 0.5) == (0.0, (1.0, 2.0))
+        assert f.piece(0.5, 1.0) == (0.5, (3.0,))
 
     def test_segments_must_cover_unit_interval(self):
         with pytest.raises(ProblemError):

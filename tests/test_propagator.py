@@ -127,3 +127,25 @@ class TestCoefficientCoupling:
         pb = validate_problem(ProblemSpec(p=CoefficientField.zero(), q=q))
         res = fundamental_C(pb, 1.0, x_grid=[0.0, 1.0])
         assert np.any(np.isclose(res.xs, 0.3))
+
+    def test_piecewise_cubic_matches_pointwise_integration(self):
+        # reference: one solve_ivp over [0, 1] that looks p and q up in the
+        # segment list at every x, against the propagator's per-segment pieces
+        from scipy.integrate import solve_ivp
+        pb = make_random_problem()
+        lam = 3.7 + 0.4j
+
+        def coef(field, x):
+            x0, _, c = next(s for s in field.segments if s[0] <= x <= s[1])
+            return np.polyval(c[::-1], x - x0)
+
+        def rhs(x, u):
+            A = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, coef(pb.p, x), 0, 1],
+                          [lam - coef(pb.q, x), 0, 0, 0]])
+            return (A @ u.reshape(4, 4)).ravel()
+
+        Y0 = np.linalg.inv(boundary_form_matrix(pb, "left"))
+        ref = solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="DOP853",
+                        rtol=1e-12, atol=1e-14).y[:, -1].reshape(4, 4)
+        got = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end
+        assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
