@@ -19,7 +19,7 @@ import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import propagate
-from .weyl import all_deltas, delta_scale
+from .weyl import _abs_permanent, all_deltas, delta_scale
 
 NORMALIZATION_FLOOR = 1e-8
 GAMMA_FLOOR = 1e-6
@@ -57,20 +57,19 @@ def _sign_convention(gamma, xi):
     return 1.0
 
 
-def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None, d22=None):
-    """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
-    d22 is Delta_22 at lam_n, if the caller has it."""
-    if d22 is None:
-        d22 = all_deltas(problem, lam_n, pairs=((2, 2),))[(2, 2)]
-    scale = delta_scale(problem, 2)
-    # at large lambda the residual at a true zero sits on the cancellation
-    # floor of the end-value determinant, not on the global scale
-    if abs(d22.value) > max(1e-5 * scale, 100 * d22.fp_floor):
-        raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
-                             f"(|Delta_22| = {abs(d22.value):.2e})")
+def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
+    """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi)."""
     Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
     endres = propagate(problem, lam_n, "forward", Uinv[:, 2:4], x_grid=[0.0, 1.0])
     A = endres.end[0:2, :]          # [[C3(1), C4(1)], [C3'(1), C4'(1)]]
+    # det A = -Delta_22 (its rows are those of Delta_22, swapped).  At large
+    # lambda the residual at a true zero sits on the cancellation floor of
+    # the determinant, not on the global scale
+    d22 = abs(np.linalg.det(A))
+    fp_floor = float(np.finfo(float).eps) * 2 * _abs_permanent(A)
+    if d22 > max(1e-5 * delta_scale(problem, 2), 100 * fp_floor):
+        raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
+                             f"(|Delta_22| = {d22:.2e})")
     # smallest singular direction is robust when both entries nearly vanish
     _, s, vh = np.linalg.svd(A)
     c3, c4 = vh[-1].conj()
@@ -107,14 +106,13 @@ def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
     for z in zeros:
         if abs(z.ddelta) <= 1e-6 * scale2:
             raise NonSimpleError(f"eigenvalue {z.lam} is not simple")
-        deltas = all_deltas(problem, z.lam, pairs=((2, 2), (3, 3)))
         try:
-            _, gamma, xi = eigenfunction(problem, z.lam, d22=deltas[(2, 2)])
+            _, gamma, xi = eigenfunction(problem, z.lam)
         except NormalizationError:
             points.append(SpectralPoint(lam=z.lam, norm_ok=False))
             continue
         pt = SpectralPoint(lam=z.lam, gamma=gamma, xi=xi)
-        d33 = deltas[(3, 3)].value
+        d33 = all_deltas(problem, z.lam, pairs=((3, 3),))[(3, 3)].value
         pt.extras["delta33"] = d33
         if abs(d33) > 1e-6 * scale3 and abs(gamma) > GAMMA_FLOOR:
             pt.beta = -gamma ** 2
