@@ -20,6 +20,9 @@ from .problem import ProblemSpec
 from .spectra import BarcilonData, find_first_zeros
 from .weyl import all_deltas, phi_matrix
 
+# |alpha_n| below this means the case-II premise fails
+ALPHA_FLOOR = 1e-10
+
 
 class BridgeError(ValueError):
     pass
@@ -140,12 +143,12 @@ def barcilon_equiv_data(b: BarcilonData, anchors, n_terms=None):
     return out
 
 
-def case2_alpha(point: SpectralPoint, ddelta43, ddelta33, floor=1e-10):
+def case2_alpha(point: SpectralPoint, ddelta43, ddelta33):
     """alpha_n = -(gamma_n dDelta_43 + xi_n dDelta_33); S_4(x, lambda_n) = alpha_n y_n."""
     if point.gamma is None or point.xi is None:
         raise BridgeError("point has no normalized (gamma, xi)")
     alpha = -(point.gamma * complex(ddelta43) + point.xi * complex(ddelta33))
-    if abs(alpha) < floor:
+    if abs(alpha) < ALPHA_FLOOR:
         raise BridgeError(f"alpha = {alpha:.3e} below floor; case-II classification "
                           f"of lambda={point.lam} is likely wrong")
     return alpha

@@ -22,12 +22,6 @@ from .propagator import fundamental_C, propagate_pair
 from .problem import lagrange_bracket
 
 
-class DomainError(RuntimeError):
-    def __init__(self, message, **info):
-        super().__init__(message)
-        self.info = info
-
-
 def _jsonify(obj):
     """Complex -> [re, im]; arrays -> nested lists; passthrough otherwise."""
     if isinstance(obj, complex):
@@ -126,9 +120,6 @@ def cmd_mclaughlin(args):
     problem = _load(args)
     zeros = spectra.find_first_zeros(problem, (2, 2), args.count)
     points = mclaughlin.weight_numbers(problem, zeros)
-    for pt in points:
-        if pt.case_tag == "unknown" and pt.norm_ok:
-            pt.case_tag = weights.classify_on_problem(problem, pt)
     _emit(args, [
         {"lambda": pt.lam, "gamma": pt.gamma, "xi": pt.xi, "beta": pt.beta,
          "case": pt.case_tag, "norm_ok": pt.norm_ok}
@@ -141,12 +132,10 @@ def cmd_weights(args):
     problem = _load(args)
     w = weights.weight_matrix(problem, args.lambda0)
     d22 = weyl.all_deltas(problem, args.lambda0, pairs=((2, 2),))[(2, 2)]
-    if abs(d22.value) < 1e-6 * weyl.delta_scale(problem, 2):
+    if weyl.is_delta_zero(d22.value, weyl.delta_scale(problem, 2), d22.fp_floor):
         zeros = spectra.find_real_zeros(
             problem, spectra.SpectrumRequest((2, 2), (args.lambda0.real - 1, args.lambda0.real + 1)))
-        pts = mclaughlin.weight_numbers(problem, zeros, residue_check=False)
-        point = pts[0]
-        point.case_tag = weights.classify_on_problem(problem, point)
+        point = mclaughlin.weight_numbers(problem, zeros, residue_check=False)[0]
     else:
         point = mclaughlin.SpectralPoint(lam=args.lambda0, case_tag="V")
     report = weights.verify_weight_structure(w, point)
@@ -159,12 +148,10 @@ def cmd_classify(args):
     problem = _load(args)
     zeros = spectra.find_first_zeros(problem, (2, 2), args.count)
     points = mclaughlin.weight_numbers(problem, zeros, residue_check=False)
-    out = []
-    for pt in points:
-        tag = weights.classify_on_problem(problem, pt) if pt.norm_ok else "unknown"
-        pt.case_tag = tag
-        out.append({"lambda": pt.lam, "gamma": pt.gamma, "xi": pt.xi, "case": tag})
-    _emit(args, out)
+    _emit(args, [
+        {"lambda": pt.lam, "gamma": pt.gamma, "xi": pt.xi, "case": pt.case_tag}
+        for pt in points
+    ])
     return 0
 
 
@@ -177,31 +164,30 @@ def cmd_barcilon(args):
 
 def cmd_reconstruct(args):
     problem = _load(args)
-    zeros = spectra.find_first_zeros(problem, (2, 2), args.count)
-    points = mclaughlin.weight_numbers(problem, zeros, residue_check=False)
-    data = [(pt.lam, pt.beta) for pt in points if pt.beta is not None]
-    out = {"kind": args.kind, "terms": len(data), "points": []}
+    points = []
     if args.kind == "m32":
+        zeros = spectra.find_first_zeros(problem, (2, 2), args.count)
+        data = [(pt.lam, pt.beta) for pt in
+                mclaughlin.weight_numbers(problem, zeros, residue_check=False)
+                if pt.beta is not None]
         for lam in np.linspace(-10.0, -1.0, 5):
             value, tail = bridge.reconstruct_m32(data, lam)
             direct = weyl.weyl_matrix(problem, lam).m[2, 1]
-            out["points"].append({"lambda": complex(lam), "value": value,
-                                  "direct": direct, "tail": tail,
-                                  "error": abs(value - direct)})
-    elif args.kind == "delta33":
-        d33_zeros = [z.lam for z in spectra.find_real_zeros(
+            points.append({"lambda": complex(lam), "value": value,
+                           "direct": direct, "tail": tail,
+                           "error": abs(value - direct)})
+    else:  # delta33
+        data = [z.lam for z in spectra.find_real_zeros(
             problem, spectra.SpectrumRequest((3, 3), (-args.zero_window, -1e-6),
                                              max_count=args.count))]
-        anchor = weyl.all_deltas(problem, 0.0)[(3, 3)].value
+        anchor = weyl.characteristic_delta(problem, 0.0, (3, 3)).value
         for lam in np.linspace(-20.0, 20.0, 5):
-            value, bound = bridge.reconstruct_delta_hadamard(d33_zeros, anchor, lam)
-            direct = weyl.all_deltas(problem, lam)[(3, 3)].value
-            out["points"].append({"lambda": complex(lam), "value": value,
-                                  "direct": direct, "bound": bound,
-                                  "error": abs(value - direct)})
-    else:
-        raise DomainError(f"unknown reconstruction kind {args.kind!r}")
-    _emit(args, out)
+            value, bound = bridge.reconstruct_delta_hadamard(data, anchor, lam)
+            direct = weyl.characteristic_delta(problem, lam, (3, 3)).value
+            points.append({"lambda": complex(lam), "value": value,
+                           "direct": direct, "bound": bound,
+                           "error": abs(value - direct)})
+    _emit(args, {"kind": args.kind, "terms": len(data), "points": points})
     return 0
 
 
@@ -323,7 +309,7 @@ def build_parser():
     p = add("reconstruct", cmd_reconstruct, help="series/product reconstructions")
     p.add_argument("--problem", required=True)
     p.add_argument("--kind", choices=("m32", "delta33"), default="m32")
-    p.add_argument("--count", type=int, default=30)
+    p.add_argument("--count", type=int, default=10)
     p.add_argument("--zero-window", type=float, default=1e5)
 
     p = add("twin", cmd_twin, help="compare spectral data of two problems")

@@ -6,9 +6,10 @@ spans the null space of the 2x2 end-value matrix [[C3(1), C4(1)],
 which fixes (gamma, xi) = (y(0), y'(0)) up to sign; a deterministic sign
 convention (Re gamma > 0, ties broken by Im, falling back to xi) is used.
 
-When Delta_33(lambda_n) != 0 (case I) the weight number is beta_n =
--gamma_n^2, and this value is cross-checked against the contour residue of
-m_32 at lambda_n.
+The case of each eigenvalue (I-IV, or indeterminate) is decided in one
+place, weights.classify_eigenvalue, which weight_numbers calls for every
+normalized point.  Only in case I is the weight number beta_n = -gamma_n^2;
+it is then cross-checked against the contour residue of m_32 at lambda_n.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import propagate
-from .weyl import _abs_permanent, all_deltas, delta_scale
+from .spectra import simplicity_check
+from .weyl import _abs_permanent, all_deltas, delta_scale, is_delta_zero
 
 NORMALIZATION_FLOOR = 1e-8
-GAMMA_FLOOR = 1e-6
 
 
 class NormalizationError(ArithmeticError):
@@ -62,12 +63,10 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
     endres = propagate(problem, lam_n, "forward", Uinv[:, 2:4], x_grid=[0.0, 1.0])
     A = endres.end[0:2, :]          # [[C3(1), C4(1)], [C3'(1), C4'(1)]]
-    # det A = -Delta_22 (its rows are those of Delta_22, swapped).  At large
-    # lambda the residual at a true zero sits on the cancellation floor of
-    # the determinant, not on the global scale
+    # det A = -Delta_22 (its rows are those of Delta_22, swapped)
     d22 = abs(np.linalg.det(A))
     fp_floor = float(np.finfo(float).eps) * 2 * _abs_permanent(A)
-    if d22 > max(1e-5 * delta_scale(problem, 2), 100 * fp_floor):
+    if not is_delta_zero(d22, delta_scale(problem, 2), fp_floor):
         raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
                              f"(|Delta_22| = {d22:.2e})")
     # smallest singular direction is robust when both entries nearly vanish
@@ -91,20 +90,19 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
 
 
 def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
-    """Spectral points with beta_n = -gamma_n^2 where case I applies.
+    """Spectral points, each tagged by weights.classify_eigenvalue.
 
-    For each simple eigenvalue with gamma != 0 and Delta_33(lambda_n) != 0,
-    beta_n is set to -gamma_n^2; independently, beta_n is extracted as the
-    (3,2) entry of the order -1 Laurent coefficient of M and the discrepancy
-    is recorded on the point.
+    Every zero must be simple.  The case comes from (gamma, xi) and one
+    C-only evaluation of Delta_33, Delta_43 at lambda_n.  In case I, beta_n
+    = -gamma_n^2, and the (3,2) entry of the order -1 Laurent coefficient of
+    M is recorded beside it as an independent check.
     """
     from . import weights as weights_mod  # deferred, avoids import cycle
 
     points = []
     scale2 = delta_scale(problem, 2)
-    scale3 = delta_scale(problem, 3)
     for z in zeros:
-        if abs(z.ddelta) <= 1e-6 * scale2:
+        if not simplicity_check(z, scale2):
             raise NonSimpleError(f"eigenvalue {z.lam} is not simple")
         try:
             _, gamma, xi = eigenfunction(problem, z.lam)
@@ -112,18 +110,15 @@ def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
             points.append(SpectralPoint(lam=z.lam, norm_ok=False))
             continue
         pt = SpectralPoint(lam=z.lam, gamma=gamma, xi=xi)
-        d33 = all_deltas(problem, z.lam, pairs=((3, 3),))[(3, 3)].value
-        pt.extras["delta33"] = d33
-        if abs(d33) > 1e-6 * scale3 and abs(gamma) > GAMMA_FLOOR:
+        deltas = all_deltas(problem, z.lam, pairs=weights_mod.CLASSIFY_PAIRS)
+        pt.extras["delta33"] = deltas[(3, 3)].value
+        pt.case_tag = weights_mod.classify_from_deltas(problem, pt, deltas)
+        if pt.case_tag == "I":
             pt.beta = -gamma ** 2
-            pt.case_tag = "I"
             if residue_check:
                 coeffs = weights_mod.laurent_coefficients(problem, z.lam, (-1,))
                 res32 = coeffs[-1][2, 1]
                 pt.beta_residual = abs(res32 - pt.beta)
                 pt.extras["residue_beta"] = complex(res32)
-        else:
-            # gamma ~ 0 or Delta_33(lambda_n) ~ 0: cases II-IV, classified downstream
-            pt.beta = None
         points.append(pt)
     return points

@@ -169,7 +169,6 @@ class BoundaryParams:
 class Tolerances:
     ode_rel: float = 1e-10
     ode_abs: float = 1e-12
-    root_tol: float = 1e-10
     contour_nodes: int = 64
 
 
@@ -197,7 +196,6 @@ class ProblemSpec:
     q: CoefficientField
     boundary: BoundaryParams = BoundaryParams()
     tolerances: Tolerances = Tolerances()
-    self_adjoint_hint: bool = False
     validated: bool = False
     # scratch space for per-problem caches (delta scales etc.); not state
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -223,7 +221,7 @@ def validate_problem(raw: ProblemSpec) -> ProblemSpec:
         if not np.isfinite(v.real) or not np.isfinite(v.imag):
             raise ProblemError(f"boundary constant {name} is not finite")
     tol = raw.tolerances
-    for name in ("ode_rel", "ode_abs", "root_tol"):
+    for name in ("ode_rel", "ode_abs"):
         if not (getattr(tol, name) > 0):
             raise ProblemError(f"tolerance {name} must be positive")
     n = tol.contour_nodes
@@ -286,9 +284,8 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
         "c": [complex(b.c).real, complex(b.c).imag],
         "tolerances": {
             "ode_rel": tol.ode_rel, "ode_abs": tol.ode_abs,
-            "root_tol": tol.root_tol, "contour_nodes": tol.contour_nodes,
+            "contour_nodes": tol.contour_nodes,
         },
-        "self_adjoint_hint": spec.self_adjoint_hint,
     }
 
 
@@ -306,10 +303,8 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
         tolerances=Tolerances(
             ode_rel=tol.get("ode_rel", 1e-10),
             ode_abs=tol.get("ode_abs", 1e-12),
-            root_tol=tol.get("root_tol", 1e-10),
             contour_nodes=tol.get("contour_nodes", 64),
         ),
-        self_adjoint_hint=bool(obj.get("self_adjoint_hint", False)),
     )
     return validate_problem(spec)
 

@@ -25,6 +25,8 @@ from .weyl import all_deltas, delta_scale
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
+# Newton accepts once a step is below this fraction of 1 + |lambda|
+REFINE_TOL = 1e-12
 
 
 class SearchError(RuntimeError):
@@ -36,7 +38,6 @@ class SpectrumRequest:
     selector: tuple                     # index pair (j, k)
     region: tuple                       # (xmin, xmax) or (re0, re1, im0, im1)
     max_count: int = 100
-    refine_tol: float = 1e-12
 
 
 @dataclass
@@ -65,7 +66,7 @@ def _delta_fun(problem, selector):
     return f
 
 
-def _newton_refine(f, lam0, tol, bracket=None, max_iter=40, local_scale=None):
+def _newton_refine(f, lam0, bracket=None, max_iter=40, local_scale=None):
     """Safeguarded Newton with secant fallback; bracket (lo, hi, Re Delta(lo))
     is kept if supplied.
 
@@ -85,7 +86,7 @@ def _newton_refine(f, lam0, tol, bracket=None, max_iter=40, local_scale=None):
         if abs(val) == 0.0:
             best = (lam, val, dval)
             break
-        if dval is not None and abs(dval) > 1e-300:
+        if abs(dval) > 1e-300:
             step = -val / dval
         elif prev is not None and abs(val - prev[1]) > 0:
             step = -val * (lam - prev[0]) / (val - prev[1])
@@ -108,13 +109,13 @@ def _newton_refine(f, lam0, tol, bracket=None, max_iter=40, local_scale=None):
             stall = 0
         else:
             stall += 1
-        if abs(step) < tol * (1 + abs(lam)) or stall >= 3:
+        if abs(step) < REFINE_TOL * (1 + abs(lam)) or stall >= 3:
             break
     lam, val, dval = best
     if local_scale is not None and abs(val) > 1e-6 * local_scale:
         # residual alone may sit above the noise floor at large |lambda|;
         # accept anyway when the implied root error |Delta/Delta'| is tiny
-        err = abs(val / dval) if (dval is not None and dval != 0) else np.inf
+        err = abs(val / dval) if dval != 0 else np.inf
         if err > 1e-9 * (1 + abs(lam)):
             raise SearchError(f"refinement stalled at lambda={lam}, "
                               f"|Delta| = {abs(val):.2e} vs local scale {local_scale:.2e}")
@@ -159,24 +160,21 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
         local = max(abs(fa), abs(fb), 1e-12 * scale)
         try:
             if fa == 0.0:
-                lam, val, dval = _newton_refine(f, a, request.refine_tol,
-                                                local_scale=local)
+                lam, val, dval = _newton_refine(f, a, local_scale=local)
             elif fa * fb < 0:
                 # a sign change guarantees a root in the bracket, so the best
                 # iterate is accepted even when cancellation noise keeps
                 # |Delta| above the residual floor at large |lambda|
-                lam, val, dval = _newton_refine(f, 0.5 * (a + b),
-                                                request.refine_tol,
-                                                bracket=(a, b, fa))
+                lam, val, dval = _newton_refine(f, 0.5 * (a + b), bracket=(a, b, fa))
             else:
                 continue
         except (PropagationError, SearchError):
             continue
         if not (xmin - 1e-12 <= lam.real <= xmax + 1e-12):
             continue
-        mult = 1 if abs(dval) > SIMPLICITY_FLOOR * max(scale, local) else 2
-        zeros.append(Zero(lam=complex(lam.real), selector=tuple(request.selector),
-                          multiplicity_estimate=mult, ddelta=complex(dval)))
+        z = Zero(lam=complex(lam.real), selector=tuple(request.selector), ddelta=complex(dval))
+        z.multiplicity_estimate = 1 if simplicity_check(z, max(scale, local)) else 2
+        zeros.append(z)
         if len(zeros) >= request.max_count:
             break
     zeros.sort(key=lambda z: z.lam.real)
@@ -190,26 +188,33 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
 
 
 def _winding_number(f, re0, re1, im0, im1, n_per_side=32):
-    """Winding of Delta along the rectangle boundary, by phase unwrapping.
+    """Winding of Delta along the rectangle boundary, by phase unwrapping;
+    (winding, Delta at the corner (re0, im0)).
 
     The sampling is doubled until the unwrapped phase is step-wise safe
-    (no single increment close to pi).
+    (no single increment close to pi).  A doubling samples only the new
+    midpoints, and the loop is closed with the first value.
     """
-    while n_per_side <= 4096:
-        top = re0 + np.linspace(0, 1, n_per_side, endpoint=False) * (re1 - re0) + 1j * im0
-        right = re1 + 1j * (im0 + np.linspace(0, 1, n_per_side, endpoint=False) * (im1 - im0))
-        bottom = re1 + np.linspace(0, 1, n_per_side, endpoint=False) * (re0 - re1) + 1j * im1
-        left = re0 + 1j * (im1 + np.linspace(0, 1, n_per_side, endpoint=False) * (im0 - im1))
-        pts = np.concatenate([top, right, bottom, left, [complex(re0, im0)]])
-        vals = np.array([f(z)[0] for z in pts])
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+
+    def boundary(n):
+        # n per side, counter-clockwise; for n = 2^k bitwise the even points of boundary(2n)
+        t = np.linspace(0, 1, n, endpoint=False)
+        return np.concatenate([a + t * (b - a)
+                               for a, b in zip(corners, corners[1:] + corners[:1])])
+
+    vals = np.array([f(z)[0] for z in boundary(n_per_side)])
+    while True:
         if np.any(vals == 0):
             raise SearchError("contour passes through a zero; perturb the rectangle")
-        phases = np.unwrap(np.angle(vals))
+        phases = np.unwrap(np.angle(np.append(vals, vals[0])))
         if np.max(np.abs(np.diff(phases))) < 2.5:
-            total = (phases[-1] - phases[0]) / (2 * np.pi)
-            return int(round(total))
+            return int(round((phases[-1] - phases[0]) / (2 * np.pi))), vals[0]
         n_per_side *= 2
-    raise SearchError("winding number did not stabilize under sampling refinement")
+        if n_per_side > 4096:
+            raise SearchError("winding number did not stabilize under sampling refinement")
+        mids = [f(z)[0] for z in boundary(n_per_side)[1::2]]
+        vals = np.column_stack([vals, mids]).ravel()
 
 
 def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
@@ -218,19 +223,17 @@ def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
     re0, re1, im0, im1 = request.region
     f = _delta_fun(problem, request.selector)
     scale = delta_scale(problem, request.selector[1])
-    w = _winding_number(f, re0, re1, im0, im1)
+    w, corner = _winding_number(f, re0, re1, im0, im1)
     if w == 0:
         return []
     if w == 1 or _depth >= 8:
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        corner = f(complex(re0, im0))[0]
-        lam, val, dval = _newton_refine(f, center, request.refine_tol,
+        lam, val, dval = _newton_refine(f, center,
                                         local_scale=max(abs(corner), 1e-12 * scale))
         mult = w if _depth >= 8 else 1
-        if abs(dval) <= SIMPLICITY_FLOOR * scale and mult == 1:
-            mult = 2
-        return [Zero(lam=lam, selector=tuple(request.selector),
-                     multiplicity_estimate=mult, ddelta=complex(dval))]
+        z = Zero(lam=lam, selector=tuple(request.selector), ddelta=complex(dval))
+        z.multiplicity_estimate = 2 if mult == 1 and not simplicity_check(z, scale) else mult
+        return [z]
     # split the longer side, nudging the cut line to avoid landing on a zero
     zeros = []
     if (re1 - re0) >= (im1 - im0):
@@ -240,8 +243,7 @@ def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
         mid = 0.5 * (im0 + im1) + 1e-3 * (im1 - im0)
         boxes = [(re0, re1, im0, mid), (re0, re1, mid, im1)]
     for box in boxes:
-        sub = SpectrumRequest(request.selector, box, request.max_count,
-                              request.refine_tol)
+        sub = SpectrumRequest(request.selector, box, request.max_count)
         zeros.extend(find_complex_zeros(problem, sub, _depth=_depth + 1))
     if sum(z.multiplicity_estimate for z in zeros) != w:
         raise SearchError(f"winding count {w} does not match {len(zeros)} refined zeros")

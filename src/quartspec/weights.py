@@ -15,6 +15,9 @@ pattern depends on the classification of lambda_0:
     V   : only n21 = n43 != 0   (lambda_0 not an eigenvalue)
 
 Regardless of the case, n21 = n43 and n31 = -n42 at every simple pole.
+
+The case of an eigenvalue is decided only by classify_eigenvalue, which
+mclaughlin.weight_numbers applies to every normalized point.
 """
 
 from __future__ import annotations
@@ -23,12 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mclaughlin import GAMMA_FLOOR, SpectralPoint
+from .mclaughlin import SpectralPoint
 from .problem import ProblemSpec
-from .weyl import PoleError, all_deltas, delta_scale, weyl_matrix
+from .weyl import POLE_FLOOR, PoleError, all_deltas, delta_scale, weyl_matrix
 
-DEFAULT_NODES = 64
 CONVERGENCE_TOL = 1e-8
+# |gamma| below this: y_n(0) = 0 (cases III, IV); within 10x of it: indeterminate
+GAMMA_FLOOR = 1e-6
+# relative tolerance of the case-I identity m43(lambda_n) = xi_n / gamma_n
+MATCH_TOL = 1e-6
+# the Delta values classify_from_deltas reads
+CLASSIFY_PAIRS = ((3, 3), (4, 3))
 
 
 class LaurentError(ArithmeticError):
@@ -113,7 +121,7 @@ def weight_matrix(problem: ProblemSpec, lam0, radius=None, nodes=None,
 
 
 def classify_eigenvalue(point: SpectralPoint, m43, delta33=None,
-                        delta33_scale=1.0, match_tol=1e-6) -> str:
+                        delta33_scale=1.0) -> str:
     """Assign the case tag (I)-(IV) from (gamma, xi) and m43.
 
     m43 is a callable lambda -> complex.  Whether lambda_n is a pole of m43
@@ -123,30 +131,34 @@ def classify_eigenvalue(point: SpectralPoint, m43, delta33=None,
     gamma, xi = point.gamma, point.xi
     if gamma is None:
         raise ValueError("point carries no gamma; normalize the eigenfunction first")
-    is_pole = delta33 is not None and abs(delta33) < 1e-10 * delta33_scale
+    is_pole = delta33 is not None and abs(delta33) < POLE_FLOOR * delta33_scale
     ag = abs(gamma)
     if 0.1 * GAMMA_FLOOR <= ag <= 10 * GAMMA_FLOOR:
         return "indeterminate"
     if ag < 0.1 * GAMMA_FLOOR:
         return "III" if is_pole else "IV"
     m = m43(point.lam)
-    if abs(m - xi / gamma) <= match_tol * (1 + abs(m)):
+    if abs(m - xi / gamma) <= MATCH_TOL * (1 + abs(m)):
         return "I"
     return "II"
 
 
-def classify_on_problem(problem: ProblemSpec, point: SpectralPoint) -> str:
-    """classify_eigenvalue with Delta_33 and m43 from one C-only evaluation."""
-    pairs = ((3, 3), (4, 3))
-    deltas = all_deltas(problem, point.lam, pairs=pairs)
-    d33 = deltas[(3, 3)].value
+def classify_from_deltas(problem: ProblemSpec, point: SpectralPoint, deltas) -> str:
+    """classify_eigenvalue with Delta_33 and m43 from the CLASSIFY_PAIRS
+    values `deltas` at point.lam."""
 
     def m43(lam):
-        d = deltas if lam == point.lam else all_deltas(problem, lam, pairs=pairs)
+        d = deltas if lam == point.lam else all_deltas(problem, lam, pairs=CLASSIFY_PAIRS)
         return -d[(4, 3)].value / d[(3, 3)].value
 
-    return classify_eigenvalue(point, m43, delta33=d33,
+    return classify_eigenvalue(point, m43, delta33=deltas[(3, 3)].value,
                                delta33_scale=delta_scale(problem, 3))
+
+
+def classify_on_problem(problem: ProblemSpec, point: SpectralPoint) -> str:
+    """classify_eigenvalue with Delta_33 and m43 from one C-only evaluation."""
+    return classify_from_deltas(
+        problem, point, all_deltas(problem, point.lam, pairs=CLASSIFY_PAIRS))
 
 
 # per case: entries allowed nonzero, and equality constraints checked
@@ -213,10 +225,6 @@ def case_search(problem_factory, parameter_grid, count=3):
         problem = problem_factory(par)
         zeros = find_first_zeros(problem, (2, 2), count)
         for pt in weight_numbers(problem, zeros, residue_check=False):
-            if not pt.norm_ok:
-                continue
-            tag = classify_on_problem(problem, pt)
-            pt.case_tag = tag
-            if tag != "I":
-                hits.append((par, pt, tag))
+            if pt.norm_ok and pt.case_tag != "I":
+                hits.append((par, pt, pt.case_tag))
     return hits

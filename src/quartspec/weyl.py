@@ -33,6 +33,8 @@ _DELTA_ROWS = {1: [2, 1, 0], 2: [1, 0], 3: [0]}
 ALL_INDEX_PAIRS = tuple(_DELTA_COLS)
 
 POLE_FLOOR = 1e-10
+# a Delta value at most this fraction of its reference scale counts as zero
+ZERO_FLOOR = 1e-5
 # reference lambda grid for the relative scale of each Delta_kk
 _SCALE_GRID = np.linspace(0.5, 30.0, 8)
 
@@ -128,6 +130,12 @@ def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
                                       alt_value=out[jk].value,
                                       fp_floor=eps * abs(s))
     return out
+
+
+def is_delta_zero(value, scale, fp_floor) -> bool:
+    """|value| within ZERO_FLOOR of the reference scale, or within 100 times
+    the cancellation floor, where a true zero's residual sits at large lambda."""
+    return abs(value) <= max(ZERO_FLOOR * scale, 100 * fp_floor)
 
 
 def characteristic_delta(problem: ProblemSpec, lam, jk, want_dlambda=False) -> CharacteristicValue:

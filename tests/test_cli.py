@@ -115,6 +115,38 @@ class TestDataCommands:
         n32 = payload["n"][2][1]
         assert n32[0] == pytest.approx(-4.0, abs=1e-5)
 
+    def test_weights_at_lambda5_is_case_one(self, beam_json, capsys):
+        # |Delta_22(lambda_5)| is 3e-5 of the reference scale, on its own
+        # cancellation floor: an eigenvalue, not a case-V point
+        code = main(["weights", "--problem", beam_json, "--lambda0", repr(beam_eigenvalue(5))])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["case"] == "I"
+        assert abs(complex(*payload["n"][2][1]) + 4.0) < 1e-6
+        assert payload["residuals"]["off_pattern_entries"] < 1e-7
+
+    def test_reconstruct_m32_default_count(self, beam_json, capsys):
+        code = main(["reconstruct", "--problem", beam_json, "--kind", "m32"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["terms"] == 10
+        assert all(p["error"] <= p["tail"] for p in payload["points"])
+
+    def test_reconstruct_delta33_reads_no_delta22(self, beam_json, capsys, monkeypatch):
+        from quartspec import mclaughlin, spectra
+
+        def unused(*args, **kwargs):
+            raise AssertionError("Delta_33 reconstruction needs no Delta_22 data")
+
+        monkeypatch.setattr(spectra, "find_first_zeros", unused)
+        monkeypatch.setattr(mclaughlin, "weight_numbers", unused)
+        code = main(["reconstruct", "--problem", beam_json, "--kind", "delta33"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        # zeros -4 s_k^4 of Delta_33 in (-1e5, 0): s_1..s_4 (s_5 ~ 4.75 pi)
+        assert payload["terms"] == 4
+        assert all(p["error"] <= p["bound"] for p in payload["points"])
+
     def test_barcilon(self, beam_json, capsys):
         code = main(["barcilon", "--problem", beam_json, "--count", "2"])
         assert code == 0

@@ -164,6 +164,14 @@ class TestJsonInterface:
         with pytest.raises(ProblemError):
             problem_from_dict(obj)
 
+    def test_retired_keys_ignored_and_not_written(self):
+        obj = problem_to_dict(beam_problem())
+        assert "self_adjoint_hint" not in obj
+        assert "root_tol" not in obj["tolerances"]
+        obj["self_adjoint_hint"] = True
+        obj["tolerances"]["root_tol"] = 1e-10
+        assert problem_from_dict(obj).tolerances == beam_problem().tolerances
+
     def test_load_reports_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"p": {"kind": "piecewise_poly"}}))

@@ -7,11 +7,18 @@ they check how often the work is done, not how the values come out.
 import numpy as np
 import pytest
 
-from quartspec import all_deltas, characteristic_delta, find_first_zeros, laurent_coefficients
+from quartspec import (
+    SpectrumRequest,
+    all_deltas,
+    characteristic_delta,
+    find_complex_zeros,
+    find_first_zeros,
+    laurent_coefficients,
+)
 from quartspec import spectra, weights, weyl
 from quartspec.propagator import fundamental_C, fundamental_S
 
-from conftest import beam_eigenvalue
+from conftest import beam_eigenvalue, clamped_free_s
 
 
 def _recording(monkeypatch, module, name):
@@ -68,3 +75,20 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     step = spectra.RHO_SCAN_STEP
     r_next = step * np.ceil(rho3 / step + 1e-9)
     assert max(lam.real for lam in lams) <= r_next ** 4 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("box", [
+    (-150.0, -100.0, -5.0, 5.0),
+    # the top edge passes 0.05 from the zero: the sampling doubles to 256 per side
+    (-150.0, -100.0, -5.0, 0.05),
+])
+def test_complex_search_samples_each_point_once(beam, monkeypatch, box):
+    # winding-number refinement keeps the coarse samples, the loop is closed
+    # with the first value, and the Newton step reuses the corner value
+    weyl.delta_scale(beam, 3)
+    calls = _recording(monkeypatch, spectra, "all_deltas")
+    zeros = find_complex_zeros(beam, SpectrumRequest((3, 3), box))
+    lams = [complex(args[1]) for args, _ in calls]
+    assert len(lams) == len(set(lams)), "a lambda was sampled twice"
+    assert len(zeros) == 1
+    assert zeros[0].lam == pytest.approx(-4 * clamped_free_s(1) ** 4, rel=1e-8)
