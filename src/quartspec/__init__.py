@@ -24,6 +24,7 @@ from .weyl import (
     WeylSample,
     all_deltas,
     characteristic_delta,
+    deltas_at,
     weyl_inverse,
     weyl_matrix,
 )

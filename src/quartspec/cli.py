@@ -97,8 +97,9 @@ def cmd_spectrum(args):
 def cmd_weyl(args):
     problem = _load(args)
     rows = []
-    for lam in np.linspace(args.lambda_min, args.lambda_max, args.lambda_count):
-        sample = weyl.weyl_matrix(problem, lam)
+    lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_count)
+    for lam, d in zip(lams, weyl.deltas_at(problem, lams)):
+        sample = weyl.weyl_matrix(problem, lam, deltas=d)
         m = sample.m
         row = [float(lam), 0.0, m[1, 0], m[2, 0], m[2, 1], m[3, 0], m[3, 1], m[3, 2]]
         rows.append(row + [sample.deltas[jk].value for jk in weyl.ALL_INDEX_PAIRS])
@@ -177,9 +178,9 @@ def cmd_reconstruct(args):
                            "direct": direct, "tail": tail,
                            "error": abs(value - direct)})
     else:  # delta33
-        data = [z.lam for z in spectra.find_real_zeros(
-            problem, spectra.SpectrumRequest((3, 3), (-args.zero_window, -1e-6),
-                                             max_count=args.count))]
+        # the count zeros nearest 0, nearest first as the tail bound expects
+        data = [z.lam for z in spectra.find_real_zeros(problem, spectra.SpectrumRequest(
+            (3, 3), (-args.zero_window, -1e-6), max_count=args.count))[::-1]]
         anchor = weyl.characteristic_delta(problem, 0.0, (3, 3)).value
         for lam in np.linspace(-20.0, 20.0, 5):
             value, bound = bridge.reconstruct_delta_hadamard(data, anchor, lam)

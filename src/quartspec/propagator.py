@@ -15,6 +15,10 @@ constant in x (Liouville-Ostrogradski); the observed drift is recorded.
 Lambda-derivatives are obtained by co-integrating the variational system
 J' = (F + Lambda) J + E41 Y, and quadratures of the form int y_i y_j dx
 by appending scalar states sharing the integrator's error control.
+
+A batch of N lambda is one solve with one step-size sequence (init tiled N
+times, each lambda repeated per column by lam_per_col).  DOP853 bounds the
+RMS error of the whole state, so ode_rel and ode_abs are divided by sqrt(N).
 """
 
 from __future__ import annotations
@@ -72,11 +76,9 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
     quad_pairs is a list of column index pairs (i, j); for each, the scalar
     int_0^1 y_i(x) y_j(x) dx is accumulated alongside the trajectory.
     lam_per_col optionally assigns a separate spectral parameter to every
-    column (used for Lagrange-identity checks across two parameters).
+    column (a lambda batch, or a Lagrange-identity check across two).
     """
     lam = complex(lam)
-    if not np.isfinite(lam.real) or not np.isfinite(lam.imag):
-        raise PropagationError("non-finite lambda")
     if init is None:
         init = np.eye(4, dtype=complex)
     Y0 = np.asarray(init, dtype=complex)
@@ -85,11 +87,14 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
     ncols = Y0.shape[1]
     lams = np.full(ncols, lam, dtype=complex) if lam_per_col is None \
         else np.asarray(lam_per_col, dtype=complex)
+    if not np.all(np.isfinite(lams)):
+        raise PropagationError("non-finite lambda")
 
     quad_pairs = list(quad_pairs or [])
     nq = len(quad_pairs)
     ny = 4 * ncols
-    tol = problem.tolerances
+    shrink = np.sqrt(len(np.unique(lams)))   # 1 for a single lambda
+    rtol, atol = problem.tolerances.ode_rel / shrink, problem.tolerances.ode_abs / shrink
 
     def rhs(x, state, p0, pc, q0, qc):   # pieces of p and q on the mesh segment
         Y = state[:ny].reshape(4, ncols)
@@ -140,7 +145,7 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
         t_eval = np.concatenate([interior[:: -1 if direction == "backward" else 1], [x1]])
         pieces = problem.p.piece(x0, x1) + problem.q.piece(x0, x1)
         sol = solve_ivp(rhs, (x0, x1), state, method="DOP853", args=pieces,
-                        rtol=tol.ode_rel, atol=tol.ode_abs, t_eval=t_eval)
+                        rtol=rtol, atol=atol, t_eval=t_eval)
         if not sol.success:
             t_arr = np.asarray(sol.t)
             x_fail = t_arr[-1] if t_arr.size else x0

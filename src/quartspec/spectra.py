@@ -21,7 +21,7 @@ import numpy as np
 
 from .problem import ProblemSpec
 from .propagator import PropagationError
-from .weyl import all_deltas, delta_scale
+from .weyl import all_deltas, deltas_at, delta_scale
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
@@ -123,7 +123,8 @@ def _newton_refine(f, lam0, bracket=None, max_iter=40, local_scale=None):
 
 
 def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
-    """All real zeros of Delta_selector in [xmin, xmax], sorted ascending."""
+    """All real zeros of Delta_selector in [xmin, xmax], sorted ascending; the
+    scan (up from xmin, or out from 0 if xmax <= 0) stops at the max_count-th."""
     if not problem.is_real:
         raise SearchError("Delta is not real on the real axis for this problem; "
                           "use find_complex_zeros")
@@ -139,7 +140,7 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
     if xmax > 0:
         r = np.arange(0.0, xmax ** 0.25 + RHO_SCAN_STEP, RHO_SCAN_STEP)
         lams.extend(r ** 4)
-    lams = np.unique(np.clip(np.asarray(lams), xmin, xmax))
+    lams = np.unique(np.clip(np.asarray(lams), xmin, xmax))[:: -1 if xmax <= 0 else 1]
 
     def scan():
         # grid samples are taken only as the bracket walk below reaches them,
@@ -165,7 +166,8 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
                 # a sign change guarantees a root in the bracket, so the best
                 # iterate is accepted even when cancellation noise keeps
                 # |Delta| above the residual floor at large |lambda|
-                lam, val, dval = _newton_refine(f, 0.5 * (a + b), bracket=(a, b, fa))
+                lam, val, dval = _newton_refine(f, 0.5 * (a + b), bracket=(
+                    (a, b, fa) if a < b else (b, a, fb)))
             else:
                 continue
         except (PropagationError, SearchError):
@@ -187,13 +189,13 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
     return dedup[: request.max_count]
 
 
-def _winding_number(f, re0, re1, im0, im1, n_per_side=32):
+def _winding_number(ring, re0, re1, im0, im1, n_per_side=32):
     """Winding of Delta along the rectangle boundary, by phase unwrapping;
     (winding, Delta at the corner (re0, im0)).
 
-    The sampling is doubled until the unwrapped phase is step-wise safe
-    (no single increment close to pi).  A doubling samples only the new
-    midpoints, and the loop is closed with the first value.
+    ring maps boundary points to Delta values.  The sampling is doubled until
+    the unwrapped phase is step-wise safe (no single increment close to pi).
+    A doubling samples only the new midpoints; the first value closes the loop.
     """
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
 
@@ -203,7 +205,7 @@ def _winding_number(f, re0, re1, im0, im1, n_per_side=32):
         return np.concatenate([a + t * (b - a)
                                for a, b in zip(corners, corners[1:] + corners[:1])])
 
-    vals = np.array([f(z)[0] for z in boundary(n_per_side)])
+    vals = ring(boundary(n_per_side))
     while True:
         if np.any(vals == 0):
             raise SearchError("contour passes through a zero; perturb the rectangle")
@@ -213,17 +215,31 @@ def _winding_number(f, re0, re1, im0, im1, n_per_side=32):
         n_per_side *= 2
         if n_per_side > 4096:
             raise SearchError("winding number did not stabilize under sampling refinement")
-        mids = [f(z)[0] for z in boundary(n_per_side)[1::2]]
+        mids = ring(boundary(n_per_side)[1::2])
         vals = np.column_stack([vals, mids]).ravel()
 
 
+def _ring_fun(problem, selector):
+    """zs -> Delta_selector at zs; unseen points in one batch, memo per search."""
+    memo = {}
+
+    def ring(zs):
+        zs = zs.tolist()
+        new = [z for z in dict.fromkeys(zs) if z not in memo]
+        memo.update(zip(new, (d[selector].value for d in deltas_at(problem, new, (selector,)))))
+        return np.array([memo[z] for z in zs])
+
+    return ring
+
+
 def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
-                       _depth=0) -> list:
+                       _depth=0, _ring=None) -> list:
     """Zeros inside a complex rectangle via the argument principle."""
     re0, re1, im0, im1 = request.region
     f = _delta_fun(problem, request.selector)
+    ring = _ring or _ring_fun(problem, tuple(request.selector))
     scale = delta_scale(problem, request.selector[1])
-    w, corner = _winding_number(f, re0, re1, im0, im1)
+    w, corner = _winding_number(ring, re0, re1, im0, im1)
     if w == 0:
         return []
     if w == 1 or _depth >= 8:
@@ -244,7 +260,7 @@ def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
         boxes = [(re0, re1, im0, mid), (re0, re1, mid, im1)]
     for box in boxes:
         sub = SpectrumRequest(request.selector, box, request.max_count)
-        zeros.extend(find_complex_zeros(problem, sub, _depth=_depth + 1))
+        zeros.extend(find_complex_zeros(problem, sub, _depth + 1, ring))
     if sum(z.multiplicity_estimate for z in zeros) != w:
         raise SearchError(f"winding count {w} does not match {len(zeros)} refined zeros")
     zeros.sort(key=lambda z: (z.lam.real, z.lam.imag))

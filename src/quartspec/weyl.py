@@ -8,8 +8,11 @@ entries of the unit lower-triangular Weyl matrix are
 
 Delta_31 and Delta_41 are evaluated both as 3x3 determinants and through the
 backward solution S_4 (Delta_31 = -S_4(0), Delta_41 = -S_4'(0)); the S-route
-value is reported, the determinant route is kept as a cross-check.  C is
-integrated once per call, S only when Delta_31 or Delta_41 is asked for.
+value is reported, the determinant route is kept as a cross-check.  Only the
+column S_4 is integrated (data e_4 at x=1), and only when Delta_31 or Delta_41
+is asked for.  deltas_at propagates a list of lambda as one batch (U^{-1}
+tiled once per lambda; tolerances / sqrt(N), see propagator); all_deltas is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec
-from .propagator import fundamental_C, fundamental_S
+from .problem import ProblemSpec, boundary_form_matrix
+from .propagator import fundamental_C, propagate
 
 # column indices (1-based C labels) of each determinant, per index pair
 _DELTA_COLS = {
@@ -99,37 +102,49 @@ def _det_and_dlambda(sub, dsub):
     return val, dval
 
 
-def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
-               pairs=ALL_INDEX_PAIRS) -> dict:
-    """The characteristic values of `pairs` at one lambda, keyed by pair.
-
-    One propagation of C, plus one of S when (3, 1) or (4, 1) is requested.
-    """
-    C = fundamental_C(problem, lam, want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
-    end = C.end                    # rows y, y', y'', y^[3]; columns C_1..C_4
-    dend = C.dlambda[-1] if want_dlambda else None
-
-    out = {}
-    for jk in pairs:
-        ix = np.ix_(_DELTA_ROWS[jk[1]], [c - 1 for c in _DELTA_COLS[jk]])
-        sub = end[ix]
-        val, dval = _det_and_dlambda(sub, dend[ix] if dend is not None else None)
-        floor = float(np.finfo(float).eps) * sub.shape[0] * _abs_permanent(sub)
-        out[jk] = CharacteristicValue(jk, val, dval, fp_floor=floor)
-
-    s_pairs = [jk for jk in ((3, 1), (4, 1)) if jk in out]
+def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
+              want_dlambda=False) -> list:
+    """The characteristic values of `pairs` at each of `lams`, one dict per
+    lambda keyed by pair: one batched propagation of C, plus one of S_4 when
+    (3, 1) or (4, 1) is requested."""
+    lams = np.asarray(lams, dtype=complex).ravel()
+    n = len(lams)
+    if n == 0:
+        return []
+    Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
+    C = propagate(problem, lams[0], "forward", np.tile(Uinv, n), want_dlambda=want_dlambda,
+                  x_grid=[0.0, 1.0], lam_per_col=np.repeat(lams, 4))
+    end = C.end.reshape(4, n, 4)   # rows y, y', y'', y^[3]; block i: C_1..C_4 at lams[i]
+    dend = C.dlambda[-1].reshape(4, n, 4) if want_dlambda else None
+    s_pairs = [jk for jk in ((3, 1), (4, 1)) if jk in pairs]
     if s_pairs:
         # better-conditioned route for Delta_31 and Delta_41 via S_4 at x=0
-        S = fundamental_S(problem, lam, want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
+        S4 = propagate(problem, lams[0], "backward", np.tile([[0], [0], [0], [1]], n),
+                       want_dlambda=want_dlambda, x_grid=[0.0, 1.0], lam_per_col=lams)
     eps = float(np.finfo(float).eps)
-    for jk in s_pairs:
-        row = jk[0] - 3            # Delta_31 = -S_4(0), Delta_41 = -S_4'(0)
-        s = S.start[row, 3]
-        out[jk] = CharacteristicValue(jk, -complex(s),
-                                      -complex(S.dlambda[0][row, 3]) if want_dlambda else None,
-                                      alt_value=out[jk].value,
-                                      fp_floor=eps * abs(s))
+    out = []
+    for i in range(n):
+        d = {}
+        for jk in pairs:
+            ix = np.ix_(_DELTA_ROWS[jk[1]], [c - 1 for c in _DELTA_COLS[jk]])
+            sub = end[:, i][ix]
+            val, dval = _det_and_dlambda(sub, dend[:, i][ix] if want_dlambda else None)
+            floor = eps * sub.shape[0] * _abs_permanent(sub)
+            d[jk] = CharacteristicValue(jk, val, dval, fp_floor=floor)
+        for jk in s_pairs:
+            row = jk[0] - 3            # Delta_31 = -S_4(0), Delta_41 = -S_4'(0)
+            s = S4.start[row, i]
+            d[jk] = CharacteristicValue(jk, -complex(s),
+                                        -complex(S4.dlambda[0][row, i]) if want_dlambda else None,
+                                        alt_value=d[jk].value, fp_floor=eps * abs(s))
+        out.append(d)
     return out
+
+
+def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
+               pairs=ALL_INDEX_PAIRS) -> dict:
+    """The characteristic values of `pairs` at one lambda, keyed by pair."""
+    return deltas_at(problem, [lam], pairs, want_dlambda)[0]
 
 
 def is_delta_zero(value, scale, fp_floor) -> bool:
@@ -147,11 +162,11 @@ def characteristic_delta(problem: ProblemSpec, lam, jk, want_dlambda=False) -> C
 
 def delta_scale(problem: ProblemSpec, k: int) -> float:
     """max |Delta_kk| over a reference grid, cached per problem; the first
-    call fills k = 1, 2, 3 from one sweep of C-only evaluations."""
+    call fills k = 1, 2, 3 from one batched C-only sweep."""
     key = ("delta_scale", k)
     if key not in problem._cache:
         diag = ((1, 1), (2, 2), (3, 3))
-        sweep = [all_deltas(problem, lam, pairs=diag) for lam in _SCALE_GRID]
+        sweep = deltas_at(problem, _SCALE_GRID, pairs=diag)
         for kk, _ in diag:
             top = max(abs(d[(kk, kk)].value) for d in sweep)
             problem._cache[("delta_scale", kk)] = max(top, 1e-300)

@@ -19,6 +19,7 @@ from quartspec import (
     ProblemSpec,
     beam_problem,
     find_first_zeros,
+    save_problem,
     validate_problem,
     weight_numbers,
 )
@@ -146,6 +147,13 @@ def make_random_real_problem(seed=11):
         q=CoefficientField.from_samples(rng.uniform(-0.5, 0.5, 6), interp=3),
         boundary=BoundaryParams(0.0, 0.0, 0.0),
     ))
+
+
+@pytest.fixture()
+def beam_json(tmp_path):
+    path = tmp_path / "beam.json"
+    save_problem(beam_problem(), path)
+    return str(path)
 
 
 @pytest.fixture(scope="session")

@@ -3,17 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from quartspec import beam_problem, problem_to_dict, save_problem
+from quartspec import problem_to_dict, save_problem
 from quartspec.cli import main
 
-from conftest import beam_eigenvalue, make_random_problem
-
-
-@pytest.fixture()
-def beam_json(tmp_path):
-    path = tmp_path / "beam.json"
-    save_problem(beam_problem(), path)
-    return str(path)
+from conftest import beam_eigenvalue, clamped_free_s, make_random_problem
 
 
 @pytest.fixture()
@@ -145,6 +138,29 @@ class TestDataCommands:
         payload = json.loads(capsys.readouterr().out)
         # zeros -4 s_k^4 of Delta_33 in (-1e5, 0): s_1..s_4 (s_5 ~ 4.75 pi)
         assert payload["terms"] == 4
+        assert all(p["error"] <= p["bound"] for p in payload["points"])
+
+    def test_reconstruct_delta33_keeps_zeros_nearest_zero(self, beam_json, capsys, monkeypatch):
+        from quartspec import bridge
+
+        used = []
+        orig = bridge.reconstruct_delta_hadamard
+
+        def recording(zeros, anchor_value, lam):
+            used.append(list(zeros))
+            return orig(zeros, anchor_value, lam)
+
+        monkeypatch.setattr(bridge, "reconstruct_delta_hadamard", recording)
+        code = main(["reconstruct", "--problem", beam_json, "--kind", "delta33", "--count", "2"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["terms"] == 2
+        # the two zeros -4 s_k^4 nearest 0, not the two farthest in the window
+        expect = [-4 * clamped_free_s(1) ** 4, -4 * clamped_free_s(2) ** 4]
+        assert expect[0] == pytest.approx(-125.1, abs=0.05)
+        assert expect[1] == pytest.approx(-3654, abs=0.5)
+        for zeros in used:
+            assert np.real(zeros) == pytest.approx(expect, rel=1e-8)
         assert all(p["error"] <= p["bound"] for p in payload["points"])
 
     def test_barcilon(self, beam_json, capsys):

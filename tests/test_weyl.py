@@ -1,15 +1,21 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from quartspec import (
     PoleError,
     all_deltas,
     beam_problem,
+    boundary_form_matrix,
     characteristic_delta,
+    fundamental_C,
+    propagate,
     weyl_inverse,
     weyl_matrix,
 )
-from quartspec.weyl import ALL_INDEX_PAIRS, delta_scale, phi_matrix
+from quartspec.weyl import ALL_INDEX_PAIRS, delta_scale, deltas_at, phi_matrix
 
 from conftest import make_random_problem, oracle_C3, oracle_C4, oracle_m43
 
@@ -20,6 +26,89 @@ BEAM_DELTAS_AT_ZERO = {
     (2, 2): -1.0, (3, 2): 1 / 3, (4, 2): -1 / 2,
     (3, 3): 1.0, (4, 3): 1.0,
 }
+
+
+def _delta_index(j, k):
+    """(rows, 0-based columns) of Delta_jk in the end-value matrix of C: rows
+    y^(3-k)(1) .. y(1), columns C_{k+1}..C_4 with C_j replaced by C_k."""
+    cols = list(range(k + 1, 5))
+    if j != k:
+        cols[cols.index(j)] = k
+    return list(range(3 - k, -1, -1)), [c - 1 for c in cols]
+
+
+def _term_mass(sub):
+    """Sum of |terms| of the determinant of sub: the scale of its cancellation."""
+    n = len(sub)
+    return sum(np.prod([abs(sub[i, p[i]]) for i in range(n)]) for p in permutations(range(n)))
+
+
+def _reference_end(pb, lam, y0, nodes):
+    """solve_ivp (DOP853, rtol 1e-13) across the mesh segments listed by
+    `nodes`, looking p and q up in the segment lists."""
+    def coef(field, x0, x1):
+        start, _, c = next(s for s in field.segments if s[0] <= 0.5 * (x0 + x1) <= s[1])
+        return lambda x: np.polyval(np.asarray(c)[::-1], x - start)
+
+    u = np.asarray(y0, dtype=complex)
+    for x0, x1 in zip(nodes[:-1], nodes[1:]):
+        p, q = coef(pb.p, x0, x1), coef(pb.q, x0, x1)
+
+        def rhs(x, v):
+            A = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, p(x), 0, 1],
+                          [lam - q(x), 0, 0, 0]])
+            return (A @ v.reshape(4, -1)).ravel()
+
+        u = solve_ivp(rhs, (x0, x1), u.ravel(), method="DOP853",
+                      rtol=1e-13, atol=1e-15).y[:, -1].reshape(4, -1)
+    return u
+
+
+class TestBatchedDeltas:
+    def test_batch_of_one_is_the_scalar_path(self):
+        # one lambda: the C route is the determinant of the end values of an
+        # unbatched fundamental_C, the S route the end value of S_4 alone
+        pb = make_random_problem()
+        for lam in (2.7, 41.0 - 3.0j):
+            for jet in (False, True):
+                got = deltas_at(pb, [lam], want_dlambda=jet)[0]
+                assert got == all_deltas(pb, lam, want_dlambda=jet)
+                C = fundamental_C(pb, lam, want_dlambda=jet, x_grid=[0.0, 1.0])
+                S4 = propagate(pb, lam, "backward", [0, 0, 0, 1], want_dlambda=jet,
+                               x_grid=[0.0, 1.0])
+                for (j, k) in ALL_INDEX_PAIRS:
+                    rows, cols = _delta_index(j, k)
+                    det = np.linalg.det(C.end[np.ix_(rows, cols)]) if k < 3 \
+                        else C.end[rows[0], cols[0]]
+                    expect = -S4.start[j - 3, 0] if (j, k) in ((3, 1), (4, 1)) else det
+                    assert got[(j, k)].value == expect, (j, k)
+                if jet:
+                    assert got[(3, 1)].dvalue == -S4.dlambda[0][0, 0]
+
+    @pytest.mark.parametrize("lams", [
+        480.0 + 5.8 * np.exp(2j * np.pi * np.arange(32) / 32),   # contour nodes
+        np.linspace(-3000.0, 12.0 ** 4, 40),                     # Weyl grid
+    ], ids=["contour", "grid"])
+    def test_batch_matches_per_lambda_reference(self, lams):
+        # The reference end values are good to about 1e-13 of the terms of a
+        # determinant, so a value is judged against max(|Delta|, 1e-4 * term mass)
+        pb = make_random_problem()
+        nodes = np.union1d(pb.p.breakpoints, pb.q.breakpoints)
+        Uinv = np.linalg.inv(boundary_form_matrix(pb, "left"))
+        worst = 0.0
+        for lam, got in zip(lams, deltas_at(pb, lams)):
+            C = _reference_end(pb, lam, Uinv, nodes)
+            S4 = _reference_end(pb, lam, np.array([[0.0], [0.0], [0.0], [1.0]]), nodes[::-1])
+            for (j, k) in ALL_INDEX_PAIRS:
+                if (j, k) in ((3, 1), (4, 1)):
+                    ref = -S4[j - 3, 0]
+                    scale = abs(ref)
+                else:
+                    sub = C[np.ix_(*_delta_index(j, k))]
+                    ref = np.linalg.det(sub)
+                    scale = max(abs(ref), 1e-4 * _term_mass(sub))
+                worst = max(worst, abs(got[(j, k)].value - ref) / scale)
+        assert worst < 1e-9
 
 
 class TestCharacteristicValues:

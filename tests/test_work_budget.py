@@ -4,6 +4,8 @@ The counts come from wrapping the module bindings that the layers call, so
 they check how often the work is done, not how the values come out.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from quartspec import (
     find_first_zeros,
     laurent_coefficients,
 )
-from quartspec import spectra, weights, weyl
-from quartspec.propagator import fundamental_C, fundamental_S
+from quartspec import propagator, spectra, weights, weyl
+from quartspec.cli import main
+from quartspec.propagator import fundamental_C, propagate
 
 from conftest import beam_eigenvalue, clamped_free_s
 
@@ -34,40 +37,85 @@ def _recording(monkeypatch, module, name):
     return calls
 
 
+def _patch_bindings(monkeypatch, orig, wrapper):
+    """Replace every binding of `orig` in the quartspec modules by `wrapper`
+    (modules that did `from .weyl import deltas_at` hold their own)."""
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("quartspec"):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def _recording_deltas(monkeypatch):
+    """Flat list of the lambda that reach weyl.deltas_at, from all_deltas or
+    from a batch."""
+    lams = []
+    orig = weyl.deltas_at
+
+    def wrapper(problem, batch, *args, **kwargs):
+        lams.extend(complex(lam) for lam in np.ravel(batch))
+        return orig(problem, batch, *args, **kwargs)
+
+    _patch_bindings(monkeypatch, orig, wrapper)
+    return lams
+
+
+def _counting_propagations(monkeypatch):
+    """(direction, number of columns) of every propagator.propagate call."""
+    calls = []
+    orig = propagator.propagate
+
+    def wrapper(problem, lam, direction="forward", init=None, *args, **kwargs):
+        shape = np.shape(init) if init is not None else (4, 4)
+        calls.append((direction, 1 if len(shape) == 1 else shape[1]))
+        return orig(problem, lam, direction, init, *args, **kwargs)
+
+    _patch_bindings(monkeypatch, orig, wrapper)
+    return calls
+
+
 def test_laurent_samples_weyl_matrix_once_per_fine_node(beam, monkeypatch):
     # the N-node rule of the doubling check reuses the even nodes of the 2N-node rule
+    weyl.delta_scale(beam, 1)
     calls = _recording(monkeypatch, weights, "weyl_matrix")
+    lams = _recording_deltas(monkeypatch)
     nodes = beam.tolerances.contour_nodes
     coeffs = laurent_coefficients(beam, beam_eigenvalue(1), (-1, 0))
     assert set(coeffs) == {-1, 0}
     assert len(calls) == 2 * nodes
     assert len({complex(args[1]) for args, _ in calls}) == 2 * nodes
+    # every node reaches the Delta evaluation once
+    assert len(lams) == 2 * nodes
+    assert set(lams) == {complex(args[1]) for args, _ in calls}
 
 
 def test_delta22_skips_backward_propagation(beam, monkeypatch):
     lam = 7.3
     full = all_deltas(beam, lam)
-    S = fundamental_S(beam, lam, x_grid=[0.0, 1.0]).start
+    S4 = propagate(beam, lam, "backward", [0, 0, 0, 1], x_grid=[0.0, 1.0]).start
     end = fundamental_C(beam, lam, x_grid=[0.0, 1.0]).end
-    # Delta_31 and Delta_41 report the S route; the determinant route is kept
-    assert full[(3, 1)].value == -S[0, 3]
-    assert full[(4, 1)].value == -S[1, 3]
+    # Delta_31 and Delta_41 report the S route, from the column S_4 alone;
+    # the determinant route is kept
+    assert full[(3, 1)].value == -S4[0, 0]
+    assert full[(4, 1)].value == -S4[1, 0]
     for jk, cols in (((3, 1), [1, 0, 3]), ((4, 1), [1, 2, 0])):
         det = np.linalg.det(end[np.ix_([2, 1, 0], cols)])
         assert full[jk].alt_value == pytest.approx(det, rel=1e-12, abs=1e-300)
 
-    def no_s(*args, **kwargs):
-        raise AssertionError("fundamental_S called for Delta_22")
+    def no_s(problem, lam, direction="forward", *args, **kwargs):
+        if direction == "backward":
+            raise AssertionError("S propagated for Delta_22")
+        return propagate(problem, lam, direction, *args, **kwargs)
 
-    monkeypatch.setattr(weyl, "fundamental_S", no_s)
+    monkeypatch.setattr(weyl, "propagate", no_s)
     assert characteristic_delta(beam, lam, (2, 2)).value == full[(2, 2)].value
 
 
 def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     weyl.delta_scale(beam, 2)
-    calls = _recording(monkeypatch, spectra, "all_deltas")
+    lams = _recording_deltas(monkeypatch)
     zeros = find_first_zeros(beam, (2, 2), 3)
-    lams = [complex(args[1]) for args, _ in calls]
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
     # the grid is uniform in rho; nothing past the grid point that closes
     # the bracket of the third zero is sampled
@@ -77,18 +125,39 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     assert max(lam.real for lam in lams) <= r_next ** 4 * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("box", [
-    (-150.0, -100.0, -5.0, 5.0),
+@pytest.mark.parametrize("selector, box, expected", [
+    ((3, 3), (-150.0, -100.0, -5.0, 5.0), [-4 * clamped_free_s(1) ** 4]),
     # the top edge passes 0.05 from the zero: the sampling doubles to 256 per side
-    (-150.0, -100.0, -5.0, 0.05),
-])
-def test_complex_search_samples_each_point_once(beam, monkeypatch, box):
+    ((3, 3), (-150.0, -100.0, -5.0, 0.05), [-4 * clamped_free_s(1) ** 4]),
+    # two zeros: the subdivided rectangles share edges with their parent and sibling
+    ((2, 2), (0.0, 600.0, -3.0, 3.0), [beam_eigenvalue(1), beam_eigenvalue(2)]),
+], ids=["box0", "box1", "box2"])
+def test_complex_search_samples_each_point_once(beam, monkeypatch, selector, box, expected):
     # winding-number refinement keeps the coarse samples, the loop is closed
-    # with the first value, and the Newton step reuses the corner value
-    weyl.delta_scale(beam, 3)
-    calls = _recording(monkeypatch, spectra, "all_deltas")
-    zeros = find_complex_zeros(beam, SpectrumRequest((3, 3), box))
-    lams = [complex(args[1]) for args, _ in calls]
+    # with the first value, the Newton step reuses the corner value, and a
+    # subdivision reuses the boundary points it shares
+    weyl.delta_scale(beam, selector[1])
+    lams = _recording_deltas(monkeypatch)
+    zeros = find_complex_zeros(beam, SpectrumRequest(selector, box))
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
-    assert len(zeros) == 1
-    assert zeros[0].lam == pytest.approx(-4 * clamped_free_s(1) ** 4, rel=1e-8)
+    assert len(zeros) == len(expected)
+    for z, lam in zip(zeros, expected):
+        assert z.lam == pytest.approx(lam, rel=1e-8)
+
+
+def test_weight_matrix_is_two_propagations(beam, monkeypatch):
+    # all 2N contour nodes in one batched C solve and one batched S_4 solve
+    weyl.delta_scale(beam, 1)
+    calls = _counting_propagations(monkeypatch)
+    weights.weight_matrix(beam, beam_eigenvalue(1))
+    nodes = beam.tolerances.contour_nodes
+    assert sorted(calls) == [("backward", 2 * nodes), ("forward", 4 * 2 * nodes)]
+
+
+def test_weyl_grid_is_two_propagations_plus_scale(beam_json, monkeypatch, capsys):
+    calls = _counting_propagations(monkeypatch)
+    code = main(["weyl", "--problem", beam_json, "--lambda-count", "40"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 41
+    # the grid's C and S_4 batches, and the delta_scale sweep for the pole test
+    assert sorted(calls) == [("backward", 40), ("forward", 4 * 8), ("forward", 4 * 40)]
