@@ -215,11 +215,11 @@ def cmd_verify(args):
         status = "pass" if ok else "FAIL"
         print(f"{status}  {name}: residual {residual:.3e} (threshold {threshold:.1e})")
 
-    grid = [lam for lam in np.linspace(0.7, 47.3, 12)]
+    grid = np.linspace(0.7, 47.3, 12)
     sym_res, rel_res, aux_res = 0.0, 0.0, 0.0
-    for lam in grid:
+    for lam, d in zip(grid, weyl.deltas_at(problem, grid)):
         try:
-            sample = weyl.weyl_matrix(problem, lam)
+            sample = weyl.weyl_matrix(problem, lam, deltas=d)
         except weyl.PoleError:
             continue
         m = sample.m

@@ -5,11 +5,15 @@ spans the null space of the 2x2 end-value matrix [[C3(1), C4(1)],
 [C3'(1), C4'(1)]] at an eigenvalue.  It is normalized by int_0^1 y^2 dx = 1,
 which fixes (gamma, xi) = (y(0), y'(0)) up to sign; a deterministic sign
 convention (Re gamma > 0, ties broken by Im, falling back to xi) is used.
+The eigenfunctions of a list of zeros are one batch: one solve of the C3, C4
+end values at every zero, then one of all normalized trajectories.
 
 The case of each eigenvalue (I-IV, or indeterminate) is decided in one
 place, weights.classify_eigenvalue, which weight_numbers calls for every
-normalized point.  Only in case I is the weight number beta_n = -gamma_n^2;
-it is then cross-checked against the contour residue of m_32 at lambda_n.
+normalized point, reading Delta_33 = C4(1) and Delta_43 = C3(1) from the
+end values of that batch.  Only in case I is the weight number
+beta_n = -gamma_n^2; it is then cross-checked against the contour residue
+of m_32 at lambda_n.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import propagate
 from .spectra import simplicity_check
-from .weyl import _abs_permanent, all_deltas, delta_scale, is_delta_zero
+from .weyl import CharacteristicValue, _abs_permanent, delta_scale, is_delta_zero
 
 NORMALIZATION_FLOOR = 1e-8
 
@@ -58,59 +62,79 @@ def _sign_convention(gamma, xi):
     return 1.0
 
 
+def _eigenfunctions(problem: ProblemSpec, lams, x_grid=None) -> list:
+    """eigenfunction at each of `lams` as one batch: one solve of C3, C4 at
+    every lambda, then one of all normalized trajectories.  Per lambda (A,
+    ((xs, traj), gamma, xi)), A = [[C3(1), C4(1)], [C3'(1), C4'(1)]], or (A,
+    NormalizationError) for that lambda alone; NonSimpleError is raised."""
+    lams = np.asarray(lams, dtype=complex).ravel()
+    if len(lams) == 0:
+        return []
+    Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
+    ends = propagate(problem, lams[0], "forward", np.tile(Uinv[:, 2:4], len(lams)),
+                     x_grid=[0.0, 1.0], lam_per_col=np.repeat(lams, 2)).end
+    As = [ends[0:2, 2 * i:2 * i + 2] for i in range(len(lams))]
+    y0s = []
+    for lam, A in zip(lams, As):
+        # det A = -Delta_22 (its rows are those of Delta_22, swapped)
+        d22 = abs(np.linalg.det(A))
+        fp_floor = float(np.finfo(float).eps) * 2 * _abs_permanent(A)
+        if not is_delta_zero(d22, delta_scale(problem, 2), fp_floor):
+            raise NonSimpleError(f"lambda={lam} is not a zero of Delta_22 "
+                                 f"(|Delta_22| = {d22:.2e})")
+        # smallest singular direction is robust when both entries nearly vanish
+        c3, c4 = np.linalg.svd(A)[2][-1].conj()
+        y0s.append(c3 * Uinv[:, 2] + c4 * Uinv[:, 3])
+    res = propagate(problem, lams[0], "forward", np.column_stack(y0s), x_grid=x_grid,
+                    quad_pairs=[(k, k) for k in range(len(lams))], lam_per_col=lams)
+    out = []
+    for k, (lam, A) in enumerate(zip(lams, As)):
+        norm2 = res.quadratures[(k, k)]
+        if abs(norm2) < NORMALIZATION_FLOOR:
+            out.append((A, NormalizationError(f"|int y^2 dx| = {abs(norm2):.2e} below "
+                                              f"the floor at lambda={lam}")))
+            continue
+        scale_y = 1.0 / np.sqrt(norm2)
+        gamma = complex(scale_y * res.values[0, 0, k])
+        xi = complex(scale_y * res.values[0, 1, k])
+        sgn = _sign_convention(gamma, xi)
+        traj = res.values[:, :, k] * (sgn * scale_y)
+        out.append((A, ((res.xs, traj), sgn * gamma, sgn * xi)))
+    return out
+
+
 def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi)."""
-    Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
-    endres = propagate(problem, lam_n, "forward", Uinv[:, 2:4], x_grid=[0.0, 1.0])
-    A = endres.end[0:2, :]          # [[C3(1), C4(1)], [C3'(1), C4'(1)]]
-    # det A = -Delta_22 (its rows are those of Delta_22, swapped)
-    d22 = abs(np.linalg.det(A))
-    fp_floor = float(np.finfo(float).eps) * 2 * _abs_permanent(A)
-    if not is_delta_zero(d22, delta_scale(problem, 2), fp_floor):
-        raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
-                             f"(|Delta_22| = {d22:.2e})")
-    # smallest singular direction is robust when both entries nearly vanish
-    _, s, vh = np.linalg.svd(A)
-    c3, c4 = vh[-1].conj()
-
-    y0 = c3 * Uinv[:, 2] + c4 * Uinv[:, 3]
-    res = propagate(problem, lam_n, "forward", y0.reshape(4, 1),
-                    quad_pairs=[(0, 0)], x_grid=x_grid)
-    norm2 = res.quadratures[(0, 0)]
-    if abs(norm2) < NORMALIZATION_FLOOR:
-        raise NormalizationError(f"|int y^2 dx| = {abs(norm2):.2e} below the floor "
-                                 f"at lambda={lam_n}")
-    scale_y = 1.0 / np.sqrt(norm2)
-    gamma = complex(scale_y * res.values[0, 0, 0])
-    xi = complex(scale_y * res.values[0, 1, 0])
-    sgn = _sign_convention(gamma, xi)
-    gamma, xi = sgn * gamma, sgn * xi
-    traj = res.values[:, :, 0] * (sgn * scale_y)
-    return (res.xs, traj), gamma, xi
+    _, got = _eigenfunctions(problem, [lam_n], x_grid)[0]
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
     """Spectral points, each tagged by weights.classify_eigenvalue.
 
-    Every zero must be simple.  The case comes from (gamma, xi) and one
-    C-only evaluation of Delta_33, Delta_43 at lambda_n.  In case I, beta_n
-    = -gamma_n^2, and the (3,2) entry of the order -1 Laurent coefficient of
-    M is recorded beside it as an independent check.
+    Every zero must be simple.  The eigenfunctions of all zeros are one
+    batch (two solves), whose end values give Delta_33 = C4(1) and Delta_43 =
+    C3(1) for the case.  In case I, beta_n = -gamma_n^2, and the (3,2) entry
+    of the order -1 Laurent coefficient of M is recorded beside it as an
+    independent check.
     """
     from . import weights as weights_mod  # deferred, avoids import cycle
 
-    points = []
     scale2 = delta_scale(problem, 2)
     for z in zeros:
         if not simplicity_check(z, scale2):
             raise NonSimpleError(f"eigenvalue {z.lam} is not simple")
-        try:
-            _, gamma, xi = eigenfunction(problem, z.lam)
-        except NormalizationError:
+    points = []
+    for z, (A, got) in zip(zeros, _eigenfunctions(problem, [z.lam for z in zeros])):
+        if isinstance(got, NormalizationError):
             points.append(SpectralPoint(lam=z.lam, norm_ok=False))
             continue
+        _, gamma, xi = got
         pt = SpectralPoint(lam=z.lam, gamma=gamma, xi=xi)
-        deltas = all_deltas(problem, z.lam, pairs=weights_mod.CLASSIFY_PAIRS)
+        deltas = {(3, 3): CharacteristicValue((3, 3), complex(A[0, 1])),
+                  (4, 3): CharacteristicValue((4, 3), complex(A[0, 0]))}
         pt.extras["delta33"] = deltas[(3, 3)].value
         pt.case_tag = weights_mod.classify_from_deltas(problem, pt, deltas)
         if pt.case_tag == "I":

@@ -26,13 +26,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .problem import ProblemSpec, boundary_form_matrix, horner
 
 
 class PropagationError(RuntimeError):
     pass
+
+
+class _DOP853(DOP853):
+    """DOP853 without the reference cycle of scipy's OdeSolver, whose fun and
+    fun_vectorized close over the solver: a spent solver and its stage arrays
+    are freed when solve_ivp returns, not when cyclic gc next runs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fun = self.fun_vectorized = self._fun
 
 
 @dataclass
@@ -144,7 +154,7 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
         interior = grid[(grid > min(x0, x1) + 1e-15) & (grid < max(x0, x1) - 1e-15)]
         t_eval = np.concatenate([interior[:: -1 if direction == "backward" else 1], [x1]])
         pieces = problem.p.piece(x0, x1) + problem.q.piece(x0, x1)
-        sol = solve_ivp(rhs, (x0, x1), state, method="DOP853", args=pieces,
+        sol = solve_ivp(rhs, (x0, x1), state, method=_DOP853, args=pieces,
                         rtol=rtol, atol=atol, t_eval=t_eval)
         if not sol.success:
             t_arr = np.asarray(sol.t)

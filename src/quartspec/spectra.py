@@ -7,24 +7,28 @@ problem; the zero sets of Delta_22, Delta_32, Delta_42 are the three
 Barcilon spectra.
 
 Real-axis search scans in rho = |lambda|^(1/4) (zeros are near-uniform in
-rho), detects sign changes, and polishes with Newton using the
-variationally computed derivative.  Complex search uses the argument
-principle over rectangles with recursive subdivision.
+rho), one batched solve per chunk of about one zero spacing, detects sign
+changes, and polishes the brackets with Newton in lockstep (one batched
+solve of the variationally computed derivative per iteration).  Complex
+search uses the argument principle over rectangles with recursive
+subdivision, and the same Newton with a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import islice, pairwise
 
 import numpy as np
 
 from .problem import ProblemSpec
 from .propagator import PropagationError
-from .weyl import all_deltas, deltas_at, delta_scale
+from .weyl import deltas_at, delta_scale
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
+# grid points per batched scan solve: about one zero spacing (pi in rho)
+_SCAN_CHUNK = int(np.ceil(np.pi / RHO_SCAN_STEP))
 # Newton accepts once a step is below this fraction of 1 + |lambda|
 REFINE_TOL = 1e-12
 
@@ -55,20 +59,10 @@ class BarcilonData:
     s23: list = field(default_factory=list)
 
 
-def _delta_fun(problem, selector):
-    """lam -> (Delta, dDelta or None, fp_floor) of the one selected pair."""
-    selector = tuple(selector)
-
-    def f(lam, want_dlambda=False):
-        cv = all_deltas(problem, lam, want_dlambda=want_dlambda, pairs=(selector,))[selector]
-        return cv.value, cv.dvalue, cv.fp_floor
-
-    return f
-
-
-def _newton_refine(f, lam0, bracket=None, max_iter=40, local_scale=None):
+def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
     """Safeguarded Newton with secant fallback; bracket (lo, hi, Re Delta(lo))
-    is kept if supplied.
+    is kept if supplied.  A coroutine: it yields each lambda to evaluate,
+    receives (Delta, dDelta) there, and returns (lambda, Delta, dDelta).
 
     Accepts on a small step or on stagnation at the noise floor (|Delta| no
     longer decreasing), returning the best iterate seen.  local_scale sets
@@ -77,7 +71,7 @@ def _newton_refine(f, lam0, bracket=None, max_iter=40, local_scale=None):
     a fixed reference scale would be meaningless.
     """
     lam = complex(lam0)
-    val, dval, _ = f(lam, want_dlambda=True)
+    val, dval = yield lam
     lo, hi, flo = bracket if bracket is not None else (None, None, None)
     best = (lam, val, dval)
     prev = None
@@ -97,7 +91,7 @@ def _newton_refine(f, lam0, bracket=None, max_iter=40, local_scale=None):
             new = complex(0.5 * (lo + hi))
         prev = (lam, val)
         lam = new
-        val, dval, _ = f(lam, want_dlambda=True)
+        val, dval = yield lam
         if bracket is not None:
             if flo * np.real(val) < 0:
                 hi = lam.real
@@ -122,15 +116,51 @@ def _newton_refine(f, lam0, bracket=None, max_iter=40, local_scale=None):
     return lam, val, dval
 
 
+def _jets(problem, selector, lams):
+    """(Delta, dDelta) of the selected pair at each lambda, in one solve; if
+    it fails, lambda by lambda, each PropagationError in its lambda's place."""
+    try:
+        return [(d[selector].value, d[selector].dvalue)
+                for d in deltas_at(problem, lams, (selector,), want_dlambda=True)]
+    except PropagationError as exc:
+        if len(lams) == 1:
+            return [exc]
+        return [_jets(problem, selector, [lam])[0] for lam in lams]
+
+
+def _polish(problem, selector, newtons):
+    """Drive _newton coroutines in lockstep, one _jets batch per iteration
+    over those still running; per coroutine (lambda, Delta, dDelta), or the
+    PropagationError or SearchError that ended it."""
+    out = [None] * len(newtons)
+    todo = {i: next(g) for i, g in enumerate(newtons)}
+    while todo:
+        for i, jet in zip(list(todo), _jets(problem, selector, list(todo.values()))):
+            try:
+                if isinstance(jet, Exception):
+                    raise jet
+                todo[i] = newtons[i].send(jet)
+            except StopIteration as stop:
+                out[i] = stop.value
+                del todo[i]
+            except (PropagationError, SearchError) as exc:
+                out[i] = exc
+                del todo[i]
+    return out
+
+
 def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
-    """All real zeros of Delta_selector in [xmin, xmax], sorted ascending; the
-    scan (up from xmin, or out from 0 if xmax <= 0) stops at the max_count-th."""
+    """All real zeros of Delta_selector in [xmin, xmax], sorted ascending.
+
+    The grid is scanned (up from xmin, or out from 0 if xmax <= 0) one chunk
+    per solve until there are brackets for max_count zeros; the first in scan
+    order are polished in lockstep, and dropped ones resume the scan."""
     if not problem.is_real:
         raise SearchError("Delta is not real on the real axis for this problem; "
                           "use find_complex_zeros")
     xmin, xmax = request.region
-    f = _delta_fun(problem, request.selector)
-    scale = delta_scale(problem, request.selector[1])
+    selector = tuple(request.selector)
+    scale = delta_scale(problem, selector[1])
 
     # scan positions uniform in rho = |lambda|^{1/4}, both signs of lambda
     lams = []
@@ -142,43 +172,45 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
         lams.extend(r ** 4)
     lams = np.unique(np.clip(np.asarray(lams), xmin, xmax))[:: -1 if xmax <= 0 else 1]
 
-    def scan():
-        # grid samples are taken only as the bracket walk below reaches them,
-        # so the walk stops sampling at the max_count-th zero
-        for lam in lams:
-            val, _, floor = f(lam)
-            yield lam, np.real(val), floor
+    def brackets():
+        # (local scale, Newton coroutine) per bracket in scan order; a chunk
+        # is solved only when the caller asks past the brackets already met
+        last = []       # the previous chunk's last sample: no lambda twice
+        for start in range(0, len(lams), _SCAN_CHUNK):
+            chunk = lams[start:start + _SCAN_CHUNK]
+            samples = last + [(lam, np.real(d[selector].value), d[selector].fp_floor)
+                              for lam, d in zip(chunk, deltas_at(problem, chunk, (selector,)))]
+            last = samples[-1:]
+            for (a, fa, floor_a), (b, fb, floor_b) in pairwise(samples):
+                if not (np.isfinite(fa) and np.isfinite(fb)):
+                    continue
+                if max(abs(fa), abs(fb)) <= 4.0 * max(floor_a, floor_b):
+                    # cancellation noise: at large |lambda| the determinant is the
+                    # difference of entry products that dwarf its true value, and a
+                    # sign change there carries no information about a root
+                    continue
+                local = max(abs(fa), abs(fb), 1e-12 * scale)
+                if fa == 0.0:
+                    yield local, _newton(a, local_scale=local)
+                elif fa * fb < 0:
+                    # a sign change guarantees a root in the bracket, so the best
+                    # iterate is accepted even when cancellation noise keeps
+                    # |Delta| above the residual floor at large |lambda|
+                    yield local, _newton(0.5 * (a + b), bracket=(
+                        (a, b, fa) if a < b else (b, a, fb)))
 
     zeros = []
-    for (a, fa, floor_a), (b, fb, floor_b) in pairwise(scan()):
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if max(abs(fa), abs(fb)) <= 4.0 * max(floor_a, floor_b):
-            # cancellation noise: at large |lambda| the determinant is the
-            # difference of entry products that dwarf its true value, and a
-            # sign change there carries no information about a root
-            continue
-        local = max(abs(fa), abs(fb), 1e-12 * scale)
-        try:
-            if fa == 0.0:
-                lam, val, dval = _newton_refine(f, a, local_scale=local)
-            elif fa * fb < 0:
-                # a sign change guarantees a root in the bracket, so the best
-                # iterate is accepted even when cancellation noise keeps
-                # |Delta| above the residual floor at large |lambda|
-                lam, val, dval = _newton_refine(f, 0.5 * (a + b), bracket=(
-                    (a, b, fa) if a < b else (b, a, fb)))
-            else:
+    pending = brackets()
+    while batch := list(islice(pending, request.max_count - len(zeros))):
+        for (local, _), got in zip(batch, _polish(problem, selector, [g for _, g in batch])):
+            if isinstance(got, Exception):
                 continue
-        except (PropagationError, SearchError):
-            continue
-        if not (xmin - 1e-12 <= lam.real <= xmax + 1e-12):
-            continue
-        z = Zero(lam=complex(lam.real), selector=tuple(request.selector), ddelta=complex(dval))
-        z.multiplicity_estimate = 1 if simplicity_check(z, max(scale, local)) else 2
-        zeros.append(z)
-        if len(zeros) >= request.max_count:
-            break
+            lam, _, dval = got
+            if not (xmin - 1e-12 <= lam.real <= xmax + 1e-12):
+                continue
+            z = Zero(lam=complex(lam.real), selector=selector, ddelta=complex(dval))
+            z.multiplicity_estimate = 1 if simplicity_check(z, max(scale, local)) else 2
+            zeros.append(z)
     zeros.sort(key=lambda z: z.lam.real)
     # drop duplicates from adjacent brackets converging to the same root
     dedup = []
@@ -186,7 +218,7 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
         if dedup and abs(z.lam - dedup[-1].lam) < 1e-6 * (1 + abs(z.lam)):
             continue
         dedup.append(z)
-    return dedup[: request.max_count]
+    return dedup
 
 
 def _winding_number(ring, re0, re1, im0, im1, n_per_side=32):
@@ -236,7 +268,6 @@ def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
                        _depth=0, _ring=None) -> list:
     """Zeros inside a complex rectangle via the argument principle."""
     re0, re1, im0, im1 = request.region
-    f = _delta_fun(problem, request.selector)
     ring = _ring or _ring_fun(problem, tuple(request.selector))
     scale = delta_scale(problem, request.selector[1])
     w, corner = _winding_number(ring, re0, re1, im0, im1)
@@ -244,8 +275,11 @@ def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
         return []
     if w == 1 or _depth >= 8:
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        lam, val, dval = _newton_refine(f, center,
-                                        local_scale=max(abs(corner), 1e-12 * scale))
+        got = _polish(problem, tuple(request.selector), [
+            _newton(center, local_scale=max(abs(corner), 1e-12 * scale))])[0]
+        if isinstance(got, Exception):
+            raise got
+        lam, val, dval = got
         mult = w if _depth >= 8 else 1
         z = Zero(lam=lam, selector=tuple(request.selector), ddelta=complex(dval))
         z.multiplicity_estimate = 2 if mult == 1 and not simplicity_check(z, scale) else mult

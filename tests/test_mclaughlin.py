@@ -92,3 +92,16 @@ class TestWeightNumbers:
         pts = weight_numbers(beam, beam_zeros[:1], residue_check=False)
         assert pts[0].beta_residual is None
         assert pts[0].beta == pytest.approx(-pts[0].gamma ** 2)
+
+    def test_unnormalizable_zero_flagged_alone(self, beam, beam_zeros, monkeypatch):
+        # before normalization, int y^2 dx of the five beam modes falls from
+        # 0.086 to 0.0012 (0.0021 for the fourth); a floor of 1.6e-3 flags
+        # the fifth alone, and its neighbours in the batch are unaffected
+        from quartspec import mclaughlin
+        monkeypatch.setattr(mclaughlin, "NORMALIZATION_FLOOR", 1.6e-3)
+        pts = weight_numbers(beam, beam_zeros, residue_check=False)
+        assert [pt.norm_ok for pt in pts] == [True] * 4 + [False]
+        for pt in pts[:4]:
+            assert abs(pt.gamma) == pytest.approx(2.0, abs=1e-7)
+            assert pt.case_tag == "I"
+        assert pts[4].gamma is None and pts[4].lam == beam_zeros[4].lam

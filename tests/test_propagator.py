@@ -149,3 +149,27 @@ class TestCoefficientCoupling:
                         rtol=1e-12, atol=1e-14).y[:, -1].reshape(4, 4)
         got = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end
         assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
+
+
+def test_spent_solvers_freed_without_cyclic_gc(monkeypatch):
+    # a batch's stage arrays must not wait for the cycle collector: every
+    # segment's solver is gone once propagate returns, with gc switched off
+    import gc
+    import weakref
+    from quartspec import propagator
+
+    refs = []
+    orig = propagator._DOP853.__init__
+
+    def init(self, *args, **kwargs):
+        orig(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(propagator._DOP853, "__init__", init)
+    gc.disable()
+    try:
+        propagate(make_random_problem(), 7.3, want_dlambda=True, lam_per_col=np.arange(4.0))
+    finally:
+        gc.enable()
+    assert len(refs) > 1
+    assert all(ref() is None for ref in refs)

@@ -10,6 +10,7 @@ from quartspec import (
     simplicity_check,
     three_spectra,
 )
+from quartspec import spectra
 from quartspec.spectra import SearchError
 from quartspec.weyl import delta_scale
 
@@ -53,6 +54,27 @@ class TestRealSearch:
         z = beam_zeros[0]
         assert abs(z.ddelta) > 1e-4
         assert abs(z.ddelta.imag) < 1e-9
+
+    def test_first_six_against_bisection(self, beam):
+        zeros = find_first_zeros(beam, (2, 2), 6)
+        for n, z in enumerate(zeros, 1):
+            assert z.lam.real == pytest.approx(beam_eigenvalue(n), rel=1e-10)
+
+    @pytest.mark.parametrize("chunk", [None, 10 ** 4], ids=["chunked", "one_chunk"])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_count_keeps_zeros_nearest_zero_on_negative_axis(self, beam, count, chunk,
+                                                             monkeypatch):
+        # for xmax <= 0 the scan runs out from 0: max_count keeps the zeros
+        # met first, not the ascending first, also when one chunk closes
+        # more brackets than are needed
+        if chunk is not None:
+            monkeypatch.setattr(spectra, "_SCAN_CHUNK", chunk)
+        region = (-1e5, -1e-6)
+        every = find_real_zeros(beam, SpectrumRequest((3, 3), region, max_count=10))
+        assert len(every) == 4
+        got = find_real_zeros(beam, SpectrumRequest((3, 3), region, max_count=count))
+        assert [z.lam.real for z in got] == pytest.approx(
+            [z.lam.real for z in every[-count:]], rel=1e-10)
 
     def test_count_cap_honest_failure(self, beam):
         # double precision cannot resolve Delta_22 past rho ~ 33; asking for

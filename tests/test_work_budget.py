@@ -15,7 +15,9 @@ from quartspec import (
     characteristic_delta,
     find_complex_zeros,
     find_first_zeros,
+    find_real_zeros,
     laurent_coefficients,
+    weight_numbers,
 )
 from quartspec import propagator, spectra, weights, weyl
 from quartspec.cli import main
@@ -112,17 +114,72 @@ def test_delta22_skips_backward_propagation(beam, monkeypatch):
     assert characteristic_delta(beam, lam, (2, 2)).value == full[(2, 2)].value
 
 
+def _recording_batches(monkeypatch):
+    """(lambda batch, want_dlambda) of every weyl.deltas_at call."""
+    calls = []
+    orig = weyl.deltas_at
+
+    def wrapper(problem, lams, pairs=weyl.ALL_INDEX_PAIRS, want_dlambda=False):
+        calls.append(([complex(lam) for lam in np.ravel(lams)], want_dlambda))
+        return orig(problem, lams, pairs, want_dlambda)
+
+    _patch_bindings(monkeypatch, orig, wrapper)
+    return calls
+
+
 def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     weyl.delta_scale(beam, 2)
-    lams = _recording_deltas(monkeypatch)
+    calls = _recording_batches(monkeypatch)
+    props = _counting_propagations(monkeypatch)
     zeros = find_first_zeros(beam, (2, 2), 3)
+    lams = [lam for batch, _ in calls for lam in batch]
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
-    # the grid is uniform in rho; nothing past the grid point that closes
-    # the bracket of the third zero is sampled
+    # the grid is uniform in rho and taken in chunks; nothing past the end
+    # of the chunk holding the grid point that closes the bracket of the
+    # third zero is sampled
     rho3 = zeros[2].lam.real ** 0.25
-    step = spectra.RHO_SCAN_STEP
+    step, chunk = spectra.RHO_SCAN_STEP, spectra._SCAN_CHUNK
     r_next = step * np.ceil(rho3 / step + 1e-9)
-    assert max(lam.real for lam in lams) <= r_next ** 4 * (1 + 1e-12)
+    assert max(lam.real for lam in lams) <= (r_next + chunk * step) ** 4 * (1 + 1e-12)
+    # one solve per chunk scanned, then one per lockstep Newton iteration
+    # over the brackets still open: all three enter the first, none re-enters
+    scans = [batch for batch, jet in calls if not jet]
+    newton = [batch for batch, jet in calls if jet]
+    assert all(len(batch) == chunk for batch in scans[:-1])
+    assert 0 < len(scans[-1]) <= chunk
+    assert len(newton[0]) == 3
+    assert all(len(b) >= len(a) for a, b in zip(newton[1:], newton))
+    assert [jet for _, jet in calls] == [False] * len(scans) + [True] * len(newton)
+    assert len(props) == len(calls)
+
+
+def test_weight_numbers_is_two_solves(beam, beam_zeros, monkeypatch):
+    # one solve of the C3, C4 end values at every zero, one of the
+    # normalized trajectories; Delta_33 and Delta_43 come from the first
+    weyl.delta_scale(beam, 2)
+    calls = _counting_propagations(monkeypatch)
+    for count in (1, len(beam_zeros)):
+        calls.clear()
+        pts = weight_numbers(beam, beam_zeros[:count], residue_check=False)
+        assert [pt.case_tag for pt in pts] == ["I"] * count
+        assert calls == [("forward", 2 * count), ("forward", count)]
+
+
+def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
+    # the beam has three Delta_22 zeros below 5000; every jet solve that
+    # holds a lambda near the second fails, and only that bracket is lost
+    weyl.delta_scale(beam, 2)
+    orig = weyl.deltas_at
+
+    def failing(problem, lams, pairs=weyl.ALL_INDEX_PAIRS, want_dlambda=False):
+        if want_dlambda and any(400 < complex(lam).real < 600 for lam in np.ravel(lams)):
+            raise propagator.PropagationError("injected")
+        return orig(problem, lams, pairs, want_dlambda)
+
+    _patch_bindings(monkeypatch, orig, failing)
+    zeros = find_real_zeros(beam, SpectrumRequest((2, 2), (0.0, 5000.0)))
+    assert [z.lam.real for z in zeros] == pytest.approx(
+        [beam_eigenvalue(1), beam_eigenvalue(3)], rel=1e-10)
 
 
 @pytest.mark.parametrize("selector, box, expected", [
