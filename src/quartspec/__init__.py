@@ -6,7 +6,6 @@ from .problem import (
     CoefficientField,
     ProblemSpec,
     ProblemError,
-    QuasiState,
     Tolerances,
     beam_problem,
     boundary_form_matrix,

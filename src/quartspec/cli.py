@@ -17,9 +17,8 @@ import sys
 import numpy as np
 
 from . import bridge, mclaughlin, spectra, weights, weyl
-from .problem import ProblemError, load_problem
+from .problem import ProblemError, lagrange_bracket, load_problem
 from .propagator import fundamental_C, propagate_pair
-from .problem import lagrange_bracket
 
 
 def _jsonify(obj):
@@ -65,9 +64,11 @@ def _load(args):
 
 
 def _selector(text):
-    if len(text) != 2 or not text.isdigit():
-        raise argparse.ArgumentTypeError("selector must be two digits, e.g. 22")
-    return (int(text[0]), int(text[1]))
+    pair = tuple(int(c) for c in text) if text.isdigit() else None
+    if pair not in weyl.ALL_INDEX_PAIRS:
+        raise argparse.ArgumentTypeError("selector must be one of " + ", ".join(
+            f"{j}{k}" for j, k in weyl.ALL_INDEX_PAIRS))
+    return pair
 
 
 def _complex_arg(text):
@@ -134,9 +135,14 @@ def cmd_weights(args):
     w = weights.weight_matrix(problem, args.lambda0)
     d22 = weyl.all_deltas(problem, args.lambda0, pairs=((2, 2),))[(2, 2)]
     if weyl.is_delta_zero(d22.value, weyl.delta_scale(problem, 2), d22.fp_floor):
-        zeros = spectra.find_real_zeros(
-            problem, spectra.SpectrumRequest((2, 2), (args.lambda0.real - 1, args.lambda0.real + 1)))
-        point = mclaughlin.weight_numbers(problem, zeros, residue_check=False)[0]
+        # the zero itself: in the real window lambda0 +- 1 or, when Delta_22 is
+        # not real on the real axis, in the box lambda0 +- (1 + 1j)
+        re, im = args.lambda0.real, args.lambda0.imag
+        find, region = ((spectra.find_real_zeros, (re - 1, re + 1)) if problem.is_real else
+                        (spectra.find_complex_zeros, (re - 1, re + 1, im - 1, im + 1)))
+        zeros = find(problem, spectra.SpectrumRequest((2, 2), region))
+        nearest = min(zeros, key=lambda z: abs(z.lam - args.lambda0))
+        point = mclaughlin.weight_numbers(problem, [nearest], residue_check=False)[0]
     else:
         point = mclaughlin.SpectralPoint(lam=args.lambda0, case_tag="V")
     report = weights.verify_weight_structure(w, point)

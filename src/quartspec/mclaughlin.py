@@ -25,7 +25,7 @@ import numpy as np
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import propagate
 from .spectra import simplicity_check
-from .weyl import CharacteristicValue, _abs_permanent, delta_scale, is_delta_zero
+from .weyl import _minors, delta_scale, is_delta_zero
 
 NORMALIZATION_FLOOR = 1e-8
 
@@ -68,25 +68,25 @@ def _eigenfunctions(problem: ProblemSpec, lams, x_grid=None) -> list:
     ((xs, traj), gamma, xi)), A = [[C3(1), C4(1)], [C3'(1), C4'(1)]], or (A,
     NormalizationError) for that lambda alone; NonSimpleError is raised."""
     lams = np.asarray(lams, dtype=complex).ravel()
-    if len(lams) == 0:
+    n = len(lams)
+    if n == 0:
         return []
     Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
-    ends = propagate(problem, lams[0], "forward", np.tile(Uinv[:, 2:4], len(lams)),
-                     x_grid=[0.0, 1.0], lam_per_col=np.repeat(lams, 2)).end
-    As = [ends[0:2, 2 * i:2 * i + 2] for i in range(len(lams))]
+    ends = propagate(problem, np.repeat(lams, 2), "forward", np.tile(Uinv[:, 2:4], n),
+                     x_grid=[0.0, 1.0]).end
+    As = ends[0:2].reshape(2, n, 2).swapaxes(0, 1)
+    # det A = -Delta_22 (its rows are those of Delta_22, swapped)
+    dets, _, floors = _minors(As)
     y0s = []
-    for lam, A in zip(lams, As):
-        # det A = -Delta_22 (its rows are those of Delta_22, swapped)
-        d22 = abs(np.linalg.det(A))
-        fp_floor = float(np.finfo(float).eps) * 2 * _abs_permanent(A)
-        if not is_delta_zero(d22, delta_scale(problem, 2), fp_floor):
+    for lam, A, d22, floor in zip(lams, As, np.abs(dets), floors):
+        if not is_delta_zero(d22, delta_scale(problem, 2), floor):
             raise NonSimpleError(f"lambda={lam} is not a zero of Delta_22 "
                                  f"(|Delta_22| = {d22:.2e})")
         # smallest singular direction is robust when both entries nearly vanish
         c3, c4 = np.linalg.svd(A)[2][-1].conj()
         y0s.append(c3 * Uinv[:, 2] + c4 * Uinv[:, 3])
-    res = propagate(problem, lams[0], "forward", np.column_stack(y0s), x_grid=x_grid,
-                    quad_pairs=[(k, k) for k in range(len(lams))], lam_per_col=lams)
+    res = propagate(problem, lams, "forward", np.column_stack(y0s), x_grid=x_grid,
+                    quad_pairs=[(k, k) for k in range(n)])
     out = []
     for k, (lam, A) in enumerate(zip(lams, As)):
         norm2 = res.quadratures[(k, k)]
@@ -133,10 +133,9 @@ def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
             continue
         _, gamma, xi = got
         pt = SpectralPoint(lam=z.lam, gamma=gamma, xi=xi)
-        deltas = {(3, 3): CharacteristicValue((3, 3), complex(A[0, 1])),
-                  (4, 3): CharacteristicValue((4, 3), complex(A[0, 0]))}
-        pt.extras["delta33"] = deltas[(3, 3)].value
-        pt.case_tag = weights_mod.classify_from_deltas(problem, pt, deltas)
+        pt.extras["delta33"] = complex(A[0, 1])
+        pt.case_tag = weights_mod.classify_eigenvalue(
+            pt, complex(A[0, 0]), pt.extras["delta33"], delta_scale(problem, 3))
         if pt.case_tag == "I":
             pt.beta = -gamma ** 2
             if residue_check:

@@ -172,24 +172,6 @@ class Tolerances:
     contour_nodes: int = 64
 
 
-@dataclass(frozen=True)
-class QuasiState:
-    """The 4-vector (y, y', y'', y^[3])."""
-
-    y: complex
-    dy: complex
-    d2y: complex
-    qd3y: complex
-
-    @classmethod
-    def from_vector(cls, v):
-        return cls(*(complex(c) for c in np.asarray(v).ravel()[:4]))
-
-    @property
-    def vector(self):
-        return np.array([self.y, self.dy, self.d2y, self.qd3y], dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     p: CoefficientField
@@ -210,8 +192,7 @@ class ProblemSpec:
 
     @property
     def breakpoints(self):
-        pts = np.union1d(self.p.breakpoints, self.q.breakpoints)
-        return pts
+        return np.union1d(self.p.breakpoints, self.q.breakpoints)
 
 
 def validate_problem(raw: ProblemSpec) -> ProblemSpec:
@@ -228,10 +209,10 @@ def validate_problem(raw: ProblemSpec) -> ProblemSpec:
     if n < 16 or (n & (n - 1)) != 0:
         raise ProblemError("contour_nodes must be >= 16 and a power of two")
     for fname, fld in (("p", raw.p), ("q", raw.q)):
-        for x in np.linspace(0.0, 1.0, 13):
-            v = fld(x)
-            if not np.isfinite(v.real) or not np.isfinite(v.imag):
-                raise ProblemError(f"coefficient {fname} not finite at x={x}")
+        for x0, x1, coeffs in fld.segments:
+            # on a segment of width <= 1, |value| <= sum |c_k|
+            if not np.isfinite(np.sum(np.abs(coeffs))):
+                raise ProblemError(f"coefficient {fname} not finite on [{x0}, {x1}]")
     return replace(raw, validated=True)
 
 
@@ -264,10 +245,10 @@ def boundary_form_matrix(spec: ProblemSpec, end: str) -> np.ndarray:
 
 
 def lagrange_bracket(y, z) -> complex:
-    """<y, z> = y^[3] z - y'' z' + y' z'' - y z^[3], bilinear and antisymmetric."""
-    yv = y.vector if isinstance(y, QuasiState) else np.asarray(y, dtype=complex)
-    zv = z.vector if isinstance(z, QuasiState) else np.asarray(z, dtype=complex)
-    return complex(yv[3] * zv[0] - yv[2] * zv[1] + yv[1] * zv[2] - yv[0] * zv[3])
+    """<y, z> = y^[3] z - y'' z' + y' z'' - y z^[3] of quasi-state vectors
+    (y, y', y'', y^[3]), bilinear and antisymmetric."""
+    y, z = np.asarray(y, dtype=complex), np.asarray(z, dtype=complex)
+    return complex(y[3] * z[0] - y[2] * z[1] + y[1] * z[2] - y[0] * z[3])
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ Lambda-derivatives are obtained by co-integrating the variational system
 J' = (F + Lambda) J + E41 Y, and quadratures of the form int y_i y_j dx
 by appending scalar states sharing the integrator's error control.
 
-A batch of N lambda is one solve with one step-size sequence (init tiled N
-times, each lambda repeated per column by lam_per_col).  DOP853 bounds the
-RMS error of the whole state, so ode_rel and ode_abs are divided by sqrt(N).
+lam is one value, or one value per column: a batch of N lambda is one solve
+with one step-size sequence (init tiled N times, each lambda repeated once
+per column of its tile).  DOP853 bounds the RMS error of the whole state, so
+ode_rel and ode_abs are divided by sqrt(N) for N distinct lambda.
 """
 
 from __future__ import annotations
@@ -49,19 +50,11 @@ class _DOP853(DOP853):
 class FundamentalMatrix:
     """Trajectory of a 4 x k solution matrix over a grid of x values."""
 
-    lam: complex
     xs: np.ndarray            # ascending grid, includes both endpoints
     values: np.ndarray        # shape (len(xs), 4, k)
     dlambda: np.ndarray | None = None   # same shape, entrywise d/dlambda
     quadratures: dict | None = None     # (i, j) -> int_0^1 y_i y_j dx
     det_drift: float = 0.0
-
-    def at(self, x):
-        """Value matrix at a grid point x (must be on the stored grid)."""
-        i = int(np.argmin(np.abs(self.xs - x)))
-        if abs(self.xs[i] - x) > 1e-12:
-            raise KeyError(f"x={x} not on stored grid")
-        return self.values[i]
 
     @property
     def start(self):
@@ -72,31 +65,23 @@ class FundamentalMatrix:
         return self.values[-1]
 
 
-def _default_grid(problem, npts=17):
-    grid = np.union1d(np.linspace(0.0, 1.0, npts), problem.breakpoints)
-    return grid
-
-
 def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
-              want_dlambda=False, quad_pairs=None, x_grid=None,
-              lam_per_col=None) -> FundamentalMatrix:
+              want_dlambda=False, quad_pairs=None, x_grid=None) -> FundamentalMatrix:
     """Integrate the system for a 4 x k initial matrix.
 
-    direction 'forward' starts the init data at x=0, 'backward' at x=1.
-    quad_pairs is a list of column index pairs (i, j); for each, the scalar
+    lam is one spectral parameter for every column, or one per column (a
+    lambda batch, or a Lagrange-identity check across two).  direction
+    'forward' starts the init data at x=0, 'backward' at x=1.  quad_pairs is
+    a list of column index pairs (i, j); for each, the scalar
     int_0^1 y_i(x) y_j(x) dx is accumulated alongside the trajectory.
-    lam_per_col optionally assigns a separate spectral parameter to every
-    column (a lambda batch, or a Lagrange-identity check across two).
     """
-    lam = complex(lam)
     if init is None:
         init = np.eye(4, dtype=complex)
     Y0 = np.asarray(init, dtype=complex)
     if Y0.ndim == 1:
         Y0 = Y0.reshape(4, 1)
     ncols = Y0.shape[1]
-    lams = np.full(ncols, lam, dtype=complex) if lam_per_col is None \
-        else np.asarray(lam_per_col, dtype=complex)
+    lams = np.broadcast_to(np.asarray(lam, dtype=complex).ravel(), ncols)
     if not np.all(np.isfinite(lams)):
         raise PropagationError("non-finite lambda")
 
@@ -134,8 +119,8 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
         state0.append(np.zeros(nq, dtype=complex))
     state0 = np.concatenate(state0)
 
-    grid = _default_grid(problem) if x_grid is None else \
-        np.union1d(np.asarray(x_grid, float), problem.breakpoints)
+    grid = np.union1d(np.linspace(0.0, 1.0, 17) if x_grid is None else
+                      np.asarray(x_grid, float), problem.breakpoints)
     nodes = problem.breakpoints
     if direction == "backward":
         seg_order = range(len(nodes) - 2, -1, -1)
@@ -185,7 +170,7 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
         dets = np.linalg.det(values)
         det_drift = float(np.max(np.abs(dets - np.linalg.det(Y0))))
 
-    return FundamentalMatrix(lam=lam, xs=xs_out, values=values, dlambda=dlam,
+    return FundamentalMatrix(xs=xs_out, values=values, dlambda=dlam,
                              quadratures=quads, det_drift=det_drift)
 
 
@@ -213,6 +198,5 @@ def propagate_pair(problem: ProblemSpec, lam, mu, y0, z0):
     cross quadrature shares the integrator's error control.
     """
     init = np.column_stack([np.asarray(y0, complex), np.asarray(z0, complex)])
-    res = propagate(problem, lam, "forward", init, quad_pairs=[(0, 1)],
-                    lam_per_col=[lam, mu])
+    res = propagate(problem, [lam, mu], "forward", init, quad_pairs=[(0, 1)])
     return res.values[:, :, 0], res.values[:, :, 1], res.quadratures[(0, 1)]

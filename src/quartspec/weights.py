@@ -35,8 +35,6 @@ CONVERGENCE_TOL = 1e-8
 GAMMA_FLOOR = 1e-6
 # relative tolerance of the case-I identity m43(lambda_n) = xi_n / gamma_n
 MATCH_TOL = 1e-6
-# the Delta values classify_from_deltas reads
-CLASSIFY_PAIRS = ((3, 3), (4, 3))
 
 
 class LaurentError(ArithmeticError):
@@ -72,20 +70,20 @@ def _pairwise_mean(terms):
 
 
 def laurent_coefficients(problem: ProblemSpec, lam0, orders=(-1, 0),
-                         radius=None, nodes=None) -> dict:
+                         radius=None) -> dict:
     """Laurent coefficients of M at lam0, with a node-doubling Cauchy check.
 
     The coefficient of order k is (2 pi i)^-1 times the contour integral of
     M(lam) (lam - lam0)^(-k-1) dlam; on the circle lam = lam0 + r e^(i t) it
     is the mean of M(lam) (r e^(i t))^(-k) over equispaced t.  M is sampled
     once at 2 * nodes points, all in one batched Delta evaluation; the
-    nodes-point rule uses the even-indexed ones.
+    nodes-point rule (nodes = problem.tolerances.contour_nodes) uses the
+    even-indexed ones.
     """
     lam0 = complex(lam0)
     if radius is None:
         radius = default_contour_radius(lam0)
-    if nodes is None:
-        nodes = problem.tolerances.contour_nodes
+    nodes = problem.tolerances.contour_nodes
     zs = radius * np.exp(1j * (2 * np.pi * np.arange(2 * nodes) / (2 * nodes)))
     ms = np.empty((2 * nodes, 4, 4), dtype=complex)
     for i, (z, d) in enumerate(zip(zs, deltas_at(problem, lam0 + zs))):
@@ -106,60 +104,47 @@ def laurent_coefficients(problem: ProblemSpec, lam0, orders=(-1, 0),
     return out
 
 
-def weight_matrix(problem: ProblemSpec, lam0, radius=None, nodes=None,
+def weight_matrix(problem: ProblemSpec, lam0, radius=None,
                   nearby_zeros=()) -> WeightMatrix:
     """N(lambda_0) = M_<0>^{-1} M_<-1> at a simple pole."""
     lam0 = complex(lam0)
     if radius is None:
         radius = default_contour_radius(lam0, nearby_zeros)
-    if nodes is None:
-        nodes = problem.tolerances.contour_nodes
-    coeffs = laurent_coefficients(problem, lam0, (-1, 0), radius=radius, nodes=nodes)
+    coeffs = laurent_coefficients(problem, lam0, (-1, 0), radius=radius)
     m_minus1, m_zero = coeffs[-1], coeffs[0]
     n = np.linalg.solve(m_zero, m_minus1)
-    return WeightMatrix(lam0=lam0, m_minus1=m_minus1, m_zero=m_zero, n=n,
-                        contour_radius=radius, quadrature_nodes=nodes)
+    return WeightMatrix(lam0=lam0, m_minus1=m_minus1, m_zero=m_zero, n=n, contour_radius=radius,
+                        quadrature_nodes=problem.tolerances.contour_nodes)
 
 
-def classify_eigenvalue(point: SpectralPoint, m43, delta33=None,
-                        delta33_scale=1.0) -> str:
-    """Assign the case tag (I)-(IV) from (gamma, xi) and m43.
+def classify_eigenvalue(point: SpectralPoint, delta43, delta33, delta33_scale) -> str:
+    """Assign the case tag (I)-(IV) from (gamma, xi) and Delta_43, Delta_33
+    at point.lam.
 
-    m43 is a callable lambda -> complex.  Whether lambda_n is a pole of m43
-    is decided through the magnitude of Delta_33(lambda_n) (passed in as
-    delta33), which is numerically robust near the pole itself.
+    Whether lambda_n is a pole of m43 = -Delta_43 / Delta_33 is decided
+    through |Delta_33| against POLE_FLOOR * delta33_scale, which is
+    numerically robust near the pole itself; m43 is formed only when
+    |gamma| is clear of the floor, never in cases III and IV.
     """
     gamma, xi = point.gamma, point.xi
     if gamma is None:
         raise ValueError("point carries no gamma; normalize the eigenfunction first")
-    is_pole = delta33 is not None and abs(delta33) < POLE_FLOOR * delta33_scale
     ag = abs(gamma)
     if 0.1 * GAMMA_FLOOR <= ag <= 10 * GAMMA_FLOOR:
         return "indeterminate"
     if ag < 0.1 * GAMMA_FLOOR:
-        return "III" if is_pole else "IV"
-    m = m43(point.lam)
+        return "III" if abs(delta33) < POLE_FLOOR * delta33_scale else "IV"
+    m = -delta43 / delta33
     if abs(m - xi / gamma) <= MATCH_TOL * (1 + abs(m)):
         return "I"
     return "II"
 
 
-def classify_from_deltas(problem: ProblemSpec, point: SpectralPoint, deltas) -> str:
-    """classify_eigenvalue with Delta_33 and m43 from the CLASSIFY_PAIRS
-    values `deltas` at point.lam."""
-
-    def m43(lam):
-        d = deltas if lam == point.lam else all_deltas(problem, lam, pairs=CLASSIFY_PAIRS)
-        return -d[(4, 3)].value / d[(3, 3)].value
-
-    return classify_eigenvalue(point, m43, delta33=deltas[(3, 3)].value,
-                               delta33_scale=delta_scale(problem, 3))
-
-
 def classify_on_problem(problem: ProblemSpec, point: SpectralPoint) -> str:
-    """classify_eigenvalue with Delta_33 and m43 from one C-only evaluation."""
-    return classify_from_deltas(
-        problem, point, all_deltas(problem, point.lam, pairs=CLASSIFY_PAIRS))
+    """classify_eigenvalue with Delta_43 and Delta_33 from one C-only evaluation."""
+    d = all_deltas(problem, point.lam, pairs=((3, 3), (4, 3)))
+    return classify_eigenvalue(point, d[(4, 3)].value, d[(3, 3)].value,
+                               delta_scale(problem, 3))
 
 
 # per case: entries allowed nonzero, and equality constraints checked

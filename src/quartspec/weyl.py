@@ -12,7 +12,9 @@ value is reported, the determinant route is kept as a cross-check.  Only the
 column S_4 is integrated (data e_4 at x=1), and only when Delta_31 or Delta_41
 is asked for.  deltas_at propagates a list of lambda as one batch (U^{-1}
 tiled once per lambda; tolerances / sqrt(N), see propagator); all_deltas is
-the batch of one.
+the batch of one.  Each requested Delta_jk is then one stack of minors over
+the batch: one determinant call for its value, k more for its lambda-jet,
+and its floating-point floor from the stacked permanent of |entries|.
 """
 
 from __future__ import annotations
@@ -34,12 +36,15 @@ _DELTA_COLS = {
 _DELTA_ROWS = {1: [2, 1, 0], 2: [1, 0], 3: [0]}
 
 ALL_INDEX_PAIRS = tuple(_DELTA_COLS)
+# the pairs also evaluated through S_4
+_S_PAIRS = ((3, 1), (4, 1))
 
 POLE_FLOOR = 1e-10
 # a Delta value at most this fraction of its reference scale counts as zero
 ZERO_FLOOR = 1e-5
 # reference lambda grid for the relative scale of each Delta_kk
 _SCALE_GRID = np.linspace(0.5, 30.0, 8)
+_EPS = float(np.finfo(float).eps)
 
 
 class PoleError(ArithmeticError):
@@ -70,75 +75,79 @@ class WeylSample:
     deltas: dict              # (j, k) -> CharacteristicValue
 
 
+def _det(sub):
+    """Determinants of a stack of minors (last two axes); a 1x1 minor is its
+    entry, which np.linalg.det does not return bitwise."""
+    return sub[..., 0, 0] if sub.shape[-1] == 1 else np.linalg.det(sub)
+
+
 def _abs_permanent(sub):
-    """Permanent of |sub| (n <= 3): total mass of the determinant's terms.
+    """Permanent of |sub| over the last two axes, by first-row expansion: the
+    total mass of the determinant's terms.
 
     eps times this bounds the cancellation noise of the determinant; rows
     scale differently (y' carries an extra rho), so a max-entry bound would
     be off by powers of rho.
     """
     a = np.abs(sub)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] + a[0, 1] * a[1, 0])
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] + a[1, 2] * a[2, 1])
-        + a[0, 1] * (a[1, 0] * a[2, 2] + a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] + a[1, 1] * a[2, 0]))
+    if a.shape[-1] == 1:
+        return a[..., 0, 0]
+    return sum(a[..., 0, j] * _abs_permanent(np.delete(a[..., 1:, :], j, axis=-1))
+               for j in range(a.shape[-1]))
 
 
-def _det_and_dlambda(sub, dsub):
-    """Determinant and its lambda-derivative (Jacobi: sum over columns)."""
-    val = complex(np.linalg.det(sub)) if sub.shape[0] > 1 else complex(sub[0, 0])
-    if dsub is None:
-        return val, None
-    dval = 0.0 + 0.0j
-    for c in range(sub.shape[1]):
-        rep = sub.copy()
-        rep[:, c] = dsub[:, c]
-        dval += complex(np.linalg.det(rep)) if rep.shape[0] > 1 else complex(rep[0, 0])
-    return val, dval
+def _minors(sub, dsub=None):
+    """(det, d/dlambda det, floating-point floor) of a stack of k x k minors.
+
+    The lambda-derivative (None without dsub) is Jacobi's formula: the sum
+    over columns c of the determinant with column c taken from dsub.
+    """
+    jet = None
+    if dsub is not None:
+        jet = 0
+        for c in range(sub.shape[-1]):
+            rep = sub.copy()
+            rep[..., c] = dsub[..., c]
+            jet = jet + _det(rep)
+    return _det(sub), jet, _EPS * sub.shape[-1] * _abs_permanent(sub)
 
 
 def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
               want_dlambda=False) -> list:
     """The characteristic values of `pairs` at each of `lams`, one dict per
     lambda keyed by pair: one batched propagation of C, plus one of S_4 when
-    (3, 1) or (4, 1) is requested."""
+    (3, 1) or (4, 1) is requested, and each pair's minors as one stack."""
     lams = np.asarray(lams, dtype=complex).ravel()
     n = len(lams)
     if n == 0:
         return []
     Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
-    C = propagate(problem, lams[0], "forward", np.tile(Uinv, n), want_dlambda=want_dlambda,
-                  x_grid=[0.0, 1.0], lam_per_col=np.repeat(lams, 4))
-    end = C.end.reshape(4, n, 4)   # rows y, y', y'', y^[3]; block i: C_1..C_4 at lams[i]
-    dend = C.dlambda[-1].reshape(4, n, 4) if want_dlambda else None
-    s_pairs = [jk for jk in ((3, 1), (4, 1)) if jk in pairs]
-    if s_pairs:
+    C = propagate(problem, np.repeat(lams, 4), "forward", np.tile(Uinv, n),
+                  want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
+    # [lambda, row y..y^[3], column C_1..C_4]
+    end = C.end.reshape(4, n, 4).swapaxes(0, 1)
+    dend = C.dlambda[-1].reshape(4, n, 4).swapaxes(0, 1) if want_dlambda else None
+    if set(_S_PAIRS) & set(pairs):
         # better-conditioned route for Delta_31 and Delta_41 via S_4 at x=0
-        S4 = propagate(problem, lams[0], "backward", np.tile([[0], [0], [0], [1]], n),
-                       want_dlambda=want_dlambda, x_grid=[0.0, 1.0], lam_per_col=lams)
-    eps = float(np.finfo(float).eps)
-    out = []
-    for i in range(n):
-        d = {}
-        for jk in pairs:
-            ix = np.ix_(_DELTA_ROWS[jk[1]], [c - 1 for c in _DELTA_COLS[jk]])
-            sub = end[:, i][ix]
-            val, dval = _det_and_dlambda(sub, dend[:, i][ix] if want_dlambda else None)
-            floor = eps * sub.shape[0] * _abs_permanent(sub)
-            d[jk] = CharacteristicValue(jk, val, dval, fp_floor=floor)
-        for jk in s_pairs:
+        S4 = propagate(problem, lams, "backward", np.tile([[0], [0], [0], [1]], n),
+                       want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
+    columns = {}   # pair -> (value, jet, alt_value, fp_floor), each over the batch
+    for jk in pairs:
+        rows, cols = _DELTA_ROWS[jk[1]], [c - 1 for c in _DELTA_COLS[jk]]
+        sub = end[:, rows][..., cols]
+        if jk in _S_PAIRS:
             row = jk[0] - 3            # Delta_31 = -S_4(0), Delta_41 = -S_4'(0)
-            s = S4.start[row, i]
-            d[jk] = CharacteristicValue(jk, -complex(s),
-                                        -complex(S4.dlambda[0][row, i]) if want_dlambda else None,
-                                        alt_value=d[jk].value, fp_floor=eps * abs(s))
-        out.append(d)
-    return out
+            s = S4.start[row]
+            # floor eps |S_4|; hypot rounds as abs() of one complex, np.abs may not
+            columns[jk] = (-s, -S4.dlambda[0][row] if want_dlambda else None,
+                           _det(sub), _EPS * np.hypot(s.real, s.imag))
+        else:
+            val, jet, floor = _minors(sub, dend[:, rows][..., cols] if want_dlambda else None)
+            columns[jk] = (val, jet, None, floor)
+    columns = {jk: [[None] * n if a is None else a.tolist() for a in col]
+               for jk, col in columns.items()}
+    return [{jk: CharacteristicValue(jk, val[i], jet[i], alt[i], floor[i])
+             for jk, (val, jet, alt, floor) in columns.items()} for i in range(n)]
 
 
 def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
@@ -173,11 +182,10 @@ def delta_scale(problem: ProblemSpec, k: int) -> float:
     return problem._cache[key]
 
 
-def weyl_matrix(problem: ProblemSpec, lam, want_dlambda=False,
-                deltas=None) -> WeylSample:
+def weyl_matrix(problem: ProblemSpec, lam, deltas=None) -> WeylSample:
     """Assemble M(lambda); raises PoleError when some needed Delta_kk vanishes."""
     if deltas is None:
-        deltas = all_deltas(problem, lam, want_dlambda=want_dlambda)
+        deltas = all_deltas(problem, lam)
     m = np.eye(4, dtype=complex)
     for (j, k), cv in deltas.items():
         if j == k:

@@ -166,15 +166,15 @@ def test_07_weight_matrices(beam, beam_zeros, beam_points):
 
 def test_08_classification(beam, beam_points):
     tags = [classify_on_problem(beam, pt) for pt in beam_points]
+    # (point, Delta_43, Delta_33, tag); m43 = -Delta_43 / Delta_33
     stubs = [
-        (SpectralPoint(lam=1.0, gamma=1.0, xi=0.5), lambda lam: 99.0, 1.0, "II"),
-        (SpectralPoint(lam=1.0, gamma=0.0, xi=1.0), lambda lam: 0.0, 0.0, "III"),
-        (SpectralPoint(lam=1.0, gamma=0.0, xi=1.0), lambda lam: 0.0, 1.0, "IV"),
-        (SpectralPoint(lam=1.0, gamma=5e-7, xi=1.0), lambda lam: 0.0, 1.0,
-         "indeterminate"),
+        (SpectralPoint(lam=1.0, gamma=1.0, xi=0.5), -99.0, 1.0, "II"),
+        (SpectralPoint(lam=1.0, gamma=0.0, xi=1.0), 0.0, 0.0, "III"),
+        (SpectralPoint(lam=1.0, gamma=0.0, xi=1.0), 0.0, 1.0, "IV"),
+        (SpectralPoint(lam=1.0, gamma=5e-7, xi=1.0), 0.0, 1.0, "indeterminate"),
     ]
-    stub_tags = [classify_eigenvalue(pt, m43, delta33=d33)
-                 for pt, m43, d33, _ in stubs]
+    stub_tags = [classify_eigenvalue(pt, d43, d33, 1.0)
+                 for pt, d43, d33, _ in stubs]
     ok = tags == ["I"] * 5 and stub_tags == [s[-1] for s in stubs]
     report("algorithm1_cases", 0.0 if ok else 1.0, 0.5, ok=ok)
 

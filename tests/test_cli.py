@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from quartspec import problem_to_dict, save_problem
+from quartspec import find_complex_zeros, problem_to_dict, save_problem
+from quartspec.spectra import SpectrumRequest
 from quartspec.cli import main
 
 from conftest import beam_eigenvalue, clamped_free_s, make_random_problem
@@ -33,6 +34,12 @@ class TestSpectrum:
             assert main(["spectrum", "--problem", beam_json, "--xmax", "500",
                          "--output", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("selector", ["55", "12", "00", "2", "222", "2x"])
+    def test_selector_outside_index_pairs_usage_error(self, beam_json, selector, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["spectrum", "--problem", beam_json, "--selector", selector])
+        assert err.value.code == 2
 
     def test_missing_file_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -117,6 +124,22 @@ class TestDataCommands:
         assert payload["case"] == "I"
         assert abs(complex(*payload["n"][2][1]) + 4.0) < 1e-6
         assert payload["residuals"]["off_pattern_entries"] < 1e-7
+
+    def test_weights_at_complex_eigenvalue(self, tmp_path, capsys):
+        # Delta_22 of a complex problem is not real on the real axis, so the
+        # zero at lambda0 is located in a complex box around it
+        pb = make_random_problem(1)
+        path = tmp_path / "cx1.json"
+        save_problem(pb, path)
+        zero = find_complex_zeros(pb, SpectrumRequest((2, 2), (300.0, 700.0, -5.0, 5.0)))
+        assert len(zero) == 1 and abs(zero[0].lam.imag) > 0.1
+        lam = zero[0].lam
+        code = main(["weights", "--problem", str(path), "--lambda0", f"{lam.real!r},{lam.imag!r}"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["case"] == "I"
+        assert payload["residuals"]["n32_equals_minus_gamma_sq"] < 1e-9
+        assert payload["residuals"]["off_pattern_entries"] < 1e-9
 
     def test_reconstruct_m32_default_count(self, beam_json, capsys):
         code = main(["reconstruct", "--problem", beam_json, "--kind", "m32"])

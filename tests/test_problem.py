@@ -8,7 +8,6 @@ from quartspec import (
     CoefficientField,
     ProblemError,
     ProblemSpec,
-    QuasiState,
     Tolerances,
     beam_problem,
     boundary_form_matrix,
@@ -127,8 +126,9 @@ class TestBoundaryForms:
         assert lagrange_bracket(y, y) == pytest.approx(0.0)
 
     def test_bracket_accepts_quasistate(self):
-        y = QuasiState(1.0, 2.0, 3.0, 4.0)
-        z = QuasiState(0.0, 1.0, 0.0, 0.0)
+        # quasi-state vectors (y, y', y'', y^[3]) as plain 4-sequences
+        y = [1.0, 2.0, 3.0, 4.0]
+        z = np.array([0.0, 1.0, 0.0, 0.0])
         # <y, z> = y3*z0 - y2*z1 + y1*z2 - y0*z3 = -3
         assert lagrange_bracket(y, z) == pytest.approx(-3.0)
 
@@ -176,4 +176,19 @@ class TestJsonInterface:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"p": {"kind": "piecewise_poly"}}))
         with pytest.raises((ProblemError, KeyError)):
+            load_problem(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_load_rejects_non_finite_segment(self, tmp_path, bad):
+        # the bad segment lies between the points of a uniform sampling of
+        # [0, 1]; loading must fail, not stall a later solve
+        obj = problem_to_dict(beam_problem())
+        obj["q"] = {"kind": "piecewise_poly", "segments": [
+            {"x0": 0.0, "x1": 0.02, "coeffs": [[1.0, 0.0]]},
+            {"x0": 0.02, "x1": 0.05, "coeffs": [[1.0, 0.0], [bad, 0.0]]},
+            {"x0": 0.05, "x1": 1.0, "coeffs": [[1.0, 0.0]]},
+        ]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ProblemError, match="not finite on"):
             load_problem(path)

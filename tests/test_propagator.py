@@ -21,9 +21,10 @@ class TestClosedForm:
         # at lambda = 0 the solutions are 1, x, x^2/2, x^3/6 up to the U-forms
         pb = beam_problem()
         res = fundamental_C(pb, 0.0, x_grid=[0.0, 0.5, 1.0])
-        x = 0.5
-        assert res.at(x)[0, 2] == pytest.approx(1.0, abs=1e-10)
-        assert res.at(x)[0, 3] == pytest.approx(x, abs=1e-10)
+        assert list(res.xs) == [0.0, 0.5, 1.0]
+        x, at_x = res.xs[1], res.values[1]
+        assert at_x[0, 2] == pytest.approx(1.0, abs=1e-10)
+        assert at_x[0, 3] == pytest.approx(x, abs=1e-10)
 
     def test_S4_backward_closed_form(self):
         # S_4(x, 0) = (x - 1)^3 / 6 solves y'''' = 0 with identity data at 1
@@ -168,7 +169,7 @@ def test_spent_solvers_freed_without_cyclic_gc(monkeypatch):
     monkeypatch.setattr(propagator._DOP853, "__init__", init)
     gc.disable()
     try:
-        propagate(make_random_problem(), 7.3, want_dlambda=True, lam_per_col=np.arange(4.0))
+        propagate(make_random_problem(), np.arange(4.0), want_dlambda=True)
     finally:
         gc.enable()
     assert len(refs) > 1

@@ -97,23 +97,24 @@ class TestClassification:
 
     def test_stub_case_two(self):
         pt = SpectralPoint(lam=10.0, gamma=1.0, xi=0.5)
-        tag = classify_eigenvalue(pt, m43=lambda lam: 99.0, delta33=1.0)
+        # m43 = -Delta_43 / Delta_33 = 99, far from xi / gamma
+        tag = classify_eigenvalue(pt, -99.0, 1.0, 1.0)
         assert tag == "II"
 
     def test_stub_case_three(self):
         pt = SpectralPoint(lam=10.0, gamma=0.0, xi=1.0)
-        tag = classify_eigenvalue(pt, m43=lambda lam: 0.0, delta33=0.0)
+        tag = classify_eigenvalue(pt, 0.0, 0.0, 1.0)
         assert tag == "III"
 
     def test_stub_case_four(self):
         pt = SpectralPoint(lam=10.0, gamma=0.0, xi=1.0)
-        tag = classify_eigenvalue(pt, m43=lambda lam: 0.0, delta33=1.0)
+        tag = classify_eigenvalue(pt, 0.0, 1.0, 1.0)
         assert tag == "IV"
 
     def test_stub_indeterminate_band(self):
         # |gamma| within an order of magnitude of the floor: no safe call
         pt = SpectralPoint(lam=10.0, gamma=5e-7, xi=1.0)
-        tag = classify_eigenvalue(pt, m43=lambda lam: 0.0, delta33=1.0)
+        tag = classify_eigenvalue(pt, 0.0, 1.0, 1.0)
         assert tag == "indeterminate"
 
     def test_case_search_harness_runs(self):
