@@ -17,8 +17,8 @@ import numpy as np
 
 from .mclaughlin import SpectralPoint, weight_numbers
 from .problem import ProblemSpec
-from .spectra import BarcilonData, find_first_zeros
-from .weyl import all_deltas, phi_matrix
+from .spectra import BarcilonData, find_first_zeros, three_spectra
+from .weyl import phi_matrix, weyl_matrix
 
 # |alpha_n| below this means the case-II premise fails
 ALPHA_FLOOR = 1e-10
@@ -64,7 +64,7 @@ def _tail_sum(zeros, lam_abs):
     return lam_abs * (N + alpha) / (3 * lam_N)
 
 
-def reconstruct_m32(data, lam, terms=None):
+def reconstruct_m32(data, lam):
     """Partial sum of sum_n beta_n / (lam - lambda_n); (value, tail_estimate).
 
     data is a sequence of (lambda_n, beta_n).  The tail estimate uses the
@@ -73,8 +73,6 @@ def reconstruct_m32(data, lam, terms=None):
     2 B (N + alpha) / (3 |lambda_N|) once |lambda_n| dominates |lam|.
     """
     data = list(data)
-    if terms is not None:
-        data = data[:terms]
     if not data:
         raise BridgeError("insufficient data")
     lam = complex(lam)
@@ -120,7 +118,7 @@ def reconstruct_delta_hadamard(zeros, anchor_value, lam):
     return complex(value), float(bound)
 
 
-def barcilon_equiv_data(b: BarcilonData, anchors, n_terms=None):
+def barcilon_equiv_data(b: BarcilonData, anchors):
     """Data {lambda_n, Delta_32(lambda_n), Delta_42(lambda_n)} from three spectra.
 
     Delta_32 and Delta_42 are rebuilt as truncated Hadamard products over
@@ -132,12 +130,10 @@ def barcilon_equiv_data(b: BarcilonData, anchors, n_terms=None):
     a32, a42 = anchors
     if any(abs(z) < 1e-12 for z in list(b.s13) + list(b.s23)):
         raise BridgeError("lambda=0 lies in a spectrum; choose another anchor")
-    s13 = list(b.s13)[:n_terms] if n_terms else list(b.s13)
-    s23 = list(b.s23)[:n_terms] if n_terms else list(b.s23)
     out = []
     for lam_n in b.s12:
-        d32, b32 = reconstruct_delta_hadamard(s13, a32, lam_n)
-        d42, b42 = reconstruct_delta_hadamard(s23, a42, lam_n)
+        d32, b32 = reconstruct_delta_hadamard(b.s13, a32, lam_n)
+        d42, b42 = reconstruct_delta_hadamard(b.s23, a42, lam_n)
         out.append({"lambda": lam_n, "delta32": d32, "delta42": d42,
                     "bound32": b32, "bound42": b42})
     return out
@@ -165,32 +161,29 @@ def _mclaughlin_vector(problem, count):
 
 
 def _barcilon_vector(problem, count):
-    from .spectra import three_spectra
     b = three_spectra(problem, count)
     return np.array(b.s12 + b.s13 + b.s23, dtype=complex)
 
 
-def _weyl_vector(problem, lams):
-    from .weyl import weyl_matrix
-    out = []
-    for lam in lams:
-        m = weyl_matrix(problem, lam).m
-        out.extend([m[1, 0], m[2, 0], m[2, 1], m[3, 0], m[3, 1], m[3, 2]])
-    return np.array(out, dtype=complex)
+def _weyl_vector(problem, count):
+    """m21, m31, m32, m41, m42, m43 at each of `count` lambda, lambda by lambda."""
+    rows, cols = np.tril_indices(4, -1)
+    return weyl_matrix(problem, np.linspace(0.6, 9.9, count)).m[:, rows, cols].ravel()
+
+
+def _phi_at(problem, lams, xs):
+    """Phi at the points xs only: the trajectory also holds the problem's
+    own breakpoints, which differ between problems."""
+    got, phi = phi_matrix(problem, lams, x_grid=xs)
+    return phi[np.isin(got, xs)]
 
 
 def spectral_mappings_deviation(problem_a, problem_b, x_count=10, lam_count=10):
     """max over an (x, lambda) grid of |P(x, lambda) - I| with P = Phi Phi~^{-1}."""
     xs = np.linspace(0.0, 1.0, x_count)
     lams = np.linspace(0.6, 9.9, lam_count)  # clear of the low beam poles
-    worst = 0.0
-    for lam in lams:
-        _, phi_a = phi_matrix(problem_a, lam, x_grid=xs)
-        _, phi_b = phi_matrix(problem_b, lam, x_grid=xs)
-        for i in range(len(phi_a)):
-            P = phi_a[i] @ np.linalg.inv(phi_b[i])
-            worst = max(worst, float(np.max(np.abs(P - np.eye(4)))))
-    return worst
+    P = _phi_at(problem_a, lams, xs) @ np.linalg.inv(_phi_at(problem_b, lams, xs))
+    return float(np.max(np.abs(P - np.eye(4))))
 
 
 def twin_comparison(problem_a: ProblemSpec, problem_b: ProblemSpec,
@@ -201,19 +194,11 @@ def twin_comparison(problem_a: ProblemSpec, problem_b: ProblemSpec,
     lambda grid.  The spectral-mappings matrix P(x, lambda) is evaluated on
     a grid as well; for identical problems it must be the identity.
     """
-    if data_kind == "mclaughlin":
-        va = _mclaughlin_vector(problem_a, count)
-        vb = _mclaughlin_vector(problem_b, count)
-    elif data_kind == "barcilon":
-        va = _barcilon_vector(problem_a, count)
-        vb = _barcilon_vector(problem_b, count)
-    elif data_kind == "weyl":
-        lams = np.linspace(0.6, 9.9, count)
-        va = _weyl_vector(problem_a, lams)
-        vb = _weyl_vector(problem_b, lams)
-    else:
+    vector = {"mclaughlin": _mclaughlin_vector, "barcilon": _barcilon_vector,
+              "weyl": _weyl_vector}.get(data_kind)
+    if vector is None:
         raise BridgeError(f"unknown data kind {data_kind!r}")
-    distances = np.abs(va - vb)
+    distances = np.abs(vector(problem_a, count) - vector(problem_b, count))
     return {
         "kind": data_kind,
         "distances": distances,

@@ -16,10 +16,12 @@ Lambda-derivatives are obtained by co-integrating the variational system
 J' = (F + Lambda) J + E41 Y, and quadratures of the form int y_i y_j dx
 by appending scalar states sharing the integrator's error control.
 
-lam is one value, or one value per column: a batch of N lambda is one solve
-with one step-size sequence (init tiled N times, each lambda repeated once
-per column of its tile).  DOP853 bounds the RMS error of the whole state, so
-ode_rel and ode_abs are divided by sqrt(N) for N distinct lambda.
+propagate takes lam as one value, or one per column.  fundamental_C and
+fundamental_S take one lambda or a batch of N as one solve with one step
+sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
+column of its tile); values and dlambda are (len(xs), 4, 4) or (len(xs), N,
+4, 4), and det_drift is the largest over the batch.  DOP853 bounds the RMS
+error of the whole state, so ode_rel and ode_abs are divided by sqrt(N).
 """
 
 from __future__ import annotations
@@ -48,13 +50,14 @@ class _DOP853(DOP853):
 
 @dataclass
 class FundamentalMatrix:
-    """Trajectory of a 4 x k solution matrix over a grid of x values."""
+    """Trajectory of a 4 x k solution matrix over a grid of x values, or of
+    a 4 x 4 one at each lambda of a batch."""
 
     xs: np.ndarray            # ascending grid, includes both endpoints
-    values: np.ndarray        # shape (len(xs), 4, k)
+    values: np.ndarray        # shape (len(xs), 4, k), or (len(xs), N, 4, 4)
     dlambda: np.ndarray | None = None   # same shape, entrywise d/dlambda
     quadratures: dict | None = None     # (i, j) -> int_0^1 y_i y_j dx
-    det_drift: float = 0.0
+    det_drift: float = 0.0    # fundamental_C and fundamental_S only
 
     @property
     def start(self):
@@ -165,30 +168,34 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
         sign = 1.0 if direction == "forward" else -1.0
         quads = {pair: complex(sign * qfinal[k]) for k, pair in enumerate(quad_pairs)}
 
-    det_drift = 0.0
-    if ncols == 4:
-        dets = np.linalg.det(values)
-        det_drift = float(np.max(np.abs(dets - np.linalg.det(Y0))))
-
-    return FundamentalMatrix(xs=xs_out, values=values, dlambda=dlam,
-                             quadratures=quads, det_drift=det_drift)
+    return FundamentalMatrix(xs=xs_out, values=values, dlambda=dlam, quadratures=quads)
 
 
-def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False,
-                  quad_pairs=None, x_grid=None) -> FundamentalMatrix:
+def _fundamental(problem, lam, direction, init, want_dlambda, x_grid) -> FundamentalMatrix:
+    """The 4 x 4 `init` propagated at one lambda or at each of a batch, in one
+    solve; fields (len(xs),) + lam.shape + (4, 4), det_drift over the batch."""
+    lam = np.asarray(lam, dtype=complex)
+    res = propagate(problem, np.repeat(lam.ravel(), 4), direction, np.tile(init, lam.size),
+                    want_dlambda=want_dlambda, x_grid=x_grid)
+
+    def per_lambda(a):   # (len(xs), 4, 4N): row, then lambda-major columns
+        return np.moveaxis(a.reshape(len(a), 4, *lam.shape, 4), 1, -2)
+
+    values = per_lambda(res.values)
+    drift = np.max(np.abs(np.linalg.det(values) - np.linalg.det(init)))
+    return FundamentalMatrix(xs=res.xs, values=values, det_drift=float(drift),
+                             dlambda=per_lambda(res.dlambda) if want_dlambda else None)
+
+
+def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False, x_grid=None) -> FundamentalMatrix:
     """Solutions C_k with U_s(C_k) = delta_sk; initial matrix U^{-1} at x=0."""
     U = boundary_form_matrix(problem, "left")
-    return propagate(problem, lam, "forward", np.linalg.inv(U),
-                     want_dlambda=want_dlambda, quad_pairs=quad_pairs,
-                     x_grid=x_grid)
+    return _fundamental(problem, lam, "forward", np.linalg.inv(U), want_dlambda, x_grid)
 
 
-def fundamental_S(problem: ProblemSpec, lam, want_dlambda=False,
-                  quad_pairs=None, x_grid=None) -> FundamentalMatrix:
+def fundamental_S(problem: ProblemSpec, lam, x_grid=None) -> FundamentalMatrix:
     """Solutions S_k with V_s(S_k) = delta_sk; identity data at x=1."""
-    return propagate(problem, lam, "backward", np.eye(4, dtype=complex),
-                     want_dlambda=want_dlambda, quad_pairs=quad_pairs,
-                     x_grid=x_grid)
+    return _fundamental(problem, lam, "backward", np.eye(4, dtype=complex), False, x_grid)
 
 
 def propagate_pair(problem: ProblemSpec, lam, mu, y0, z0):

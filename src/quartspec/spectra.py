@@ -120,8 +120,8 @@ def _jets(problem, selector, lams):
     """(Delta, dDelta) of the selected pair at each lambda, in one solve; if
     it fails, lambda by lambda, each PropagationError in its lambda's place."""
     try:
-        return [(d[selector].value, d[selector].dvalue)
-                for d in deltas_at(problem, lams, (selector,), want_dlambda=True)]
+        d = deltas_at(problem, lams, (selector,), want_dlambda=True)[selector]
+        return list(zip(d.value.tolist(), d.dvalue.tolist()))
     except PropagationError as exc:
         if len(lams) == 1:
             return [exc]
@@ -178,8 +178,8 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
         last = []       # the previous chunk's last sample: no lambda twice
         for start in range(0, len(lams), _SCAN_CHUNK):
             chunk = lams[start:start + _SCAN_CHUNK]
-            samples = last + [(lam, np.real(d[selector].value), d[selector].fp_floor)
-                              for lam, d in zip(chunk, deltas_at(problem, chunk, (selector,)))]
+            d = deltas_at(problem, chunk, (selector,))[selector]
+            samples = last + list(zip(chunk, d.value.real, d.fp_floor))
             last = samples[-1:]
             for (a, fa, floor_a), (b, fb, floor_b) in pairwise(samples):
                 if not (np.isfinite(fa) and np.isfinite(fb)):
@@ -258,7 +258,7 @@ def _ring_fun(problem, selector):
     def ring(zs):
         zs = zs.tolist()
         new = [z for z in dict.fromkeys(zs) if z not in memo]
-        memo.update(zip(new, (d[selector].value for d in deltas_at(problem, new, (selector,)))))
+        memo.update(zip(new, deltas_at(problem, new, (selector,))[selector].value.tolist()))
         return np.array([memo[z] for z in zs])
 
     return ring

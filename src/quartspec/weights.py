@@ -28,7 +28,7 @@ import numpy as np
 
 from .mclaughlin import SpectralPoint
 from .problem import ProblemSpec
-from .weyl import POLE_FLOOR, PoleError, all_deltas, deltas_at, delta_scale, weyl_matrix
+from .weyl import POLE_FLOOR, PoleError, all_deltas, delta_scale, weyl_matrix
 
 CONVERGENCE_TOL = 1e-8
 # |gamma| below this: y_n(0) = 0 (cases III, IV); within 10x of it: indeterminate
@@ -76,7 +76,7 @@ def laurent_coefficients(problem: ProblemSpec, lam0, orders=(-1, 0),
     The coefficient of order k is (2 pi i)^-1 times the contour integral of
     M(lam) (lam - lam0)^(-k-1) dlam; on the circle lam = lam0 + r e^(i t) it
     is the mean of M(lam) (r e^(i t))^(-k) over equispaced t.  M is sampled
-    once at 2 * nodes points, all in one batched Delta evaluation; the
+    once at 2 * nodes points, in one batched weyl_matrix call; the
     nodes-point rule (nodes = problem.tolerances.contour_nodes) uses the
     even-indexed ones.
     """
@@ -85,12 +85,10 @@ def laurent_coefficients(problem: ProblemSpec, lam0, orders=(-1, 0),
         radius = default_contour_radius(lam0)
     nodes = problem.tolerances.contour_nodes
     zs = radius * np.exp(1j * (2 * np.pi * np.arange(2 * nodes) / (2 * nodes)))
-    ms = np.empty((2 * nodes, 4, 4), dtype=complex)
-    for i, (z, d) in enumerate(zip(zs, deltas_at(problem, lam0 + zs))):
-        try:
-            ms[i] = weyl_matrix(problem, lam0 + z, deltas=d).m
-        except PoleError as exc:
-            raise LaurentError(f"contour node at {lam0 + z} hits a pole") from exc
+    try:
+        ms = weyl_matrix(problem, lam0 + zs).m
+    except PoleError as exc:
+        raise LaurentError(f"contour node at {exc.lam} hits a pole") from exc
     out = {}
     for order in orders:
         terms = ms * (zs ** (-order))[:, None, None]

@@ -10,10 +10,13 @@ Delta_31 and Delta_41 are evaluated both as 3x3 determinants and through the
 backward solution S_4 (Delta_31 = -S_4(0), Delta_41 = -S_4'(0)); the S-route
 value is reported, the determinant route is kept as a cross-check.  Only the
 column S_4 is integrated (data e_4 at x=1), and only when Delta_31 or Delta_41
-is asked for.  deltas_at propagates a list of lambda as one batch (U^{-1}
-tiled once per lambda; tolerances / sqrt(N), see propagator); all_deltas is
-the batch of one.  Each requested Delta_jk is then one stack of minors over
-the batch: one determinant call for its value, k more for its lambda-jet,
+is asked for.  all_deltas is the one-lambda entry.
+
+deltas_at, characteristic_delta, weyl_matrix and phi_matrix take one lambda
+or an array of them: each CharacteristicValue field has the shape of lambda
+(numpy scalars for one), m has lambda.shape + (4, 4).  The end values come
+from one batched fundamental_C (see propagator), and each Delta_jk is one
+stack of minors: one determinant call for its value, k more for its jet,
 and its floating-point floor from the stacked permanent of |entries|.
 """
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, boundary_form_matrix
+from .problem import ProblemSpec
 from .propagator import fundamental_C, propagate
 
 # column indices (1-based C labels) of each determinant, per index pair
@@ -59,6 +62,7 @@ class PoleError(ArithmeticError):
 
 @dataclass
 class CharacteristicValue:
+    # each field has the shape of the lambda it was evaluated at
     jk: tuple
     value: complex
     dvalue: complex | None = None
@@ -70,8 +74,7 @@ class CharacteristicValue:
 
 @dataclass
 class WeylSample:
-    lam: complex
-    m: np.ndarray             # 4x4 unit lower-triangular
+    m: np.ndarray             # lam.shape + (4, 4), unit lower-triangular
     deltas: dict              # (j, k) -> CharacteristicValue
 
 
@@ -113,47 +116,47 @@ def _minors(sub, dsub=None):
 
 
 def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
-              want_dlambda=False) -> list:
-    """The characteristic values of `pairs` at each of `lams`, one dict per
-    lambda keyed by pair: one batched propagation of C, plus one of S_4 when
-    (3, 1) or (4, 1) is requested, and each pair's minors as one stack."""
-    lams = np.asarray(lams, dtype=complex).ravel()
-    n = len(lams)
-    if n == 0:
-        return []
-    Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
-    C = propagate(problem, np.repeat(lams, 4), "forward", np.tile(Uinv, n),
-                  want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
-    # [lambda, row y..y^[3], column C_1..C_4]
-    end = C.end.reshape(4, n, 4).swapaxes(0, 1)
-    dend = C.dlambda[-1].reshape(4, n, 4).swapaxes(0, 1) if want_dlambda else None
+              want_dlambda=False) -> dict:
+    """The characteristic values of `pairs` at `lams`, keyed by pair, each
+    field of the shape of lams: one batched propagation of C, plus one of S_4
+    when (3, 1) or (4, 1) is requested, and each pair's minors as one stack.
+    An empty batch propagates nothing."""
+    lams = np.asarray(lams, dtype=complex)
+    if lams.size == 0:
+        empty = np.empty(lams.shape, dtype=complex)
+        return {jk: CharacteristicValue(jk, empty, empty if want_dlambda else None,
+                                        empty if jk in _S_PAIRS else None, empty.real)
+                for jk in pairs}
+    C = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0])
+    end = C.end          # [..., row y..y^[3], column C_1..C_4]
+    dend = C.dlambda[-1] if want_dlambda else None
     if set(_S_PAIRS) & set(pairs):
         # better-conditioned route for Delta_31 and Delta_41 via S_4 at x=0
-        S4 = propagate(problem, lams, "backward", np.tile([[0], [0], [0], [1]], n),
+        S4 = propagate(problem, lams.ravel(), "backward",
+                       np.tile([[0], [0], [0], [1]], lams.size),
                        want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
-    columns = {}   # pair -> (value, jet, alt_value, fp_floor), each over the batch
+    out = {}
     for jk in pairs:
         rows, cols = _DELTA_ROWS[jk[1]], [c - 1 for c in _DELTA_COLS[jk]]
-        sub = end[:, rows][..., cols]
+        sub = end[..., rows, :][..., cols]
         if jk in _S_PAIRS:
             row = jk[0] - 3            # Delta_31 = -S_4(0), Delta_41 = -S_4'(0)
-            s = S4.start[row]
+            val = -S4.start[row].reshape(lams.shape)
+            jet = -S4.dlambda[0][row].reshape(lams.shape) if want_dlambda else None
             # floor eps |S_4|; hypot rounds as abs() of one complex, np.abs may not
-            columns[jk] = (-s, -S4.dlambda[0][row] if want_dlambda else None,
-                           _det(sub), _EPS * np.hypot(s.real, s.imag))
+            fields = (val, jet, _det(sub), _EPS * np.hypot(val.real, val.imag))
         else:
-            val, jet, floor = _minors(sub, dend[:, rows][..., cols] if want_dlambda else None)
-            columns[jk] = (val, jet, None, floor)
-    columns = {jk: [[None] * n if a is None else a.tolist() for a in col]
-               for jk, col in columns.items()}
-    return [{jk: CharacteristicValue(jk, val[i], jet[i], alt[i], floor[i])
-             for jk, (val, jet, alt, floor) in columns.items()} for i in range(n)]
+            val, jet, floor = _minors(sub, dend[..., rows, :][..., cols] if want_dlambda else None)
+            fields = (val, jet, None, floor)
+        # [()] makes the fields of one lambda numpy scalars
+        out[jk] = CharacteristicValue(jk, *(a if a is None else a[()] for a in fields))
+    return out
 
 
 def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
                pairs=ALL_INDEX_PAIRS) -> dict:
     """The characteristic values of `pairs` at one lambda, keyed by pair."""
-    return deltas_at(problem, [lam], pairs, want_dlambda)[0]
+    return deltas_at(problem, complex(lam), pairs, want_dlambda)
 
 
 def is_delta_zero(value, scale, fp_floor) -> bool:
@@ -166,7 +169,7 @@ def characteristic_delta(problem: ProblemSpec, lam, jk, want_dlambda=False) -> C
     jk = tuple(jk)
     if jk not in _DELTA_COLS:
         raise ValueError(f"no characteristic function with index pair {jk}")
-    return all_deltas(problem, lam, want_dlambda=want_dlambda, pairs=(jk,))[jk]
+    return deltas_at(problem, lam, (jk,), want_dlambda)[jk]
 
 
 def delta_scale(problem: ProblemSpec, k: int) -> float:
@@ -177,24 +180,29 @@ def delta_scale(problem: ProblemSpec, k: int) -> float:
         diag = ((1, 1), (2, 2), (3, 3))
         sweep = deltas_at(problem, _SCALE_GRID, pairs=diag)
         for kk, _ in diag:
-            top = max(abs(d[(kk, kk)].value) for d in sweep)
+            v = sweep[(kk, kk)].value
+            top = float(np.max(np.hypot(v.real, v.imag)))
             problem._cache[("delta_scale", kk)] = max(top, 1e-300)
     return problem._cache[key]
 
 
-def weyl_matrix(problem: ProblemSpec, lam, deltas=None) -> WeylSample:
-    """Assemble M(lambda); raises PoleError when some needed Delta_kk vanishes."""
-    if deltas is None:
-        deltas = all_deltas(problem, lam)
-    m = np.eye(4, dtype=complex)
+def weyl_matrix(problem: ProblemSpec, lam) -> WeylSample:
+    """Assemble M at one lambda or a batch; raises PoleError at the first
+    lambda where a needed Delta_kk vanishes (naming the smallest such k)."""
+    lam = np.asarray(lam, dtype=complex)
+    deltas = deltas_at(problem, lam)
+    diag = np.stack([np.ravel(deltas[(k, k)].value) for k in (1, 2, 3)])   # (3, N)
+    size = np.hypot(diag.real, diag.imag)
+    poles = size < POLE_FLOOR * np.array([[delta_scale(problem, k)] for k in (1, 2, 3)])
+    if poles.any():
+        i = np.argmax(poles.any(axis=0))
+        k = np.argmax(poles[:, i])
+        raise PoleError(k + 1, complex(lam.ravel()[i]), float(size[k, i]))
+    m = np.broadcast_to(np.eye(4, dtype=complex), lam.shape + (4, 4)).copy()
     for (j, k), cv in deltas.items():
-        if j == k:
-            continue
-        dkk = deltas[(k, k)].value
-        if abs(dkk) < POLE_FLOOR * delta_scale(problem, k):
-            raise PoleError(k, lam, abs(dkk))
-        m[j - 1, k - 1] = -cv.value / dkk
-    return WeylSample(lam=complex(lam), m=m, deltas=deltas)
+        if j != k:
+            m[..., j - 1, k - 1] = -cv.value / deltas[(k, k)].value
+    return WeylSample(m=m, deltas=deltas)
 
 
 def weyl_inverse(problem: ProblemSpec, lam, sample: WeylSample | None = None) -> np.ndarray:
@@ -218,7 +226,8 @@ def weyl_inverse(problem: ProblemSpec, lam, sample: WeylSample | None = None) ->
 
 
 def phi_matrix(problem: ProblemSpec, lam, x_grid=None):
-    """Phi(x, lambda) = C(x, lambda) M(lambda) on a grid; (xs, values)."""
-    sample = weyl_matrix(problem, lam)
+    """Phi(x, lambda) = C(x, lambda) M(lambda) on a grid, at one lambda or a
+    batch; (xs, values of shape (len(xs),) + lam.shape + (4, 4))."""
+    m = weyl_matrix(problem, lam).m
     C = fundamental_C(problem, lam, x_grid=x_grid)
-    return C.xs, C.values @ sample.m
+    return C.xs, C.values @ m

@@ -13,9 +13,9 @@ from quartspec import (
 from quartspec.bridge import BridgeError, spectral_mappings_deviation
 from quartspec.mclaughlin import SpectralPoint
 from quartspec.spectra import three_spectra
-from quartspec.weyl import all_deltas
+from quartspec.weyl import all_deltas, phi_matrix
 
-from conftest import beam_eigenvalue, clamped_free_s, oracle_delta22
+from conftest import beam_eigenvalue, clamped_free_s, make_random_real_problem, oracle_delta22
 
 
 class TestMcLaughlinToBarcilon:
@@ -41,8 +41,8 @@ class TestMittagLeffler:
 
     def test_tail_shrinks_with_more_terms(self):
         data = [(beam_eigenvalue(n), -4.0) for n in range(1, 51)]
-        _, tail20 = reconstruct_m32(data, 1.0, terms=20)
-        _, tail50 = reconstruct_m32(data, 1.0, terms=50)
+        _, tail20 = reconstruct_m32(data[:20], 1.0)
+        _, tail50 = reconstruct_m32(data[:50], 1.0)
         assert tail50 < tail20
 
     def test_evaluation_at_pole_rejected(self):
@@ -105,6 +105,26 @@ class TestTwins:
         dev = spectral_mappings_deviation(beam, beam_problem(),
                                           x_count=4, lam_count=4)
         assert dev < 1e-7
+
+    def test_spectral_mappings_compared_at_the_same_x(self, beam):
+        # the random real problem's trajectory also holds its own breakpoints,
+        # so its x grid is longer than the beam's; in either order P is taken
+        # at the requested x, as a per-lambda evaluation there gives it
+        real = make_random_real_problem()
+        xs = np.linspace(0.0, 1.0, 4)
+        assert len(np.setdiff1d(real.breakpoints, xs)) > 0
+
+        def phi_at(pb, lam):
+            got, phi = phi_matrix(pb, lam, x_grid=xs)
+            return phi[[np.flatnonzero(got == x)[0] for x in xs]]
+
+        for a, b in ((real, beam), (beam, real)):
+            direct = max(float(np.max(np.abs(phi_at(a, lam) @ np.linalg.inv(phi_at(b, lam))
+                                              - np.eye(4))))
+                         for lam in np.linspace(0.6, 9.9, 3))
+            assert direct > 1e-3
+            got = spectral_mappings_deviation(a, b, x_count=4, lam_count=3)
+            assert got == pytest.approx(direct, rel=1e-6)
 
     def test_unknown_kind_rejected(self, beam):
         with pytest.raises(BridgeError):

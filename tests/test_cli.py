@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from quartspec import find_complex_zeros, problem_to_dict, save_problem
+from quartspec import (
+    BoundaryParams,
+    CoefficientField,
+    PoleError,
+    ProblemSpec,
+    find_complex_zeros,
+    problem_to_dict,
+    save_problem,
+    validate_problem,
+    weyl_matrix,
+)
 from quartspec.spectra import SpectrumRequest
 from quartspec.cli import main
 
@@ -40,6 +50,24 @@ class TestSpectrum:
         with pytest.raises(SystemExit) as err:
             main(["spectrum", "--problem", beam_json, "--selector", selector])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--count", "-1"],
+        ["classify", "--count", "-2"],
+        ["barcilon", "--count", "-1"],
+        ["mclaughlin", "--count", "0"],
+        ["reconstruct", "--count", "0"],
+        ["weyl", "--lambda-count", "-3"],
+        ["weyl", "--lambda-count", "0"],
+        ["twin", "--kind", "weyl", "--count", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_count_below_one_usage_error(self, beam_json, argv, capsys):
+        files = ["--a", beam_json, "--b", beam_json] if argv[0] == "twin" else \
+            ["--problem", beam_json]
+        with pytest.raises(SystemExit) as err:
+            main(argv + files)
+        assert err.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
 
     def test_missing_file_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -211,3 +239,21 @@ class TestVerify:
         assert all("threshold" in l for l in lines)
         payload = json.loads(out[out.index("{"):])
         assert payload["all_pass"] is True
+
+    def test_pole_on_grid_skipped(self, tmp_path, capsys):
+        # with constant q, Delta_22(lambda) is the beam's Delta_22(lambda - q):
+        # q moves the beam's lambda_1 onto the fourth point of the Weyl grid
+        grid = np.linspace(0.7, 47.3, 12)
+        pb = validate_problem(ProblemSpec(
+            p=CoefficientField.zero(), q=CoefficientField.constant(grid[3] - beam_eigenvalue(1)),
+            boundary=BoundaryParams(0.0, 0.0, 0.0)))
+        with pytest.raises(PoleError) as err:
+            weyl_matrix(pb, grid)
+        assert (err.value.k, err.value.lam) == (2, grid[3])
+        weyl_matrix(pb, np.delete(grid, 3))   # the only pole on the grid
+        path = tmp_path / "shifted.json"
+        save_problem(pb, path)
+        code = main(["verify", "--problem", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out[out.index("{"):])["all_pass"] is True

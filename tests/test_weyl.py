@@ -66,13 +66,23 @@ def _reference_end(pb, lam, y0, nodes):
 
 class TestBatchedDeltas:
     def test_batch_of_one_is_the_scalar_path(self):
-        # one lambda: the C route is the determinant of the end values of an
-        # unbatched fundamental_C, the S route the end value of S_4 alone
+        # a batch of one holds, in fields of shape (1,), the numpy scalars of
+        # one lambda; the C route is the determinant of the end values of a
+        # one-lambda fundamental_C, the S route the end value of S_4 alone
         pb = make_random_problem()
         for lam in (2.7, 41.0 - 3.0j):
             for jet in (False, True):
-                got = deltas_at(pb, [lam], want_dlambda=jet)[0]
-                assert got == all_deltas(pb, lam, want_dlambda=jet)
+                batch = deltas_at(pb, [lam], want_dlambda=jet)
+                got = all_deltas(pb, lam, want_dlambda=jet)
+                assert list(batch) == list(got) == list(ALL_INDEX_PAIRS)
+                for jk in ALL_INDEX_PAIRS:
+                    for field in ("value", "dvalue", "alt_value", "fp_floor"):
+                        one, of_batch = getattr(got[jk], field), getattr(batch[jk], field)
+                        if one is None:
+                            assert of_batch is None, (jk, field)
+                        else:
+                            assert np.ndim(one) == 0 and np.shape(of_batch) == (1,)
+                            assert of_batch[0] == one, (jk, field)
                 C = fundamental_C(pb, lam, want_dlambda=jet, x_grid=[0.0, 1.0])
                 S4 = propagate(pb, lam, "backward", [0, 0, 0, 1], want_dlambda=jet,
                                x_grid=[0.0, 1.0])
@@ -96,7 +106,8 @@ class TestBatchedDeltas:
         nodes = np.union1d(pb.p.breakpoints, pb.q.breakpoints)
         Uinv = np.linalg.inv(boundary_form_matrix(pb, "left"))
         worst = 0.0
-        for lam, got in zip(lams, deltas_at(pb, lams)):
+        got = deltas_at(pb, lams)
+        for i, lam in enumerate(lams):
             C = _reference_end(pb, lam, Uinv, nodes)
             S4 = _reference_end(pb, lam, np.array([[0.0], [0.0], [0.0], [1.0]]), nodes[::-1])
             for (j, k) in ALL_INDEX_PAIRS:
@@ -107,7 +118,7 @@ class TestBatchedDeltas:
                     sub = C[np.ix_(*_delta_index(j, k))]
                     ref = np.linalg.det(sub)
                     scale = max(abs(ref), 1e-4 * _term_mass(sub))
-                worst = max(worst, abs(got[(j, k)].value - ref) / scale)
+                worst = max(worst, abs(got[(j, k)].value[i] - ref) / scale)
         assert worst < 1e-9
 
 
@@ -155,6 +166,71 @@ class TestCharacteristicValues:
         for jk in ((2, 2), (3, 2), (3, 3)):
             fd = (dp[jk].value - dm[jk].value) / (2 * h)
             assert d[jk].dvalue == pytest.approx(fd, rel=1e-4)
+
+
+class TestBatchShape:
+    def test_batch_of_one_is_bitwise_the_one_lambda_call(self):
+        # fundamental_C and phi_matrix of a batch of one are bitwise their
+        # one-lambda results; m is within one ulp of Python's scalar
+        # -Delta_jk / Delta_kk (numpy rounds complex division differently)
+        pb = make_random_problem()
+        xs = np.linspace(0.0, 1.0, 5)
+        for lam in (2.7, 41.0 - 3.0j):
+            one = fundamental_C(pb, lam, want_dlambda=True, x_grid=xs)
+            batch = fundamental_C(pb, [lam], want_dlambda=True, x_grid=xs)
+            assert one.values.shape == (len(one.xs), 4, 4)
+            assert batch.values.shape == (len(one.xs), 1, 4, 4)
+            assert np.array_equal(batch.xs, one.xs)
+            assert np.array_equal(batch.values[:, 0], one.values)
+            assert np.array_equal(batch.dlambda[:, 0], one.dlambda)
+            assert batch.det_drift == one.det_drift
+            _, phi_one = phi_matrix(pb, lam, x_grid=xs)
+            _, phi_batch = phi_matrix(pb, [lam], x_grid=xs)
+            assert np.array_equal(phi_batch[:, 0], phi_one)
+            m = weyl_matrix(pb, [lam]).m
+            assert m.shape == (1, 4, 4)
+            d = all_deltas(pb, lam)
+            for (j, k) in ALL_INDEX_PAIRS:
+                if j != k:
+                    ref = -complex(d[(j, k)].value) / complex(d[(k, k)].value)
+                    got = m[0, j - 1, k - 1]
+                    assert abs(got.real - ref.real) <= np.spacing(abs(ref.real)), (j, k)
+                    assert abs(got.imag - ref.imag) <= np.spacing(abs(ref.imag)), (j, k)
+
+    def test_batch_fields_have_the_shape_of_lambda(self):
+        # a 2 x 2 array of lambda: each entry agrees with its one-lambda call
+        # to the propagation tolerance (the batch shares one step sequence)
+        pb = make_random_problem()
+        lams = np.array([[0.9, 3.7 + 1.2j], [20.0, -15.0]])
+        xs = np.linspace(0.0, 1.0, 3)
+        C = fundamental_C(pb, lams, x_grid=xs)
+        sample = weyl_matrix(pb, lams)
+        _, phi = phi_matrix(pb, lams, x_grid=xs)
+        assert C.values.shape == phi.shape == (len(C.xs), 2, 2, 4, 4)
+        assert sample.m.shape == (2, 2, 4, 4)
+        assert all(np.shape(cv.value) == (2, 2) for cv in sample.deltas.values())
+        for idx in np.ndindex(lams.shape):
+            at = (slice(None),) + idx
+            assert np.allclose(C.values[at], fundamental_C(pb, lams[idx], x_grid=xs).values,
+                               rtol=1e-8, atol=1e-10)
+            assert np.allclose(sample.m[idx], weyl_matrix(pb, lams[idx]).m, rtol=1e-8, atol=1e-10)
+            assert np.allclose(phi[at], phi_matrix(pb, lams[idx], x_grid=xs)[1],
+                               rtol=1e-8, atol=1e-10)
+
+    def test_pole_in_batch_names_its_lambda(self):
+        # lambda_1 of the beam is a zero of Delta_22, a pole of the k=2
+        # column; -4 s_1^4 a zero of Delta_11 = -Delta_33, a pole of k=1
+        from conftest import beam_eigenvalue, clamped_free_s
+        lam1, mu1 = beam_eigenvalue(1), -4 * clamped_free_s(1) ** 4
+        with pytest.raises(PoleError) as err:
+            weyl_matrix(beam_problem(), [2.0, lam1, 20.0])
+        assert (err.value.k, err.value.lam) == (2, lam1)
+        assert err.value.value < 1e-10 * delta_scale(beam_problem(), 2)
+        # the first pole of the batch is named, whatever its k
+        for batch, k, lam in (([2.0, lam1, mu1], 2, lam1), ([2.0, mu1, lam1], 1, mu1)):
+            with pytest.raises(PoleError) as err:
+                weyl_matrix(beam_problem(), batch)
+            assert (err.value.k, err.value.lam) == (k, lam)
 
 
 class TestWeylMatrix:

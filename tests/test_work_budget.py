@@ -78,18 +78,20 @@ def _counting_propagations(monkeypatch):
 
 
 def test_laurent_samples_weyl_matrix_once_per_fine_node(beam, monkeypatch):
-    # the N-node rule of the doubling check reuses the even nodes of the 2N-node rule
+    # the N-node rule of the doubling check reuses the even nodes of the
+    # 2N-node rule: one weyl_matrix call over the 2N distinct nodes
     weyl.delta_scale(beam, 1)
     calls = _recording(monkeypatch, weights, "weyl_matrix")
     lams = _recording_deltas(monkeypatch)
     nodes = beam.tolerances.contour_nodes
     coeffs = laurent_coefficients(beam, beam_eigenvalue(1), (-1, 0))
     assert set(coeffs) == {-1, 0}
-    assert len(calls) == 2 * nodes
-    assert len({complex(args[1]) for args, _ in calls}) == 2 * nodes
+    assert len(calls) == 1
+    sampled = [complex(lam) for lam in np.ravel(calls[0][0][1])]
+    assert len(sampled) == len(set(sampled)) == 2 * nodes
     # every node reaches the Delta evaluation once
     assert len(lams) == 2 * nodes
-    assert set(lams) == {complex(args[1]) for args, _ in calls}
+    assert set(lams) == set(sampled)
 
 
 def test_delta22_skips_backward_propagation(beam, monkeypatch):
@@ -218,3 +220,24 @@ def test_weyl_grid_is_two_propagations_plus_scale(beam_json, monkeypatch, capsys
     assert len(capsys.readouterr().out.splitlines()) == 41
     # the grid's C and S_4 batches, and the delta_scale sweep for the pole test
     assert sorted(calls) == [("backward", 40), ("forward", 4 * 8), ("forward", 4 * 40)]
+
+
+def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
+    calls = _counting_propagations(monkeypatch)
+    for jet in (False, True):
+        d = weyl.deltas_at(beam, [], want_dlambda=jet)
+        assert list(d) == list(weyl.ALL_INDEX_PAIRS)
+        for cv in d.values():
+            assert np.shape(cv.value) == np.shape(cv.fp_floor) == (0,)
+            assert (cv.dvalue is not None) == jet
+    assert calls == []
+
+
+def test_twin_weyl_budget(beam_json, monkeypatch, capsys):
+    # per problem: the delta_scale sweep, one C and one S_4 solve for the 3
+    # Weyl lambda and for the 10 lambda of Phi, and one C solve on Phi's x grid
+    calls = _counting_propagations(monkeypatch)
+    assert main(["twin", "--a", beam_json, "--b", beam_json, "--kind", "weyl"]) == 0
+    per_problem = [("forward", 4 * 8), ("forward", 4 * 3), ("backward", 3),
+                   ("forward", 4 * 10), ("backward", 10), ("forward", 4 * 10)]
+    assert sorted(calls) == sorted(2 * per_problem)
