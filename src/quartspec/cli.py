@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import bridge, mclaughlin, spectra, weights, weyl
 from .problem import ProblemError, lagrange_bracket, load_problem
-from .propagator import fundamental_C, propagate_pair
+from .propagator import fundamental_C, fundamental_S, propagate_pair
 
 
 def _jsonify(obj):
@@ -92,10 +93,8 @@ def cmd_spectrum(args):
     req = spectra.SpectrumRequest(args.selector, (args.xmin, args.xmax),
                                   max_count=args.count)
     zeros = spectra.find_real_zeros(problem, req)
-    scale = weyl.delta_scale(problem, args.selector[1])
     _emit(args, [
-        {"lambda": z.lam, "ddelta": z.ddelta,
-         "simple": spectra.simplicity_check(z, scale)}
+        {"lambda": z.lam, "ddelta": z.ddelta, "simple": z.multiplicity_estimate == 1}
         for z in zeros
     ])
     return 0
@@ -243,6 +242,11 @@ def cmd_verify(args):
            (d[(2, 1)].value + d[(4, 3)].value) / (1 + abs(d[(4, 3)].value))]
     aux += [(d[jk].value - d[jk].alt_value) / (1 + abs(d[jk].value)) for jk in ((3, 1), (4, 1))]
     record("delta_shortcut_identities", aux, 1e-8)
+    # the forward entries against the backward solution S_4(0), independently
+    S = fundamental_S(problem, grid, x_grid=[0.0, 1.0]).start
+    record("delta31_delta41_eq_minus_S4_at_0",
+           [(d[jk].value + S[:, row, 3]) / (1 + abs(S[:, row, 3]))
+            for row, jk in enumerate(((3, 1), (4, 1)))], 1e-8)
 
     drift = fundamental_C(problem, rng.uniform(-50, 500, 6)).det_drift
     record("determinant_conservation", drift, 1e-8)
@@ -272,8 +276,17 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1e3 and -12,3 as values, where argparse's own pattern takes only
+    -12 and -1.5; add_subparsers makes its subparsers of this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="quartspec")
+    parser = _Parser(prog="quartspec")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):

@@ -22,6 +22,8 @@ sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
 column of its tile); values and dlambda are (len(xs), 4, 4) or (len(xs), N,
 4, 4), and det_drift is the largest over the batch.  DOP853 bounds the RMS
 error of the whole state, so ode_rel and ode_abs are divided by sqrt(N).
+The backward direction serves only fundamental_S: every Delta_jk comes from
+the end values of the forward fundamental_C (see weyl).
 """
 
 from __future__ import annotations

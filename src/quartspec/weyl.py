@@ -6,18 +6,19 @@ entries of the unit lower-triangular Weyl matrix are
 
     m_jk = -Delta_jk / Delta_kk,   1 <= k < j <= 4.
 
-Delta_31 and Delta_41 are evaluated both as 3x3 determinants and through the
-backward solution S_4 (Delta_31 = -S_4(0), Delta_41 = -S_4'(0)); the S-route
-value is reported, the determinant route is kept as a cross-check.  Only the
-column S_4 is integrated (data e_4 at x=1), and only when Delta_31 or Delta_41
-is asked for.  all_deltas is the one-lambda entry.
+The Lagrange bracket y^[3] z - y'' z' + y' z'' - y z^[3] is constant in x,
+so S(0) = U^{-1} C(1)^{-1} = J^{-1} U^T C(1)^T J for any p, q, a, b, c: the
+determinants Delta_31 = -S_4(0) and Delta_41 = -S_4'(0) are the entries
+C_2(1) and -C_1(1), reported with the determinant as alt_value.  Delta_11
+and Delta_21 stay determinants, lest m21 = m43 hold by construction.
 
 deltas_at, characteristic_delta, weyl_matrix and phi_matrix take one lambda
 or an array of them: each CharacteristicValue field has the shape of lambda
-(numpy scalars for one), m has lambda.shape + (4, 4).  The end values come
-from one batched fundamental_C (see propagator), and each Delta_jk is one
-stack of minors: one determinant call for its value, k more for its jet,
-and its floating-point floor from the stacked permanent of |entries|.
+(numpy scalars for one), m has lambda.shape + (4, 4).  All come from the end
+values of one forward fundamental_C solve per batch (phi_matrix's, on its
+own x grid, has the same end values), and each Delta_jk is one stack of
+minors: one determinant call for its value, k more for its jet, and its
+floating-point floor from the stacked permanent of |entries|.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemSpec
-from .propagator import fundamental_C, propagate
+from .propagator import fundamental_C
 
 # column indices (1-based C labels) of each determinant, per index pair
 _DELTA_COLS = {
@@ -39,8 +40,8 @@ _DELTA_COLS = {
 _DELTA_ROWS = {1: [2, 1, 0], 2: [1, 0], 3: [0]}
 
 ALL_INDEX_PAIRS = tuple(_DELTA_COLS)
-# the pairs also evaluated through S_4
-_S_PAIRS = ((3, 1), (4, 1))
+# the pairs read as (sign, C column) of the y-row of C(1), by the bracket identity
+_ENTRY_PAIRS = {(3, 1): (1, 2), (4, 1): (-1, 1)}
 
 POLE_FLOOR = 1e-10
 # a Delta value at most this fraction of its reference scale counts as zero
@@ -66,7 +67,7 @@ class CharacteristicValue:
     jk: tuple
     value: complex
     dvalue: complex | None = None
-    alt_value: complex | None = None   # determinant-route value, where two routes exist
+    alt_value: complex | None = None   # determinant of Delta_31 and Delta_41
     # floating-point floor of the determinant: eps times the total absolute
     # mass of its terms (the permanent of |entries|)
     fp_floor: float = 0.0
@@ -115,42 +116,36 @@ def _minors(sub, dsub=None):
     return _det(sub), jet, _EPS * sub.shape[-1] * _abs_permanent(sub)
 
 
-def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
-              want_dlambda=False) -> dict:
-    """The characteristic values of `pairs` at `lams`, keyed by pair, each
-    field of the shape of lams: one batched propagation of C, plus one of S_4
-    when (3, 1) or (4, 1) is requested, and each pair's minors as one stack.
-    An empty batch propagates nothing."""
-    lams = np.asarray(lams, dtype=complex)
-    if lams.size == 0:
-        empty = np.empty(lams.shape, dtype=complex)
-        return {jk: CharacteristicValue(jk, empty, empty if want_dlambda else None,
-                                        empty if jk in _S_PAIRS else None, empty.real)
-                for jk in pairs}
-    C = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0])
-    end = C.end          # [..., row y..y^[3], column C_1..C_4]
-    dend = C.dlambda[-1] if want_dlambda else None
-    if set(_S_PAIRS) & set(pairs):
-        # better-conditioned route for Delta_31 and Delta_41 via S_4 at x=0
-        S4 = propagate(problem, lams.ravel(), "backward",
-                       np.tile([[0], [0], [0], [1]], lams.size),
-                       want_dlambda=want_dlambda, x_grid=[0.0, 1.0])
+def _assemble(end, dend=None, pairs=ALL_INDEX_PAIRS) -> dict:
+    """The characteristic values of `pairs` from the end values of C and of
+    their lambda-jet (None without), keyed by pair."""
     out = {}
     for jk in pairs:
         rows, cols = _DELTA_ROWS[jk[1]], [c - 1 for c in _DELTA_COLS[jk]]
-        sub = end[..., rows, :][..., cols]
-        if jk in _S_PAIRS:
-            row = jk[0] - 3            # Delta_31 = -S_4(0), Delta_41 = -S_4'(0)
-            val = -S4.start[row].reshape(lams.shape)
-            jet = -S4.dlambda[0][row].reshape(lams.shape) if want_dlambda else None
-            # floor eps |S_4|; hypot rounds as abs() of one complex, np.abs may not
-            fields = (val, jet, _det(sub), _EPS * np.hypot(val.real, val.imag))
-        else:
-            val, jet, floor = _minors(sub, dend[..., rows, :][..., cols] if want_dlambda else None)
-            fields = (val, jet, None, floor)
+        alt, sign = None, 1
+        if jk in _ENTRY_PAIRS:
+            alt = _det(end[..., rows, :][..., cols])
+            sign, col = _ENTRY_PAIRS[jk]
+            rows, cols = [0], [col - 1]
+        sub, dsub = (a if a is None else sign * a[..., rows, :][..., cols] for a in (end, dend))
+        val, jet, floor = _minors(sub, dsub)
         # [()] makes the fields of one lambda numpy scalars
-        out[jk] = CharacteristicValue(jk, *(a if a is None else a[()] for a in fields))
+        out[jk] = CharacteristicValue(jk, *(a if a is None else a[()]
+                                            for a in (val, jet, alt, floor)))
     return out
+
+
+def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
+              want_dlambda=False) -> dict:
+    """The characteristic values of `pairs` at `lams`, keyed by pair, each
+    field of the shape of lams: one batched propagation of C, and each pair's
+    minors as one stack.  An empty batch propagates nothing."""
+    lams = np.asarray(lams, dtype=complex)
+    if lams.size == 0:
+        end = np.empty(lams.shape + (4, 4), dtype=complex)
+        return _assemble(end, end if want_dlambda else None, pairs)
+    C = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0])
+    return _assemble(C.end, C.dlambda[-1] if want_dlambda else None, pairs)
 
 
 def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
@@ -186,11 +181,9 @@ def delta_scale(problem: ProblemSpec, k: int) -> float:
     return problem._cache[key]
 
 
-def weyl_matrix(problem: ProblemSpec, lam) -> WeylSample:
-    """Assemble M at one lambda or a batch; raises PoleError at the first
-    lambda where a needed Delta_kk vanishes (naming the smallest such k)."""
+def _weyl_sample(problem: ProblemSpec, lam, deltas) -> WeylSample:
+    """M from the nine Delta_jk at lam, for weyl_matrix and phi_matrix."""
     lam = np.asarray(lam, dtype=complex)
-    deltas = deltas_at(problem, lam)
     diag = np.stack([np.ravel(deltas[(k, k)].value) for k in (1, 2, 3)])   # (3, N)
     size = np.hypot(diag.real, diag.imag)
     poles = size < POLE_FLOOR * np.array([[delta_scale(problem, k)] for k in (1, 2, 3)])
@@ -203,6 +196,12 @@ def weyl_matrix(problem: ProblemSpec, lam) -> WeylSample:
         if j != k:
             m[..., j - 1, k - 1] = -cv.value / deltas[(k, k)].value
     return WeylSample(m=m, deltas=deltas)
+
+
+def weyl_matrix(problem: ProblemSpec, lam) -> WeylSample:
+    """M at one lambda or a batch; raises PoleError at the first lambda where
+    a needed Delta_kk vanishes (naming the smallest such k)."""
+    return _weyl_sample(problem, lam, deltas_at(problem, lam))
 
 
 def weyl_inverse(problem: ProblemSpec, lam, sample: WeylSample | None = None) -> np.ndarray:
@@ -227,7 +226,7 @@ def weyl_inverse(problem: ProblemSpec, lam, sample: WeylSample | None = None) ->
 
 def phi_matrix(problem: ProblemSpec, lam, x_grid=None):
     """Phi(x, lambda) = C(x, lambda) M(lambda) on a grid, at one lambda or a
-    batch; (xs, values of shape (len(xs),) + lam.shape + (4, 4))."""
-    m = weyl_matrix(problem, lam).m
+    batch, M from the end values of the same C solve; (xs, values of shape
+    (len(xs),) + lam.shape + (4, 4))."""
     C = fundamental_C(problem, lam, x_grid=x_grid)
-    return C.xs, C.values @ m
+    return C.xs, C.values @ _weyl_sample(problem, lam, _assemble(C.end)).m

@@ -14,6 +14,7 @@ from quartspec import (
     validate_problem,
     weyl_matrix,
 )
+from quartspec import spectra
 from quartspec.spectra import SpectrumRequest
 from quartspec.cli import main
 
@@ -86,6 +87,38 @@ class TestSpectrum:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["spectrum", "--problem", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command, option, value, rest", [
+        ("weights", "--lambda0", "-12,3", []),
+        ("weyl", "--lambda-min", "-1e3", ["--lambda-count", "5"]),
+        ("spectrum", "--xmin", "-1e4", ["--selector", "33", "--xmax", "0"]),
+    ], ids=["weights", "weyl", "spectrum"])
+    def test_negative_number_values(self, beam_json, command, option, value, rest, capsys):
+        # a negative value with an exponent, or a re,im pair with a negative
+        # real part, parses after a space as it does after '='
+        outs = []
+        for form in ([option, value], [f"{option}={value}"]):
+            assert main([command, "--problem", beam_json, *form, *rest]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_simple_flag_is_the_search_multiplicity(self, beam_json, capsys, monkeypatch):
+        # "simple" reports the multiplicity the search decided, with no test
+        # of its own: a zero marked double by the search is reported not simple
+        found = []
+        orig = spectra.find_real_zeros
+
+        def marking(problem, request):
+            zeros = orig(problem, request)
+            zeros[1].multiplicity_estimate = 2
+            found.extend(zeros)
+            return zeros
+
+        monkeypatch.setattr(spectra, "find_real_zeros", marking)
+        assert main(["spectrum", "--problem", beam_json, "--xmax", "5000"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["simple"] for row in rows] == [z.multiplicity_estimate == 1 for z in found]
+        assert [row["simple"] for row in rows] == [True, False, True]
 
 
 class TestGridCommands:
@@ -239,6 +272,8 @@ class TestVerify:
         assert all("threshold" in l for l in lines)
         payload = json.loads(out[out.index("{"):])
         assert payload["all_pass"] is True
+        # the forward entries Delta_31, Delta_41 are checked against S_4
+        assert "delta31_delta41_eq_minus_S4_at_0" in [c["check"] for c in payload["checks"]]
 
     def test_pole_on_grid_skipped(self, tmp_path, capsys):
         # with constant q, Delta_22(lambda) is the beam's Delta_22(lambda - q):

@@ -2,16 +2,24 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from quartspec import (
+    BoundaryParams,
+    CoefficientField,
     PoleError,
+    ProblemSpec,
+    SpectrumRequest,
     all_deltas,
     beam_problem,
     boundary_form_matrix,
     characteristic_delta,
+    find_real_zeros,
     fundamental_C,
     propagate,
+    validate_problem,
     weyl_inverse,
     weyl_matrix,
 )
@@ -67,8 +75,10 @@ def _reference_end(pb, lam, y0, nodes):
 class TestBatchedDeltas:
     def test_batch_of_one_is_the_scalar_path(self):
         # a batch of one holds, in fields of shape (1,), the numpy scalars of
-        # one lambda; the C route is the determinant of the end values of a
-        # one-lambda fundamental_C, the S route the end value of S_4 alone
+        # one lambda; each value is a determinant of the end values of a
+        # one-lambda fundamental_C, Delta_31 and Delta_41 the signed entries
+        # C_2(1) and -C_1(1), which equal -S_4(0) and -S_4'(0) of the backward
+        # solution
         pb = make_random_problem()
         for lam in (2.7, 41.0 - 3.0j):
             for jet in (False, True):
@@ -86,14 +96,18 @@ class TestBatchedDeltas:
                 C = fundamental_C(pb, lam, want_dlambda=jet, x_grid=[0.0, 1.0])
                 S4 = propagate(pb, lam, "backward", [0, 0, 0, 1], want_dlambda=jet,
                                x_grid=[0.0, 1.0])
+                entries = {(3, 1): C.end[0, 1], (4, 1): -C.end[0, 0]}
                 for (j, k) in ALL_INDEX_PAIRS:
                     rows, cols = _delta_index(j, k)
                     det = np.linalg.det(C.end[np.ix_(rows, cols)]) if k < 3 \
                         else C.end[rows[0], cols[0]]
-                    expect = -S4.start[j - 3, 0] if (j, k) in ((3, 1), (4, 1)) else det
-                    assert got[(j, k)].value == expect, (j, k)
+                    assert got[(j, k)].value == entries.get((j, k), det), (j, k)
+                for row, jk in enumerate(((3, 1), (4, 1))):
+                    assert got[jk].value == pytest.approx(-S4.start[row, 0], rel=1e-8)
                 if jet:
-                    assert got[(3, 1)].dvalue == -S4.dlambda[0][0, 0]
+                    assert got[(3, 1)].dvalue == C.dlambda[-1][0, 1]
+                    assert got[(4, 1)].dvalue == -C.dlambda[-1][0, 0]
+                    assert got[(3, 1)].dvalue == pytest.approx(-S4.dlambda[0][0, 0], rel=1e-8)
 
     @pytest.mark.parametrize("lams", [
         480.0 + 5.8 * np.exp(2j * np.pi * np.arange(32) / 32),   # contour nodes
@@ -120,6 +134,59 @@ class TestBatchedDeltas:
                     scale = max(abs(ref), 1e-4 * _term_mass(sub))
                 worst = max(worst, abs(got[(j, k)].value[i] - ref) / scale)
         assert worst < 1e-9
+
+
+def _tan_tanh_s(k):
+    """k-th positive root of tan s = tanh s (zeros of the beam's Delta_31 sit
+    at -4 s^4), written as sin s - cos s tanh s = 0 to stay finite."""
+    return brentq(lambda s: np.sin(s) - np.cos(s) * np.tanh(s), k * np.pi, (k + 0.5) * np.pi,
+                  xtol=1e-14, rtol=8.9e-16)
+
+
+_SAMPLE = st.floats(-3.0, 3.0)
+_COMPLEX = st.builds(complex, _SAMPLE, _SAMPLE)
+
+
+@st.composite
+def _problems(draw):
+    """Real or complex piecewise-cubic p and q (q ten times larger) from 4 to
+    7 samples, and complex boundary constants a, b, c."""
+    n = draw(st.integers(4, 7))
+    sample = _SAMPLE if draw(st.booleans()) else _COMPLEX
+    p, q = (draw(st.lists(sample, min_size=n, max_size=n)) for _ in range(2))
+    return validate_problem(ProblemSpec(
+        p=CoefficientField.from_samples(p, interp=3),
+        q=CoefficientField.from_samples([10 * v for v in q], interp=3),
+        boundary=BoundaryParams(*(draw(_COMPLEX) for _ in range(3)))))
+
+
+class TestEntryRoute:
+    """Delta_31 and Delta_41 are the entries C_2(1) and -C_1(1)."""
+
+    @pytest.mark.parametrize("jk, s", [((4, 1), lambda k: k * np.pi), ((3, 1), _tan_tanh_s)],
+                             ids=["delta41", "delta31"])
+    def test_beam_zeros_closed_form(self, jk, s):
+        # the beam's Delta_41 vanishes at -4 (k pi)^4, its Delta_31 at -4 s_k^4
+        # with tan s_k = tanh s_k: the five nearest 0 of each
+        zeros = find_real_zeros(beam_problem(), SpectrumRequest(jk, (-4e5, -1e-6), max_count=5))
+        got = sorted((z.lam.real for z in zeros), reverse=True)
+        assert got == pytest.approx([-4 * s(k) ** 4 for k in range(1, 6)], rel=2e-11)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(_problems(), st.floats(0.0, 12.0), st.floats(-np.pi, np.pi))
+    def test_entries_are_the_backward_solution(self, pb, rho, theta):
+        # against -S_4(0) and -S_4'(0) from solve_ivp run backward from e_4
+        # at x = 1, and against the 3 x 3 determinant (alt_value) within its
+        # propagation error, ode_rel times the mass of its terms
+        lam = rho ** 4 * np.exp(1j * theta)
+        d = all_deltas(pb, lam)
+        nodes = np.union1d(pb.p.breakpoints, pb.q.breakpoints)
+        S4 = _reference_end(pb, lam, np.array([[0.0], [0.0], [0.0], [1.0]]), nodes[::-1])[:, 0]
+        end = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end
+        for row, jk in enumerate(((3, 1), (4, 1))):
+            assert d[jk].value == pytest.approx(-S4[row], rel=1e-8)
+            mass = _term_mass(end[np.ix_(*_delta_index(*jk))])
+            assert abs(d[jk].value - d[jk].alt_value) <= pb.tolerances.ode_rel * mass
 
 
 class TestCharacteristicValues:

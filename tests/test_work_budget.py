@@ -21,7 +21,7 @@ from quartspec import (
 )
 from quartspec import propagator, spectra, weights, weyl
 from quartspec.cli import main
-from quartspec.propagator import fundamental_C, propagate
+from quartspec.propagator import fundamental_C
 
 from conftest import beam_eigenvalue, clamped_free_s
 
@@ -94,26 +94,24 @@ def test_laurent_samples_weyl_matrix_once_per_fine_node(beam, monkeypatch):
     assert set(lams) == set(sampled)
 
 
-def test_delta22_skips_backward_propagation(beam, monkeypatch):
+def test_no_delta_propagates_backward(beam, monkeypatch):
+    # all nine Delta_jk, with or without the jet, come from one forward C
+    # solve; Delta_31 and Delta_41 keep their determinants as alt_value, and
+    # Delta_22 alone is bitwise the same solve
     lam = 7.3
-    full = all_deltas(beam, lam)
-    S4 = propagate(beam, lam, "backward", [0, 0, 0, 1], x_grid=[0.0, 1.0]).start
-    end = fundamental_C(beam, lam, x_grid=[0.0, 1.0]).end
-    # Delta_31 and Delta_41 report the S route, from the column S_4 alone;
-    # the determinant route is kept
-    assert full[(3, 1)].value == -S4[0, 0]
-    assert full[(4, 1)].value == -S4[1, 0]
-    for jk, cols in (((3, 1), [1, 0, 3]), ((4, 1), [1, 2, 0])):
-        det = np.linalg.det(end[np.ix_([2, 1, 0], cols)])
-        assert full[jk].alt_value == pytest.approx(det, rel=1e-12, abs=1e-300)
-
-    def no_s(problem, lam, direction="forward", *args, **kwargs):
-        if direction == "backward":
-            raise AssertionError("S propagated for Delta_22")
-        return propagate(problem, lam, direction, *args, **kwargs)
-
-    monkeypatch.setattr(weyl, "propagate", no_s)
+    ends = {jet: fundamental_C(beam, lam, jet, x_grid=[0.0, 1.0]).end for jet in (True, False)}
+    calls = _counting_propagations(monkeypatch)
+    for jet, end in ends.items():
+        calls.clear()
+        full = all_deltas(beam, lam, want_dlambda=jet)
+        assert list(full) == list(weyl.ALL_INDEX_PAIRS)
+        assert calls == [("forward", 4)]
+        for jk, cols in (((3, 1), [1, 0, 3]), ((4, 1), [1, 2, 0])):
+            det = np.linalg.det(end[np.ix_([2, 1, 0], cols)])
+            assert full[jk].alt_value == pytest.approx(det, rel=1e-12, abs=1e-300)
+    calls.clear()
     assert characteristic_delta(beam, lam, (2, 2)).value == full[(2, 2)].value
+    assert calls == [("forward", 4)]
 
 
 def _recording_batches(monkeypatch):
@@ -204,22 +202,22 @@ def test_complex_search_samples_each_point_once(beam, monkeypatch, selector, box
         assert z.lam == pytest.approx(lam, rel=1e-8)
 
 
-def test_weight_matrix_is_two_propagations(beam, monkeypatch):
-    # all 2N contour nodes in one batched C solve and one batched S_4 solve
+def test_weight_matrix_is_one_propagation(beam, monkeypatch):
+    # all 2N contour nodes in one batched C solve
     weyl.delta_scale(beam, 1)
     calls = _counting_propagations(monkeypatch)
     weights.weight_matrix(beam, beam_eigenvalue(1))
     nodes = beam.tolerances.contour_nodes
-    assert sorted(calls) == [("backward", 2 * nodes), ("forward", 4 * 2 * nodes)]
+    assert calls == [("forward", 4 * 2 * nodes)]
 
 
-def test_weyl_grid_is_two_propagations_plus_scale(beam_json, monkeypatch, capsys):
+def test_weyl_grid_is_one_propagation_plus_scale(beam_json, monkeypatch, capsys):
     calls = _counting_propagations(monkeypatch)
     code = main(["weyl", "--problem", beam_json, "--lambda-count", "40"])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 41
-    # the grid's C and S_4 batches, and the delta_scale sweep for the pole test
-    assert sorted(calls) == [("backward", 40), ("forward", 4 * 8), ("forward", 4 * 40)]
+    # the grid's C batch, and the delta_scale sweep for the pole test
+    assert sorted(calls) == [("forward", 4 * 8), ("forward", 4 * 40)]
 
 
 def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
@@ -234,10 +232,9 @@ def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
 
 
 def test_twin_weyl_budget(beam_json, monkeypatch, capsys):
-    # per problem: the delta_scale sweep, one C and one S_4 solve for the 3
-    # Weyl lambda and for the 10 lambda of Phi, and one C solve on Phi's x grid
+    # per problem: the delta_scale sweep, one C solve for the 3 Weyl lambda,
+    # and one C solve on Phi's x grid for its 10 lambda, which also gives M
     calls = _counting_propagations(monkeypatch)
     assert main(["twin", "--a", beam_json, "--b", beam_json, "--kind", "weyl"]) == 0
-    per_problem = [("forward", 4 * 8), ("forward", 4 * 3), ("backward", 3),
-                   ("forward", 4 * 10), ("backward", 10), ("forward", 4 * 10)]
+    per_problem = [("forward", 4 * 8), ("forward", 4 * 3), ("forward", 4 * 10)]
     assert sorted(calls) == sorted(2 * per_problem)
