@@ -21,19 +21,35 @@ fundamental_S take one lambda or a batch of N as one solve with one step
 sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
 column of its tile); values and dlambda are (len(xs), 4, 4) or (len(xs), N,
 4, 4), and det_drift is the largest over the batch.  DOP853 bounds the RMS
-error of the whole state, so ode_rel and ode_abs are divided by sqrt(N).
-The backward direction serves only fundamental_S: every Delta_jk comes from
-the end values of the forward fundamental_C (see weyl).
+error of the whole state, so ode_rel and ode_abs are divided by sqrt(N);
+rtol is then held at DOP853's floor of 100 eps (2.2e-14), which scipy would
+otherwise apply itself with a UserWarning, so a batch with ode_rel / sqrt(N)
+below it is integrated at the floor.  The backward direction serves only
+fundamental_S: every Delta_jk comes from the end values of the forward
+fundamental_C (see weyl).
+
+One propagation is one DOP853 run stepped mesh segment by mesh segment (p
+and q are polynomials on each): only the first segment probes for its
+initial step, and each later one starts with the step the controller last
+proposed, clipped to the segment length (Hairer, Norsett & Wanner, Solving
+ODEs I, II.4).  Output points come from the dense output of the step that
+passes them.  On a single segment this is the step sequence, and the
+values, of one solve_ivp call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 
 from .problem import ProblemSpec, boundary_form_matrix, horner
+
+
+# scipy's floor for rtol, which it would apply itself with a UserWarning
+RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 class PropagationError(RuntimeError):
@@ -43,7 +59,7 @@ class PropagationError(RuntimeError):
 class _DOP853(DOP853):
     """DOP853 without the reference cycle of scipy's OdeSolver, whose fun and
     fun_vectorized close over the solver: a spent solver and its stage arrays
-    are freed when solve_ivp returns, not when cyclic gc next runs."""
+    are freed with its segment, not when cyclic gc next runs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -92,37 +108,30 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
 
     quad_pairs = list(quad_pairs or [])
     nq = len(quad_pairs)
+    qi, qj = np.array(quad_pairs, dtype=int).reshape(nq, 2).T
+    nz = 2 if want_dlambda else 1       # Y, and its lambda-jet J
     ny = 4 * ncols
     shrink = np.sqrt(len(np.unique(lams)))   # 1 for a single lambda
-    rtol, atol = problem.tolerances.ode_rel / shrink, problem.tolerances.ode_abs / shrink
+    rtol = max(problem.tolerances.ode_rel / shrink, RTOL_FLOOR)
+    atol = problem.tolerances.ode_abs / shrink
 
-    def rhs(x, state, p0, pc, q0, qc):   # pieces of p and q on the mesh segment
-        Y = state[:ny].reshape(4, ncols)
+    def rhs(pieces, x, state):   # pieces of p and q on the mesh segment
+        p0, pc, q0, qc = pieces
         px, qx = horner(pc, x - p0), horner(qc, x - q0)
-        dY = np.empty_like(Y)
-        dY[0] = Y[1]
-        dY[1] = Y[2]
-        dY[2] = px * Y[1] + Y[3]
-        dY[3] = (lams - qx) * Y[0]
-        out = [dY.ravel()]
+        Z = state[:nz * ny].reshape(nz, 4, ncols)
+        out = np.empty_like(state)
+        dZ = out[:nz * ny].reshape(nz, 4, ncols)
+        dZ[:, 0] = Z[:, 1]
+        dZ[:, 1] = Z[:, 2]
+        dZ[:, 2] = px * Z[:, 1] + Z[:, 3]
+        dZ[:, 3] = (lams - qx) * Z[:, 0]
         if want_dlambda:
-            J = state[ny:2 * ny].reshape(4, ncols)
-            dJ = np.empty_like(J)
-            dJ[0] = J[1]
-            dJ[1] = J[2]
-            dJ[2] = px * J[1] + J[3]
-            dJ[3] = (lams - qx) * J[0] + Y[0]
-            out.append(dJ.ravel())
+            dZ[1, 3] += Z[0, 0]
         if nq:
-            out.append(np.array([Y[0, i] * Y[0, j] for i, j in quad_pairs]))
-        return np.concatenate(out)
+            out[nz * ny:] = Z[0, 0, qi] * Z[0, 0, qj]
+        return out
 
-    state0 = [Y0.ravel()]
-    if want_dlambda:
-        state0.append(np.zeros(ny, dtype=complex))
-    if nq:
-        state0.append(np.zeros(nq, dtype=complex))
-    state0 = np.concatenate(state0)
+    state = np.concatenate([Y0.ravel(), np.zeros((nz - 1) * ny + nq, dtype=complex)])
 
     grid = np.union1d(np.linspace(0.0, 1.0, 17) if x_grid is None else
                       np.asarray(x_grid, float), problem.breakpoints)
@@ -133,26 +142,34 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
         seg_order = range(len(nodes) - 1)
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    sign = 1.0 if direction == "forward" else -1.0
 
     xs_out = [nodes[0] if direction == "forward" else nodes[-1]]
-    states_out = [state0]
-    state = state0
+    states_out = [state]
+    # the controller's last proposal before a breakpoint clipped the step:
+    # each segment after the first starts with it instead of a new probe
+    h = None
     for si in seg_order:
-        x0, x1 = nodes[si], nodes[si + 1]
+        x0, x1 = float(nodes[si]), float(nodes[si + 1])
         if direction == "backward":
             x0, x1 = x1, x0
         interior = grid[(grid > min(x0, x1) + 1e-15) & (grid < max(x0, x1) - 1e-15)]
-        t_eval = np.concatenate([interior[:: -1 if direction == "backward" else 1], [x1]])
+        t_eval = np.concatenate([interior[::int(sign)], [x1]])
         pieces = problem.p.piece(x0, x1) + problem.q.piece(x0, x1)
-        sol = solve_ivp(rhs, (x0, x1), state, method=_DOP853, args=pieces,
-                        rtol=rtol, atol=atol, t_eval=t_eval)
-        if not sol.success:
-            t_arr = np.asarray(sol.t)
-            x_fail = t_arr[-1] if t_arr.size else x0
-            raise PropagationError(f"integration failed near x={x_fail}: {sol.message}")
-        xs_out.extend(sol.t)
-        states_out.extend(sol.y.T)
-        state = sol.y[:, -1]
+        solver = _DOP853(partial(rhs, pieces), x0, state, x1, rtol=rtol, atol=atol,
+                         first_step=None if h is None else min(h, abs(x1 - x0)))
+        done = 0
+        while solver.status == "running":
+            h = solver.h_abs
+            message = solver.step()
+            if solver.status == "failed":
+                raise PropagationError(f"integration failed near x={solver.t}: {message}")
+            reached = done + np.searchsorted(sign * t_eval[done:], sign * solver.t, side="right")
+            if reached > done:
+                xs_out.extend(t_eval[done:reached])
+                states_out.extend(solver.dense_output()(t_eval[done:reached]).T)
+                done = reached
+        state = solver.y
         if not np.all(np.isfinite(state)):
             raise PropagationError(f"non-finite state at x={x1}")
 
@@ -167,7 +184,6 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
     quads = None
     if nq:
         qfinal = states_out[-1 if direction == "forward" else 0, -nq:]
-        sign = 1.0 if direction == "forward" else -1.0
         quads = {pair: complex(sign * qfinal[k]) for k, pair in enumerate(quad_pairs)}
 
     return FundamentalMatrix(xs=xs_out, values=values, dlambda=dlam, quadratures=quads)

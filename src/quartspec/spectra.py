@@ -11,7 +11,9 @@ rho), one batched solve per chunk of about one zero spacing, detects sign
 changes, and polishes the brackets with Newton in lockstep (one batched
 solve of the variationally computed derivative per iteration).  Complex
 search uses the argument principle over rectangles with recursive
-subdivision, and the same Newton with a batch of one.
+subdivision, and the same Newton with a batch of one.  Each Zero keeps
+C(1, lambda) of its accepted Newton evaluation, which weight_numbers reads
+instead of solving it again.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from itertools import islice, pairwise
 import numpy as np
 
 from .problem import ProblemSpec
-from .propagator import PropagationError
-from .weyl import deltas_at, delta_scale
+from .propagator import PropagationError, fundamental_C
+from .weyl import _assemble, deltas_at, delta_scale
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
@@ -50,6 +52,8 @@ class Zero:
     selector: tuple
     multiplicity_estimate: int = 1
     ddelta: complex = 0.0
+    # C(1, lambda) of the accepted Newton evaluation; None for a hand-made zero
+    end_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -62,7 +66,8 @@ class BarcilonData:
 def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
     """Safeguarded Newton with secant fallback; bracket (lo, hi, Re Delta(lo))
     is kept if supplied.  A coroutine: it yields each lambda to evaluate,
-    receives (Delta, dDelta) there, and returns (lambda, Delta, dDelta).
+    receives (Delta, dDelta, C(1, lambda)) there, and returns the best
+    lambda with its evaluation, (lambda, Delta, dDelta, C(1, lambda)).
 
     Accepts on a small step or on stagnation at the noise floor (|Delta| no
     longer decreasing), returning the best iterate seen.  local_scale sets
@@ -71,14 +76,14 @@ def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
     a fixed reference scale would be meaningless.
     """
     lam = complex(lam0)
-    val, dval = yield lam
+    val, dval, end = yield lam
     lo, hi, flo = bracket if bracket is not None else (None, None, None)
-    best = (lam, val, dval)
+    best = (lam, val, dval, end)
     prev = None
     stall = 0
     for _ in range(max_iter):
         if abs(val) == 0.0:
-            best = (lam, val, dval)
+            best = (lam, val, dval, end)
             break
         if abs(dval) > 1e-300:
             step = -val / dval
@@ -91,7 +96,7 @@ def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
             new = complex(0.5 * (lo + hi))
         prev = (lam, val)
         lam = new
-        val, dval = yield lam
+        val, dval, end = yield lam
         if bracket is not None:
             if flo * np.real(val) < 0:
                 hi = lam.real
@@ -99,13 +104,13 @@ def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
                 lo = lam.real
                 flo = np.real(val)
         if abs(val) < abs(best[1]):
-            best = (lam, val, dval)
+            best = (lam, val, dval, end)
             stall = 0
         else:
             stall += 1
         if abs(step) < REFINE_TOL * (1 + abs(lam)) or stall >= 3:
             break
-    lam, val, dval = best
+    lam, val, dval, end = best
     if local_scale is not None and abs(val) > 1e-6 * local_scale:
         # residual alone may sit above the noise floor at large |lambda|;
         # accept anyway when the implied root error |Delta/Delta'| is tiny
@@ -113,15 +118,17 @@ def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
         if err > 1e-9 * (1 + abs(lam)):
             raise SearchError(f"refinement stalled at lambda={lam}, "
                               f"|Delta| = {abs(val):.2e} vs local scale {local_scale:.2e}")
-    return lam, val, dval
+    return lam, val, dval, end
 
 
 def _jets(problem, selector, lams):
-    """(Delta, dDelta) of the selected pair at each lambda, in one solve; if
-    it fails, lambda by lambda, each PropagationError in its lambda's place."""
+    """(Delta, dDelta, C(1, lambda)) of the selected pair at each lambda, in
+    one solve; if it fails, lambda by lambda, each PropagationError in its
+    lambda's place."""
     try:
-        d = deltas_at(problem, lams, (selector,), want_dlambda=True)[selector]
-        return list(zip(d.value.tolist(), d.dvalue.tolist()))
+        C = fundamental_C(problem, lams, want_dlambda=True, x_grid=[0.0, 1.0])
+        d = _assemble(C.end, C.dlambda[-1], (selector,))[selector]
+        return list(zip(d.value.tolist(), d.dvalue.tolist(), C.end))
     except PropagationError as exc:
         if len(lams) == 1:
             return [exc]
@@ -130,8 +137,8 @@ def _jets(problem, selector, lams):
 
 def _polish(problem, selector, newtons):
     """Drive _newton coroutines in lockstep, one _jets batch per iteration
-    over those still running; per coroutine (lambda, Delta, dDelta), or the
-    PropagationError or SearchError that ended it."""
+    over those still running; per coroutine (lambda, Delta, dDelta, C(1,
+    lambda)), or the PropagationError or SearchError that ended it."""
     out = [None] * len(newtons)
     todo = {i: next(g) for i, g in enumerate(newtons)}
     while todo:
@@ -205,10 +212,11 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
         for (local, _), got in zip(batch, _polish(problem, selector, [g for _, g in batch])):
             if isinstance(got, Exception):
                 continue
-            lam, _, dval = got
+            lam, _, dval, end = got
             if not (xmin - 1e-12 <= lam.real <= xmax + 1e-12):
                 continue
-            z = Zero(lam=complex(lam.real), selector=selector, ddelta=complex(dval))
+            z = Zero(lam=complex(lam.real), selector=selector, ddelta=complex(dval),
+                     end_values=end)
             z.multiplicity_estimate = 1 if simplicity_check(z, max(scale, local)) else 2
             zeros.append(z)
     zeros.sort(key=lambda z: z.lam.real)
@@ -279,9 +287,10 @@ def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
             _newton(center, local_scale=max(abs(corner), 1e-12 * scale))])[0]
         if isinstance(got, Exception):
             raise got
-        lam, val, dval = got
+        lam, val, dval, end = got
         mult = w if _depth >= 8 else 1
-        z = Zero(lam=lam, selector=tuple(request.selector), ddelta=complex(dval))
+        z = Zero(lam=lam, selector=tuple(request.selector), ddelta=complex(dval),
+                 end_values=end)
         z.multiplicity_estimate = 2 if mult == 1 and not simplicity_check(z, scale) else mult
         return [z]
     # split the longer side, nudging the cut line to avoid landing on a zero

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
-from quartspec import beam_problem, eigenfunction, weight_numbers
+from quartspec import beam_problem, eigenfunction, find_first_zeros, weight_numbers
 from quartspec.mclaughlin import NonSimpleError
 from quartspec.spectra import Zero
 
-from conftest import beam_eigenvalue, oracle_mode_shape
+from conftest import beam_eigenvalue, make_random_real_problem, oracle_mode_shape
 
 
 class TestEigenfunction:
@@ -105,3 +107,29 @@ class TestWeightNumbers:
             assert abs(pt.gamma) == pytest.approx(2.0, abs=1e-7)
             assert pt.case_tag == "I"
         assert pts[4].gamma is None and pts[4].lam == beam_zeros[4].lam
+
+
+class TestHandoff:
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_carried_evaluation_matches_own_solve(self, seed):
+        # weight_numbers reads A, Delta_33 and Delta_43 from the C(1, lambda)
+        # a searched zero carries; without it, it solves them itself
+        pb = beam_problem() if seed is None else make_random_real_problem(seed)
+        zeros = find_first_zeros(pb, (2, 2), 4)
+        assert all(z.end_values is not None for z in zeros)
+        carried = weight_numbers(pb, zeros, residue_check=False)
+        own = weight_numbers(pb, [replace(z, end_values=None) for z in zeros],
+                             residue_check=False)
+        for a, b in zip(carried, own):
+            assert a.case_tag == b.case_tag
+            assert a.gamma == pytest.approx(b.gamma, rel=1e-10, abs=1e-10)
+            assert a.xi == pytest.approx(b.xi, rel=1e-10, abs=1e-10)
+
+    def test_searches_carry_C_at_the_accepted_lambda(self, beam):
+        from quartspec import SpectrumRequest, find_complex_zeros, fundamental_C
+        zeros = find_first_zeros(beam, (2, 2), 2) + find_complex_zeros(
+            beam, SpectrumRequest((2, 2), (0.0, 600.0, -3.0, 3.0)))
+        assert len(zeros) == 4
+        for z in zeros:
+            end = fundamental_C(beam, z.lam, x_grid=[0.0, 1.0]).end
+            assert np.allclose(z.end_values, end, rtol=1e-8, atol=1e-8 * np.max(np.abs(end)))

@@ -3,7 +3,7 @@ import pytest
 
 from quartspec import beam_problem, fundamental_C, fundamental_S, propagate
 from quartspec.propagator import propagate_pair
-from quartspec.problem import boundary_form_matrix, lagrange_bracket
+from quartspec.problem import BoundaryParams, boundary_form_matrix, lagrange_bracket
 
 from conftest import make_random_problem, oracle_C3, oracle_C4
 
@@ -131,25 +131,55 @@ class TestCoefficientCoupling:
 
     def test_piecewise_cubic_matches_pointwise_integration(self):
         # reference: one solve_ivp over [0, 1] that looks p and q up in the
-        # segment list at every x, against the propagator's per-segment pieces
+        # segment list at every x, against the propagator's per-segment
+        # pieces and the step it carries across each breakpoint; on 5 and on
+        # 9 segments of complex p and q
         from scipy.integrate import solve_ivp
-        pb = make_random_problem()
+        from quartspec import CoefficientField, ProblemSpec, validate_problem
+        rng = np.random.default_rng(9)
+        nine = validate_problem(ProblemSpec(
+            p=CoefficientField.from_samples(rng.uniform(-2, 2, 10) + 1j * rng.uniform(-2, 2, 10)),
+            q=CoefficientField.from_samples(rng.uniform(-9, 9, 10) + 1j * rng.uniform(-9, 9, 10)),
+            boundary=BoundaryParams(0.5 - 0.2j, 0.1j, -0.4)))
+        assert len(nine.breakpoints) == 10
         lam = 3.7 + 0.4j
 
         def coef(field, x):
             x0, _, c = next(s for s in field.segments if s[0] <= x <= s[1])
             return np.polyval(c[::-1], x - x0)
 
-        def rhs(x, u):
-            A = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, coef(pb.p, x), 0, 1],
-                          [lam - coef(pb.q, x), 0, 0, 0]])
-            return (A @ u.reshape(4, 4)).ravel()
+        for pb in (make_random_problem(), nine):
+            def rhs(x, u):
+                A = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, coef(pb.p, x), 0, 1],
+                              [lam - coef(pb.q, x), 0, 0, 0]])
+                return (A @ u.reshape(4, 4)).ravel()
 
-        Y0 = np.linalg.inv(boundary_form_matrix(pb, "left"))
-        ref = solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="DOP853",
-                        rtol=1e-12, atol=1e-14).y[:, -1].reshape(4, 4)
-        got = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end
-        assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
+            Y0 = np.linalg.inv(boundary_form_matrix(pb, "left"))
+            ref = solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="DOP853",
+                            rtol=1e-12, atol=1e-14).y[:, -1].reshape(4, 4)
+            got = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end
+            assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
+
+    def test_one_initial_step_probe_per_propagation(self, monkeypatch):
+        # the first segment probes for its initial step; each later one
+        # starts with the step the controller last proposed
+        import scipy.integrate._ivp.rk as rk
+        pb = make_random_problem()
+        assert len(pb.breakpoints) == 6
+        probes = []
+        orig = rk.select_initial_step
+
+        def probe(*args, **kwargs):
+            probes.append(args[1])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(rk, "select_initial_step", probe)
+        for direction, jet, quad in (("forward", False, None), ("forward", True, None),
+                                     ("backward", False, [(0, 1)])):
+            probes.clear()
+            propagate(pb, [2.0, 30.0 + 1j, -7.0, 400.0], direction, want_dlambda=jet,
+                      quad_pairs=quad)
+            assert probes == [0.0 if direction == "forward" else 1.0]
 
 
 def test_spent_solvers_freed_without_cyclic_gc(monkeypatch):

@@ -12,7 +12,7 @@ from quartspec import (
 from quartspec.mclaughlin import SpectralPoint
 from quartspec.weights import LaurentError, case_search, default_contour_radius
 
-from conftest import beam_eigenvalue, clamped_free_s
+from conftest import beam_eigenvalue, clamped_free_s, make_random_real_problem
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +126,19 @@ class TestClassification:
 
         hits = case_search(factory, [0.0, 1.0], count=2)
         assert hits == []
+
+
+def test_tolerance_below_the_floor_warns_nothing():
+    # 1e-13 / sqrt(128) lies below DOP853's rtol floor of 100 eps; the
+    # propagator applies the floor itself instead of leaving it to scipy's
+    # UserWarning
+    import warnings
+    from dataclasses import replace
+    from quartspec import Tolerances, find_first_zeros
+    pb = make_random_real_problem()
+    lam1 = find_first_zeros(pb, (2, 2), 1)[0].lam
+    tight = replace(pb, tolerances=Tolerances(ode_rel=1e-13), _cache={})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = weight_matrix(tight, lam1)
+    assert np.all(np.isfinite(w.m_minus1))

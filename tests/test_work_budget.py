@@ -5,6 +5,7 @@ they check how often the work is done, not how the values come out.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,13 +116,14 @@ def test_no_delta_propagates_backward(beam, monkeypatch):
 
 
 def _recording_batches(monkeypatch):
-    """(lambda batch, want_dlambda) of every weyl.deltas_at call."""
+    """(lambda batch, want_dlambda) of every fundamental_C call: the scan's
+    through weyl.deltas_at, the Newton polish's directly."""
     calls = []
-    orig = weyl.deltas_at
+    orig = propagator.fundamental_C
 
-    def wrapper(problem, lams, pairs=weyl.ALL_INDEX_PAIRS, want_dlambda=False):
+    def wrapper(problem, lams, want_dlambda=False, x_grid=None):
         calls.append(([complex(lam) for lam in np.ravel(lams)], want_dlambda))
-        return orig(problem, lams, pairs, want_dlambda)
+        return orig(problem, lams, want_dlambda, x_grid)
 
     _patch_bindings(monkeypatch, orig, wrapper)
     return calls
@@ -153,28 +155,38 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     assert len(props) == len(calls)
 
 
-def test_weight_numbers_is_two_solves(beam, beam_zeros, monkeypatch):
-    # one solve of the C3, C4 end values at every zero, one of the
-    # normalized trajectories; Delta_33 and Delta_43 come from the first
+def test_weight_numbers_solves_once_for_searched_zeros(beam, beam_zeros, monkeypatch):
+    # searched zeros carry C(1, lambda) from the polish, which gives A,
+    # Delta_33 and Delta_43: one solve of the normalized trajectories; a
+    # hand-made zero adds one solve of the C3, C4 end values per zero list
     weyl.delta_scale(beam, 2)
     calls = _counting_propagations(monkeypatch)
+    hand_made = [replace(z, end_values=None) for z in beam_zeros]
     for count in (1, len(beam_zeros)):
         calls.clear()
         pts = weight_numbers(beam, beam_zeros[:count], residue_check=False)
         assert [pt.case_tag for pt in pts] == ["I"] * count
+        assert calls == [("forward", count)]
+        calls.clear()
+        pts = weight_numbers(beam, hand_made[:count], residue_check=False)
+        assert [pt.case_tag for pt in pts] == ["I"] * count
         assert calls == [("forward", 2 * count), ("forward", count)]
+    # a mixed list solves the end values of its hand-made zeros only
+    calls.clear()
+    weight_numbers(beam, [beam_zeros[0], hand_made[1], beam_zeros[2]], residue_check=False)
+    assert calls == [("forward", 2), ("forward", 3)]
 
 
 def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
     # the beam has three Delta_22 zeros below 5000; every jet solve that
     # holds a lambda near the second fails, and only that bracket is lost
     weyl.delta_scale(beam, 2)
-    orig = weyl.deltas_at
+    orig = propagator.fundamental_C
 
-    def failing(problem, lams, pairs=weyl.ALL_INDEX_PAIRS, want_dlambda=False):
+    def failing(problem, lams, want_dlambda=False, x_grid=None):
         if want_dlambda and any(400 < complex(lam).real < 600 for lam in np.ravel(lams)):
             raise propagator.PropagationError("injected")
-        return orig(problem, lams, pairs, want_dlambda)
+        return orig(problem, lams, want_dlambda, x_grid)
 
     _patch_bindings(monkeypatch, orig, failing)
     zeros = find_real_zeros(beam, SpectrumRequest((2, 2), (0.0, 5000.0)))
