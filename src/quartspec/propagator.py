@@ -32,9 +32,9 @@ One propagation is one DOP853 run stepped mesh segment by mesh segment (p
 and q are polynomials on each): only the first segment probes for its
 initial step, and each later one starts with the step the controller last
 proposed, clipped to the segment length (Hairer, Norsett & Wanner, Solving
-ODEs I, II.4).  Output points come from the dense output of the step that
-passes them.  On a single segment this is the step sequence, and the
-values, of one solve_ivp call.
+ODEs I, II.4).  An output point at the end of a step takes that step's
+state; a point strictly inside a step comes from the step's dense output.
+On a single segment this is the step sequence of one solve_ivp call.
 """
 
 from __future__ import annotations
@@ -166,8 +166,14 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
                 raise PropagationError(f"integration failed near x={solver.t}: {message}")
             reached = done + np.searchsorted(sign * t_eval[done:], sign * solver.t, side="right")
             if reached > done:
+                # a point at the step's end is solver.y; the dense output
+                # serves only points strictly inside the step
+                at_end = int(t_eval[reached - 1] == solver.t)
                 xs_out.extend(t_eval[done:reached])
-                states_out.extend(solver.dense_output()(t_eval[done:reached]).T)
+                if reached - at_end > done:
+                    states_out.extend(solver.dense_output()(t_eval[done:reached - at_end]).T)
+                if at_end:
+                    states_out.append(solver.y.copy())
                 done = reached
         state = solver.y
         if not np.all(np.isfinite(state)):

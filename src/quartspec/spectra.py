@@ -9,11 +9,14 @@ Barcilon spectra.
 Real-axis search scans in rho = |lambda|^(1/4) (zeros are near-uniform in
 rho), one batched solve per chunk of about one zero spacing, detects sign
 changes, and polishes the brackets with Newton in lockstep (one batched
-solve of the variationally computed derivative per iteration).  Complex
-search uses the argument principle over rectangles with recursive
-subdivision, and the same Newton with a batch of one.  Each Zero keeps
-C(1, lambda) of its accepted Newton evaluation, which weight_numbers reads
-instead of solving it again.
+solve of the variationally computed derivative per iteration).  Newton
+starts at each bracket's secant (regula falsi) point, from the two scan
+samples already in hand, and accepts an evaluated iterate once the Newton
+step computed there is below REFINE_TOL (1 + |lambda|), without solving at
+lambda + step: a scan bracket takes three solves.  Complex search uses the
+argument principle over rectangles with recursive subdivision, and the same
+Newton with a batch of one.  Each Zero keeps C(1, lambda) of its accepted
+Newton evaluation, which weight_numbers reads instead of solving it again.
 """
 
 from __future__ import annotations
@@ -69,33 +72,21 @@ def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
     receives (Delta, dDelta, C(1, lambda)) there, and returns the best
     lambda with its evaluation, (lambda, Delta, dDelta, C(1, lambda)).
 
-    Accepts on a small step or on stagnation at the noise floor (|Delta| no
-    longer decreasing), returning the best iterate seen.  local_scale sets
-    the magnitude against which |Delta| at the root is judged; at large
-    |lambda| the characteristic functions grow like exp(|lambda|^(1/4)) and
-    a fixed reference scale would be meaningless.
+    The step is computed at each evaluated iterate, and the search accepts
+    when that step is below REFINE_TOL (1 + |lambda|): the point lambda +
+    step is not evaluated.  It also accepts on stagnation at the noise floor
+    (|Delta| not decreasing for three iterates).  Either way it returns the
+    best iterate seen.  local_scale sets the magnitude against which |Delta|
+    at the root is judged; at large |lambda| the characteristic functions
+    grow like exp(|lambda|^(1/4)) and a fixed reference scale would be
+    meaningless.
     """
     lam = complex(lam0)
-    val, dval, end = yield lam
     lo, hi, flo = bracket if bracket is not None else (None, None, None)
-    best = (lam, val, dval, end)
+    best = None
     prev = None
     stall = 0
     for _ in range(max_iter):
-        if abs(val) == 0.0:
-            best = (lam, val, dval, end)
-            break
-        if abs(dval) > 1e-300:
-            step = -val / dval
-        elif prev is not None and abs(val - prev[1]) > 0:
-            step = -val * (lam - prev[0]) / (val - prev[1])
-        else:
-            step = -val
-        new = lam + step
-        if bracket is not None and not (lo < new.real < hi):
-            new = complex(0.5 * (lo + hi))
-        prev = (lam, val)
-        lam = new
         val, dval, end = yield lam
         if bracket is not None:
             if flo * np.real(val) < 0:
@@ -103,13 +94,26 @@ def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
             else:
                 lo = lam.real
                 flo = np.real(val)
-        if abs(val) < abs(best[1]):
+        if best is None or abs(val) < abs(best[1]):
             best = (lam, val, dval, end)
             stall = 0
         else:
             stall += 1
-        if abs(step) < REFINE_TOL * (1 + abs(lam)) or stall >= 3:
+        if stall >= 3:
             break
+        if abs(dval) > 1e-300:
+            step = -val / dval
+        elif prev is not None and abs(val - prev[1]) > 0:
+            step = -val * (lam - prev[0]) / (val - prev[1])
+        else:
+            step = -val
+        if abs(step) < REFINE_TOL * (1 + abs(lam)):
+            break
+        new = lam + step
+        if bracket is not None and not (lo < new.real < hi):
+            new = complex(0.5 * (lo + hi))
+        prev = (lam, val)
+        lam = new
     lam, val, dval, end = best
     if local_scale is not None and abs(val) > 1e-6 * local_scale:
         # residual alone may sit above the noise floor at large |lambda|;
@@ -203,7 +207,7 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
                     # a sign change guarantees a root in the bracket, so the best
                     # iterate is accepted even when cancellation noise keeps
                     # |Delta| above the residual floor at large |lambda|
-                    yield local, _newton(0.5 * (a + b), bracket=(
+                    yield local, _newton(a - fa * (b - a) / (fb - fa), bracket=(
                         (a, b, fa) if a < b else (b, a, fb)))
 
     zeros = []

@@ -1,5 +1,8 @@
+import cmath
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from quartspec import (
     SpectrumRequest,
@@ -14,7 +17,9 @@ from quartspec import spectra
 from quartspec.spectra import SearchError
 from quartspec.weyl import delta_scale
 
-from conftest import beam_eigenvalue, clamped_free_s, make_random_problem
+from conftest import (
+    beam_eigenvalue, beam_rho, clamped_free_s, make_random_problem, oracle_delta22,
+)
 
 
 class TestRealSearch:
@@ -81,6 +86,70 @@ class TestRealSearch:
         # more zeros than that must fail loudly, not fabricate data
         with pytest.raises(SearchError):
             find_first_zeros(beam, (2, 2), 12)
+
+
+def _beam_ddelta(lam):
+    """d/dlambda of oracle_delta22, through rho = lambda^(1/4)."""
+    r = complex(lam) ** 0.25
+    return (cmath.sin(r) * cmath.cosh(r) - cmath.cos(r) * cmath.sinh(r)) / (8 * r ** 3)
+
+
+def _drive(newton):
+    """Run a _newton coroutine on the closed form; (result, yielded lambdas)."""
+    lams = [next(newton)]
+    while True:
+        lam = lams[-1]
+        try:
+            lams.append(newton.send((oracle_delta22(lam), _beam_ddelta(lam), None)))
+        except StopIteration as stop:
+            return stop.value, lams
+
+
+def _scan_bracket(n):
+    """The RHO_SCAN_STEP grid bracket (a, b, Delta(a)) around the n-th root,
+    and its secant point."""
+    ra = spectra.RHO_SCAN_STEP * np.floor(beam_rho(n) / spectra.RHO_SCAN_STEP)
+    a, b = ra ** 4, (ra + spectra.RHO_SCAN_STEP) ** 4
+    fa, fb = oracle_delta22(a).real, oracle_delta22(b).real
+    assert fa * fb < 0
+    return (a, b, fa), a - fa * (b - a) / (fb - fa)
+
+
+def _brentq_root(a, b):
+    return brentq(lambda lam: oracle_delta22(lam).real, a, b, xtol=1e-300, rtol=1e-15)
+
+
+class TestNewton:
+    """_newton on the beam's closed-form Delta_22, with no propagation."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_secant_start_accepts_on_computed_step(self, n):
+        bracket, start = _scan_bracket(n)
+        (lam, val, dval, _), lams = _drive(spectra._newton(start, bracket=bracket))
+        # at most three evaluations from the secant point of a scan bracket
+        assert len(lams) <= 3
+        # every evaluated point came from a step at or above the tolerance,
+        # and the search stopped on a below-tolerance step it did not take
+        steps = [abs(oracle_delta22(x) / _beam_ddelta(x)) for x in lams]
+        bounds = [spectra.REFINE_TOL * (1 + abs(x)) for x in lams]
+        assert all(s >= tol for s, tol in zip(steps[:-1], bounds))
+        assert steps[-1] < bounds[-1]
+        # the returned lambda is an evaluated one, with its own evaluation
+        assert lam in lams
+        assert (val, dval) == (oracle_delta22(lam), _beam_ddelta(lam))
+        assert lam.real == pytest.approx(_brentq_root(*bracket[:2]), rel=1e-12)
+
+    @pytest.mark.parametrize("rho, edge", [((0.5, 3.5), 1), ((4.0, 6.0), 0)],
+                             ids=["upper", "lower"])
+    def test_iterates_stay_inside_bracket(self, rho, edge):
+        a, b = rho[0] ** 4, rho[1] ** 4
+        start = [a * (1 + 1e-9), b * (1 - 1e-9)][edge]
+        # the raw Newton step from the start leaves the bracket
+        assert not a < start - (oracle_delta22(start) / _beam_ddelta(start)).real < b
+        (lam, _, _, _), lams = _drive(
+            spectra._newton(start, bracket=(a, b, oracle_delta22(a).real)))
+        assert all(a < x.real < b for x in lams)
+        assert lam.real == pytest.approx(_brentq_root(a, b), rel=1e-12)
 
 
 class TestComplexSearch:

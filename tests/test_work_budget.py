@@ -144,12 +144,14 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     r_next = step * np.ceil(rho3 / step + 1e-9)
     assert max(lam.real for lam in lams) <= (r_next + chunk * step) ** 4 * (1 + 1e-12)
     # one solve per chunk scanned, then one per lockstep Newton iteration
-    # over the brackets still open: all three enter the first, none re-enters
+    # over the brackets still open: all three enter the first, none re-enters,
+    # and from the brackets' secant points the polish takes three at most
     scans = [batch for batch, jet in calls if not jet]
     newton = [batch for batch, jet in calls if jet]
     assert all(len(batch) == chunk for batch in scans[:-1])
     assert 0 < len(scans[-1]) <= chunk
     assert len(newton[0]) == 3
+    assert len(newton) <= 3
     assert all(len(b) >= len(a) for a, b in zip(newton[1:], newton))
     assert [jet for _, jet in calls] == [False] * len(scans) + [True] * len(newton)
     assert len(props) == len(calls)
