@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bridge, mclaughlin, spectra, weights, weyl
 from .problem import ProblemError, lagrange_bracket, load_problem
-from .propagator import fundamental_C, fundamental_S, propagate_pair
+from .propagator import fundamental_C, fundamental_S, propagate
 
 
 def _jsonify(obj):
@@ -57,11 +57,11 @@ def _csv_cell(v):
     return repr(v.real) if v.imag == 0 else f"{v.real!r}{sign}{abs(v.imag)!r}j"
 
 
-def _load(args):
-    if not os.path.exists(args.problem):
-        print(f"error: problem file not found: {args.problem}", file=sys.stderr)
+def _load(path):
+    if not os.path.exists(path):
+        print(f"error: problem file not found: {path}", file=sys.stderr)
         raise SystemExit(2)
-    return load_problem(args.problem)
+    return load_problem(path)
 
 
 def _selector(text):
@@ -89,7 +89,7 @@ def _complex_arg(text):
 # subcommands
 
 def cmd_spectrum(args):
-    problem = _load(args)
+    problem = _load(args.problem)
     req = spectra.SpectrumRequest(args.selector, (args.xmin, args.xmax),
                                   max_count=args.count)
     zeros = spectra.find_real_zeros(problem, req)
@@ -101,7 +101,7 @@ def cmd_spectrum(args):
 
 
 def cmd_weyl(args):
-    problem = _load(args)
+    problem = _load(args.problem)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_count)
     sample = weyl.weyl_matrix(problem, lams)
     cols = [sample.m[:, j, k] for j, k in zip(*np.tril_indices(4, -1))]
@@ -122,7 +122,7 @@ def cmd_weyl(args):
 
 
 def cmd_mclaughlin(args):
-    problem = _load(args)
+    problem = _load(args.problem)
     zeros = spectra.find_first_zeros(problem, (2, 2), args.count)
     points = mclaughlin.weight_numbers(problem, zeros)
     _emit(args, [
@@ -134,7 +134,7 @@ def cmd_mclaughlin(args):
 
 
 def cmd_weights(args):
-    problem = _load(args)
+    problem = _load(args.problem)
     w = weights.weight_matrix(problem, args.lambda0)
     d22 = weyl.all_deltas(problem, args.lambda0, pairs=((2, 2),))[(2, 2)]
     if weyl.is_delta_zero(d22.value, weyl.delta_scale(problem, 2), d22.fp_floor):
@@ -155,7 +155,7 @@ def cmd_weights(args):
 
 
 def cmd_classify(args):
-    problem = _load(args)
+    problem = _load(args.problem)
     zeros = spectra.find_first_zeros(problem, (2, 2), args.count)
     points = mclaughlin.weight_numbers(problem, zeros, residue_check=False)
     _emit(args, [
@@ -166,14 +166,14 @@ def cmd_classify(args):
 
 
 def cmd_barcilon(args):
-    problem = _load(args)
+    problem = _load(args.problem)
     b = spectra.three_spectra(problem, args.count)
     _emit(args, {"s12": b.s12, "s13": b.s13, "s23": b.s23})
     return 0
 
 
 def cmd_reconstruct(args):
-    problem = _load(args)
+    problem = _load(args.problem)
     points = []
     if args.kind == "m32":
         zeros = spectra.find_first_zeros(problem, (2, 2), args.count)
@@ -202,18 +202,14 @@ def cmd_reconstruct(args):
 
 
 def cmd_twin(args):
-    for path in (args.a, args.b):
-        if not os.path.exists(path):
-            print(f"error: problem file not found: {path}", file=sys.stderr)
-            raise SystemExit(2)
-    pa, pb = load_problem(args.a), load_problem(args.b)
+    pa, pb = _load(args.a), _load(args.b)
     report = bridge.twin_comparison(pa, pb, data_kind=args.kind, count=args.count)
     _emit(args, report)
     return 0
 
 
 def cmd_verify(args):
-    problem = _load(args)
+    problem = _load(args.problem)
     rng = np.random.default_rng(args.seed)
     checks = []
 
@@ -251,15 +247,20 @@ def cmd_verify(args):
     drift = fundamental_C(problem, rng.uniform(-50, 500, 6)).det_drift
     record("determinant_conservation", drift, 1e-8)
 
-    lag = 0.0
+    # six (lambda, mu) pairs with data y0 at lambda and z0 at mu, as columns
+    # 2k and 2k + 1 of one propagation
+    lams, cols = [], []
     for _ in range(6):
-        lam, mu = (complex(*rng.uniform(-5, 5, 2)), complex(*rng.uniform(-5, 5, 2)))
-        y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        z0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        yt, zt, integ = propagate_pair(problem, lam, mu, y0, z0)
-        br = lagrange_bracket(yt[-1], zt[-1]) - lagrange_bracket(yt[0], zt[0])
-        lag = max(lag, abs(br - (lam - mu) * integ))
-    record("lagrange_identity", lag, 1e-7)
+        lams += [complex(*rng.uniform(-5, 5, 2)), complex(*rng.uniform(-5, 5, 2))]
+        for _ in range(2):   # y0, then z0
+            cols.append(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    pairs = [(i, i + 1) for i in range(0, 12, 2)]
+    res = propagate(problem, lams, "forward", np.column_stack(cols), quad_pairs=pairs,
+                    x_grid=[0.0, 1.0])
+    Y0, Y1 = res.start, res.end
+    record("lagrange_identity",
+           [lagrange_bracket(Y1[:, i], Y1[:, j]) - lagrange_bracket(Y0[:, i], Y0[:, j])
+            - (lams[i] - lams[j]) * res.quadratures[(i, j)] for i, j in pairs], 1e-7)
 
     if problem.is_real:
         zeros = spectra.find_first_zeros(problem, (2, 2), 2)

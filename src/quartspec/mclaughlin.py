@@ -72,7 +72,7 @@ def _end_matrices(problem: ProblemSpec, lams) -> np.ndarray:
     n = len(lams)
     if n == 0:
         return np.empty((0, 2, 2), dtype=complex)
-    Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
+    Uinv = np.linalg.inv(boundary_form_matrix(problem))
     ends = propagate(problem, np.repeat(lams, 2), "forward", np.tile(Uinv[:, 2:4], n),
                      x_grid=[0.0, 1.0]).end
     return ends[0:2].reshape(2, n, 2).swapaxes(0, 1)
@@ -86,7 +86,7 @@ def _eigenfunctions(problem: ProblemSpec, lams, As, x_grid=None) -> list:
     lams = np.asarray(lams, dtype=complex).ravel()
     if len(lams) == 0:
         return []
-    Uinv = np.linalg.inv(boundary_form_matrix(problem, "left"))
+    Uinv = np.linalg.inv(boundary_form_matrix(problem))
     # det A = -Delta_22 (its rows are those of Delta_22, swapped)
     dets, _, floors = _minors(np.asarray(As))
     y0s = []

@@ -19,7 +19,7 @@ as immutable after validation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -126,7 +126,7 @@ class CoefficientField:
 
     @property
     def is_real(self):
-        return all(np.allclose(c.imag, 0.0) for _, _, c in self.segments)
+        return all(np.all(c.imag == 0) for _, _, c in self.segments)
 
     @property
     def is_zero(self):
@@ -178,7 +178,6 @@ class ProblemSpec:
     q: CoefficientField
     boundary: BoundaryParams = BoundaryParams()
     tolerances: Tolerances = Tolerances()
-    validated: bool = False
     # scratch space for per-problem caches (delta scales etc.); not state
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -196,7 +195,7 @@ class ProblemSpec:
 
 
 def validate_problem(raw: ProblemSpec) -> ProblemSpec:
-    """Check all invariants and return a validated (immutable) spec."""
+    """Check all invariants; return the spec, or raise ProblemError."""
     for name in ("a", "b", "c"):
         v = complex(getattr(raw.boundary, name))
         if not np.isfinite(v.real) or not np.isfinite(v.imag):
@@ -213,7 +212,7 @@ def validate_problem(raw: ProblemSpec) -> ProblemSpec:
             # on a segment of width <= 1, |value| <= sum |c_k|
             if not np.isfinite(np.sum(np.abs(coeffs))):
                 raise ProblemError(f"coefficient {fname} not finite on [{x0}, {x1}]")
-    return replace(raw, validated=True)
+    return raw
 
 
 def beam_problem(a=0.0, b=0.0, c=0.0, **kwargs) -> ProblemSpec:
@@ -226,15 +225,10 @@ def beam_problem(a=0.0, b=0.0, c=0.0, **kwargs) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # boundary forms and the Lagrange bracket
 
-def boundary_form_matrix(spec: ProblemSpec, end: str) -> np.ndarray:
-    """Matrix of the boundary linear forms acting on (y, y', y'', y^[3]).
-
-    Row k of the left matrix represents U_k, of the right matrix V_k.
-    """
-    if end == "right":
-        return np.eye(4, dtype=complex)
-    if end != "left":
-        raise ValueError(f"end must be 'left' or 'right', got {end!r}")
+def boundary_form_matrix(spec: ProblemSpec) -> np.ndarray:
+    """Matrix of the left boundary forms acting on (y, y', y'', y^[3]):
+    row k represents U_k.  The right-end forms V_s(y) = y^[s-1](1) have the
+    identity matrix."""
     a, b, c = spec.boundary.a, spec.boundary.b, spec.boundary.c
     return np.array([
         [-b, a, 1, 0],
@@ -276,16 +270,15 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
             return complex(v[0], v[1])
         return complex(v)
 
+    # the keys present, the defaults of Tolerances for the rest; keys no
+    # longer in use (root_tol of older files) are ignored
     tol = obj.get("tolerances", {})
     spec = ProblemSpec(
         p=CoefficientField.from_dict(obj["p"]),
         q=CoefficientField.from_dict(obj["q"]),
         boundary=BoundaryParams(c(obj.get("a", 0)), c(obj.get("b", 0)), c(obj.get("c", 0))),
-        tolerances=Tolerances(
-            ode_rel=tol.get("ode_rel", 1e-10),
-            ode_abs=tol.get("ode_abs", 1e-12),
-            contour_nodes=tol.get("contour_nodes", 64),
-        ),
+        tolerances=Tolerances(**{f.name: tol[f.name] for f in fields(Tolerances)
+                                 if f.name in tol}),
     )
     return validate_problem(spec)
 

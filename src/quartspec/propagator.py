@@ -213,7 +213,7 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid) -> Fundame
 
 def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False, x_grid=None) -> FundamentalMatrix:
     """Solutions C_k with U_s(C_k) = delta_sk; initial matrix U^{-1} at x=0."""
-    U = boundary_form_matrix(problem, "left")
+    U = boundary_form_matrix(problem)
     return _fundamental(problem, lam, "forward", np.linalg.inv(U), want_dlambda, x_grid)
 
 
@@ -221,13 +221,3 @@ def fundamental_S(problem: ProblemSpec, lam, x_grid=None) -> FundamentalMatrix:
     """Solutions S_k with V_s(S_k) = delta_sk; identity data at x=1."""
     return _fundamental(problem, lam, "backward", np.eye(4, dtype=complex), False, x_grid)
 
-
-def propagate_pair(problem: ProblemSpec, lam, mu, y0, z0):
-    """Propagate y at lam and z at mu jointly; returns (y_traj, z_traj, int y z dx).
-
-    The solutions are carried as columns of one augmented system so the
-    cross quadrature shares the integrator's error control.
-    """
-    init = np.column_stack([np.asarray(y0, complex), np.asarray(z0, complex)])
-    res = propagate(problem, [lam, mu], "forward", init, quad_pairs=[(0, 1)])
-    return res.values[:, :, 0], res.values[:, :, 1], res.quadratures[(0, 1)]

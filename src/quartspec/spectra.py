@@ -36,6 +36,11 @@ RHO_SCAN_STEP = 0.05
 _SCAN_CHUNK = int(np.ceil(np.pi / RHO_SCAN_STEP))
 # Newton accepts once a step is below this fraction of 1 + |lambda|
 REFINE_TOL = 1e-12
+NEWTON_MAX_ITER = 40
+# boundary samples per rectangle side before the first winding-number doubling
+WINDING_SIDE_SAMPLES = 32
+# find_first_zeros scans up from here, just above lambda = 0
+FIRST_ZEROS_START = 1e-6
 
 
 class SearchError(RuntimeError):
@@ -66,7 +71,7 @@ class BarcilonData:
     s23: list = field(default_factory=list)
 
 
-def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
+def _newton(lam0, bracket=None, local_scale=None):
     """Safeguarded Newton with secant fallback; bracket (lo, hi, Re Delta(lo))
     is kept if supplied.  A coroutine: it yields each lambda to evaluate,
     receives (Delta, dDelta, C(1, lambda)) there, and returns the best
@@ -86,7 +91,7 @@ def _newton(lam0, bracket=None, max_iter=40, local_scale=None):
     best = None
     prev = None
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         val, dval, end = yield lam
         if bracket is not None:
             if flo * np.real(val) < 0:
@@ -233,7 +238,7 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
     return dedup
 
 
-def _winding_number(ring, re0, re1, im0, im1, n_per_side=32):
+def _winding_number(ring, re0, re1, im0, im1):
     """Winding of Delta along the rectangle boundary, by phase unwrapping;
     (winding, Delta at the corner (re0, im0)).
 
@@ -249,6 +254,7 @@ def _winding_number(ring, re0, re1, im0, im1, n_per_side=32):
         return np.concatenate([a + t * (b - a)
                                for a, b in zip(corners, corners[1:] + corners[:1])])
 
+    n_per_side = WINDING_SIDE_SAMPLES
     vals = ring(boundary(n_per_side))
     while True:
         if np.any(vals == 0):
@@ -276,25 +282,30 @@ def _ring_fun(problem, selector):
     return ring
 
 
-def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
-                       _depth=0, _ring=None) -> list:
+def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
     """Zeros inside a complex rectangle via the argument principle."""
-    re0, re1, im0, im1 = request.region
-    ring = _ring or _ring_fun(problem, tuple(request.selector))
-    scale = delta_scale(problem, request.selector[1])
+    selector = tuple(request.selector)
+    zeros = _complex_zeros(problem, selector, request.region,
+                           _ring_fun(problem, selector), delta_scale(problem, selector[1]), 0)
+    return zeros[: request.max_count]
+
+
+def _complex_zeros(problem, selector, region, ring, scale, depth):
+    """All zeros in the rectangle `region`, subdividing while the winding is
+    above 1; ring is the search's memo of Delta on rectangle boundaries."""
+    re0, re1, im0, im1 = region
     w, corner = _winding_number(ring, re0, re1, im0, im1)
     if w == 0:
         return []
-    if w == 1 or _depth >= 8:
+    if w == 1 or depth >= 8:
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        got = _polish(problem, tuple(request.selector), [
+        got = _polish(problem, selector, [
             _newton(center, local_scale=max(abs(corner), 1e-12 * scale))])[0]
         if isinstance(got, Exception):
             raise got
         lam, val, dval, end = got
-        mult = w if _depth >= 8 else 1
-        z = Zero(lam=lam, selector=tuple(request.selector), ddelta=complex(dval),
-                 end_values=end)
+        mult = w if depth >= 8 else 1
+        z = Zero(lam=lam, selector=selector, ddelta=complex(dval), end_values=end)
         z.multiplicity_estimate = 2 if mult == 1 and not simplicity_check(z, scale) else mult
         return [z]
     # split the longer side, nudging the cut line to avoid landing on a zero
@@ -306,30 +317,30 @@ def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest,
         mid = 0.5 * (im0 + im1) + 1e-3 * (im1 - im0)
         boxes = [(re0, re1, im0, mid), (re0, re1, mid, im1)]
     for box in boxes:
-        sub = SpectrumRequest(request.selector, box, request.max_count)
-        zeros.extend(find_complex_zeros(problem, sub, _depth + 1, ring))
+        zeros.extend(_complex_zeros(problem, selector, box, ring, scale, depth + 1))
     if sum(z.multiplicity_estimate for z in zeros) != w:
         raise SearchError(f"winding count {w} does not match {len(zeros)} refined zeros")
     zeros.sort(key=lambda z: (z.lam.real, z.lam.imag))
-    return zeros[: request.max_count]
+    return zeros
 
 
-def simplicity_check(zero: Zero, scale: float = 1.0) -> bool:
+def simplicity_check(zero: Zero, scale: float) -> bool:
     """True iff the zero is simple: |dDelta| strictly above the floor."""
     return abs(zero.ddelta) > SIMPLICITY_FLOOR * scale
 
 
-def find_first_zeros(problem: ProblemSpec, selector, count, start=1e-6) -> list:
-    """First `count` real-axis zeros of Delta_selector above `start`.
+def find_first_zeros(problem: ProblemSpec, selector, count) -> list:
+    """First `count` real-axis zeros of Delta_selector above FIRST_ZEROS_START.
 
-    One scan from `start` to a cap, which stops at the count-th zero; it
-    raises SearchError when the cap is reached with fewer zeros.
+    One scan from FIRST_ZEROS_START to a cap, which stops at the count-th
+    zero; it raises SearchError when the cap is reached with fewer zeros.
     """
     # the zeros are near-uniform in rho = lambda^{1/4} with spacing about pi,
     # so (pi (count+3))^4 bounds the scan; past that the propagated entries
     # overflow and the scan would only produce NaNs
     cap = (np.pi * (count + 3)) ** 4
-    zeros = find_real_zeros(problem, SpectrumRequest(selector, (start, cap), max_count=count))
+    zeros = find_real_zeros(problem, SpectrumRequest(selector, (FIRST_ZEROS_START, cap),
+                                                     max_count=count))
     if len(zeros) < count:
         raise SearchError(f"could not locate {count} zeros of Delta_{selector}")
     return zeros

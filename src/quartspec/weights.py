@@ -48,7 +48,6 @@ class WeightMatrix:
     m_zero: np.ndarray
     n: np.ndarray
     contour_radius: float
-    quadrature_nodes: int
 
 
 def default_contour_radius(lam0, nearby_zeros=()):
@@ -111,8 +110,7 @@ def weight_matrix(problem: ProblemSpec, lam0, radius=None,
     coeffs = laurent_coefficients(problem, lam0, (-1, 0), radius=radius)
     m_minus1, m_zero = coeffs[-1], coeffs[0]
     n = np.linalg.solve(m_zero, m_minus1)
-    return WeightMatrix(lam0=lam0, m_minus1=m_minus1, m_zero=m_zero, n=n, contour_radius=radius,
-                        quadrature_nodes=problem.tolerances.contour_nodes)
+    return WeightMatrix(lam0=lam0, m_minus1=m_minus1, m_zero=m_zero, n=n, contour_radius=radius)
 
 
 def classify_eigenvalue(point: SpectralPoint, delta43, delta33, delta33_scale) -> str:

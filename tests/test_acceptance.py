@@ -37,7 +37,7 @@ from quartspec import (
 )
 from quartspec.cli import main as cli_main
 from quartspec.mclaughlin import SpectralPoint
-from quartspec.propagator import propagate_pair
+from quartspec.propagator import propagate
 from quartspec.problem import lagrange_bracket
 from quartspec.spectra import SpectrumRequest
 from quartspec.weyl import PoleError
@@ -121,7 +121,9 @@ def test_05_propagator_invariants(beam, random_problem):
         worst = max(worst, fundamental_C(pb, lam).det_drift)
         y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         z0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        yt, zt, integ = propagate_pair(pb, lam, mu, y0, z0)
+        res = propagate(pb, [lam, mu], "forward", np.column_stack([y0, z0]),
+                        quad_pairs=[(0, 1)])
+        yt, zt, integ = res.values[:, :, 0], res.values[:, :, 1], res.quadratures[(0, 1)]
         jump = lagrange_bracket(yt[-1], zt[-1]) - lagrange_bracket(yt[0], zt[0])
         worst = max(worst, abs(jump - (lam - mu) * integ))
     report("det_conservation_and_lagrange", worst, 1e-8)

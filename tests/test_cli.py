@@ -75,6 +75,13 @@ class TestSpectrum:
             main(["spectrum", "--problem", str(tmp_path / "nope.json")])
         assert err.value.code == 2
 
+    def test_twin_missing_file_usage_error(self, beam_json, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as err:
+            main(["twin", "--a", beam_json, "--b", missing])
+        assert err.value.code == 2
+        assert f"problem file not found: {missing}" in capsys.readouterr().err
+
     def test_domain_error_structured(self, complex_json, capsys):
         # real-axis scan refuses complex-coefficient problems
         code = main(["spectrum", "--problem", complex_json])

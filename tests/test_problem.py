@@ -76,11 +76,16 @@ class TestCoefficientField:
             assert g(x) == pytest.approx(f(x))
         assert not g.is_real
 
+    def test_is_real_is_exact(self):
+        assert not CoefficientField.constant(5e-9j).is_real
+        assert not CoefficientField([(0.0, 1.0, [1.0, 1e-300j])]).is_real
+
 
 class TestProblemSpec:
     def test_beam_is_real_and_validated(self):
         pb = beam_problem()
-        assert pb.validated and pb.is_real
+        # validate_problem returns the spec it checked
+        assert validate_problem(pb) is pb and pb.is_real
         assert pb.p.is_zero and pb.q.is_zero
 
     def test_complex_boundary_not_real(self):
@@ -103,7 +108,7 @@ class TestProblemSpec:
 class TestBoundaryForms:
     def test_left_matrix_layout(self):
         pb = beam_problem(a=2.0, b=3.0, c=5.0)
-        U = boundary_form_matrix(pb, "left")
+        U = boundary_form_matrix(pb)
         expect = np.array([
             [-3.0, 2.0, 1.0, 0.0],
             [5.0, 3.0, 0.0, 1.0],
@@ -113,9 +118,6 @@ class TestBoundaryForms:
         assert np.allclose(U, expect)
         # unimodular for every (a, b, c)
         assert np.linalg.det(U) == pytest.approx(1.0)
-
-    def test_right_matrix_is_identity(self):
-        assert np.allclose(boundary_form_matrix(beam_problem(), "right"), np.eye(4))
 
     def test_bracket_antisymmetric_bilinear(self):
         rng = np.random.default_rng(3)
@@ -171,6 +173,13 @@ class TestJsonInterface:
         obj["self_adjoint_hint"] = True
         obj["tolerances"]["root_tol"] = 1e-10
         assert problem_from_dict(obj).tolerances == beam_problem().tolerances
+
+    def test_missing_tolerances_take_the_defaults(self):
+        obj = problem_to_dict(beam_problem())
+        del obj["tolerances"]
+        assert problem_from_dict(obj).tolerances == Tolerances()
+        obj["tolerances"] = {"ode_rel": 1e-9}
+        assert problem_from_dict(obj).tolerances == Tolerances(ode_rel=1e-9)
 
     def test_load_reports_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"

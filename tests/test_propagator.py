@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quartspec import beam_problem, fundamental_C, fundamental_S, propagate
-from quartspec.propagator import propagate_pair
 from quartspec.problem import BoundaryParams, boundary_form_matrix, lagrange_bracket
 
 from conftest import make_random_problem, oracle_C3, oracle_C4
@@ -47,7 +46,7 @@ class TestInitialData:
     def test_C_family_satisfies_left_forms(self):
         pb = make_random_problem()
         res = fundamental_C(pb, 2.5)
-        U = boundary_form_matrix(pb, "left")
+        U = boundary_form_matrix(pb)
         assert np.max(np.abs(U @ res.start - np.eye(4))) < 1e-12
 
     def test_S_family_is_identity_at_right_end(self):
@@ -72,7 +71,9 @@ class TestInvariants:
         lam, mu = 1.7 + 0.3j, -2.2 + 1.1j
         y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         z0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        yt, zt, integ = propagate_pair(pb, lam, mu, y0, z0)
+        res = propagate(pb, [lam, mu], "forward", np.column_stack([y0, z0]),
+                        quad_pairs=[(0, 1)])
+        yt, zt, integ = res.values[:, :, 0], res.values[:, :, 1], res.quadratures[(0, 1)]
         jump = lagrange_bracket(yt[-1], zt[-1]) - lagrange_bracket(yt[0], zt[0])
         assert abs(jump - (lam - mu) * integ) < 1e-8
 
@@ -154,7 +155,7 @@ class TestCoefficientCoupling:
                               [lam - coef(pb.q, x), 0, 0, 0]])
                 return (A @ u.reshape(4, 4)).ravel()
 
-            Y0 = np.linalg.inv(boundary_form_matrix(pb, "left"))
+            Y0 = np.linalg.inv(boundary_form_matrix(pb))
             ref = solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="DOP853",
                             rtol=1e-12, atol=1e-14).y[:, -1].reshape(4, 4)
             got = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end

@@ -5,6 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from quartspec import (
+    CoefficientField,
+    ProblemSpec,
     SpectrumRequest,
     beam_problem,
     find_complex_zeros,
@@ -53,6 +55,14 @@ class TestRealSearch:
         pb = make_random_problem()
         with pytest.raises(SearchError):
             find_real_zeros(pb, SpectrumRequest((2, 2), (0.0, 100.0)))
+
+    def test_tiny_imaginary_coefficient_rejected(self):
+        # q = 5e-9 i moves the beam zeros off the real axis by 5e-9; a scan of
+        # Re Delta would report real eigenvalues that are not there
+        pb = ProblemSpec(p=CoefficientField.zero(), q=CoefficientField.constant(5e-9j))
+        assert not pb.is_real
+        with pytest.raises(SearchError):
+            find_real_zeros(pb, SpectrumRequest((2, 2), (0.0, 500.0)))
 
     def test_ddelta_reported(self, beam_zeros):
         # the beam's dDelta_22 at lambda_1 is nonzero and real
@@ -164,6 +174,14 @@ class TestComplexSearch:
     def test_empty_rectangle(self, beam):
         req = SpectrumRequest((2, 2), (100.0, 400.0, -3.0, 3.0))
         assert find_complex_zeros(beam, req) == []
+
+    def test_max_count_below_zeros_in_box(self, beam):
+        # three beam zeros in the box: max_count trims the search's result
+        # once, and no sub-box count is trimmed before its winding check
+        req = SpectrumRequest((2, 2), (0.0, 4000.0, -1.0, 1.0), max_count=1)
+        zeros = find_complex_zeros(beam, req)
+        assert len(zeros) == 1
+        assert zeros[0].lam == pytest.approx(beam_eigenvalue(1), rel=1e-8)
 
     def test_complex_coefficients_eigenvalue(self):
         # perturbing q off the real axis moves lambda_1 into the plane but

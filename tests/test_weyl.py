@@ -118,7 +118,7 @@ class TestBatchedDeltas:
         # determinant, so a value is judged against max(|Delta|, 1e-4 * term mass)
         pb = make_random_problem()
         nodes = np.union1d(pb.p.breakpoints, pb.q.breakpoints)
-        Uinv = np.linalg.inv(boundary_form_matrix(pb, "left"))
+        Uinv = np.linalg.inv(boundary_form_matrix(pb))
         worst = 0.0
         got = deltas_at(pb, lams)
         for i, lam in enumerate(lams):
@@ -348,7 +348,7 @@ class TestPhiMatrix:
         pb = make_random_problem()
         lam = 1.1
         xs, phis = phi_matrix(pb, lam, x_grid=[0.0, 1.0])
-        U = boundary_form_matrix(pb, "left")
+        U = boundary_form_matrix(pb)
         m = weyl_matrix(pb, lam).m
         assert np.max(np.abs(U @ phis[0] - m)) < 1e-9
 
