@@ -134,20 +134,20 @@ def cmd_mclaughlin(args):
 
 
 def cmd_weights(args):
+    """N(lambda0) and its case: that of the zero of Delta_22 that Newton from
+    lambda0 reaches inside the contour, or V if an iterate would leave it."""
     problem = _load(args.problem)
     w = weights.weight_matrix(problem, args.lambda0)
-    d22 = weyl.all_deltas(problem, args.lambda0, pairs=((2, 2),))[(2, 2)]
-    if weyl.is_delta_zero(d22.value, weyl.delta_scale(problem, 2), d22.fp_floor):
-        # the zero itself: in the real window lambda0 +- 1 or, when Delta_22 is
-        # not real on the real axis, in the box lambda0 +- (1 + 1j)
-        re, im = args.lambda0.real, args.lambda0.imag
-        find, region = ((spectra.find_real_zeros, (re - 1, re + 1)) if problem.is_real else
-                        (spectra.find_complex_zeros, (re - 1, re + 1, im - 1, im + 1)))
-        zeros = find(problem, spectra.SpectrumRequest((2, 2), region))
-        nearest = min(zeros, key=lambda z: abs(z.lam - args.lambda0))
-        point = mclaughlin.weight_numbers(problem, [nearest], residue_check=False)[0]
-    else:
+    newton = spectra._newton(args.lambda0, local_scale=weyl.delta_scale(problem, 2))
+    got = spectra._polish(problem, (2, 2), [
+        spectra._in_disc(newton, args.lambda0, w.contour_radius)])[0]
+    if isinstance(got, Exception):
+        raise got
+    if got is None:
         point = mclaughlin.SpectralPoint(lam=args.lambda0, case_tag="V")
+    else:
+        zero = spectra.Zero(got[0], (2, 2), ddelta=got[2], end_values=got[3])
+        point = mclaughlin.weight_numbers(problem, [zero], residue_check=False)[0]
     report = weights.verify_weight_structure(w, point)
     _emit(args, {"lambda0": w.lam0, "m_minus1": w.m_minus1, "m_zero": w.m_zero,
                  "n": w.n, "case": point.case_tag, "residuals": report["checks"]})

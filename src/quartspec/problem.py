@@ -19,6 +19,7 @@ as immutable after validation.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -202,11 +203,12 @@ def validate_problem(raw: ProblemSpec) -> ProblemSpec:
             raise ProblemError(f"boundary constant {name} is not finite")
     tol = raw.tolerances
     for name in ("ode_rel", "ode_abs"):
-        if not (getattr(tol, name) > 0):
-            raise ProblemError(f"tolerance {name} must be positive")
+        v = getattr(tol, name)
+        if not (isinstance(v, numbers.Real) and v > 0):
+            raise ProblemError(f"tolerance {name} must be a positive number")
     n = tol.contour_nodes
-    if n < 16 or (n & (n - 1)) != 0:
-        raise ProblemError("contour_nodes must be >= 16 and a power of two")
+    if not isinstance(n, numbers.Integral) or n < 16 or (n & (n - 1)) != 0:
+        raise ProblemError("contour_nodes must be an integer >= 16 and a power of two")
     for fname, fld in (("p", raw.p), ("q", raw.q)):
         for x0, x1, coeffs in fld.segments:
             # on a segment of width <= 1, |value| <= sum |c_k|

@@ -130,6 +130,16 @@ def _newton(lam0, bracket=None, local_scale=None):
     return lam, val, dval, end
 
 
+def _in_disc(newton, center, radius):
+    """newton, returning None before it yields a lambda off |lambda - center| < radius."""
+    lam = next(newton)
+    while abs(lam - center) < radius:
+        try:
+            lam = newton.send((yield lam))
+        except StopIteration as stop:
+            return stop.value
+
+
 def _jets(problem, selector, lams):
     """(Delta, dDelta, C(1, lambda)) of the selected pair at each lambda, in
     one solve; if it fails, lambda by lambda, each PropagationError in its

@@ -8,6 +8,7 @@ from quartspec import (
     CoefficientField,
     PoleError,
     ProblemSpec,
+    beam_problem,
     find_complex_zeros,
     problem_to_dict,
     save_problem,
@@ -94,6 +95,15 @@ class TestSpectrum:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["spectrum", "--problem", str(bad)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("contour_nodes", 64.0), ("ode_rel", "1e-10")])
+    def test_tolerance_of_wrong_type_usage_error(self, tmp_path, key, value, capsys):
+        obj = problem_to_dict(beam_problem())
+        obj["tolerances"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["spectrum", "--problem", str(path)]) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, option, value, rest", [
         ("weights", "--lambda0", "-12,3", []),
@@ -193,9 +203,28 @@ class TestDataCommands:
         assert abs(complex(*payload["n"][2][1]) + 4.0) < 1e-6
         assert payload["residuals"]["off_pattern_entries"] < 1e-7
 
+    def test_weights_at_pole_of_m43_is_case_five(self, beam_json, capsys):
+        # -4 s_1^4 is a zero of Delta_33, not of Delta_22: the first Newton
+        # step on Delta_22 leaves the contour
+        lam = -4 * clamped_free_s(1) ** 4
+        code = main(["weights", "--problem", beam_json, "--lambda0", repr(lam)])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["case"] == "V"
+        assert payload["residuals"]["n21_equals_n43"] < 1e-8
+
+    def test_weights_near_eigenvalue_takes_its_case(self, beam_json, capsys):
+        # the README's example: |Delta_22(12.362)| is above the zero floor,
+        # but Newton from it reaches lambda_1 well inside the contour
+        code = main(["weights", "--problem", beam_json, "--lambda0", "12.362"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["case"] == "I"
+        assert abs(complex(*payload["n"][2][1]) + 4.0) < 1e-6
+
     def test_weights_at_complex_eigenvalue(self, tmp_path, capsys):
-        # Delta_22 of a complex problem is not real on the real axis, so the
-        # zero at lambda0 is located in a complex box around it
+        # Delta_22 of a complex problem is not real on the real axis; Newton
+        # from lambda0 polishes its zero in complex arithmetic
         pb = make_random_problem(1)
         path = tmp_path / "cx1.json"
         save_problem(pb, path)

@@ -4,6 +4,7 @@ The counts come from wrapping the module bindings that the layers call, so
 they check how often the work is done, not how the values come out.
 """
 
+import json
 import sys
 from dataclasses import replace
 
@@ -18,13 +19,14 @@ from quartspec import (
     find_first_zeros,
     find_real_zeros,
     laurent_coefficients,
+    save_problem,
     weight_numbers,
 )
 from quartspec import propagator, spectra, weights, weyl
 from quartspec.cli import main
 from quartspec.propagator import fundamental_C
 
-from conftest import beam_eigenvalue, clamped_free_s
+from conftest import beam_eigenvalue, clamped_free_s, make_random_problem
 
 
 def _recording(monkeypatch, module, name):
@@ -232,6 +234,29 @@ def test_weyl_grid_is_one_propagation_plus_scale(beam_json, monkeypatch, capsys)
     assert len(capsys.readouterr().out.splitlines()) == 41
     # the grid's C batch, and the delta_scale sweep for the pole test
     assert sorted(calls) == [("forward", 4 * 8), ("forward", 4 * 40)]
+
+
+@pytest.mark.parametrize("where, case, budget", [
+    ("eigenvalue", "I", 5), ("case V", "V", 3), ("complex", "I", 4)])
+def test_weights_budget(beam_json, tmp_path, monkeypatch, capsys, where, case, budget):
+    # the contour, the delta_scale sweep, the Newton jets from lambda0 (the
+    # first is the zero test) and the eigenfunction; at a case-V point the
+    # first step leaves the contour's disc: one jet and no eigenfunction
+    path, lam = beam_json, complex(beam_eigenvalue(1))
+    if where == "case V":
+        lam = complex(-4 * clamped_free_s(1) ** 4)
+    elif where == "complex":
+        pb = make_random_problem(1)
+        path = str(tmp_path / "cx1.json")
+        save_problem(pb, path)
+        lam = find_complex_zeros(pb, SpectrumRequest((2, 2), (300.0, 700.0, -5.0, 5.0)))[0].lam
+    calls = _counting_propagations(monkeypatch)
+    assert main(["weights", "--problem", path, "--lambda0", f"{lam.real!r},{lam.imag!r}"]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == case
+    if case == "V":
+        assert len(calls) == budget
+    else:
+        assert len(calls) <= budget
 
 
 def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
