@@ -29,11 +29,11 @@ from .weyl import (
 )
 from .spectra import (
     BarcilonData,
-    SpectrumRequest,
     Zero,
     find_complex_zeros,
     find_first_zeros,
     find_real_zeros,
+    find_zero_near,
     simplicity_check,
     three_spectra,
 )

@@ -78,11 +78,17 @@ def _count(text):
     return int(text)
 
 
+def _float(text):
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _complex_arg(text):
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    return complex(float(parts[0]), float(parts[1]))
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"must be re or re,im, got {text}")
+    return complex(*map(_float, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +96,8 @@ def _complex_arg(text):
 
 def cmd_spectrum(args):
     problem = _load(args.problem)
-    req = spectra.SpectrumRequest(args.selector, (args.xmin, args.xmax),
-                                  max_count=args.count)
-    zeros = spectra.find_real_zeros(problem, req)
+    zeros = spectra.find_real_zeros(problem, args.selector, (args.xmin, args.xmax),
+                                    max_count=args.count)
     _emit(args, [
         {"lambda": z.lam, "ddelta": z.ddelta, "simple": z.multiplicity_estimate == 1}
         for z in zeros
@@ -134,23 +139,20 @@ def cmd_mclaughlin(args):
 
 
 def cmd_weights(args):
-    """N(lambda0) and its case: that of the zero of Delta_22 that Newton from
-    lambda0 reaches inside the contour, or V if an iterate would leave it."""
+    """N and the case at the zero of Delta_22 that Newton from lambda0 reaches
+    inside the contour disc around lambda0; if none, at lambda0 in case V."""
     problem = _load(args.problem)
-    w = weights.weight_matrix(problem, args.lambda0)
-    newton = spectra._newton(args.lambda0, local_scale=weyl.delta_scale(problem, 2))
-    got = spectra._polish(problem, (2, 2), [
-        spectra._in_disc(newton, args.lambda0, w.contour_radius)])[0]
-    if isinstance(got, Exception):
-        raise got
-    if got is None:
+    zero = spectra.find_zero_near(problem, (2, 2), args.lambda0,
+                                  weights.default_contour_radius(args.lambda0))
+    if zero is None:
         point = mclaughlin.SpectralPoint(lam=args.lambda0, case_tag="V")
     else:
-        zero = spectra.Zero(got[0], (2, 2), ddelta=got[2], end_values=got[3])
         point = mclaughlin.weight_numbers(problem, [zero], residue_check=False)[0]
+    w = weights.weight_matrix(problem, point.lam)
     report = weights.verify_weight_structure(w, point)
-    _emit(args, {"lambda0": w.lam0, "m_minus1": w.m_minus1, "m_zero": w.m_zero,
-                 "n": w.n, "case": point.case_tag, "residuals": report["checks"]})
+    _emit(args, {"lambda0": args.lambda0, "pole": w.lam0, "m_minus1": w.m_minus1,
+                 "m_zero": w.m_zero, "n": w.n, "case": point.case_tag,
+                 "residuals": report["checks"]})
     return 0
 
 
@@ -188,8 +190,8 @@ def cmd_reconstruct(args):
                            "error": abs(value - direct)})
     else:  # delta33
         # the count zeros nearest 0, nearest first as the tail bound expects
-        data = [z.lam for z in spectra.find_real_zeros(problem, spectra.SpectrumRequest(
-            (3, 3), (-args.zero_window, -1e-6), max_count=args.count))[::-1]]
+        data = [z.lam for z in spectra.find_real_zeros(
+            problem, (3, 3), (-args.zero_window, -1e-6), max_count=args.count)[::-1]]
         lams = np.linspace(-20.0, 20.0, 5)
         anchor, *directs = weyl.characteristic_delta(problem, np.append(0.0, lams), (3, 3)).value
         for lam, direct in zip(lams, directs):
@@ -299,14 +301,14 @@ def build_parser():
     p = add("spectrum", cmd_spectrum, help="real-axis zeros of a characteristic function")
     p.add_argument("--problem", required=True)
     p.add_argument("--selector", type=_selector, default=(2, 2))
-    p.add_argument("--xmin", type=float, default=0.0)
-    p.add_argument("--xmax", type=float, default=1000.0)
+    p.add_argument("--xmin", type=_float, default=0.0)
+    p.add_argument("--xmax", type=_float, default=1000.0)
     p.add_argument("--count", type=_count, default=10)
 
     p = add("weyl", cmd_weyl, help="Weyl matrix entries on a lambda grid")
     p.add_argument("--problem", required=True)
-    p.add_argument("--lambda-min", type=float, default=0.5)
-    p.add_argument("--lambda-max", type=float, default=50.0)
+    p.add_argument("--lambda-min", type=_float, default=0.5)
+    p.add_argument("--lambda-max", type=_float, default=50.0)
     p.add_argument("--lambda-count", type=_count, default=20)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
@@ -330,7 +332,7 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--kind", choices=("m32", "delta33"), default="m32")
     p.add_argument("--count", type=_count, default=10)
-    p.add_argument("--zero-window", type=float, default=1e5)
+    p.add_argument("--zero-window", type=_float, default=1e5)
 
     p = add("twin", cmd_twin, help="compare spectral data of two problems")
     p.add_argument("--a", required=True)

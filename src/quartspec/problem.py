@@ -267,21 +267,25 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
 
 
 def problem_from_dict(obj: dict) -> ProblemSpec:
+    """The validated problem of a JSON object; ProblemError for any malformed one."""
     def c(v):
-        if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
-        return complex(v)
+        return complex(*v) if isinstance(v, (list, tuple)) and len(v) == 2 else complex(v)
 
-    # the keys present, the defaults of Tolerances for the rest; keys no
-    # longer in use (root_tol of older files) are ignored
-    tol = obj.get("tolerances", {})
-    spec = ProblemSpec(
-        p=CoefficientField.from_dict(obj["p"]),
-        q=CoefficientField.from_dict(obj["q"]),
-        boundary=BoundaryParams(c(obj.get("a", 0)), c(obj.get("b", 0)), c(obj.get("c", 0))),
-        tolerances=Tolerances(**{f.name: tol[f.name] for f in fields(Tolerances)
-                                 if f.name in tol}),
-    )
+    try:
+        # the keys present, the defaults of Tolerances for the rest; keys no
+        # longer in use (root_tol of older files) are ignored
+        tol = obj.get("tolerances", {})
+        spec = ProblemSpec(
+            p=CoefficientField.from_dict(obj["p"]),
+            q=CoefficientField.from_dict(obj["q"]),
+            boundary=BoundaryParams(c(obj.get("a", 0)), c(obj.get("b", 0)), c(obj.get("c", 0))),
+            tolerances=Tolerances(**{f.name: tol[f.name] for f in fields(Tolerances)
+                                     if f.name in tol}),
+        )
+    except ProblemError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ProblemError(f"malformed problem: {type(exc).__name__}: {exc}") from exc
     return validate_problem(spec)
 
 

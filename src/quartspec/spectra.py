@@ -15,8 +15,9 @@ samples already in hand, and accepts an evaluated iterate once the Newton
 step computed there is below REFINE_TOL (1 + |lambda|), without solving at
 lambda + step: a scan bracket takes three solves.  Complex search uses the
 argument principle over rectangles with recursive subdivision, and the same
-Newton with a batch of one.  Each Zero keeps C(1, lambda) of its accepted
-Newton evaluation, which weight_numbers reads instead of solving it again.
+Newton with a batch of one; find_zero_near runs it from a given point and
+stops where an iterate would leave a disc around it.  Each Zero keeps C(1,
+lambda) of its accepted Newton evaluation, which weight_numbers reads.
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ FIRST_ZEROS_START = 1e-6
 
 class SearchError(RuntimeError):
     pass
-
-
-@dataclass
-class SpectrumRequest:
-    selector: tuple                     # index pair (j, k)
-    region: tuple                       # (xmin, xmax) or (re0, re1, im0, im1)
-    max_count: int = 100
 
 
 @dataclass
@@ -130,16 +124,6 @@ def _newton(lam0, bracket=None, local_scale=None):
     return lam, val, dval, end
 
 
-def _in_disc(newton, center, radius):
-    """newton, returning None before it yields a lambda off |lambda - center| < radius."""
-    lam = next(newton)
-    while abs(lam - center) < radius:
-        try:
-            lam = newton.send((yield lam))
-        except StopIteration as stop:
-            return stop.value
-
-
 def _jets(problem, selector, lams):
     """(Delta, dDelta, C(1, lambda)) of the selected pair at each lambda, in
     one solve; if it fails, lambda by lambda, each PropagationError in its
@@ -175,8 +159,8 @@ def _polish(problem, selector, newtons):
     return out
 
 
-def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
-    """All real zeros of Delta_selector in [xmin, xmax], sorted ascending.
+def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> list:
+    """All real zeros of Delta_selector in region = (xmin, xmax), sorted ascending.
 
     The grid is scanned (up from xmin, or out from 0 if xmax <= 0) one chunk
     per solve until there are brackets for max_count zeros; the first in scan
@@ -184,8 +168,8 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
     if not problem.is_real:
         raise SearchError("Delta is not real on the real axis for this problem; "
                           "use find_complex_zeros")
-    xmin, xmax = request.region
-    selector = tuple(request.selector)
+    xmin, xmax = region
+    selector = tuple(selector)
     scale = delta_scale(problem, selector[1])
 
     # scan positions uniform in rho = |lambda|^{1/4}, both signs of lambda
@@ -227,7 +211,7 @@ def find_real_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
 
     zeros = []
     pending = brackets()
-    while batch := list(islice(pending, request.max_count - len(zeros))):
+    while batch := list(islice(pending, max_count - len(zeros))):
         for (local, _), got in zip(batch, _polish(problem, selector, [g for _, g in batch])):
             if isinstance(got, Exception):
                 continue
@@ -292,12 +276,12 @@ def _ring_fun(problem, selector):
     return ring
 
 
-def find_complex_zeros(problem: ProblemSpec, request: SpectrumRequest) -> list:
-    """Zeros inside a complex rectangle via the argument principle."""
-    selector = tuple(request.selector)
-    zeros = _complex_zeros(problem, selector, request.region,
+def find_complex_zeros(problem: ProblemSpec, selector, region, max_count=100) -> list:
+    """Zeros in the rectangle region = (re0, re1, im0, im1), by the argument principle."""
+    selector = tuple(selector)
+    zeros = _complex_zeros(problem, selector, region,
                            _ring_fun(problem, selector), delta_scale(problem, selector[1]), 0)
-    return zeros[: request.max_count]
+    return zeros[:max_count]
 
 
 def _complex_zeros(problem, selector, region, ring, scale, depth):
@@ -334,6 +318,28 @@ def _complex_zeros(problem, selector, region, ring, scale, depth):
     return zeros
 
 
+def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero | None:
+    """The zero of Delta_selector that Newton from lam0 reaches with every
+    iterate in |lambda - lam0| < radius, or None (one solve if the first step
+    leaves); raises the PropagationError or SearchError that ends it inside."""
+    selector, lam0 = tuple(selector), complex(lam0)
+    scale = delta_scale(problem, selector[1])
+    newton = _newton(lam0, local_scale=scale)
+    lam = next(newton)
+    try:
+        while abs(lam - lam0) < radius:
+            jet, = _jets(problem, selector, [lam])
+            if isinstance(jet, Exception):
+                raise jet
+            lam = newton.send(jet)
+        return None
+    except StopIteration as stop:
+        lam, _, dval, end = stop.value
+    z = Zero(lam=lam, selector=selector, ddelta=complex(dval), end_values=end)
+    z.multiplicity_estimate = 1 if simplicity_check(z, scale) else 2
+    return z
+
+
 def simplicity_check(zero: Zero, scale: float) -> bool:
     """True iff the zero is simple: |dDelta| strictly above the floor."""
     return abs(zero.ddelta) > SIMPLICITY_FLOOR * scale
@@ -349,8 +355,7 @@ def find_first_zeros(problem: ProblemSpec, selector, count) -> list:
     # so (pi (count+3))^4 bounds the scan; past that the propagated entries
     # overflow and the scan would only produce NaNs
     cap = (np.pi * (count + 3)) ** 4
-    zeros = find_real_zeros(problem, SpectrumRequest(selector, (FIRST_ZEROS_START, cap),
-                                                     max_count=count))
+    zeros = find_real_zeros(problem, selector, (FIRST_ZEROS_START, cap), max_count=count)
     if len(zeros) < count:
         raise SearchError(f"could not locate {count} zeros of Delta_{selector}")
     return zeros

@@ -47,7 +47,6 @@ class WeightMatrix:
     m_minus1: np.ndarray
     m_zero: np.ndarray
     n: np.ndarray
-    contour_radius: float
 
 
 def default_contour_radius(lam0, nearby_zeros=()):
@@ -101,16 +100,14 @@ def laurent_coefficients(problem: ProblemSpec, lam0, orders=(-1, 0),
     return out
 
 
-def weight_matrix(problem: ProblemSpec, lam0, radius=None,
-                  nearby_zeros=()) -> WeightMatrix:
+def weight_matrix(problem: ProblemSpec, lam0, nearby_zeros=()) -> WeightMatrix:
     """N(lambda_0) = M_<0>^{-1} M_<-1> at a simple pole."""
     lam0 = complex(lam0)
-    if radius is None:
-        radius = default_contour_radius(lam0, nearby_zeros)
-    coeffs = laurent_coefficients(problem, lam0, (-1, 0), radius=radius)
+    coeffs = laurent_coefficients(problem, lam0, (-1, 0),
+                                  radius=default_contour_radius(lam0, nearby_zeros))
     m_minus1, m_zero = coeffs[-1], coeffs[0]
     n = np.linalg.solve(m_zero, m_minus1)
-    return WeightMatrix(lam0=lam0, m_minus1=m_minus1, m_zero=m_zero, n=n, contour_radius=radius)
+    return WeightMatrix(lam0=lam0, m_minus1=m_minus1, m_zero=m_zero, n=n)
 
 
 def classify_eigenvalue(point: SpectralPoint, delta43, delta33, delta33_scale) -> str:

@@ -39,7 +39,6 @@ from quartspec.cli import main as cli_main
 from quartspec.mclaughlin import SpectralPoint
 from quartspec.propagator import propagate
 from quartspec.problem import lagrange_bracket
-from quartspec.spectra import SpectrumRequest
 from quartspec.weyl import PoleError
 
 from conftest import (

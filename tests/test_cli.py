@@ -16,7 +16,6 @@ from quartspec import (
     weyl_matrix,
 )
 from quartspec import spectra
-from quartspec.spectra import SpectrumRequest
 from quartspec.cli import main
 
 from conftest import beam_eigenvalue, clamped_free_s, make_random_problem
@@ -105,6 +104,36 @@ class TestSpectrum:
         assert main(["spectrum", "--problem", str(path)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: {**obj, "a": "abc"},
+        lambda obj: {**obj, "a": [1.0]},
+        lambda obj: {**obj, "a": [0.1, 0.0, 9.0]},
+        lambda obj: {**obj, "p": {"kind": "piecewise_poly"}},
+        lambda obj: {**obj, "q": {"segments": [{"x0": 0.0, "x1": 1.0, "coeffs": [["x", 0]]}]}},
+        lambda obj: [obj],
+    ], ids=["a_string", "a_one_entry", "a_three_entries", "no_segments", "string_coeff",
+            "top_level_list"])
+    def test_malformed_problem_usage_error(self, tmp_path, edit, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(problem_to_dict(beam_problem()))))
+        assert main(["spectrum", "--problem", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--lambda0", "1,2,3"],
+        ["weights", "--lambda0", "nan"],
+        ["weights", "--lambda0", "1,inf"],
+        ["weyl", "--lambda-max", "nan"],
+        ["spectrum", "--xmax", "inf"],
+        ["reconstruct", "--kind", "delta33", "--zero-window", "nan"],
+    ], ids=lambda argv: f"{argv[-2]}={argv[-1]}")
+    def test_bad_numeric_value_usage_error(self, beam_json, argv, capsys):
+        # one finite-float type for every float option: a non-finite value,
+        # or a third part of a complex value, is refused before any solve
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--problem", beam_json])
+        assert err.value.code == 2
+
     @pytest.mark.parametrize("command, option, value, rest", [
         ("weights", "--lambda0", "-12,3", []),
         ("weyl", "--lambda-min", "-1e3", ["--lambda-count", "5"]),
@@ -125,8 +154,8 @@ class TestSpectrum:
         found = []
         orig = spectra.find_real_zeros
 
-        def marking(problem, request):
-            zeros = orig(problem, request)
+        def marking(problem, selector, region, max_count=100):
+            zeros = orig(problem, selector, region, max_count=max_count)
             zeros[1].multiplicity_estimate = 2
             found.extend(zeros)
             return zeros
@@ -215,12 +244,17 @@ class TestDataCommands:
 
     def test_weights_near_eigenvalue_takes_its_case(self, beam_json, capsys):
         # the README's example: |Delta_22(12.362)| is above the zero floor,
-        # but Newton from it reaches lambda_1 well inside the contour
+        # but Newton from it reaches lambda_1 well inside the contour, and N
+        # is taken at lambda_1, where the structural relations hold
         code = main(["weights", "--problem", beam_json, "--lambda0", "12.362"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["case"] == "I"
         assert abs(complex(*payload["n"][2][1]) + 4.0) < 1e-6
+        assert payload["lambda0"] == [12.362, 0.0]
+        assert complex(*payload["pole"]) == pytest.approx(beam_eigenvalue(1), rel=1e-10)
+        assert payload["residuals"]["off_pattern_entries"] < 1e-9
+        assert payload["residuals"]["n31_equals_minus_n42"] < 1e-9
 
     def test_weights_at_complex_eigenvalue(self, tmp_path, capsys):
         # Delta_22 of a complex problem is not real on the real axis; Newton
@@ -228,7 +262,7 @@ class TestDataCommands:
         pb = make_random_problem(1)
         path = tmp_path / "cx1.json"
         save_problem(pb, path)
-        zero = find_complex_zeros(pb, SpectrumRequest((2, 2), (300.0, 700.0, -5.0, 5.0)))
+        zero = find_complex_zeros(pb, (2, 2), (300.0, 700.0, -5.0, 5.0))
         assert len(zero) == 1 and abs(zero[0].lam.imag) > 0.1
         lam = zero[0].lam
         code = main(["weights", "--problem", str(path), "--lambda0", f"{lam.real!r},{lam.imag!r}"])

@@ -126,10 +126,10 @@ class TestHandoff:
             assert a.xi == pytest.approx(b.xi, rel=1e-10, abs=1e-10)
 
     def test_searches_carry_C_at_the_accepted_lambda(self, beam):
-        from quartspec import SpectrumRequest, find_complex_zeros, fundamental_C
+        from quartspec import find_complex_zeros, find_zero_near, fundamental_C
         zeros = find_first_zeros(beam, (2, 2), 2) + find_complex_zeros(
-            beam, SpectrumRequest((2, 2), (0.0, 600.0, -3.0, 3.0)))
-        assert len(zeros) == 4
+            beam, (2, 2), (0.0, 600.0, -3.0, 3.0)) + [find_zero_near(beam, (2, 2), 12.362, 1.0)]
+        assert len(zeros) == 5
         for z in zeros:
             end = fundamental_C(beam, z.lam, x_grid=[0.0, 1.0]).end
             assert np.allclose(z.end_values, end, rtol=1e-8, atol=1e-8 * np.max(np.abs(end)))

@@ -7,16 +7,18 @@ from scipy.optimize import brentq
 from quartspec import (
     CoefficientField,
     ProblemSpec,
-    SpectrumRequest,
     beam_problem,
     find_complex_zeros,
     find_first_zeros,
     find_real_zeros,
+    find_zero_near,
     simplicity_check,
     three_spectra,
 )
 from quartspec import spectra
+from quartspec.propagator import PropagationError
 from quartspec.spectra import SearchError
+from quartspec.weights import default_contour_radius
 from quartspec.weyl import delta_scale
 
 from conftest import (
@@ -38,23 +40,21 @@ class TestRealSearch:
             assert simplicity_check(z, scale)
 
     def test_window_respected(self, beam):
-        req = SpectrumRequest((2, 2), (0.0, 500.0))
-        zeros = find_real_zeros(beam, req)
+        zeros = find_real_zeros(beam, (2, 2), (0.0, 500.0))
         assert len(zeros) == 2  # 12.36 and 485.52 only
         assert all(0 <= z.lam.real <= 500 for z in zeros)
 
     def test_negative_window_delta33(self, beam):
         # zeros of Delta_33 lie on the negative axis at -4 s^4
         expect = -4 * clamped_free_s(1) ** 4
-        req = SpectrumRequest((3, 3), (-200.0, -1.0))
-        zeros = find_real_zeros(beam, req)
+        zeros = find_real_zeros(beam, (3, 3), (-200.0, -1.0))
         assert len(zeros) == 1
         assert zeros[0].lam.real == pytest.approx(expect, rel=1e-9)
 
     def test_complex_problem_rejected(self):
         pb = make_random_problem()
         with pytest.raises(SearchError):
-            find_real_zeros(pb, SpectrumRequest((2, 2), (0.0, 100.0)))
+            find_real_zeros(pb, (2, 2), (0.0, 100.0))
 
     def test_tiny_imaginary_coefficient_rejected(self):
         # q = 5e-9 i moves the beam zeros off the real axis by 5e-9; a scan of
@@ -62,7 +62,7 @@ class TestRealSearch:
         pb = ProblemSpec(p=CoefficientField.zero(), q=CoefficientField.constant(5e-9j))
         assert not pb.is_real
         with pytest.raises(SearchError):
-            find_real_zeros(pb, SpectrumRequest((2, 2), (0.0, 500.0)))
+            find_real_zeros(pb, (2, 2), (0.0, 500.0))
 
     def test_ddelta_reported(self, beam_zeros):
         # the beam's dDelta_22 at lambda_1 is nonzero and real
@@ -85,9 +85,9 @@ class TestRealSearch:
         if chunk is not None:
             monkeypatch.setattr(spectra, "_SCAN_CHUNK", chunk)
         region = (-1e5, -1e-6)
-        every = find_real_zeros(beam, SpectrumRequest((3, 3), region, max_count=10))
+        every = find_real_zeros(beam, (3, 3), region, max_count=10)
         assert len(every) == 4
-        got = find_real_zeros(beam, SpectrumRequest((3, 3), region, max_count=count))
+        got = find_real_zeros(beam, (3, 3), region, max_count=count)
         assert [z.lam.real for z in got] == pytest.approx(
             [z.lam.real for z in every[-count:]], rel=1e-10)
 
@@ -162,24 +162,55 @@ class TestNewton:
         assert lam.real == pytest.approx(_brentq_root(a, b), rel=1e-12)
 
 
+class TestZeroNear:
+    def test_first_step_off_the_disc_is_one_solve(self, beam, monkeypatch):
+        # -4 s_1^4 is a zero of Delta_33, not of Delta_22: the jet at lam0 is
+        # the only solve, and its Newton step leaves the disc
+        lam0 = -4 * clamped_free_s(1) ** 4
+        solved = []
+        jets = spectra._jets
+
+        def recording(pb, sel, lams):
+            solved.append(lams)
+            return jets(pb, sel, lams)
+
+        monkeypatch.setattr(spectra, "_jets", recording)
+        assert find_zero_near(beam, (2, 2), lam0, default_contour_radius(lam0)) is None
+        assert solved == [[lam0]]
+
+    def test_reaches_lambda1_from_nearby(self, beam):
+        z = find_zero_near(beam, (2, 2), 12.362, default_contour_radius(12.362))
+        assert z.selector == (2, 2) and z.multiplicity_estimate == 1
+        assert z.end_values.shape == (4, 4)
+        assert z.lam == pytest.approx(beam_eigenvalue(1), rel=1e-10)
+
+    @pytest.mark.parametrize("error", [PropagationError, SearchError])
+    def test_error_inside_the_disc_raised(self, beam, monkeypatch, error):
+        def failing(pb, sel, lams):
+            if error is SearchError:   # a stalled polish: Delta stays at 1
+                return [(1.0 + 0j, 1e6 + 0j, None)]
+            return [error("no solve")]
+
+        monkeypatch.setattr(spectra, "_jets", failing)
+        with pytest.raises(error):
+            find_zero_near(beam, (2, 2), 12.362, 1.0)
+
+
 class TestComplexSearch:
     def test_rectangle_around_case_v_point(self, beam):
         # one real zero of Delta_33 near -125.14
         expect = -4 * clamped_free_s(1) ** 4
-        req = SpectrumRequest((3, 3), (-150.0, -100.0, -5.0, 5.0))
-        zeros = find_complex_zeros(beam, req)
+        zeros = find_complex_zeros(beam, (3, 3), (-150.0, -100.0, -5.0, 5.0))
         assert len(zeros) == 1
         assert zeros[0].lam == pytest.approx(expect, rel=1e-8)
 
     def test_empty_rectangle(self, beam):
-        req = SpectrumRequest((2, 2), (100.0, 400.0, -3.0, 3.0))
-        assert find_complex_zeros(beam, req) == []
+        assert find_complex_zeros(beam, (2, 2), (100.0, 400.0, -3.0, 3.0)) == []
 
     def test_max_count_below_zeros_in_box(self, beam):
         # three beam zeros in the box: max_count trims the search's result
         # once, and no sub-box count is trimmed before its winding check
-        req = SpectrumRequest((2, 2), (0.0, 4000.0, -1.0, 1.0), max_count=1)
-        zeros = find_complex_zeros(beam, req)
+        zeros = find_complex_zeros(beam, (2, 2), (0.0, 4000.0, -1.0, 1.0), max_count=1)
         assert len(zeros) == 1
         assert zeros[0].lam == pytest.approx(beam_eigenvalue(1), rel=1e-8)
 
@@ -191,8 +222,7 @@ class TestComplexSearch:
         from quartspec.weyl import all_deltas
         pb = validate_problem(ProblemSpec(
             p=CoefficientField.zero(), q=CoefficientField.constant(0.4j)))
-        req = SpectrumRequest((2, 2), (5.0, 20.0, -2.0, 2.0))
-        zeros = find_complex_zeros(pb, req)
+        zeros = find_complex_zeros(pb, (2, 2), (5.0, 20.0, -2.0, 2.0))
         assert len(zeros) == 1
         z = zeros[0]
         assert abs(z.lam.imag) > 1e-4

@@ -11,7 +11,6 @@ from quartspec import (
     CoefficientField,
     PoleError,
     ProblemSpec,
-    SpectrumRequest,
     all_deltas,
     beam_problem,
     boundary_form_matrix,
@@ -168,7 +167,7 @@ class TestEntryRoute:
     def test_beam_zeros_closed_form(self, jk, s):
         # the beam's Delta_41 vanishes at -4 (k pi)^4, its Delta_31 at -4 s_k^4
         # with tan s_k = tanh s_k: the five nearest 0 of each
-        zeros = find_real_zeros(beam_problem(), SpectrumRequest(jk, (-4e5, -1e-6), max_count=5))
+        zeros = find_real_zeros(beam_problem(), jk, (-4e5, -1e-6), max_count=5)
         got = sorted((z.lam.real for z in zeros), reverse=True)
         assert got == pytest.approx([-4 * s(k) ** 4 for k in range(1, 6)], rel=2e-11)
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from quartspec import (
-    SpectrumRequest,
     all_deltas,
     characteristic_delta,
     find_complex_zeros,
@@ -193,7 +192,7 @@ def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
         return orig(problem, lams, want_dlambda, x_grid)
 
     _patch_bindings(monkeypatch, orig, failing)
-    zeros = find_real_zeros(beam, SpectrumRequest((2, 2), (0.0, 5000.0)))
+    zeros = find_real_zeros(beam, (2, 2), (0.0, 5000.0))
     assert [z.lam.real for z in zeros] == pytest.approx(
         [beam_eigenvalue(1), beam_eigenvalue(3)], rel=1e-10)
 
@@ -211,7 +210,7 @@ def test_complex_search_samples_each_point_once(beam, monkeypatch, selector, box
     # subdivision reuses the boundary points it shares
     weyl.delta_scale(beam, selector[1])
     lams = _recording_deltas(monkeypatch)
-    zeros = find_complex_zeros(beam, SpectrumRequest(selector, box))
+    zeros = find_complex_zeros(beam, selector, box)
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
     assert len(zeros) == len(expected)
     for z, lam in zip(zeros, expected):
@@ -249,7 +248,7 @@ def test_weights_budget(beam_json, tmp_path, monkeypatch, capsys, where, case, b
         pb = make_random_problem(1)
         path = str(tmp_path / "cx1.json")
         save_problem(pb, path)
-        lam = find_complex_zeros(pb, SpectrumRequest((2, 2), (300.0, 700.0, -5.0, 5.0)))[0].lam
+        lam = find_complex_zeros(pb, (2, 2), (300.0, 700.0, -5.0, 5.0))[0].lam
     calls = _counting_propagations(monkeypatch)
     assert main(["weights", "--problem", path, "--lambda0", f"{lam.real!r},{lam.imag!r}"]) == 0
     assert json.loads(capsys.readouterr().out)["case"] == case
