@@ -40,7 +40,7 @@ for lam in [-40.0, -5.0, 3.0, 17.0, 120.0]:
     m = sample.m
     r1 = abs(m[1, 0] - m[3, 2])
     r2 = abs(m[2, 0] - m[1, 0] * m[2, 1] + m[3, 1])
-    minv = weyl_inverse(problem, lam, sample)
+    minv = weyl_inverse(sample)
     r3 = np.max(np.abs(m @ minv - np.eye(4)))
     print(f"{lam:8.1f}  {r1:.3e}     {r2:.3e}           {r3:.3e}")
 

@@ -105,7 +105,7 @@ def reconstruct_delta_hadamard(zeros, anchor_value, lam):
     zeros = list(zeros)
     anchor_value = complex(anchor_value)
     if not zeros:
-        return anchor_value, 0.0
+        raise BridgeError("insufficient data")
     if any(abs(z) < 1e-12 for z in zeros):
         raise BridgeError("a zero coincides with the anchor point lambda=0")
     value = anchor_value

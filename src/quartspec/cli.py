@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: spectrum, weyl, mclaughlin, weights, classify, barcilon,
-reconstruct, twin, verify.  Results are machine-readable JSON (or CSV for
-grid outputs); complex numbers are serialized as [re, im] pairs everywhere.
+reconstruct, twin, verify.  Results are strict JSON (or CSV for grid
+outputs); complex numbers are [re, im] pairs, a non-finite float is null.
 Exit codes: 0 success, 1 domain error (structured JSON on stderr), 2 usage
 error.
 """
@@ -23,13 +23,14 @@ from .propagator import fundamental_C, fundamental_S, propagate
 
 
 def _jsonify(obj):
-    """Complex -> [re, im]; arrays -> nested lists; passthrough otherwise."""
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
+    """Complex -> [re, im]; arrays -> nested lists; a non-finite float (or
+    part) -> null, which a bound reads as "no bound"; passthrough otherwise."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_jsonify(float(obj.real)), _jsonify(float(obj.imag))]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
     if isinstance(obj, dict):
@@ -40,7 +41,7 @@ def _jsonify(obj):
 
 
 def _emit(args, payload):
-    _write(args, json.dumps(_jsonify(payload), indent=2))
+    _write(args, json.dumps(_jsonify(payload), indent=2, allow_nan=False))
 
 
 def _write(args, text):

@@ -7,17 +7,19 @@ problem; the zero sets of Delta_22, Delta_32, Delta_42 are the three
 Barcilon spectra.
 
 Real-axis search scans in rho = |lambda|^(1/4) (zeros are near-uniform in
-rho), one batched solve per chunk of about one zero spacing, detects sign
-changes, and polishes the brackets with Newton in lockstep (one batched
-solve of the variationally computed derivative per iteration).  Newton
-starts at each bracket's secant (regula falsi) point, from the two scan
-samples already in hand, and accepts an evaluated iterate once the Newton
-step computed there is below REFINE_TOL (1 + |lambda|), without solving at
-lambda + step: a scan bracket takes three solves.  Complex search uses the
-argument principle over rectangles with recursive subdivision, and the same
-Newton with a batch of one; find_zero_near runs it from a given point and
-stops where an iterate would leave a disc around it.  Each Zero keeps C(1,
-lambda) of its accepted Newton evaluation, which weight_numbers reads.
+rho), one batched solve per chunk of about one zero spacing.  A pair of
+samples (a, b) in scan order opens a bracket where Delta changes sign above
+4 fp_floor, or where Delta(a) is exactly 0; the brackets are polished with
+Newton in lockstep (one batched solve of the variationally computed
+derivative per iteration).  Newton starts at each bracket's secant (regula
+falsi) point, never leaves its bracket, and accepts an evaluated iterate
+once the Newton step computed there is below REFINE_TOL (1 + |lambda|),
+without solving at lambda + step: a scan bracket takes three solves.
+Complex search uses the argument principle over rectangles with recursive
+subdivision, and the same Newton with a batch of one; find_zero_near runs
+it from a given point and stops where an iterate would leave a disc around
+it.  Each Zero keeps C(1, lambda) of its accepted Newton evaluation, which
+weight_numbers reads.
 """
 
 from __future__ import annotations
@@ -66,24 +68,22 @@ class BarcilonData:
 
 
 def _newton(lam0, bracket=None, local_scale=None):
-    """Safeguarded Newton with secant fallback; bracket (lo, hi, Re Delta(lo))
-    is kept if supplied.  A coroutine: it yields each lambda to evaluate,
-    receives (Delta, dDelta, C(1, lambda)) there, and returns the best
-    lambda with its evaluation, (lambda, Delta, dDelta, C(1, lambda)).
+    """Safeguarded Newton; bracket (lo, hi, Re Delta(lo)) is kept if supplied.
+    A coroutine: it yields each lambda to evaluate, receives (Delta, dDelta,
+    C(1, lambda)) there, and returns the best lambda with its evaluation,
+    (lambda, Delta, dDelta, C(1, lambda)).
 
-    The step is computed at each evaluated iterate, and the search accepts
-    when that step is below REFINE_TOL (1 + |lambda|): the point lambda +
-    step is not evaluated.  It also accepts on stagnation at the noise floor
-    (|Delta| not decreasing for three iterates).  Either way it returns the
-    best iterate seen.  local_scale sets the magnitude against which |Delta|
-    at the root is judged; at large |lambda| the characteristic functions
-    grow like exp(|lambda|^(1/4)) and a fixed reference scale would be
-    meaningless.
+    The step -Delta/dDelta is computed at each evaluated iterate and accepted
+    when below REFINE_TOL (1 + |lambda|): lambda + step is not evaluated.  A
+    step out of the bracket goes to its midpoint instead.  The search also
+    stops where dDelta vanishes or |Delta| has not decreased for three
+    iterates.  It returns the best iterate seen; without a bracket, only if
+    |Delta| there is small against local_scale (the characteristic functions
+    grow like exp(|lambda|^(1/4)), so no fixed scale would do).
     """
     lam = complex(lam0)
     lo, hi, flo = bracket if bracket is not None else (None, None, None)
     best = None
-    prev = None
     stall = 0
     for _ in range(NEWTON_MAX_ITER):
         val, dval, end = yield lam
@@ -98,21 +98,14 @@ def _newton(lam0, bracket=None, local_scale=None):
             stall = 0
         else:
             stall += 1
-        if stall >= 3:
+        if stall >= 3 or not abs(dval) > 1e-300:   # stalled, or no slope to step on
             break
-        if abs(dval) > 1e-300:
-            step = -val / dval
-        elif prev is not None and abs(val - prev[1]) > 0:
-            step = -val * (lam - prev[0]) / (val - prev[1])
-        else:
-            step = -val
+        step = -val / dval
         if abs(step) < REFINE_TOL * (1 + abs(lam)):
             break
-        new = lam + step
-        if bracket is not None and not (lo < new.real < hi):
-            new = complex(0.5 * (lo + hi))
-        prev = (lam, val)
-        lam = new
+        lam = lam + step
+        if bracket is not None and not (lo < lam.real < hi):
+            lam = complex(0.5 * (lo + hi))
     lam, val, dval, end = best
     if local_scale is not None and abs(val) > 1e-6 * local_scale:
         # residual alone may sit above the noise floor at large |lambda|;
@@ -194,21 +187,20 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
             for (a, fa, floor_a), (b, fb, floor_b) in pairwise(samples):
                 if not (np.isfinite(fa) and np.isfinite(fb)):
                     continue
-                if max(abs(fa), abs(fb)) <= 4.0 * max(floor_a, floor_b):
+                local = max(abs(fa), abs(fb))
+                if local <= 4.0 * max(floor_a, floor_b):
                     # cancellation noise: at large |lambda| the determinant is the
                     # difference of entry products that dwarf its true value, and a
                     # sign change there carries no information about a root
                     continue
-                local = max(abs(fa), abs(fb), 1e-12 * scale)
-                if fa == 0.0:
-                    yield local, _newton(a, local_scale=local)
-                elif fa * fb < 0:
-                    # a sign change guarantees a root in the bracket, so the best
-                    # iterate is accepted even when cancellation noise keeps
-                    # |Delta| above the residual floor at large |lambda|
+                if fa == 0.0 or fa * fb < 0:
+                    # a root lies between a and b, or at a when fa = 0 (the
+                    # secant point is then a); the best iterate is accepted even
+                    # when cancellation noise keeps |Delta| above the residual floor
                     yield local, _newton(a - fa * (b - a) / (fb - fa), bracket=(
                         (a, b, fa) if a < b else (b, a, fb)))
 
+    # the brackets are disjoint and no iterate leaves its own: each root once
     zeros = []
     pending = brackets()
     while batch := list(islice(pending, max_count - len(zeros))):
@@ -216,20 +208,12 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
             if isinstance(got, Exception):
                 continue
             lam, _, dval, end = got
-            if not (xmin - 1e-12 <= lam.real <= xmax + 1e-12):
-                continue
             z = Zero(lam=complex(lam.real), selector=selector, ddelta=complex(dval),
                      end_values=end)
             z.multiplicity_estimate = 1 if simplicity_check(z, max(scale, local)) else 2
             zeros.append(z)
-    zeros.sort(key=lambda z: z.lam.real)
-    # drop duplicates from adjacent brackets converging to the same root
-    dedup = []
-    for z in zeros:
-        if dedup and abs(z.lam - dedup[-1].lam) < 1e-6 * (1 + abs(z.lam)):
-            continue
-        dedup.append(z)
-    return dedup
+    # sorted: a window below 0 is scanned outward from 0
+    return sorted(zeros, key=lambda z: z.lam.real)
 
 
 def _winding_number(ring, re0, re1, im0, im1):

@@ -204,15 +204,13 @@ def weyl_matrix(problem: ProblemSpec, lam) -> WeylSample:
     return _weyl_sample(problem, lam, deltas_at(problem, lam))
 
 
-def weyl_inverse(problem: ProblemSpec, lam, sample: WeylSample | None = None) -> np.ndarray:
-    """Closed-form inverse of M built from its own entries.
+def weyl_inverse(sample: WeylSample) -> np.ndarray:
+    """Closed-form inverse of M built from the entries of a one-lambda sample.
 
     The inverse inherits the symmetry of the problem: its (2,1) entry is
     -m43, the (4,2) entry is m31, etc.  It must agree with the numerical
     inverse of M.
     """
-    if sample is None:
-        sample = weyl_matrix(problem, lam)
     m = sample.m
     m21, m31, m32 = m[1, 0], m[2, 0], m[2, 1]
     m41, m42, m43 = m[3, 0], m[3, 1], m[3, 2]

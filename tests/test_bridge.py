@@ -65,6 +65,10 @@ class TestHadamard:
             direct = (cmath.sinh(rho) + cmath.sin(rho)) / (2 * rho)
             assert abs(value - direct) <= bound * abs(direct)
 
+    def test_no_zeros_refused(self):
+        with pytest.raises(BridgeError, match="insufficient data"):
+            reconstruct_delta_hadamard([], 0.7, 1.0)
+
     def test_anchor_point_returns_anchor(self):
         zeros = [-4 * clamped_free_s(k) ** 4 for k in range(1, 11)]
         value, _ = reconstruct_delta_hadamard(zeros, 0.7, 0.0)

@@ -294,6 +294,27 @@ class TestDataCommands:
         assert payload["terms"] == 4
         assert all(p["error"] <= p["bound"] for p in payload["points"])
 
+    def test_reconstruct_m32_unbounded_tail_is_strict_json_null(self, beam_json, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code = main(["reconstruct", "--problem", beam_json, "--kind", "m32", "--count", "1"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        # at lambda = -10 and -7.75, lambda_1 is not beyond 2 |lambda|: no bound
+        tails = [p["tail"] for p in payload["points"]]
+        assert tails[:2] == [None, None]
+        assert all(p["error"] <= p["tail"] for p in payload["points"][2:])
+
+    def test_reconstruct_delta33_without_zeros_is_domain_error(self, beam_json, capsys):
+        # no zero of Delta_33 in (-10, 0): an empty product bounds nothing
+        code = main(["reconstruct", "--problem", beam_json, "--kind", "delta33",
+                     "--count", "1", "--zero-window", "10"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "BridgeError", "message": "insufficient data"}
+
     def test_reconstruct_delta33_keeps_zeros_nearest_zero(self, beam_json, capsys, monkeypatch):
         from quartspec import bridge
 
@@ -329,6 +350,21 @@ class TestDataCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_distance"] < 1e-8
+
+    def test_twin_barcilon(self, beam_json, tmp_path, capsys):
+        other = tmp_path / "other.json"
+        save_problem(beam_problem(b=0.1), other)
+        runs = {}
+        for b in (beam_json, str(other)):
+            code = main(["twin", "--a", beam_json, "--b", b, "--kind", "barcilon",
+                         "--count", "2"])
+            assert code == 0
+            runs[b] = json.loads(capsys.readouterr().out)
+        same = runs[beam_json]
+        assert len(same["distances"]) == 6   # two zeros of each of three spectra
+        assert same["max_distance"] == 0.0
+        assert same["p_matrix_deviation"] < 1e-10
+        assert runs[str(other)]["max_distance"] > 0.0
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import cmath
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,13 +105,17 @@ def _beam_ddelta(lam):
     return (cmath.sin(r) * cmath.cosh(r) - cmath.cos(r) * cmath.sinh(r)) / (8 * r ** 3)
 
 
-def _drive(newton):
-    """Run a _newton coroutine on the closed form; (result, yielded lambdas)."""
+def _beam_jet(lam):
+    return oracle_delta22(lam), _beam_ddelta(lam), None
+
+
+def _drive(newton, jet=_beam_jet):
+    """Run a _newton coroutine on jet (the closed form by default); (result,
+    yielded lambdas)."""
     lams = [next(newton)]
     while True:
-        lam = lams[-1]
         try:
-            lams.append(newton.send((oracle_delta22(lam), _beam_ddelta(lam), None)))
+            lams.append(newton.send(jet(lams[-1])))
         except StopIteration as stop:
             return stop.value, lams
 
@@ -160,6 +165,46 @@ class TestNewton:
             spectra._newton(start, bracket=(a, b, oracle_delta22(a).real)))
         assert all(a < x.real < b for x in lams)
         assert lam.real == pytest.approx(_brentq_root(a, b), rel=1e-12)
+
+
+    def test_flat_jet_ends_the_iteration(self):
+        def flat(lam):
+            return 0.5, 0.0, None
+
+        # no step without a slope: the one evaluated iterate is returned
+        result, lams = _drive(spectra._newton(2.0, bracket=(1.0, 3.0, -1.0)), flat)
+        assert lams == [2.0]
+        assert result == (2.0, 0.5, 0.0, None)
+        # without a bracket it is judged against local_scale, and refused
+        with pytest.raises(SearchError):
+            _drive(spectra._newton(2.0, local_scale=1.0), flat)
+
+
+class TestSampleAtRoot:
+    """find_real_zeros on Delta(lambda) = lambda - r, with no propagation."""
+
+    @staticmethod
+    def _linear(monkeypatch, r, seen):
+        def deltas_at(problem, lams, selectors):
+            seen.extend(lams)
+            lams = np.asarray(lams)
+            return {selectors[0]: SimpleNamespace(value=lams - r, fp_floor=0 * lams)}
+
+        def jets(problem, selector, lams):
+            return [(lam - r, 1.0, None) for lam in lams]
+
+        monkeypatch.setattr(spectra, "deltas_at", deltas_at)
+        monkeypatch.setattr(spectra, "_jets", jets)
+
+    @pytest.mark.parametrize("region", [(0.0, 50.0), (-50.0, 0.0)], ids=["up", "down"])
+    def test_sample_exactly_at_root_reported_once(self, beam, monkeypatch, region):
+        samples = []
+        self._linear(monkeypatch, 1e3, samples)   # no root: records the scan grid
+        assert find_real_zeros(beam, (2, 2), region) == []
+        r = samples[30]
+        assert samples[29] < r < samples[31] or samples[29] > r > samples[31]
+        self._linear(monkeypatch, r, [])
+        assert [z.lam for z in find_real_zeros(beam, (2, 2), region)] == [r]
 
 
 class TestZeroNear:

@@ -10,7 +10,9 @@ from quartspec import (
     weight_matrix,
 )
 from quartspec.mclaughlin import SpectralPoint
-from quartspec.weights import LaurentError, case_search, default_contour_radius
+from quartspec.weights import (
+    LaurentError, WeightMatrix, case_search, default_contour_radius,
+)
 
 from conftest import beam_eigenvalue, clamped_free_s, make_random_real_problem
 
@@ -88,6 +90,45 @@ class TestWeightMatrix:
                              beta=-4.0, case_tag="I")
         report = verify_weight_structure(w_case5, fake)
         assert report["checks"]["off_pattern_entries"] > 0.1
+
+
+def _structure(entries, tag, xi=None):
+    """verify_weight_structure on a hand-built N, entries {(j, k): n_jk}."""
+    n = np.zeros((4, 4), complex)
+    for (j, k), v in entries.items():
+        n[j - 1, k - 1] = v
+    w = WeightMatrix(lam0=1.0, m_minus1=None, m_zero=None, n=n)
+    return verify_weight_structure(w, SpectralPoint(lam=1.0, xi=xi, case_tag=tag))
+
+
+class TestStructureReport:
+    def test_case_two_block_determinant(self):
+        # n31 = -n42 and n31 n42 = n41 n32: a rank-one block
+        block = {(3, 1): 1.0, (4, 2): -1.0, (4, 1): 2.0, (3, 2): -0.5}
+        checks = _structure(block, "II")["checks"]
+        assert checks["block_determinant_zero"] == 0.0
+        assert checks["off_pattern_entries"] == 0.0
+        assert checks["n31_equals_minus_n42"] == 0.0
+        block[(3, 2)] = 0.5   # det = -1 - 1 = -2, over max|n|^2 = 4
+        assert _structure(block, "II")["checks"]["block_determinant_zero"] == 0.5
+
+    @pytest.mark.parametrize("tag, entries", [
+        ("III", {(2, 1): 3.0, (4, 3): 3.0, (4, 1): 0.25}),
+        ("IV", {(4, 1): 0.25}),
+    ])
+    def test_cases_three_and_four_n41_is_xi_squared(self, tag, entries):
+        checks = _structure(entries, tag, xi=0.5)["checks"]
+        assert checks["n41_equals_xi_sq"] == 0.0
+        assert checks["off_pattern_entries"] == 0.0
+        assert checks["n21_equals_n43"] == 0.0
+        assert _structure(entries, tag, xi=-1.0)["checks"]["n41_equals_xi_sq"] > 0.3
+        assert "n41_equals_xi_sq" not in _structure(entries, tag)["checks"]
+
+    def test_unknown_case_has_no_pattern(self):
+        report = _structure({(3, 2): -4.0}, "unknown")
+        assert report["note"] == "no structural pattern for case 'unknown'"
+        assert set(report["checks"]) == {"strictly_lower_triangular", "n21_equals_n43",
+                                         "n31_equals_minus_n42"}
 
 
 class TestClassification:

@@ -322,7 +322,7 @@ class TestWeylMatrix:
     def test_inverse_closed_form(self):
         pb = make_random_problem()
         sample = weyl_matrix(pb, 2.4)
-        inv = weyl_inverse(pb, 2.4, sample)
+        inv = weyl_inverse(sample)
         assert np.max(np.abs(sample.m @ inv - np.eye(4))) < 1e-9
 
     def test_pole_raises(self):
