@@ -42,6 +42,7 @@ from .weights import (
     WeightMatrix,
     classify_eigenvalue,
     classify_on_problem,
+    entry_residue,
     laurent_coefficients,
     verify_weight_structure,
     weight_matrix,

@@ -141,15 +141,17 @@ def cmd_mclaughlin(args):
 
 def cmd_weights(args):
     """N and the case at the zero of Delta_22 that Newton from lambda0 reaches
-    inside the contour disc around lambda0; if none, at lambda0 in case V."""
+    inside the contour disc around lambda0; if none, at lambda0 in case V,
+    on a contour sized by the zero that Newton points at outside the disc."""
     problem = _load(args.problem)
-    zero = spectra.find_zero_near(problem, (2, 2), args.lambda0,
-                                  weights.default_contour_radius(args.lambda0))
-    if zero is None:
-        point = mclaughlin.SpectralPoint(lam=args.lambda0, case_tag="V")
+    try:
+        zero = spectra.find_zero_near(problem, (2, 2), args.lambda0,
+                                      weights.default_contour_radius(args.lambda0))
+    except spectra.LeftDiscError as left:
+        point, nearby = mclaughlin.SpectralPoint(lam=args.lambda0, case_tag="V"), (left.lam,)
     else:
-        point = mclaughlin.weight_numbers(problem, [zero], residue_check=False)[0]
-    w = weights.weight_matrix(problem, point.lam)
+        point, nearby = mclaughlin.weight_numbers(problem, [zero], residue_check=False)[0], ()
+    w = weights.weight_matrix(problem, point.lam, nearby)
     report = weights.verify_weight_structure(w, point)
     _emit(args, {"lambda0": args.lambda0, "pole": w.lam0, "m_minus1": w.m_minus1,
                  "m_zero": w.m_zero, "n": w.n, "case": point.case_tag,

@@ -130,7 +130,7 @@ def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
     batch: one solve of the normalized trajectories, after one solve of the
     end values of the zeros that carry no C(1, lambda).  The end values give
     Delta_33 = C4(1) and Delta_43 = C3(1) for the case.  In case I, beta_n =
-    -gamma_n^2, and the (3,2) entry of the order -1 Laurent coefficient of M
+    -gamma_n^2, and the residue of m32 at lambda_n (weights.entry_residue)
     is recorded beside it as an independent check.
     """
     from . import weights as weights_mod  # deferred, avoids import cycle
@@ -157,9 +157,8 @@ def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
         if pt.case_tag == "I":
             pt.beta = -gamma ** 2
             if residue_check:
-                coeffs = weights_mod.laurent_coefficients(problem, z.lam, (-1,))
-                res32 = coeffs[-1][2, 1]
+                res32 = weights_mod.entry_residue(problem, z.lam, (3, 2))
                 pt.beta_residual = abs(res32 - pt.beta)
-                pt.extras["residue_beta"] = complex(res32)
+                pt.extras["residue_beta"] = res32
         points.append(pt)
     return points

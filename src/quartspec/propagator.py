@@ -12,58 +12,163 @@ and Lambda has the single entry lambda at position (4, 1).  Since
 trace(F + Lambda) = 0, the determinant of any fundamental matrix is
 constant in x (Liouville-Ostrogradski); the observed drift is recorded.
 
-Lambda-derivatives are obtained by co-integrating the variational system
-J' = (F + Lambda) J + E41 Y, and quadratures of the form int y_i y_j dx
-by appending scalar states sharing the integrator's error control.
+Alongside the columns, one propagation can carry
+- their lambda-jet, from the variational system J' = (F + Lambda) J + E41 Y;
+- quadratures int_0^1 y_i y_j dx of column pairs;
+- the 2-wedges u ^ v of column pairs at one lambda, under the additive
+  compound of F + Lambda (Ng & Reid 1979; Allen & Bridges, Numer. Math. 92
+  (2002)): 6 states, rows (y y')-, (y y'')-, (y y^[3])-, (y' y'')-,
+  (y' y^[3])- and (y'' y^[3])-minors, always with their jet, from the
+  compound of E41, whether or not the columns carry theirs.
+  Row 0 is the minor u_0 v_1 - u_1 v_0 without the cancellation of forming
+  it from u(1) and v(1), whose entries grow like exp(|lambda|^(1/4)).
+
+The integrator is a Taylor series of order TAYLOR_ORDER (Jorba & Zou,
+Experiment. Math. 14 (2005)).  p and q are polynomials on each mesh segment;
+at each step start they are re-expanded, F = sum_i F_i t^i, and the
+coefficients of every block follow from (k+1) Y_{k+1} = sum_i F_i Y_{k-i} +
+lambda E Y_k.  The step is STEP_SAFETY times the largest h at which the last
+two terms Y_k h^k of every column stay within ode_rel times the column's
+norm plus ode_abs, where row r is weighted by rho^-r (rho = max(1,
+|lambda|^(1/4)), r the order of the quasi-derivative, summed over a wedge
+row's pair), so that y and y^[3] count alike.  Steps restart at each
+breakpoint; output points inside a step and the quadratures over it come
+from the same series.  A long step's leading terms are larger than the
+state they move, and their rounding, unlike the truncation error, is not
+the exact solution of a nearby problem: the cancellation in the 3 x 3
+Delta_jk turns it into residuals of the structural identities of M (m21 =
+m43).  So the state and those terms are summed in double-double arithmetic
+(Knuth's TwoSum; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005)).
 
 propagate takes lam as one value, or one per column.  fundamental_C and
 fundamental_S take one lambda or a batch of N as one solve with one step
 sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
 column of its tile); values and dlambda are (len(xs), 4, 4) or (len(xs), N,
-4, 4), and det_drift is the largest over the batch.  DOP853 bounds the RMS
-error of the whole state, so ode_rel and ode_abs are divided by sqrt(N);
-rtol is then held at DOP853's floor of 100 eps (2.2e-14), which scipy would
-otherwise apply itself with a UserWarning, so a batch with ode_rel / sqrt(N)
-below it is integrated at the floor.  The backward direction serves only
-fundamental_S: every Delta_jk comes from the end values of the forward
-fundamental_C (see weyl).
-
-One propagation is one DOP853 run stepped mesh segment by mesh segment (p
-and q are polynomials on each): only the first segment probes for its
-initial step, and each later one starts with the step the controller last
-proposed, clipped to the segment length (Hairer, Norsett & Wanner, Solving
-ODEs I, II.4).  An output point at the end of a step takes that step's
-state; a point strictly inside a step comes from the step's dense output.
-On a single segment this is the step sequence of one solve_ivp call.
+4, 4), det_drift is the largest over the batch, and fundamental_C's wedges
+of one column pair are (2, 6) or (2, 6, N).  The backward direction
+serves only fundamental_S: every Delta_jk comes from the end values of the
+forward fundamental_C (see weyl).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import zip_longest
 
 import numpy as np
-from scipy.integrate import DOP853
 
-from .problem import ProblemSpec, boundary_form_matrix, horner
+from .problem import ProblemSpec, boundary_form_matrix
 
-
-# scipy's floor for rtol, which it would apply itself with a UserWarning
-RTOL_FLOOR = 100 * np.finfo(float).eps
+TAYLOR_ORDER = 20
+STEP_SAFETY = 0.9
+# terms of each step added to the state in double-double arithmetic
+SUMMED_TERMS = 3
+# wedge rows: the (a, b) minor u_a v_b - u_b v_a
+_WEDGE_ROWS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class PropagationError(RuntimeError):
     pass
 
 
-class _DOP853(DOP853):
-    """DOP853 without the reference cycle of scipy's OdeSolver, whose fun and
-    fun_vectorized close over the solver: a spent solver and its stage arrays
-    are freed with its segment, not when cyclic gc next runs."""
+def _matrix(n, entries):
+    out = np.zeros((n, n))
+    for rc in entries:
+        out[rc] = 1.0
+    return out
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.fun = self.fun_vectorized = self._fun
+
+# A system X' = (K + p P + (q - lambda) Q) X on n rows, as (K, P, Q, powers);
+# its lambda-jet solves J' = (K + p P + (q - lambda) Q) J - Q X, and row r is
+# weighted by rho^-powers[r] in the step norm
+_COLUMNS = (_matrix(4, [(0, 1), (1, 2), (2, 3)]), _matrix(4, [(2, 1)]),
+            -_matrix(4, [(3, 0)]), np.arange(4.0))
+# (u ^ v)_ab' = sum_c A_ac w_cb + A_bc w_ac, written out for A = F + Lambda
+_WEDGE = (_matrix(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]),
+          _matrix(6, [(1, 0), (5, 4)]), _matrix(6, [(4, 0), (5, 1)]),
+          np.array([a + b for a, b in _WEDGE_ROWS], float))
+
+
+def _shift(coeffs, delta):
+    """Ascending coefficients of c(t + delta), for c with ascending `coeffs`."""
+    a = list(coeffs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += delta * a[j + 1]
+    return a
+
+
+class _Block:
+    """One system's states over the columns it carries: values, then jets."""
+
+    def __init__(self, system, X0, lams, nz):
+        self.system, self.cols = system, X0.shape[1]
+        self.state = np.concatenate([X0, np.zeros_like(X0)], axis=1) if nz == 2 else X0
+        self.low = np.zeros_like(self.state)   # the state is state + low
+        self.buffers = {}
+        lams = np.tile(lams, nz)
+        rho = np.maximum(1.0, np.abs(lams) ** 0.25)
+        self.weights = rho[None, :] ** -system[3][:, None]
+        # -Q is `sign` at (rows[i], cols[i]), each a run of consecutive
+        # indices: its products are row updates
+        rows, cols = np.nonzero(system[2])
+        self.rows, self.qcols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+        self.sign = -system[2][rows[0], cols[0]]
+        self.lam_sign = self.sign * lams
+
+    def series(self, pq):
+        """The Taylor coefficients (TAYLOR_ORDER + 1, n, m) of the state at
+        the step start, for the ascending coefficients (p_i, q_i) of p and q
+        there."""
+        K, P, Q, _ = self.system
+        n, m = self.state.shape
+        d = len(pq) - 1
+        # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k
+        A = np.concatenate([p * P + q * Q + (K if i == d else 0)
+                            for i, (p, q) in enumerate(pq[::-1])], axis=1)
+        # one buffer per degree for all steps; rows below d stay zero
+        T = self.buffers.get(d)
+        if T is None:
+            T = self.buffers[d] = np.zeros((TAYLOR_ORDER + 1 + d, n, m), dtype=complex)
+        T[d] = self.state
+        rows, qcols, c = self.rows, self.qcols, self.cols
+        for k in range(TAYLOR_ORDER):
+            Tk, nxt = T[k + d], T[k + d + 1]
+            np.matmul(A, T[k:k + d + 1].reshape(-1, m), out=nxt)
+            nxt[rows] += self.lam_sign * Tk[qcols]
+            if m > c:
+                nxt[rows, c:] += self.sign * Tk[qcols, :c]
+            nxt /= k + 1
+        return T[d:]
+
+    def advance(self, T, powers):
+        """The state at each step point whose powers t^0 .. t^TAYLOR_ORDER
+        are the rows of `powers`; the last point becomes the state.  The
+        state and the first SUMMED_TERMS terms are added in double-double
+        arithmetic (TwoSum), the rest of the series in double."""
+        s, low = self.state, self.low
+        terms = [powers[:, k, None, None] * T[k] for k in range(1, SUMMED_TERMS + 1)]
+        terms.append(np.tensordot(powers[:, SUMMED_TERMS + 1:], T[SUMMED_TERMS + 1:],
+                                  axes=(1, 0)))
+        for u in terms:
+            t = s + u
+            z = t - s
+            low = low + ((s - (t - z)) + (u - z))
+            s = t
+        at = s + low
+        self.state, self.low = at[-1], low[-1] - (at[-1] - s[-1])
+        return at
+
+    def step_bound(self, T, rel, absolute):
+        """Largest h at which the last two terms of every column are within
+        tolerance."""
+        def norm(a):
+            return np.max(np.abs(a) * self.weights, axis=0)
+
+        tol = rel * norm(T[0]) + absolute
+        with np.errstate(divide="ignore"):
+            return min(np.min((tol / norm(T[k])) ** (1.0 / k))
+                       for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER))
 
 
 @dataclass
@@ -75,6 +180,8 @@ class FundamentalMatrix:
     values: np.ndarray        # shape (len(xs), 4, k), or (len(xs), N, 4, 4)
     dlambda: np.ndarray | None = None   # same shape, entrywise d/dlambda
     quadratures: dict | None = None     # (i, j) -> int_0^1 y_i y_j dx
+    # (2, 6, pairs): the 2-wedges where the propagation ends, then their jets
+    wedges: np.ndarray | None = None
     det_drift: float = 0.0    # fundamental_C and fundamental_S only
 
     @property
@@ -86,8 +193,8 @@ class FundamentalMatrix:
         return self.values[-1]
 
 
-def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
-              want_dlambda=False, quad_pairs=None, x_grid=None) -> FundamentalMatrix:
+def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
+              quad_pairs=None, wedge_pairs=None, x_grid=None) -> FundamentalMatrix:
     """Integrate the system for a 4 x k initial matrix.
 
     lam is one spectral parameter for every column, or one per column (a
@@ -95,9 +202,10 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
     'forward' starts the init data at x=0, 'backward' at x=1.  quad_pairs is
     a list of column index pairs (i, j); for each, the scalar
     int_0^1 y_i(x) y_j(x) dx is accumulated alongside the trajectory.
+    wedge_pairs is a list of column index pairs at one lambda each; their
+    2-wedges and the wedges' jets are returned where the propagation ends.
+    want_dlambda asks for the jets of the columns.
     """
-    if init is None:
-        init = np.eye(4, dtype=complex)
     Y0 = np.asarray(init, dtype=complex)
     if Y0.ndim == 1:
         Y0 = Y0.reshape(4, 1)
@@ -105,102 +213,85 @@ def propagate(problem: ProblemSpec, lam, direction="forward", init=None,
     lams = np.broadcast_to(np.asarray(lam, dtype=complex).ravel(), ncols)
     if not np.all(np.isfinite(lams)):
         raise PropagationError("non-finite lambda")
-
-    quad_pairs = list(quad_pairs or [])
-    nq = len(quad_pairs)
-    qi, qj = np.array(quad_pairs, dtype=int).reshape(nq, 2).T
-    nz = 2 if want_dlambda else 1       # Y, and its lambda-jet J
-    ny = 4 * ncols
-    shrink = np.sqrt(len(np.unique(lams)))   # 1 for a single lambda
-    rtol = max(problem.tolerances.ode_rel / shrink, RTOL_FLOOR)
-    atol = problem.tolerances.ode_abs / shrink
-
-    def rhs(pieces, x, state):   # pieces of p and q on the mesh segment
-        p0, pc, q0, qc = pieces
-        px, qx = horner(pc, x - p0), horner(qc, x - q0)
-        Z = state[:nz * ny].reshape(nz, 4, ncols)
-        out = np.empty_like(state)
-        dZ = out[:nz * ny].reshape(nz, 4, ncols)
-        dZ[:, 0] = Z[:, 1]
-        dZ[:, 1] = Z[:, 2]
-        dZ[:, 2] = px * Z[:, 1] + Z[:, 3]
-        dZ[:, 3] = (lams - qx) * Z[:, 0]
-        if want_dlambda:
-            dZ[1, 3] += Z[0, 0]
-        if nq:
-            out[nz * ny:] = Z[0, 0, qi] * Z[0, 0, qj]
-        return out
-
-    state = np.concatenate([Y0.ravel(), np.zeros((nz - 1) * ny + nq, dtype=complex)])
-
-    grid = np.union1d(np.linspace(0.0, 1.0, 17) if x_grid is None else
-                      np.asarray(x_grid, float), problem.breakpoints)
-    nodes = problem.breakpoints
-    if direction == "backward":
-        seg_order = range(len(nodes) - 2, -1, -1)
-    elif direction == "forward":
-        seg_order = range(len(nodes) - 1)
-    else:
+    if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     sign = 1.0 if direction == "forward" else -1.0
 
-    xs_out = [nodes[0] if direction == "forward" else nodes[-1]]
-    states_out = [state]
-    # the controller's last proposal before a breakpoint clipped the step:
-    # each segment after the first starts with it instead of a new probe
-    h = None
-    for si in seg_order:
-        x0, x1 = float(nodes[si]), float(nodes[si + 1])
-        if direction == "backward":
-            x0, x1 = x1, x0
-        interior = grid[(grid > min(x0, x1) + 1e-15) & (grid < max(x0, x1) - 1e-15)]
-        t_eval = np.concatenate([interior[::int(sign)], [x1]])
-        pieces = problem.p.piece(x0, x1) + problem.q.piece(x0, x1)
-        solver = _DOP853(partial(rhs, pieces), x0, state, x1, rtol=rtol, atol=atol,
-                         first_step=None if h is None else min(h, abs(x1 - x0)))
-        done = 0
-        while solver.status == "running":
-            h = solver.h_abs
-            message = solver.step()
-            if solver.status == "failed":
-                raise PropagationError(f"integration failed near x={solver.t}: {message}")
-            reached = done + np.searchsorted(sign * t_eval[done:], sign * solver.t, side="right")
-            if reached > done:
-                # a point at the step's end is solver.y; the dense output
-                # serves only points strictly inside the step
-                at_end = int(t_eval[reached - 1] == solver.t)
-                xs_out.extend(t_eval[done:reached])
-                if reached - at_end > done:
-                    states_out.extend(solver.dense_output()(t_eval[done:reached - at_end]).T)
-                if at_end:
-                    states_out.append(solver.y.copy())
-                done = reached
-        state = solver.y
-        if not np.all(np.isfinite(state)):
-            raise PropagationError(f"non-finite state at x={x1}")
+    quad_pairs = list(quad_pairs or [])
+    qi, qj = np.array(quad_pairs, dtype=int).reshape(-1, 2).T
+    wi, wj = np.array(wedge_pairs or [], dtype=int).reshape(-1, 2).T
+    if np.any(lams[wi] != lams[wj]):
+        raise ValueError("a wedge pairs columns at different lambda")
+    blocks = [_Block(_COLUMNS, Y0, lams, 2 if want_dlambda else 1)]
+    if len(wi):
+        W0 = np.array([Y0[a, wi] * Y0[b, wj] - Y0[b, wi] * Y0[a, wj] for a, b in _WEDGE_ROWS])
+        blocks.append(_Block(_WEDGE, W0, lams[wi], 2))
+    columns = blocks[0]
+    rel, absolute = problem.tolerances.ode_rel, problem.tolerances.ode_abs
+    hilbert = 1.0 / (np.arange(TAYLOR_ORDER + 1)[:, None] + np.arange(TAYLOR_ORDER + 1) + 1)
+    quads = np.zeros(len(quad_pairs), dtype=complex)
+
+    grid = np.union1d(np.linspace(0.0, 1.0, 17) if x_grid is None else
+                      np.asarray(x_grid, float), problem.breakpoints)
+    nodes = problem.breakpoints if direction == "forward" else problem.breakpoints[::-1]
+    xs_out = [float(nodes[0])]
+    states_out = [columns.state]
+    for x0, x1 in zip(nodes[:-1], nodes[1:]):
+        x0, x1 = float(x0), float(x1)
+        left, right = min(x0, x1), max(x0, x1)
+        interior = grid[(grid > left + 1e-15) & (grid < right - 1e-15)]
+        t_eval = np.append(interior[::int(sign)], x1)
+        (p0, pc), (q0, qc) = problem.p.piece(left, right), problem.q.piece(left, right)
+        x, done = x0, 0
+        while done < len(t_eval):
+            pq = list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0), fillvalue=0))
+            series = [b.series(pq) for b in blocks]
+            h = STEP_SAFETY * min(b.step_bound(T, rel, absolute) for b, T in zip(blocks, series))
+            if not h > 4 * np.finfo(float).eps * max(1.0, abs(x)):
+                raise PropagationError(f"no step possible at x={x} (step bound {h:.3e})")
+            x_next = x1 if h >= abs(x1 - x) else x + sign * h
+            reached = done + np.searchsorted(sign * t_eval[done:], sign * x_next, side="right")
+            ts = np.append(t_eval[done:reached], x_next) - x
+            powers = ts[:, None] ** np.arange(TAYLOR_ORDER + 1)
+            for b, T in zip(blocks, series):
+                at = b.advance(T, powers)
+                if b is columns:
+                    states_out.extend(at[:reached - done])
+                    xs_out.extend(t_eval[done:reached])
+                    if len(quad_pairs):
+                        hp = powers[-1][:, None]
+                        U, V = T[:, 0, qi] * hp, T[:, 0, qj] * hp
+                        quads += ts[-1] * np.sum(U * (hilbert @ V), axis=0)
+                if not np.all(np.isfinite(b.state)):
+                    raise PropagationError(f"non-finite state at x={x_next}")
+            x, done = x_next, reached
 
     xs_out = np.asarray(xs_out)
     states_out = np.asarray(states_out)
     order = np.argsort(xs_out)
-    xs_out = xs_out[order]
-    states_out = states_out[order]
+    xs_out, states_out = xs_out[order], states_out[order]
+    values = states_out[:, :, :ncols]
+    dlam = states_out[:, :, ncols:] if want_dlambda else None
+    quadratures = None
+    if quad_pairs:
+        quadratures = {pair: complex(sign * quads[k]) for k, pair in enumerate(quad_pairs)}
+    wedges = None
+    if len(wi):
+        wedges = blocks[1].state.reshape(6, 2, len(wi)).swapaxes(0, 1)
+    return FundamentalMatrix(xs=xs_out, values=values, dlambda=dlam,
+                             quadratures=quadratures, wedges=wedges)
 
-    values = states_out[:, :ny].reshape(-1, 4, ncols)
-    dlam = states_out[:, ny:2 * ny].reshape(-1, 4, ncols) if want_dlambda else None
-    quads = None
-    if nq:
-        qfinal = states_out[-1 if direction == "forward" else 0, -nq:]
-        quads = {pair: complex(sign * qfinal[k]) for k, pair in enumerate(quad_pairs)}
 
-    return FundamentalMatrix(xs=xs_out, values=values, dlambda=dlam, quadratures=quads)
-
-
-def _fundamental(problem, lam, direction, init, want_dlambda, x_grid) -> FundamentalMatrix:
+def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> FundamentalMatrix:
     """The 4 x 4 `init` propagated at one lambda or at each of a batch, in one
-    solve; fields (len(xs),) + lam.shape + (4, 4), det_drift over the batch."""
+    solve; fields (len(xs),) + lam.shape + (4, 4), det_drift over the batch,
+    and with `wedge`, a pair of column labels (1-based), the wedge of those
+    two columns at each lambda with its jet, (2, 6) + lam.shape."""
     lam = np.asarray(lam, dtype=complex)
+    pairs = None if wedge is None else (4 * np.arange(lam.size)[:, None]
+                                        + np.subtract(wedge, 1)).tolist()
     res = propagate(problem, np.repeat(lam.ravel(), 4), direction, np.tile(init, lam.size),
-                    want_dlambda=want_dlambda, x_grid=x_grid)
+                    want_dlambda=want_dlambda, wedge_pairs=pairs, x_grid=x_grid)
 
     def per_lambda(a):   # (len(xs), 4, 4N): row, then lambda-major columns
         return np.moveaxis(a.reshape(len(a), 4, *lam.shape, 4), 1, -2)
@@ -208,16 +299,18 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid) -> Fundame
     values = per_lambda(res.values)
     drift = np.max(np.abs(np.linalg.det(values) - np.linalg.det(init)))
     return FundamentalMatrix(xs=res.xs, values=values, det_drift=float(drift),
-                             dlambda=per_lambda(res.dlambda) if want_dlambda else None)
+                             dlambda=per_lambda(res.dlambda) if want_dlambda else None,
+                             wedges=None if wedge is None else res.wedges.reshape(2, 6, *lam.shape))
 
 
-def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False, x_grid=None) -> FundamentalMatrix:
-    """Solutions C_k with U_s(C_k) = delta_sk; initial matrix U^{-1} at x=0."""
+def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False, x_grid=None,
+                  wedge=None) -> FundamentalMatrix:
+    """Solutions C_k with U_s(C_k) = delta_sk; initial matrix U^{-1} at x=0.
+    wedge = (j, k) also carries C_j ^ C_k and its jet (see _fundamental)."""
     U = boundary_form_matrix(problem)
-    return _fundamental(problem, lam, "forward", np.linalg.inv(U), want_dlambda, x_grid)
+    return _fundamental(problem, lam, "forward", np.linalg.inv(U), want_dlambda, x_grid, wedge)
 
 
 def fundamental_S(problem: ProblemSpec, lam, x_grid=None) -> FundamentalMatrix:
     """Solutions S_k with V_s(S_k) = delta_sk; identity data at x=1."""
-    return _fundamental(problem, lam, "backward", np.eye(4, dtype=complex), False, x_grid)
-
+    return _fundamental(problem, lam, "backward", np.eye(4, dtype=complex), False, x_grid, None)

@@ -11,15 +11,20 @@ rho), one batched solve per chunk of about one zero spacing.  A pair of
 samples (a, b) in scan order opens a bracket where Delta changes sign above
 4 fp_floor, or where Delta(a) is exactly 0; the brackets are polished with
 Newton in lockstep (one batched solve of the variationally computed
-derivative per iteration).  Newton starts at each bracket's secant (regula
-falsi) point, never leaves its bracket, and accepts an evaluated iterate
-once the Newton step computed there is below REFINE_TOL (1 + |lambda|),
-without solving at lambda + step: a scan bracket takes three solves.
-Complex search uses the argument principle over rectangles with recursive
-subdivision, and the same Newton with a batch of one; find_zero_near runs
-it from a given point and stops where an iterate would leave a disc around
-it.  Each Zero keeps C(1, lambda) of its accepted Newton evaluation, which
-weight_numbers reads.
+derivative per iteration).  The scan forms Delta as a determinant of C(1)
+(see weyl); the polish of Delta_22, Delta_32 and Delta_42 reads the value
+and its jet from the 2-wedge of the selector's two C columns instead, in
+the same solve as C(1) (see propagator), so a polished root carries none
+of the determinant's cancellation and does not move with its batch.
+Newton starts at each bracket's secant (regula falsi) point, never leaves
+its bracket, and accepts an evaluated iterate once the Newton step
+computed there is below REFINE_TOL (1 + |lambda|), without solving at
+lambda + step: a scan bracket takes three solves.  Complex search uses the
+argument principle over rectangles with recursive subdivision, and the
+same Newton with a batch of one; find_zero_near runs it from a given point
+and stops where an iterate would leave a disc around it, raising
+LeftDiscError with that iterate.  Each Zero keeps C(1, lambda) of its
+accepted Newton evaluation, which weight_numbers reads.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .problem import ProblemSpec
 from .propagator import PropagationError, fundamental_C
-from .weyl import _assemble, deltas_at, delta_scale
+from .weyl import _DELTA_COLS, _assemble, deltas_at, delta_scale
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
@@ -48,6 +53,15 @@ FIRST_ZEROS_START = 1e-6
 
 class SearchError(RuntimeError):
     pass
+
+
+class LeftDiscError(SearchError):
+    """find_zero_near: a Newton iterate left the disc; lam is that iterate."""
+
+    def __init__(self, lam, lam0, radius):
+        self.lam = lam
+        super().__init__(f"Newton from {lam0} left the disc of radius {radius:.3e} "
+                         f"at lambda={lam}")
 
 
 @dataclass
@@ -120,8 +134,12 @@ def _newton(lam0, bracket=None, local_scale=None):
 def _jets(problem, selector, lams):
     """(Delta, dDelta, C(1, lambda)) of the selected pair at each lambda, in
     one solve; if it fails, lambda by lambda, each PropagationError in its
-    lambda's place."""
+    lambda's place.  Delta_j2 and its jet are minus row 0 of the 2-wedge of
+    its two C columns, integrated in the same solve as C."""
     try:
+        if selector[1] == 2:
+            C = fundamental_C(problem, lams, x_grid=[0.0, 1.0], wedge=_DELTA_COLS[selector])
+            return list(zip((-C.wedges[0, 0]).tolist(), (-C.wedges[1, 0]).tolist(), C.end))
         C = fundamental_C(problem, lams, want_dlambda=True, x_grid=[0.0, 1.0])
         d = _assemble(C.end, C.dlambda[-1], (selector,))[selector]
         return list(zip(d.value.tolist(), d.dvalue.tolist(), C.end))
@@ -302,10 +320,11 @@ def _complex_zeros(problem, selector, region, ring, scale, depth):
     return zeros
 
 
-def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero | None:
+def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero:
     """The zero of Delta_selector that Newton from lam0 reaches with every
-    iterate in |lambda - lam0| < radius, or None (one solve if the first step
-    leaves); raises the PropagationError or SearchError that ends it inside."""
+    iterate in |lambda - lam0| < radius.  Raises LeftDiscError with the
+    first iterate outside (lam0 - Delta/Delta' after one solve if the first
+    step leaves), or the PropagationError or SearchError that ends it inside."""
     selector, lam0 = tuple(selector), complex(lam0)
     scale = delta_scale(problem, selector[1])
     newton = _newton(lam0, local_scale=scale)
@@ -316,7 +335,7 @@ def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero | None:
             if isinstance(jet, Exception):
                 raise jet
             lam = newton.send(jet)
-        return None
+        raise LeftDiscError(lam, lam0, radius)
     except StopIteration as stop:
         lam, _, dval, end = stop.value
     z = Zero(lam=lam, selector=selector, ddelta=complex(dval), end_values=end)

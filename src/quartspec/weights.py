@@ -67,8 +67,31 @@ def _pairwise_mean(terms):
     return terms[0] / n
 
 
-def laurent_coefficients(problem: ProblemSpec, lam0, orders=(-1, 0),
-                         radius=None) -> dict:
+def _contour(problem, lam0, radius):
+    """(nodes z, M(lam0 + z)): 2 * contour_nodes equispaced points on the
+    circle of `radius`, M sampled in one batched weyl_matrix call."""
+    nodes = problem.tolerances.contour_nodes
+    zs = radius * np.exp(1j * (2 * np.pi * np.arange(2 * nodes) / (2 * nodes)))
+    try:
+        return zs, weyl_matrix(problem, lam0 + zs).m
+    except PoleError as exc:
+        raise LaurentError(f"contour node at {exc.lam} hits a pole") from exc
+
+
+def _trapezoid(samples, zs, order, lam0):
+    """The order-k Laurent coefficient from contour samples (first axis),
+    checked under node doubling: the rule on the even-indexed nodes against
+    the rule on all of them."""
+    terms = samples * (zs ** (-order)).reshape((-1,) + (1,) * (samples.ndim - 1))
+    coarse = _pairwise_mean(terms[::2])
+    fine = _pairwise_mean(terms)
+    if np.max(np.abs(fine - coarse)) > CONVERGENCE_TOL * (1 + np.max(np.abs(fine))):
+        raise LaurentError(f"trapezoid quadrature for order {order} at {lam0} did not "
+                           f"converge under node doubling")
+    return fine
+
+
+def laurent_coefficients(problem: ProblemSpec, lam0, orders, radius=None) -> dict:
     """Laurent coefficients of M at lam0, with a node-doubling Cauchy check.
 
     The coefficient of order k is (2 pi i)^-1 times the contour integral of
@@ -81,23 +104,20 @@ def laurent_coefficients(problem: ProblemSpec, lam0, orders=(-1, 0),
     lam0 = complex(lam0)
     if radius is None:
         radius = default_contour_radius(lam0)
-    nodes = problem.tolerances.contour_nodes
-    zs = radius * np.exp(1j * (2 * np.pi * np.arange(2 * nodes) / (2 * nodes)))
-    try:
-        ms = weyl_matrix(problem, lam0 + zs).m
-    except PoleError as exc:
-        raise LaurentError(f"contour node at {exc.lam} hits a pole") from exc
-    out = {}
-    for order in orders:
-        terms = ms * (zs ** (-order))[:, None, None]
-        coarse = _pairwise_mean(terms[::2])
-        fine = _pairwise_mean(terms)
-        if np.max(np.abs(fine - coarse)) > CONVERGENCE_TOL * (1 + np.max(np.abs(fine))):
-            raise LaurentError(
-                f"trapezoid quadrature for order {order} at {lam0} did not converge "
-                f"under node doubling")
-        out[order] = fine
-    return out
+    zs, ms = _contour(problem, lam0, radius)
+    return {order: _trapezoid(ms, zs, order, lam0) for order in orders}
+
+
+def entry_residue(problem: ProblemSpec, lam0, jk) -> complex:
+    """The residue of the entry m_jk of M at lam0, on the default contour:
+    the (j, k) entry of the order -1 coefficient, whose own samples alone
+    decide node doubling.  The other entries do not enter: at large |lam0|
+    those formed from 3 x 3 Delta_jk carry their cancellation noise, which
+    at a residue of 0 (m21 at a zero of Delta_22) the doubling check reads
+    as non-convergence."""
+    lam0 = complex(lam0)
+    zs, ms = _contour(problem, lam0, default_contour_radius(lam0))
+    return complex(_trapezoid(ms[:, jk[0] - 1, jk[1] - 1], zs, -1, lam0))
 
 
 def weight_matrix(problem: ProblemSpec, lam0, nearby_zeros=()) -> WeightMatrix:
@@ -151,12 +171,19 @@ _CASE_PATTERNS = {
 
 
 def verify_weight_structure(w: WeightMatrix, point: SpectralPoint) -> dict:
-    """Residuals of every structural relation for the point's case; never raises."""
+    """Residuals of every structural relation for the point's case; never raises.
+
+    Residuals are relative to max |n_jk|, or to CONVERGENCE_TOL where N is
+    smaller: N below the contour's resolution is zero, and residuals
+    relative to its rounding would read as order 1.  At a lambda0 that is
+    no pole of M (a case-V point off the zeros of Delta_33), N vanishes and
+    n21_nonzero reads near 0.
+    """
     n = w.n
     tag = point.case_tag
     report = {"case": tag, "checks": {}}
     checks = report["checks"]
-    scale = max(np.max(np.abs(n)), 1e-300)
+    scale = max(np.max(np.abs(n)), CONVERGENCE_TOL)
 
     tri = np.abs(np.triu(n))  # strict lower-triangularity incl. the diagonal
     checks["strictly_lower_triangular"] = float(np.max(tri) / scale)

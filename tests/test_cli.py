@@ -208,6 +208,17 @@ class TestDataCommands:
         assert len(rows) == 2
         assert abs(rows[0]["gamma"][0]) == pytest.approx(2.0, abs=1e-6)
 
+    def test_mclaughlin_six_beam_modes(self, beam_json, capsys):
+        # lambda_6 (rho ~ 17.3) passes its residue check: node doubling judges
+        # the residue of m32 alone, not m21, whose samples carry the
+        # cancellation noise of the 3 x 3 Delta_jk there
+        assert main(["mclaughlin", "--problem", beam_json, "--count", "6"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["case"] for row in rows] == ["I"] * 6
+        for n, row in enumerate(rows, 1):
+            assert row["lambda"][0] == pytest.approx(beam_eigenvalue(n), rel=1e-12)
+            assert complex(*row["beta"]) == pytest.approx(-4.0, rel=1e-9)
+
     def test_classify(self, beam_json, capsys):
         code = main(["classify", "--problem", beam_json, "--count", "2"])
         assert code == 0
@@ -241,6 +252,22 @@ class TestDataCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["case"] == "V"
         assert payload["residuals"]["n21_equals_n43"] < 1e-8
+
+    def test_weights_case_five_contour_clear_of_the_nearby_zero(self, tmp_path, capsys):
+        # on the beam with b = 0.1, lambda_1 = 11.2384 lies 2.4e-5 outside
+        # the disc of radius 1.12362 around 12.362: Newton's first step
+        # leaves it (case V), and the contour at lambda0 is sized by the zero
+        # that step points at, not by the disc that nearly touches it
+        path = str(tmp_path / "b01.json")
+        save_problem(beam_problem(b=0.1), path)
+        assert main(["weights", "--problem", path, "--lambda0", "12.362"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["case"] == "V"
+        # 12.362 is no pole of M here: N vanishes, and the report says so
+        # (n21 is no nonzero entry) instead of scaling its rounding to 1
+        assert np.max(np.abs(np.array(payload["n"]))) < 1e-12
+        assert payload["residuals"]["n21_nonzero"] < 1e-6
+        assert payload["residuals"]["off_pattern_entries"] < 1e-6
 
     def test_weights_near_eigenvalue_takes_its_case(self, beam_json, capsys):
         # the README's example: |Delta_22(12.362)| is above the zero floor,

@@ -4,7 +4,7 @@ import pytest
 from quartspec import beam_problem, fundamental_C, fundamental_S, propagate
 from quartspec.problem import BoundaryParams, boundary_form_matrix, lagrange_bracket
 
-from conftest import make_random_problem, oracle_C3, oracle_C4
+from conftest import make_random_problem, oracle_C3, oracle_C4, oracle_delta22
 
 
 class TestClosedForm:
@@ -31,6 +31,20 @@ class TestClosedForm:
         res = fundamental_S(pb, 0.0, x_grid=np.linspace(0, 1, 5))
         for i, x in enumerate(res.xs):
             assert res.values[i][0, 3] == pytest.approx((x - 1) ** 3 / 6, abs=1e-10)
+
+    @pytest.mark.parametrize("rho", [10, 20, 35, 40, 60])
+    def test_wedge_delta22_matches_closed_form(self, rho):
+        # Delta_22 = -(C3 ^ C4)_(y, y') at x = 1, integrated under the
+        # additive compound: no cancellation, where the 2 x 2 determinant of
+        # C(1) loses eps e^rho of its value
+        pb = beam_problem()
+        lam = float(rho) ** 4
+        res = propagate(pb, lam, "forward", np.linalg.inv(boundary_form_matrix(pb)),
+                        want_dlambda=True, wedge_pairs=[(2, 3)], x_grid=[0.0, 1.0])
+        assert -res.wedges[0, 0, 0] == pytest.approx(oracle_delta22(lam), rel=1e-11)
+        r = lam ** 0.25
+        ddelta = (np.sin(r) * np.cosh(r) - np.cos(r) * np.sinh(r)) / (8 * r ** 3)
+        assert -res.wedges[1, 0, 0] == pytest.approx(ddelta, rel=1e-10)
 
     def test_dlambda_jet_matches_finite_difference(self):
         pb = beam_problem()
@@ -133,8 +147,8 @@ class TestCoefficientCoupling:
     def test_piecewise_cubic_matches_pointwise_integration(self):
         # reference: one solve_ivp over [0, 1] that looks p and q up in the
         # segment list at every x, against the propagator's per-segment
-        # pieces and the step it carries across each breakpoint; on 5 and on
-        # 9 segments of complex p and q
+        # pieces, re-expanded at every step and restarted at each breakpoint;
+        # on 5 and on 9 segments of complex p and q
         from scipy.integrate import solve_ivp
         from quartspec import CoefficientField, ProblemSpec, validate_problem
         rng = np.random.default_rng(9)
@@ -160,48 +174,3 @@ class TestCoefficientCoupling:
                             rtol=1e-12, atol=1e-14).y[:, -1].reshape(4, 4)
             got = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end
             assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
-
-    def test_one_initial_step_probe_per_propagation(self, monkeypatch):
-        # the first segment probes for its initial step; each later one
-        # starts with the step the controller last proposed
-        import scipy.integrate._ivp.rk as rk
-        pb = make_random_problem()
-        assert len(pb.breakpoints) == 6
-        probes = []
-        orig = rk.select_initial_step
-
-        def probe(*args, **kwargs):
-            probes.append(args[1])
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(rk, "select_initial_step", probe)
-        for direction, jet, quad in (("forward", False, None), ("forward", True, None),
-                                     ("backward", False, [(0, 1)])):
-            probes.clear()
-            propagate(pb, [2.0, 30.0 + 1j, -7.0, 400.0], direction, want_dlambda=jet,
-                      quad_pairs=quad)
-            assert probes == [0.0 if direction == "forward" else 1.0]
-
-
-def test_spent_solvers_freed_without_cyclic_gc(monkeypatch):
-    # a batch's stage arrays must not wait for the cycle collector: every
-    # segment's solver is gone once propagate returns, with gc switched off
-    import gc
-    import weakref
-    from quartspec import propagator
-
-    refs = []
-    orig = propagator._DOP853.__init__
-
-    def init(self, *args, **kwargs):
-        orig(self, *args, **kwargs)
-        refs.append(weakref.ref(self))
-
-    monkeypatch.setattr(propagator._DOP853, "__init__", init)
-    gc.disable()
-    try:
-        propagate(make_random_problem(), np.arange(4.0), want_dlambda=True)
-    finally:
-        gc.enable()
-    assert len(refs) > 1
-    assert all(ref() is None for ref in refs)

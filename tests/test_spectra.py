@@ -76,6 +76,20 @@ class TestRealSearch:
         for n, z in enumerate(zeros, 1):
             assert z.lam.real == pytest.approx(beam_eigenvalue(n), rel=1e-10)
 
+    def test_first_ten_against_bisection(self, beam):
+        # the polish reads Delta_22 from the 2-wedge C3 ^ C4, free of the
+        # cancellation that limits the scan's determinant near rho ~ 33
+        zeros = find_first_zeros(beam, (2, 2), 10)
+        for n, z in enumerate(zeros, 1):
+            assert z.lam.real == pytest.approx(beam_eigenvalue(n), rel=1e-11)
+
+    def test_root_does_not_move_with_its_batch(self, beam):
+        # lambda_6 polished alone, and in the lockstep batch of seven
+        lam6 = beam_eigenvalue(6)
+        alone, = find_real_zeros(beam, (2, 2), (0.99 * lam6, 1.01 * lam6))
+        batch = find_first_zeros(beam, (2, 2), 7)[5]
+        assert alone.lam.real == pytest.approx(batch.lam.real, rel=1e-12)
+
     @pytest.mark.parametrize("chunk", [None, 10 ** 4], ids=["chunked", "one_chunk"])
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_count_keeps_zeros_nearest_zero_on_negative_axis(self, beam, count, chunk,
@@ -220,8 +234,14 @@ class TestZeroNear:
             return jets(pb, sel, lams)
 
         monkeypatch.setattr(spectra, "_jets", recording)
-        assert find_zero_near(beam, (2, 2), lam0, default_contour_radius(lam0)) is None
+        with pytest.raises(spectra.LeftDiscError) as left:
+            find_zero_near(beam, (2, 2), lam0, default_contour_radius(lam0))
         assert solved == [[lam0]]
+        # what the error carries is that step's end, outside the disc
+        got = left.value.lam
+        (val, dval, _), = jets(beam, (2, 2), [lam0])
+        assert got == lam0 - val / dval
+        assert abs(got - lam0) >= default_contour_radius(lam0)
 
     def test_reaches_lambda1_from_nearby(self, beam):
         z = find_zero_near(beam, (2, 2), 12.362, default_contour_radius(12.362))

@@ -170,9 +170,7 @@ class TestClassification:
 
 
 def test_tolerance_below_the_floor_warns_nothing():
-    # 1e-13 / sqrt(128) lies below DOP853's rtol floor of 100 eps; the
-    # propagator applies the floor itself instead of leaving it to scipy's
-    # UserWarning
+    # a tolerance near the rounding floor integrates without a warning
     import warnings
     from dataclasses import replace
     from quartspec import Tolerances, find_first_zeros

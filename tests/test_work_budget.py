@@ -117,14 +117,16 @@ def test_no_delta_propagates_backward(beam, monkeypatch):
 
 
 def _recording_batches(monkeypatch):
-    """(lambda batch, want_dlambda) of every fundamental_C call: the scan's
-    through weyl.deltas_at, the Newton polish's directly."""
+    """(lambda batch, jet) of every fundamental_C call: the scan's through
+    weyl.deltas_at, the Newton polish's directly, with the jet of C or of
+    the wedge of Delta_j2's columns."""
     calls = []
     orig = propagator.fundamental_C
 
-    def wrapper(problem, lams, want_dlambda=False, x_grid=None):
-        calls.append(([complex(lam) for lam in np.ravel(lams)], want_dlambda))
-        return orig(problem, lams, want_dlambda, x_grid)
+    def wrapper(problem, lams, want_dlambda=False, x_grid=None, wedge=None):
+        calls.append(([complex(lam) for lam in np.ravel(lams)],
+                      want_dlambda or wedge is not None))
+        return orig(problem, lams, want_dlambda, x_grid, wedge)
 
     _patch_bindings(monkeypatch, orig, wrapper)
     return calls
@@ -186,10 +188,11 @@ def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
     weyl.delta_scale(beam, 2)
     orig = propagator.fundamental_C
 
-    def failing(problem, lams, want_dlambda=False, x_grid=None):
-        if want_dlambda and any(400 < complex(lam).real < 600 for lam in np.ravel(lams)):
+    def failing(problem, lams, want_dlambda=False, x_grid=None, wedge=None):
+        jet = want_dlambda or wedge is not None
+        if jet and any(400 < complex(lam).real < 600 for lam in np.ravel(lams)):
             raise propagator.PropagationError("injected")
-        return orig(problem, lams, want_dlambda, x_grid)
+        return orig(problem, lams, want_dlambda, x_grid, wedge)
 
     _patch_bindings(monkeypatch, orig, failing)
     zeros = find_real_zeros(beam, (2, 2), (0.0, 5000.0))
