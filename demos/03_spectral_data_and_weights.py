@@ -3,7 +3,9 @@
 For each beam eigenvalue lambda_n the eigenfunction normalised by
 y^[3](1) = 1 yields the pair (gamma_n, xi_n) of end values at x = 0 and the
 number beta_n = -gamma_n^2.  The free-clamped beam is the classic example
-where |gamma_n| = 2 for every n.
+where |gamma_n| = 2 for every n.  Each beta_n is checked against the bridge
+identity Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2, whose two sides
+the searched zero carries; the gap is printed as beta_residual.
 
 The same beta_n shows up as a residue: the Weyl matrix M(lambda) has a
 simple pole at lambda_n and the (3,2) entry of its residue equals beta_n.
@@ -25,12 +27,13 @@ from quartspec import (
 
 problem = beam_problem()
 zeros = find_first_zeros(problem, (2, 2), 4)
-points = weight_numbers(problem, zeros, residue_check=True)
+points = weight_numbers(problem, zeros)
 
-print("n   gamma_n        xi_n           beta_n      case")
+print("n   gamma_n        xi_n           beta_n      beta_residual  case")
 for n, pt in enumerate(points, 1):
     tag = classify_on_problem(problem, pt)
-    print(f"{n}  {pt.gamma.real:+.8f}  {pt.xi.real:+.8f}  {pt.beta.real:+.6f}   ({tag})")
+    print(f"{n}  {pt.gamma.real:+.8f}  {pt.xi.real:+.8f}  {pt.beta.real:+.6f}"
+          f"   {pt.beta_residual:.1e}        ({tag})")
 
 print("\nweight matrix at lambda_1 (real parts):")
 w = weight_matrix(problem, zeros[0].lam, nearby_zeros=[z.lam for z in zeros])

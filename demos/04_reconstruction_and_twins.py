@@ -32,7 +32,7 @@ from quartspec import (
 
 problem = beam_problem()
 zeros = find_first_zeros(problem, (2, 2), 8)
-points = weight_numbers(problem, zeros, residue_check=False)
+points = weight_numbers(problem, zeros)
 data = [(pt.lam, pt.beta) for pt in points]
 
 print("m_32 from weight numbers (lambda = -3):")

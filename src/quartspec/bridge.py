@@ -152,7 +152,7 @@ def case2_alpha(point: SpectralPoint, ddelta43, ddelta33):
 
 def _mclaughlin_vector(problem, count):
     zeros = find_first_zeros(problem, (2, 2), count)
-    pts = weight_numbers(problem, zeros, residue_check=False)
+    pts = weight_numbers(problem, zeros)
     vec = []
     for pt in pts:
         vec.extend([pt.lam, pt.gamma if pt.gamma is not None else np.nan,

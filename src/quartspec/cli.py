@@ -133,7 +133,7 @@ def cmd_mclaughlin(args):
     points = mclaughlin.weight_numbers(problem, zeros)
     _emit(args, [
         {"lambda": pt.lam, "gamma": pt.gamma, "xi": pt.xi, "beta": pt.beta,
-         "case": pt.case_tag, "norm_ok": pt.norm_ok}
+         "beta_residual": pt.beta_residual, "case": pt.case_tag, "norm_ok": pt.norm_ok}
         for pt in points
     ])
     return 0
@@ -150,7 +150,7 @@ def cmd_weights(args):
     except spectra.LeftDiscError as left:
         point, nearby = mclaughlin.SpectralPoint(lam=args.lambda0, case_tag="V"), (left.lam,)
     else:
-        point, nearby = mclaughlin.weight_numbers(problem, [zero], residue_check=False)[0], ()
+        point, nearby = mclaughlin.weight_numbers(problem, [zero])[0], ()
     w = weights.weight_matrix(problem, point.lam, nearby)
     report = weights.verify_weight_structure(w, point)
     _emit(args, {"lambda0": args.lambda0, "pole": w.lam0, "m_minus1": w.m_minus1,
@@ -162,7 +162,7 @@ def cmd_weights(args):
 def cmd_classify(args):
     problem = _load(args.problem)
     zeros = spectra.find_first_zeros(problem, (2, 2), args.count)
-    points = mclaughlin.weight_numbers(problem, zeros, residue_check=False)
+    points = mclaughlin.weight_numbers(problem, zeros)
     _emit(args, [
         {"lambda": pt.lam, "gamma": pt.gamma, "xi": pt.xi, "case": pt.case_tag}
         for pt in points
@@ -183,7 +183,7 @@ def cmd_reconstruct(args):
     if args.kind == "m32":
         zeros = spectra.find_first_zeros(problem, (2, 2), args.count)
         data = [(pt.lam, pt.beta) for pt in
-                mclaughlin.weight_numbers(problem, zeros, residue_check=False)
+                mclaughlin.weight_numbers(problem, zeros)
                 if pt.beta is not None]
         lams = np.linspace(-10.0, -1.0, 5)
         for lam, direct in zip(lams, weyl.weyl_matrix(problem, lams).m[:, 2, 1]):
@@ -269,10 +269,11 @@ def cmd_verify(args):
 
     if problem.is_real:
         zeros = spectra.find_first_zeros(problem, (2, 2), 2)
-        points = mclaughlin.weight_numbers(problem, zeros)
+        # beta = -gamma^2 against the residue of m32, on a contour of its own
         record("residue_identity_beta_eq_minus_gamma_sq",
-               [pt.beta_residual / (1 + abs(pt.gamma) ** 2) for pt in points
-                if pt.beta_residual is not None], 1e-6)
+               [(weights.entry_residue(problem, pt.lam, (3, 2)) - pt.beta)
+                / (1 + abs(pt.gamma) ** 2) for pt in mclaughlin.weight_numbers(problem, zeros)
+                if pt.beta is not None], 1e-6)
 
     payload = {"problem": args.problem, "checks": checks,
                "all_pass": all(c["pass"] for c in checks)}

@@ -15,8 +15,8 @@ The case of each eigenvalue (I-IV, or indeterminate) is decided in one
 place, weights.classify_eigenvalue, which weight_numbers calls for every
 normalized point, reading Delta_33 = C4(1) and Delta_43 = C3(1) from the
 same end values.  Only in case I is the weight number
-beta_n = -gamma_n^2; it is then cross-checked against the contour residue
-of m_32 at lambda_n.
+beta_n = -gamma_n^2; at a searched zero it is checked, with no contour, by
+the bridge identity Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import propagate
 from .spectra import simplicity_check
-from .weyl import _minors, delta_scale, is_delta_zero
+from .weyl import _assemble, _minors, delta_scale, is_delta_zero
 
 NORMALIZATION_FLOOR = 1e-8
 
@@ -49,7 +49,7 @@ class SpectralPoint:
     beta: complex | None = None
     norm_ok: bool = True
     case_tag: str = "unknown"
-    # |residue-extracted beta - (-gamma^2)|, recorded by weight_numbers
+    # |-Delta_32 / Delta_22' - beta| in case I at a searched zero, else None
     beta_residual: float | None = None
     extras: dict = field(default_factory=dict, repr=False)
 
@@ -123,15 +123,15 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     return got
 
 
-def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
+def weight_numbers(problem: ProblemSpec, zeros) -> list:
     """Spectral points, each tagged by weights.classify_eigenvalue.
 
     Every zero must be simple.  The eigenfunctions of all zeros are one
     batch: one solve of the normalized trajectories, after one solve of the
     end values of the zeros that carry no C(1, lambda).  The end values give
     Delta_33 = C4(1) and Delta_43 = C3(1) for the case.  In case I, beta_n =
-    -gamma_n^2, and the residue of m32 at lambda_n (weights.entry_residue)
-    is recorded beside it as an independent check.
+    -gamma_n^2, and a searched zero records |-Delta_32 / Delta_22' - beta_n|
+    from the jet and C(1) it carries as beta_residual (a hand-made one: None).
     """
     from . import weights as weights_mod  # deferred, avoids import cycle
 
@@ -156,9 +156,8 @@ def weight_numbers(problem: ProblemSpec, zeros, residue_check=True) -> list:
             pt, complex(A[0, 0]), pt.extras["delta33"], delta_scale(problem, 3))
         if pt.case_tag == "I":
             pt.beta = -gamma ** 2
-            if residue_check:
-                res32 = weights_mod.entry_residue(problem, z.lam, (3, 2))
-                pt.beta_residual = abs(res32 - pt.beta)
-                pt.extras["residue_beta"] = res32
+            if z.end_values is not None:
+                delta32 = _assemble(z.end_values, None, ((3, 2),))[(3, 2)].value
+                pt.beta_residual = float(abs(-delta32 / z.ddelta - pt.beta))
         points.append(pt)
     return points

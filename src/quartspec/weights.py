@@ -230,7 +230,7 @@ def case_search(problem_factory, parameter_grid, count=3):
     for par in parameter_grid:
         problem = problem_factory(par)
         zeros = find_first_zeros(problem, (2, 2), count)
-        for pt in weight_numbers(problem, zeros, residue_check=False):
+        for pt in weight_numbers(problem, zeros):
             if pt.norm_ok and pt.case_tag != "I":
                 hits.append((par, pt, pt.case_tag))
     return hits

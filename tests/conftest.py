@@ -125,7 +125,7 @@ def beam_zeros(beam):
 
 @pytest.fixture(scope="session")
 def beam_points(beam, beam_zeros):
-    return weight_numbers(beam, beam_zeros, residue_check=True)
+    return weight_numbers(beam, beam_zeros)
 
 
 def make_random_problem(seed=7):

@@ -69,11 +69,12 @@ class TestWeightNumbers:
             assert abs(pt.beta + 4.0) < 1e-6
 
     def test_residue_cross_check_recorded(self, beam_points):
-        # beta is independently extracted as the (3,2) residue of M
+        # beta is checked by Delta_32 = Delta_22' gamma^2 at the searched
+        # zero, from the jet and C(1, lambda_n) it carries; no contour is run
         for pt in beam_points:
             assert pt.beta_residual is not None
             assert pt.beta_residual < 1e-6
-            assert "residue_beta" in pt.extras
+            assert "residue_beta" not in pt.extras
 
     def test_xi_over_gamma_equals_m43(self, beam, beam_points):
         from quartspec import weyl_matrix
@@ -90,18 +91,13 @@ class TestWeightNumbers:
         with pytest.raises(NonSimpleError):
             weight_numbers(beam, [fake])
 
-    def test_residue_check_optional(self, beam, beam_zeros):
-        pts = weight_numbers(beam, beam_zeros[:1], residue_check=False)
-        assert pts[0].beta_residual is None
-        assert pts[0].beta == pytest.approx(-pts[0].gamma ** 2)
-
     def test_unnormalizable_zero_flagged_alone(self, beam, beam_zeros, monkeypatch):
         # before normalization, int y^2 dx of the five beam modes falls from
         # 0.086 to 0.0012 (0.0021 for the fourth); a floor of 1.6e-3 flags
         # the fifth alone, and its neighbours in the batch are unaffected
         from quartspec import mclaughlin
         monkeypatch.setattr(mclaughlin, "NORMALIZATION_FLOOR", 1.6e-3)
-        pts = weight_numbers(beam, beam_zeros, residue_check=False)
+        pts = weight_numbers(beam, beam_zeros)
         assert [pt.norm_ok for pt in pts] == [True] * 4 + [False]
         for pt in pts[:4]:
             assert abs(pt.gamma) == pytest.approx(2.0, abs=1e-7)
@@ -113,17 +109,18 @@ class TestHandoff:
     @pytest.mark.parametrize("seed", [None, 11])
     def test_carried_evaluation_matches_own_solve(self, seed):
         # weight_numbers reads A, Delta_33 and Delta_43 from the C(1, lambda)
-        # a searched zero carries; without it, it solves them itself
+        # a searched zero carries; without it, it solves them itself, and
+        # has no Delta_32 and Delta_22' for the beta check
         pb = beam_problem() if seed is None else make_random_real_problem(seed)
         zeros = find_first_zeros(pb, (2, 2), 4)
         assert all(z.end_values is not None for z in zeros)
-        carried = weight_numbers(pb, zeros, residue_check=False)
-        own = weight_numbers(pb, [replace(z, end_values=None) for z in zeros],
-                             residue_check=False)
+        carried = weight_numbers(pb, zeros)
+        own = weight_numbers(pb, [replace(z, end_values=None) for z in zeros])
         for a, b in zip(carried, own):
             assert a.case_tag == b.case_tag
             assert a.gamma == pytest.approx(b.gamma, rel=1e-10, abs=1e-10)
             assert a.xi == pytest.approx(b.xi, rel=1e-10, abs=1e-10)
+            assert a.beta_residual < 1e-9 and b.beta_residual is None
 
     def test_searches_carry_C_at_the_accepted_lambda(self, beam):
         from quartspec import find_complex_zeros, find_zero_near, fundamental_C

@@ -5,6 +5,7 @@ from quartspec import (
     beam_problem,
     classify_eigenvalue,
     classify_on_problem,
+    entry_residue,
     laurent_coefficients,
     verify_weight_structure,
     weight_matrix,
@@ -35,6 +36,12 @@ class TestLaurent:
         # (3,2) residue equals -gamma_1^2 = -4
         coeffs = laurent_coefficients(beam, beam_zeros[0].lam, (-1,))
         assert coeffs[-1][2, 1] == pytest.approx(-4.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_entry_residue_of_m32_is_minus_four(self, beam, beam_zeros, n):
+        # the (3,2) residue alone, node doubling judged on m32's own samples
+        res = entry_residue(beam, beam_zeros[n - 1].lam, (3, 2))
+        assert abs(res + 4.0) < 1e-9
 
     def test_regular_point_zero_residue(self, beam):
         coeffs = laurent_coefficients(beam, 100.0, (-1,), radius=1.0)
