@@ -29,12 +29,10 @@ class BridgeError(ValueError):
 
 
 def mclaughlin_to_barcilon_values(point: SpectralPoint, ddelta22):
-    """(Delta_32, Delta_42) at the point's eigenvalue, from (gamma, xi)."""
-    if point.gamma is None or point.xi is None:
-        raise BridgeError("point has no normalized (gamma, xi)")
-    d33 = point.extras.get("delta33")
-    if d33 is not None and abs(d33) < 1e-12:
-        raise BridgeError(f"Delta_33 vanishes at lambda={point.lam}; "
+    """(Delta_32, Delta_42) at the point's eigenvalue, from (gamma, xi); the
+    formulas hold in case I only (weights.classify_eigenvalue)."""
+    if point.case_tag != "I":
+        raise BridgeError(f"lambda={point.lam} is in case {point.case_tag!r}, not I; "
                           "the bridge formulas do not apply")
     ddelta22 = complex(ddelta22)
     return ddelta22 * point.gamma ** 2, ddelta22 * point.xi * point.gamma

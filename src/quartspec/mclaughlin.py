@@ -5,11 +5,11 @@ spans the null space of the 2x2 end-value matrix [[C3(1), C4(1)],
 [C3'(1), C4'(1)]] at an eigenvalue.  It is normalized by int_0^1 y^2 dx = 1,
 which fixes (gamma, xi) = (y(0), y'(0)) up to sign; a deterministic sign
 convention (Re gamma > 0, ties broken by Im, falling back to xi) is used.
-The eigenfunctions of a list of zeros are one batch: one solve of the C3, C4
-end values at every zero, then one of all normalized trajectories.  A zero
-found by the searches carries C(1, lambda) from its accepted Newton step,
-so weight_numbers makes the second solve only (and the first for the zeros
-built by hand).
+The eigenfunctions of a list of zeros are one batch: one solve of all
+normalized trajectories.  weight_numbers takes the end values from the
+C(1, lambda) that each searched zero carries from its accepted Newton step,
+and trusts the search's simplicity test; eigenfunction, at a lambda from
+its caller, solves C(1, lambda) and checks that Delta_22 vanishes there.
 
 The case of each eigenvalue (I-IV, or indeterminate) is decided in one
 place, weights.classify_eigenvalue, which weight_numbers calls for every
@@ -21,13 +21,12 @@ the bridge identity Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
-from .propagator import propagate
-from .spectra import simplicity_check
+from .propagator import fundamental_C, propagate
 from .weyl import _assemble, _minors, delta_scale, is_delta_zero
 
 NORMALIZATION_FLOOR = 1e-8
@@ -49,9 +48,8 @@ class SpectralPoint:
     beta: complex | None = None
     norm_ok: bool = True
     case_tag: str = "unknown"
-    # |-Delta_32 / Delta_22' - beta| in case I at a searched zero, else None
+    # |-Delta_32 / Delta_22' - beta| in case I, else None
     beta_residual: float | None = None
-    extras: dict = field(default_factory=dict, repr=False)
 
 
 def _sign_convention(gamma, xi):
@@ -65,35 +63,17 @@ def _sign_convention(gamma, xi):
     return 1.0
 
 
-def _end_matrices(problem: ProblemSpec, lams) -> np.ndarray:
-    """A = [[C3(1), C4(1)], [C3'(1), C4'(1)]] at each of `lams`, from one
-    solve of C3 and C4 (none for an empty list); shape (len(lams), 2, 2)."""
-    lams = np.asarray(lams, dtype=complex).ravel()
-    n = len(lams)
-    if n == 0:
-        return np.empty((0, 2, 2), dtype=complex)
-    Uinv = np.linalg.inv(boundary_form_matrix(problem))
-    ends = propagate(problem, np.repeat(lams, 2), "forward", np.tile(Uinv[:, 2:4], n),
-                     x_grid=[0.0, 1.0]).end
-    return ends[0:2].reshape(2, n, 2).swapaxes(0, 1)
-
-
 def _eigenfunctions(problem: ProblemSpec, lams, As, x_grid=None) -> list:
-    """eigenfunction at each of `lams`, given its end-value matrix A (see
-    _end_matrices), as one solve of all normalized trajectories.  Per lambda
-    ((xs, traj), gamma, xi), or NormalizationError for that lambda alone;
-    NonSimpleError is raised."""
+    """eigenfunction at each of `lams`, given its end-value matrix A =
+    [[C3(1), C4(1)], [C3'(1), C4'(1)]], as one solve of all normalized
+    trajectories.  Per lambda ((xs, traj), gamma, xi), or
+    NormalizationError for that lambda alone."""
     lams = np.asarray(lams, dtype=complex).ravel()
     if len(lams) == 0:
         return []
     Uinv = np.linalg.inv(boundary_form_matrix(problem))
-    # det A = -Delta_22 (its rows are those of Delta_22, swapped)
-    dets, _, floors = _minors(np.asarray(As))
     y0s = []
-    for lam, A, d22, floor in zip(lams, As, np.abs(dets), floors):
-        if not is_delta_zero(d22, delta_scale(problem, 2), floor):
-            raise NonSimpleError(f"lambda={lam} is not a zero of Delta_22 "
-                                 f"(|Delta_22| = {d22:.2e})")
+    for A in As:
         # smallest singular direction is robust when both entries nearly vanish
         c3, c4 = np.linalg.svd(A)[2][-1].conj()
         y0s.append(c3 * Uinv[:, 2] + c4 * Uinv[:, 3])
@@ -116,8 +96,15 @@ def _eigenfunctions(problem: ProblemSpec, lams, As, x_grid=None) -> list:
 
 
 def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
-    """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi)."""
-    got = _eigenfunctions(problem, [lam_n], _end_matrices(problem, [lam_n]), x_grid)[0]
+    """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
+    Raises NonSimpleError where Delta_22(lam_n) does not vanish."""
+    A = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0]).end[0:2, 2:4]
+    # det A = -Delta_22 (its rows are those of Delta_22, swapped)
+    det, _, floor = _minors(A)
+    if not is_delta_zero(det, delta_scale(problem, 2), floor):
+        raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
+                             f"(|Delta_22| = {abs(det):.2e})")
+    got = _eigenfunctions(problem, [lam_n], [A], x_grid)[0]
     if isinstance(got, Exception):
         raise got
     return got
@@ -126,38 +113,36 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
 def weight_numbers(problem: ProblemSpec, zeros) -> list:
     """Spectral points, each tagged by weights.classify_eigenvalue.
 
-    Every zero must be simple.  The eigenfunctions of all zeros are one
-    batch: one solve of the normalized trajectories, after one solve of the
-    end values of the zeros that carry no C(1, lambda).  The end values give
-    Delta_33 = C4(1) and Delta_43 = C3(1) for the case.  In case I, beta_n =
-    -gamma_n^2, and a searched zero records |-Delta_32 / Delta_22' - beta_n|
-    from the jet and C(1) it carries as beta_residual (a hand-made one: None).
+    Every zero must come from a search for zeros of Delta_22 (else
+    ValueError), with the C(1, lambda) of its accepted Newton step, and be
+    simple by that search's test (multiplicity_estimate 1, else
+    NonSimpleError).  The eigenfunctions of all zeros are one batch: one
+    solve of the normalized trajectories.  The end values give A, Delta_33 =
+    C4(1) and Delta_43 = C3(1) for the case.  In case I, beta_n =
+    -gamma_n^2, and |-Delta_32 / Delta_22' - beta_n|, from the jet and C(1)
+    the zero carries, is recorded as beta_residual.
     """
     from . import weights as weights_mod  # deferred, avoids import cycle
 
-    scale2 = delta_scale(problem, 2)
     for z in zeros:
-        if not simplicity_check(z, scale2):
+        if z.multiplicity_estimate != 1:
             raise NonSimpleError(f"eigenvalue {z.lam} is not simple")
-    # a searched zero carries C(1, lambda) from its accepted Newton step; the
-    # hand-made ones share one solve of their end values
-    solved = iter(_end_matrices(problem, [z.lam for z in zeros if z.end_values is None]))
-    As = [next(solved) if z.end_values is None else z.end_values[0:2, 2:4] for z in zeros]
+        if z.end_values is None or z.selector != (2, 2):
+            raise ValueError(f"{z.lam} is no searched zero of Delta_22; take it from a search")
     points = []
-    for z, A, got in zip(zeros, As, _eigenfunctions(problem, [z.lam for z in zeros], As,
-                                                    x_grid=[0.0, 1.0])):
+    for z, got in zip(zeros, _eigenfunctions(problem, [z.lam for z in zeros],
+                                             [z.end_values[0:2, 2:4] for z in zeros],
+                                             x_grid=[0.0, 1.0])):
         if isinstance(got, NormalizationError):
             points.append(SpectralPoint(lam=z.lam, norm_ok=False))
             continue
         _, gamma, xi = got
         pt = SpectralPoint(lam=z.lam, gamma=gamma, xi=xi)
-        pt.extras["delta33"] = complex(A[0, 1])
         pt.case_tag = weights_mod.classify_eigenvalue(
-            pt, complex(A[0, 0]), pt.extras["delta33"], delta_scale(problem, 3))
+            pt, *z.end_values[0, 2:4].tolist(), delta_scale(problem, 3))
         if pt.case_tag == "I":
             pt.beta = -gamma ** 2
-            if z.end_values is not None:
-                delta32 = _assemble(z.end_values, None, ((3, 2),))[(3, 2)].value
-                pt.beta_residual = float(abs(-delta32 / z.ddelta - pt.beta))
+            delta32 = _assemble(z.end_values, None, ((3, 2),))[(3, 2)].value
+            pt.beta_residual = float(abs(-delta32 / z.ddelta - pt.beta))
         points.append(pt)
     return points

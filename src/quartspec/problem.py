@@ -180,7 +180,7 @@ class ProblemSpec:
     boundary: BoundaryParams = BoundaryParams()
     tolerances: Tolerances = Tolerances()
     # scratch space for per-problem caches (delta scales etc.); not state
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_real(self):

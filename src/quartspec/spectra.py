@@ -23,8 +23,9 @@ lambda + step: a scan bracket takes three solves.  Complex search uses the
 argument principle over rectangles with recursive subdivision, and the
 same Newton with a batch of one; find_zero_near runs it from a given point
 and stops where an iterate would leave a disc around it, raising
-LeftDiscError with that iterate.  Each Zero keeps C(1, lambda) of its
-accepted Newton evaluation, which weight_numbers reads.
+LeftDiscError with that iterate.  Every Zero is made in _polish, the one
+driver of Newton, with C(1, lambda) of its accepted evaluation and the
+result of its one simplicity_check, which weight_numbers trusts.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ class LeftDiscError(SearchError):
 class Zero:
     lam: complex
     selector: tuple
-    multiplicity_estimate: int = 1
-    ddelta: complex = 0.0
-    # C(1, lambda) of the accepted Newton evaluation; None for a hand-made zero
-    end_values: np.ndarray | None = field(default=None, repr=False, compare=False)
+    multiplicity_estimate: int
+    ddelta: complex
+    # C(1, lambda) of the accepted Newton evaluation
+    end_values: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -81,7 +82,7 @@ class BarcilonData:
     s23: list = field(default_factory=list)
 
 
-def _newton(lam0, bracket=None, local_scale=None):
+def _newton(lam0, bracket=None, local_scale=None, radius=None):
     """Safeguarded Newton; bracket (lo, hi, Re Delta(lo)) is kept if supplied.
     A coroutine: it yields each lambda to evaluate, receives (Delta, dDelta,
     C(1, lambda)) there, and returns the best lambda with its evaluation,
@@ -93,13 +94,17 @@ def _newton(lam0, bracket=None, local_scale=None):
     stops where dDelta vanishes or |Delta| has not decreased for three
     iterates.  It returns the best iterate seen; without a bracket, only if
     |Delta| there is small against local_scale (the characteristic functions
-    grow like exp(|lambda|^(1/4)), so no fixed scale would do).
+    grow like exp(|lambda|^(1/4)), so no fixed scale would do).  With a
+    radius, an iterate outside |lambda - lam0| < radius raises LeftDiscError
+    carrying it, before it is yielded.
     """
-    lam = complex(lam0)
+    lam = lam0 = complex(lam0)
     lo, hi, flo = bracket if bracket is not None else (None, None, None)
     best = None
     stall = 0
     for _ in range(NEWTON_MAX_ITER):
+        if radius is not None and not abs(lam - lam0) < radius:
+            raise LeftDiscError(lam, lam0, radius)
         val, dval, end = yield lam
         if bracket is not None:
             if flo * np.real(val) < 0:
@@ -149,10 +154,11 @@ def _jets(problem, selector, lams):
         return [_jets(problem, selector, [lam])[0] for lam in lams]
 
 
-def _polish(problem, selector, newtons):
+def _polish(problem, selector, newtons, scales):
     """Drive _newton coroutines in lockstep, one _jets batch per iteration
-    over those still running; per coroutine (lambda, Delta, dDelta, C(1,
-    lambda)), or the PropagationError or SearchError that ended it."""
+    over those still running; per coroutine the Zero it reaches (simple by
+    simplicity_check against scales[i]), or the PropagationError or
+    SearchError that ended it.  No other code makes a Zero."""
     out = [None] * len(newtons)
     todo = {i: next(g) for i, g in enumerate(newtons)}
     while todo:
@@ -162,7 +168,10 @@ def _polish(problem, selector, newtons):
                     raise jet
                 todo[i] = newtons[i].send(jet)
             except StopIteration as stop:
-                out[i] = stop.value
+                lam, _, dval, end = stop.value
+                out[i] = z = Zero(lam=lam, selector=selector, multiplicity_estimate=1,
+                                  ddelta=complex(dval), end_values=end)
+                z.multiplicity_estimate = 1 if simplicity_check(z, scales[i]) else 2
                 del todo[i]
             except (PropagationError, SearchError) as exc:
                 out[i] = exc
@@ -194,7 +203,7 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
     lams = np.unique(np.clip(np.asarray(lams), xmin, xmax))[:: -1 if xmax <= 0 else 1]
 
     def brackets():
-        # (local scale, Newton coroutine) per bracket in scan order; a chunk
+        # (simplicity scale, Newton coroutine) per bracket in scan order; a chunk
         # is solved only when the caller asks past the brackets already met
         last = []       # the previous chunk's last sample: no lambda twice
         for start in range(0, len(lams), _SCAN_CHUNK):
@@ -215,21 +224,18 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
                     # a root lies between a and b, or at a when fa = 0 (the
                     # secant point is then a); the best iterate is accepted even
                     # when cancellation noise keeps |Delta| above the residual floor
-                    yield local, _newton(a - fa * (b - a) / (fb - fa), bracket=(
+                    yield max(scale, local), _newton(a - fa * (b - a) / (fb - fa), bracket=(
                         (a, b, fa) if a < b else (b, a, fb)))
 
     # the brackets are disjoint and no iterate leaves its own: each root once
     zeros = []
     pending = brackets()
     while batch := list(islice(pending, max_count - len(zeros))):
-        for (local, _), got in zip(batch, _polish(problem, selector, [g for _, g in batch])):
-            if isinstance(got, Exception):
-                continue
-            lam, _, dval, end = got
-            z = Zero(lam=complex(lam.real), selector=selector, ddelta=complex(dval),
-                     end_values=end)
-            z.multiplicity_estimate = 1 if simplicity_check(z, max(scale, local)) else 2
-            zeros.append(z)
+        scales, newtons = zip(*batch)
+        for z in _polish(problem, selector, newtons, scales):
+            if isinstance(z, Zero):
+                z.lam = complex(z.lam.real)
+                zeros.append(z)
     # sorted: a window below 0 is scanned outward from 0
     return sorted(zeros, key=lambda z: z.lam.real)
 
@@ -295,14 +301,12 @@ def _complex_zeros(problem, selector, region, ring, scale, depth):
         return []
     if w == 1 or depth >= 8:
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        got = _polish(problem, selector, [
-            _newton(center, local_scale=max(abs(corner), 1e-12 * scale))])[0]
-        if isinstance(got, Exception):
-            raise got
-        lam, val, dval, end = got
-        mult = w if depth >= 8 else 1
-        z = Zero(lam=lam, selector=selector, ddelta=complex(dval), end_values=end)
-        z.multiplicity_estimate = 2 if mult == 1 and not simplicity_check(z, scale) else mult
+        z, = _polish(problem, selector, [
+            _newton(center, local_scale=max(abs(corner), 1e-12 * scale))], [scale])
+        if isinstance(z, Exception):
+            raise z
+        if depth >= 8 and w > 1:
+            z.multiplicity_estimate = w
         return [z]
     # split the longer side, nudging the cut line to avoid landing on a zero
     zeros = []
@@ -325,21 +329,11 @@ def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero:
     iterate in |lambda - lam0| < radius.  Raises LeftDiscError with the
     first iterate outside (lam0 - Delta/Delta' after one solve if the first
     step leaves), or the PropagationError or SearchError that ends it inside."""
-    selector, lam0 = tuple(selector), complex(lam0)
+    selector = tuple(selector)
     scale = delta_scale(problem, selector[1])
-    newton = _newton(lam0, local_scale=scale)
-    lam = next(newton)
-    try:
-        while abs(lam - lam0) < radius:
-            jet, = _jets(problem, selector, [lam])
-            if isinstance(jet, Exception):
-                raise jet
-            lam = newton.send(jet)
-        raise LeftDiscError(lam, lam0, radius)
-    except StopIteration as stop:
-        lam, _, dval, end = stop.value
-    z = Zero(lam=lam, selector=selector, ddelta=complex(dval), end_values=end)
-    z.multiplicity_estimate = 1 if simplicity_check(z, scale) else 2
+    z, = _polish(problem, selector, [_newton(lam0, local_scale=scale, radius=radius)], [scale])
+    if isinstance(z, Exception):
+        raise z
     return z
 
 

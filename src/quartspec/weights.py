@@ -130,14 +130,17 @@ def weight_matrix(problem: ProblemSpec, lam0, nearby_zeros=()) -> WeightMatrix:
     return WeightMatrix(lam0=lam0, m_minus1=m_minus1, m_zero=m_zero, n=n)
 
 
-def classify_eigenvalue(point: SpectralPoint, delta43, delta33, delta33_scale) -> str:
+def classify_eigenvalue(point: SpectralPoint, delta43, delta33, scale) -> str:
     """Assign the case tag (I)-(IV) from (gamma, xi) and Delta_43, Delta_33
     at point.lam.
 
-    Whether lambda_n is a pole of m43 = -Delta_43 / Delta_33 is decided
-    through |Delta_33| against POLE_FLOOR * delta33_scale, which is
-    numerically robust near the pole itself; m43 is formed only when
-    |gamma| is clear of the floor, never in cases III and IV.
+    gamma_n = y_n(0) = c3, so at gamma = 0 the eigenfunction is a multiple
+    of C4 and Delta_33(lambda_n) = C4(1) vanishes with it: no test of
+    Delta_33 tells case III from IV.  That is decided on Delta_43 = C3(1),
+    III iff |Delta_43| is above POLE_FLOOR * scale (scale =
+    delta_scale(problem, 3), as for the pole test of Delta_33).  m43 =
+    -Delta_43 / Delta_33 is formed only when |gamma| is clear of the floor,
+    never in cases III and IV.
     """
     gamma, xi = point.gamma, point.xi
     if gamma is None:
@@ -146,7 +149,7 @@ def classify_eigenvalue(point: SpectralPoint, delta43, delta33, delta33_scale) -
     if 0.1 * GAMMA_FLOOR <= ag <= 10 * GAMMA_FLOOR:
         return "indeterminate"
     if ag < 0.1 * GAMMA_FLOOR:
-        return "III" if abs(delta33) < POLE_FLOOR * delta33_scale else "IV"
+        return "III" if abs(delta43) > POLE_FLOOR * scale else "IV"
     m = -delta43 / delta33
     if abs(m - xi / gamma) <= MATCH_TOL * (1 + abs(m)):
         return "I"

@@ -170,7 +170,7 @@ def test_08_classification(beam, beam_points):
     # (point, Delta_43, Delta_33, tag); m43 = -Delta_43 / Delta_33
     stubs = [
         (SpectralPoint(lam=1.0, gamma=1.0, xi=0.5), -99.0, 1.0, "II"),
-        (SpectralPoint(lam=1.0, gamma=0.0, xi=1.0), 0.0, 0.0, "III"),
+        (SpectralPoint(lam=1.0, gamma=0.0, xi=1.0), 1.0, 0.0, "III"),
         (SpectralPoint(lam=1.0, gamma=0.0, xi=1.0), 0.0, 1.0, "IV"),
         (SpectralPoint(lam=1.0, gamma=5e-7, xi=1.0), 0.0, 1.0, "indeterminate"),
     ]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
-from quartspec import beam_problem, eigenfunction, find_first_zeros, weight_numbers
+from quartspec import (
+    beam_problem, classify_on_problem, eigenfunction, find_first_zeros, weight_numbers,
+)
 from quartspec.mclaughlin import NonSimpleError
-from quartspec.spectra import Zero
 
 from conftest import beam_eigenvalue, make_random_real_problem, oracle_mode_shape
 
@@ -74,7 +75,6 @@ class TestWeightNumbers:
         for pt in beam_points:
             assert pt.beta_residual is not None
             assert pt.beta_residual < 1e-6
-            assert "residue_beta" not in pt.extras
 
     def test_xi_over_gamma_equals_m43(self, beam, beam_points):
         from quartspec import weyl_matrix
@@ -86,10 +86,15 @@ class TestWeightNumbers:
             mm = weyl_matrix(beam, pt.lam - h).m[3, 2]
             assert (mp + mm) / 2 == pytest.approx(pt.xi / pt.gamma, rel=1e-5)
 
-    def test_non_simple_zero_rejected(self, beam):
-        fake = Zero(lam=complex(beam_eigenvalue(1)), selector=(2, 2), ddelta=0.0)
+    def test_non_simple_zero_rejected(self, beam, beam_zeros):
+        # weight_numbers trusts the search's simplicity test and its C(1, lambda)
         with pytest.raises(NonSimpleError):
-            weight_numbers(beam, [fake])
+            weight_numbers(beam, [replace(beam_zeros[0], multiplicity_estimate=2)])
+        with pytest.raises(ValueError):
+            weight_numbers(beam, [replace(beam_zeros[0], end_values=None)])
+        # a zero of another Delta_jk is no eigenvalue of the main problem
+        with pytest.raises(ValueError):
+            weight_numbers(beam, find_first_zeros(beam, (3, 2), 1))
 
     def test_unnormalizable_zero_flagged_alone(self, beam, beam_zeros, monkeypatch):
         # before normalization, int y^2 dx of the five beam modes falls from
@@ -109,18 +114,17 @@ class TestHandoff:
     @pytest.mark.parametrize("seed", [None, 11])
     def test_carried_evaluation_matches_own_solve(self, seed):
         # weight_numbers reads A, Delta_33 and Delta_43 from the C(1, lambda)
-        # a searched zero carries; without it, it solves them itself, and
-        # has no Delta_32 and Delta_22' for the beta check
+        # a searched zero carries; eigenfunction and classify_on_problem
+        # solve them at the same lambda themselves
         pb = beam_problem() if seed is None else make_random_real_problem(seed)
         zeros = find_first_zeros(pb, (2, 2), 4)
         assert all(z.end_values is not None for z in zeros)
-        carried = weight_numbers(pb, zeros)
-        own = weight_numbers(pb, [replace(z, end_values=None) for z in zeros])
-        for a, b in zip(carried, own):
-            assert a.case_tag == b.case_tag
-            assert a.gamma == pytest.approx(b.gamma, rel=1e-10, abs=1e-10)
-            assert a.xi == pytest.approx(b.xi, rel=1e-10, abs=1e-10)
-            assert a.beta_residual < 1e-9 and b.beta_residual is None
+        for z, pt in zip(zeros, weight_numbers(pb, zeros)):
+            _, gamma, xi = eigenfunction(pb, z.lam)
+            assert pt.gamma == pytest.approx(gamma, rel=1e-10, abs=1e-10)
+            assert pt.xi == pytest.approx(xi, rel=1e-10, abs=1e-10)
+            assert pt.case_tag == classify_on_problem(pb, pt)
+            assert pt.beta_residual < 1e-9
 
     def test_searches_carry_C_at_the_accepted_lambda(self, beam):
         from quartspec import find_complex_zeros, find_zero_near, fundamental_C

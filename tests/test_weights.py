@@ -6,9 +6,12 @@ from quartspec import (
     classify_eigenvalue,
     classify_on_problem,
     entry_residue,
+    find_first_zeros,
+    find_zero_near,
     laurent_coefficients,
     verify_weight_structure,
     weight_matrix,
+    weight_numbers,
 )
 from quartspec.mclaughlin import SpectralPoint
 from quartspec.weights import (
@@ -151,7 +154,8 @@ class TestClassification:
 
     def test_stub_case_three(self):
         pt = SpectralPoint(lam=10.0, gamma=0.0, xi=1.0)
-        tag = classify_eigenvalue(pt, 0.0, 0.0, 1.0)
+        # gamma = 0 makes Delta_33 vanish with it; Delta_43 != 0 is case III
+        tag = classify_eigenvalue(pt, 1.0, 0.0, 1.0)
         assert tag == "III"
 
     def test_stub_case_four(self):
@@ -164,6 +168,28 @@ class TestClassification:
         pt = SpectralPoint(lam=10.0, gamma=5e-7, xi=1.0)
         tag = classify_eigenvalue(pt, 0.0, 1.0, 1.0)
         assert tag == "indeterminate"
+
+    @pytest.fixture(scope="class")
+    def a_star(self):
+        # a root of Delta_33(lambda_1(a)) on the beam family: gamma_1 = 0,
+        # and Delta_43(lambda_1) = C3(1) = 5.3, so lambda_1 = 97.409 is case III
+        return beam_problem(a=2.88131904)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_case_three_at_every_batch_size(self, a_star, count):
+        pt = weight_numbers(a_star, find_first_zeros(a_star, (2, 2), count))[0]
+        assert pt.lam.real == pytest.approx(97.40909103, rel=1e-9)
+        assert abs(pt.gamma) < 1e-9
+        assert pt.case_tag == "III"
+
+    def test_case_three_weight_matrix(self, a_star):
+        # the contour N has the case-III pattern: n21 = n43, n41 = xi^2
+        z = find_zero_near(a_star, (2, 2), 97.409, default_contour_radius(97.409))
+        pt, = weight_numbers(a_star, [z])
+        assert pt.case_tag == "III"
+        checks = verify_weight_structure(weight_matrix(a_star, z.lam), pt)["checks"]
+        for name in ("n21_equals_n43", "off_pattern_entries", "n41_equals_xi_sq"):
+            assert checks[name] < 1e-8
 
     def test_case_search_harness_runs(self):
         # scans a small parameter grid for eigenvalues outside case I; the
@@ -183,7 +209,7 @@ def test_tolerance_below_the_floor_warns_nothing():
     from quartspec import Tolerances, find_first_zeros
     pb = make_random_real_problem()
     lam1 = find_first_zeros(pb, (2, 2), 1)[0].lam
-    tight = replace(pb, tolerances=Tolerances(ode_rel=1e-13), _cache={})
+    tight = replace(pb, tolerances=Tolerances(ode_rel=1e-13))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w = weight_matrix(tight, lam1)

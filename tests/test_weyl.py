@@ -338,6 +338,17 @@ class TestWeylMatrix:
         assert s > 0
         assert delta_scale(pb, 2) == s
 
+    def test_replaced_problem_has_its_own_scale(self):
+        # dataclasses.replace builds a fresh cache: the beam's scale (1.32)
+        # must not stand for a problem with q = 500 (100.8)
+        from dataclasses import replace
+        beam = beam_problem()
+        delta_scale(beam, 2)
+        q500 = CoefficientField.constant(500.0)
+        fresh = ProblemSpec(p=beam.p, q=q500, boundary=beam.boundary)
+        assert delta_scale(replace(beam, q=q500), 2) == delta_scale(fresh, 2)
+        assert delta_scale(fresh, 2) > 10 * delta_scale(beam, 2)
+
 
 class TestPhiMatrix:
     def test_phi_interpolates_weyl_solutions(self):

@@ -6,7 +6,6 @@ they check how often the work is done, not how the values come out.
 
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,26 +162,15 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
 def test_weight_numbers_solves_once_for_searched_zeros(beam, beam_zeros, monkeypatch):
     # searched zeros carry C(1, lambda) and Delta_22' from the polish, which
     # give A, Delta_33, Delta_43 and the beta check: one solve of the
-    # normalized trajectories; a hand-made zero adds one solve of the C3, C4
-    # end values per zero list, and has no beta check
+    # normalized trajectories
     weyl.delta_scale(beam, 2)
     calls = _counting_propagations(monkeypatch)
-    hand_made = [replace(z, end_values=None) for z in beam_zeros]
     for count in (1, len(beam_zeros)):
         calls.clear()
         pts = weight_numbers(beam, beam_zeros[:count])
         assert [pt.case_tag for pt in pts] == ["I"] * count
         assert all(pt.beta_residual is not None for pt in pts)
         assert calls == [("forward", count)]
-        calls.clear()
-        pts = weight_numbers(beam, hand_made[:count])
-        assert [pt.case_tag for pt in pts] == ["I"] * count
-        assert all(pt.beta_residual is None for pt in pts)
-        assert calls == [("forward", 2 * count), ("forward", count)]
-    # a mixed list solves the end values of its hand-made zeros only
-    calls.clear()
-    weight_numbers(beam, [beam_zeros[0], hand_made[1], beam_zeros[2]])
-    assert calls == [("forward", 2), ("forward", 3)]
 
 
 def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
