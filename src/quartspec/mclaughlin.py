@@ -13,10 +13,10 @@ its caller, solves C(1, lambda) and checks that Delta_22 vanishes there.
 
 The case of each eigenvalue (I-IV, or indeterminate) is decided in one
 place, weights.classify_eigenvalue, which weight_numbers calls for every
-normalized point, reading Delta_33 = C4(1) and Delta_43 = C3(1) from the
-same end values.  Only in case I is the weight number
-beta_n = -gamma_n^2; at a searched zero it is checked, with no contour, by
-the bridge identity Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2.
+normalized point, reading Delta_33 = C4(1), Delta_43 = C3(1) and its
+magnitude (see weyl) from the same end values.  Only in case I is the
+weight number beta_n = -gamma_n^2; at a searched zero it is checked,
+contour-free, by the identity Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import fundamental_C, propagate
-from .weyl import _assemble, _minors, delta_scale, is_delta_zero
+from .weyl import _assemble, _magnitude, _minors, is_delta_zero
 
 NORMALIZATION_FLOOR = 1e-8
 
@@ -98,10 +98,10 @@ def _eigenfunctions(problem: ProblemSpec, lams, As, x_grid=None) -> list:
 def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
     Raises NonSimpleError where Delta_22(lam_n) does not vanish."""
-    A = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0]).end[0:2, 2:4]
-    # det A = -Delta_22 (its rows are those of Delta_22, swapped)
-    det, _, floor = _minors(A)
-    if not is_delta_zero(det, delta_scale(problem, 2), floor):
+    end = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0]).end
+    A = end[0:2, 2:4]
+    det, _, floor = _minors(A)   # det A = -Delta_22: its rows are Delta_22's, swapped
+    if not is_delta_zero(det, _magnitude(end, lam_n, (2, 2)), floor):
         raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
                              f"(|Delta_22| = {abs(det):.2e})")
     got = _eigenfunctions(problem, [lam_n], [A], x_grid)[0]
@@ -117,10 +117,10 @@ def weight_numbers(problem: ProblemSpec, zeros) -> list:
     ValueError), with the C(1, lambda) of its accepted Newton step, and be
     simple by that search's test (multiplicity_estimate 1, else
     NonSimpleError).  The eigenfunctions of all zeros are one batch: one
-    solve of the normalized trajectories.  The end values give A, Delta_33 =
-    C4(1) and Delta_43 = C3(1) for the case.  In case I, beta_n =
-    -gamma_n^2, and |-Delta_32 / Delta_22' - beta_n|, from the jet and C(1)
-    the zero carries, is recorded as beta_residual.
+    solve of the normalized trajectories.  The end values give A, and
+    Delta_33 = C4(1), Delta_43 = C3(1) and its magnitude for the case.  In
+    case I, beta_n = -gamma_n^2, and |-Delta_32 / Delta_22' - beta_n|, from
+    the jet and C(1) the zero carries, is recorded as beta_residual.
     """
     from . import weights as weights_mod  # deferred, avoids import cycle
 
@@ -139,7 +139,7 @@ def weight_numbers(problem: ProblemSpec, zeros) -> list:
         _, gamma, xi = got
         pt = SpectralPoint(lam=z.lam, gamma=gamma, xi=xi)
         pt.case_tag = weights_mod.classify_eigenvalue(
-            pt, *z.end_values[0, 2:4].tolist(), delta_scale(problem, 3))
+            pt, *z.end_values[0, 2:4].tolist(), _magnitude(z.end_values, z.lam, (4, 3)))
         if pt.case_tag == "I":
             pt.beta = -gamma ** 2
             delta32 = _assemble(z.end_values, None, ((3, 2),))[(3, 2)].value

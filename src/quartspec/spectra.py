@@ -25,7 +25,8 @@ same Newton with a batch of one; find_zero_near runs it from a given point
 and stops where an iterate would leave a disc around it, raising
 LeftDiscError with that iterate.  Every Zero is made in _polish, the one
 driver of Newton, with C(1, lambda) of its accepted evaluation and the
-result of its one simplicity_check, which weight_numbers trusts.
+result of its one simplicity_check, which weight_numbers trusts.  No
+search takes a scale: each judges Delta against values at its own lambda.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .problem import ProblemSpec
 from .propagator import PropagationError, fundamental_C
-from .weyl import _DELTA_COLS, _assemble, deltas_at, delta_scale
+from .weyl import _DELTA_COLS, _assemble, _magnitude, deltas_at
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
@@ -82,7 +83,7 @@ class BarcilonData:
     s23: list = field(default_factory=list)
 
 
-def _newton(lam0, bracket=None, local_scale=None, radius=None):
+def _newton(lam0, bracket=None, radius=None):
     """Safeguarded Newton; bracket (lo, hi, Re Delta(lo)) is kept if supplied.
     A coroutine: it yields each lambda to evaluate, receives (Delta, dDelta,
     C(1, lambda)) there, and returns the best lambda with its evaluation,
@@ -93,19 +94,19 @@ def _newton(lam0, bracket=None, local_scale=None, radius=None):
     step out of the bracket goes to its midpoint instead.  The search also
     stops where dDelta vanishes or |Delta| has not decreased for three
     iterates.  It returns the best iterate seen; without a bracket, only if
-    |Delta| there is small against local_scale (the characteristic functions
-    grow like exp(|lambda|^(1/4)), so no fixed scale would do).  With a
-    radius, an iterate outside |lambda - lam0| < radius raises LeftDiscError
-    carrying it, before it is yielded.
+    |Delta| there is below 1e-6 |Delta(lam0)| or |Delta/dDelta| is below
+    1e-9 (1 + |lambda|).  With a radius, an iterate outside |lambda - lam0|
+    < radius raises LeftDiscError carrying it, before it is yielded.
     """
     lam = lam0 = complex(lam0)
     lo, hi, flo = bracket if bracket is not None else (None, None, None)
-    best = None
-    stall = 0
+    best, stall = None, 0
     for _ in range(NEWTON_MAX_ITER):
         if radius is not None and not abs(lam - lam0) < radius:
             raise LeftDiscError(lam, lam0, radius)
         val, dval, end = yield lam
+        if best is None:
+            val0 = val
         if bracket is not None:
             if flo * np.real(val) < 0:
                 hi = lam.real
@@ -126,13 +127,13 @@ def _newton(lam0, bracket=None, local_scale=None, radius=None):
         if bracket is not None and not (lo < lam.real < hi):
             lam = complex(0.5 * (lo + hi))
     lam, val, dval, end = best
-    if local_scale is not None and abs(val) > 1e-6 * local_scale:
+    if bracket is None and abs(val) > 1e-6 * abs(val0):
         # residual alone may sit above the noise floor at large |lambda|;
         # accept anyway when the implied root error |Delta/Delta'| is tiny
         err = abs(val / dval) if dval != 0 else np.inf
         if err > 1e-9 * (1 + abs(lam)):
             raise SearchError(f"refinement stalled at lambda={lam}, "
-                              f"|Delta| = {abs(val):.2e} vs local scale {local_scale:.2e}")
+                              f"|Delta| = {abs(val):.2e} vs {abs(val0):.2e} at the start")
     return lam, val, dval, end
 
 
@@ -154,11 +155,11 @@ def _jets(problem, selector, lams):
         return [_jets(problem, selector, [lam])[0] for lam in lams]
 
 
-def _polish(problem, selector, newtons, scales):
+def _polish(problem, selector, newtons):
     """Drive _newton coroutines in lockstep, one _jets batch per iteration
     over those still running; per coroutine the Zero it reaches (simple by
-    simplicity_check against scales[i]), or the PropagationError or
-    SearchError that ended it.  No other code makes a Zero."""
+    simplicity_check), or the PropagationError or SearchError that ended
+    it.  No other code makes a Zero."""
     out = [None] * len(newtons)
     todo = {i: next(g) for i, g in enumerate(newtons)}
     while todo:
@@ -171,7 +172,7 @@ def _polish(problem, selector, newtons, scales):
                 lam, _, dval, end = stop.value
                 out[i] = z = Zero(lam=lam, selector=selector, multiplicity_estimate=1,
                                   ddelta=complex(dval), end_values=end)
-                z.multiplicity_estimate = 1 if simplicity_check(z, scales[i]) else 2
+                z.multiplicity_estimate = 1 if simplicity_check(z) else 2
                 del todo[i]
             except (PropagationError, SearchError) as exc:
                 out[i] = exc
@@ -190,7 +191,6 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
                           "use find_complex_zeros")
     xmin, xmax = region
     selector = tuple(selector)
-    scale = delta_scale(problem, selector[1])
 
     # scan positions uniform in rho = |lambda|^{1/4}, both signs of lambda
     lams = []
@@ -203,8 +203,8 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
     lams = np.unique(np.clip(np.asarray(lams), xmin, xmax))[:: -1 if xmax <= 0 else 1]
 
     def brackets():
-        # (simplicity scale, Newton coroutine) per bracket in scan order; a chunk
-        # is solved only when the caller asks past the brackets already met
+        # a Newton coroutine per bracket in scan order; a chunk is solved only
+        # when the caller asks past the brackets already met
         last = []       # the previous chunk's last sample: no lambda twice
         for start in range(0, len(lams), _SCAN_CHUNK):
             chunk = lams[start:start + _SCAN_CHUNK]
@@ -214,8 +214,7 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
             for (a, fa, floor_a), (b, fb, floor_b) in pairwise(samples):
                 if not (np.isfinite(fa) and np.isfinite(fb)):
                     continue
-                local = max(abs(fa), abs(fb))
-                if local <= 4.0 * max(floor_a, floor_b):
+                if max(abs(fa), abs(fb)) <= 4.0 * max(floor_a, floor_b):
                     # cancellation noise: at large |lambda| the determinant is the
                     # difference of entry products that dwarf its true value, and a
                     # sign change there carries no information about a root
@@ -224,15 +223,14 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
                     # a root lies between a and b, or at a when fa = 0 (the
                     # secant point is then a); the best iterate is accepted even
                     # when cancellation noise keeps |Delta| above the residual floor
-                    yield max(scale, local), _newton(a - fa * (b - a) / (fb - fa), bracket=(
+                    yield _newton(a - fa * (b - a) / (fb - fa), bracket=(
                         (a, b, fa) if a < b else (b, a, fb)))
 
     # the brackets are disjoint and no iterate leaves its own: each root once
     zeros = []
     pending = brackets()
     while batch := list(islice(pending, max_count - len(zeros))):
-        scales, newtons = zip(*batch)
-        for z in _polish(problem, selector, newtons, scales):
+        for z in _polish(problem, selector, batch):
             if isinstance(z, Zero):
                 z.lam = complex(z.lam.real)
                 zeros.append(z)
@@ -241,8 +239,7 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
 
 
 def _winding_number(ring, re0, re1, im0, im1):
-    """Winding of Delta along the rectangle boundary, by phase unwrapping;
-    (winding, Delta at the corner (re0, im0)).
+    """Winding of Delta along the rectangle boundary, by phase unwrapping.
 
     ring maps boundary points to Delta values.  The sampling is doubled until
     the unwrapped phase is step-wise safe (no single increment close to pi).
@@ -263,7 +260,7 @@ def _winding_number(ring, re0, re1, im0, im1):
             raise SearchError("contour passes through a zero; perturb the rectangle")
         phases = np.unwrap(np.angle(np.append(vals, vals[0])))
         if np.max(np.abs(np.diff(phases))) < 2.5:
-            return int(round((phases[-1] - phases[0]) / (2 * np.pi))), vals[0]
+            return int(round((phases[-1] - phases[0]) / (2 * np.pi)))
         n_per_side *= 2
         if n_per_side > 4096:
             raise SearchError("winding number did not stabilize under sampling refinement")
@@ -287,22 +284,20 @@ def _ring_fun(problem, selector):
 def find_complex_zeros(problem: ProblemSpec, selector, region, max_count=100) -> list:
     """Zeros in the rectangle region = (re0, re1, im0, im1), by the argument principle."""
     selector = tuple(selector)
-    zeros = _complex_zeros(problem, selector, region,
-                           _ring_fun(problem, selector), delta_scale(problem, selector[1]), 0)
+    zeros = _complex_zeros(problem, selector, region, _ring_fun(problem, selector), 0)
     return zeros[:max_count]
 
 
-def _complex_zeros(problem, selector, region, ring, scale, depth):
+def _complex_zeros(problem, selector, region, ring, depth):
     """All zeros in the rectangle `region`, subdividing while the winding is
     above 1; ring is the search's memo of Delta on rectangle boundaries."""
     re0, re1, im0, im1 = region
-    w, corner = _winding_number(ring, re0, re1, im0, im1)
+    w = _winding_number(ring, re0, re1, im0, im1)
     if w == 0:
         return []
     if w == 1 or depth >= 8:
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        z, = _polish(problem, selector, [
-            _newton(center, local_scale=max(abs(corner), 1e-12 * scale))], [scale])
+        z, = _polish(problem, selector, [_newton(center)])
         if isinstance(z, Exception):
             raise z
         if depth >= 8 and w > 1:
@@ -317,7 +312,7 @@ def _complex_zeros(problem, selector, region, ring, scale, depth):
         mid = 0.5 * (im0 + im1) + 1e-3 * (im1 - im0)
         boxes = [(re0, re1, im0, mid), (re0, re1, mid, im1)]
     for box in boxes:
-        zeros.extend(_complex_zeros(problem, selector, box, ring, scale, depth + 1))
+        zeros.extend(_complex_zeros(problem, selector, box, ring, depth + 1))
     if sum(z.multiplicity_estimate for z in zeros) != w:
         raise SearchError(f"winding count {w} does not match {len(zeros)} refined zeros")
     zeros.sort(key=lambda z: (z.lam.real, z.lam.imag))
@@ -329,17 +324,17 @@ def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero:
     iterate in |lambda - lam0| < radius.  Raises LeftDiscError with the
     first iterate outside (lam0 - Delta/Delta' after one solve if the first
     step leaves), or the PropagationError or SearchError that ends it inside."""
-    selector = tuple(selector)
-    scale = delta_scale(problem, selector[1])
-    z, = _polish(problem, selector, [_newton(lam0, local_scale=scale, radius=radius)], [scale])
+    z, = _polish(problem, tuple(selector), [_newton(lam0, radius=radius)])
     if isinstance(z, Exception):
         raise z
     return z
 
 
-def simplicity_check(zero: Zero, scale: float) -> bool:
-    """True iff the zero is simple: |dDelta| strictly above the floor."""
-    return abs(zero.ddelta) > SIMPLICITY_FLOOR * scale
+def simplicity_check(zero: Zero) -> bool:
+    """True iff the zero is simple: |dDelta| (1 + |lambda|) strictly above
+    SIMPLICITY_FLOOR times the magnitude of Delta in the zero's own C(1)."""
+    mag = _magnitude(zero.end_values, zero.lam, zero.selector)
+    return bool(abs(zero.ddelta) * (1 + abs(zero.lam)) > SIMPLICITY_FLOOR * mag)
 
 
 def find_first_zeros(problem: ProblemSpec, selector, count) -> list:

@@ -20,7 +20,6 @@ from quartspec import spectra
 from quartspec.propagator import PropagationError
 from quartspec.spectra import SearchError
 from quartspec.weights import default_contour_radius
-from quartspec.weyl import delta_scale
 
 from conftest import (
     beam_eigenvalue, beam_rho, clamped_free_s, make_random_problem, oracle_delta22,
@@ -36,9 +35,8 @@ class TestRealSearch:
     def test_zeros_sorted_and_simple(self, beam, beam_zeros):
         lams = [z.lam.real for z in beam_zeros]
         assert lams == sorted(lams)
-        scale = delta_scale(beam, 2)
         for z in beam_zeros:
-            assert simplicity_check(z, scale)
+            assert simplicity_check(z)
 
     def test_window_respected(self, beam):
         zeros = find_real_zeros(beam, (2, 2), (0.0, 500.0))
@@ -189,9 +187,10 @@ class TestNewton:
         result, lams = _drive(spectra._newton(2.0, bracket=(1.0, 3.0, -1.0)), flat)
         assert lams == [2.0]
         assert result == (2.0, 0.5, 0.0, None)
-        # without a bracket it is judged against local_scale, and refused
+        # without a bracket it is judged against |Delta| at its start, and
+        # refused
         with pytest.raises(SearchError):
-            _drive(spectra._newton(2.0, local_scale=1.0), flat)
+            _drive(spectra._newton(2.0), flat)
 
 
 class TestSampleAtRoot:
@@ -205,7 +204,8 @@ class TestSampleAtRoot:
             return {selectors[0]: SimpleNamespace(value=lams - r, fp_floor=0 * lams)}
 
         def jets(problem, selector, lams):
-            return [(lam - r, 1.0, None) for lam in lams]
+            # a C(1) for the simplicity test of the zero
+            return [(lam - r, 1.0, np.eye(4)) for lam in lams]
 
         monkeypatch.setattr(spectra, "deltas_at", deltas_at)
         monkeypatch.setattr(spectra, "_jets", jets)

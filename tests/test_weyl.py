@@ -22,7 +22,7 @@ from quartspec import (
     weyl_inverse,
     weyl_matrix,
 )
-from quartspec.weyl import ALL_INDEX_PAIRS, delta_scale, deltas_at, phi_matrix
+from quartspec.weyl import ALL_INDEX_PAIRS, _magnitude, delta_scale, deltas_at, phi_matrix
 
 from conftest import make_random_problem, oracle_C3, oracle_C4, oracle_m43
 
@@ -331,6 +331,31 @@ class TestWeylMatrix:
         with pytest.raises(PoleError) as err:
             weyl_matrix(beam_problem(), beam_eigenvalue(1))
         assert err.value.k == 2
+
+    def test_pole_at_beam_eigenvalues(self):
+        # the pole floor is relative to each Delta_kk's magnitude at its own
+        # lambda, not to one maximum over lambda <= 30: lambda_3 (rho = 7.9)
+        # is a pole too.  Past lambda_4 the determinant Delta_22 carries more
+        # cancellation noise than the floor, so no n > 4 is asserted.
+        from conftest import beam_eigenvalue
+        beam = beam_problem()
+        for n in range(1, 5):
+            with pytest.raises(PoleError) as err:
+                weyl_matrix(beam, beam_eigenvalue(n))
+            assert err.value.k == 2
+        for n in range(1, 9):
+            weyl_matrix(beam, beam_eigenvalue(n) * (1 + 1e-6))
+
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_no_pole_on_grid(self, seed):
+        # the benchmark's weyl grid: every Delta_kk well clear of the floor
+        pb = make_random_problem(seed)
+        lams = np.linspace(-3000.0, 12.0 ** 4, 40)
+        sample = weyl_matrix(pb, lams)
+        end = fundamental_C(pb, lams, x_grid=[0.0, 1.0]).end
+        for k in (1, 2, 3):
+            size = np.abs(sample.deltas[(k, k)].value)
+            assert np.min(size / _magnitude(end, lams, (k, k))) >= 1e-3
 
     def test_delta_scale_positive_and_cached(self):
         pb = beam_problem()

@@ -81,16 +81,16 @@ def _counting_propagations(monkeypatch):
 def test_laurent_samples_weyl_matrix_once_per_fine_node(beam, monkeypatch):
     # the N-node rule of the doubling check reuses the even nodes of the
     # 2N-node rule: one weyl_matrix call over the 2N distinct nodes
-    weyl.delta_scale(beam, 1)
     calls = _recording(monkeypatch, weights, "weyl_matrix")
-    lams = _recording_deltas(monkeypatch)
+    batches = _recording_batches(monkeypatch)
     nodes = beam.tolerances.contour_nodes
     coeffs = laurent_coefficients(beam, beam_eigenvalue(1), (-1, 0))
     assert set(coeffs) == {-1, 0}
     assert len(calls) == 1
     sampled = [complex(lam) for lam in np.ravel(calls[0][0][1])]
     assert len(sampled) == len(set(sampled)) == 2 * nodes
-    # every node reaches the Delta evaluation once
+    # every node reaches the C solve once
+    lams = [lam for batch, _ in batches for lam in batch]
     assert len(lams) == 2 * nodes
     assert set(lams) == set(sampled)
 
@@ -132,7 +132,6 @@ def _recording_batches(monkeypatch):
 
 
 def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
-    weyl.delta_scale(beam, 2)
     calls = _recording_batches(monkeypatch)
     props = _counting_propagations(monkeypatch)
     zeros = find_first_zeros(beam, (2, 2), 3)
@@ -163,7 +162,6 @@ def test_weight_numbers_solves_once_for_searched_zeros(beam, beam_zeros, monkeyp
     # searched zeros carry C(1, lambda) and Delta_22' from the polish, which
     # give A, Delta_33, Delta_43 and the beta check: one solve of the
     # normalized trajectories
-    weyl.delta_scale(beam, 2)
     calls = _counting_propagations(monkeypatch)
     for count in (1, len(beam_zeros)):
         calls.clear()
@@ -176,7 +174,6 @@ def test_weight_numbers_solves_once_for_searched_zeros(beam, beam_zeros, monkeyp
 def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
     # the beam has three Delta_22 zeros below 5000; every jet solve that
     # holds a lambda near the second fails, and only that bracket is lost
-    weyl.delta_scale(beam, 2)
     orig = propagator.fundamental_C
 
     def failing(problem, lams, want_dlambda=False, x_grid=None, wedge=None):
@@ -202,7 +199,6 @@ def test_complex_search_samples_each_point_once(beam, monkeypatch, selector, box
     # winding-number refinement keeps the coarse samples, the loop is closed
     # with the first value, the Newton step reuses the corner value, and a
     # subdivision reuses the boundary points it shares
-    weyl.delta_scale(beam, selector[1])
     lams = _recording_deltas(monkeypatch)
     zeros = find_complex_zeros(beam, selector, box)
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
@@ -213,28 +209,27 @@ def test_complex_search_samples_each_point_once(beam, monkeypatch, selector, box
 
 def test_weight_matrix_is_one_propagation(beam, monkeypatch):
     # all 2N contour nodes in one batched C solve
-    weyl.delta_scale(beam, 1)
     calls = _counting_propagations(monkeypatch)
     weights.weight_matrix(beam, beam_eigenvalue(1))
     nodes = beam.tolerances.contour_nodes
     assert calls == [("forward", 4 * 2 * nodes)]
 
 
-def test_weyl_grid_is_one_propagation_plus_scale(beam_json, monkeypatch, capsys):
+def test_weyl_grid_is_one_propagation(beam_json, monkeypatch, capsys):
     calls = _counting_propagations(monkeypatch)
     code = main(["weyl", "--problem", beam_json, "--lambda-count", "40"])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 41
-    # the grid's C batch, and the delta_scale sweep for the pole test
-    assert sorted(calls) == [("forward", 4 * 8), ("forward", 4 * 40)]
+    # the grid's C batch, whose end values also give each pole test's magnitude
+    assert calls == [("forward", 4 * 40)]
 
 
 @pytest.mark.parametrize("where, case, budget", [
-    ("eigenvalue", "I", 5), ("case V", "V", 3), ("complex", "I", 4)])
+    ("eigenvalue", "I", 4), ("case V", "V", 2), ("complex", "I", 3)])
 def test_weights_budget(beam_json, tmp_path, monkeypatch, capsys, where, case, budget):
-    # the contour, the delta_scale sweep, the Newton jets from lambda0 (the
-    # first is the zero test) and the eigenfunction; at a case-V point the
-    # first step leaves the contour's disc: one jet and no eigenfunction
+    # the contour, the Newton jets from lambda0 (the first is the zero test)
+    # and the eigenfunction; at a case-V point the first step leaves the
+    # contour's disc: one jet and no eigenfunction
     path, lam = beam_json, complex(beam_eigenvalue(1))
     if where == "case V":
         lam = complex(-4 * clamped_free_s(1) ** 4)
@@ -264,9 +259,9 @@ def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
 
 
 def test_twin_weyl_budget(beam_json, monkeypatch, capsys):
-    # per problem: the delta_scale sweep, one C solve for the 3 Weyl lambda,
-    # and one C solve on Phi's x grid for its 10 lambda, which also gives M
+    # per problem: one C solve for the 3 Weyl lambda, and one C solve on
+    # Phi's x grid for its 10 lambda, which also gives M
     calls = _counting_propagations(monkeypatch)
     assert main(["twin", "--a", beam_json, "--b", beam_json, "--kind", "weyl"]) == 0
-    per_problem = [("forward", 4 * 8), ("forward", 4 * 3), ("forward", 4 * 10)]
+    per_problem = [("forward", 4 * 3), ("forward", 4 * 10)]
     assert sorted(calls) == sorted(2 * per_problem)
