@@ -40,6 +40,14 @@ Delta_jk turns it into residuals of the structural identities of M (m21 =
 m43).  So the state and those terms are summed in double-double arithmetic
 (Knuth's TwoSum; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005)).
 
+The arithmetic follows the data.  For a real problem (real p, q and
+boundary constants) C(x, conj lambda) = conj C(x, lambda), so C is real on
+the real axis: a propagation at real lambda of real initial data runs in
+float64, and any complex lambda, coefficient or initial entry runs the
+whole batch in complex128.  Callers see complex arrays either way, with
+exactly zero imaginary part from the real kernel.  (weights._contour uses
+the same symmetry off the axis.)
+
 propagate takes lam as one value, or one per column.  fundamental_C and
 fundamental_S take one lambda or a batch of N as one solve with one step
 sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
@@ -129,7 +137,7 @@ class _Block:
         # one buffer per degree for all steps; rows below d stay zero
         T = self.buffers.get(d)
         if T is None:
-            T = self.buffers[d] = np.zeros((TAYLOR_ORDER + 1 + d, n, m), dtype=complex)
+            T = self.buffers[d] = np.zeros((TAYLOR_ORDER + 1 + d, n, m), self.state.dtype)
         T[d] = self.state
         rows, qcols, c = self.rows, self.qcols, self.cols
         for k in range(TAYLOR_ORDER):
@@ -148,8 +156,9 @@ class _Block:
         arithmetic (TwoSum), the rest of the series in double."""
         s, low = self.state, self.low
         terms = [powers[:, k, None, None] * T[k] for k in range(1, SUMMED_TERMS + 1)]
-        terms.append(np.tensordot(powers[:, SUMMED_TERMS + 1:], T[SUMMED_TERMS + 1:],
-                                  axes=(1, 0)))
+        tail = T[SUMMED_TERMS + 1:]
+        terms.append((powers[:, SUMMED_TERMS + 1:] @ tail.reshape(len(tail), -1))
+                     .reshape((len(powers),) + s.shape))
         for u in terms:
             t = s + u
             z = t - s
@@ -213,6 +222,9 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     lams = np.broadcast_to(np.asarray(lam, dtype=complex).ravel(), ncols)
     if not np.all(np.isfinite(lams)):
         raise PropagationError("non-finite lambda")
+    real = problem.is_real and not np.any(lams.imag) and not np.any(Y0.imag)
+    if real:
+        Y0, lams = Y0.real, lams.real
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     sign = 1.0 if direction == "forward" else -1.0
@@ -229,7 +241,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     columns = blocks[0]
     rel, absolute = problem.tolerances.ode_rel, problem.tolerances.ode_abs
     hilbert = 1.0 / (np.arange(TAYLOR_ORDER + 1)[:, None] + np.arange(TAYLOR_ORDER + 1) + 1)
-    quads = np.zeros(len(quad_pairs), dtype=complex)
+    quads = np.zeros(len(quad_pairs), Y0.dtype)
 
     grid = np.union1d(np.linspace(0.0, 1.0, 17) if x_grid is None else
                       np.asarray(x_grid, float), problem.breakpoints)
@@ -242,6 +254,8 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
         interior = grid[(grid > left + 1e-15) & (grid < right - 1e-15)]
         t_eval = np.append(interior[::int(sign)], x1)
         (p0, pc), (q0, qc) = problem.p.piece(left, right), problem.q.piece(left, right)
+        if real:
+            pc, qc = [c.real for c in pc], [c.real for c in qc]
         x, done = x0, 0
         while done < len(t_eval):
             pq = list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0), fillvalue=0))
@@ -267,7 +281,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
             x, done = x_next, reached
 
     xs_out = np.asarray(xs_out)
-    states_out = np.asarray(states_out)
+    states_out = np.asarray(states_out, dtype=complex)
     order = np.argsort(xs_out)
     xs_out, states_out = xs_out[order], states_out[order]
     values = states_out[:, :, :ncols]
@@ -277,7 +291,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
         quadratures = {pair: complex(sign * quads[k]) for k, pair in enumerate(quad_pairs)}
     wedges = None
     if len(wi):
-        wedges = blocks[1].state.reshape(6, 2, len(wi)).swapaxes(0, 1)
+        wedges = blocks[1].state.reshape(6, 2, len(wi)).swapaxes(0, 1).astype(complex)
     return FundamentalMatrix(xs=xs_out, values=values, dlambda=dlam,
                              quadratures=quadratures, wedges=wedges)
 

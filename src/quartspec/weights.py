@@ -69,14 +69,24 @@ def _pairwise_mean(terms):
 
 
 def _contour(problem, lam0, radius):
-    """(nodes z, M(lam0 + z)): 2 * contour_nodes equispaced points on the
-    circle of `radius`, M sampled in one batched weyl_matrix call."""
+    """(nodes z, M(lam0 + z)): 2N = 2 * contour_nodes equispaced points on
+    the circle of `radius`, M sampled in one batched weyl_matrix call.
+
+    The nodes are exact conjugate pairs: node 2N - j is conj(node j), and
+    nodes 0 and N sit on the axis.  For a real problem M(conj lam) =
+    conj M(lam), so around a real lam0 M is solved only at the N + 1 nodes
+    with Im z >= 0, and each other node takes the conjugate of its mirror's.
+    """
     nodes = problem.tolerances.contour_nodes
-    zs = radius * np.exp(1j * (2 * np.pi * np.arange(2 * nodes) / (2 * nodes)))
+    upper = radius * np.exp(1j * np.pi * np.arange(nodes + 1) / nodes)
+    upper[nodes] = -radius
+    zs = np.concatenate([upper, upper[nodes - 1:0:-1].conj()])
+    folded = problem.is_real and lam0.imag == 0
     try:
-        return zs, weyl_matrix(problem, lam0 + zs).m
+        ms = weyl_matrix(problem, lam0 + (upper if folded else zs)).m
     except PoleError as exc:
         raise LaurentError(f"contour node at {exc.lam} hits a pole") from exc
+    return zs, np.concatenate([ms, ms[nodes - 1:0:-1].conj()]) if folded else ms
 
 
 def _trapezoid(samples, zs, order, lam0):
@@ -98,9 +108,8 @@ def laurent_coefficients(problem: ProblemSpec, lam0, orders, radius=None) -> dic
     The coefficient of order k is (2 pi i)^-1 times the contour integral of
     M(lam) (lam - lam0)^(-k-1) dlam; on the circle lam = lam0 + r e^(i t) it
     is the mean of M(lam) (r e^(i t))^(-k) over equispaced t.  M is sampled
-    once at 2 * nodes points, in one batched weyl_matrix call; the
-    nodes-point rule (nodes = problem.tolerances.contour_nodes) uses the
-    even-indexed ones.
+    once at 2 * nodes points (see _contour); the nodes-point rule (nodes =
+    problem.tolerances.contour_nodes) uses the even-indexed ones.
     """
     lam0 = complex(lam0)
     if radius is None:

@@ -1,10 +1,58 @@
 import numpy as np
 import pytest
 
-from quartspec import beam_problem, fundamental_C, fundamental_S, propagate
+from scipy.integrate import solve_ivp
+
+from quartspec import (
+    CoefficientField, ProblemSpec, beam_problem, fundamental_C, fundamental_S, propagate,
+    validate_problem,
+)
+from quartspec import propagator
 from quartspec.problem import BoundaryParams, boundary_form_matrix, lagrange_bracket
 
-from conftest import make_random_problem, oracle_C3, oracle_C4, oracle_delta22
+from conftest import (
+    make_random_problem, make_random_real_problem, oracle_C3, oracle_C4, oracle_delta22,
+)
+
+
+def _reference_end(pb, lam, Y0):
+    """Y(1) from one solve_ivp over [0, 1] that looks p and q up in the
+    segment list at every x, for Y(0) = Y0."""
+    def coef(field, x):
+        x0, _, c = next(s for s in field.segments if s[0] <= x <= s[1])
+        return np.polyval(c[::-1], x - x0)
+
+    def rhs(x, u):
+        A = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, coef(pb.p, x), 0, 1],
+                      [lam - coef(pb.q, x), 0, 0, 0]])
+        return (A @ u.reshape(4, -1)).ravel()
+
+    Y0 = np.asarray(Y0, complex)
+    return solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="DOP853",
+                     rtol=1e-12, atol=1e-14).y[:, -1].reshape(Y0.shape)
+
+
+def _kernel_steps(monkeypatch):
+    """(dtype kind, step length) of every step the columns' block takes."""
+    steps = []
+    orig = propagator._Block.advance
+
+    def advance(self, T, powers):
+        if self.system is propagator._COLUMNS:
+            steps.append((self.state.dtype.kind, powers[-1, 1]))
+        return orig(self, T, powers)
+
+    monkeypatch.setattr(propagator._Block, "advance", advance)
+    return steps
+
+
+def _real_problem(which):
+    """The beam, or a random real piecewise-cubic problem with nonzero
+    boundary constants."""
+    if which == "beam":
+        return beam_problem()
+    pb = make_random_real_problem()
+    return validate_problem(ProblemSpec(p=pb.p, q=pb.q, boundary=BoundaryParams(0.3, -0.2, 0.1)))
 
 
 class TestClosedForm:
@@ -114,8 +162,6 @@ class TestCoefficientCoupling:
         # via the first-order system: row 3 carries p y'' ... exercised by
         # comparing against a dense-output reference from an independent
         # integration of the scalar equation
-        from scipy.integrate import solve_ivp
-        from quartspec import CoefficientField, ProblemSpec, validate_problem
         p = CoefficientField.constant(0.8)
         q = CoefficientField.constant(-0.3)
         pb = validate_problem(ProblemSpec(p=p, q=q))
@@ -138,7 +184,6 @@ class TestCoefficientCoupling:
         assert y_end[3] == pytest.approx(ref.y[3, -1] - 0.8 * ref.y[1, -1], abs=1e-8)
 
     def test_breakpoints_are_mesh_nodes(self):
-        from quartspec import CoefficientField, ProblemSpec, validate_problem
         q = CoefficientField([(0.0, 0.3, [0.0]), (0.3, 1.0, [12.0])])
         pb = validate_problem(ProblemSpec(p=CoefficientField.zero(), q=q))
         res = fundamental_C(pb, 1.0, x_grid=[0.0, 1.0])
@@ -149,8 +194,6 @@ class TestCoefficientCoupling:
         # segment list at every x, against the propagator's per-segment
         # pieces, re-expanded at every step and restarted at each breakpoint;
         # on 5 and on 9 segments of complex p and q
-        from scipy.integrate import solve_ivp
-        from quartspec import CoefficientField, ProblemSpec, validate_problem
         rng = np.random.default_rng(9)
         nine = validate_problem(ProblemSpec(
             p=CoefficientField.from_samples(rng.uniform(-2, 2, 10) + 1j * rng.uniform(-2, 2, 10)),
@@ -158,19 +201,80 @@ class TestCoefficientCoupling:
             boundary=BoundaryParams(0.5 - 0.2j, 0.1j, -0.4)))
         assert len(nine.breakpoints) == 10
         lam = 3.7 + 0.4j
-
-        def coef(field, x):
-            x0, _, c = next(s for s in field.segments if s[0] <= x <= s[1])
-            return np.polyval(c[::-1], x - x0)
-
         for pb in (make_random_problem(), nine):
-            def rhs(x, u):
-                A = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, coef(pb.p, x), 0, 1],
-                              [lam - coef(pb.q, x), 0, 0, 0]])
-                return (A @ u.reshape(4, 4)).ravel()
-
-            Y0 = np.linalg.inv(boundary_form_matrix(pb))
-            ref = solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="DOP853",
-                            rtol=1e-12, atol=1e-14).y[:, -1].reshape(4, 4)
+            ref = _reference_end(pb, lam, np.linalg.inv(boundary_form_matrix(pb)))
             got = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end
             assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
+
+
+REAL_BATCH = np.array([-40.0, 0.5, 12.0, 300.0, 2000.0])
+
+
+class TestRealKernel:
+    """A real problem at real lambda with real initial data runs in real
+    arithmetic; the caller still sees complex arrays."""
+
+    @pytest.mark.parametrize("which", ["beam", "random"])
+    def test_real_batch_returns_exactly_real_values(self, which, monkeypatch):
+        pb = _real_problem(which)
+        steps = _kernel_steps(monkeypatch)
+        res = fundamental_C(pb, REAL_BATCH, want_dlambda=True, wedge=(3, 4),
+                            x_grid=np.linspace(0, 1, 5))
+        assert {kind for kind, _ in steps} == {"f"}
+        for a in (res.values, res.dlambda, res.wedges):
+            assert a.dtype == complex and not np.any(a.imag)
+        res = propagate(pb, 12.0, "forward", np.linalg.inv(boundary_form_matrix(pb)),
+                        quad_pairs=[(0, 0), (2, 3)])
+        assert res.values.dtype == complex and not np.any(res.values.imag)
+        for v in res.quadratures.values():
+            assert isinstance(v, complex) and v.imag == 0.0
+
+    @pytest.mark.parametrize("which", ["beam", "random"])
+    def test_complex_lambda_joins_the_same_steps(self, which, monkeypatch):
+        # 1 + 1j is too small to bound the step: the batch with it runs the
+        # complex kernel over the real batch's steps, and its real-lambda
+        # columns agree with the real solve to rounding
+        pb = _real_problem(which)
+        steps = _kernel_steps(monkeypatch)
+        real = fundamental_C(pb, REAL_BATCH, want_dlambda=True, x_grid=[0.0, 1.0])
+        real_steps = list(steps)
+        steps.clear()
+        mixed = fundamental_C(pb, np.append(REAL_BATCH, 1 + 1j), want_dlambda=True,
+                              x_grid=[0.0, 1.0])
+        assert {kind for kind, _ in real_steps} == {"f"}
+        assert {kind for kind, _ in steps} == {"c"}
+        assert len(steps) == len(real_steps)
+        np.testing.assert_allclose([h for _, h in steps], [h for _, h in real_steps],
+                                   rtol=1e-12)
+        for got, ref in ((mixed.end[:-1], real.end), (mixed.dlambda[-1, :-1], real.dlambda[-1])):
+            scale = np.max(np.abs(ref), axis=(-2, -1))
+            assert np.all(np.max(np.abs(got - ref), axis=(-2, -1)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("case", ["none", "boundary", "p", "q", "init"])
+    def test_complex_data_keeps_the_complex_kernel(self, case, monkeypatch):
+        # one complex ingredient at a real lambda: a boundary constant, p,
+        # q or the initial data; with none, the real kernel, against the
+        # same independent integration
+        pb = make_random_real_problem()
+        p, q, bc = pb.p, pb.q, BoundaryParams(0.3, -0.2, 0.1)
+
+        def shifted(field):
+            return CoefficientField([(x0, x1, np.concatenate([[c[0] + 0.4j], c[1:]]))
+                                     for x0, x1, c in field.segments])
+
+        if case == "boundary":
+            bc = BoundaryParams(0.3, -0.2 + 0.25j, 0.1)
+        elif case == "p":
+            p = shifted(p)
+        elif case == "q":
+            q = shifted(q)
+        pb = validate_problem(ProblemSpec(p=p, q=q, boundary=bc))
+        Y0 = np.linalg.inv(boundary_form_matrix(pb))
+        if case == "init":
+            Y0 = Y0 @ np.diag([1.0, 1j, 1.0, 0.6 - 0.8j])
+        steps = _kernel_steps(monkeypatch)
+        lam = 37.0
+        got = propagate(pb, lam, "forward", Y0, x_grid=[0.0, 1.0]).end
+        assert {kind for kind, _ in steps} == {"f" if case == "none" else "c"}
+        ref = _reference_end(pb, lam, Y0)
+        assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))

@@ -15,8 +15,9 @@ from quartspec import (
 )
 from quartspec.mclaughlin import SpectralPoint
 from quartspec.weights import (
-    LaurentError, WeightMatrix, case_search, default_contour_radius,
+    LaurentError, WeightMatrix, _contour, _trapezoid, case_search, default_contour_radius,
 )
+from quartspec.weyl import weyl_matrix
 
 from conftest import beam_eigenvalue, clamped_free_s, make_random_real_problem
 
@@ -63,6 +64,37 @@ class TestLaurent:
         a = laurent_coefficients(beam, beam_zeros[0].lam, (-1,))
         b = laurent_coefficients(beam, beam_zeros[0].lam, (-1,))
         assert np.array_equal(a[-1], b[-1])
+
+
+class TestConjugateContour:
+    @pytest.mark.parametrize("lam0", [12.0, 12.0 + 0.5j])
+    def test_nodes_are_conjugate_pairs(self, beam, lam0):
+        nodes = beam.tolerances.contour_nodes
+        zs, _ = _contour(beam, complex(lam0), 0.75)
+        assert len(zs) == 2 * nodes
+        # node 2N - j is conj(node j), and nodes 0 and N sit on the axis
+        assert np.array_equal(zs[:0:-1], zs[1:].conj())
+        assert zs[0] == 0.75 and zs[nodes] == -0.75
+        # still 2N equispaced points on the circle
+        ref = 0.75 * np.exp(2j * np.pi * np.arange(2 * nodes) / (2 * nodes))
+        assert np.max(np.abs(zs - ref)) < 1e-15
+
+    @pytest.mark.parametrize("which", ["beam", "random"])
+    def test_folded_contour_matches_weyl_matrix_on_every_node(self, beam, which):
+        # M at the N + 1 upper nodes and their conjugates, against M solved at
+        # all 2N nodes; and the weight matrix N from either set of samples
+        pb = beam if which == "beam" else make_random_real_problem()
+        lam0 = complex(beam_eigenvalue(1) if which == "beam"
+                       else find_zero_near(pb, (2, 2), 12.0, 6.0).lam)
+        radius = default_contour_radius(lam0)
+        zs, ms = _contour(pb, lam0, radius)
+        direct = weyl_matrix(pb, lam0 + zs).m
+        scale = np.max(np.abs(direct), axis=(-2, -1))
+        assert np.all(np.max(np.abs(ms - direct), axis=(-2, -1)) <= 1e-12 * scale)
+        n_direct = np.linalg.solve(_trapezoid(direct, zs, 0, lam0),
+                                   _trapezoid(direct, zs, -1, lam0))
+        n = weight_matrix(pb, lam0).n
+        assert np.max(np.abs(n - n_direct)) <= 1e-12 * np.max(np.abs(n_direct))
 
 
 class TestWeightMatrix:

@@ -80,19 +80,25 @@ def _counting_propagations(monkeypatch):
 
 def test_laurent_samples_weyl_matrix_once_per_fine_node(beam, monkeypatch):
     # the N-node rule of the doubling check reuses the even nodes of the
-    # 2N-node rule: one weyl_matrix call over the 2N distinct nodes
+    # 2N-node rule: one weyl_matrix call, over the N + 1 nodes with Im >= 0
+    # for a real problem around a real centre (the rest are their mirrors'
+    # conjugates), over all 2N distinct nodes for a complex problem
     calls = _recording(monkeypatch, weights, "weyl_matrix")
     batches = _recording_batches(monkeypatch)
     nodes = beam.tolerances.contour_nodes
-    coeffs = laurent_coefficients(beam, beam_eigenvalue(1), (-1, 0))
-    assert set(coeffs) == {-1, 0}
-    assert len(calls) == 1
-    sampled = [complex(lam) for lam in np.ravel(calls[0][0][1])]
-    assert len(sampled) == len(set(sampled)) == 2 * nodes
-    # every node reaches the C solve once
-    lams = [lam for batch, _ in batches for lam in batch]
-    assert len(lams) == 2 * nodes
-    assert set(lams) == set(sampled)
+    for pb, lam0, count in ((beam, beam_eigenvalue(1), nodes + 1),
+                            (make_random_problem(), 30.0, 2 * nodes)):
+        calls.clear()
+        batches.clear()
+        coeffs = laurent_coefficients(pb, lam0, (-1, 0))
+        assert set(coeffs) == {-1, 0}
+        assert len(calls) == 1
+        sampled = [complex(lam) for lam in np.ravel(calls[0][0][1])]
+        assert len(sampled) == len(set(sampled)) == count
+        # every node reaches the C solve once
+        lams = [lam for batch, _ in batches for lam in batch]
+        assert len(lams) == count
+        assert set(lams) == set(sampled)
 
 
 def test_no_delta_propagates_backward(beam, monkeypatch):
@@ -208,11 +214,17 @@ def test_complex_search_samples_each_point_once(beam, monkeypatch, selector, box
 
 
 def test_weight_matrix_is_one_propagation(beam, monkeypatch):
-    # all 2N contour nodes in one batched C solve
+    # the contour in one batched C solve: the N + 1 nodes with Im >= 0 on a
+    # real problem around a real centre, all 2N nodes around a complex
+    # centre or on a complex problem
     calls = _counting_propagations(monkeypatch)
-    weights.weight_matrix(beam, beam_eigenvalue(1))
     nodes = beam.tolerances.contour_nodes
-    assert calls == [("forward", 4 * 2 * nodes)]
+    for pb, lam0, count in ((beam, beam_eigenvalue(1), nodes + 1),
+                            (beam, beam_eigenvalue(1) + 0.5j, 2 * nodes),
+                            (make_random_problem(), 30.0, 2 * nodes)):
+        calls.clear()
+        weights.weight_matrix(pb, lam0)
+        assert calls == [("forward", 4 * count)]
 
 
 def test_weyl_grid_is_one_propagation(beam_json, monkeypatch, capsys):
