@@ -113,7 +113,7 @@ class _Block:
         self.system, self.cols = system, X0.shape[1]
         self.state = np.concatenate([X0, np.zeros_like(X0)], axis=1) if nz == 2 else X0
         self.low = np.zeros_like(self.state)   # the state is state + low
-        self.buffers = {}
+        self.plans = {}
         lams = np.tile(lams, nz)
         rho = np.maximum(1.0, np.abs(lams) ** 0.25)
         self.weights = rho[None, :] ** -system[3][:, None]
@@ -124,29 +124,42 @@ class _Block:
         self.sign = -system[2][rows[0], cols[0]]
         self.lam_sign = self.sign * lams
 
+    def _plan(self, d):
+        """The series buffer for polynomial degree d, which every step of that
+        degree reuses (rows below d stay zero), and per order k the views
+        the recursion reads and writes: Y_{k+1}, the window Y_{k-d} .. Y_k,
+        and each row update's target, factor, source and temporary."""
+        n, m = self.state.shape
+        rows, qcols, c = self.rows, self.qcols, self.cols
+        T = np.zeros((TAYLOR_ORDER + 1 + d, n, m), self.state.dtype)
+        lam_tmp = np.empty_like(T[0, rows])
+        jet_tmp = np.empty_like(T[0, rows, :c])
+        steps = []
+        for k in range(TAYLOR_ORDER):
+            Tk, nxt = T[k + d], T[k + d + 1]
+            updates = [(nxt[rows], self.lam_sign, Tk[qcols], lam_tmp)]
+            if m > c:
+                updates.append((nxt[rows, c:], self.sign, Tk[qcols, :c], jet_tmp))
+            steps.append((nxt, T[k:k + d + 1].reshape(-1, m), updates, k + 1))
+        self.plans[d] = T, steps
+        return self.plans[d]
+
     def series(self, pq):
         """The Taylor coefficients (TAYLOR_ORDER + 1, n, m) of the state at
         the step start, for the ascending coefficients (p_i, q_i) of p and q
         there."""
         K, P, Q, _ = self.system
-        n, m = self.state.shape
         d = len(pq) - 1
         # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k
         A = np.concatenate([p * P + q * Q + (K if i == d else 0)
                             for i, (p, q) in enumerate(pq[::-1])], axis=1)
-        # one buffer per degree for all steps; rows below d stay zero
-        T = self.buffers.get(d)
-        if T is None:
-            T = self.buffers[d] = np.zeros((TAYLOR_ORDER + 1 + d, n, m), self.state.dtype)
+        T, steps = self.plans.get(d) or self._plan(d)
         T[d] = self.state
-        rows, qcols, c = self.rows, self.qcols, self.cols
-        for k in range(TAYLOR_ORDER):
-            Tk, nxt = T[k + d], T[k + d + 1]
-            np.matmul(A, T[k:k + d + 1].reshape(-1, m), out=nxt)
-            nxt[rows] += self.lam_sign * Tk[qcols]
-            if m > c:
-                nxt[rows, c:] += self.sign * Tk[qcols, :c]
-            nxt /= k + 1
+        for nxt, window, updates, k1 in steps:
+            np.matmul(A, window, out=nxt)
+            for target, factor, source, tmp in updates:
+                target += np.multiply(factor, source, out=tmp)
+            nxt /= k1
         return T[d:]
 
     def advance(self, T, powers):
@@ -171,13 +184,12 @@ class _Block:
     def step_bound(self, T, rel, absolute):
         """Largest h at which the last two terms of every column are within
         tolerance."""
-        def norm(a):
-            return np.max(np.abs(a) * self.weights, axis=0)
-
-        tol = rel * norm(T[0]) + absolute
+        # the weighted column norms of Y_0, Y_{order-1} and Y_order at once
+        norms = np.max(np.abs(T[[0, TAYLOR_ORDER - 1, TAYLOR_ORDER]]) * self.weights, axis=1)
+        tol = rel * norms[0] + absolute
         with np.errstate(divide="ignore"):
-            return min(np.min((tol / norm(T[k])) ** (1.0 / k))
-                       for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER))
+            return min(np.min((tol / norm) ** (1.0 / k))
+                       for norm, k in zip(norms[1:], (TAYLOR_ORDER - 1, TAYLOR_ORDER)))
 
 
 @dataclass

@@ -16,23 +16,30 @@ derivative per iteration).  The scan forms Delta as a determinant of C(1)
 and its jet from the 2-wedge of the selector's two C columns instead, in
 the same solve as C(1) (see propagator), so a polished root carries none
 of the determinant's cancellation and does not move with its batch.
-Newton starts at each bracket's secant (regula falsi) point, never leaves
-its bracket, and accepts an evaluated iterate once the Newton step
-computed there is below REFINE_TOL (1 + |lambda|), without solving at
-lambda + step: a scan bracket takes three solves.  Complex search uses the
-argument principle over rectangles with recursive subdivision, and the
-same Newton with a batch of one; find_zero_near runs it from a given point
-and stops where an iterate would leave a disc around it, raising
-LeftDiscError with that iterate.  Every Zero is made in _polish, the one
-driver of Newton, with C(1, lambda) of its accepted evaluation and the
-result of its one simplicity_check, which weight_numbers trusts.  No
-search takes a scale: each judges Delta against values at its own lambda.
+Newton starts at the root inside each bracket of the cubic through the
+four nearest scan samples, taken in s = sign(lambda) |lambda|^(1/4), the
+variable in which the grid is uniform (through fewer samples where a
+neighbour is not yet solved or not finite).  That start lies within about
+3e-7 of the root, relative, so Newton, which never leaves its bracket and
+accepts an evaluated iterate once the Newton step computed there is below
+REFINE_TOL (1 + |lambda|) without solving at lambda + step, polishes a
+scan bracket in two solves (three where the scan's determinant samples
+are noisy, near rho ~ 30).  Complex search uses the argument principle
+over rectangles, split while they hold more than one zero or hold one
+and are longer than NEWTON_BOX_ASPECT times their width, and the same
+Newton from the centre with a batch of one; find_zero_near runs it from
+a given point and stops where an iterate would leave a disc around it,
+raising LeftDiscError with that iterate.  Every Zero is made in _polish,
+the one driver of Newton on Delta, with C(1, lambda) of its accepted
+evaluation and the result of its one simplicity_check, which
+weight_numbers trusts.  No search takes a scale: each judges Delta
+against values at its own lambda.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, pairwise
+from itertools import islice
 
 import numpy as np
 
@@ -49,6 +56,9 @@ REFINE_TOL = 1e-12
 NEWTON_MAX_ITER = 40
 # boundary samples per rectangle side before the first winding-number doubling
 WINDING_SIDE_SAMPLES = 32
+# a rectangle holding one zero is split along its longer side until that side
+# is at most this many times the shorter, before Newton starts at its centre
+NEWTON_BOX_ASPECT = 2.0
 # find_first_zeros scans up from here, just above lambda = 0
 FIRST_ZEROS_START = 1e-6
 
@@ -180,6 +190,33 @@ def _polish(problem, selector, newtons):
     return out
 
 
+def _scan_start(a, b, near):
+    """Newton's start in the scan bracket between the samples a = (lambda,
+    Delta) and b: the root in it of the polynomial through a, b and the
+    finite samples of `near`, taken in s = sign(lambda) |lambda|^(1/4), the
+    variable in which the scan grid is uniform.  That is a cubic through the
+    four nearest samples, and the secant of a and b in s with no finite
+    neighbour; a itself when Delta(a) = 0.  The root is found by _newton
+    inside the bracket, from that secant point."""
+    (la, fa), (lb, fb) = a, b
+    if fa == 0.0:
+        return la
+    pts = [a, b] + [p for p in near if np.isfinite(p[1])]
+    s = [np.sign(lam) * abs(lam) ** 0.25 for lam, _ in pts]
+    u = (np.array(s) - s[0]) / (s[1] - s[0])      # a at u = 0, b at u = 1
+    coef = np.linalg.solve(np.vander(u), [f for _, f in pts])
+    dcoef = np.polyder(coef)
+    newton = _newton(fa / (fa - fb), bracket=(0.0, 1.0, fa))
+    x = next(newton)
+    try:
+        while True:
+            x = newton.send((np.polyval(coef, x.real), np.polyval(dcoef, x.real), None))
+    except StopIteration as stop:
+        u0 = stop.value[0].real
+    s0 = s[0] + u0 * (s[1] - s[0])
+    return float(np.clip(np.sign(s0) * s0 ** 4, min(la, lb), max(la, lb)))
+
+
 def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> list:
     """All real zeros of Delta_selector in region = (xmin, xmax), sorted ascending.
 
@@ -205,13 +242,13 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
     def brackets():
         # a Newton coroutine per bracket in scan order; a chunk is solved only
         # when the caller asks past the brackets already met
-        last = []       # the previous chunk's last sample: no lambda twice
+        tail = []       # the previous chunk's last two samples: no lambda twice
         for start in range(0, len(lams), _SCAN_CHUNK):
             chunk = lams[start:start + _SCAN_CHUNK]
             d = deltas_at(problem, chunk, (selector,))[selector]
-            samples = last + list(zip(chunk, d.value.real, d.fp_floor))
-            last = samples[-1:]
-            for (a, fa, floor_a), (b, fb, floor_b) in pairwise(samples):
+            samples = tail + list(zip(chunk, d.value.real, d.fp_floor))
+            for i in range(max(len(tail) - 1, 0), len(samples) - 1):
+                (a, fa, floor_a), (b, fb, floor_b) = samples[i:i + 2]
                 if not (np.isfinite(fa) and np.isfinite(fb)):
                     continue
                 if max(abs(fa), abs(fb)) <= 4.0 * max(floor_a, floor_b):
@@ -220,11 +257,13 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
                     # sign change there carries no information about a root
                     continue
                 if fa == 0.0 or fa * fb < 0:
-                    # a root lies between a and b, or at a when fa = 0 (the
-                    # secant point is then a); the best iterate is accepted even
-                    # when cancellation noise keeps |Delta| above the residual floor
-                    yield _newton(a - fa * (b - a) / (fb - fa), bracket=(
-                        (a, b, fa) if a < b else (b, a, fb)))
+                    # a root lies between a and b, or at a when fa = 0; the best
+                    # iterate is accepted even when cancellation noise keeps
+                    # |Delta| above the residual floor
+                    near = [p[:2] for p in samples[max(i - 1, 0):i] + samples[i + 2:i + 3]]
+                    yield _newton(_scan_start((a, fa), (b, fb), near),
+                                  bracket=(a, b, fa) if a < b else (b, a, fb))
+            tail = samples[-2:]
 
     # the brackets are disjoint and no iterate leaves its own: each root once
     zeros = []
@@ -290,12 +329,15 @@ def find_complex_zeros(problem: ProblemSpec, selector, region, max_count=100) ->
 
 def _complex_zeros(problem, selector, region, ring, depth):
     """All zeros in the rectangle `region`, subdividing while the winding is
-    above 1; ring is the search's memo of Delta on rectangle boundaries."""
+    above 1, or is 1 in a rectangle longer than NEWTON_BOX_ASPECT times its
+    width, so that Newton starts near the zero; ring is the search's memo
+    of Delta on rectangle boundaries."""
     re0, re1, im0, im1 = region
     w = _winding_number(ring, re0, re1, im0, im1)
     if w == 0:
         return []
-    if w == 1 or depth >= 8:
+    wide, tall = re1 - re0, im1 - im0
+    if (w == 1 and max(wide, tall) <= NEWTON_BOX_ASPECT * min(wide, tall)) or depth >= 8:
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
         z, = _polish(problem, selector, [_newton(center)])
         if isinstance(z, Exception):
@@ -305,7 +347,7 @@ def _complex_zeros(problem, selector, region, ring, depth):
         return [z]
     # split the longer side, nudging the cut line to avoid landing on a zero
     zeros = []
-    if (re1 - re0) >= (im1 - im0):
+    if wide >= tall:
         mid = 0.5 * (re0 + re1) + 1e-3 * (re1 - re0)
         boxes = [(re0, mid, im0, im1), (mid, re1, im0, im1)]
     else:

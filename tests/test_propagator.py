@@ -278,3 +278,65 @@ class TestRealKernel:
         assert {kind for kind, _ in steps} == {"f" if case == "none" else "c"}
         ref = _reference_end(pb, lam, Y0)
         assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
+
+
+def _reference_series(block, pq):
+    """_Block.series as it was before each degree's views were built once:
+    the same loop over a fresh buffer, with self as `block`."""
+    K, P, Q, _ = block.system
+    n, m = block.state.shape
+    d = len(pq) - 1
+    A = np.concatenate([p * P + q * Q + (K if i == d else 0)
+                        for i, (p, q) in enumerate(pq[::-1])], axis=1)
+    T = np.zeros((propagator.TAYLOR_ORDER + 1 + d, n, m), block.state.dtype)
+    T[d] = block.state
+    rows, qcols, c = block.rows, block.qcols, block.cols
+    for k in range(propagator.TAYLOR_ORDER):
+        Tk, nxt = T[k + d], T[k + d + 1]
+        np.matmul(A, T[k:k + d + 1].reshape(-1, m), out=nxt)
+        nxt[rows] += block.lam_sign * Tk[qcols]
+        if m > c:
+            nxt[rows, c:] += block.sign * Tk[qcols, :c]
+        nxt /= k + 1
+    return T[d:]
+
+
+def _reference_step_bound(block, T, rel, absolute):
+    """_Block.step_bound as it was, one weighted norm per coefficient."""
+    def norm(a):
+        return np.max(np.abs(a) * block.weights, axis=0)
+
+    tol = rel * norm(T[0]) + absolute
+    with np.errstate(divide="ignore"):
+        return min(np.min((tol / norm(T[k])) ** (1.0 / k))
+                   for k in (propagator.TAYLOR_ORDER - 1, propagator.TAYLOR_ORDER))
+
+
+class TestKernelBitwise:
+    """The Taylor kernel gives bitwise the numbers of the plain loop."""
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    @pytest.mark.parametrize("system, nz", [("columns", 1), ("columns", 2), ("wedge", 2)],
+                             ids=["columns", "columns_jet", "wedge"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_series_and_step_bound_match_reference(self, system, nz, dtype, degree):
+        rng = np.random.default_rng(4)
+
+        def draw(*shape):
+            x = rng.uniform(-1, 1, shape)
+            return x + 1j * rng.uniform(-1, 1, shape) if dtype is complex else x
+
+        rows, cols = (4, 5) if system == "columns" else (6, 3)
+        block = propagator._Block(propagator._COLUMNS if system == "columns" else
+                                  propagator._WEDGE, draw(rows, cols),
+                                  draw(cols) * 400, nz)
+        # two steps of one degree: the second reuses the first's buffer
+        for _ in range(2):
+            pq = [tuple(draw(2)) for _ in range(degree + 1)]
+            ref = _reference_series(block, pq)
+            got = block.series(pq)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert block.step_bound(got, 1e-10, 1e-12) == _reference_step_bound(
+                block, ref, 1e-10, 1e-12)
+            block.state = draw(*block.state.shape)
+

@@ -22,7 +22,7 @@ from quartspec.spectra import SearchError
 from quartspec.weights import default_contour_radius
 
 from conftest import (
-    beam_eigenvalue, beam_rho, clamped_free_s, make_random_problem, oracle_delta22,
+    beam_eigenvalue, beam_rho, clamped_free_s, make_random_problem, oracle_C4, oracle_delta22,
 )
 
 
@@ -142,8 +142,30 @@ def _scan_bracket(n):
     return (a, b, fa), a - fa * (b - a) / (fb - fa)
 
 
-def _brentq_root(a, b):
-    return brentq(lambda lam: oracle_delta22(lam).real, a, b, xtol=1e-300, rtol=1e-15)
+def _brentq_root(a, b, f=oracle_delta22):
+    return brentq(lambda lam: f(lam).real, a, b, xtol=1e-300, rtol=1e-15)
+
+
+def _beam_delta33(lam):
+    """Delta_33(lambda) = C_4(1, lambda) of the beam."""
+    return oracle_C4(1.0, lam)
+
+
+def _beam_jet33(lam):
+    r = complex(lam) ** 0.25
+    d = ((cmath.cosh(r) + cmath.cos(r)) / (2 * r)
+         - (cmath.sinh(r) + cmath.sin(r)) / (2 * r ** 2)) / (4 * r ** 3)
+    return _beam_delta33(lam).real, d.real, None
+
+
+def _grid_samples(f, rho, sign=1.0):
+    """The four scan-grid samples (lambda, f(lambda)) around the pair that
+    brackets |lambda|^(1/4) = rho, lambda = sign rho^4: the one before the
+    pair, the pair in scan order, the one after."""
+    step = spectra.RHO_SCAN_STEP
+    ra = step * np.floor(rho / step)
+    return [(sign * (ra + k * step) ** 4, f(sign * (ra + k * step) ** 4).real)
+            for k in (-1, 0, 1, 2)]
 
 
 class TestNewton:
@@ -178,6 +200,41 @@ class TestNewton:
         assert all(a < x.real < b for x in lams)
         assert lam.real == pytest.approx(_brentq_root(a, b), rel=1e-12)
 
+    @pytest.mark.parametrize("selector, n", [((2, 2), 1), ((2, 2), 2), ((2, 2), 3),
+                                             ((3, 3), 1), ((3, 3), 2)])
+    def test_interpolated_start_takes_two_solves(self, selector, n):
+        # the cubic in s = sign(lambda) |lambda|^(1/4) through the four grid
+        # samples puts Newton close enough that its first step lands within
+        # tolerance: Delta_22 on the positive axis, and Delta_33, whose
+        # zeros sit at -4 s_n^4, on the negative axis, scanned outward
+        if selector == (2, 2):
+            f, jet, rho, sign = oracle_delta22, _beam_jet, beam_rho(n), 1.0
+        else:
+            f, jet, rho, sign = _beam_delta33, _beam_jet33, 2 ** 0.5 * clamped_free_s(n), -1.0
+        before, a, b, after = _grid_samples(f, rho, sign)
+        assert a[1] * b[1] < 0
+        start = spectra._scan_start(a, b, [before, after])
+        lo, hi = sorted((a, b))
+        (lam, _, _, _), lams = _drive(spectra._newton(start, bracket=(lo[0], hi[0], lo[1])), jet)
+        assert len(lams) <= 2
+        root = _brentq_root(lo[0], hi[0], f)
+        assert lam.real == pytest.approx(root, rel=1e-12)
+        if selector == (3, 3):
+            assert root == pytest.approx(-4 * clamped_free_s(n) ** 4, rel=1e-12)
+
+    def test_start_from_the_samples_it_has(self):
+        # a neighbour that is missing or not finite leaves the polynomial
+        # through the others: the quadratic through a, b and the one
+        # neighbour, then the secant of a and b in s; a when Delta(a) = 0
+        before, a, b, after = _grid_samples(oracle_delta22, beam_rho(2))
+        start = spectra._scan_start(a, b, [after])
+        assert spectra._scan_start(a, b, [(before[0], np.nan), after]) == start
+        s = [lam ** 0.25 for lam, _ in (a, b, after)]
+        quad = np.polynomial.Polynomial.fit(s, [a[1], b[1], after[1]], 2)
+        assert start == pytest.approx(brentq(quad, s[0], s[1], xtol=1e-15) ** 4, rel=1e-13)
+        secant = s[0] - a[1] * (s[1] - s[0]) / (b[1] - a[1])
+        assert spectra._scan_start(a, b, []) == pytest.approx(secant ** 4, rel=1e-13)
+        assert spectra._scan_start((a[0], 0.0), b, [before, after]) == a[0]
 
     def test_flat_jet_ends_the_iteration(self):
         def flat(lam):
@@ -219,6 +276,28 @@ class TestSampleAtRoot:
         assert samples[29] < r < samples[31] or samples[29] > r > samples[31]
         self._linear(monkeypatch, r, [])
         assert [z.lam for z in find_real_zeros(beam, (2, 2), region)] == [r]
+
+    @pytest.mark.parametrize("pos, offsets", [(0, [2]), (61, [-1]), (62, [-1, 2]),
+                                              (63, [-1, 2])],
+                             ids=["scan_start", "chunk_end", "across", "after"])
+    def test_neighbours_come_from_solved_chunks(self, beam, monkeypatch, pos, offsets):
+        # a bracket between grid samples pos and pos + 1 starts from the
+        # finite neighbours already solved: none before the scan's first
+        # sample, none after the last of a chunk (63 samples) until the
+        # next chunk is solved, and across a chunk boundary both
+        grid = []
+        self._linear(monkeypatch, 1e9, grid)   # no root: records the scan grid
+        assert find_real_zeros(beam, (2, 2), (0.0, 1e4)) == []
+        assert spectra._SCAN_CHUNK == 63 and len(grid) > 2 * 63
+        near = []
+        scan_start = spectra._scan_start
+        monkeypatch.setattr(spectra, "_scan_start",
+                            lambda a, b, nb: near.append(nb) or scan_start(a, b, nb))
+        r = 0.5 * (grid[pos] + grid[pos + 1])
+        self._linear(monkeypatch, r, [])
+        zeros = find_real_zeros(beam, (2, 2), (0.0, 1e4))
+        assert [z.lam.real for z in zeros] == pytest.approx([r], rel=1e-14)
+        assert [lam for lam, _ in near[0]] == [grid[pos + k] for k in offsets]
 
 
 class TestZeroNear:
@@ -278,6 +357,21 @@ class TestComplexSearch:
         zeros = find_complex_zeros(beam, (2, 2), (0.0, 4000.0, -1.0, 1.0), max_count=1)
         assert len(zeros) == 1
         assert zeros[0].lam == pytest.approx(beam_eigenvalue(1), rel=1e-8)
+
+    @pytest.mark.parametrize("box", [(-200.0, 3000.0, -40.0, 40.0),
+                                     (-200.0, 1000.0, -40.0, 40.0)], ids=["long", "short"])
+    def test_elongated_box_returns_both_zeros(self, box):
+        # a one-zero rectangle is split to an aspect ratio of at most
+        # NEWTON_BOX_ASPECT before Newton starts at its centre: from the
+        # centre of the long box's 1600 x 80 one-zero half, Newton stalls
+        # at 201.6
+        rng = np.random.default_rng(5)
+        pb = ProblemSpec(p=CoefficientField.from_samples(rng.uniform(-30, 30, 6)),
+                         q=CoefficientField.from_samples(10 * rng.uniform(-30, 30, 6)))
+        zeros = find_complex_zeros(pb, (2, 2), box)
+        real = find_real_zeros(pb, (2, 2), box[:2])
+        assert [z.lam for z in zeros] == pytest.approx([z.lam for z in real], rel=1e-10)
+        assert [z.lam.real for z in zeros] == pytest.approx([-171.401, 765.559], abs=1e-3)
 
     def test_complex_coefficients_eigenvalue(self):
         # perturbing q off the real axis moves lambda_1 into the plane but

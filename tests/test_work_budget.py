@@ -24,7 +24,9 @@ from quartspec import propagator, spectra, weights, weyl
 from quartspec.cli import main
 from quartspec.propagator import fundamental_C
 
-from conftest import beam_eigenvalue, clamped_free_s, make_random_problem
+from conftest import (
+    beam_eigenvalue, clamped_free_s, make_random_problem, make_random_real_problem,
+)
 
 
 def _recording(monkeypatch, module, name):
@@ -152,16 +154,28 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     assert max(lam.real for lam in lams) <= (r_next + chunk * step) ** 4 * (1 + 1e-12)
     # one solve per chunk scanned, then one per lockstep Newton iteration
     # over the brackets still open: all three enter the first, none re-enters,
-    # and from the brackets' secant points the polish takes three at most
+    # and from the brackets' interpolated starts the polish takes two
     scans = [batch for batch, jet in calls if not jet]
     newton = [batch for batch, jet in calls if jet]
     assert all(len(batch) == chunk for batch in scans[:-1])
     assert 0 < len(scans[-1]) <= chunk
     assert len(newton[0]) == 3
-    assert len(newton) <= 3
+    assert len(newton) == 2
     assert all(len(b) >= len(a) for a, b in zip(newton[1:], newton))
     assert [jet for _, jet in calls] == [False] * len(scans) + [True] * len(newton)
     assert len(props) == len(calls)
+
+
+@pytest.mark.parametrize("which, selector", [("random", (2, 2)), ("beam", (3, 2))])
+def test_scan_polish_takes_two_solves(beam, monkeypatch, which, selector):
+    # the same two lockstep solves for a random real problem's Delta_22 and
+    # for the beam's Delta_32
+    pb = make_random_real_problem(11) if which == "random" else beam
+    calls = _recording_batches(monkeypatch)
+    find_first_zeros(pb, selector, 3)
+    newton = [batch for batch, jet in calls if jet]
+    assert len(newton) == 2
+    assert len(newton[0]) == 3
 
 
 def test_weight_numbers_solves_once_for_searched_zeros(beam, beam_zeros, monkeypatch):
