@@ -9,7 +9,8 @@ The eigenfunctions of a list of zeros are one batch: one solve of all
 normalized trajectories.  weight_numbers takes the end values from the
 C(1, lambda) that each searched zero carries from its accepted Newton step,
 and trusts the search's simplicity test; eigenfunction, at a lambda from
-its caller, solves C(1, lambda) and checks that Delta_22 vanishes there.
+its caller, checks that Delta_22 vanishes there, read from the wedge
+C_3 ^ C_4 solved with C(1, lambda), free of the determinant's cancellation.
 
 The case of each eigenvalue (I-IV, or indeterminate) is decided in one
 place, weights.classify_eigenvalue, which weight_numbers calls for every
@@ -27,7 +28,7 @@ import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import fundamental_C, propagate
-from .weyl import _assemble, _magnitude, _minors, is_delta_zero
+from .weyl import ZERO_FLOOR, _assemble, _magnitude
 
 NORMALIZATION_FLOOR = 1e-8
 
@@ -98,13 +99,12 @@ def _eigenfunctions(problem: ProblemSpec, lams, As, x_grid=None) -> list:
 def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
     Raises NonSimpleError where Delta_22(lam_n) does not vanish."""
-    end = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0]).end
-    A = end[0:2, 2:4]
-    det, _, floor = _minors(A)   # det A = -Delta_22: its rows are Delta_22's, swapped
-    if not is_delta_zero(det, _magnitude(end, lam_n, (2, 2)), floor):
+    C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=(3, 4))
+    delta22 = -C.wedges[0, 0]
+    if abs(delta22) > ZERO_FLOOR * _magnitude(C.end, lam_n, (2, 2)):
         raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
-                             f"(|Delta_22| = {abs(det):.2e})")
-    got = _eigenfunctions(problem, [lam_n], [A], x_grid)[0]
+                             f"(|Delta_22| = {abs(delta22):.2e})")
+    got = _eigenfunctions(problem, [lam_n], [C.end[0:2, 2:4]], x_grid)[0]
     if isinstance(got, Exception):
         raise got
     return got

@@ -23,7 +23,6 @@ import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class ProblemError(ValueError):
@@ -32,6 +31,30 @@ class ProblemError(ValueError):
 
 # ---------------------------------------------------------------------------
 # coefficient fields
+
+def _not_a_knot_slopes(d):
+    """Knot slopes s of the not-a-knot cubic spline on a uniform grid whose
+    secant slopes are d, at least 3 of them (de Boor 1978).  The interior
+    rows make y'' continuous, s[i-1] + 4 s[i] + s[i+1] = 3 (d[i-1] + d[i]);
+    the first and last make y''' continuous across xs[1] and xs[-2],
+    s[0] - s[2] = 2 (d[0] - d[1]), which plus the second row reads
+    s[0] + 2 s[1] = (5 d[0] + d[1]) / 2 (mirrored at the end).  One
+    tridiagonal sweep, O(n) memory."""
+    d = d.tolist()
+    n = len(d) + 1
+    rhs = [(5 * d[0] + d[1]) / 2, *(3 * (a + b) for a, b in zip(d, d[1:])),
+           (d[-2] + 5 * d[-1]) / 2]
+    # the diagonal, and the entries right of it; left of it 1, and 2 in the last row
+    diag, sup = [1.0] + [4.0] * (n - 2) + [1.0], [2.0] + [1.0] * (n - 2)
+    for i in range(1, n):
+        w = (1.0 if i < n - 1 else 2.0) / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [rhs[-1] / diag[-1]]
+    for i in range(n - 2, -1, -1):
+        s.append((rhs[i] - sup[i] * s[-1]) / diag[i])
+    return np.array(s[::-1], dtype=complex)
+
 
 def horner(coeffs, t):
     """Polynomial with ascending coefficients `coeffs` at t."""
@@ -82,7 +105,7 @@ class CoefficientField:
         """Build a field from uniform samples on [0, 1].
 
         interp 0 gives piecewise-constant (cell-centred), 1 piecewise-linear,
-        3 a natural cubic spline converted to piecewise cubics.
+        3 the not-a-knot cubic spline (piecewise-linear below 4 samples).
         """
         values = np.asarray(values, dtype=complex)
         n = values.size
@@ -103,13 +126,12 @@ class CoefficientField:
         if interp == 3:
             if n < 4:
                 return cls.from_samples(values, interp=1)
-            spl = CubicSpline(xs, values)
-            segs = []
-            for i in range(n - 1):
-                # PPoly coefficients are highest power first
-                c = spl.c[:, i][::-1]
-                segs.append((xs[i], xs[i + 1], c))
-            return cls(segs)
+            h = xs[1]
+            d = np.diff(values) / h
+            s = _not_a_knot_slopes(d)
+            c2 = (3 * d - 2 * s[:-1] - s[1:]) / h
+            c3 = (s[:-1] + s[1:] - 2 * d) / h ** 2
+            return cls(zip(xs[:-1], xs[1:], np.column_stack([values[:-1], s[:-1], c2, c3])))
         raise ProblemError(f"unsupported interpolation order {interp}")
 
     def __call__(self, x):

@@ -331,18 +331,20 @@ def _complex_zeros(problem, selector, region, ring, depth):
     """All zeros in the rectangle `region`, subdividing while the winding is
     above 1, or is 1 in a rectangle longer than NEWTON_BOX_ASPECT times its
     width, so that Newton starts near the zero; ring is the search's memo
-    of Delta on rectangle boundaries."""
+    of Delta on rectangle boundaries.  Depth 8 stops only the splits of a
+    box above winding 1: its zero is taken as one of that multiplicity."""
     re0, re1, im0, im1 = region
     w = _winding_number(ring, re0, re1, im0, im1)
     if w == 0:
         return []
     wide, tall = re1 - re0, im1 - im0
-    if (w == 1 and max(wide, tall) <= NEWTON_BOX_ASPECT * min(wide, tall)) or depth >= 8:
+    if (w == 1 and max(wide, tall) <= NEWTON_BOX_ASPECT * min(wide, tall)
+            or w > 1 and depth >= 8):
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
         z, = _polish(problem, selector, [_newton(center)])
         if isinstance(z, Exception):
             raise z
-        if depth >= 8 and w > 1:
+        if w > 1:
             z.multiplicity_estimate = w
         return [z]
     # split the longer side, nudging the cut line to avoid landing on a zero

@@ -168,12 +168,6 @@ def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
     return deltas_at(problem, complex(lam), pairs, want_dlambda)
 
 
-def is_delta_zero(value, magnitude, fp_floor) -> bool:
-    """|value| within ZERO_FLOOR of its magnitude, or within 100 times the
-    cancellation floor, where a true zero's residual sits at large lambda."""
-    return abs(value) <= max(ZERO_FLOOR * magnitude, 100 * fp_floor)
-
-
 def characteristic_delta(problem: ProblemSpec, lam, jk, want_dlambda=False) -> CharacteristicValue:
     jk = tuple(jk)
     if jk not in _DELTA_COLS:

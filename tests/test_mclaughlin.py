@@ -61,6 +61,20 @@ class TestEigenfunction:
         with pytest.raises(NonSimpleError):
             eigenfunction(beam, 100.0)
 
+    @pytest.mark.parametrize("rho", [33.3, 36.3, 40.3, 45.3])
+    def test_rejects_non_eigenvalue_at_large_rho(self, beam, rho):
+        # between beam eigenvalues, where the determinant's cancellation
+        # floor outgrows Delta_22 itself: the zero test reads Delta_22 from
+        # the C_3 ^ C_4 wedge of the same solve
+        with pytest.raises(NonSimpleError):
+            eigenfunction(beam, rho ** 4)
+
+    def test_accepts_first_thirty_beam_eigenvalues(self, beam):
+        # the zero test only: past rho ~ 35 gamma itself loses its digits
+        # (see ROADMAP), which this test does not judge
+        for n in range(1, 31):
+            eigenfunction(beam, beam_eigenvalue(n))
+
 
 class TestWeightNumbers:
     def test_beta_is_minus_gamma_squared(self, beam_points):

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+import quartspec
 from quartspec import (
     BoundaryParams,
     CoefficientField,
@@ -68,6 +74,29 @@ class TestCoefficientField:
         f = CoefficientField.from_samples([1.0, 2.0], interp=0)
         assert f(0.2) == 1.0
         assert f(0.8) == 2.0
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_cubic_matches_scipy_not_a_knot(self, kind):
+        # scipy's CubicSpline (not-a-knot by default) as an independent
+        # oracle: each power's coefficients agree to 1e-13 of that power's
+        # largest, on every segment
+        rng = np.random.default_rng(22)
+        for n in range(4, 41):
+            v = rng.uniform(-5, 5, n)
+            if kind == "complex":
+                v = v + 1j * rng.uniform(-5, 5, n)
+            got = np.array([c for _, _, c in CoefficientField.from_samples(v, interp=3).segments])
+            ref = CubicSpline(np.linspace(0.0, 1.0, n), v).c[::-1].T
+            assert got.shape == ref.shape == (n - 1, 4)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.max(np.abs(ref), axis=0)), n
+
+    def test_cubic_of_many_samples_loads_fast(self):
+        v = np.random.default_rng(1).uniform(-1, 1, 10_000)
+        t0 = time.perf_counter()
+        f = CoefficientField.from_samples(v, interp=3)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(f.segments) == 9_999
+        assert f(5_000 / 9_999) == pytest.approx(v[5_000], abs=1e-12)
 
     def test_complex_round_trip(self):
         f = CoefficientField([(0.0, 1.0, [1 + 2j, -0.5j])])
@@ -201,3 +230,19 @@ class TestJsonInterface:
         path.write_text(json.dumps(obj))
         with pytest.raises(ProblemError, match="not finite on"):
             load_problem(path)
+
+
+def test_package_imports_no_scipy(tmp_path):
+    # a fresh interpreter imports the package and its CLI and loads a
+    # "samples" problem (a cubic spline) without pulling in scipy
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"p": {"kind": "samples", "values": [[v, 0.0] for v in range(6)]},
+                                "q": {"kind": "samples", "values": [[0.0, v] for v in range(5)]}}))
+    code = ("import sys, quartspec, quartspec.cli\n"
+            f"quartspec.load_problem({str(path)!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(quartspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

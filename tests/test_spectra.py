@@ -358,6 +358,32 @@ class TestComplexSearch:
         assert len(zeros) == 1
         assert zeros[0].lam == pytest.approx(beam_eigenvalue(1), rel=1e-8)
 
+    def test_newton_boxes_within_aspect_past_depth_cap(self, beam, monkeypatch):
+        # a 2000:1 region needs more than 8 splits before each one-zero box
+        # is at most NEWTON_BOX_ASPECT:1; Newton starts at the centre of
+        # each such box
+        boxes, starts = [], []
+        split, newton = spectra._complex_zeros, spectra._newton
+
+        def recording_split(problem, selector, region, ring, depth):
+            boxes.append(region)
+            return split(problem, selector, region, ring, depth)
+
+        def recording_newton(lam0, *args, **kwargs):
+            starts.append(lam0)
+            return newton(lam0, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_complex_zeros", recording_split)
+        monkeypatch.setattr(spectra, "_newton", recording_newton)
+        zeros = find_complex_zeros(beam, (2, 2), (0.0, 4000.0, -1.0, 1.0))
+        assert [z.lam for z in zeros] == pytest.approx(
+            [beam_eigenvalue(n) for n in (1, 2, 3)], rel=1e-8)
+        assert len(starts) == 3
+        for lam0 in starts:
+            box, = [b for b in boxes if complex(0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])) == lam0]
+            wide, tall = box[1] - box[0], box[3] - box[2]
+            assert max(wide, tall) <= spectra.NEWTON_BOX_ASPECT * min(wide, tall), box
+
     @pytest.mark.parametrize("box", [(-200.0, 3000.0, -40.0, 40.0),
                                      (-200.0, 1000.0, -40.0, 40.0)], ids=["long", "short"])
     def test_elongated_box_returns_both_zeros(self, box):
