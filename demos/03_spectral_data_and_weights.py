@@ -3,9 +3,11 @@
 For each beam eigenvalue lambda_n the eigenfunction normalised by
 y^[3](1) = 1 yields the pair (gamma_n, xi_n) of end values at x = 0 and the
 number beta_n = -gamma_n^2.  The free-clamped beam is the classic example
-where |gamma_n| = 2 for every n.  Each beta_n is checked against the bridge
-identity Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2, whose two sides
-the searched zero carries; the gap is printed as beta_residual.
+where |gamma_n| = 2 for every n.  gamma_n and xi_n come from the bridge
+identities Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2 and
+Delta_42(lambda_n) = Delta_22'(lambda_n) xi_n gamma_n, read from the wedges
+the searched zero carries; beta_residual, |beta_n + gamma_n xi_n / m43|,
+checks them against the m43 of the zero's C(1).
 
 The same beta_n shows up as a residue: the Weyl matrix M(lambda) has a
 simple pole at lambda_n and the (3,2) entry of its residue equals beta_n.

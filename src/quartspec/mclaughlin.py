@@ -5,19 +5,25 @@ spans the null space of the 2x2 end-value matrix [[C3(1), C4(1)],
 [C3'(1), C4'(1)]] at an eigenvalue.  It is normalized by int_0^1 y^2 dx = 1,
 which fixes (gamma, xi) = (y(0), y'(0)) up to sign; a deterministic sign
 convention (Re gamma > 0, ties broken by Im, falling back to xi) is used.
-The eigenfunctions of a list of zeros are one batch: one solve of all
-normalized trajectories.  weight_numbers takes the end values from the
-C(1, lambda) that each searched zero carries from its accepted Newton step,
-and trusts the search's simplicity test; eigenfunction, at a lambda from
-its caller, checks that Delta_22 vanishes there, read from the wedge
-C_3 ^ C_4 solved with C(1, lambda), free of the determinant's cancellation.
+
+weight_numbers solves no eigenfunction in case I.  There the McLaughlin-
+Barcilon identities Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2 and
+Delta_42(lambda_n) = Delta_22'(lambda_n) xi_n gamma_n (see bridge) give
+(gamma, xi) from the wedge values and the jet that each searched zero
+carries from its accepted Newton step, and its C(1, lambda) gives the end
+values.  The identities do not hold in cases II-IV, so a zero that the
+wedge data do not tag I is normalized by shooting: the eigenfunctions of
+those zeros are one batch, one solve of all normalized trajectories, and
+eigenfunction, at a lambda from its caller, is the same shot.  It checks
+first that Delta_22 vanishes there, read from the wedge C_3 ^ C_4 solved
+with C(1, lambda), free of the determinant's cancellation.
 
 The case of each eigenvalue (I-IV, or indeterminate) is decided in one
 place, weights.classify_eigenvalue, which weight_numbers calls for every
-normalized point, reading Delta_33 = C4(1), Delta_43 = C3(1) and its
-magnitude (see weyl) from the same end values.  Only in case I is the
-weight number beta_n = -gamma_n^2; at a searched zero it is checked,
-contour-free, by the identity Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2.
+point, reading Delta_33 = C4(1), Delta_43 = C3(1) and its magnitude (see
+weyl) from the zero's end values.  Only in case I is the weight number
+beta_n = -gamma_n^2; beta_residual checks the wedges against the m43 of
+C(1), contour-free.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import fundamental_C, propagate
-from .weyl import ZERO_FLOOR, _assemble, _magnitude
+from .weyl import ZERO_FLOOR, _magnitude
 
 NORMALIZATION_FLOOR = 1e-8
 
@@ -49,7 +55,7 @@ class SpectralPoint:
     beta: complex | None = None
     norm_ok: bool = True
     case_tag: str = "unknown"
-    # |-Delta_32 / Delta_22' - beta| in case I, else None
+    # |beta + gamma xi / m43| at the root in case I (see _tagged), else None
     beta_residual: float | None = None
 
 
@@ -64,6 +70,14 @@ def _sign_convention(gamma, xi):
     return 1.0
 
 
+def _null_start(Uinv, A):
+    """y~(0) for y~ = c3 C_3 + c4 C_4, (c3, c4) the unit null vector of the
+    end-value matrix A = [[C3(1), C4(1)], [C3'(1), C4'(1)]]."""
+    # smallest singular direction is robust when both entries nearly vanish
+    c3, c4 = np.linalg.svd(A)[2][-1].conj()
+    return c3 * Uinv[:, 2] + c4 * Uinv[:, 3]
+
+
 def _eigenfunctions(problem: ProblemSpec, lams, As, x_grid=None) -> list:
     """eigenfunction at each of `lams`, given its end-value matrix A =
     [[C3(1), C4(1)], [C3'(1), C4'(1)]], as one solve of all normalized
@@ -73,13 +87,8 @@ def _eigenfunctions(problem: ProblemSpec, lams, As, x_grid=None) -> list:
     if len(lams) == 0:
         return []
     Uinv = np.linalg.inv(boundary_form_matrix(problem))
-    y0s = []
-    for A in As:
-        # smallest singular direction is robust when both entries nearly vanish
-        c3, c4 = np.linalg.svd(A)[2][-1].conj()
-        y0s.append(c3 * Uinv[:, 2] + c4 * Uinv[:, 3])
-    res = propagate(problem, lams, "forward", np.column_stack(y0s), x_grid=x_grid,
-                    quad_pairs=[(k, k) for k in range(len(lams))])
+    res = propagate(problem, lams, "forward", np.column_stack([_null_start(Uinv, A) for A in As]),
+                    x_grid=x_grid, quad_pairs=[(k, k) for k in range(len(lams))])
     out = []
     for k, lam in enumerate(lams):
         norm2 = res.quadratures[(k, k)]
@@ -99,8 +108,8 @@ def _eigenfunctions(problem: ProblemSpec, lams, As, x_grid=None) -> list:
 def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
     Raises NonSimpleError where Delta_22(lam_n) does not vanish."""
-    C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=(3, 4))
-    delta22 = -C.wedges[0, 0]
+    C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=[(3, 4)])
+    delta22 = -C.wedges[0, 0, 0]
     if abs(delta22) > ZERO_FLOOR * _magnitude(C.end, lam_n, (2, 2)):
         raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
                              f"(|Delta_22| = {abs(delta22):.2e})")
@@ -110,39 +119,67 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     return got
 
 
+def _tagged(z, gamma, xi):
+    """The spectral point of zero z with data (gamma, xi) up to a common
+    sign, tagged by weights.classify_eigenvalue; in case I with beta_n =
+    -gamma_n^2 and beta_residual, |beta_n + gamma_n xi_n / m43| at the root.
+
+    m43 = -Delta_43 / Delta_33 comes from the zero's C(1).  By the Pluecker
+    relation of the y row of C(1) and the wedges, Delta_22 C2(1) = Delta_32
+    Delta_43 + Delta_42 Delta_33, so at the accepted lambda, with gamma and
+    xi from the wedges, beta + gamma xi / m43 = -Delta_22 C2(1) / (Delta_22'
+    Delta_43): the Newton step not taken there, times C2(1) / C3(1).  That
+    term is taken off, and the residual shows how far the wedges and C(1)
+    disagree."""
+    from .weights import classify_eigenvalue  # deferred, avoids import cycle
+
+    sgn = _sign_convention(gamma, xi)
+    pt = SpectralPoint(lam=z.lam, gamma=sgn * gamma, xi=sgn * xi)
+    c2, delta43, delta33 = z.end_values[0, 1:4].tolist()
+    pt.case_tag = classify_eigenvalue(pt, delta43, delta33,
+                                      _magnitude(z.end_values, z.lam, (4, 3)))
+    if pt.case_tag == "I":
+        pt.beta = -pt.gamma ** 2
+        off_root = z.wedge_deltas[0] * c2 / z.ddelta
+        pt.beta_residual = float(abs(pt.beta - (pt.gamma * pt.xi * delta33 - off_root) / delta43))
+    return pt
+
+
 def weight_numbers(problem: ProblemSpec, zeros) -> list:
     """Spectral points, each tagged by weights.classify_eigenvalue.
 
     Every zero must come from a search for zeros of Delta_22 (else
-    ValueError), with the C(1, lambda) of its accepted Newton step, and be
-    simple by that search's test (multiplicity_estimate 1, else
-    NonSimpleError).  The eigenfunctions of all zeros are one batch: one
-    solve of the normalized trajectories.  The end values give A, and
-    Delta_33 = C4(1), Delta_43 = C3(1) and its magnitude for the case.  In
-    case I, beta_n = -gamma_n^2, and |-Delta_32 / Delta_22' - beta_n|, from
-    the jet and C(1) the zero carries, is recorded as beta_residual.
+    ValueError), with the C(1, lambda) and wedge_deltas of its accepted
+    Newton step, and be simple by that search's test (multiplicity_estimate
+    1, else NonSimpleError).  (gamma, xi) come from the wedges, gamma^2 =
+    Delta_32 / Delta_22' and xi = Delta_42 / (Delta_22' gamma), and C(1)
+    gives Delta_33 = C4(1), Delta_43 = C3(1) and its magnitude for the
+    case.  A point tagged I is normalizable where int y~^2 dx = y~(0)^2
+    Delta_22' / Delta_32, y~ from the null vector of A, is above
+    NORMALIZATION_FLOOR.  The identities hold in case I alone: every other
+    zero is normalized, and tagged again, from one batched solve of its
+    eigenfunction.
     """
-    from . import weights as weights_mod  # deferred, avoids import cycle
-
     for z in zeros:
         if z.multiplicity_estimate != 1:
             raise NonSimpleError(f"eigenvalue {z.lam} is not simple")
-        if z.end_values is None or z.selector != (2, 2):
+        if z.end_values is None or z.wedge_deltas is None or z.selector != (2, 2):
             raise ValueError(f"{z.lam} is no searched zero of Delta_22; take it from a search")
+    Uinv = np.linalg.inv(boundary_form_matrix(problem))
     points = []
-    for z, got in zip(zeros, _eigenfunctions(problem, [z.lam for z in zeros],
-                                             [z.end_values[0:2, 2:4] for z in zeros],
-                                             x_grid=[0.0, 1.0])):
-        if isinstance(got, NormalizationError):
-            points.append(SpectralPoint(lam=z.lam, norm_ok=False))
-            continue
-        _, gamma, xi = got
-        pt = SpectralPoint(lam=z.lam, gamma=gamma, xi=xi)
-        pt.case_tag = weights_mod.classify_eigenvalue(
-            pt, *z.end_values[0, 2:4].tolist(), _magnitude(z.end_values, z.lam, (4, 3)))
-        if pt.case_tag == "I":
-            pt.beta = -gamma ** 2
-            delta32 = _assemble(z.end_values, None, ((3, 2),))[(3, 2)].value
-            pt.beta_residual = float(abs(-delta32 / z.ddelta - pt.beta))
+    for z in zeros:
+        _, delta32, delta42 = z.wedge_deltas.tolist()
+        gamma = complex(np.sqrt(delta32 / z.ddelta))
+        # gamma = 0 is not case I, and its xi is not read
+        pt = _tagged(z, gamma, delta42 / (z.ddelta * gamma) if gamma else 0j)
+        if pt.case_tag == "I" and abs(_null_start(Uinv, z.end_values[0:2, 2:4])[0] ** 2
+                                      * z.ddelta / delta32) < NORMALIZATION_FLOOR:
+            pt = SpectralPoint(lam=z.lam, norm_ok=False)
         points.append(pt)
+    shot = [i for i, pt in enumerate(points) if pt.norm_ok and pt.case_tag != "I"]
+    for i, got in zip(shot, _eigenfunctions(problem, [zeros[i].lam for i in shot],
+                                            [zeros[i].end_values[0:2, 2:4] for i in shot],
+                                            x_grid=[0.0, 1.0])):
+        points[i] = (SpectralPoint(lam=zeros[i].lam, norm_ok=False)
+                     if isinstance(got, NormalizationError) else _tagged(zeros[i], *got[1:]))
     return points

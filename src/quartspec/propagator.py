@@ -23,10 +23,19 @@ Alongside the columns, one propagation can carry
   Row 0 is the minor u_0 v_1 - u_1 v_0 without the cancellation of forming
   it from u(1) and v(1), whose entries grow like exp(|lambda|^(1/4)).
 
+A propagation steps one block.  With wedges, columns and wedges are stacked
+block-diagonally on 10 rows, ordered so that the sources and the targets of
+the lambda and jet terms are contiguous runs of rows; each column carries
+its own lambda factor and jet factor, and the jets follow the values of the
+columns that carry them.  So each step makes one series, one step bound and
+one advance call, whatever the propagation carries.  A column is zero in the
+other part's rows, which leaves its weighted norm, and so the step
+sequence, as it is.  Without wedges the block is the 4 column rows alone.
+
 The integrator is a Taylor series of order TAYLOR_ORDER (Jorba & Zou,
 Experiment. Math. 14 (2005)).  p and q are polynomials on each mesh segment;
 at each step start they are re-expanded, F = sum_i F_i t^i, and the
-coefficients of every block follow from (k+1) Y_{k+1} = sum_i F_i Y_{k-i} +
+coefficients of the block follow from (k+1) Y_{k+1} = sum_i F_i Y_{k-i} +
 lambda E Y_k.  The step is STEP_SAFETY times the largest h at which the last
 two terms Y_k h^k of every column stay within ode_rel times the column's
 norm plus ode_abs, where row r is weighted by rho^-r (rho = max(1,
@@ -53,7 +62,7 @@ fundamental_S take one lambda or a batch of N as one solve with one step
 sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
 column of its tile); values and dlambda are (len(xs), 4, 4) or (len(xs), N,
 4, 4), det_drift is the largest over the batch, and fundamental_C's wedges
-of one column pair are (2, 6) or (2, 6, N).  The backward direction
+of P column pairs are (2, 6, P) or (2, 6, P, N).  The backward direction
 serves only fundamental_S: every Delta_jk comes from the end values of the
 forward fundamental_C (see weyl).
 """
@@ -95,6 +104,23 @@ _COLUMNS = (_matrix(4, [(0, 1), (1, 2), (2, 3)]), _matrix(4, [(2, 1)]),
 _WEDGE = (_matrix(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]),
           _matrix(6, [(1, 0), (5, 4)]), _matrix(6, [(4, 0), (5, 1)]),
           np.array([a + b for a, b in _WEDGE_ROWS], float))
+# Both block-diagonally on 10 rows, C0 W01 W02 C1 C2 W03 W12 C3 W13 W23 (Ck the
+# columns' y^[k], Wab the wedge rows): each keeps its own row order, and the
+# -Q sources (C0, W01, W02) and targets (C3, W13, W23) are contiguous runs
+_C_ROWS, _W_ROWS = [0, 3, 4, 7], [1, 2, 5, 6, 8, 9]
+
+
+def _stack(columns, wedge):
+    """A matrix (or powers vector) of the 10-row system from its two parts."""
+    out = np.zeros((10,) * columns.ndim)
+    out[np.ix_(*[_C_ROWS] * columns.ndim)] = columns
+    out[np.ix_(*[_W_ROWS] * wedge.ndim)] = wedge
+    return out
+
+
+_STACKED = tuple(map(_stack, _COLUMNS, _WEDGE))
+# -Q at a column's (target, source) run: the sign of its lambda and jet terms
+_C_SIGN, _W_SIGN = -_COLUMNS[2][3, 0], -_WEDGE[2][4, 0]
 
 
 def _shift(coeffs, delta):
@@ -107,22 +133,24 @@ def _shift(coeffs, delta):
 
 
 class _Block:
-    """One system's states over the columns it carries: values, then jets."""
+    """The states of a system over the columns it carries: the values, then
+    the jets of the value columns `jet_cols` (a slice).  signs[c] is -Q at
+    (target, source) in column c's own rows."""
 
-    def __init__(self, system, X0, lams, nz):
-        self.system, self.cols = system, X0.shape[1]
-        self.state = np.concatenate([X0, np.zeros_like(X0)], axis=1) if nz == 2 else X0
+    def __init__(self, system, X0, lams, signs, jet_cols):
+        self.system, self.cols, self.jet_cols = system, X0.shape[1], jet_cols
+        self.state = np.concatenate([X0, np.zeros_like(X0[:, jet_cols])], axis=1)
         self.low = np.zeros_like(self.state)   # the state is state + low
         self.plans = {}
-        lams = np.tile(lams, nz)
+        lams = np.concatenate([lams, lams[jet_cols]])
         rho = np.maximum(1.0, np.abs(lams) ** 0.25)
         self.weights = rho[None, :] ** -system[3][:, None]
-        # -Q is `sign` at (rows[i], cols[i]), each a run of consecutive
-        # indices: its products are row updates
+        # -Q is nonzero at (rows[i], cols[i]) alone, each a run of consecutive
+        # indices: its products are row updates, by a factor per column
         rows, cols = np.nonzero(system[2])
         self.rows, self.qcols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-        self.sign = -system[2][rows[0], cols[0]]
-        self.lam_sign = self.sign * lams
+        self.jet_sign = signs[jet_cols]
+        self.lam_sign = np.concatenate([signs, self.jet_sign]) * lams
 
     def _plan(self, d):
         """The series buffer for polynomial degree d, which every step of that
@@ -133,13 +161,14 @@ class _Block:
         rows, qcols, c = self.rows, self.qcols, self.cols
         T = np.zeros((TAYLOR_ORDER + 1 + d, n, m), self.state.dtype)
         lam_tmp = np.empty_like(T[0, rows])
-        jet_tmp = np.empty_like(T[0, rows, :c])
+        jet_tmp = np.empty_like(T[0, rows, c:])
         steps = []
         for k in range(TAYLOR_ORDER):
             Tk, nxt = T[k + d], T[k + d + 1]
             updates = [(nxt[rows], self.lam_sign, Tk[qcols], lam_tmp)]
             if m > c:
-                updates.append((nxt[rows, c:], self.sign, Tk[qcols, :c], jet_tmp))
+                updates.append((nxt[rows, c:], self.jet_sign, Tk[qcols, self.jet_cols],
+                                jet_tmp))
             steps.append((nxt, T[k:k + d + 1].reshape(-1, m), updates, k + 1))
         self.plans[d] = T, steps
         return self.plans[d]
@@ -190,6 +219,22 @@ class _Block:
         with np.errstate(divide="ignore"):
             return min(np.min((tol / norm) ** (1.0 / k))
                        for norm, k in zip(norms[1:], (TAYLOR_ORDER - 1, TAYLOR_ORDER)))
+
+
+def _block(Y0, lams, wi, wj, want_dlambda):
+    """The one _Block of a propagation of the columns Y0 at lams with the
+    wedges of the column pairs (wi, wj), and the rows of the columns in it.
+    With wedges it runs the stacked system on all ten rows, else the
+    columns' rows alone, on which that system is _COLUMNS; it carries the
+    jets of every column with want_dlambda, else of the wedges alone."""
+    ncols, nw = Y0.shape[1], len(wi)
+    X0 = np.zeros((10, ncols + nw), Y0.dtype)
+    X0[_C_ROWS, :ncols] = Y0
+    X0[_W_ROWS, ncols:] = [Y0[a, wi] * Y0[b, wj] - Y0[b, wi] * Y0[a, wj] for a, b in _WEDGE_ROWS]
+    rows, crows = (slice(None), _C_ROWS) if nw else (_C_ROWS, slice(None))
+    return _Block(_STACKED if nw else _COLUMNS, X0[rows], np.append(lams, lams[wi]),
+                  np.repeat([_C_SIGN, _W_SIGN], [ncols, nw]),
+                  slice(0 if want_dlambda else ncols, ncols + nw)), crows
 
 
 @dataclass
@@ -246,11 +291,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     wi, wj = np.array(wedge_pairs or [], dtype=int).reshape(-1, 2).T
     if np.any(lams[wi] != lams[wj]):
         raise ValueError("a wedge pairs columns at different lambda")
-    blocks = [_Block(_COLUMNS, Y0, lams, 2 if want_dlambda else 1)]
-    if len(wi):
-        W0 = np.array([Y0[a, wi] * Y0[b, wj] - Y0[b, wi] * Y0[a, wj] for a, b in _WEDGE_ROWS])
-        blocks.append(_Block(_WEDGE, W0, lams[wi], 2))
-    columns = blocks[0]
+    block, crows = _block(Y0, lams, wi, wj, want_dlambda)
     rel, absolute = problem.tolerances.ode_rel, problem.tolerances.ode_abs
     hilbert = 1.0 / (np.arange(TAYLOR_ORDER + 1)[:, None] + np.arange(TAYLOR_ORDER + 1) + 1)
     quads = np.zeros(len(quad_pairs), Y0.dtype)
@@ -259,7 +300,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
                       np.asarray(x_grid, float), problem.breakpoints)
     nodes = problem.breakpoints if direction == "forward" else problem.breakpoints[::-1]
     xs_out = [float(nodes[0])]
-    states_out = [columns.state]
+    states_out = [block.state]
     for x0, x1 in zip(nodes[:-1], nodes[1:]):
         x0, x1 = float(x0), float(x1)
         left, right = min(x0, x1), max(x0, x1)
@@ -270,52 +311,50 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
             pc, qc = [c.real for c in pc], [c.real for c in qc]
         x, done = x0, 0
         while done < len(t_eval):
-            pq = list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0), fillvalue=0))
-            series = [b.series(pq) for b in blocks]
-            h = STEP_SAFETY * min(b.step_bound(T, rel, absolute) for b, T in zip(blocks, series))
+            T = block.series(list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0),
+                                              fillvalue=0)))
+            h = STEP_SAFETY * block.step_bound(T, rel, absolute)
             if not h > 4 * np.finfo(float).eps * max(1.0, abs(x)):
                 raise PropagationError(f"no step possible at x={x} (step bound {h:.3e})")
             x_next = x1 if h >= abs(x1 - x) else x + sign * h
             reached = done + np.searchsorted(sign * t_eval[done:], sign * x_next, side="right")
             ts = np.append(t_eval[done:reached], x_next) - x
             powers = ts[:, None] ** np.arange(TAYLOR_ORDER + 1)
-            for b, T in zip(blocks, series):
-                at = b.advance(T, powers)
-                if b is columns:
-                    states_out.extend(at[:reached - done])
-                    xs_out.extend(t_eval[done:reached])
-                    if len(quad_pairs):
-                        hp = powers[-1][:, None]
-                        U, V = T[:, 0, qi] * hp, T[:, 0, qj] * hp
-                        quads += ts[-1] * np.sum(U * (hilbert @ V), axis=0)
-                if not np.all(np.isfinite(b.state)):
-                    raise PropagationError(f"non-finite state at x={x_next}")
+            states_out.extend(block.advance(T, powers)[:reached - done])
+            xs_out.extend(t_eval[done:reached])
+            if len(quad_pairs):   # row 0 is y in either system
+                hp = powers[-1][:, None]
+                U, V = T[:, 0, qi] * hp, T[:, 0, qj] * hp
+                quads += ts[-1] * np.sum(U * (hilbert @ V), axis=0)
+            if not np.all(np.isfinite(block.state)):
+                raise PropagationError(f"non-finite state at x={x_next}")
             x, done = x_next, reached
 
     xs_out = np.asarray(xs_out)
-    states_out = np.asarray(states_out, dtype=complex)
     order = np.argsort(xs_out)
-    xs_out, states_out = xs_out[order], states_out[order]
-    values = states_out[:, :, :ncols]
-    dlam = states_out[:, :, ncols:] if want_dlambda else None
+    states_out = np.asarray(states_out, dtype=complex)[order][:, crows]
     quadratures = None
     if quad_pairs:
         quadratures = {pair: complex(sign * quads[k]) for k, pair in enumerate(quad_pairs)}
     wedges = None
-    if len(wi):
-        wedges = blocks[1].state.reshape(6, 2, len(wi)).swapaxes(0, 1).astype(complex)
-    return FundamentalMatrix(xs=xs_out, values=values, dlambda=dlam,
+    if len(wi):   # the wedges' values, then their jets: the last state columns
+        end = block.state[_W_ROWS].astype(complex)
+        wedges = np.stack([end[:, ncols:block.cols], end[:, -len(wi):]])
+    return FundamentalMatrix(xs=xs_out[order], values=states_out[:, :, :ncols],
+                             dlambda=states_out[:, :, block.cols:block.cols + ncols]
+                             if want_dlambda else None,
                              quadratures=quadratures, wedges=wedges)
 
 
 def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> FundamentalMatrix:
     """The 4 x 4 `init` propagated at one lambda or at each of a batch, in one
     solve; fields (len(xs),) + lam.shape + (4, 4), det_drift over the batch,
-    and with `wedge`, a pair of column labels (1-based), the wedge of those
-    two columns at each lambda with its jet, (2, 6) + lam.shape."""
+    and with `wedge`, a list of pairs of column labels (1-based), the wedges
+    of those column pairs at each lambda with their jets, (2, 6, len(wedge))
+    + lam.shape."""
     lam = np.asarray(lam, dtype=complex)
-    pairs = None if wedge is None else (4 * np.arange(lam.size)[:, None]
-                                        + np.subtract(wedge, 1)).tolist()
+    pairs = None if wedge is None else (np.subtract(wedge, 1)[:, None]
+                                        + 4 * np.arange(lam.size)[:, None]).reshape(-1, 2).tolist()
     res = propagate(problem, np.repeat(lam.ravel(), 4), direction, np.tile(init, lam.size),
                     want_dlambda=want_dlambda, wedge_pairs=pairs, x_grid=x_grid)
 
@@ -326,13 +365,15 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> 
     drift = np.max(np.abs(np.linalg.det(values) - np.linalg.det(init)))
     return FundamentalMatrix(xs=res.xs, values=values, det_drift=float(drift),
                              dlambda=per_lambda(res.dlambda) if want_dlambda else None,
-                             wedges=None if wedge is None else res.wedges.reshape(2, 6, *lam.shape))
+                             wedges=None if wedge is None else
+                             res.wedges.reshape(2, 6, len(wedge), *lam.shape))
 
 
 def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False, x_grid=None,
                   wedge=None) -> FundamentalMatrix:
     """Solutions C_k with U_s(C_k) = delta_sk; initial matrix U^{-1} at x=0.
-    wedge = (j, k) also carries C_j ^ C_k and its jet (see _fundamental)."""
+    wedge = [(j, k), ...] also carries each C_j ^ C_k and its jet (see
+    _fundamental)."""
     U = boundary_form_matrix(problem)
     return _fundamental(problem, lam, "forward", np.linalg.inv(U), want_dlambda, x_grid, wedge)
 

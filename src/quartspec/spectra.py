@@ -15,7 +15,9 @@ derivative per iteration).  The scan forms Delta as a determinant of C(1)
 (see weyl); the polish of Delta_22, Delta_32 and Delta_42 reads the value
 and its jet from the 2-wedge of the selector's two C columns instead, in
 the same solve as C(1) (see propagator), so a polished root carries none
-of the determinant's cancellation and does not move with its batch.
+of the determinant's cancellation and does not move with its batch.  Each
+such solve carries the wedges of all three, C3 ^ C4, C2 ^ C4 and C3 ^ C2,
+and reads its own.
 Newton starts at the root inside each bracket of the cubic through the
 four nearest scan samples, taken in s = sign(lambda) |lambda|^(1/4), the
 variable in which the grid is uniform (through fewer samples where a
@@ -31,8 +33,9 @@ Newton from the centre with a batch of one; find_zero_near runs it from
 a given point and stops where an iterate would leave a disc around it,
 raising LeftDiscError with that iterate.  Every Zero is made in _polish,
 the one driver of Newton on Delta, with C(1, lambda) of its accepted
-evaluation and the result of its one simplicity_check, which
-weight_numbers trusts.  No search takes a scale: each judges Delta
+evaluation, for a Delta_j2 the three wedge values (Delta_22, Delta_32,
+Delta_42) there, and the result of its one simplicity_check; weight_numbers
+trusts them all.  No search takes a scale: each judges Delta
 against values at its own lambda.
 """
 
@@ -61,6 +64,8 @@ WINDING_SIDE_SAMPLES = 32
 NEWTON_BOX_ASPECT = 2.0
 # find_first_zeros scans up from here, just above lambda = 0
 FIRST_ZEROS_START = 1e-6
+# the selectors whose wedges every Delta_j2 polish carries, in wedge_deltas order
+_J2 = ((2, 2), (3, 2), (4, 2))
 
 
 class SearchError(RuntimeError):
@@ -84,6 +89,10 @@ class Zero:
     ddelta: complex
     # C(1, lambda) of the accepted Newton evaluation
     end_values: np.ndarray = field(repr=False, compare=False)
+    # (Delta_22, Delta_32, Delta_42) of that evaluation, from its wedges; set
+    # by the polish of a Delta_j2 only, and not carried by a copy
+    wedge_deltas: np.ndarray | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
 
 @dataclass
@@ -96,8 +105,8 @@ class BarcilonData:
 def _newton(lam0, bracket=None, radius=None):
     """Safeguarded Newton; bracket (lo, hi, Re Delta(lo)) is kept if supplied.
     A coroutine: it yields each lambda to evaluate, receives (Delta, dDelta,
-    C(1, lambda)) there, and returns the best lambda with its evaluation,
-    (lambda, Delta, dDelta, C(1, lambda)).
+    *carried) there, and returns the best lambda with its evaluation,
+    (lambda, Delta, dDelta, *carried).
 
     The step -Delta/dDelta is computed at each evaluated iterate and accepted
     when below REFINE_TOL (1 + |lambda|): lambda + step is not evaluated.  A
@@ -114,7 +123,7 @@ def _newton(lam0, bracket=None, radius=None):
     for _ in range(NEWTON_MAX_ITER):
         if radius is not None and not abs(lam - lam0) < radius:
             raise LeftDiscError(lam, lam0, radius)
-        val, dval, end = yield lam
+        val, dval, *carried = yield lam
         if best is None:
             val0 = val
         if bracket is not None:
@@ -124,7 +133,7 @@ def _newton(lam0, bracket=None, radius=None):
                 lo = lam.real
                 flo = np.real(val)
         if best is None or abs(val) < abs(best[1]):
-            best = (lam, val, dval, end)
+            best = (lam, val, dval, *carried)
             stall = 0
         else:
             stall += 1
@@ -136,7 +145,7 @@ def _newton(lam0, bracket=None, radius=None):
         lam = lam + step
         if bracket is not None and not (lo < lam.real < hi):
             lam = complex(0.5 * (lo + hi))
-    lam, val, dval, end = best
+    lam, val, dval = best[:3]
     if bracket is None and abs(val) > 1e-6 * abs(val0):
         # residual alone may sit above the noise floor at large |lambda|;
         # accept anyway when the implied root error |Delta/Delta'| is tiny
@@ -144,21 +153,26 @@ def _newton(lam0, bracket=None, radius=None):
         if err > 1e-9 * (1 + abs(lam)):
             raise SearchError(f"refinement stalled at lambda={lam}, "
                               f"|Delta| = {abs(val):.2e} vs {abs(val0):.2e} at the start")
-    return lam, val, dval, end
+    return best
 
 
 def _jets(problem, selector, lams):
-    """(Delta, dDelta, C(1, lambda)) of the selected pair at each lambda, in
-    one solve; if it fails, lambda by lambda, each PropagationError in its
-    lambda's place.  Delta_j2 and its jet are minus row 0 of the 2-wedge of
-    its two C columns, integrated in the same solve as C."""
+    """(Delta, dDelta, C(1, lambda), wedge_deltas) of the selected pair at
+    each lambda, in one solve; if it fails, lambda by lambda, each
+    PropagationError in its lambda's place.  A Delta_j2 polish carries the
+    2-wedges of the columns of Delta_22, Delta_32 and Delta_42 in the same
+    solve as C: each Delta_j2 and its jet are minus row 0 of its wedge, and
+    wedge_deltas are the three values (None for other selectors)."""
     try:
         if selector[1] == 2:
-            C = fundamental_C(problem, lams, x_grid=[0.0, 1.0], wedge=_DELTA_COLS[selector])
-            return list(zip((-C.wedges[0, 0]).tolist(), (-C.wedges[1, 0]).tolist(), C.end))
+            C = fundamental_C(problem, lams, x_grid=[0.0, 1.0],
+                              wedge=[_DELTA_COLS[jk] for jk in _J2])
+            d = -C.wedges[:, 0]   # (value or jet, pair, lambda)
+            own = _J2.index(selector)
+            return list(zip(d[0, own].tolist(), d[1, own].tolist(), C.end, d[0].T))
         C = fundamental_C(problem, lams, want_dlambda=True, x_grid=[0.0, 1.0])
         d = _assemble(C.end, C.dlambda[-1], (selector,))[selector]
-        return list(zip(d.value.tolist(), d.dvalue.tolist(), C.end))
+        return list(zip(d.value.tolist(), d.dvalue.tolist(), C.end, [None] * len(lams)))
     except PropagationError as exc:
         if len(lams) == 1:
             return [exc]
@@ -179,9 +193,10 @@ def _polish(problem, selector, newtons):
                     raise jet
                 todo[i] = newtons[i].send(jet)
             except StopIteration as stop:
-                lam, _, dval, end = stop.value
+                lam, _, dval, end, wedge_deltas = stop.value
                 out[i] = z = Zero(lam=lam, selector=selector, multiplicity_estimate=1,
                                   ddelta=complex(dval), end_values=end)
+                z.wedge_deltas = wedge_deltas
                 z.multiplicity_estimate = 1 if simplicity_check(z) else 2
                 del todo[i]
             except (PropagationError, SearchError) as exc:
@@ -210,7 +225,7 @@ def _scan_start(a, b, near):
     x = next(newton)
     try:
         while True:
-            x = newton.send((np.polyval(coef, x.real), np.polyval(dcoef, x.real), None))
+            x = newton.send((np.polyval(coef, x.real), np.polyval(dcoef, x.real)))
     except StopIteration as stop:
         u0 = stop.value[0].real
     s0 = s[0] + u0 * (s[1] - s[0])

@@ -100,12 +100,25 @@ class TestWeightNumbers:
             mm = weyl_matrix(beam, pt.lam - h).m[3, 2]
             assert (mp + mm) / 2 == pytest.approx(pt.xi / pt.gamma, rel=1e-5)
 
+    def test_beam_data_to_twelve_digits(self, beam):
+        # gamma^2 = Delta_32 / Delta_22' and xi = Delta_42 / (Delta_22' gamma)
+        # from the wedges of the polish: |gamma_n| = 2 for every mode the
+        # search reaches, and the wedges agree with the m43 of C(1)
+        pts = weight_numbers(beam, find_first_zeros(beam, (2, 2), 10))
+        assert [pt.case_tag for pt in pts] == ["I"] * 10
+        for pt in pts:
+            assert abs(abs(pt.gamma) - 2.0) <= 1e-12
+            assert pt.beta_residual <= 1e-12
+
     def test_non_simple_zero_rejected(self, beam, beam_zeros):
         # weight_numbers trusts the search's simplicity test and its C(1, lambda)
         with pytest.raises(NonSimpleError):
             weight_numbers(beam, [replace(beam_zeros[0], multiplicity_estimate=2)])
         with pytest.raises(ValueError):
             weight_numbers(beam, [replace(beam_zeros[0], end_values=None)])
+        # a copy carries no wedge values: it is no searched zero
+        with pytest.raises(ValueError):
+            weight_numbers(beam, [replace(beam_zeros[0])])
         # a zero of another Delta_jk is no eigenvalue of the main problem
         with pytest.raises(ValueError):
             weight_numbers(beam, find_first_zeros(beam, (3, 2), 1))

@@ -33,13 +33,12 @@ def _reference_end(pb, lam, Y0):
 
 
 def _kernel_steps(monkeypatch):
-    """(dtype kind, step length) of every step the columns' block takes."""
+    """(dtype kind, step length) of every step a propagation's one block takes."""
     steps = []
     orig = propagator._Block.advance
 
     def advance(self, T, powers):
-        if self.system is propagator._COLUMNS:
-            steps.append((self.state.dtype.kind, powers[-1, 1]))
+        steps.append((self.state.dtype.kind, powers[-1, 1]))
         return orig(self, T, powers)
 
     monkeypatch.setattr(propagator._Block, "advance", advance)
@@ -218,7 +217,7 @@ class TestRealKernel:
     def test_real_batch_returns_exactly_real_values(self, which, monkeypatch):
         pb = _real_problem(which)
         steps = _kernel_steps(monkeypatch)
-        res = fundamental_C(pb, REAL_BATCH, want_dlambda=True, wedge=(3, 4),
+        res = fundamental_C(pb, REAL_BATCH, want_dlambda=True, wedge=[(3, 4)],
                             x_grid=np.linspace(0, 1, 5))
         assert {kind for kind, _ in steps} == {"f"}
         for a in (res.values, res.dlambda, res.wedges):
@@ -282,7 +281,8 @@ class TestRealKernel:
 
 def _reference_series(block, pq):
     """_Block.series as it was before each degree's views were built once:
-    the same loop over a fresh buffer, with self as `block`."""
+    the same loop over a fresh buffer, with self as `block`, reading its
+    per-column lambda and jet factors."""
     K, P, Q, _ = block.system
     n, m = block.state.shape
     d = len(pq) - 1
@@ -296,7 +296,7 @@ def _reference_series(block, pq):
         np.matmul(A, T[k:k + d + 1].reshape(-1, m), out=nxt)
         nxt[rows] += block.lam_sign * Tk[qcols]
         if m > c:
-            nxt[rows, c:] += block.sign * Tk[qcols, :c]
+            nxt[rows, c:] += block.jet_sign * Tk[qcols, block.jet_cols]
         nxt /= k + 1
     return T[d:]
 
@@ -316,21 +316,23 @@ class TestKernelBitwise:
     """The Taylor kernel gives bitwise the numbers of the plain loop."""
 
     @pytest.mark.parametrize("degree", [0, 3])
-    @pytest.mark.parametrize("system, nz", [("columns", 1), ("columns", 2), ("wedge", 2)],
-                             ids=["columns", "columns_jet", "wedge"])
+    @pytest.mark.parametrize("pairs, jets", [([], False), ([], True), ([(0, 1), (2, 4)], False),
+                                             ([(0, 1), (2, 4)], True)],
+                             ids=["columns", "columns_jet", "wedge", "wedge_columns_jet"])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_series_and_step_bound_match_reference(self, system, nz, dtype, degree):
+    def test_series_and_step_bound_match_reference(self, pairs, jets, dtype, degree):
         rng = np.random.default_rng(4)
 
         def draw(*shape):
             x = rng.uniform(-1, 1, shape)
             return x + 1j * rng.uniform(-1, 1, shape) if dtype is complex else x
 
-        rows, cols = (4, 5) if system == "columns" else (6, 3)
-        block = propagator._Block(propagator._COLUMNS if system == "columns" else
-                                  propagator._WEDGE, draw(rows, cols),
-                                  draw(cols) * 400, nz)
-        # two steps of one degree: the second reuses the first's buffer
+        wi, wj = np.array(pairs, dtype=int).reshape(-1, 2).T
+        block, _ = propagator._block(draw(4, 5), draw(5) * 400, wi, wj, jets)
+        assert block.state.shape == ((10, 5 + 2 + (7 if jets else 2)) if pairs else
+                                     (4, 10 if jets else 5))
+        # two steps of one degree: the second reuses the first's buffer, and
+        # its state is nonzero in every row of every column
         for _ in range(2):
             pq = [tuple(draw(2)) for _ in range(degree + 1)]
             ref = _reference_series(block, pq)
@@ -339,4 +341,3 @@ class TestKernelBitwise:
             assert block.step_bound(got, 1e-10, 1e-12) == _reference_step_bound(
                 block, ref, 1e-10, 1e-12)
             block.state = draw(*block.state.shape)
-

@@ -261,8 +261,8 @@ class TestSampleAtRoot:
             return {selectors[0]: SimpleNamespace(value=lams - r, fp_floor=0 * lams)}
 
         def jets(problem, selector, lams):
-            # a C(1) for the simplicity test of the zero
-            return [(lam - r, 1.0, np.eye(4)) for lam in lams]
+            # a C(1) for the simplicity test of the zero, and no wedge values
+            return [(lam - r, 1.0, np.eye(4), None) for lam in lams]
 
         monkeypatch.setattr(spectra, "deltas_at", deltas_at)
         monkeypatch.setattr(spectra, "_jets", jets)
@@ -318,7 +318,7 @@ class TestZeroNear:
         assert solved == [[lam0]]
         # what the error carries is that step's end, outside the disc
         got = left.value.lam
-        (val, dval, _), = jets(beam, (2, 2), [lam0])
+        (val, dval, *_), = jets(beam, (2, 2), [lam0])
         assert got == lam0 - val / dval
         assert abs(got - lam0) >= default_contour_radius(lam0)
 

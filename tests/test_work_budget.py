@@ -12,6 +12,7 @@ import pytest
 
 from quartspec import (
     all_deltas,
+    beam_problem,
     characteristic_delta,
     find_complex_zeros,
     find_first_zeros,
@@ -179,16 +180,52 @@ def test_scan_polish_takes_two_solves(beam, monkeypatch, which, selector):
 
 
 def test_weight_numbers_solves_once_for_searched_zeros(beam, beam_zeros, monkeypatch):
-    # searched zeros carry C(1, lambda) and Delta_22' from the polish, which
-    # give A, Delta_33, Delta_43 and the beta check: one solve of the
-    # normalized trajectories
+    # searched zeros carry C(1, lambda), Delta_22' and the wedges' Delta_32
+    # and Delta_42 from the polish, which give gamma, xi, A, Delta_33,
+    # Delta_43 and the beta check: in case I no solve at all
     calls = _counting_propagations(monkeypatch)
     for count in (1, len(beam_zeros)):
         calls.clear()
         pts = weight_numbers(beam, beam_zeros[:count])
         assert [pt.case_tag for pt in pts] == ["I"] * count
         assert all(pt.beta_residual is not None for pt in pts)
-        assert calls == [("forward", count)]
+        assert calls == []
+
+
+def test_weight_numbers_shoots_only_outside_case_one(monkeypatch):
+    # lambda_1 of this beam is case III, where the wedge identities do not
+    # hold: its eigenfunction alone is solved, one column, and lambda_2,
+    # lambda_3 stay with the wedge data
+    pb = beam_problem(a=2.88131904)
+    zeros = find_first_zeros(pb, (2, 2), 3)
+    calls = _counting_propagations(monkeypatch)
+    pts = weight_numbers(pb, zeros)
+    assert [pt.case_tag for pt in pts] == ["III", "I", "I"]
+    assert calls == [("forward", 1)]
+
+
+@pytest.mark.parametrize("selector", [(2, 2), (3, 2), (4, 2)])
+def test_one_block_per_propagation(beam, monkeypatch, selector):
+    # every propagation steps one stacked block, and every Delta_j2 polish
+    # solve carries the wedges of Delta_22, Delta_32 and Delta_42 per lambda
+    blocks, solves = [], []
+    block_init = propagator._Block.__init__
+    monkeypatch.setattr(propagator._Block, "__init__",
+                        lambda self, *args: blocks.append(len(solves)) or block_init(self, *args))
+    orig = propagator.propagate
+
+    def wrapper(problem, lam, direction, init, want_dlambda=False, quad_pairs=None,
+                wedge_pairs=None, x_grid=None):
+        solves.append((np.shape(init)[1] // 4, len(wedge_pairs or [])))
+        return orig(problem, lam, direction, init, want_dlambda, quad_pairs, wedge_pairs,
+                    x_grid)
+
+    _patch_bindings(monkeypatch, orig, wrapper)
+    find_first_zeros(beam, selector, 3)
+    assert blocks == list(range(1, len(solves) + 1))
+    polish = [(n, pairs) for n, pairs in solves if pairs]
+    assert len(polish) == 2
+    assert all(pairs == 3 * n for n, pairs in polish)
 
 
 def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
@@ -251,11 +288,11 @@ def test_weyl_grid_is_one_propagation(beam_json, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("where, case, budget", [
-    ("eigenvalue", "I", 4), ("case V", "V", 2), ("complex", "I", 3)])
+    ("eigenvalue", "I", 3), ("case V", "V", 2), ("complex", "I", 2)])
 def test_weights_budget(beam_json, tmp_path, monkeypatch, capsys, where, case, budget):
-    # the contour, the Newton jets from lambda0 (the first is the zero test)
-    # and the eigenfunction; at a case-V point the first step leaves the
-    # contour's disc: one jet and no eigenfunction
+    # the contour and the Newton jets from lambda0 (the first is the zero
+    # test), whose wedges give the case-I data; at a case-V point the first
+    # step leaves the contour's disc: one jet
     path, lam = beam_json, complex(beam_eigenvalue(1))
     if where == "case V":
         lam = complex(-4 * clamped_free_s(1) ** 4)
