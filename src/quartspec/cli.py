@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -292,7 +293,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+@cache
 def build_parser():
+    """The one parser of the process: parse_args leaves it as it was, so
+    every main call reuses it."""
     parser = _Parser(prog="quartspec")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -353,8 +357,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except SystemExit:

@@ -16,7 +16,8 @@ wedge data do not tag I is normalized by shooting: the eigenfunctions of
 those zeros are one batch, one solve of all normalized trajectories, and
 eigenfunction, at a lambda from its caller, is the same shot.  It checks
 first that Delta_22 vanishes there, read from the wedge C_3 ^ C_4 solved
-with C(1, lambda), free of the determinant's cancellation.
+with C(1, lambda) and judged against that wedge's magnitude, both free of
+the determinant's cancellation.
 
 The case of each eigenvalue (I-IV, or indeterminate) is decided in one
 place, weights.classify_eigenvalue, which weight_numbers calls for every
@@ -34,7 +35,7 @@ import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import fundamental_C, propagate
-from .weyl import ZERO_FLOOR, _magnitude
+from .weyl import ZERO_FLOOR, _magnitude, _minor_norm
 
 NORMALIZATION_FLOOR = 1e-8
 
@@ -107,10 +108,11 @@ def _eigenfunctions(problem: ProblemSpec, lams, As, x_grid=None) -> list:
 
 def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
-    Raises NonSimpleError where Delta_22(lam_n) does not vanish."""
+    Raises NonSimpleError where Delta_22(lam_n) does not vanish against the
+    magnitude of its own wedge."""
     C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=[(3, 4)])
     delta22 = -C.wedges[0, 0, 0]
-    if abs(delta22) > ZERO_FLOOR * _magnitude(C.end, lam_n, (2, 2)):
+    if abs(delta22) > ZERO_FLOOR * _minor_norm(C.wedges[0, :, 0], lam_n, (2, 2)):
         raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
                              f"(|Delta_22| = {abs(delta22):.2e})")
     got = _eigenfunctions(problem, [lam_n], [C.end[0:2, 2:4]], x_grid)[0]

@@ -30,7 +30,9 @@ its own lambda factor and jet factor, and the jets follow the values of the
 columns that carry them.  So each step makes one series, one step bound and
 one advance call, whatever the propagation carries.  A column is zero in the
 other part's rows, which leaves its weighted norm, and so the step
-sequence, as it is.  Without wedges the block is the 4 column rows alone.
+sequence, as it is.  Without wedges the block is the 4 column rows alone,
+and a wedge-only propagation (the scan of a Delta_j2, see spectra) steps
+the 6 wedge rows alone, one state per pair, with no jet.
 
 The integrator is a Taylor series of order TAYLOR_ORDER (Jorba & Zou,
 Experiment. Math. 14 (2005)).  p and q are polynomials on each mesh segment;
@@ -221,6 +223,12 @@ class _Block:
                        for norm, k in zip(norms[1:], (TAYLOR_ORDER - 1, TAYLOR_ORDER)))
 
 
+def _wedges(Y0, wi, wj):
+    """The 2-wedges of the column pairs (wi, wj) of Y0, (6, pairs)."""
+    return np.array([Y0[a, wi] * Y0[b, wj] - Y0[b, wi] * Y0[a, wj] for a, b in _WEDGE_ROWS],
+                    Y0.dtype)
+
+
 def _block(Y0, lams, wi, wj, want_dlambda):
     """The one _Block of a propagation of the columns Y0 at lams with the
     wedges of the column pairs (wi, wj), and the rows of the columns in it.
@@ -230,11 +238,18 @@ def _block(Y0, lams, wi, wj, want_dlambda):
     ncols, nw = Y0.shape[1], len(wi)
     X0 = np.zeros((10, ncols + nw), Y0.dtype)
     X0[_C_ROWS, :ncols] = Y0
-    X0[_W_ROWS, ncols:] = [Y0[a, wi] * Y0[b, wj] - Y0[b, wi] * Y0[a, wj] for a, b in _WEDGE_ROWS]
+    X0[_W_ROWS, ncols:] = _wedges(Y0, wi, wj)
     rows, crows = (slice(None), _C_ROWS) if nw else (_C_ROWS, slice(None))
     return _Block(_STACKED if nw else _COLUMNS, X0[rows], np.append(lams, lams[wi]),
                   np.repeat([_C_SIGN, _W_SIGN], [ncols, nw]),
                   slice(0 if want_dlambda else ncols, ncols + nw)), crows
+
+
+def _wedge_block(Y0, lams, wi, wj):
+    """As _block, for the wedges of the column pairs (wi, wj) of Y0 alone:
+    _WEDGE on their 6 rows, with no jet; every row is a wedge's own."""
+    return _Block(_WEDGE, _wedges(Y0, wi, wj), lams[wi], np.full(len(wi), _W_SIGN),
+                  slice(0)), slice(None)
 
 
 @dataclass
@@ -260,7 +275,8 @@ class FundamentalMatrix:
 
 
 def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
-              quad_pairs=None, wedge_pairs=None, x_grid=None) -> FundamentalMatrix:
+              quad_pairs=None, wedge_pairs=None, x_grid=None,
+              wedge_only=False) -> FundamentalMatrix:
     """Integrate the system for a 4 x k initial matrix.
 
     lam is one spectral parameter for every column, or one per column (a
@@ -270,7 +286,10 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     int_0^1 y_i(x) y_j(x) dx is accumulated alongside the trajectory.
     wedge_pairs is a list of column index pairs at one lambda each; their
     2-wedges and the wedges' jets are returned where the propagation ends.
-    want_dlambda asks for the jets of the columns.
+    want_dlambda asks for the jets of the columns.  wedge_only steps the
+    wedges alone, one 6-row state per pair with no jet, and not the columns:
+    values is then the wedges' trajectory (len(xs), 6, pairs), and wedges
+    their end values alone, (1, 6, pairs).
     """
     Y0 = np.asarray(init, dtype=complex)
     if Y0.ndim == 1:
@@ -291,7 +310,10 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     wi, wj = np.array(wedge_pairs or [], dtype=int).reshape(-1, 2).T
     if np.any(lams[wi] != lams[wj]):
         raise ValueError("a wedge pairs columns at different lambda")
-    block, crows = _block(Y0, lams, wi, wj, want_dlambda)
+    if wedge_only and (want_dlambda or quad_pairs):
+        raise ValueError("a wedge-only propagation carries no column jets or quadratures")
+    block, crows = (_wedge_block(Y0, lams, wi, wj) if wedge_only else
+                    _block(Y0, lams, wi, wj, want_dlambda))
     rel, absolute = problem.tolerances.ode_rel, problem.tolerances.ode_abs
     hilbert = 1.0 / (np.arange(TAYLOR_ORDER + 1)[:, None] + np.arange(TAYLOR_ORDER + 1) + 1)
     quads = np.zeros(len(quad_pairs), Y0.dtype)
@@ -311,9 +333,11 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
             pc, qc = [c.real for c in pc], [c.real for c in qc]
         x, done = x0, 0
         while done < len(t_eval):
-            T = block.series(list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0),
-                                              fillvalue=0)))
-            h = STEP_SAFETY * block.step_bound(T, rel, absolute)
+            # an overflowing series leaves a step bound of 0 or nan, which raises
+            with np.errstate(over="ignore", invalid="ignore"):
+                T = block.series(list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0),
+                                                  fillvalue=0)))
+                h = STEP_SAFETY * block.step_bound(T, rel, absolute)
             if not h > 4 * np.finfo(float).eps * max(1.0, abs(x)):
                 raise PropagationError(f"no step possible at x={x} (step bound {h:.3e})")
             x_next = x1 if h >= abs(x1 - x) else x + sign * h
@@ -336,6 +360,9 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     quadratures = None
     if quad_pairs:
         quadratures = {pair: complex(sign * quads[k]) for k, pair in enumerate(quad_pairs)}
+    if wedge_only:
+        return FundamentalMatrix(xs=xs_out[order], values=states_out,
+                                 wedges=block.state[None].astype(complex))
     wedges = None
     if len(wi):   # the wedges' values, then their jets: the last state columns
         end = block.state[_W_ROWS].astype(complex)
@@ -362,7 +389,8 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> 
         return np.moveaxis(a.reshape(len(a), 4, *lam.shape, 4), 1, -2)
 
     values = per_lambda(res.values)
-    drift = np.max(np.abs(np.linalg.det(values) - np.linalg.det(init)))
+    with np.errstate(over="ignore", invalid="ignore"):   # C(1) overflows far out
+        drift = np.max(np.abs(np.linalg.det(values) - np.linalg.det(init)))
     return FundamentalMatrix(xs=res.xs, values=values, det_drift=float(drift),
                              dlambda=per_lambda(res.dlambda) if want_dlambda else None,
                              wedges=None if wedge is None else

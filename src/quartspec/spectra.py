@@ -8,16 +8,22 @@ Barcilon spectra.
 
 Real-axis search scans in rho = |lambda|^(1/4) (zeros are near-uniform in
 rho), one batched solve per chunk of about one zero spacing.  A pair of
-samples (a, b) in scan order opens a bracket where Delta changes sign above
-4 fp_floor, or where Delta(a) is exactly 0; the brackets are polished with
-Newton in lockstep (one batched solve of the variationally computed
-derivative per iteration).  The scan forms Delta as a determinant of C(1)
-(see weyl); the polish of Delta_22, Delta_32 and Delta_42 reads the value
-and its jet from the 2-wedge of the selector's two C columns instead, in
-the same solve as C(1) (see propagator), so a polished root carries none
-of the determinant's cancellation and does not move with its batch.  Each
-such solve carries the wedges of all three, C3 ^ C4, C2 ^ C4 and C3 ^ C2,
-and reads its own.
+samples (a, b) in scan order opens a bracket where Delta changes sign, or
+where Delta(a) is exactly 0; the brackets are polished with Newton in
+lockstep (one batched solve of the variationally computed derivative per
+iteration).  Every sample of a search comes from _samples.  A Delta_22,
+Delta_32 or Delta_42 sample is minus row 0 of the 2-wedge of the selector's
+two C columns (C3 ^ C4, C2 ^ C4, C3 ^ C2), stepped alone as one 6-row
+state per lambda with no columns and no jet (see propagator): it forms no
+determinant, so it carries none of the cancellation that once stopped the
+scan at rho ~ 33, and it reaches until the wedge overflows (rho ~ 600 on
+the beam), where the propagation raises.  Any other Delta is the
+determinant of C(1) (see weyl), and a sign change within 4 fp_floor of
+it is cancellation noise and opens no bracket.  The polish of a Delta_j2
+reads the value and its jet from the same wedge, solved with C(1) and
+stacked with the wedges of the other two in one block, so a polished root
+does not move with its batch; the zero keeps its own wedge, whose rows,
+the exact 2 x 2 minors, give the magnitude of its simplicity_check.
 Newton starts at the root inside each bracket of the cubic through the
 four nearest scan samples, taken in s = sign(lambda) |lambda|^(1/4), the
 variable in which the grid is uniform (through fewer samples where a
@@ -25,8 +31,7 @@ neighbour is not yet solved or not finite).  That start lies within about
 3e-7 of the root, relative, so Newton, which never leaves its bracket and
 accepts an evaluated iterate once the Newton step computed there is below
 REFINE_TOL (1 + |lambda|) without solving at lambda + step, polishes a
-scan bracket in two solves (three where the scan's determinant samples
-are noisy, near rho ~ 30).  Complex search uses the argument principle
+scan bracket in two solves.  Complex search uses the argument principle
 over rectangles, split while they hold more than one zero or hold one
 and are longer than NEWTON_BOX_ASPECT times their width, and the same
 Newton from the centre with a batch of one; find_zero_near runs it from
@@ -46,9 +51,9 @@ from itertools import islice
 
 import numpy as np
 
-from .problem import ProblemSpec
-from .propagator import PropagationError, fundamental_C
-from .weyl import _DELTA_COLS, _assemble, _magnitude, deltas_at
+from .problem import ProblemSpec, boundary_form_matrix
+from .propagator import PropagationError, fundamental_C, propagate
+from .weyl import _DELTA_COLS, _assemble, _magnitude, _minor_norm, deltas_at
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
@@ -89,10 +94,13 @@ class Zero:
     ddelta: complex
     # C(1, lambda) of the accepted Newton evaluation
     end_values: np.ndarray = field(repr=False, compare=False)
-    # (Delta_22, Delta_32, Delta_42) of that evaluation, from its wedges; set
-    # by the polish of a Delta_j2 only, and not carried by a copy
+    # (Delta_22, Delta_32, Delta_42) of that evaluation, from its wedges, and
+    # the 6 rows of the zero's own selector's wedge; set by the polish of a
+    # Delta_j2 only, and not carried by a copy
     wedge_deltas: np.ndarray | None = field(default=None, init=False, repr=False,
                                             compare=False)
+    end_wedge: np.ndarray | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
 
 @dataclass
@@ -157,22 +165,25 @@ def _newton(lam0, bracket=None, radius=None):
 
 
 def _jets(problem, selector, lams):
-    """(Delta, dDelta, C(1, lambda), wedge_deltas) of the selected pair at
-    each lambda, in one solve; if it fails, lambda by lambda, each
+    """(Delta, dDelta, C(1, lambda), wedge_deltas, end_wedge) of the selected
+    pair at each lambda, in one solve; if it fails, lambda by lambda, each
     PropagationError in its lambda's place.  A Delta_j2 polish carries the
     2-wedges of the columns of Delta_22, Delta_32 and Delta_42 in the same
-    solve as C: each Delta_j2 and its jet are minus row 0 of its wedge, and
-    wedge_deltas are the three values (None for other selectors)."""
+    solve as C: each Delta_j2 and its jet are minus row 0 of its wedge,
+    wedge_deltas are the three values and end_wedge the selector's own wedge
+    (both None for other selectors)."""
     try:
         if selector[1] == 2:
             C = fundamental_C(problem, lams, x_grid=[0.0, 1.0],
                               wedge=[_DELTA_COLS[jk] for jk in _J2])
             d = -C.wedges[:, 0]   # (value or jet, pair, lambda)
             own = _J2.index(selector)
-            return list(zip(d[0, own].tolist(), d[1, own].tolist(), C.end, d[0].T))
+            return list(zip(d[0, own].tolist(), d[1, own].tolist(), C.end, d[0].T,
+                            C.wedges[0, :, own].T))
         C = fundamental_C(problem, lams, want_dlambda=True, x_grid=[0.0, 1.0])
         d = _assemble(C.end, C.dlambda[-1], (selector,))[selector]
-        return list(zip(d.value.tolist(), d.dvalue.tolist(), C.end, [None] * len(lams)))
+        return list(zip(d.value.tolist(), d.dvalue.tolist(), C.end, [None] * len(lams),
+                        [None] * len(lams)))
     except PropagationError as exc:
         if len(lams) == 1:
             return [exc]
@@ -193,16 +204,36 @@ def _polish(problem, selector, newtons):
                     raise jet
                 todo[i] = newtons[i].send(jet)
             except StopIteration as stop:
-                lam, _, dval, end, wedge_deltas = stop.value
+                lam, _, dval, end, wedge_deltas, end_wedge = stop.value
                 out[i] = z = Zero(lam=lam, selector=selector, multiplicity_estimate=1,
                                   ddelta=complex(dval), end_values=end)
-                z.wedge_deltas = wedge_deltas
+                z.wedge_deltas, z.end_wedge = wedge_deltas, end_wedge
                 z.multiplicity_estimate = 1 if simplicity_check(z) else 2
                 del todo[i]
             except (PropagationError, SearchError) as exc:
                 out[i] = exc
                 del todo[i]
     return out
+
+
+def _samples(problem, selector, lams):
+    """(Delta_selector, its floating-point floor) at each of lams, in one
+    solve.  A Delta_j2 is minus row 0 of the 2-wedge of its two C columns,
+    propagated alone (one 6-row state per lambda, no columns, no jet), which
+    forms no determinant and so has floor 0; any other Delta is the
+    determinant of C(1) from deltas_at, with its fp_floor."""
+    lams = np.asarray(lams, dtype=complex)
+    if selector[1] != 2:
+        d = deltas_at(problem, lams, (selector,))[selector]
+        return d.value, d.fp_floor
+    floor = np.zeros(lams.shape)
+    if lams.size == 0:
+        return lams, floor
+    init = np.linalg.inv(boundary_form_matrix(problem))[:, np.subtract(_DELTA_COLS[selector], 1)]
+    res = propagate(problem, np.repeat(lams, 2), "forward", np.tile(init, lams.size),
+                    wedge_pairs=[(2 * k, 2 * k + 1) for k in range(lams.size)],
+                    x_grid=[0.0, 1.0], wedge_only=True)
+    return -res.wedges[0, 0], floor
 
 
 def _scan_start(a, b, near):
@@ -260,18 +291,18 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
         tail = []       # the previous chunk's last two samples: no lambda twice
         for start in range(0, len(lams), _SCAN_CHUNK):
             chunk = lams[start:start + _SCAN_CHUNK]
-            d = deltas_at(problem, chunk, (selector,))[selector]
-            samples = tail + list(zip(chunk, d.value.real, d.fp_floor))
+            value, floor = _samples(problem, selector, chunk)
+            samples = tail + list(zip(chunk, value.real, floor))
             for i in range(max(len(tail) - 1, 0), len(samples) - 1):
                 (a, fa, floor_a), (b, fb, floor_b) = samples[i:i + 2]
                 if not (np.isfinite(fa) and np.isfinite(fb)):
                     continue
                 if max(abs(fa), abs(fb)) <= 4.0 * max(floor_a, floor_b):
-                    # cancellation noise: at large |lambda| the determinant is the
-                    # difference of entry products that dwarf its true value, and a
-                    # sign change there carries no information about a root
+                    # cancellation noise of a determinant: at large |lambda| it is
+                    # the difference of entry products that dwarf its true value,
+                    # and a sign change there carries no information about a root
                     continue
-                if fa == 0.0 or fa * fb < 0:
+                if fa == 0.0 or fa < 0 < fb or fb < 0 < fa:
                     # a root lies between a and b, or at a when fa = 0; the best
                     # iterate is accepted even when cancellation noise keeps
                     # |Delta| above the residual floor
@@ -329,7 +360,7 @@ def _ring_fun(problem, selector):
     def ring(zs):
         zs = zs.tolist()
         new = [z for z in dict.fromkeys(zs) if z not in memo]
-        memo.update(zip(new, deltas_at(problem, new, (selector,))[selector].value.tolist()))
+        memo.update(zip(new, _samples(problem, selector, new)[0].tolist()))
         return np.array([memo[z] for z in zs])
 
     return ring
@@ -391,8 +422,11 @@ def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero:
 
 def simplicity_check(zero: Zero) -> bool:
     """True iff the zero is simple: |dDelta| (1 + |lambda|) strictly above
-    SIMPLICITY_FLOOR times the magnitude of Delta in the zero's own C(1)."""
-    mag = _magnitude(zero.end_values, zero.lam, zero.selector)
+    SIMPLICITY_FLOOR times the magnitude of Delta at the zero: that of its
+    own end wedge for a Delta_j2, whose rows are the exact minors, else that
+    of its minors in the zero's own C(1)."""
+    mag = (_magnitude(zero.end_values, zero.lam, zero.selector) if zero.end_wedge is None
+           else _minor_norm(zero.end_wedge, zero.lam, zero.selector))
     return bool(abs(zero.ddelta) * (1 + abs(zero.lam)) > SIMPLICITY_FLOOR * mag)
 
 
@@ -403,8 +437,8 @@ def find_first_zeros(problem: ProblemSpec, selector, count) -> list:
     zero; it raises SearchError when the cap is reached with fewer zeros.
     """
     # the zeros are near-uniform in rho = lambda^{1/4} with spacing about pi,
-    # so (pi (count+3))^4 bounds the scan; past that the propagated entries
-    # overflow and the scan would only produce NaNs
+    # so (pi (count+3))^4 bounds the scan; where the propagated states
+    # overflow (rho ~ 600 on the beam) the propagation raises
     cap = (np.pi * (count + 3)) ** 4
     zeros = find_real_zeros(problem, selector, (FIRST_ZEROS_START, cap), max_count=count)
     if len(zeros) < count:

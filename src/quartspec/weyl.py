@@ -121,13 +121,22 @@ def _minors(sub, dsub=None):
 
 def _magnitude(end, lam, jk):
     """Largest |minor| of Delta_jk's columns of C(1) at lam over all row sets,
-    weighted by rho^(Delta_jk's row orders - the minor's) as in the step norm:
-    their compound-matrix norm (Allen & Bridges 2002), at least |Delta_jk|."""
+    weighted as in _minor_norm: at least |Delta_jk|."""
     cols = [c - 1 for c in _DELTA_COLS[jk]]
     rows = np.array(list(combinations(range(4), len(cols))))
+    return _minor_norm(_det(end[..., cols][..., rows, :]), lam, jk)
+
+
+def _minor_norm(minors, lam, jk):
+    """Largest |minor| of Delta_jk's columns at lam, the minors on the last
+    axis in the order of combinations(range(4), k) of their rows (a 2-wedge's
+    rows for k = 2), each weighted by rho^(Delta_jk's row orders - the
+    minor's) as in the step norm: their compound-matrix norm (Allen & Bridges
+    2002)."""
+    rows = np.array(list(combinations(range(4), len(_DELTA_COLS[jk]))))
     rho = np.maximum(1.0, np.abs(np.asarray(lam)) ** 0.25)[..., None]
     weight = rho ** (sum(_DELTA_ROWS[jk[1]]) - rows.sum(axis=1))
-    return np.max(np.abs(_det(end[..., cols][..., rows, :])) * weight, axis=-1)
+    return np.max(np.abs(minors) * weight, axis=-1)
 
 
 def _assemble(end, dend=None, pairs=ALL_INDEX_PAIRS) -> dict:

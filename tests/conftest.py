@@ -124,6 +124,12 @@ def beam_zeros(beam):
 
 
 @pytest.fixture(scope="session")
+def beam_zeros_30(beam):
+    # past rho ~ 33, where a scan of determinants of C(1) stopped at count 10
+    return find_first_zeros(beam, (2, 2), 30)
+
+
+@pytest.fixture(scope="session")
 def beam_points(beam, beam_zeros):
     return weight_numbers(beam, beam_zeros)
 

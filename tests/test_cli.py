@@ -16,7 +16,7 @@ from quartspec import (
     weyl_matrix,
 )
 from quartspec import spectra
-from quartspec.cli import main
+from quartspec.cli import build_parser, main
 
 from conftest import beam_eigenvalue, clamped_free_s, make_random_problem
 
@@ -165,6 +165,33 @@ class TestSpectrum:
         rows = json.loads(capsys.readouterr().out)
         assert [row["simple"] for row in rows] == [z.multiplicity_estimate == 1 for z in found]
         assert [row["simple"] for row in rows] == [True, False, True]
+
+
+class TestParserReuse:
+    """main reuses one parser: a call leaves nothing behind for the next."""
+
+    def test_usage_error_then_valid_call(self, beam_json, capsys):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as err:
+            main(["spectrum", "--problem", beam_json, "--count", "0"])
+        assert err.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert main(["spectrum", "--problem", beam_json, "--xmax", "500"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["lambda"][0] for row in rows] == pytest.approx(
+            [beam_eigenvalue(1), beam_eigenvalue(2)], rel=1e-12)
+        assert [row["simple"] for row in rows] == [True, True]
+
+    def test_two_subcommands_in_a_row(self, beam_json, capsys):
+        assert main(["weyl", "--problem", beam_json, "--lambda-count", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and "," in lines[0]
+        # the second subcommand takes none of the first one's options or defaults
+        assert main(["mclaughlin", "--problem", beam_json, "--count", "2"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["case"] for row in rows] == ["I", "I"]
+        assert [row["lambda"][0] for row in rows] == pytest.approx(
+            [beam_eigenvalue(1), beam_eigenvalue(2)], rel=1e-12)
 
 
 class TestGridCommands:

@@ -61,11 +61,12 @@ class TestEigenfunction:
         with pytest.raises(NonSimpleError):
             eigenfunction(beam, 100.0)
 
-    @pytest.mark.parametrize("rho", [33.3, 36.3, 40.3, 45.3])
+    @pytest.mark.parametrize("rho", [33.3, 36.3, 40.3, 45.3, 62.8, 94.2])
     def test_rejects_non_eigenvalue_at_large_rho(self, beam, rho):
         # between beam eigenvalues, where the determinant's cancellation
-        # floor outgrows Delta_22 itself: the zero test reads Delta_22 from
-        # the C_3 ^ C_4 wedge of the same solve
+        # floor outgrows Delta_22 itself: the zero test reads Delta_22 and
+        # its magnitude from the C_3 ^ C_4 wedge of the same solve (C(1)'s
+        # minors passed rho = 62.8 and 94.2)
         with pytest.raises(NonSimpleError):
             eigenfunction(beam, rho ** 4)
 
@@ -108,6 +109,15 @@ class TestWeightNumbers:
         assert [pt.case_tag for pt in pts] == ["I"] * 10
         for pt in pts:
             assert abs(abs(pt.gamma) - 2.0) <= 1e-12
+            assert pt.beta_residual <= 1e-12
+
+    def test_thirty_beam_modes(self, beam, beam_zeros_30):
+        # the wedge scan reaches rho ~ 93, and every zero is simple by its own
+        # end wedge: |gamma_n| = 2 to 1e-10 for the first 30 modes
+        pts = weight_numbers(beam, beam_zeros_30)
+        assert [pt.case_tag for pt in pts] == ["I"] * 30
+        for pt in pts:
+            assert abs(abs(pt.gamma) - 2.0) <= 1e-10
             assert pt.beta_residual <= 1e-12
 
     def test_non_simple_zero_rejected(self, beam, beam_zeros):

@@ -93,6 +93,23 @@ class TestClosedForm:
         ddelta = (np.sin(r) * np.cosh(r) - np.cos(r) * np.sinh(r)) / (8 * r ** 3)
         assert -res.wedges[1, 0, 0] == pytest.approx(ddelta, rel=1e-10)
 
+    @pytest.mark.parametrize("rho", [10, 35, 60, 120])
+    def test_wedge_only_delta22_matches_closed_form(self, rho):
+        # the scan's solve: the wedge C3 ^ C4 stepped alone, with no columns
+        # and no jet, at one lambda or at two
+        pb = beam_problem()
+        lams = float(rho) ** 4 * np.array([1.0, 1.01])
+        init = np.tile(np.linalg.inv(boundary_form_matrix(pb))[:, 2:], 2)
+        res = propagate(pb, np.repeat(lams, 2), "forward", init, wedge_pairs=[(0, 1), (2, 3)],
+                        x_grid=[0.0, 1.0], wedge_only=True)
+        assert res.wedges.shape == (1, 6, 2) and res.values.shape == (2, 6, 2)
+        assert np.array_equal(res.values[-1], res.wedges[0])
+        with pytest.raises(ValueError):   # no column is stepped
+            propagate(pb, lams[0], "forward", init[:, :2], want_dlambda=True,
+                      wedge_pairs=[(0, 1)], wedge_only=True)
+        got = -res.wedges[0, 0]
+        assert got.tolist() == pytest.approx([oracle_delta22(lam) for lam in lams], rel=1e-11)
+
     def test_dlambda_jet_matches_finite_difference(self):
         pb = beam_problem()
         lam, h = 3.0, 1e-6
@@ -333,6 +350,28 @@ class TestKernelBitwise:
                                      (4, 10 if jets else 5))
         # two steps of one degree: the second reuses the first's buffer, and
         # its state is nonzero in every row of every column
+        for _ in range(2):
+            pq = [tuple(draw(2)) for _ in range(degree + 1)]
+            ref = _reference_series(block, pq)
+            got = block.series(pq)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert block.step_bound(got, 1e-10, 1e-12) == _reference_step_bound(
+                block, ref, 1e-10, 1e-12)
+            block.state = draw(*block.state.shape)
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_wedge_only_block_matches_reference(self, dtype, degree):
+        # the scan's block: the wedge rows alone, one state per pair, no jet
+        rng = np.random.default_rng(5)
+
+        def draw(*shape):
+            x = rng.uniform(-1, 1, shape)
+            return x + 1j * rng.uniform(-1, 1, shape) if dtype is complex else x
+
+        lams = np.repeat(draw(2) * 400, 2)
+        block, _ = propagator._wedge_block(draw(4, 4), lams, np.array([0, 2]), np.array([1, 3]))
+        assert block.state.shape == (6, 2) and block.cols == 2
         for _ in range(2):
             pq = [tuple(draw(2)) for _ in range(degree + 1)]
             ref = _reference_series(block, pq)

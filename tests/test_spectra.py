@@ -1,5 +1,4 @@
 import cmath
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +19,11 @@ from quartspec import spectra
 from quartspec.propagator import PropagationError
 from quartspec.spectra import SearchError
 from quartspec.weights import default_contour_radius
+from quartspec.weyl import deltas_at
 
 from conftest import (
-    beam_eigenvalue, beam_rho, clamped_free_s, make_random_problem, oracle_C4, oracle_delta22,
+    beam_eigenvalue, beam_rho, clamped_free_s, make_random_problem, make_random_real_problem,
+    oracle_C4, oracle_delta22,
 )
 
 
@@ -104,11 +105,56 @@ class TestRealSearch:
         assert [z.lam.real for z in got] == pytest.approx(
             [z.lam.real for z in every[-count:]], rel=1e-10)
 
-    def test_count_cap_honest_failure(self, beam):
-        # double precision cannot resolve Delta_22 past rho ~ 33; asking for
-        # more zeros than that must fail loudly, not fabricate data
-        with pytest.raises(SearchError):
-            find_first_zeros(beam, (2, 2), 12)
+    def test_count_wall_honest_failure(self, beam, beam_zeros_30):
+        # the scan reads Delta_22 from the wedge C3 ^ C4, free of the
+        # determinant's cancellation that stopped it at count 11 (rho ~ 33):
+        # counts 12 and 30 give the closed-form roots, each simple
+        for zeros in (find_first_zeros(beam, (2, 2), 12), beam_zeros_30):
+            assert [z.lam.real for z in zeros] == pytest.approx(
+                [beam_eigenvalue(n) for n in range(1, len(zeros) + 1)], rel=1e-12)
+            assert all(simplicity_check(z) and z.multiplicity_estimate == 1 for z in zeros)
+        # where the propagated wedge overflows (rho ~ 600) a search must fail
+        # loudly, not fabricate data
+        with pytest.raises((PropagationError, SearchError)):
+            find_real_zeros(beam, (2, 2), (599.0 ** 4, 601.0 ** 4))
+
+    def test_window_past_the_old_wall(self, beam):
+        # lambda_115 (rho = 114.5 pi ~ 359.71) is the one root in the window
+        zeros = find_real_zeros(beam, (2, 2), (359.2 ** 4, 360.0 ** 4))
+        assert [z.lam.real for z in zeros] == pytest.approx([beam_eigenvalue(115)], rel=1e-12)
+        assert zeros[0].multiplicity_estimate == 1
+
+    @pytest.mark.parametrize("which, selector", [("beam", (3, 2)), ("random", (4, 2))])
+    def test_simple_past_rho_55(self, beam, which, selector):
+        # each zero's simplicity is judged from its own end wedge, whose rows
+        # are the exact minors; C(1)'s minors are noise there from n ~ 18
+        pb = beam if which == "beam" else make_random_real_problem(11)
+        zeros = find_first_zeros(pb, selector, 25)
+        assert abs(zeros[-1].lam) ** 0.25 > 70
+        assert all(z.multiplicity_estimate == 1 for z in zeros)
+
+
+class TestWedgeSamples:
+    """The scan's Delta_j2 samples, minus row 0 of a wedge propagated alone,
+    against the determinant of C(1) from deltas_at as the oracle, for rho
+    below 12, where that determinant is good to its own fp_floor."""
+
+    @pytest.mark.parametrize("selector", [(2, 2), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("which, seed", [("real", 11), ("real", 3), ("complex", 7),
+                                             ("complex", 2)])
+    def test_wedge_equals_determinant(self, which, seed, selector):
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.5, 12.0, 24)
+        if which == "real":
+            pb = make_random_real_problem(seed)
+            lams = rho ** 4 * rng.choice([-1.0, 1.0], 24)
+        else:
+            pb = make_random_problem(seed)
+            lams = rho ** 4 * np.exp(1j * rng.uniform(-np.pi, np.pi, 24))
+        got, floor = spectra._samples(pb, selector, lams)
+        assert not np.any(floor)
+        det = deltas_at(pb, lams, (selector,))[selector]
+        assert np.all(np.abs(got - det.value) <= 1e-10 * np.abs(det.value) + det.fp_floor)
 
 
 def _beam_ddelta(lam):
@@ -255,16 +301,16 @@ class TestSampleAtRoot:
 
     @staticmethod
     def _linear(monkeypatch, r, seen):
-        def deltas_at(problem, lams, selectors):
+        def samples(problem, selector, lams):
             seen.extend(lams)
             lams = np.asarray(lams)
-            return {selectors[0]: SimpleNamespace(value=lams - r, fp_floor=0 * lams)}
+            return lams - r, 0 * lams
 
         def jets(problem, selector, lams):
             # a C(1) for the simplicity test of the zero, and no wedge values
-            return [(lam - r, 1.0, np.eye(4), None) for lam in lams]
+            return [(lam - r, 1.0, np.eye(4), None, None) for lam in lams]
 
-        monkeypatch.setattr(spectra, "deltas_at", deltas_at)
+        monkeypatch.setattr(spectra, "_samples", samples)
         monkeypatch.setattr(spectra, "_jets", jets)
 
     @pytest.mark.parametrize("region", [(0.0, 50.0), (-50.0, 0.0)], ids=["up", "down"])

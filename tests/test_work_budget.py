@@ -53,17 +53,17 @@ def _patch_bindings(monkeypatch, orig, wrapper):
                     monkeypatch.setattr(mod, attr, wrapper)
 
 
-def _recording_deltas(monkeypatch):
-    """Flat list of the lambda that reach weyl.deltas_at, from all_deltas or
-    from a batch."""
+def _recording_samples(monkeypatch):
+    """Flat list of the lambda that reach spectra._samples, the one source
+    of the real scan's and the winding ring's Delta values."""
     lams = []
-    orig = weyl.deltas_at
+    orig = spectra._samples
 
-    def wrapper(problem, batch, *args, **kwargs):
+    def wrapper(problem, selector, batch):
         lams.extend(complex(lam) for lam in np.ravel(batch))
-        return orig(problem, batch, *args, **kwargs)
+        return orig(problem, selector, batch)
 
-    _patch_bindings(monkeypatch, orig, wrapper)
+    monkeypatch.setattr(spectra, "_samples", wrapper)
     return lams
 
 
@@ -125,9 +125,10 @@ def test_no_delta_propagates_backward(beam, monkeypatch):
 
 
 def _recording_batches(monkeypatch):
-    """(lambda batch, jet) of every fundamental_C call: the scan's through
-    weyl.deltas_at, the Newton polish's directly, with the jet of C or of
-    the wedge of Delta_j2's columns."""
+    """(lambda batch, jet) of every fundamental_C call: the Newton polish's,
+    with the jet of C or of the wedges of Delta_j2's columns, and a
+    determinant scan's through weyl.deltas_at (a Delta_j2 scan propagates
+    its wedge alone, with no fundamental_C call)."""
     calls = []
     orig = propagator.fundamental_C
 
@@ -140,8 +141,31 @@ def _recording_batches(monkeypatch):
     return calls
 
 
+def _recording_solves(monkeypatch):
+    """(lambda batch, block) of every propagator.propagate call: "wedge" for
+    a wedge-only block, one wedge state per lambda (a Delta_j2 scan chunk),
+    else "jet" for C with the jet of C or of wedges (a Newton step) and "C"
+    for C alone, 4 columns per lambda."""
+    calls = []
+    orig = propagator.propagate
+
+    def wrapper(problem, lam, direction, init, want_dlambda=False, quad_pairs=None,
+                wedge_pairs=None, x_grid=None, wedge_only=False):
+        lams = np.ravel(lam)
+        if wedge_only:
+            calls.append(([complex(lams[i]) for i, _ in wedge_pairs], "wedge"))
+        else:
+            calls.append(([complex(lam) for lam in lams[::4]],
+                          "jet" if want_dlambda or wedge_pairs else "C"))
+        return orig(problem, lam, direction, init, want_dlambda, quad_pairs, wedge_pairs,
+                    x_grid, wedge_only)
+
+    _patch_bindings(monkeypatch, orig, wrapper)
+    return calls
+
+
 def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
-    calls = _recording_batches(monkeypatch)
+    calls = _recording_solves(monkeypatch)
     props = _counting_propagations(monkeypatch)
     zeros = find_first_zeros(beam, (2, 2), 3)
     lams = [lam for batch, _ in calls for lam in batch]
@@ -153,18 +177,20 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     step, chunk = spectra.RHO_SCAN_STEP, spectra._SCAN_CHUNK
     r_next = step * np.ceil(rho3 / step + 1e-9)
     assert max(lam.real for lam in lams) <= (r_next + chunk * step) ** 4 * (1 + 1e-12)
-    # one solve per chunk scanned, then one per lockstep Newton iteration
-    # over the brackets still open: all three enter the first, none re-enters,
+    # one solve per chunk scanned, a wedge-only block of the two C columns of
+    # Delta_22 at each lambda, then one per lockstep Newton iteration over
+    # the brackets still open: all three enter the first, none re-enters,
     # and from the brackets' interpolated starts the polish takes two
-    scans = [batch for batch, jet in calls if not jet]
-    newton = [batch for batch, jet in calls if jet]
+    scans = [batch for batch, block in calls if block == "wedge"]
+    newton = [batch for batch, block in calls if block == "jet"]
     assert all(len(batch) == chunk for batch in scans[:-1])
     assert 0 < len(scans[-1]) <= chunk
     assert len(newton[0]) == 3
     assert len(newton) == 2
     assert all(len(b) >= len(a) for a, b in zip(newton[1:], newton))
-    assert [jet for _, jet in calls] == [False] * len(scans) + [True] * len(newton)
-    assert len(props) == len(calls)
+    assert [block for _, block in calls] == ["wedge"] * len(scans) + ["jet"] * len(newton)
+    assert props == ([("forward", 2 * len(batch)) for batch in scans]
+                     + [("forward", 4 * len(batch)) for batch in newton])
 
 
 @pytest.mark.parametrize("which, selector", [("random", (2, 2)), ("beam", (3, 2))])
@@ -177,6 +203,16 @@ def test_scan_polish_takes_two_solves(beam, monkeypatch, which, selector):
     newton = [batch for batch, jet in calls if jet]
     assert len(newton) == 2
     assert len(newton[0]) == 3
+
+
+def test_beam_count_ten_polish_takes_two_solves(beam, monkeypatch):
+    # the wedge samples near rho ~ 30 carry no determinant's noise, so the
+    # interpolated starts hold there too: two lockstep solves, not three
+    calls = _recording_solves(monkeypatch)
+    find_first_zeros(beam, (2, 2), 10)
+    newton = [batch for batch, block in calls if block == "jet"]
+    assert len(newton) == 2
+    assert len(newton[0]) == 10
 
 
 def test_weight_numbers_solves_once_for_searched_zeros(beam, beam_zeros, monkeypatch):
@@ -206,24 +242,35 @@ def test_weight_numbers_shoots_only_outside_case_one(monkeypatch):
 
 @pytest.mark.parametrize("selector", [(2, 2), (3, 2), (4, 2)])
 def test_one_block_per_propagation(beam, monkeypatch, selector):
-    # every propagation steps one stacked block, and every Delta_j2 polish
-    # solve carries the wedges of Delta_22, Delta_32 and Delta_42 per lambda
+    # every propagation steps one block: each scan chunk a wedge-only block,
+    # one 6-row state per lambda with no jet, and every Delta_j2 polish solve
+    # a stacked block with the wedges of Delta_22, Delta_32 and Delta_42 per
+    # lambda
     blocks, solves = [], []
     block_init = propagator._Block.__init__
-    monkeypatch.setattr(propagator._Block, "__init__",
-                        lambda self, *args: blocks.append(len(solves)) or block_init(self, *args))
+
+    def recording_init(self, *args):
+        block_init(self, *args)
+        blocks.append((len(solves), self.state.shape))
+
+    monkeypatch.setattr(propagator._Block, "__init__", recording_init)
     orig = propagator.propagate
 
     def wrapper(problem, lam, direction, init, want_dlambda=False, quad_pairs=None,
-                wedge_pairs=None, x_grid=None):
-        solves.append((np.shape(init)[1] // 4, len(wedge_pairs or [])))
+                wedge_pairs=None, x_grid=None, wedge_only=False):
+        solves.append((np.shape(init)[1], len(wedge_pairs or []), wedge_only))
         return orig(problem, lam, direction, init, want_dlambda, quad_pairs, wedge_pairs,
-                    x_grid)
+                    x_grid, wedge_only)
 
     _patch_bindings(monkeypatch, orig, wrapper)
     find_first_zeros(beam, selector, 3)
-    assert blocks == list(range(1, len(solves) + 1))
-    polish = [(n, pairs) for n, pairs in solves if pairs]
+    assert [i for i, _ in blocks] == list(range(1, len(solves) + 1))
+    scans = [(cols, pairs) for cols, pairs, alone in solves if alone]
+    assert scans and all(cols == 2 * pairs for cols, pairs in scans)
+    assert [shape for (_, shape), (*_, alone) in zip(blocks, solves) if alone] == [
+        (6, pairs) for _, pairs in scans]
+    polish = [(cols // 4, pairs) for cols, pairs, alone in solves if pairs and not alone]
+    assert len(scans) + len(polish) == len(solves)
     assert len(polish) == 2
     assert all(pairs == 3 * n for n, pairs in polish)
 
@@ -256,7 +303,7 @@ def test_complex_search_samples_each_point_once(beam, monkeypatch, selector, box
     # winding-number refinement keeps the coarse samples, the loop is closed
     # with the first value, the Newton step reuses the corner value, and a
     # subdivision reuses the boundary points it shares
-    lams = _recording_deltas(monkeypatch)
+    lams = _recording_samples(monkeypatch)
     zeros = find_complex_zeros(beam, selector, box)
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
     assert len(zeros) == len(expected)
