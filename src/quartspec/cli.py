@@ -97,6 +97,9 @@ def _complex_arg(text):
 # subcommands
 
 def cmd_spectrum(args):
+    if not args.xmin < args.xmax:
+        print(f"error: --xmin {args.xmin!r} is not below --xmax {args.xmax!r}", file=sys.stderr)
+        raise SystemExit(2)
     problem = _load(args.problem)
     zeros = spectra.find_real_zeros(problem, args.selector, (args.xmin, args.xmax),
                                     max_count=args.count)

@@ -82,6 +82,8 @@ TAYLOR_ORDER = 20
 STEP_SAFETY = 0.9
 # terms of each step added to the state in double-double arithmetic
 SUMMED_TERMS = 3
+# the step bound's powers, one per row: 1/k for the orders k of its two terms
+_BOUND_POWERS = 1.0 / np.array([[TAYLOR_ORDER - 1], [TAYLOR_ORDER]])
 # wedge rows: the (a, b) minor u_a v_b - u_b v_a
 _WEDGE_ROWS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -156,9 +158,12 @@ class _Block:
 
     def _plan(self, d):
         """The series buffer for polynomial degree d, which every step of that
-        degree reuses (rows below d stay zero), and per order k the views
-        the recursion reads and writes: Y_{k+1}, the window Y_{k-d} .. Y_k,
-        and each row update's target, factor, source and temporary."""
+        degree reuses (rows below d stay zero), per order k the views the
+        recursion reads and writes: Y_{k+1}, the window Y_{k-d} .. Y_k, and
+        each row update's target, factor, source and temporary; and the
+        basis of the step's matrix A_d, ..., A_1, A_0 side by side (A_i =
+        p_i P + q_i Q, plus K in A_0), which is [p_d, q_d, ..., p_0, q_0, 1]
+        @ basis, exactly: K, P and Q have disjoint supports."""
         n, m = self.state.shape
         rows, qcols, c = self.rows, self.qcols, self.cols
         T = np.zeros((TAYLOR_ORDER + 1 + d, n, m), self.state.dtype)
@@ -172,19 +177,22 @@ class _Block:
                 updates.append((nxt[rows, c:], self.jet_sign, Tk[qcols, self.jet_cols],
                                 jet_tmp))
             steps.append((nxt, T[k:k + d + 1].reshape(-1, m), updates, k + 1))
-        self.plans[d] = T, steps
+        K, P, Q, _ = self.system
+        basis = np.zeros((2 * d + 3, n, d + 1, n), self.state.dtype)
+        for i in range(d + 1):
+            basis[2 * i, :, i], basis[2 * i + 1, :, i] = P, Q
+        basis[-1, :, d] = K
+        self.plans[d] = T, steps, basis.reshape(2 * d + 3, -1)
         return self.plans[d]
 
     def series(self, pq):
         """The Taylor coefficients (TAYLOR_ORDER + 1, n, m) of the state at
         the step start, for the ascending coefficients (p_i, q_i) of p and q
         there."""
-        K, P, Q, _ = self.system
         d = len(pq) - 1
+        T, steps, basis = self.plans.get(d) or self._plan(d)
         # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k
-        A = np.concatenate([p * P + q * Q + (K if i == d else 0)
-                            for i, (p, q) in enumerate(pq[::-1])], axis=1)
-        T, steps = self.plans.get(d) or self._plan(d)
+        A = (np.append(np.ravel(pq[::-1]), 1.0) @ basis).reshape(len(self.state), -1)
         T[d] = self.state
         for nxt, window, updates, k1 in steps:
             np.matmul(A, window, out=nxt)
@@ -219,8 +227,7 @@ class _Block:
         norms = np.max(np.abs(T[[0, TAYLOR_ORDER - 1, TAYLOR_ORDER]]) * self.weights, axis=1)
         tol = rel * norms[0] + absolute
         with np.errstate(divide="ignore"):
-            return min(np.min((tol / norm) ** (1.0 / k))
-                       for norm, k in zip(norms[1:], (TAYLOR_ORDER - 1, TAYLOR_ORDER)))
+            return np.min((tol / norms[1:]) ** _BOUND_POWERS)
 
 
 def _wedges(Y0, wi, wj):
@@ -263,7 +270,10 @@ class FundamentalMatrix:
     quadratures: dict | None = None     # (i, j) -> int_0^1 y_i y_j dx
     # (2, 6, pairs): the 2-wedges where the propagation ends, then their jets
     wedges: np.ndarray | None = None
-    det_drift: float = 0.0    # fundamental_C and fundamental_S only
+    # fundamental_C and fundamental_S only: max |det Y(x) - det Y(0)|, which
+    # checks the integration only up to rho ~ 15; past it det Y cancels (its
+    # columns grow like exp(rho)) and the field reads that rounding
+    det_drift: float = 0.0
 
     @property
     def start(self):
@@ -318,9 +328,11 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     hilbert = 1.0 / (np.arange(TAYLOR_ORDER + 1)[:, None] + np.arange(TAYLOR_ORDER + 1) + 1)
     quads = np.zeros(len(quad_pairs), Y0.dtype)
 
+    breakpoints = problem.breakpoints
     grid = np.union1d(np.linspace(0.0, 1.0, 17) if x_grid is None else
-                      np.asarray(x_grid, float), problem.breakpoints)
-    nodes = problem.breakpoints if direction == "forward" else problem.breakpoints[::-1]
+                      np.asarray(x_grid, float), breakpoints)
+    nodes = breakpoints if direction == "forward" else breakpoints[::-1]
+    min_step = 4 * np.finfo(float).eps   # relative to max(1, |x|)
     xs_out = [float(nodes[0])]
     states_out = [block.state]
     for x0, x1 in zip(nodes[:-1], nodes[1:]):
@@ -338,7 +350,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
                 T = block.series(list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0),
                                                   fillvalue=0)))
                 h = STEP_SAFETY * block.step_bound(T, rel, absolute)
-            if not h > 4 * np.finfo(float).eps * max(1.0, abs(x)):
+            if not h > min_step * max(1.0, abs(x)):
                 raise PropagationError(f"no step possible at x={x} (step bound {h:.3e})")
             x_next = x1 if h >= abs(x1 - x) else x + sign * h
             reached = done + np.searchsorted(sign * t_eval[done:], sign * x_next, side="right")

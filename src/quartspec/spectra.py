@@ -7,7 +7,16 @@ problem; the zero sets of Delta_22, Delta_32, Delta_42 are the three
 Barcilon spectra.
 
 Real-axis search scans in rho = |lambda|^(1/4) (zeros are near-uniform in
-rho), one batched solve per chunk of about one zero spacing.  A pair of
+rho), one batched solve per chunk.  The first chunk spans about one zero
+spacing and each next one twice the last, so the first n zeros take about
+log2(n) + 1 scan solves, and no chunk is solved once the brackets asked for
+are in hand.  A Taylor step costs about the same whatever the width of its
+batch, and a chunk takes the steps of its largest lambda, so a doubled
+chunk costs about what one chunk at its far end costs.
+Where a doubled chunk raises PropagationError (its far end past where the
+wedge overflows), the scan goes back to chunks of the first size from that
+chunk's start and stays there, so it fails only where one such chunk
+fails.  A pair of
 samples (a, b) in scan order opens a bracket where Delta changes sign, or
 where Delta(a) is exactly 0; the brackets are polished with Newton in
 lockstep (one batched solve of the variationally computed derivative per
@@ -57,7 +66,9 @@ from .weyl import _DELTA_COLS, _assemble, _magnitude, _minor_norm, deltas_at
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
-# grid points per batched scan solve: about one zero spacing (pi in rho)
+# grid points of the first batched scan solve, about one zero spacing (pi in
+# rho); each next solve takes twice the last, and after a doubled solve that
+# raises PropagationError the scan goes on in solves of this size
 _SCAN_CHUNK = int(np.ceil(np.pi / RHO_SCAN_STEP))
 # Newton accepts once a step is below this fraction of 1 + |lambda|
 REFINE_TOL = 1e-12
@@ -135,11 +146,12 @@ def _newton(lam0, bracket=None, radius=None):
         if best is None:
             val0 = val
         if bracket is not None:
-            if flo * np.real(val) < 0:
+            # the scan's sign test: flo * Re Delta overflows far out (rho ~ 587)
+            if flo < 0 < val.real or val.real < 0 < flo:
                 hi = lam.real
             else:
                 lo = lam.real
-                flo = np.real(val)
+                flo = val.real
         if best is None or abs(val) < abs(best[1]):
             best = (lam, val, dval, *carried)
             stall = 0
@@ -267,12 +279,15 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
     """All real zeros of Delta_selector in region = (xmin, xmax), sorted ascending.
 
     The grid is scanned (up from xmin, or out from 0 if xmax <= 0) one chunk
-    per solve until there are brackets for max_count zeros; the first in scan
-    order are polished in lockstep, and dropped ones resume the scan."""
+    per solve, each twice the last, until there are brackets for max_count
+    zeros; the first in scan order are polished in lockstep, and dropped
+    ones resume the scan.  Raises ValueError unless xmin < xmax."""
+    xmin, xmax = region
+    if not xmin < xmax:
+        raise ValueError(f"empty window: xmin = {xmin!r} is not below xmax = {xmax!r}")
     if not problem.is_real:
         raise SearchError("Delta is not real on the real axis for this problem; "
                           "use find_complex_zeros")
-    xmin, xmax = region
     selector = tuple(selector)
 
     # scan positions uniform in rho = |lambda|^{1/4}, both signs of lambda
@@ -287,11 +302,22 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
 
     def brackets():
         # a Newton coroutine per bracket in scan order; a chunk is solved only
-        # when the caller asks past the brackets already met
+        # when the caller asks past the brackets already met.  Each chunk is
+        # twice the last, until one raises PropagationError: the scan then
+        # goes back to _SCAN_CHUNK points from that chunk's start and stays
+        # there, so it fails only where a chunk of _SCAN_CHUNK points fails
         tail = []       # the previous chunk's last two samples: no lambda twice
-        for start in range(0, len(lams), _SCAN_CHUNK):
-            chunk = lams[start:start + _SCAN_CHUNK]
-            value, floor = _samples(problem, selector, chunk)
+        start, size, grow = 0, _SCAN_CHUNK, 2
+        while start < len(lams):
+            chunk = lams[start:start + size]
+            try:
+                value, floor = _samples(problem, selector, chunk)
+            except PropagationError:
+                if size == _SCAN_CHUNK:
+                    raise
+                size, grow = _SCAN_CHUNK, 1
+                continue
+            start, size = start + size, grow * size
             samples = tail + list(zip(chunk, value.real, floor))
             for i in range(max(len(tail) - 1, 0), len(samples) - 1):
                 (a, fa, floor_a), (b, fb, floor_b) = samples[i:i + 2]

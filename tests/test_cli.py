@@ -125,14 +125,18 @@ class TestSpectrum:
         ["weights", "--lambda0", "1,inf"],
         ["weyl", "--lambda-max", "nan"],
         ["spectrum", "--xmax", "inf"],
+        ["spectrum", "--xmax", "100", "--xmin", "5000"],
+        ["spectrum", "--xmin", "100", "--xmax", "100"],
         ["reconstruct", "--kind", "delta33", "--zero-window", "nan"],
     ], ids=lambda argv: f"{argv[-2]}={argv[-1]}")
     def test_bad_numeric_value_usage_error(self, beam_json, argv, capsys):
         # one finite-float type for every float option: a non-finite value,
-        # or a third part of a complex value, is refused before any solve
+        # a third part of a complex value, or a spectrum window whose xmin is
+        # not below its xmax, is refused before any solve
         with pytest.raises(SystemExit) as err:
             main(argv + ["--problem", beam_json])
         assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command, option, value, rest", [
         ("weights", "--lambda0", "-12,3", []),

@@ -124,6 +124,19 @@ class TestRealSearch:
         assert [z.lam.real for z in zeros] == pytest.approx([beam_eigenvalue(115)], rel=1e-12)
         assert zeros[0].multiplicity_estimate == 1
 
+    def test_polish_near_the_overflow_wall(self, beam):
+        # at rho ~ 587 the product of two Delta values overflows; the polish's
+        # bracket update compares signs, as the scan does, and raises no
+        # overflow warning (the suite turns RuntimeWarning into an error)
+        zeros = find_real_zeros(beam, (2, 2), (580.0 ** 4, 700.0 ** 4), max_count=3)
+        assert [z.lam.real ** 0.25 / np.pi for z in zeros] == pytest.approx(
+            [185.5, 186.5, 187.5], rel=1e-12)
+
+    @pytest.mark.parametrize("region", [(5000.0, 100.0), (100.0, 100.0), (-1.0, -2.0)])
+    def test_empty_window_raises(self, beam, region):
+        with pytest.raises(ValueError, match="not below"):
+            find_real_zeros(beam, (2, 2), region)
+
     @pytest.mark.parametrize("which, selector", [("beam", (3, 2)), ("random", (4, 2))])
     def test_simple_past_rho_55(self, beam, which, selector):
         # each zero's simplicity is judged from its own end wedge, whose rows

@@ -170,27 +170,54 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     zeros = find_first_zeros(beam, (2, 2), 3)
     lams = [lam for batch, _ in calls for lam in batch]
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
-    # the grid is uniform in rho and taken in chunks; nothing past the end
-    # of the chunk holding the grid point that closes the bracket of the
-    # third zero is sampled
+    # the grid is uniform in rho (index i at rho = i step) and taken in chunks
+    # of chunk, 2 chunk, 4 chunk, ... points; nothing past the end of the
+    # solve holding the grid point that closes the bracket of the third zero
+    # is sampled
     rho3 = zeros[2].lam.real ** 0.25
     step, chunk = spectra.RHO_SCAN_STEP, spectra._SCAN_CHUNK
-    r_next = step * np.ceil(rho3 / step + 1e-9)
-    assert max(lam.real for lam in lams) <= (r_next + chunk * step) ** 4 * (1 + 1e-12)
+    closing = int(np.ceil(rho3 / step + 1e-9))
+    ends = chunk * (2 ** np.arange(1, 12) - 1)     # one past each solve's last index
+    last = ends[np.searchsorted(ends, closing, side="right")] - 1
+    assert max(lam.real for lam in lams) <= (last * step) ** 4 * (1 + 1e-12)
     # one solve per chunk scanned, a wedge-only block of the two C columns of
     # Delta_22 at each lambda, then one per lockstep Newton iteration over
     # the brackets still open: all three enter the first, none re-enters,
     # and from the brackets' interpolated starts the polish takes two
     scans = [batch for batch, block in calls if block == "wedge"]
     newton = [batch for batch, block in calls if block == "jet"]
-    assert all(len(batch) == chunk for batch in scans[:-1])
-    assert 0 < len(scans[-1]) <= chunk
+    assert [len(batch) for batch in scans[:-1]] == [chunk * 2 ** i for i in range(len(scans) - 1)]
+    assert 0 < len(scans[-1]) <= chunk * 2 ** (len(scans) - 1)
     assert len(newton[0]) == 3
     assert len(newton) == 2
     assert all(len(b) >= len(a) for a, b in zip(newton[1:], newton))
     assert [block for _, block in calls] == ["wedge"] * len(scans) + ["jet"] * len(newton)
     assert props == ([("forward", 2 * len(batch)) for batch in scans]
                      + [("forward", 4 * len(batch)) for batch in newton])
+
+
+def test_beam_count_thirty_scans_in_five_solves(beam, beam_zeros_30, monkeypatch):
+    # doubling chunks: 63 + 126 + ... + 1008 points reach past rho ~ 96, the
+    # thirtieth zero, in five wedge-only solves (one per 63 points was 30)
+    calls = _recording_solves(monkeypatch)
+    zeros = find_first_zeros(beam, (2, 2), 30)
+    assert [z.lam for z in zeros] == [z.lam for z in beam_zeros_30]
+    assert len([batch for batch, block in calls if block == "wedge"]) <= 5
+
+
+@pytest.mark.parametrize("count", [4, 5])
+def test_doubled_chunk_that_overflows_falls_back(beam, monkeypatch, count):
+    # the third doubled chunk (rho ~ 584 to 597) overflows past rho ~ 591;
+    # the scan goes back to 63-point chunks from its start and stays there
+    # (a doubled chunk from rho ~ 587.6 would overflow again), and finds the
+    # zeros that 63-point chunks find
+    calls = _recording_solves(monkeypatch)
+    zeros = find_real_zeros(beam, (2, 2), (575.0 ** 4, 700.0 ** 4), max_count=count)
+    assert [z.lam.real ** 0.25 / np.pi for z in zeros] == pytest.approx(
+        [183.5, 184.5, 185.5, 186.5, 187.5][:count], rel=1e-12)
+    chunk = spectra._SCAN_CHUNK
+    assert [len(batch) for batch, block in calls if block == "wedge"] == [
+        chunk, 2 * chunk, 4 * chunk] + [chunk] * (count - 3)
 
 
 @pytest.mark.parametrize("which, selector", [("random", (2, 2)), ("beam", (3, 2))])
