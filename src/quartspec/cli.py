@@ -182,6 +182,10 @@ def cmd_barcilon(args):
 
 
 def cmd_reconstruct(args):
+    # the Delta_33 zeros are searched in (-zero_window, -1e-6)
+    if args.kind == "delta33" and not args.zero_window > 1e-6:
+        print(f"error: --zero-window {args.zero_window!r} is not above 1e-06", file=sys.stderr)
+        raise SystemExit(2)
     problem = _load(args.problem)
     points = []
     if args.kind == "m32":

@@ -112,7 +112,7 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     magnitude of its own wedge."""
     C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=[(3, 4)])
     delta22 = -C.wedges[0, 0, 0]
-    if abs(delta22) > ZERO_FLOOR * _minor_norm(C.wedges[0, :, 0], lam_n, (2, 2)):
+    if abs(delta22) > ZERO_FLOOR * _minor_norm(C.wedges[0, :, 0], lam_n, 2):
         raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
                              f"(|Delta_22| = {abs(delta22):.2e})")
     got = _eigenfunctions(problem, [lam_n], [C.end[0:2, 2:4]], x_grid)[0]

@@ -20,19 +20,19 @@ fails.  A pair of
 samples (a, b) in scan order opens a bracket where Delta changes sign, or
 where Delta(a) is exactly 0; the brackets are polished with Newton in
 lockstep (one batched solve of the variationally computed derivative per
-iteration).  Every sample of a search comes from _samples.  A Delta_22,
-Delta_32 or Delta_42 sample is minus row 0 of the 2-wedge of the selector's
-two C columns (C3 ^ C4, C2 ^ C4, C3 ^ C2), stepped alone as one 6-row
-state per lambda with no columns and no jet (see propagator): it forms no
-determinant, so it carries none of the cancellation that once stopped the
-scan at rho ~ 33, and it reaches until the wedge overflows (rho ~ 600 on
-the beam), where the propagation raises.  Any other Delta is the
-determinant of C(1) (see weyl), and a sign change within 4 fp_floor of
-it is cancellation noise and opens no bracket.  The polish of a Delta_j2
-reads the value and its jet from the same wedge, solved with C(1) and
-stacked with the wedges of the other two in one block, so a polished root
-does not move with its batch; the zero keeps its own wedge, whose rows,
-the exact 2 x 2 minors, give the magnitude of its simplicity_check.
+iteration).  Every sample of a search, on the real scan and on a winding
+ring, comes from _samples: one entry of one state per lambda, stepped alone
+with no jet (see propagator).  A Delta_j2 is minus row 0 of the 2-wedge of
+the selector's two C columns (C3 ^ C4, C2 ^ C4, C3 ^ C2); any other Delta
+is +-row 0 of one C column at x = 1 (weyl._ENTRIES).  No search forms a
+determinant, whose cancellation once stopped the scan at rho ~ 33 and made
+the Delta_j1 searches lose or invent zeros; each reaches until its state
+overflows (rho ~ 600 for a wedge on the beam), where the propagation
+raises.  The polish reads the same entry and its jet, from the wedge of a
+Delta_j2, solved with C(1) and stacked with the wedges of the other two,
+or from the column of C(1): a root does not move with its batch, and
+simplicity_check judges it against the weighted norm of that wedge or
+column.
 Newton starts at the root inside each bracket of the cubic through the
 four nearest scan samples, taken in s = sign(lambda) |lambda|^(1/4), the
 variable in which the grid is uniform (through fewer samples where a
@@ -62,7 +62,7 @@ import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import PropagationError, fundamental_C, propagate
-from .weyl import _DELTA_COLS, _assemble, _magnitude, _minor_norm, deltas_at
+from .weyl import _DELTA_COLS, _ENTRIES, _minor_norm
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
@@ -182,8 +182,9 @@ def _jets(problem, selector, lams):
     PropagationError in its lambda's place.  A Delta_j2 polish carries the
     2-wedges of the columns of Delta_22, Delta_32 and Delta_42 in the same
     solve as C: each Delta_j2 and its jet are minus row 0 of its wedge,
-    wedge_deltas are the three values and end_wedge the selector's own wedge
-    (both None for other selectors)."""
+    wedge_deltas are the three values and end_wedge the selector's own wedge.
+    Any other Delta and its jet are +-row 0 of its column of C(1) and of its
+    jet (_ENTRIES), with no wedge values."""
     try:
         if selector[1] == 2:
             C = fundamental_C(problem, lams, x_grid=[0.0, 1.0],
@@ -193,8 +194,9 @@ def _jets(problem, selector, lams):
             return list(zip(d[0, own].tolist(), d[1, own].tolist(), C.end, d[0].T,
                             C.wedges[0, :, own].T))
         C = fundamental_C(problem, lams, want_dlambda=True, x_grid=[0.0, 1.0])
-        d = _assemble(C.end, C.dlambda[-1], (selector,))[selector]
-        return list(zip(d.value.tolist(), d.dvalue.tolist(), C.end, [None] * len(lams),
+        sign, col = _ENTRIES[selector]
+        value, jet = (sign * a[:, 0, col - 1] for a in (C.end, C.dlambda[-1]))
+        return list(zip(value.tolist(), jet.tolist(), C.end, [None] * len(lams),
                         [None] * len(lams)))
     except PropagationError as exc:
         if len(lams) == 1:
@@ -229,23 +231,25 @@ def _polish(problem, selector, newtons):
 
 
 def _samples(problem, selector, lams):
-    """(Delta_selector, its floating-point floor) at each of lams, in one
-    solve.  A Delta_j2 is minus row 0 of the 2-wedge of its two C columns,
-    propagated alone (one 6-row state per lambda, no columns, no jet), which
-    forms no determinant and so has floor 0; any other Delta is the
-    determinant of C(1) from deltas_at, with its fp_floor."""
+    """Delta_selector at each of lams, in one solve of one state per lambda,
+    propagated alone with no jet: minus row 0 of the 2-wedge of its two C
+    columns for a Delta_j2 (6 rows, wedge-only), else +-row 0 of its one C
+    column at x = 1 (4 rows, _ENTRIES).  Neither forms a determinant; an
+    empty batch propagates nothing."""
     lams = np.asarray(lams, dtype=complex)
-    if selector[1] != 2:
-        d = deltas_at(problem, lams, (selector,))[selector]
-        return d.value, d.fp_floor
-    floor = np.zeros(lams.shape)
     if lams.size == 0:
-        return lams, floor
-    init = np.linalg.inv(boundary_form_matrix(problem))[:, np.subtract(_DELTA_COLS[selector], 1)]
+        return lams
+    Uinv = np.linalg.inv(boundary_form_matrix(problem))
+    if selector[1] != 2:
+        sign, col = _ENTRIES[selector]
+        res = propagate(problem, lams, "forward", np.tile(Uinv[:, [col - 1]], lams.size),
+                        x_grid=[0.0, 1.0])
+        return sign * res.end[0]
+    init = Uinv[:, np.subtract(_DELTA_COLS[selector], 1)]
     res = propagate(problem, np.repeat(lams, 2), "forward", np.tile(init, lams.size),
                     wedge_pairs=[(2 * k, 2 * k + 1) for k in range(lams.size)],
                     x_grid=[0.0, 1.0], wedge_only=True)
-    return -res.wedges[0, 0], floor
+    return -res.wedges[0, 0]
 
 
 def _scan_start(a, b, near):
@@ -311,28 +315,21 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
         while start < len(lams):
             chunk = lams[start:start + size]
             try:
-                value, floor = _samples(problem, selector, chunk)
+                value = _samples(problem, selector, chunk)
             except PropagationError:
                 if size == _SCAN_CHUNK:
                     raise
                 size, grow = _SCAN_CHUNK, 1
                 continue
             start, size = start + size, grow * size
-            samples = tail + list(zip(chunk, value.real, floor))
+            samples = tail + list(zip(chunk, value.real))
             for i in range(max(len(tail) - 1, 0), len(samples) - 1):
-                (a, fa, floor_a), (b, fb, floor_b) = samples[i:i + 2]
+                (a, fa), (b, fb) = samples[i:i + 2]
                 if not (np.isfinite(fa) and np.isfinite(fb)):
                     continue
-                if max(abs(fa), abs(fb)) <= 4.0 * max(floor_a, floor_b):
-                    # cancellation noise of a determinant: at large |lambda| it is
-                    # the difference of entry products that dwarf its true value,
-                    # and a sign change there carries no information about a root
-                    continue
                 if fa == 0.0 or fa < 0 < fb or fb < 0 < fa:
-                    # a root lies between a and b, or at a when fa = 0; the best
-                    # iterate is accepted even when cancellation noise keeps
-                    # |Delta| above the residual floor
-                    near = [p[:2] for p in samples[max(i - 1, 0):i] + samples[i + 2:i + 3]]
+                    # a root lies between a and b, or at a when fa = 0
+                    near = samples[max(i - 1, 0):i] + samples[i + 2:i + 3]
                     yield _newton(_scan_start((a, fa), (b, fb), near),
                                   bracket=(a, b, fa) if a < b else (b, a, fb))
             tail = samples[-2:]
@@ -386,7 +383,7 @@ def _ring_fun(problem, selector):
     def ring(zs):
         zs = zs.tolist()
         new = [z for z in dict.fromkeys(zs) if z not in memo]
-        memo.update(zip(new, _samples(problem, selector, new)[0].tolist()))
+        memo.update(zip(new, _samples(problem, selector, new).tolist()))
         return np.array([memo[z] for z in zs])
 
     return ring
@@ -448,11 +445,14 @@ def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero:
 
 def simplicity_check(zero: Zero) -> bool:
     """True iff the zero is simple: |dDelta| (1 + |lambda|) strictly above
-    SIMPLICITY_FLOOR times the magnitude of Delta at the zero: that of its
-    own end wedge for a Delta_j2, whose rows are the exact minors, else that
-    of its minors in the zero's own C(1)."""
-    mag = (_magnitude(zero.end_values, zero.lam, zero.selector) if zero.end_wedge is None
-           else _minor_norm(zero.end_wedge, zero.lam, zero.selector))
+    SIMPLICITY_FLOOR times the magnitude of Delta at the zero, the weighted
+    norm of the state its Delta is an entry of: its own end wedge for a
+    Delta_j2, whose rows are the exact 2 x 2 minors, else its column of the
+    zero's own C(1) (_ENTRIES), row r weighted by rho^-r."""
+    if zero.selector[1] == 2:
+        mag = _minor_norm(zero.end_wedge, zero.lam, 2)
+    else:
+        mag = _minor_norm(zero.end_values[:, _ENTRIES[zero.selector][1] - 1], zero.lam, 1)
     return bool(abs(zero.ddelta) * (1 + abs(zero.lam)) > SIMPLICITY_FLOOR * mag)
 
 

@@ -17,9 +17,10 @@ or an array of them: each CharacteristicValue field has the shape of lambda
 (numpy scalars for one), m has lambda.shape + (4, 4).  All come from the end
 values of one forward fundamental_C solve per batch (phi_matrix's, on its
 own x grid, has the same end values), and each Delta_jk is one stack of
-minors: one determinant call for its value, k more for its jet, and its
-floating-point floor from the stacked permanent of |entries|.  Whether a
-Delta vanishes is judged against its _magnitude at the same lambda.
+minors: one determinant call for its value and k more for its jet.  Whether
+a Delta vanishes is judged against its _magnitude at the same lambda.  The
+searches (see spectra) read each Delta_jk with k != 2 as one entry, Delta_11
+= -C_4(1) and Delta_21 = -C_3(1) included (_ENTRIES).
 """
 
 from __future__ import annotations
@@ -43,15 +44,18 @@ _DELTA_ROWS = {1: [2, 1, 0], 2: [1, 0], 3: [0]}
 
 ALL_INDEX_PAIRS = tuple(_DELTA_COLS)
 _DIAG = ((1, 1), (2, 2), (3, 3))
-# the pairs read as (sign, C column) of the y-row of C(1), by the bracket identity
-_ENTRY_PAIRS = {(3, 1): (1, 2), (4, 1): (-1, 1)}
+# (sign, C column) of each Delta_jk with k != 2 as an entry of the y-row of
+# C(1): Delta_33 and Delta_43 by definition, the Delta_j1 by the bracket
+# identity and det U = 1; of the Delta_j1, _assemble reads Delta_31 and
+# Delta_41 so
+_ENTRIES = {(1, 1): (-1, 4), (2, 1): (-1, 3), (3, 1): (1, 2), (4, 1): (-1, 1),
+            (3, 3): (1, 4), (4, 3): (1, 3)}
 
 POLE_FLOOR = 1e-10
 # a Delta value at most this fraction of its magnitude counts as zero
 ZERO_FLOOR = 1e-5
 # lambda grid of delta_scale
 _SCALE_GRID = np.linspace(0.5, 30.0, 8)
-_EPS = float(np.finfo(float).eps)
 
 
 class PoleError(ArithmeticError):
@@ -71,9 +75,6 @@ class CharacteristicValue:
     value: complex
     dvalue: complex | None = None
     alt_value: complex | None = None   # determinant of Delta_31 and Delta_41
-    # floating-point floor of the determinant: eps times the total absolute
-    # mass of its terms (the permanent of |entries|)
-    fp_floor: float = 0.0
 
 
 @dataclass
@@ -88,23 +89,8 @@ def _det(sub):
     return sub[..., 0, 0] if sub.shape[-1] == 1 else np.linalg.det(sub)
 
 
-def _abs_permanent(sub):
-    """Permanent of |sub| over the last two axes, by first-row expansion: the
-    total mass of the determinant's terms.
-
-    eps times this bounds the cancellation noise of the determinant; rows
-    scale differently (y' carries an extra rho), so a max-entry bound would
-    be off by powers of rho.
-    """
-    a = np.abs(sub)
-    if a.shape[-1] == 1:
-        return a[..., 0, 0]
-    return sum(a[..., 0, j] * _abs_permanent(np.delete(a[..., 1:, :], j, axis=-1))
-               for j in range(a.shape[-1]))
-
-
 def _minors(sub, dsub=None):
-    """(det, d/dlambda det, floating-point floor) of a stack of k x k minors.
+    """(det, d/dlambda det) of a stack of k x k minors.
 
     The lambda-derivative (None without dsub) is Jacobi's formula: the sum
     over columns c of the determinant with column c taken from dsub.
@@ -116,7 +102,7 @@ def _minors(sub, dsub=None):
             rep = sub.copy()
             rep[..., c] = dsub[..., c]
             jet = jet + _det(rep)
-    return _det(sub), jet, _EPS * sub.shape[-1] * _abs_permanent(sub)
+    return _det(sub), jet
 
 
 def _magnitude(end, lam, jk):
@@ -124,18 +110,18 @@ def _magnitude(end, lam, jk):
     weighted as in _minor_norm: at least |Delta_jk|."""
     cols = [c - 1 for c in _DELTA_COLS[jk]]
     rows = np.array(list(combinations(range(4), len(cols))))
-    return _minor_norm(_det(end[..., cols][..., rows, :]), lam, jk)
+    return _minor_norm(_det(end[..., cols][..., rows, :]), lam, len(cols))
 
 
-def _minor_norm(minors, lam, jk):
-    """Largest |minor| of Delta_jk's columns at lam, the minors on the last
-    axis in the order of combinations(range(4), k) of their rows (a 2-wedge's
-    rows for k = 2), each weighted by rho^(Delta_jk's row orders - the
-    minor's) as in the step norm: their compound-matrix norm (Allen & Bridges
-    2002)."""
-    rows = np.array(list(combinations(range(4), len(_DELTA_COLS[jk]))))
+def _minor_norm(minors, lam, k):
+    """Largest |minor| of k columns at lam, the minors on the last axis in
+    the order of combinations(range(4), k) of their rows (a column's rows
+    for k = 1, a 2-wedge's for k = 2), each weighted by rho^(the row orders
+    of a Delta_jk on k columns, rows k-1 .. 0, - the minor's) as in the step
+    norm: their compound-matrix norm (Allen & Bridges 2002)."""
+    rows = np.array(list(combinations(range(4), k)))
     rho = np.maximum(1.0, np.abs(np.asarray(lam)) ** 0.25)[..., None]
-    weight = rho ** (sum(_DELTA_ROWS[jk[1]]) - rows.sum(axis=1))
+    weight = rho ** (rows[0].sum() - rows.sum(axis=1))
     return np.max(np.abs(minors) * weight, axis=-1)
 
 
@@ -146,15 +132,14 @@ def _assemble(end, dend=None, pairs=ALL_INDEX_PAIRS) -> dict:
     for jk in pairs:
         rows, cols = _DELTA_ROWS[jk[1]], [c - 1 for c in _DELTA_COLS[jk]]
         alt, sign = None, 1
-        if jk in _ENTRY_PAIRS:
+        if jk in ((3, 1), (4, 1)):
             alt = _det(end[..., rows, :][..., cols])
-            sign, col = _ENTRY_PAIRS[jk]
+            sign, col = _ENTRIES[jk]
             rows, cols = [0], [col - 1]
         sub, dsub = (a if a is None else sign * a[..., rows, :][..., cols] for a in (end, dend))
-        val, jet, floor = _minors(sub, dsub)
+        val, jet = _minors(sub, dsub)
         # [()] makes the fields of one lambda numpy scalars
-        out[jk] = CharacteristicValue(jk, *(a if a is None else a[()]
-                                            for a in (val, jet, alt, floor)))
+        out[jk] = CharacteristicValue(jk, *(a if a is None else a[()] for a in (val, jet, alt)))
     return out
 
 

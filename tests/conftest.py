@@ -8,6 +8,7 @@ never from the package's own search.
 """
 
 import cmath
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -127,6 +128,36 @@ def beam_zeros(beam):
 def beam_zeros_30(beam):
     # past rho ~ 33, where a scan of determinants of C(1) stopped at count 10
     return find_first_zeros(beam, (2, 2), 30)
+
+
+# ---------------------------------------------------------------------------
+# Delta_jk as a determinant of the end values of C, which no search of the
+# package forms: an oracle below rho ~ 12, judged to its floor
+
+def delta_index(j, k):
+    """(rows, 0-based columns) of Delta_jk in the end-value matrix of C: rows
+    y^(3-k)(1) .. y(1), columns C_{k+1}..C_4 with C_j replaced by C_k."""
+    cols = list(range(k + 1, 5))
+    if j != k:
+        cols[cols.index(j)] = k
+    return list(range(3 - k, -1, -1)), [c - 1 for c in cols]
+
+
+def term_mass(sub):
+    """Sum of |terms| of the determinant of sub, the permanent of |sub|: the
+    scale of its cancellation."""
+    n = len(sub)
+    return sum(np.prod([abs(sub[i, p[i]]) for i in range(n)]) for p in permutations(range(n)))
+
+
+def determinant_floor(end, jk):
+    """eps k term_mass of Delta_jk's k x k minor of each end-value matrix in
+    the stack `end` (..., 4, 4): the floating-point floor of that
+    determinant."""
+    rows, cols = delta_index(*jk)
+    subs = end[..., rows, :][..., cols]
+    mass = [term_mass(sub) for sub in subs.reshape(-1, len(rows), len(rows))]
+    return np.finfo(float).eps * len(rows) * np.reshape(mass, subs.shape[:-2])
 
 
 @pytest.fixture(scope="session")

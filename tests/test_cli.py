@@ -128,11 +128,13 @@ class TestSpectrum:
         ["spectrum", "--xmax", "100", "--xmin", "5000"],
         ["spectrum", "--xmin", "100", "--xmax", "100"],
         ["reconstruct", "--kind", "delta33", "--zero-window", "nan"],
+        ["reconstruct", "--kind", "delta33", "--zero-window", "1e-7"],
     ], ids=lambda argv: f"{argv[-2]}={argv[-1]}")
     def test_bad_numeric_value_usage_error(self, beam_json, argv, capsys):
         # one finite-float type for every float option: a non-finite value,
-        # a third part of a complex value, or a spectrum window whose xmin is
-        # not below its xmax, is refused before any solve
+        # a third part of a complex value, a spectrum window whose xmin is
+        # not below its xmax, or a Delta_33 zero window (-W, -1e-6) with W
+        # not above 1e-6, is refused before any solve
         with pytest.raises(SystemExit) as err:
             main(argv + ["--problem", beam_json])
         assert err.value.code == 2

@@ -16,14 +16,14 @@ from quartspec import (
     three_spectra,
 )
 from quartspec import spectra
-from quartspec.propagator import PropagationError
+from quartspec.propagator import PropagationError, fundamental_C
 from quartspec.spectra import SearchError
 from quartspec.weights import default_contour_radius
 from quartspec.weyl import deltas_at
 
 from conftest import (
-    beam_eigenvalue, beam_rho, clamped_free_s, make_random_problem, make_random_real_problem,
-    oracle_C4, oracle_delta22,
+    beam_eigenvalue, beam_rho, clamped_free_s, determinant_floor, make_random_problem,
+    make_random_real_problem, oracle_C4, oracle_delta22,
 )
 
 
@@ -147,27 +147,88 @@ class TestRealSearch:
         assert all(z.multiplicity_estimate == 1 for z in zeros)
 
 
+_SEEDED = pytest.mark.parametrize("which, seed", [("real", 11), ("real", 3), ("complex", 7),
+                                                  ("complex", 2)])
+
+
+def _seeded_lams(which, seed):
+    """A seeded random problem and 24 lambda on it with rho below 12: both
+    signs for a real problem, any argument for a complex one."""
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.5, 12.0, 24)
+    if which == "real":
+        return make_random_real_problem(seed), rho ** 4 * rng.choice([-1.0, 1.0], 24)
+    return make_random_problem(seed), rho ** 4 * np.exp(1j * rng.uniform(-np.pi, np.pi, 24))
+
+
+def _within_determinant(pb, lams, selector, got, det):
+    """got is det to 1e-10 relative, plus the determinant's floating-point
+    floor in the end values of C."""
+    floor = determinant_floor(fundamental_C(pb, lams, x_grid=[0.0, 1.0]).end, selector)
+    return np.all(np.abs(got - det) <= 1e-10 * np.abs(det) + floor)
+
+
 class TestWedgeSamples:
     """The scan's Delta_j2 samples, minus row 0 of a wedge propagated alone,
     against the determinant of C(1) from deltas_at as the oracle, for rho
-    below 12, where that determinant is good to its own fp_floor."""
+    below 12, where that determinant is good to its floor."""
 
     @pytest.mark.parametrize("selector", [(2, 2), (3, 2), (4, 2)])
-    @pytest.mark.parametrize("which, seed", [("real", 11), ("real", 3), ("complex", 7),
-                                             ("complex", 2)])
+    @_SEEDED
     def test_wedge_equals_determinant(self, which, seed, selector):
-        rng = np.random.default_rng(seed)
-        rho = rng.uniform(0.5, 12.0, 24)
-        if which == "real":
-            pb = make_random_real_problem(seed)
-            lams = rho ** 4 * rng.choice([-1.0, 1.0], 24)
-        else:
-            pb = make_random_problem(seed)
-            lams = rho ** 4 * np.exp(1j * rng.uniform(-np.pi, np.pi, 24))
-        got, floor = spectra._samples(pb, selector, lams)
-        assert not np.any(floor)
-        det = deltas_at(pb, lams, (selector,))[selector]
-        assert np.all(np.abs(got - det.value) <= 1e-10 * np.abs(det.value) + det.fp_floor)
+        pb, lams = _seeded_lams(which, seed)
+        got = spectra._samples(pb, selector, lams)
+        det = deltas_at(pb, lams, (selector,))[selector].value
+        assert _within_determinant(pb, lams, selector, got, det)
+
+
+class TestColumnSamples:
+    """The scan's other samples, +-row 0 of one C column propagated alone,
+    against the 3 x 3 or 1 x 1 determinant of C(1) from deltas_at (for
+    Delta_31 and Delta_41 the alt_value), for rho below 12: Delta_11 =
+    -C_4(1) and Delta_21 = -C_3(1) hold for every problem."""
+
+    @pytest.mark.parametrize("selector", [(1, 1), (2, 1), (3, 1), (4, 1), (3, 3), (4, 3)])
+    @_SEEDED
+    def test_column_equals_determinant(self, which, seed, selector):
+        pb, lams = _seeded_lams(which, seed)
+        got = spectra._samples(pb, selector, lams)
+        d = deltas_at(pb, lams, (selector,))[selector]
+        det = d.value if d.alt_value is None else d.alt_value
+        assert _within_determinant(pb, lams, selector, got, det)
+
+
+class TestEntrySearches:
+    """The Delta_j1 searches read one C column, as those of Delta_33 and
+    Delta_43 do, where their 3 x 3 determinants lost or invented zeros and
+    judged simple zeros double past rho ~ 30 on the beam."""
+
+    @pytest.mark.parametrize("selector, twin, rho", [
+        ((1, 1), (3, 3), (30.0, 40.0)), ((1, 1), (3, 3), (90.0, 100.0)),
+        ((2, 1), (4, 3), (90.0, 100.0))])
+    def test_zeros_of_the_twin_column(self, beam, selector, twin, rho):
+        # Delta_11 = -Delta_33 and Delta_21 = -Delta_43
+        region = (-rho[1] ** 4, -rho[0] ** 4)
+        got = find_real_zeros(beam, selector, region)
+        expect = find_real_zeros(beam, twin, region)
+        assert len(got) == len(expect) >= 2
+        assert [z.lam.real for z in got] == pytest.approx([z.lam.real for z in expect],
+                                                          rel=1e-12)
+
+    @pytest.mark.parametrize("selector", [(3, 1), (4, 1)])
+    def test_zeros_past_rho_90_are_simple(self, beam, selector):
+        zeros = find_real_zeros(beam, selector, (-100.0 ** 4, -90.0 ** 4))
+        assert len(zeros) == 2
+        assert all(simplicity_check(z) and z.multiplicity_estimate == 1 for z in zeros)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_complex_delta11_zero_is_the_delta33_zero(self, beam, n):
+        # the winding ring and the polish read the same column as Delta_33's,
+        # whose zeros sit at -4 s_n^4 (the Delta_33 search finds them within
+        # 7e-14)
+        c = -4 * clamped_free_s(n) ** 4
+        got, = find_complex_zeros(beam, (1, 1), (1.01 * c, 0.99 * c, -5.0, 5.0))
+        assert got.lam == pytest.approx(c, rel=1e-12)
 
 
 def _beam_ddelta(lam):
@@ -316,12 +377,12 @@ class TestSampleAtRoot:
     def _linear(monkeypatch, r, seen):
         def samples(problem, selector, lams):
             seen.extend(lams)
-            lams = np.asarray(lams)
-            return lams - r, 0 * lams
+            return np.asarray(lams) - r
 
         def jets(problem, selector, lams):
-            # a C(1) for the simplicity test of the zero, and no wedge values
-            return [(lam - r, 1.0, np.eye(4), None, None) for lam in lams]
+            # a C(1), no wedge values, and the end wedge C3 ^ C4 of the identity
+            # for the simplicity test of the Delta_22 zero
+            return [(lam - r, 1.0, np.eye(4), None, np.eye(6)[5]) for lam in lams]
 
         monkeypatch.setattr(spectra, "_samples", samples)
         monkeypatch.setattr(spectra, "_jets", jets)

@@ -126,9 +126,9 @@ def test_no_delta_propagates_backward(beam, monkeypatch):
 
 def _recording_batches(monkeypatch):
     """(lambda batch, jet) of every fundamental_C call: the Newton polish's,
-    with the jet of C or of the wedges of Delta_j2's columns, and a
-    determinant scan's through weyl.deltas_at (a Delta_j2 scan propagates
-    its wedge alone, with no fundamental_C call)."""
+    with the jet of C or of the wedges of Delta_j2's columns (a scan
+    propagates one wedge or one column per lambda, with no fundamental_C
+    call)."""
     calls = []
     orig = propagator.fundamental_C
 
@@ -302,6 +302,31 @@ def test_one_block_per_propagation(beam, monkeypatch, selector):
     assert all(pairs == 3 * n for n, pairs in polish)
 
 
+@pytest.mark.parametrize("selector", [(1, 1), (2, 1), (3, 1), (4, 1), (3, 3), (4, 3)])
+def test_entry_scan_solves_one_column_per_lambda(beam, monkeypatch, selector):
+    # a scan chunk of any Delta but a Delta_j2 propagates one C column per
+    # lambda, with no jet and no wedge; the polish solves C with its jet, 4
+    # columns per lambda, and reads the same column's entry
+    solves = []
+    orig = propagator.propagate
+
+    def wrapper(problem, lam, direction, init, want_dlambda=False, quad_pairs=None,
+                wedge_pairs=None, x_grid=None, wedge_only=False):
+        solves.append((len(set(np.ravel(lam).tolist())), np.shape(init)[1], want_dlambda,
+                       bool(wedge_pairs) or wedge_only))
+        return orig(problem, lam, direction, init, want_dlambda, quad_pairs, wedge_pairs,
+                    x_grid, wedge_only)
+
+    _patch_bindings(monkeypatch, orig, wrapper)
+    assert len(find_real_zeros(beam, selector, (-1e5, -1e-6), max_count=2)) == 2
+    assert not any(wedge for *_, wedge in solves)
+    scans = [(n, cols) for n, cols, jet, _ in solves if not jet]
+    polish = [(n, cols) for n, cols, jet, _ in solves if jet]
+    assert scans and all(cols == n for n, cols in scans)
+    assert polish and all(cols == 4 * n for n, cols in polish)
+    assert [jet for _, _, jet, _ in solves] == [False] * len(scans) + [True] * len(polish)
+
+
 def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
     # the beam has three Delta_22 zeros below 5000; every jet solve that
     # holds a lambda near the second fails, and only that bracket is lost
@@ -390,8 +415,13 @@ def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
         d = weyl.deltas_at(beam, [], want_dlambda=jet)
         assert list(d) == list(weyl.ALL_INDEX_PAIRS)
         for cv in d.values():
-            assert np.shape(cv.value) == np.shape(cv.fp_floor) == (0,)
+            assert np.shape(cv.value) == (0,)
             assert (cv.dvalue is not None) == jet
+            entry = cv.jk in ((3, 1), (4, 1))
+            assert (cv.alt_value is not None) == entry
+            assert not entry or np.shape(cv.alt_value) == (0,)
+    for selector in weyl.ALL_INDEX_PAIRS:
+        assert np.shape(spectra._samples(beam, selector, [])) == (0,)
     assert calls == []
 
 
