@@ -165,7 +165,7 @@ def weight_numbers(problem: ProblemSpec, zeros) -> list:
     for z in zeros:
         if z.multiplicity_estimate != 1:
             raise NonSimpleError(f"eigenvalue {z.lam} is not simple")
-        if z.end_values is None or z.wedge_deltas is None or z.selector != (2, 2):
+        if z.selector != (2, 2) or z.end_values is None:
             raise ValueError(f"{z.lam} is no searched zero of Delta_22; take it from a search")
     Uinv = np.linalg.inv(boundary_form_matrix(problem))
     points = []

@@ -82,13 +82,14 @@ class CoefficientField:
         segs.sort(key=lambda s: s[0])
         if abs(segs[0][0]) > 1e-14 or abs(segs[-1][1] - 1.0) > 1e-14:
             raise ProblemError("segments must cover exactly [0, 1]")
-        for (a0, a1, _), (b0, b1, _) in zip(segs[:-1], segs[1:]):
-            if a1 >= b1 or abs(a1 - b0) > 1e-14:
-                raise ProblemError("overlapping segments")
-            if a1 <= a0:
-                raise ProblemError("empty segment")
-        if segs[-1][1] <= segs[-1][0]:
-            raise ProblemError("empty segment")
+        for x0, x1, _ in segs:
+            if x1 <= x0:
+                raise ProblemError(f"empty segment [{x0}, {x1}]")
+        for (_, a1, _), (b0, _, _) in zip(segs[:-1], segs[1:]):
+            if b0 - a1 > 1e-14:
+                raise ProblemError(f"gap between segments on ({a1}, {b0})")
+            if a1 - b0 > 1e-14:
+                raise ProblemError(f"overlapping segments on ({b0}, {a1})")
         self.segments = tuple(segs)
         self.breakpoints = np.array([s[0] for s in segs] + [segs[-1][1]])
 

@@ -22,17 +22,19 @@ Alongside the columns, one propagation can carry
   compound of E41, whether or not the columns carry theirs.
   Row 0 is the minor u_0 v_1 - u_1 v_0 without the cancellation of forming
   it from u(1) and v(1), whose entries grow like exp(|lambda|^(1/4)).
+An initial matrix of 6 rows is a set of such 2-wedges, propagated under
+the compound alone, with their jet under want_dlambda: the state that a
+search of a Delta_j2 reads (see spectra).
 
-A propagation steps one block.  With wedges, columns and wedges are stacked
-block-diagonally on 10 rows, ordered so that the sources and the targets of
-the lambda and jet terms are contiguous runs of rows; each column carries
-its own lambda factor and jet factor, and the jets follow the values of the
-columns that carry them.  So each step makes one series, one step bound and
-one advance call, whatever the propagation carries.  A column is zero in the
-other part's rows, which leaves its weighted norm, and so the step
-sequence, as it is.  Without wedges the block is the 4 column rows alone,
-and a wedge-only propagation (the scan of a Delta_j2, see spectra) steps
-the 6 wedge rows alone, one state per pair, with no jet.
+A propagation steps one block.  With wedges of column pairs, columns and
+wedges are stacked block-diagonally on 10 rows, ordered so that the sources
+and the targets of the lambda and jet terms are contiguous runs of rows;
+each column carries its own lambda factor and jet factor, and the jets
+follow the values of the columns that carry them.  So each step makes one
+series, one step bound and one advance call, whatever the propagation
+carries.  A column is zero in the other part's rows, which leaves its
+weighted norm, and so the step sequence, as it is.  Without them the block
+is the initial matrix's own rows: 4 of columns, or 6 of wedges.
 
 The integrator is a Taylor series of order TAYLOR_ORDER (Jorba & Zou,
 Experiment. Math. 14 (2005)).  p and q are polynomials on each mesh segment;
@@ -237,26 +239,21 @@ def _wedges(Y0, wi, wj):
 
 
 def _block(Y0, lams, wi, wj, want_dlambda):
-    """The one _Block of a propagation of the columns Y0 at lams with the
-    wedges of the column pairs (wi, wj), and the rows of the columns in it.
-    With wedges it runs the stacked system on all ten rows, else the
-    columns' rows alone, on which that system is _COLUMNS; it carries the
-    jets of every column with want_dlambda, else of the wedges alone."""
+    """The one _Block of a propagation of Y0 at lams with the wedges of its
+    column pairs (wi, wj), and the rows of Y0 in it.  With such wedges it
+    runs the stacked system on all ten rows, else Y0's own rows, on which
+    the system is _COLUMNS (4 rows) or _WEDGE (6); it carries the jets of
+    every state of Y0 with want_dlambda, and of the stacked wedges always."""
     ncols, nw = Y0.shape[1], len(wi)
+    jets = slice(0 if want_dlambda else ncols, ncols + nw)
+    if not nw:
+        system, sign = (_COLUMNS, _C_SIGN) if len(Y0) == 4 else (_WEDGE, _W_SIGN)
+        return _Block(system, Y0, lams, np.full(ncols, sign), jets), slice(None)
     X0 = np.zeros((10, ncols + nw), Y0.dtype)
     X0[_C_ROWS, :ncols] = Y0
     X0[_W_ROWS, ncols:] = _wedges(Y0, wi, wj)
-    rows, crows = (slice(None), _C_ROWS) if nw else (_C_ROWS, slice(None))
-    return _Block(_STACKED if nw else _COLUMNS, X0[rows], np.append(lams, lams[wi]),
-                  np.repeat([_C_SIGN, _W_SIGN], [ncols, nw]),
-                  slice(0 if want_dlambda else ncols, ncols + nw)), crows
-
-
-def _wedge_block(Y0, lams, wi, wj):
-    """As _block, for the wedges of the column pairs (wi, wj) of Y0 alone:
-    _WEDGE on their 6 rows, with no jet; every row is a wedge's own."""
-    return _Block(_WEDGE, _wedges(Y0, wi, wj), lams[wi], np.full(len(wi), _W_SIGN),
-                  slice(0)), slice(None)
+    return _Block(_STACKED, X0, np.append(lams, lams[wi]),
+                  np.repeat([_C_SIGN, _W_SIGN], [ncols, nw]), jets), _C_ROWS
 
 
 @dataclass
@@ -265,10 +262,13 @@ class FundamentalMatrix:
     a 4 x 4 one at each lambda of a batch."""
 
     xs: np.ndarray            # ascending grid, includes both endpoints
-    values: np.ndarray        # shape (len(xs), 4, k), or (len(xs), N, 4, 4)
+    # shape (len(xs), 4, k), or (len(xs), 6, k) for k 2-wedges, or
+    # (len(xs), N, 4, 4)
+    values: np.ndarray
     dlambda: np.ndarray | None = None   # same shape, entrywise d/dlambda
     quadratures: dict | None = None     # (i, j) -> int_0^1 y_i y_j dx
-    # (2, 6, pairs): the 2-wedges where the propagation ends, then their jets
+    # (2, 6, pairs): the 2-wedges of column pairs where the propagation ends,
+    # then their jets
     wedges: np.ndarray | None = None
     # fundamental_C and fundamental_S only: max |det Y(x) - det Y(0)|, which
     # checks the integration only up to rho ~ 15; past it det Y cancels (its
@@ -285,25 +285,25 @@ class FundamentalMatrix:
 
 
 def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
-              quad_pairs=None, wedge_pairs=None, x_grid=None,
-              wedge_only=False) -> FundamentalMatrix:
-    """Integrate the system for a 4 x k initial matrix.
+              quad_pairs=None, wedge_pairs=None, x_grid=None) -> FundamentalMatrix:
+    """Integrate the system for a 4 x k or 6 x k initial matrix.
 
-    lam is one spectral parameter for every column, or one per column (a
-    lambda batch, or a Lagrange-identity check across two).  direction
-    'forward' starts the init data at x=0, 'backward' at x=1.  quad_pairs is
-    a list of column index pairs (i, j); for each, the scalar
+    The system follows the rows of init: 4 rows are k columns, 6 rows are
+    k 2-wedges (rows in the order of _WEDGE_ROWS), stepped under the
+    compound; values, and with want_dlambda their jets in dlambda, have
+    those rows.  lam is one spectral parameter for every column, or one per
+    column (a lambda batch, or a Lagrange-identity check across two).
+    direction 'forward' starts the init data at x=0, 'backward' at x=1.
+    quad_pairs is a list of column index pairs (i, j); for each, the scalar
     int_0^1 y_i(x) y_j(x) dx is accumulated alongside the trajectory.
     wedge_pairs is a list of column index pairs at one lambda each; their
-    2-wedges and the wedges' jets are returned where the propagation ends.
-    want_dlambda asks for the jets of the columns.  wedge_only steps the
-    wedges alone, one 6-row state per pair with no jet, and not the columns:
-    values is then the wedges' trajectory (len(xs), 6, pairs), and wedges
-    their end values alone, (1, 6, pairs).
+    2-wedges and the wedges' jets are returned in wedges, where the
+    propagation ends.  Both read columns: a 6-row init with either raises
+    ValueError.
     """
     Y0 = np.asarray(init, dtype=complex)
     if Y0.ndim == 1:
-        Y0 = Y0.reshape(4, 1)
+        Y0 = Y0.reshape(-1, 1)
     ncols = Y0.shape[1]
     lams = np.broadcast_to(np.asarray(lam, dtype=complex).ravel(), ncols)
     if not np.all(np.isfinite(lams)):
@@ -314,16 +314,16 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     sign = 1.0 if direction == "forward" else -1.0
+    if len(Y0) == 6 and (quad_pairs or wedge_pairs):
+        raise ValueError("a 6-row init is a set of 2-wedges: no quadratures or wedges of "
+                         "column pairs")
 
     quad_pairs = list(quad_pairs or [])
     qi, qj = np.array(quad_pairs, dtype=int).reshape(-1, 2).T
     wi, wj = np.array(wedge_pairs or [], dtype=int).reshape(-1, 2).T
     if np.any(lams[wi] != lams[wj]):
         raise ValueError("a wedge pairs columns at different lambda")
-    if wedge_only and (want_dlambda or quad_pairs):
-        raise ValueError("a wedge-only propagation carries no column jets or quadratures")
-    block, crows = (_wedge_block(Y0, lams, wi, wj) if wedge_only else
-                    _block(Y0, lams, wi, wj, want_dlambda))
+    block, crows = _block(Y0, lams, wi, wj, want_dlambda)
     rel, absolute = problem.tolerances.ode_rel, problem.tolerances.ode_abs
     hilbert = 1.0 / (np.arange(TAYLOR_ORDER + 1)[:, None] + np.arange(TAYLOR_ORDER + 1) + 1)
     quads = np.zeros(len(quad_pairs), Y0.dtype)
@@ -358,7 +358,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
             powers = ts[:, None] ** np.arange(TAYLOR_ORDER + 1)
             states_out.extend(block.advance(T, powers)[:reached - done])
             xs_out.extend(t_eval[done:reached])
-            if len(quad_pairs):   # row 0 is y in either system
+            if len(quad_pairs):   # row 0 is y with or without wedges
                 hp = powers[-1][:, None]
                 U, V = T[:, 0, qi] * hp, T[:, 0, qj] * hp
                 quads += ts[-1] * np.sum(U * (hilbert @ V), axis=0)
@@ -372,9 +372,6 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     quadratures = None
     if quad_pairs:
         quadratures = {pair: complex(sign * quads[k]) for k, pair in enumerate(quad_pairs)}
-    if wedge_only:
-        return FundamentalMatrix(xs=xs_out[order], values=states_out,
-                                 wedges=block.state[None].astype(complex))
     wedges = None
     if len(wi):   # the wedges' values, then their jets: the last state columns
         end = block.state[_W_ROWS].astype(complex)

@@ -20,19 +20,19 @@ fails.  A pair of
 samples (a, b) in scan order opens a bracket where Delta changes sign, or
 where Delta(a) is exactly 0; the brackets are polished with Newton in
 lockstep (one batched solve of the variationally computed derivative per
-iteration).  Every sample of a search, on the real scan and on a winding
-ring, comes from _samples: one entry of one state per lambda, stepped alone
-with no jet (see propagator).  A Delta_j2 is minus row 0 of the 2-wedge of
-the selector's two C columns (C3 ^ C4, C2 ^ C4, C3 ^ C2); any other Delta
-is +-row 0 of one C column at x = 1 (weyl._ENTRIES).  No search forms a
+iteration).  Every search propagates one state per lambda, the state its
+Delta is an entry of (weyl._ENTRIES), alone: minus row 0 of the 2-wedge of
+the selector's two C columns for a Delta_j2 (C3 ^ C4, C2 ^ C4, C3 ^ C2),
+and +-row 0 of one C column at x = 1 for any other Delta.  The samples of
+the real scan and of a winding ring come from _samples without the jet,
+the polish from _samples with it, and a root does not move with its batch.
+Only a Delta_22 polish also solves C(1) and the wedges of Delta_32 and
+Delta_42, stacked with its own, for weight_numbers.  simplicity_check
+judges a zero against the weighted norm of its state.  No search forms a
 determinant, whose cancellation once stopped the scan at rho ~ 33 and made
 the Delta_j1 searches lose or invent zeros; each reaches until its state
 overflows (rho ~ 600 for a wedge on the beam), where the propagation
-raises.  The polish reads the same entry and its jet, from the wedge of a
-Delta_j2, solved with C(1) and stacked with the wedges of the other two,
-or from the column of C(1): a root does not move with its batch, and
-simplicity_check judges it against the weighted norm of that wedge or
-column.
+raises.
 Newton starts at the root inside each bracket of the cubic through the
 four nearest scan samples, taken in s = sign(lambda) |lambda|^(1/4), the
 variable in which the grid is uniform (through fewer samples where a
@@ -46,11 +46,11 @@ and are longer than NEWTON_BOX_ASPECT times their width, and the same
 Newton from the centre with a batch of one; find_zero_near runs it from
 a given point and stops where an iterate would leave a disc around it,
 raising LeftDiscError with that iterate.  Every Zero is made in _polish,
-the one driver of Newton on Delta, with C(1, lambda) of its accepted
-evaluation, for a Delta_j2 the three wedge values (Delta_22, Delta_32,
-Delta_42) there, and the result of its one simplicity_check; weight_numbers
-trusts them all.  No search takes a scale: each judges Delta
-against values at its own lambda.
+the one driver of Newton on Delta, with the end state of its accepted
+evaluation, for a Delta_22 also C(1, lambda) and the three wedge values
+(Delta_22, Delta_32, Delta_42) there, and the result of its one
+simplicity_check; weight_numbers trusts them all.  No search takes a
+scale: each judges Delta against values at its own lambda.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from itertools import islice
 import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
-from .propagator import PropagationError, fundamental_C, propagate
-from .weyl import _DELTA_COLS, _ENTRIES, _minor_norm
+from .propagator import PropagationError, _wedges, fundamental_C, propagate
+from .weyl import _ENTRIES, _minor_norm
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
@@ -80,7 +80,7 @@ WINDING_SIDE_SAMPLES = 32
 NEWTON_BOX_ASPECT = 2.0
 # find_first_zeros scans up from here, just above lambda = 0
 FIRST_ZEROS_START = 1e-6
-# the selectors whose wedges every Delta_j2 polish carries, in wedge_deltas order
+# the selectors whose wedges a Delta_22 polish carries, in wedge_deltas order
 _J2 = ((2, 2), (3, 2), (4, 2))
 
 
@@ -103,15 +103,16 @@ class Zero:
     selector: tuple
     multiplicity_estimate: int
     ddelta: complex
-    # C(1, lambda) of the accepted Newton evaluation
-    end_values: np.ndarray = field(repr=False, compare=False)
-    # (Delta_22, Delta_32, Delta_42) of that evaluation, from its wedges, and
-    # the 6 rows of the zero's own selector's wedge; set by the polish of a
-    # Delta_j2 only, and not carried by a copy
+    # the state at x = 1 of the accepted Newton evaluation whose row 0 is
+    # Delta up to sign: a C column (4 rows) or a 2-wedge (6 rows), _ENTRIES
+    end_state: np.ndarray = field(repr=False, compare=False)
+    # C(1, lambda) of that evaluation and (Delta_22, Delta_32, Delta_42)
+    # there, from its wedges; set by the polish of a Delta_22 only, and not
+    # carried by a copy
+    end_values: np.ndarray | None = field(default=None, init=False, repr=False,
+                                          compare=False)
     wedge_deltas: np.ndarray | None = field(default=None, init=False, repr=False,
                                             compare=False)
-    end_wedge: np.ndarray | None = field(default=None, init=False, repr=False,
-                                         compare=False)
 
 
 @dataclass
@@ -177,26 +178,24 @@ def _newton(lam0, bracket=None, radius=None):
 
 
 def _jets(problem, selector, lams):
-    """(Delta, dDelta, C(1, lambda), wedge_deltas, end_wedge) of the selected
-    pair at each lambda, in one solve; if it fails, lambda by lambda, each
-    PropagationError in its lambda's place.  A Delta_j2 polish carries the
-    2-wedges of the columns of Delta_22, Delta_32 and Delta_42 in the same
-    solve as C: each Delta_j2 and its jet are minus row 0 of its wedge,
-    wedge_deltas are the three values and end_wedge the selector's own wedge.
-    Any other Delta and its jet are +-row 0 of its column of C(1) and of its
-    jet (_ENTRIES), with no wedge values."""
+    """(Delta, dDelta, end state, C(1, lambda), wedge_deltas) of the
+    selected pair at each lambda, in one solve; if it fails, lambda by
+    lambda, each PropagationError in its lambda's place.  For every
+    selector but Delta_22 the solve is _samples' with the jet, one state per
+    lambda, with no C(1) or wedge_deltas (None).  A Delta_22 polish solves C
+    with the 2-wedges of the columns of Delta_22, Delta_32 and Delta_42,
+    which weight_numbers reads: each Delta_j2 and its jet are minus row 0 of
+    its wedge, wedge_deltas the three values, and the end state the wedge
+    of Delta_22."""
     try:
-        if selector[1] == 2:
+        if selector == (2, 2):
             C = fundamental_C(problem, lams, x_grid=[0.0, 1.0],
-                              wedge=[_DELTA_COLS[jk] for jk in _J2])
+                              wedge=[_ENTRIES[jk][1] for jk in _J2])
             d = -C.wedges[:, 0]   # (value or jet, pair, lambda)
-            own = _J2.index(selector)
-            return list(zip(d[0, own].tolist(), d[1, own].tolist(), C.end, d[0].T,
-                            C.wedges[0, :, own].T))
-        C = fundamental_C(problem, lams, want_dlambda=True, x_grid=[0.0, 1.0])
-        sign, col = _ENTRIES[selector]
-        value, jet = (sign * a[:, 0, col - 1] for a in (C.end, C.dlambda[-1]))
-        return list(zip(value.tolist(), jet.tolist(), C.end, [None] * len(lams),
+            return list(zip(d[0, 0].tolist(), d[1, 0].tolist(), C.wedges[0, :, 0].T, C.end,
+                            d[0].T))
+        value, jet, end = _samples(problem, selector, lams, jet=True)
+        return list(zip(value.tolist(), jet.tolist(), end.T, [None] * len(lams),
                         [None] * len(lams)))
     except PropagationError as exc:
         if len(lams) == 1:
@@ -218,10 +217,10 @@ def _polish(problem, selector, newtons):
                     raise jet
                 todo[i] = newtons[i].send(jet)
             except StopIteration as stop:
-                lam, _, dval, end, wedge_deltas, end_wedge = stop.value
+                lam, _, dval, end_state, end, wedge_deltas = stop.value
                 out[i] = z = Zero(lam=lam, selector=selector, multiplicity_estimate=1,
-                                  ddelta=complex(dval), end_values=end)
-                z.wedge_deltas, z.end_wedge = wedge_deltas, end_wedge
+                                  ddelta=complex(dval), end_state=end_state)
+                z.end_values, z.wedge_deltas = end, wedge_deltas
                 z.multiplicity_estimate = 1 if simplicity_check(z) else 2
                 del todo[i]
             except (PropagationError, SearchError) as exc:
@@ -230,26 +229,20 @@ def _polish(problem, selector, newtons):
     return out
 
 
-def _samples(problem, selector, lams):
-    """Delta_selector at each of lams, in one solve of one state per lambda,
-    propagated alone with no jet: minus row 0 of the 2-wedge of its two C
-    columns for a Delta_j2 (6 rows, wedge-only), else +-row 0 of its one C
-    column at x = 1 (4 rows, _ENTRIES).  Neither forms a determinant; an
-    empty batch propagates nothing."""
+def _samples(problem, selector, lams, jet):
+    """Delta_selector at each of lams, its jet (None without `jet`) and the
+    end state it is read from, (rows, len(lams)), in one solve of that one
+    state per lambda, propagated alone: sign times row 0 of the 2-wedge of
+    its two C columns (6 rows) or of its one C column (4 rows) at x = 1, as
+    _ENTRIES gives.  Neither forms a determinant."""
     lams = np.asarray(lams, dtype=complex)
-    if lams.size == 0:
-        return lams
+    sign, cols = _ENTRIES[selector]
     Uinv = np.linalg.inv(boundary_form_matrix(problem))
-    if selector[1] != 2:
-        sign, col = _ENTRIES[selector]
-        res = propagate(problem, lams, "forward", np.tile(Uinv[:, [col - 1]], lams.size),
-                        x_grid=[0.0, 1.0])
-        return sign * res.end[0]
-    init = Uinv[:, np.subtract(_DELTA_COLS[selector], 1)]
-    res = propagate(problem, np.repeat(lams, 2), "forward", np.tile(init, lams.size),
-                    wedge_pairs=[(2 * k, 2 * k + 1) for k in range(lams.size)],
-                    x_grid=[0.0, 1.0], wedge_only=True)
-    return -res.wedges[0, 0]
+    i = np.subtract(cols, 1)
+    init = Uinv[:, i] if len(i) == 1 else _wedges(Uinv, i[:1], i[1:])
+    res = propagate(problem, lams, "forward", np.tile(init, lams.size), want_dlambda=jet,
+                    x_grid=[0.0, 1.0])
+    return sign * res.end[0], (sign * res.dlambda[-1, 0] if jet else None), res.end
 
 
 def _scan_start(a, b, near):
@@ -315,7 +308,7 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
         while start < len(lams):
             chunk = lams[start:start + size]
             try:
-                value = _samples(problem, selector, chunk)
+                value = _samples(problem, selector, chunk, jet=False)[0]
             except PropagationError:
                 if size == _SCAN_CHUNK:
                     raise
@@ -377,13 +370,15 @@ def _winding_number(ring, re0, re1, im0, im1):
 
 
 def _ring_fun(problem, selector):
-    """zs -> Delta_selector at zs; unseen points in one batch, memo per search."""
+    """zs -> Delta_selector at zs; unseen points in one batch, memo per
+    search, and no solve when every point is seen."""
     memo = {}
 
     def ring(zs):
         zs = zs.tolist()
         new = [z for z in dict.fromkeys(zs) if z not in memo]
-        memo.update(zip(new, _samples(problem, selector, new).tolist()))
+        if new:
+            memo.update(zip(new, _samples(problem, selector, new, jet=False)[0].tolist()))
         return np.array([memo[z] for z in zs])
 
     return ring
@@ -446,13 +441,10 @@ def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero:
 def simplicity_check(zero: Zero) -> bool:
     """True iff the zero is simple: |dDelta| (1 + |lambda|) strictly above
     SIMPLICITY_FLOOR times the magnitude of Delta at the zero, the weighted
-    norm of the state its Delta is an entry of: its own end wedge for a
-    Delta_j2, whose rows are the exact 2 x 2 minors, else its column of the
-    zero's own C(1) (_ENTRIES), row r weighted by rho^-r."""
-    if zero.selector[1] == 2:
-        mag = _minor_norm(zero.end_wedge, zero.lam, 2)
-    else:
-        mag = _minor_norm(zero.end_values[:, _ENTRIES[zero.selector][1] - 1], zero.lam, 1)
+    norm (weyl._minor_norm) of the state its Delta is an entry of, its
+    end_state: a 2-wedge's rows are the exact 2 x 2 minors, and a column's
+    row r is weighted by rho^-r."""
+    mag = _minor_norm(zero.end_state, zero.lam, len(_ENTRIES[zero.selector][1]))
     return bool(abs(zero.ddelta) * (1 + abs(zero.lam)) > SIMPLICITY_FLOOR * mag)
 
 

@@ -19,8 +19,9 @@ values of one forward fundamental_C solve per batch (phi_matrix's, on its
 own x grid, has the same end values), and each Delta_jk is one stack of
 minors: one determinant call for its value and k more for its jet.  Whether
 a Delta vanishes is judged against its _magnitude at the same lambda.  The
-searches (see spectra) read each Delta_jk with k != 2 as one entry, Delta_11
-= -C_4(1) and Delta_21 = -C_3(1) included (_ENTRIES).
+searches (see spectra) read each Delta_jk as row 0 of one propagated state,
+a column or a 2-wedge (_ENTRIES), Delta_11 = -C_4(1) and Delta_21 = -C_3(1)
+included.
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ _DELTA_ROWS = {1: [2, 1, 0], 2: [1, 0], 3: [0]}
 
 ALL_INDEX_PAIRS = tuple(_DELTA_COLS)
 _DIAG = ((1, 1), (2, 2), (3, 3))
-# (sign, C column) of each Delta_jk with k != 2 as an entry of the y-row of
-# C(1): Delta_33 and Delta_43 by definition, the Delta_j1 by the bracket
-# identity and det U = 1; of the Delta_j1, _assemble reads Delta_31 and
-# Delta_41 so
-_ENTRIES = {(1, 1): (-1, 4), (2, 1): (-1, 3), (3, 1): (1, 2), (4, 1): (-1, 1),
-            (3, 3): (1, 4), (4, 3): (1, 3)}
+# (sign, C columns) of each Delta_jk as sign times row 0 of one propagated
+# state: of the column for one, of the 2-wedge of the two for two.  Delta_33
+# and Delta_43 are entries of the y-row of C(1) by definition, the Delta_j1
+# by the bracket identity and det U = 1 (of them, _assemble reads Delta_31
+# and Delta_41 so), and a Delta_j2 is row 0 of the wedge of its two columns
+_ENTRIES = {(1, 1): (-1, (4,)), (2, 1): (-1, (3,)), (3, 1): (1, (2,)), (4, 1): (-1, (1,)),
+            (2, 2): (-1, (3, 4)), (3, 2): (-1, (2, 4)), (4, 2): (-1, (3, 2)),
+            (3, 3): (1, (4,)), (4, 3): (1, (3,))}
 
 POLE_FLOOR = 1e-10
 # a Delta value at most this fraction of its magnitude counts as zero
@@ -134,7 +137,7 @@ def _assemble(end, dend=None, pairs=ALL_INDEX_PAIRS) -> dict:
         alt, sign = None, 1
         if jk in ((3, 1), (4, 1)):
             alt = _det(end[..., rows, :][..., cols])
-            sign, col = _ENTRIES[jk]
+            sign, (col,) = _ENTRIES[jk]
             rows, cols = [0], [col - 1]
         sub, dsub = (a if a is None else sign * a[..., rows, :][..., cols] for a in (end, dend))
         val, jet = _minors(sub, dsub)

@@ -124,13 +124,14 @@ class TestWeightNumbers:
         # weight_numbers trusts the search's simplicity test and its C(1, lambda)
         with pytest.raises(NonSimpleError):
             weight_numbers(beam, [replace(beam_zeros[0], multiplicity_estimate=2)])
-        with pytest.raises(ValueError):
-            weight_numbers(beam, [replace(beam_zeros[0], end_values=None)])
-        # a copy carries no wedge values: it is no searched zero
-        with pytest.raises(ValueError):
-            weight_numbers(beam, [replace(beam_zeros[0])])
+        # a copy carries no C(1) and no wedge values (init=False fields): it
+        # is no searched zero
+        copy = replace(beam_zeros[0])
+        assert copy.end_values is None and copy.wedge_deltas is None
+        with pytest.raises(ValueError, match="no searched zero of Delta_22"):
+            weight_numbers(beam, [copy])
         # a zero of another Delta_jk is no eigenvalue of the main problem
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no searched zero of Delta_22"):
             weight_numbers(beam, find_first_zeros(beam, (3, 2), 1))
 
     def test_unnormalizable_zero_flagged_alone(self, beam, beam_zeros, monkeypatch):

@@ -52,6 +52,18 @@ class TestCoefficientField:
         with pytest.raises(ProblemError):
             CoefficientField([(0.0, 0.6, [1.0]), (0.5, 1.0, [2.0])])
 
+    @pytest.mark.parametrize("segments, message", [
+        ([(0.0, 0.4, [1.0]), (0.5, 1.0, [1.0])], r"gap between segments on \(0\.4, 0\.5\)"),
+        ([(0.0, 0.6, [1.0]), (0.5, 1.0, [2.0])], r"overlapping segments on \(0\.5, 0\.6\)"),
+        ([(0.0, 0.5, [1.0]), (0.5, 0.5, [2.0]), (0.5, 1.0, [3.0])],
+         r"empty segment \[0\.5, 0\.5\]"),
+        ([(0.0, 0.5, [1.0]), (0.3, 0.2, [2.0]), (0.5, 1.0, [3.0])],
+         r"empty segment \[0\.3, 0\.2\]"),
+    ], ids=["gap", "overlap", "empty", "reversed"])
+    def test_segment_faults_have_their_own_messages(self, segments, message):
+        with pytest.raises(ProblemError, match=message):
+            CoefficientField(segments)
+
     def test_from_samples_linear(self):
         f = CoefficientField.from_samples([0.0, 1.0, 0.0], interp=1)
         assert f(0.25) == pytest.approx(0.5)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,15 @@ def _reference_end(pb, lam, Y0):
     Y0 = np.asarray(Y0, complex)
     return solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="DOP853",
                      rtol=1e-12, atol=1e-14).y[:, -1].reshape(Y0.shape)
+
+
+def _wedge_init(Y, pairs, copies=1):
+    """The 6-row initial 2-wedges of the column pairs (j, k) of Y (1-based
+    labels), each repeated `copies` times side by side: the (a, b) minor
+    Y_aj Y_bk - Y_bj Y_ak in row order (0, 1), (0, 2), ..., (2, 3)."""
+    return np.array([[Y[a, j - 1] * Y[b, k - 1] - Y[b, j - 1] * Y[a, k - 1]
+                      for j, k in pairs for _ in range(copies)]
+                     for a, b in combinations(range(4), 2)])
 
 
 def _kernel_steps(monkeypatch):
@@ -95,19 +106,14 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("rho", [10, 35, 60, 120])
     def test_wedge_only_delta22_matches_closed_form(self, rho):
-        # the scan's solve: the wedge C3 ^ C4 stepped alone, with no columns
-        # and no jet, at one lambda or at two
+        # the scan's solve: a 6-row init, the wedge C3 ^ C4 stepped alone,
+        # with no columns and no jet, at one lambda or at two
         pb = beam_problem()
         lams = float(rho) ** 4 * np.array([1.0, 1.01])
-        init = np.tile(np.linalg.inv(boundary_form_matrix(pb))[:, 2:], 2)
-        res = propagate(pb, np.repeat(lams, 2), "forward", init, wedge_pairs=[(0, 1), (2, 3)],
-                        x_grid=[0.0, 1.0], wedge_only=True)
-        assert res.wedges.shape == (1, 6, 2) and res.values.shape == (2, 6, 2)
-        assert np.array_equal(res.values[-1], res.wedges[0])
-        with pytest.raises(ValueError):   # no column is stepped
-            propagate(pb, lams[0], "forward", init[:, :2], want_dlambda=True,
-                      wedge_pairs=[(0, 1)], wedge_only=True)
-        got = -res.wedges[0, 0]
+        init = _wedge_init(np.linalg.inv(boundary_form_matrix(pb)), [(3, 4)], copies=2)
+        res = propagate(pb, lams, "forward", init, x_grid=[0.0, 1.0])
+        assert res.values.shape == (2, 6, 2) and res.dlambda is None and res.wedges is None
+        got = -res.end[0]
         assert got.tolist() == pytest.approx([oracle_delta22(lam) for lam in lams], rel=1e-11)
 
     def test_dlambda_jet_matches_finite_difference(self):
@@ -362,21 +368,62 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("degree", [0, 3])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_wedge_only_block_matches_reference(self, dtype, degree):
-        # the scan's block: the wedge rows alone, one state per pair, no jet
+        # the block of a 6-row init: the wedge rows alone, one state per
+        # wedge, without their jet (a scan's) and with it (a polish's)
         rng = np.random.default_rng(5)
 
         def draw(*shape):
             x = rng.uniform(-1, 1, shape)
             return x + 1j * rng.uniform(-1, 1, shape) if dtype is complex else x
 
-        lams = np.repeat(draw(2) * 400, 2)
-        block, _ = propagator._wedge_block(draw(4, 4), lams, np.array([0, 2]), np.array([1, 3]))
-        assert block.state.shape == (6, 2) and block.cols == 2
-        for _ in range(2):
-            pq = [tuple(draw(2)) for _ in range(degree + 1)]
-            ref = _reference_series(block, pq)
-            got = block.series(pq)
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-            assert block.step_bound(got, 1e-10, 1e-12) == _reference_step_bound(
-                block, ref, 1e-10, 1e-12)
-            block.state = draw(*block.state.shape)
+        none = np.array([], dtype=int)
+        for jets in (False, True):
+            block, rows = propagator._block(draw(6, 2), draw(2) * 400, none, none, jets)
+            assert block.state.shape == (6, 4 if jets else 2) and block.cols == 2
+            assert block.system is propagator._WEDGE and rows == slice(None)
+            for _ in range(2):
+                pq = [tuple(draw(2)) for _ in range(degree + 1)]
+                ref = _reference_series(block, pq)
+                got = block.series(pq)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                assert block.step_bound(got, 1e-10, 1e-12) == _reference_step_bound(
+                    block, ref, 1e-10, 1e-12)
+                block.state = draw(*block.state.shape)
+
+
+class TestWedgeInit:
+    """A 6-row init is a set of 2-wedges, stepped under the compound on
+    their own rows, with their jet under want_dlambda."""
+
+    @pytest.mark.parametrize("which", ["real", "complex"])
+    def test_jet_matches_stacked_wedge_jet(self, which):
+        # against the wedges and wedge jets that fundamental_C stacks with
+        # the columns, for rho below 12, on a seeded real problem at real
+        # lambda and a seeded complex problem at complex lambda
+        if which == "real":
+            pb = make_random_real_problem(11)
+            lams = np.array([-2e4, -300.0, 2.5, 150.0, 9000.0, 2e4])
+        else:
+            pb = make_random_problem(7)
+            lams = np.array([-2e4 + 50j, -300.0, 2.5 + 1j, 150.0 - 40j, 9000.0, 2e4j])
+        assert np.all(np.abs(lams) ** 0.25 < 12)
+        pairs = [(3, 4), (2, 4), (3, 2)]
+        ref = fundamental_C(pb, lams, x_grid=[0.0, 1.0], wedge=pairs).wedges
+        init = _wedge_init(np.linalg.inv(boundary_form_matrix(pb)), pairs, copies=len(lams))
+        res = propagate(pb, np.tile(lams, len(pairs)), "forward", init, want_dlambda=True,
+                        x_grid=[0.0, 1.0])
+        assert res.values.shape[1:] == res.dlambda.shape[1:] == (6, len(pairs) * len(lams))
+        assert res.wedges is None
+        for got, want in ((res.end, ref[0]), (res.dlambda[-1], ref[1])):
+            got = got.reshape(6, len(pairs), len(lams))
+            assert np.all(np.max(np.abs(got - want), axis=0)
+                          <= 1e-12 * np.max(np.abs(want), axis=0))
+
+    @pytest.mark.parametrize("extra", [{"quad_pairs": [(0, 0)]}, {"wedge_pairs": [(0, 1)]}],
+                             ids=["quad_pairs", "wedge_pairs"])
+    def test_wedge_init_takes_no_column_pairs(self, extra):
+        # quadratures and wedges are of columns: a wedge init has none
+        pb = beam_problem()
+        init = _wedge_init(np.linalg.inv(boundary_form_matrix(pb)), [(3, 4), (2, 4)])
+        with pytest.raises(ValueError, match="6-row init"):
+            propagate(pb, 10.0, "forward", init, **extra)

@@ -177,7 +177,7 @@ class TestWedgeSamples:
     @_SEEDED
     def test_wedge_equals_determinant(self, which, seed, selector):
         pb, lams = _seeded_lams(which, seed)
-        got = spectra._samples(pb, selector, lams)
+        got = spectra._samples(pb, selector, lams, jet=False)[0]
         det = deltas_at(pb, lams, (selector,))[selector].value
         assert _within_determinant(pb, lams, selector, got, det)
 
@@ -192,7 +192,7 @@ class TestColumnSamples:
     @_SEEDED
     def test_column_equals_determinant(self, which, seed, selector):
         pb, lams = _seeded_lams(which, seed)
-        got = spectra._samples(pb, selector, lams)
+        got = spectra._samples(pb, selector, lams, jet=False)[0]
         d = deltas_at(pb, lams, (selector,))[selector]
         det = d.value if d.alt_value is None else d.alt_value
         assert _within_determinant(pb, lams, selector, got, det)
@@ -375,14 +375,14 @@ class TestSampleAtRoot:
 
     @staticmethod
     def _linear(monkeypatch, r, seen):
-        def samples(problem, selector, lams):
+        def samples(problem, selector, lams, jet):
             seen.extend(lams)
-            return np.asarray(lams) - r
+            return np.asarray(lams) - r, None, None
 
         def jets(problem, selector, lams):
-            # a C(1), no wedge values, and the end wedge C3 ^ C4 of the identity
-            # for the simplicity test of the Delta_22 zero
-            return [(lam - r, 1.0, np.eye(4), None, np.eye(6)[5]) for lam in lams]
+            # the end wedge C3 ^ C4 of the identity for the simplicity test of
+            # the Delta_22 zero, a C(1), and no wedge values
+            return [(lam - r, 1.0, np.eye(6)[5], np.eye(4), None) for lam in lams]
 
         monkeypatch.setattr(spectra, "_samples", samples)
         monkeypatch.setattr(spectra, "_jets", jets)

@@ -4,6 +4,7 @@ The counts come from wrapping the module bindings that the layers call, so
 they check how often the work is done, not how the values come out.
 """
 
+import inspect
 import json
 import sys
 
@@ -59,9 +60,9 @@ def _recording_samples(monkeypatch):
     lams = []
     orig = spectra._samples
 
-    def wrapper(problem, selector, batch):
+    def wrapper(problem, selector, batch, jet):
         lams.extend(complex(lam) for lam in np.ravel(batch))
-        return orig(problem, selector, batch)
+        return orig(problem, selector, batch, jet)
 
     monkeypatch.setattr(spectra, "_samples", wrapper)
     return lams
@@ -125,10 +126,10 @@ def test_no_delta_propagates_backward(beam, monkeypatch):
 
 
 def _recording_batches(monkeypatch):
-    """(lambda batch, jet) of every fundamental_C call: the Newton polish's,
-    with the jet of C or of the wedges of Delta_j2's columns (a scan
-    propagates one wedge or one column per lambda, with no fundamental_C
-    call)."""
+    """(lambda batch, jet) of every fundamental_C call: a Delta_22 polish's
+    with the jets of the wedges of Delta_j2's columns (a scan, and any other
+    polish, propagates one wedge or one column per lambda, with no
+    fundamental_C call)."""
     calls = []
     orig = propagator.fundamental_C
 
@@ -142,33 +143,47 @@ def _recording_batches(monkeypatch):
 
 
 def _recording_solves(monkeypatch):
-    """(lambda batch, block) of every propagator.propagate call: "wedge" for
-    a wedge-only block, one wedge state per lambda (a Delta_j2 scan chunk),
-    else "jet" for C with the jet of C or of wedges (a Newton step) and "C"
-    for C alone, 4 columns per lambda."""
+    """(lambda batch, init rows, states per lambda, jet, wedge pairs) of
+    every propagator.propagate call: 6 rows for an init of 2-wedges, 4 for
+    columns; jet is want_dlambda, and wedge pairs the number of wedges of
+    column pairs stacked with the columns."""
     calls = []
     orig = propagator.propagate
+    signature = inspect.signature(orig)
 
-    def wrapper(problem, lam, direction, init, want_dlambda=False, quad_pairs=None,
-                wedge_pairs=None, x_grid=None, wedge_only=False):
-        lams = np.ravel(lam)
-        if wedge_only:
-            calls.append(([complex(lams[i]) for i, _ in wedge_pairs], "wedge"))
-        else:
-            calls.append(([complex(lam) for lam in lams[::4]],
-                          "jet" if want_dlambda or wedge_pairs else "C"))
-        return orig(problem, lam, direction, init, want_dlambda, quad_pairs, wedge_pairs,
-                    x_grid, wedge_only)
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        a = bound.arguments
+        shape = np.shape(a["init"])
+        rows, cols = shape if len(shape) == 2 else (shape[0], 1)
+        lams = [complex(lam) for lam in dict.fromkeys(
+            np.broadcast_to(np.ravel(a["lam"]), cols).tolist())]
+        calls.append((lams, rows, cols // len(lams), bool(a["want_dlambda"]),
+                      len(a["wedge_pairs"] or [])))
+        return orig(*args, **kwargs)
 
     _patch_bindings(monkeypatch, orig, wrapper)
     return calls
+
+
+def _scans(calls):
+    """The lambda batches of the scan solves among _recording_solves' calls:
+    no jet, and no wedge of column pairs."""
+    return [lams for lams, _, _, jet, pairs in calls if not (jet or pairs)]
+
+
+def _polishes(calls):
+    """The lambda batches of the Newton solves: with a jet, or with the
+    wedges of column pairs and their jets."""
+    return [lams for lams, _, _, jet, pairs in calls if jet or pairs]
 
 
 def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     calls = _recording_solves(monkeypatch)
     props = _counting_propagations(monkeypatch)
     zeros = find_first_zeros(beam, (2, 2), 3)
-    lams = [lam for batch, _ in calls for lam in batch]
+    lams = [lam for batch, *_ in calls for lam in batch]
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
     # the grid is uniform in rho (index i at rho = i step) and taken in chunks
     # of chunk, 2 chunk, 4 chunk, ... points; nothing past the end of the
@@ -180,29 +195,29 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     ends = chunk * (2 ** np.arange(1, 12) - 1)     # one past each solve's last index
     last = ends[np.searchsorted(ends, closing, side="right")] - 1
     assert max(lam.real for lam in lams) <= (last * step) ** 4 * (1 + 1e-12)
-    # one solve per chunk scanned, a wedge-only block of the two C columns of
+    # one solve per chunk scanned, the 2-wedge of the two C columns of
     # Delta_22 at each lambda, then one per lockstep Newton iteration over
     # the brackets still open: all three enter the first, none re-enters,
     # and from the brackets' interpolated starts the polish takes two
-    scans = [batch for batch, block in calls if block == "wedge"]
-    newton = [batch for batch, block in calls if block == "jet"]
+    scans, newton = _scans(calls), _polishes(calls)
     assert [len(batch) for batch in scans[:-1]] == [chunk * 2 ** i for i in range(len(scans) - 1)]
     assert 0 < len(scans[-1]) <= chunk * 2 ** (len(scans) - 1)
     assert len(newton[0]) == 3
     assert len(newton) == 2
     assert all(len(b) >= len(a) for a, b in zip(newton[1:], newton))
-    assert [block for _, block in calls] == ["wedge"] * len(scans) + ["jet"] * len(newton)
-    assert props == ([("forward", 2 * len(batch)) for batch in scans]
+    assert [call[1:] for call in calls] == ([(6, 1, False, 0)] * len(scans)
+                                            + [(4, 4, False, 3 * len(b)) for b in newton])
+    assert props == ([("forward", len(batch)) for batch in scans]
                      + [("forward", 4 * len(batch)) for batch in newton])
 
 
 def test_beam_count_thirty_scans_in_five_solves(beam, beam_zeros_30, monkeypatch):
     # doubling chunks: 63 + 126 + ... + 1008 points reach past rho ~ 96, the
-    # thirtieth zero, in five wedge-only solves (one per 63 points was 30)
+    # thirtieth zero, in five solves of one 2-wedge per lambda (one per 63 points was 30)
     calls = _recording_solves(monkeypatch)
     zeros = find_first_zeros(beam, (2, 2), 30)
     assert [z.lam for z in zeros] == [z.lam for z in beam_zeros_30]
-    assert len([batch for batch, block in calls if block == "wedge"]) <= 5
+    assert len(_scans(calls)) <= 5
 
 
 @pytest.mark.parametrize("count", [4, 5])
@@ -216,7 +231,7 @@ def test_doubled_chunk_that_overflows_falls_back(beam, monkeypatch, count):
     assert [z.lam.real ** 0.25 / np.pi for z in zeros] == pytest.approx(
         [183.5, 184.5, 185.5, 186.5, 187.5][:count], rel=1e-12)
     chunk = spectra._SCAN_CHUNK
-    assert [len(batch) for batch, block in calls if block == "wedge"] == [
+    assert [len(batch) for batch in _scans(calls)] == [
         chunk, 2 * chunk, 4 * chunk] + [chunk] * (count - 3)
 
 
@@ -225,9 +240,9 @@ def test_scan_polish_takes_two_solves(beam, monkeypatch, which, selector):
     # the same two lockstep solves for a random real problem's Delta_22 and
     # for the beam's Delta_32
     pb = make_random_real_problem(11) if which == "random" else beam
-    calls = _recording_batches(monkeypatch)
+    calls = _recording_solves(monkeypatch)
     find_first_zeros(pb, selector, 3)
-    newton = [batch for batch, jet in calls if jet]
+    newton = _polishes(calls)
     assert len(newton) == 2
     assert len(newton[0]) == 3
 
@@ -237,7 +252,7 @@ def test_beam_count_ten_polish_takes_two_solves(beam, monkeypatch):
     # interpolated starts hold there too: two lockstep solves, not three
     calls = _recording_solves(monkeypatch)
     find_first_zeros(beam, (2, 2), 10)
-    newton = [batch for batch, block in calls if block == "jet"]
+    newton = _polishes(calls)
     assert len(newton) == 2
     assert len(newton[0]) == 10
 
@@ -269,62 +284,49 @@ def test_weight_numbers_shoots_only_outside_case_one(monkeypatch):
 
 @pytest.mark.parametrize("selector", [(2, 2), (3, 2), (4, 2)])
 def test_one_block_per_propagation(beam, monkeypatch, selector):
-    # every propagation steps one block: each scan chunk a wedge-only block,
-    # one 6-row state per lambda with no jet, and every Delta_j2 polish solve
-    # a stacked block with the wedges of Delta_22, Delta_32 and Delta_42 per
-    # lambda
-    blocks, solves = [], []
+    # every propagation steps one block: each scan chunk one 6-row wedge
+    # per lambda with no jet; a Delta_22 polish solve a stacked block, C
+    # with the wedges of Delta_22, Delta_32 and Delta_42 per lambda, and a
+    # Delta_32 or Delta_42 polish solve its own wedge with its jet
+    blocks = []
     block_init = propagator._Block.__init__
 
     def recording_init(self, *args):
         block_init(self, *args)
-        blocks.append((len(solves), self.state.shape))
+        blocks.append((len(calls), self.state.shape))
 
     monkeypatch.setattr(propagator._Block, "__init__", recording_init)
-    orig = propagator.propagate
-
-    def wrapper(problem, lam, direction, init, want_dlambda=False, quad_pairs=None,
-                wedge_pairs=None, x_grid=None, wedge_only=False):
-        solves.append((np.shape(init)[1], len(wedge_pairs or []), wedge_only))
-        return orig(problem, lam, direction, init, want_dlambda, quad_pairs, wedge_pairs,
-                    x_grid, wedge_only)
-
-    _patch_bindings(monkeypatch, orig, wrapper)
+    calls = _recording_solves(monkeypatch)
     find_first_zeros(beam, selector, 3)
-    assert [i for i, _ in blocks] == list(range(1, len(solves) + 1))
-    scans = [(cols, pairs) for cols, pairs, alone in solves if alone]
-    assert scans and all(cols == 2 * pairs for cols, pairs in scans)
-    assert [shape for (_, shape), (*_, alone) in zip(blocks, solves) if alone] == [
-        (6, pairs) for _, pairs in scans]
-    polish = [(cols // 4, pairs) for cols, pairs, alone in solves if pairs and not alone]
-    assert len(scans) + len(polish) == len(solves)
+    assert [i for i, _ in blocks] == list(range(1, len(calls) + 1))
+    shapes = [shape for _, shape in blocks]
+    scans = [(len(lams), shape) for (lams, *_, jet, pairs), shape in zip(calls, shapes)
+             if not (jet or pairs)]
+    assert scans and all(shape == (6, n) for n, shape in scans)
+    polish = [(call, shape) for call, shape in zip(calls, shapes) if call[3] or call[4]]
+    assert len(scans) + len(polish) == len(calls)
     assert len(polish) == 2
-    assert all(pairs == 3 * n for n, pairs in polish)
+    for (lams, rows, per, jet, pairs), shape in polish:
+        n = len(lams)
+        if selector == (2, 2):
+            assert (rows, per, jet, pairs, shape) == (4, 4, False, 3 * n, (10, 10 * n))
+        else:
+            assert (rows, per, jet, pairs, shape) == (6, 1, True, 0, (6, 2 * n))
 
 
-@pytest.mark.parametrize("selector", [(1, 1), (2, 1), (3, 1), (4, 1), (3, 3), (4, 3)])
+@pytest.mark.parametrize("selector", [(1, 1), (2, 1), (3, 1), (4, 1), (3, 3), (4, 3), (3, 2)])
 def test_entry_scan_solves_one_column_per_lambda(beam, monkeypatch, selector):
     # a scan chunk of any Delta but a Delta_j2 propagates one C column per
-    # lambda, with no jet and no wedge; the polish solves C with its jet, 4
-    # columns per lambda, and reads the same column's entry
-    solves = []
-    orig = propagator.propagate
-
-    def wrapper(problem, lam, direction, init, want_dlambda=False, quad_pairs=None,
-                wedge_pairs=None, x_grid=None, wedge_only=False):
-        solves.append((len(set(np.ravel(lam).tolist())), np.shape(init)[1], want_dlambda,
-                       bool(wedge_pairs) or wedge_only))
-        return orig(problem, lam, direction, init, want_dlambda, quad_pairs, wedge_pairs,
-                    x_grid, wedge_only)
-
-    _patch_bindings(monkeypatch, orig, wrapper)
-    assert len(find_real_zeros(beam, selector, (-1e5, -1e-6), max_count=2)) == 2
-    assert not any(wedge for *_, wedge in solves)
-    scans = [(n, cols) for n, cols, jet, _ in solves if not jet]
-    polish = [(n, cols) for n, cols, jet, _ in solves if jet]
-    assert scans and all(cols == n for n, cols in scans)
-    assert polish and all(cols == 4 * n for n, cols in polish)
-    assert [jet for _, _, jet, _ in solves] == [False] * len(scans) + [True] * len(polish)
+    # lambda, with no jet and no wedge, and the polish the same column with
+    # its jet: 1 column and 1 jet per lambda.  A Delta_32 does the same with
+    # its one 2-wedge (zeros above 0 on the beam)
+    rows, region = (6, (1e-6, 1e5)) if selector[1] == 2 else (4, (-1e5, -1e-6))
+    calls = _recording_solves(monkeypatch)
+    assert len(find_real_zeros(beam, selector, region, max_count=2)) == 2
+    scans, polish = _scans(calls), _polishes(calls)
+    assert scans and polish
+    assert [call[1:] for call in calls] == ([(rows, 1, False, 0)] * len(scans)
+                                            + [(rows, 1, True, 0)] * len(polish))
 
 
 def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
@@ -421,7 +423,7 @@ def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
             assert (cv.alt_value is not None) == entry
             assert not entry or np.shape(cv.alt_value) == (0,)
     for selector in weyl.ALL_INDEX_PAIRS:
-        assert np.shape(spectra._samples(beam, selector, [])) == (0,)
+        assert np.shape(spectra._ring_fun(beam, selector)(np.array([], complex))) == (0,)
     assert calls == []
 
 
