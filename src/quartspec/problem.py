@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -148,7 +149,7 @@ class CoefficientField:
         origin, _, coeffs = self.segments[idx]
         return origin, tuple(complex(c) for c in coeffs)
 
-    @property
+    @cached_property
     def is_real(self):
         return all(np.all(c.imag == 0) for _, _, c in self.segments)
 
@@ -205,7 +206,10 @@ class ProblemSpec:
     # scratch space for per-problem caches (delta scales etc.); not state
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    # is_real and breakpoints are fixed by the fields, so each is computed at
+    # its first read and kept; not at construction, where np.union1d's lazy
+    # import of numpy.ma would fall into the loading of a problem file
+    @cached_property
     def is_real(self):
         b = self.boundary
         return (self.p.is_real and self.q.is_real
@@ -213,7 +217,7 @@ class ProblemSpec:
                 and abs(complex(b.b).imag) == 0.0
                 and abs(complex(b.c).imag) == 0.0)
 
-    @property
+    @cached_property
     def breakpoints(self):
         return np.union1d(self.p.breakpoints, self.q.breakpoints)
 

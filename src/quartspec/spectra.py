@@ -25,22 +25,31 @@ Delta is an entry of (weyl._ENTRIES), alone: minus row 0 of the 2-wedge of
 the selector's two C columns for a Delta_j2 (C3 ^ C4, C2 ^ C4, C3 ^ C2),
 and +-row 0 of one C column at x = 1 for any other Delta.  The samples of
 the real scan and of a winding ring come from _samples without the jet,
-the polish from _samples with it, and a root does not move with its batch.
-Only a Delta_22 polish also solves C(1) and the wedges of Delta_32 and
-Delta_42, stacked with its own, for weight_numbers.  simplicity_check
-judges a zero against the weighted norm of its state.  No search forms a
-determinant, whose cancellation once stopped the scan at rho ~ 33 and made
-the Delta_j1 searches lose or invent zeros; each reaches until its state
-overflows (rho ~ 600 for a wedge on the beam), where the propagation
-raises.
-Newton starts at the root inside each bracket of the cubic through the
-four nearest scan samples, taken in s = sign(lambda) |lambda|^(1/4), the
-variable in which the grid is uniform (through fewer samples where a
-neighbour is not yet solved or not finite).  That start lies within about
-3e-7 of the root, relative, so Newton, which never leaves its bracket and
-accepts an evaluated iterate once the Newton step computed there is below
-REFINE_TOL (1 + |lambda|) without solving at lambda + step, polishes a
-scan bracket in two solves.  Complex search uses the argument principle
+the polish from _samples with it.  A batch takes the steps of its largest
+lambda, so a root moves with its batch within the integration tolerance: on
+the beam a Delta_32 zero polished alone and in the batch of the first ten
+differ by 2.5e-12 (rho ~ 10), 1.9e-11 (rho ~ 20) and 4.7e-11 (rho ~ 29),
+relative, a Delta_22 zero by at most 5e-14.  Only a Delta_22 polish also
+solves C(1) and the wedges of Delta_32 and Delta_42, stacked with its own,
+for weight_numbers.  simplicity_check judges a zero against the weighted
+norm of its state.  No search forms a determinant, whose cancellation
+once stopped the scan at rho ~ 33 and made the Delta_j1 searches lose or
+invent zeros; each reaches until its state overflows (rho ~ 600 for a
+wedge on the beam), where the propagation raises.
+Newton starts at the root inside each bracket of the polynomial through
+its two samples and up to four finite scan samples on each side (degree
+<= 9), taken in s = sign(lambda) |lambda|^(1/4), the variable in which the
+grid is uniform (through fewer samples where a neighbour is not yet solved
+or not finite).  Delta is analytic in s, so the interpolant converges
+geometrically in the number of samples: a Delta_22 start on the beam and
+on random real problems lies within about 4e-14 of the root, relative.
+Newton never leaves its bracket and accepts an evaluated iterate once the
+Newton step computed there is below REFINE_TOL (1 + |lambda|), without
+solving at lambda + step, so it accepts such a start at its first solve.
+A start farther off takes a second solve: one with few solved neighbours
+(at a chunk's last pair), or one that carries the scan chunk's own
+integration error, as Delta_32 and Delta_42 starts past rho ~ 10 do (up
+to 4e-10 off).  Complex search uses the argument principle
 over rectangles, split while they hold more than one zero or hold one
 and are longer than NEWTON_BOX_ASPECT times their width, and the same
 Newton from the centre with a batch of one; find_zero_near runs it from
@@ -249,26 +258,27 @@ def _scan_start(a, b, near):
     """Newton's start in the scan bracket between the samples a = (lambda,
     Delta) and b: the root in it of the polynomial through a, b and the
     finite samples of `near`, taken in s = sign(lambda) |lambda|^(1/4), the
-    variable in which the scan grid is uniform.  That is a cubic through the
-    four nearest samples, and the secant of a and b in s with no finite
-    neighbour; a itself when Delta(a) = 0.  The root is found by _newton
-    inside the bracket, from that secant point."""
+    variable in which the scan grid is uniform, centred on the bracket.
+    That is degree 9 through the ten nearest samples, four on each side of
+    the bracket, and the secant of a and b in s with no finite neighbour; a
+    itself when Delta(a) = 0.  The root is found by _newton inside the
+    bracket, from that secant point."""
     (la, fa), (lb, fb) = a, b
     if fa == 0.0:
         return la
     pts = [a, b] + [p for p in near if np.isfinite(p[1])]
     s = [np.sign(lam) * abs(lam) ** 0.25 for lam, _ in pts]
-    u = (np.array(s) - s[0]) / (s[1] - s[0])      # a at u = 0, b at u = 1
+    u = (np.array(s) - 0.5 * (s[0] + s[1])) / (s[1] - s[0])  # a at -1/2, b at 1/2
     coef = np.linalg.solve(np.vander(u), [f for _, f in pts])
     dcoef = np.polyder(coef)
-    newton = _newton(fa / (fa - fb), bracket=(0.0, 1.0, fa))
+    newton = _newton(fa / (fa - fb) - 0.5, bracket=(-0.5, 0.5, fa))
     x = next(newton)
     try:
         while True:
             x = newton.send((np.polyval(coef, x.real), np.polyval(dcoef, x.real)))
     except StopIteration as stop:
         u0 = stop.value[0].real
-    s0 = s[0] + u0 * (s[1] - s[0])
+    s0 = 0.5 * (s[0] + s[1]) + u0 * (s[1] - s[0])
     return float(np.clip(np.sign(s0) * s0 ** 4, min(la, lb), max(la, lb)))
 
 
@@ -277,8 +287,10 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
 
     The grid is scanned (up from xmin, or out from 0 if xmax <= 0) one chunk
     per solve, each twice the last, until there are brackets for max_count
-    zeros; the first in scan order are polished in lockstep, and dropped
-    ones resume the scan.  Raises ValueError unless xmin < xmax."""
+    zeros; the first in scan order are polished in lockstep, each from the
+    root of the interpolant through up to ten scan samples around it (one
+    solve where that start is within REFINE_TOL), and dropped ones resume
+    the scan.  Raises ValueError unless xmin < xmax."""
     xmin, xmax = region
     if not xmin < xmax:
         raise ValueError(f"empty window: xmin = {xmin!r} is not below xmax = {xmax!r}")
@@ -303,7 +315,9 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
         # twice the last, until one raises PropagationError: the scan then
         # goes back to _SCAN_CHUNK points from that chunk's start and stays
         # there, so it fails only where a chunk of _SCAN_CHUNK points fails
-        tail = []       # the previous chunk's last two samples: no lambda twice
+        # the previous chunk's last five samples, a bracket's first sample and
+        # its four neighbours before it across the chunk boundary: no lambda twice
+        tail = []
         start, size, grow = 0, _SCAN_CHUNK, 2
         while start < len(lams):
             chunk = lams[start:start + size]
@@ -322,10 +336,10 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
                     continue
                 if fa == 0.0 or fa < 0 < fb or fb < 0 < fa:
                     # a root lies between a and b, or at a when fa = 0
-                    near = samples[max(i - 1, 0):i] + samples[i + 2:i + 3]
+                    near = samples[max(i - 4, 0):i] + samples[i + 2:i + 6]
                     yield _newton(_scan_start((a, fa), (b, fb), near),
                                   bracket=(a, b, fa) if a < b else (b, a, fb))
-            tail = samples[-2:]
+            tail = samples[-5:]
 
     # the brackets are disjoint and no iterate leaves its own: each root once
     zeros = []

@@ -82,6 +82,21 @@ class TestRealSearch:
         for n, z in enumerate(zeros, 1):
             assert z.lam.real == pytest.approx(beam_eigenvalue(n), rel=1e-11)
 
+    @pytest.mark.parametrize("selector, bound", [((3, 2), 1.2e-10), ((4, 2), 4e-12)],
+                             ids=["delta32", "delta42"])
+    def test_other_barcilon_spectra_against_closed_form(self, beam, selector, bound):
+        # the beam's Delta_32 zeros are s^4 with tan s = tanh s, s in
+        # (n pi, (n + 1/2) pi), and its Delta_42 zeros (n pi)^4.  The worst of
+        # the first ten is the tenth, 7.9e-11 (Delta_32) and 2.7e-12
+        # (Delta_42) relative; the bounds are 1.5 times those
+        if selector == (3, 2):
+            s = [brentq(lambda t: np.tan(t) - np.tanh(t), n * np.pi + 1e-9,
+                        (n + 0.5) * np.pi - 1e-9, xtol=1e-14) for n in range(1, 11)]
+        else:
+            s = [n * np.pi for n in range(1, 11)]
+        zeros = find_first_zeros(beam, selector, 10)
+        assert [z.lam.real for z in zeros] == pytest.approx(np.power(s, 4), rel=bound, abs=0)
+
     def test_root_does_not_move_with_its_batch(self, beam):
         # lambda_6 polished alone, and in the lockstep batch of seven
         lam6 = beam_eigenvalue(6)
@@ -397,14 +412,16 @@ class TestSampleAtRoot:
         self._linear(monkeypatch, r, [])
         assert [z.lam for z in find_real_zeros(beam, (2, 2), region)] == [r]
 
-    @pytest.mark.parametrize("pos, offsets", [(0, [2]), (61, [-1]), (62, [-1, 2]),
-                                              (63, [-1, 2])],
-                             ids=["scan_start", "chunk_end", "across", "after"])
+    @pytest.mark.parametrize("pos, offsets", [
+        (0, [2, 3, 4, 5]), (61, [-4, -3, -2, -1]), (62, [-4, -3, -2, -1, 2, 3, 4, 5]),
+        (63, [-4, -3, -2, -1, 2, 3, 4, 5])],
+        ids=["scan_start", "chunk_end", "across", "after"])
     def test_neighbours_come_from_solved_chunks(self, beam, monkeypatch, pos, offsets):
-        # a bracket between grid samples pos and pos + 1 starts from the
-        # finite neighbours already solved: none before the scan's first
-        # sample, none after the last of a chunk (63 samples) until the
-        # next chunk is solved, and across a chunk boundary both
+        # a bracket between grid samples pos and pos + 1 starts from up to
+        # four finite neighbours on each side, among those already solved:
+        # none before the scan's first sample, none after the last of a
+        # chunk (63 samples) until the next chunk is solved, and across a
+        # chunk boundary both, the earlier ones from the last chunk's tail
         grid = []
         self._linear(monkeypatch, 1e9, grid)   # no root: records the scan grid
         assert find_real_zeros(beam, (2, 2), (0.0, 1e4)) == []
