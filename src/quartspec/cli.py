@@ -33,7 +33,10 @@ def _jsonify(obj):
     if isinstance(obj, float) and not np.isfinite(obj):
         return None
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
+        # a finite float or complex array in one pass; others entry by entry
+        if obj.dtype.kind not in "fc" or not np.isfinite(obj).all():
+            return _jsonify(obj.tolist())
+        return (np.stack((obj.real, obj.imag), -1) if obj.dtype.kind == "c" else obj).tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -116,7 +119,7 @@ def cmd_weyl(args):
     sample = weyl.weyl_matrix(problem, lams)
     cols = [sample.m[:, j, k] for j, k in zip(*np.tril_indices(4, -1))]
     cols += [sample.deltas[jk].value for jk in weyl.ALL_INDEX_PAIRS]
-    rows = [[float(lam), 0.0, *row] for lam, row in zip(lams, zip(*cols))]
+    rows = [[lam, 0.0, *row] for lam, row in zip(lams.tolist(), zip(*(c.tolist() for c in cols)))]
 
     if args.format == "csv":
         header = ["lambda_re", "lambda_im",
@@ -124,7 +127,7 @@ def cmd_weyl(args):
         header += [f"delta{j}{k}" for j, k in weyl.ALL_INDEX_PAIRS]
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_csv_cell(complex(v)) for v in row))
+            lines.append(",".join(map(_csv_cell, row)))
         _write(args, "\n".join(lines))
     else:
         _emit(args, rows)

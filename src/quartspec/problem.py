@@ -57,6 +57,17 @@ def _not_a_knot_slopes(d):
     return np.array(s[::-1], dtype=complex)
 
 
+def _sorted_unique(values):
+    """The unique floats of `values`, sorted, as numpy's unique returns them
+    (equal neighbours dropped after one sort), without the import of
+    numpy.ma (about 20 ms) that unique and union1d make at their first call
+    in a process."""
+    a = np.sort(np.ravel(values))
+    keep = np.ones(len(a), bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def horner(coeffs, t):
     """Polynomial with ascending coefficients `coeffs` at t."""
     acc = 0.0 + 0.0j
@@ -207,8 +218,7 @@ class ProblemSpec:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # is_real and breakpoints are fixed by the fields, so each is computed at
-    # its first read and kept; not at construction, where np.union1d's lazy
-    # import of numpy.ma would fall into the loading of a problem file
+    # its first read and kept
     @cached_property
     def is_real(self):
         b = self.boundary
@@ -219,7 +229,7 @@ class ProblemSpec:
 
     @cached_property
     def breakpoints(self):
-        return np.union1d(self.p.breakpoints, self.q.breakpoints)
+        return _sorted_unique(np.concatenate([self.p.breakpoints, self.q.breakpoints]))
 
 
 def validate_problem(raw: ProblemSpec) -> ProblemSpec:

@@ -59,7 +59,11 @@ the real axis: a propagation at real lambda of real initial data runs in
 float64, and any complex lambda, coefficient or initial entry runs the
 whole batch in complex128.  Callers see complex arrays either way, with
 exactly zero imaginary part from the real kernel.  (weights._contour uses
-the same symmetry off the axis.)
+the same symmetry off the axis.)  Real p and q make the series' matrix real
+even where the state is complex, as at every contour node of a real
+problem: the recursion is linear in the state, so one float64 product
+steps its real and imaginary parts side by side, and only the lambda and
+jet terms are complex products.
 
 propagate takes lam as one value, or one per column.  fundamental_C and
 fundamental_S take one lambda or a batch of N as one solve with one step
@@ -78,7 +82,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .problem import ProblemSpec, boundary_form_matrix
+from .problem import ProblemSpec, _sorted_unique, boundary_form_matrix
 
 TAYLOR_ORDER = 20
 STEP_SAFETY = 0.9
@@ -161,11 +165,13 @@ class _Block:
     def _plan(self, d):
         """The series buffer for polynomial degree d, which every step of that
         degree reuses (rows below d stay zero), per order k the views the
-        recursion reads and writes: Y_{k+1}, the window Y_{k-d} .. Y_k, and
-        each row update's target, factor, source and temporary; and the
-        basis of the step's matrix A_d, ..., A_1, A_0 side by side (A_i =
-        p_i P + q_i Q, plus K in A_0), which is [p_d, q_d, ..., p_0, q_0, 1]
-        @ basis, exactly: K, P and Q have disjoint supports."""
+        recursion reads and writes: Y_{k+1} and the window Y_{k-d} .. Y_k,
+        both also as float64 (a complex state's real and imaginary parts
+        side by side), each row update's target, factor, source and
+        temporary, and the division by k + 1; and the real basis of the
+        step's matrix A_d, ..., A_1, A_0 side by side (A_i = p_i P + q_i Q,
+        plus K in A_0), which is [p_d, q_d, ..., p_0, q_0, 1] @ basis,
+        exactly: K, P and Q have disjoint supports."""
         n, m = self.state.shape
         rows, qcols, c = self.rows, self.qcols, self.cols
         T = np.zeros((TAYLOR_ORDER + 1 + d, n, m), self.state.dtype)
@@ -173,14 +179,17 @@ class _Block:
         jet_tmp = np.empty_like(T[0, rows, c:])
         steps = []
         for k in range(TAYLOR_ORDER):
-            Tk, nxt = T[k + d], T[k + d + 1]
+            Tk, nxt, window = T[k + d], T[k + d + 1], T[k:k + d + 1].reshape(-1, m)
             updates = [(nxt[rows], self.lam_sign, Tk[qcols], lam_tmp)]
             if m > c:
                 updates.append((nxt[rows, c:], self.jet_sign, Tk[qcols, self.jet_cols],
                                 jet_tmp))
-            steps.append((nxt, T[k:k + d + 1].reshape(-1, m), updates, k + 1))
+            # a complex division by k + 1 is, bitwise, both parts times 1 / (k + 1)
+            divide = ((np.true_divide, k + 1) if T.dtype == float else
+                      (np.multiply, 1.0 / (k + 1)))
+            steps.append((nxt, window, nxt.view(float), window.view(float), updates, divide))
         K, P, Q, _ = self.system
-        basis = np.zeros((2 * d + 3, n, d + 1, n), self.state.dtype)
+        basis = np.zeros((2 * d + 3, n, d + 1, n))
         for i in range(d + 1):
             basis[2 * i, :, i], basis[2 * i + 1, :, i] = P, Q
         basis[-1, :, d] = K
@@ -193,14 +202,20 @@ class _Block:
         there."""
         d = len(pq) - 1
         T, steps, basis = self.plans.get(d) or self._plan(d)
-        # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k
+        # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k;
+        # a real A multiplies the float64 views: one real product over a
+        # complex state's real and imaginary parts
         A = (np.append(np.ravel(pq[::-1]), 1.0) @ basis).reshape(len(self.state), -1)
+        real = A.dtype == float
         T[d] = self.state
-        for nxt, window, updates, k1 in steps:
-            np.matmul(A, window, out=nxt)
+        for nxt, window, flat, flat_window, updates, (divide, by) in steps:
+            if real:
+                np.matmul(A, flat_window, out=flat)
+            else:
+                np.matmul(A, window, out=nxt)
             for target, factor, source, tmp in updates:
                 target += np.multiply(factor, source, out=tmp)
-            nxt /= k1
+            divide(flat, by, out=flat)
         return T[d:]
 
     def advance(self, T, powers):
@@ -308,6 +323,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     lams = np.broadcast_to(np.asarray(lam, dtype=complex).ravel(), ncols)
     if not np.all(np.isfinite(lams)):
         raise PropagationError("non-finite lambda")
+    real_pq = problem.p.is_real and problem.q.is_real
     real = problem.is_real and not np.any(lams.imag) and not np.any(Y0.imag)
     if real:
         Y0, lams = Y0.real, lams.real
@@ -329,8 +345,8 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     quads = np.zeros(len(quad_pairs), Y0.dtype)
 
     breakpoints = problem.breakpoints
-    grid = np.union1d(np.linspace(0.0, 1.0, 17) if x_grid is None else
-                      np.asarray(x_grid, float), breakpoints)
+    grid = _sorted_unique(np.append(np.linspace(0.0, 1.0, 17) if x_grid is None else
+                                    np.asarray(x_grid, float), breakpoints))
     nodes = breakpoints if direction == "forward" else breakpoints[::-1]
     min_step = 4 * np.finfo(float).eps   # relative to max(1, |x|)
     xs_out = [float(nodes[0])]
@@ -341,7 +357,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
         interior = grid[(grid > left + 1e-15) & (grid < right - 1e-15)]
         t_eval = np.append(interior[::int(sign)], x1)
         (p0, pc), (q0, qc) = problem.p.piece(left, right), problem.q.piece(left, right)
-        if real:
+        if real_pq:
             pc, qc = [c.real for c in pc], [c.real for c in qc]
         x, done = x0, 0
         while done < len(t_eval):

@@ -69,7 +69,7 @@ from itertools import islice
 
 import numpy as np
 
-from .problem import ProblemSpec, boundary_form_matrix
+from .problem import ProblemSpec, _sorted_unique, boundary_form_matrix
 from .propagator import PropagationError, _wedges, fundamental_C, propagate
 from .weyl import _ENTRIES, _minor_norm
 
@@ -307,7 +307,7 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
     if xmax > 0:
         r = np.arange(0.0, xmax ** 0.25 + RHO_SCAN_STEP, RHO_SCAN_STEP)
         lams.extend(r ** 4)
-    lams = np.unique(np.clip(np.asarray(lams), xmin, xmax))[:: -1 if xmax <= 0 else 1]
+    lams = _sorted_unique(np.clip(lams, xmin, xmax))[:: -1 if xmax <= 0 else 1]
 
     def brackets():
         # a Newton coroutine per bracket in scan order; a chunk is solved only

@@ -16,12 +16,14 @@ deltas_at, characteristic_delta, weyl_matrix and phi_matrix take one lambda
 or an array of them: each CharacteristicValue field has the shape of lambda
 (numpy scalars for one), m has lambda.shape + (4, 4).  All come from the end
 values of one forward fundamental_C solve per batch (phi_matrix's, on its
-own x grid, has the same end values), and each Delta_jk is one stack of
-minors: one determinant call for its value and k more for its jet.  Whether
-a Delta vanishes is judged against its _magnitude at the same lambda.  The
-searches (see spectra) read each Delta_jk as row 0 of one propagated state,
-a column or a 2-wedge (_ENTRIES), Delta_11 = -C_4(1) and Delta_21 = -C_3(1)
-included.
+own x grid, has the same end values), and each Delta_jk is a minor of C(1)
+(_MINOR).  deltas_at factors each pair's minors over the batch in one
+determinant call, and its jet in one more per column; M factors every 3 x 3
+minor it needs, magnitudes included, in one call and every 2 x 2 in one
+more.  Whether a Delta vanishes is judged against its _magnitude at the
+same lambda.  The searches (see spectra) read each Delta_jk as row 0 of
+one propagated state, a column or a 2-wedge (_ENTRIES), Delta_11 = -C_4(1)
+and Delta_21 = -C_3(1) included.
 """
 
 from __future__ import annotations
@@ -34,17 +36,6 @@ import numpy as np
 from .problem import ProblemSpec
 from .propagator import fundamental_C
 
-# column indices (1-based C labels) of each determinant, per index pair
-_DELTA_COLS = {
-    (1, 1): [2, 3, 4], (2, 1): [1, 3, 4], (3, 1): [2, 1, 4], (4, 1): [2, 3, 1],
-    (2, 2): [3, 4], (3, 2): [2, 4], (4, 2): [3, 2],
-    (3, 3): [4], (4, 3): [3],
-}
-# row indices into the end-value matrix (0 -> y, 1 -> y', 2 -> y'')
-_DELTA_ROWS = {1: [2, 1, 0], 2: [1, 0], 3: [0]}
-
-ALL_INDEX_PAIRS = tuple(_DELTA_COLS)
-_DIAG = ((1, 1), (2, 2), (3, 3))
 # (sign, C columns) of each Delta_jk as sign times row 0 of one propagated
 # state: of the column for one, of the 2-wedge of the two for two.  Delta_33
 # and Delta_43 are entries of the y-row of C(1) by definition, the Delta_j1
@@ -53,6 +44,27 @@ _DIAG = ((1, 1), (2, 2), (3, 3))
 _ENTRIES = {(1, 1): (-1, (4,)), (2, 1): (-1, (3,)), (3, 1): (1, (2,)), (4, 1): (-1, (1,)),
             (2, 2): (-1, (3, 4)), (3, 2): (-1, (2, 4)), (4, 2): (-1, (3, 2)),
             (3, 3): (1, (4,)), (4, 3): (1, (3,))}
+ALL_INDEX_PAIRS = tuple(_ENTRIES)
+_DIAG = ((1, 1), (2, 2), (3, 3))
+# each Delta_jk as a determinant, by flat index 4 * row + column into C(1):
+# rows y^(3-k), ..., y', y and columns C_{k+1}, ..., C_4 with C_j replaced
+# by C_k
+_MINOR = {(j, k): 4 * np.arange(3 - k, -1, -1)[:, None]
+          + [k - 1 if c == j else c - 1 for c in range(k + 1, 5)] for j, k in ALL_INDEX_PAIRS}
+
+
+def _row_sets(jk):
+    """Flat indices of the minors of Delta_jk's columns on every row set, in
+    the order of combinations(range(4), size) (see _minor_norm)."""
+    cols = _MINOR[jk][0] % 4
+    return 4 * np.array(list(combinations(range(4), len(cols))))[..., None] + cols
+
+
+# per k = 1, 2, the minors _weyl_sample factors in one determinant call:
+# Delta_kk, ..., Delta_4k (for k = 1 the alt_value of Delta_31 and
+# Delta_41), then Delta_kk's columns on every row set
+_SAMPLED = {k: np.concatenate([[_MINOR[j, k] for j in range(k, 5)], _row_sets((k, k))])
+            for k in (1, 2)}
 
 POLE_FLOOR = 1e-10
 # a Delta value at most this fraction of its magnitude counts as zero
@@ -92,7 +104,7 @@ def _det(sub):
     return sub[..., 0, 0] if sub.shape[-1] == 1 else np.linalg.det(sub)
 
 
-def _minors(sub, dsub=None):
+def _minors(sub, dsub):
     """(det, d/dlambda det) of a stack of k x k minors.
 
     The lambda-derivative (None without dsub) is Jacobi's formula: the sum
@@ -108,12 +120,15 @@ def _minors(sub, dsub=None):
     return _det(sub), jet
 
 
+def _gather(a, index):
+    """The entries of the 4 x 4 matrices a (last two axes) at flat `index`."""
+    return a.reshape(a.shape[:-2] + (16,))[..., index]
+
+
 def _magnitude(end, lam, jk):
     """Largest |minor| of Delta_jk's columns of C(1) at lam over all row sets,
     weighted as in _minor_norm: at least |Delta_jk|."""
-    cols = [c - 1 for c in _DELTA_COLS[jk]]
-    rows = np.array(list(combinations(range(4), len(cols))))
-    return _minor_norm(_det(end[..., cols][..., rows, :]), lam, len(cols))
+    return _minor_norm(_det(_gather(end, _row_sets(jk))), lam, len(_MINOR[jk]))
 
 
 def _minor_norm(minors, lam, k):
@@ -128,18 +143,17 @@ def _minor_norm(minors, lam, k):
     return np.max(np.abs(minors) * weight, axis=-1)
 
 
-def _assemble(end, dend=None, pairs=ALL_INDEX_PAIRS) -> dict:
+def _assemble(end, dend, pairs) -> dict:
     """The characteristic values of `pairs` from the end values of C and of
     their lambda-jet (None without), keyed by pair."""
     out = {}
     for jk in pairs:
-        rows, cols = _DELTA_ROWS[jk[1]], [c - 1 for c in _DELTA_COLS[jk]]
-        alt, sign = None, 1
+        index, alt, sign = _MINOR[jk], None, 1
         if jk in ((3, 1), (4, 1)):
-            alt = _det(end[..., rows, :][..., cols])
+            alt = _det(_gather(end, index))
             sign, (col,) = _ENTRIES[jk]
-            rows, cols = [0], [col - 1]
-        sub, dsub = (a if a is None else sign * a[..., rows, :][..., cols] for a in (end, dend))
+            index = [[col - 1]]
+        sub, dsub = (a if a is None else sign * _gather(a, index) for a in (end, dend))
         val, jet = _minors(sub, dsub)
         # [()] makes the fields of one lambda numpy scalars
         out[jk] = CharacteristicValue(jk, *(a if a is None else a[()] for a in (val, jet, alt)))
@@ -167,7 +181,7 @@ def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
 
 def characteristic_delta(problem: ProblemSpec, lam, jk, want_dlambda=False) -> CharacteristicValue:
     jk = tuple(jk)
-    if jk not in _DELTA_COLS:
+    if jk not in _MINOR:
         raise ValueError(f"no characteristic function with index pair {jk}")
     return deltas_at(problem, lam, (jk,), want_dlambda)[jk]
 
@@ -187,11 +201,26 @@ def delta_scale(problem: ProblemSpec, k: int) -> float:
 
 
 def _weyl_sample(lam, end) -> WeylSample:
-    """M from C(1) at lam; a pole where Delta_kk < POLE_FLOOR * its magnitude."""
-    lam, deltas = np.asarray(lam, dtype=complex), _assemble(end)
+    """M from C(1) at lam; a pole where Delta_kk < POLE_FLOOR * its magnitude.
+    Every 3 x 3 minor is factored in one determinant call, every 2 x 2 one
+    in another (_SAMPLED); the 1 x 1 Delta are entries of C(1)."""
+    lam = np.asarray(lam, dtype=complex)
+    values, mags = {}, []
+    for k, index in _SAMPLED.items():
+        dets = np.linalg.det(_gather(end, index))
+        values.update({(j, k): dets[..., j - k] for j in range(k, 5)})
+        mags.append(_minor_norm(dets[..., 5 - k:], lam, 4 - k))
+    mags.append(_magnitude(end, lam, (3, 3)))
+    alts = {jk: values.pop(jk) for jk in ((3, 1), (4, 1))}
+    for jk in ((3, 1), (4, 1), (3, 3), (4, 3)):
+        sign, (col,) = _ENTRIES[jk]
+        values[jk] = sign * end[..., 0, col - 1]
+    # [()] makes the fields of one lambda numpy scalars
+    deltas = {jk: CharacteristicValue(jk, values[jk][()], alt_value=alts[jk][()] if jk in alts
+                                      else None) for jk in ALL_INDEX_PAIRS}
     diag = np.stack([np.ravel(deltas[kk].value) for kk in _DIAG])   # (3, N)
     size = np.hypot(diag.real, diag.imag)
-    poles = size < POLE_FLOOR * np.stack([np.ravel(_magnitude(end, lam, kk)) for kk in _DIAG])
+    poles = size < POLE_FLOOR * np.stack([np.ravel(mag) for mag in mags])
     if poles.any():
         i = np.argmax(poles.any(axis=0))
         k = np.argmax(poles[:, i])

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quartspec
 from quartspec import (
     BoundaryParams,
     CoefficientField,
@@ -464,3 +468,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert json.loads(out[out.index("{"):])["all_pass"] is True
+
+
+def test_cli_imports_no_numpy_ma(tmp_path):
+    # numpy's unique and union1d import numpy.ma (about 20 ms) at their first
+    # call: a fresh interpreter runs a search, a classification, a contour
+    # and a grid without it
+    path = tmp_path / "beam.json"
+    save_problem(beam_problem(), path)
+    code = ("import contextlib, io, sys\n"
+            "from quartspec.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for argv in ({['spectrum', '--count', '2']!r}, {['classify', '--count', '2']!r},\n"
+            f"                 {['weights', '--lambda0', '500']!r}, {['weyl']!r}):\n"
+            f"        assert main(argv + ['--problem', {str(path)!r}]) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(quartspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

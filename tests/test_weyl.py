@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from quartspec import (
     weyl_inverse,
     weyl_matrix,
 )
+from quartspec import weyl
 from quartspec.weyl import ALL_INDEX_PAIRS, _magnitude, delta_scale, deltas_at, phi_matrix
 
 from conftest import (
@@ -358,6 +361,114 @@ class TestWeylMatrix:
         fresh = ProblemSpec(p=beam.p, q=q500, boundary=beam.boundary)
         assert delta_scale(replace(beam, q=q500), 2) == delta_scale(fresh, 2)
         assert delta_scale(fresh, 2) > 10 * delta_scale(beam, 2)
+
+
+# _assemble, _magnitude and _weyl_sample as they were, one determinant call
+# per pair and per magnitude, from the determinant tables they read
+_REF_COLS = {
+    (1, 1): [2, 3, 4], (2, 1): [1, 3, 4], (3, 1): [2, 1, 4], (4, 1): [2, 3, 1],
+    (2, 2): [3, 4], (3, 2): [2, 4], (4, 2): [3, 2],
+    (3, 3): [4], (4, 3): [3],
+}
+_REF_ROWS = {1: [2, 1, 0], 2: [1, 0], 3: [0]}
+_REF_ENTRIES = {(3, 1): (1, 2), (4, 1): (-1, 1)}
+
+
+def _ref_det(sub):
+    return sub[..., 0, 0] if sub.shape[-1] == 1 else np.linalg.det(sub)
+
+
+def _ref_magnitude(end, lam, jk):
+    cols = [c - 1 for c in _REF_COLS[jk]]
+    rows = np.array(list(combinations(range(4), len(cols))))
+    minors = _ref_det(end[..., cols][..., rows, :])
+    rho = np.maximum(1.0, np.abs(np.asarray(lam)) ** 0.25)[..., None]
+    return np.max(np.abs(minors) * rho ** (rows[0].sum() - rows.sum(axis=1)), axis=-1)
+
+
+def _ref_assemble(end):
+    out = {}
+    for jk in ALL_INDEX_PAIRS:
+        rows, cols = _REF_ROWS[jk[1]], [c - 1 for c in _REF_COLS[jk]]
+        alt, sign = None, 1
+        if jk in _REF_ENTRIES:
+            alt = _ref_det(end[..., rows, :][..., cols])
+            sign, col = _REF_ENTRIES[jk]
+            rows, cols = [0], [col - 1]
+        out[jk] = (_ref_det(sign * end[..., rows, :][..., cols]), alt)
+    return out
+
+
+def _ref_sample(lam, end):
+    """(deltas as (value, alt) by pair, m), or PoleError as _weyl_sample
+    raised it."""
+    lam, deltas = np.asarray(lam, dtype=complex), _ref_assemble(end)
+    diag = np.stack([np.ravel(deltas[kk][0]) for kk in ((1, 1), (2, 2), (3, 3))])
+    size = np.hypot(diag.real, diag.imag)
+    poles = size < weyl.POLE_FLOOR * np.stack([np.ravel(_ref_magnitude(end, lam, (k, k)))
+                                               for k in (1, 2, 3)])
+    if poles.any():
+        i = np.argmax(poles.any(axis=0))
+        k = np.argmax(poles[:, i])
+        raise PoleError(k + 1, complex(lam.ravel()[i]), float(size[k, i]))
+    m = np.broadcast_to(np.eye(4, dtype=complex), lam.shape + (4, 4)).copy()
+    for (j, k), (value, _) in deltas.items():
+        if j != k:
+            m[..., j - 1, k - 1] = -value / deltas[(k, k)][0]
+    return deltas, m
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedMinors:
+    """M's minors, in two determinant calls over every lambda, are bitwise
+    the per-pair determinants and magnitudes."""
+
+    @staticmethod
+    def _draw(rng, shape):
+        # entries spread over six decades per row, as C(1)'s grow with rho
+        scale = 10.0 ** rng.uniform(-3, 3, shape + (4, 1))
+        return scale * (rng.standard_normal(shape + (4, 4))
+                        + 1j * rng.standard_normal(shape + (4, 4)))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+    def test_sample_matches_per_pair_reference(self, shape):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            end = self._draw(rng, shape)
+            lam = rng.uniform(-1e4, 1e4, shape) + 1j * rng.uniform(-1e3, 1e3, shape)
+            deltas, m = _ref_sample(lam, end)
+            got = weyl._weyl_sample(lam, end)
+            assert _same_bits(got.m, m)
+            for jk, (value, alt) in deltas.items():
+                cv = got.deltas[jk]
+                assert cv.jk == jk and cv.dvalue is None and _same_bits(cv.value, value)
+                assert cv.alt_value is None if alt is None else _same_bits(cv.alt_value, alt)
+            for k in (1, 2, 3):
+                assert _same_bits(_magnitude(end, lam, (k, k)),
+                                  _ref_magnitude(end, lam, (k, k)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pole_names_the_same_k_and_lambda(self, k):
+        # Delta_kk made to vanish at two lambda of the batch, Delta_33 = C_4(1)
+        # row 0 at a third: the first such lambda is named, with the smallest k
+        rng = np.random.default_rng(9)
+        end = self._draw(rng, (6,))
+        lam = rng.uniform(-1e4, 1e4, 6) + 0j
+        for i in (2, 4):
+            # C_k+1 on rows 0 .. 3 - k a multiple of C_k+2 (k = 1, 2) or zero
+            end[i, :4 - k, k] = 0 if k == 3 else 1.5 * end[i, :4 - k, k + 1]
+        end[5, 0, 3] = 0
+        with pytest.raises(PoleError) as want:
+            _ref_sample(lam, end)
+        with pytest.raises(PoleError) as got:
+            weyl._weyl_sample(lam, end)
+        assert (got.value.k, got.value.lam, got.value.value) == (
+            want.value.k, want.value.lam, want.value.value)
+        assert (got.value.k, got.value.lam) == (k, lam[2])
 
 
 class TestPhiMatrix:
