@@ -35,7 +35,7 @@ import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import fundamental_C, propagate
-from .weyl import ZERO_FLOOR, _magnitude, _minor_norm
+from .weyl import ZERO_FLOOR, _ENTRIES, _entry, _minor_norm
 
 NORMALIZATION_FLOOR = 1e-8
 
@@ -110,9 +110,10 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
     Raises NonSimpleError where Delta_22(lam_n) does not vanish against the
     magnitude of its own wedge."""
-    C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=[(3, 4)])
-    delta22 = -C.wedges[0, 0, 0]
-    if abs(delta22) > ZERO_FLOOR * _minor_norm(C.wedges[0, :, 0], lam_n, 2):
+    wedge = [_ENTRIES[(2, 2)][1]]
+    C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=wedge)
+    delta22, _, state = _entry(C, (2, 2), wedge)
+    if abs(delta22) > ZERO_FLOOR * _minor_norm(state, lam_n, 2):
         raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
                              f"(|Delta_22| = {abs(delta22):.2e})")
     got = _eigenfunctions(problem, [lam_n], [C.end[0:2, 2:4]], x_grid)[0]
@@ -139,7 +140,7 @@ def _tagged(z, gamma, xi):
     pt = SpectralPoint(lam=z.lam, gamma=sgn * gamma, xi=sgn * xi)
     c2, delta43, delta33 = z.end_values[0, 1:4].tolist()
     pt.case_tag = classify_eigenvalue(pt, delta43, delta33,
-                                      _magnitude(z.end_values, z.lam, (4, 3)))
+                                      _minor_norm(z.end_values[:, 2], z.lam, 1))
     if pt.case_tag == "I":
         pt.beta = -pt.gamma ** 2
         off_root = z.wedge_deltas[0] * c2 / z.ddelta

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -214,8 +214,6 @@ class ProblemSpec:
     q: CoefficientField
     boundary: BoundaryParams = BoundaryParams()
     tolerances: Tolerances = Tolerances()
-    # scratch space for per-problem caches (delta scales etc.); not state
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # is_real and breakpoints are fixed by the fields, so each is computed at
     # its first read and kept

@@ -71,7 +71,7 @@ import numpy as np
 
 from .problem import ProblemSpec, _sorted_unique, boundary_form_matrix
 from .propagator import PropagationError, _wedges, fundamental_C, propagate
-from .weyl import _ENTRIES, _minor_norm
+from .weyl import _ENTRIES, _entry, _minor_norm
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
@@ -193,16 +193,16 @@ def _jets(problem, selector, lams):
     selector but Delta_22 the solve is _samples' with the jet, one state per
     lambda, with no C(1) or wedge_deltas (None).  A Delta_22 polish solves C
     with the 2-wedges of the columns of Delta_22, Delta_32 and Delta_42,
-    which weight_numbers reads: each Delta_j2 and its jet are minus row 0 of
-    its wedge, wedge_deltas the three values, and the end state the wedge
+    which weight_numbers reads: each Delta_j2 and its jet are read by
+    weyl._entry, wedge_deltas the three values, and the end state the wedge
     of Delta_22."""
     try:
         if selector == (2, 2):
-            C = fundamental_C(problem, lams, x_grid=[0.0, 1.0],
-                              wedge=[_ENTRIES[jk][1] for jk in _J2])
-            d = -C.wedges[:, 0]   # (value or jet, pair, lambda)
-            return list(zip(d[0, 0].tolist(), d[1, 0].tolist(), C.wedges[0, :, 0].T, C.end,
-                            d[0].T))
+            wedge = [_ENTRIES[jk][1] for jk in _J2]
+            C = fundamental_C(problem, lams, x_grid=[0.0, 1.0], wedge=wedge)
+            (value, jet, state), *others = (_entry(C, jk, wedge) for jk in _J2)
+            deltas = np.stack([value] + [v for v, _, _ in others], axis=-1)
+            return list(zip(value.tolist(), jet.tolist(), state, C.end, deltas))
         value, jet, end = _samples(problem, selector, lams, jet=True)
         return list(zip(value.tolist(), jet.tolist(), end.T, [None] * len(lams),
                         [None] * len(lams)))

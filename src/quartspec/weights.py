@@ -29,7 +29,7 @@ import numpy as np
 from .mclaughlin import SpectralPoint
 from .problem import ProblemSpec
 from .propagator import fundamental_C
-from .weyl import POLE_FLOOR, PoleError, _magnitude, weyl_matrix
+from .weyl import POLE_FLOOR, PoleError, _minor_norm, weyl_matrix
 
 CONVERGENCE_TOL = 1e-8
 # |gamma| below this: y_n(0) = 0 (cases III, IV); within 10x of it: indeterminate
@@ -148,7 +148,7 @@ def classify_eigenvalue(point: SpectralPoint, delta43, delta33, scale) -> str:
     of C4 and Delta_33(lambda_n) = C4(1) vanishes with it: no test of
     Delta_33 tells case III from IV.  That is decided on Delta_43 = C3(1),
     III iff |Delta_43| is above POLE_FLOOR * scale, scale its magnitude (the
-    weighted norm of C3(1), weyl._magnitude), as for the pole test.  m43 =
+    weighted norm of C3(1), weyl._minor_norm), as for the pole test.  m43 =
     -Delta_43 / Delta_33 is formed only when |gamma| is clear of the floor,
     never in cases III and IV.
     """
@@ -169,8 +169,7 @@ def classify_eigenvalue(point: SpectralPoint, delta43, delta33, scale) -> str:
 def classify_on_problem(problem: ProblemSpec, point: SpectralPoint) -> str:
     """classify_eigenvalue on one C-only evaluation at point.lam."""
     end = fundamental_C(problem, point.lam, x_grid=[0.0, 1.0]).end
-    return classify_eigenvalue(point, *end[0, 2:4].tolist(),
-                               _magnitude(end, point.lam, (4, 3)))
+    return classify_eigenvalue(point, *end[0, 2:4].tolist(), _minor_norm(end[:, 2], point.lam, 1))
 
 
 # per case: entries allowed nonzero, and equality constraints checked

@@ -6,24 +6,25 @@ entries of the unit lower-triangular Weyl matrix are
 
     m_jk = -Delta_jk / Delta_kk,   1 <= k < j <= 4.
 
-The Lagrange bracket y^[3] z - y'' z' + y' z'' - y z^[3] is constant in x,
-so S(0) = U^{-1} C(1)^{-1} = J^{-1} U^T C(1)^T J for any p, q, a, b, c: the
-determinants Delta_31 = -S_4(0) and Delta_41 = -S_4'(0) are the entries
-C_2(1) and -C_1(1), reported with the determinant as alt_value.  Delta_11
-and Delta_21 stay determinants, lest m21 = m43 hold by construction.
+Each Delta_jk is also row 0 of one propagated state (_ENTRIES), free of the
+determinant's cancellation: a Delta_j2 of the 2-wedge of its two columns,
+carried in the solve of C, any other of one C column at x = 1.  For the
+Delta_j1 that is the Lagrange bracket, constant in x: S(0) = U^{-1} C(1)^{-1}
+= J^{-1} U^T C(1)^T J for any p, q, a, b, c, so with det U = 1, Delta_31 =
+-S_4(0) = C_2(1), Delta_41 = -S_4'(0) = -C_1(1), Delta_11 = -C_4(1) and
+Delta_21 = -C_3(1).  deltas_at and the searches (see spectra) read every
+Delta and its jet so (_entry).  Only M forms minors of C(1) (_MINOR), every
+3 x 3 one in one determinant call and every 2 x 2 in one more: Delta_11 and
+Delta_21 stay determinants there, lest m21 = m43 hold by construction, the
+Delta_j2 since their wedges would cost a contour or grid batch about four
+times its solve of C, and the determinants of Delta_31 and Delta_41 are its
+alt_value.  A Delta vanishes against the weighted norm of its own state or
+columns at the same lambda (_minor_norm).
 
 deltas_at, characteristic_delta, weyl_matrix and phi_matrix take one lambda
-or an array of them: each CharacteristicValue field has the shape of lambda
-(numpy scalars for one), m has lambda.shape + (4, 4).  All come from the end
-values of one forward fundamental_C solve per batch (phi_matrix's, on its
-own x grid, has the same end values), and each Delta_jk is a minor of C(1)
-(_MINOR).  deltas_at factors each pair's minors over the batch in one
-determinant call, and its jet in one more per column; M factors every 3 x 3
-minor it needs, magnitudes included, in one call and every 2 x 2 in one
-more.  Whether a Delta vanishes is judged against its _magnitude at the
-same lambda.  The searches (see spectra) read each Delta_jk as row 0 of
-one propagated state, a column or a 2-wedge (_ENTRIES), Delta_11 = -C_4(1)
-and Delta_21 = -C_3(1) included.
+or an array of them, one forward fundamental_C solve per batch (phi_matrix's,
+on its own x grid, has the same end values): each CharacteristicValue field
+has the shape of lambda (numpy scalars for one), m has lambda.shape + (4, 4).
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ from .problem import ProblemSpec
 from .propagator import fundamental_C
 
 # (sign, C columns) of each Delta_jk as sign times row 0 of one propagated
-# state: of the column for one, of the 2-wedge of the two for two.  Delta_33
-# and Delta_43 are entries of the y-row of C(1) by definition, the Delta_j1
-# by the bracket identity and det U = 1 (of them, _assemble reads Delta_31
-# and Delta_41 so), and a Delta_j2 is row 0 of the wedge of its two columns
+# state: of the column for one, of the 2-wedge of the two for two
 _ENTRIES = {(1, 1): (-1, (4,)), (2, 1): (-1, (3,)), (3, 1): (1, (2,)), (4, 1): (-1, (1,)),
             (2, 2): (-1, (3, 4)), (3, 2): (-1, (2, 4)), (4, 2): (-1, (3, 2)),
             (3, 3): (1, (4,)), (4, 3): (1, (3,))}
@@ -69,8 +67,6 @@ _SAMPLED = {k: np.concatenate([[_MINOR[j, k] for j in range(k, 5)], _row_sets((k
 POLE_FLOOR = 1e-10
 # a Delta value at most this fraction of its magnitude counts as zero
 ZERO_FLOOR = 1e-5
-# lambda grid of delta_scale
-_SCALE_GRID = np.linspace(0.5, 30.0, 8)
 
 
 class PoleError(ArithmeticError):
@@ -89,7 +85,7 @@ class CharacteristicValue:
     jk: tuple
     value: complex
     dvalue: complex | None = None
-    alt_value: complex | None = None   # determinant of Delta_31 and Delta_41
+    alt_value: complex | None = None   # M's determinant of Delta_31 and Delta_41
 
 
 @dataclass
@@ -98,37 +94,9 @@ class WeylSample:
     deltas: dict              # (j, k) -> CharacteristicValue
 
 
-def _det(sub):
-    """Determinants of a stack of minors (last two axes); a 1x1 minor is its
-    entry, which np.linalg.det does not return bitwise."""
-    return sub[..., 0, 0] if sub.shape[-1] == 1 else np.linalg.det(sub)
-
-
-def _minors(sub, dsub):
-    """(det, d/dlambda det) of a stack of k x k minors.
-
-    The lambda-derivative (None without dsub) is Jacobi's formula: the sum
-    over columns c of the determinant with column c taken from dsub.
-    """
-    jet = None
-    if dsub is not None:
-        jet = 0
-        for c in range(sub.shape[-1]):
-            rep = sub.copy()
-            rep[..., c] = dsub[..., c]
-            jet = jet + _det(rep)
-    return _det(sub), jet
-
-
 def _gather(a, index):
     """The entries of the 4 x 4 matrices a (last two axes) at flat `index`."""
     return a.reshape(a.shape[:-2] + (16,))[..., index]
-
-
-def _magnitude(end, lam, jk):
-    """Largest |minor| of Delta_jk's columns of C(1) at lam over all row sets,
-    weighted as in _minor_norm: at least |Delta_jk|."""
-    return _minor_norm(_det(_gather(end, _row_sets(jk))), lam, len(_MINOR[jk]))
 
 
 def _minor_norm(minors, lam, k):
@@ -143,34 +111,41 @@ def _minor_norm(minors, lam, k):
     return np.max(np.abs(minors) * weight, axis=-1)
 
 
-def _assemble(end, dend, pairs) -> dict:
-    """The characteristic values of `pairs` from the end values of C and of
-    their lambda-jet (None without), keyed by pair."""
-    out = {}
-    for jk in pairs:
-        index, alt, sign = _MINOR[jk], None, 1
-        if jk in ((3, 1), (4, 1)):
-            alt = _det(_gather(end, index))
-            sign, (col,) = _ENTRIES[jk]
-            index = [[col - 1]]
-        sub, dsub = (a if a is None else sign * _gather(a, index) for a in (end, dend))
-        val, jet = _minors(sub, dsub)
-        # [()] makes the fields of one lambda numpy scalars
-        out[jk] = CharacteristicValue(jk, *(a if a is None else a[()] for a in (val, jet, alt)))
-    return out
+def _entry(C, jk, wedge):
+    """(Delta_jk, its jet, its state: rows on the last axis) at the end of C,
+    a fundamental_C made with the `wedge` list: its 2-wedge or C column, as
+    _ENTRIES gives, and its row 0, negated where the sign is -1 (not times
+    -1, which can flip the sign of a zero imaginary part); a wedge always
+    carries its jet, a column of a C without jets has none (None)."""
+    sign, cols = _ENTRIES[jk]
+    if len(cols) == 2:
+        w = C.wedges[:, :, wedge.index(cols)]   # (value or jet, row) + lambda's shape
+        state, jet = np.moveaxis(w[0], 0, -1), w[1, 0]
+    else:
+        state = C.end[..., cols[0] - 1]
+        jet = None if C.dlambda is None else C.dlambda[-1][..., 0, cols[0] - 1]
+    if sign < 0:
+        return -state[..., 0], None if jet is None else -jet, state
+    return state[..., 0], jet, state
 
 
 def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
               want_dlambda=False) -> dict:
     """The characteristic values of `pairs` at `lams`, keyed by pair, each
-    field of the shape of lams: one batched propagation of C, and each pair's
-    minors as one stack.  An empty batch propagates nothing."""
+    field of the shape of lams: one batched propagation of C with the
+    2-wedges of the Delta_j2 among `pairs`, each Delta_jk and its jet read
+    by _entry, none a determinant.  An empty batch propagates nothing."""
     lams = np.asarray(lams, dtype=complex)
     if lams.size == 0:
-        end = np.empty(lams.shape + (4, 4), dtype=complex)
-        return _assemble(end, end if want_dlambda else None, pairs)
-    C = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0])
-    return _assemble(C.end, C.dlambda[-1] if want_dlambda else None, pairs)
+        return {jk: CharacteristicValue(jk, np.empty(lams.shape, complex),
+                                        np.empty(lams.shape, complex) if want_dlambda else None)
+                for jk in pairs}
+    wedge = [_ENTRIES[jk][1] for jk in pairs if jk[1] == 2] or None
+    C = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0], wedge=wedge)
+    read = {jk: _entry(C, jk, wedge) for jk in pairs}
+    # [()] makes the fields of one lambda numpy scalars
+    return {jk: CharacteristicValue(jk, value[()], jet[()] if want_dlambda else None)
+            for jk, (value, jet, _) in read.items()}
 
 
 def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
@@ -181,23 +156,17 @@ def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
 
 def characteristic_delta(problem: ProblemSpec, lam, jk, want_dlambda=False) -> CharacteristicValue:
     jk = tuple(jk)
-    if jk not in _MINOR:
+    if jk not in _ENTRIES:
         raise ValueError(f"no characteristic function with index pair {jk}")
     return deltas_at(problem, lam, (jk,), want_dlambda)[jk]
 
 
 def delta_scale(problem: ProblemSpec, k: int) -> float:
-    """max |Delta_kk| over a reference grid, cached per problem; the first
-    call fills k = 1, 2, 3 from one batched C-only sweep.  No threshold reads
-    it (see _magnitude); it stays while the benchmark's trace binds it."""
-    key = ("delta_scale", k)
-    if key not in problem._cache:
-        sweep = deltas_at(problem, _SCALE_GRID, pairs=_DIAG)
-        for kk, _ in _DIAG:
-            v = sweep[(kk, kk)].value
-            top = float(np.max(np.hypot(v.real, v.imag)))
-            problem._cache[("delta_scale", kk)] = max(top, 1e-300)
-    return problem._cache[key]
+    """max |Delta_kk| over 8 lambda in [0.5, 30], in one batch.  No threshold
+    reads it (each judges a Delta against the _minor_norm of its own state);
+    it stays while the benchmark's trace binds it."""
+    v = deltas_at(problem, np.linspace(0.5, 30.0, 8), pairs=((k, k),))[(k, k)].value
+    return max(float(np.max(np.hypot(v.real, v.imag))), 1e-300)
 
 
 def _weyl_sample(lam, end) -> WeylSample:
@@ -210,7 +179,7 @@ def _weyl_sample(lam, end) -> WeylSample:
         dets = np.linalg.det(_gather(end, index))
         values.update({(j, k): dets[..., j - k] for j in range(k, 5)})
         mags.append(_minor_norm(dets[..., 5 - k:], lam, 4 - k))
-    mags.append(_magnitude(end, lam, (3, 3)))
+    mags.append(_minor_norm(end[..., 3], lam, 1))   # Delta_33's column C_4
     alts = {jk: values.pop(jk) for jk in ((3, 1), (4, 1))}
     for jk in ((3, 1), (4, 1), (3, 3), (4, 3)):
         sign, (col,) = _ENTRIES[jk]

@@ -21,6 +21,7 @@ from quartspec import (
     beam_problem,
     classify_eigenvalue,
     classify_on_problem,
+    deltas_at,
     eigenfunction,
     find_complex_zeros,
     find_first_zeros,
@@ -93,20 +94,23 @@ def test_03_structural_identities(beam, random_problem):
 
 
 def test_04_shortcut_identities(beam, random_problem):
-    worst = 0.0
+    # Delta_11 and Delta_21 as M's 3 x 3 determinants against the entries
+    # -C_4(1) and -C_3(1), deltas_at's entries Delta_31 and Delta_41 against
+    # the backward solution S_4(0), each over one batch
+    lams, worst = np.linspace(0.6, 49.7, 50), 0.0
     for pb in (beam, random_problem):
-        for lam in np.linspace(0.6, 49.7, 50):
-            d = all_deltas(pb, lam)
-            C = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end
-            S = fundamental_S(pb, lam, x_grid=[0.0, 1.0]).start
-            pairs = [
-                (d[(1, 1)].value, -C[0, 3]),
-                (d[(2, 1)].value, -C[0, 2]),
-                (d[(3, 1)].value, -S[0, 3]),
-                (d[(4, 1)].value, -S[1, 3]),
-            ]
-            for got, expect in pairs:
-                worst = max(worst, abs(got - expect) / (1 + abs(expect)))
+        m = weyl_matrix(pb, lams).deltas
+        d = deltas_at(pb, lams, ((3, 1), (4, 1)))
+        C = fundamental_C(pb, lams, x_grid=[0.0, 1.0]).end
+        S = fundamental_S(pb, lams, x_grid=[0.0, 1.0]).start
+        pairs = [
+            (m[(1, 1)].value, -C[:, 0, 3]),
+            (m[(2, 1)].value, -C[:, 0, 2]),
+            (d[(3, 1)].value, -S[:, 0, 3]),
+            (d[(4, 1)].value, -S[:, 1, 3]),
+        ]
+        for got, expect in pairs:
+            worst = max(worst, np.max(np.abs(got - expect) / (1 + np.abs(expect))))
     report("delta_shortcuts_via_C4_C3_S4", worst, 1e-8)
 
 

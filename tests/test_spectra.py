@@ -19,10 +19,8 @@ from quartspec import spectra
 from quartspec.propagator import PropagationError, fundamental_C
 from quartspec.spectra import SearchError
 from quartspec.weights import default_contour_radius
-from quartspec.weyl import deltas_at
-
 from conftest import (
-    beam_eigenvalue, beam_rho, clamped_free_s, determinant_floor, make_random_problem,
+    beam_eigenvalue, beam_rho, clamped_free_s, delta_index, determinant_floor, make_random_problem,
     make_random_real_problem, oracle_C4, oracle_delta22,
 )
 
@@ -176,41 +174,40 @@ def _seeded_lams(which, seed):
     return make_random_problem(seed), rho ** 4 * np.exp(1j * rng.uniform(-np.pi, np.pi, 24))
 
 
-def _within_determinant(pb, lams, selector, got, det):
-    """got is det to 1e-10 relative, plus the determinant's floating-point
-    floor in the end values of C."""
-    floor = determinant_floor(fundamental_C(pb, lams, x_grid=[0.0, 1.0]).end, selector)
-    return np.all(np.abs(got - det) <= 1e-10 * np.abs(det) + floor)
+def _within_determinant(pb, lams, selector, got):
+    """got is the determinant of Delta_selector's minor of the end values of
+    one C-only fundamental_C to 1e-10 relative, plus that determinant's
+    floating-point floor."""
+    end = fundamental_C(pb, lams, x_grid=[0.0, 1.0]).end
+    rows, cols = delta_index(*selector)
+    det = np.linalg.det(end[..., rows, :][..., cols])
+    return np.all(np.abs(got - det) <= 1e-10 * np.abs(det) + determinant_floor(end, selector))
 
 
 class TestWedgeSamples:
     """The scan's Delta_j2 samples, minus row 0 of a wedge propagated alone,
-    against the determinant of C(1) from deltas_at as the oracle, for rho
-    below 12, where that determinant is good to its floor."""
+    against the 2 x 2 determinant of C(1) as the oracle, for rho below 12,
+    where that determinant is good to its floor."""
 
     @pytest.mark.parametrize("selector", [(2, 2), (3, 2), (4, 2)])
     @_SEEDED
     def test_wedge_equals_determinant(self, which, seed, selector):
         pb, lams = _seeded_lams(which, seed)
         got = spectra._samples(pb, selector, lams, jet=False)[0]
-        det = deltas_at(pb, lams, (selector,))[selector].value
-        assert _within_determinant(pb, lams, selector, got, det)
+        assert _within_determinant(pb, lams, selector, got)
 
 
 class TestColumnSamples:
     """The scan's other samples, +-row 0 of one C column propagated alone,
-    against the 3 x 3 or 1 x 1 determinant of C(1) from deltas_at (for
-    Delta_31 and Delta_41 the alt_value), for rho below 12: Delta_11 =
-    -C_4(1) and Delta_21 = -C_3(1) hold for every problem."""
+    against the 3 x 3 or 1 x 1 determinant of C(1), for rho below 12:
+    Delta_11 = -C_4(1) and Delta_21 = -C_3(1) hold for every problem."""
 
     @pytest.mark.parametrize("selector", [(1, 1), (2, 1), (3, 1), (4, 1), (3, 3), (4, 3)])
     @_SEEDED
     def test_column_equals_determinant(self, which, seed, selector):
         pb, lams = _seeded_lams(which, seed)
         got = spectra._samples(pb, selector, lams, jet=False)[0]
-        d = deltas_at(pb, lams, (selector,))[selector]
-        det = d.value if d.alt_value is None else d.alt_value
-        assert _within_determinant(pb, lams, selector, got, det)
+        assert _within_determinant(pb, lams, selector, got)
 
 
 class TestEntrySearches:

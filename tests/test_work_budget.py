@@ -27,7 +27,8 @@ from quartspec.cli import main
 from quartspec.propagator import fundamental_C
 
 from conftest import (
-    beam_eigenvalue, clamped_free_s, make_random_problem, make_random_real_problem,
+    beam_eigenvalue, clamped_free_s, delta_index, determinant_floor, make_random_problem,
+    make_random_real_problem,
 )
 
 
@@ -106,22 +107,26 @@ def test_laurent_samples_weyl_matrix_once_per_fine_node(beam, monkeypatch):
 
 
 def test_no_delta_propagates_backward(beam, monkeypatch):
-    # all nine Delta_jk, with or without the jet, come from one forward C
-    # solve; Delta_31 and Delta_41 keep their determinants as alt_value, and
-    # Delta_22 alone is bitwise the same solve
+    # all nine Delta_jk, with or without the jet, come from one forward solve
+    # of C with the wedges of the Delta_j2, each within the floor of its
+    # determinant formed from the end values of C, with no alt_value; Delta_22
+    # alone is bitwise the solve of C with its one wedge
     lam = 7.3
-    ends = {jet: fundamental_C(beam, lam, jet, x_grid=[0.0, 1.0]).end for jet in (True, False)}
+    end = fundamental_C(beam, lam, x_grid=[0.0, 1.0]).end
+    alone = -fundamental_C(beam, lam, x_grid=[0.0, 1.0], wedge=[(3, 4)]).wedges[0, 0, 0]
     calls = _counting_propagations(monkeypatch)
-    for jet, end in ends.items():
+    for jet in (True, False):
         calls.clear()
         full = all_deltas(beam, lam, want_dlambda=jet)
         assert list(full) == list(weyl.ALL_INDEX_PAIRS)
         assert calls == [("forward", 4)]
-        for jk, cols in (((3, 1), [1, 0, 3]), ((4, 1), [1, 2, 0])):
-            det = np.linalg.det(end[np.ix_([2, 1, 0], cols)])
-            assert full[jk].alt_value == pytest.approx(det, rel=1e-12, abs=1e-300)
+        for jk, cv in full.items():
+            rows, cols = delta_index(*jk)
+            det = np.linalg.det(end[np.ix_(rows, cols)])
+            assert abs(cv.value - det) <= 1e-10 * abs(det) + determinant_floor(end, jk), jk
+            assert cv.alt_value is None
     calls.clear()
-    assert characteristic_delta(beam, lam, (2, 2)).value == full[(2, 2)].value
+    assert characteristic_delta(beam, lam, (2, 2)).value == alone
     assert calls == [("forward", 4)]
 
 
@@ -434,9 +439,8 @@ def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
         for cv in d.values():
             assert np.shape(cv.value) == (0,)
             assert (cv.dvalue is not None) == jet
-            entry = cv.jk in ((3, 1), (4, 1))
-            assert (cv.alt_value is not None) == entry
-            assert not entry or np.shape(cv.alt_value) == (0,)
+            assert not jet or np.shape(cv.dvalue) == (0,)
+            assert cv.alt_value is None
     for selector in weyl.ALL_INDEX_PAIRS:
         assert np.shape(spectra._ring_fun(beam, selector)(np.array([], complex))) == (0,)
     assert calls == []
