@@ -46,6 +46,7 @@ from .weights import (
     laurent_coefficients,
     verify_weight_structure,
     weight_matrix,
+    weight_matrix_near,
 )
 from .bridge import (
     barcilon_equiv_data,

@@ -148,17 +148,10 @@ def cmd_mclaughlin(args):
 
 def cmd_weights(args):
     """N and the case at the zero of Delta_22 that Newton from lambda0 reaches
-    inside the contour disc around lambda0; if none, at lambda0 in case V,
-    on a contour sized by the zero that Newton points at outside the disc."""
+    inside the contour disc around lambda0; if none, at lambda0 in case V
+    (weights.weight_matrix_near)."""
     problem = _load(args.problem)
-    try:
-        zero = spectra.find_zero_near(problem, (2, 2), args.lambda0,
-                                      weights.default_contour_radius(args.lambda0))
-    except spectra.LeftDiscError as left:
-        point, nearby = mclaughlin.SpectralPoint(lam=args.lambda0, case_tag="V"), (left.lam,)
-    else:
-        point, nearby = mclaughlin.weight_numbers(problem, [zero])[0], ()
-    w = weights.weight_matrix(problem, point.lam, nearby)
+    point, w = weights.weight_matrix_near(problem, args.lambda0)
     report = weights.verify_weight_structure(w, point)
     _emit(args, {"lambda0": args.lambda0, "pole": w.lam0, "m_minus1": w.m_minus1,
                  "m_zero": w.m_zero, "n": w.n, "case": point.case_tag,

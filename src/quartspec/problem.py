@@ -205,6 +205,8 @@ class BoundaryParams:
 class Tolerances:
     ode_rel: float = 1e-10
     ode_abs: float = 1e-12
+    # nodes of the contour of M (weights.laurent_coefficients): it serves the
+    # weight matrix of cases II-V, not case I, which comes from jets
     contour_nodes: int = 64
 
 

@@ -13,15 +13,20 @@ trace(F + Lambda) = 0, the determinant of any fundamental matrix is
 constant in x (Liouville-Ostrogradski); the observed drift is recorded.
 
 Alongside the columns, one propagation can carry
-- their lambda-jet, from the variational system J' = (F + Lambda) J + E41 Y;
 - quadratures int_0^1 y_i y_j dx of column pairs;
 - the 2-wedges u ^ v of column pairs at one lambda, under the additive
   compound of F + Lambda (Ng & Reid 1979; Allen & Bridges, Numer. Math. 92
   (2002)): 6 states, rows (y y')-, (y y'')-, (y y^[3])-, (y' y'')-,
-  (y' y^[3])- and (y'' y^[3])-minors, always with their jet, from the
-  compound of E41, whether or not the columns carry theirs.
-  Row 0 is the minor u_0 v_1 - u_1 v_0 without the cancellation of forming
-  it from u(1) and v(1), whose entries grow like exp(|lambda|^(1/4)).
+  (y' y^[3])- and (y'' y^[3])-minors.  Row 0 is the minor u_0 v_1 - u_1 v_0
+  without the cancellation of forming it from u(1) and v(1), whose entries
+  grow like exp(|lambda|^(1/4));
+- one jet run: the lambda-jets of a contiguous run of those states, from
+  the variational system J' = (F + Lambda) J + E41 Y (for a wedge, under
+  the compound of E41), and, where the run reaches on into its own first
+  jets, their jets J2' = (F + Lambda) J2 + E41 J, the second
+  lambda-Taylor coefficients (Jorba & Zou's jet transport, below): a
+  Delta_22 polish carries the jets of its three wedges and the second of
+  the first (see spectra).
 An initial matrix of 6 rows is a set of such 2-wedges, propagated under
 the compound alone, with their jet under want_dlambda: the state that a
 search of a Delta_j2 reads (see spectra).
@@ -30,11 +35,13 @@ A propagation steps one block.  With wedges of column pairs, columns and
 wedges are stacked block-diagonally on 10 rows, ordered so that the sources
 and the targets of the lambda and jet terms are contiguous runs of rows;
 each column carries its own lambda factor and jet factor, and the jets
-follow the values of the columns that carry them.  So each step makes one
-series, one step bound and one advance call, whatever the propagation
-carries.  A column is zero in the other part's rows, which leaves its
-weighted norm, and so the step sequence, as it is.  Without them the block
-is the initial matrix's own rows: 4 of columns, or 6 of wedges.
+follow the values in the order of the run, whose sources are so one slice
+of the state's columns and its targets the columns after the values.  So
+each step makes one series, one step bound and one advance call, and each
+Taylor order one product per term, whatever the propagation carries.  A
+column is zero in the other part's rows, which leaves its weighted norm,
+and so the step sequence, as it is.  Without them the block is the initial
+matrix's own rows: 4 of columns, or 6 of wedges.
 
 The integrator is a Taylor series of order TAYLOR_ORDER (Jorba & Zou,
 Experiment. Math. 14 (2005)).  p and q are polynomials on each mesh segment;
@@ -70,7 +77,8 @@ fundamental_S take one lambda or a batch of N as one solve with one step
 sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
 column of its tile); values and dlambda are (len(xs), 4, 4) or (len(xs), N,
 4, 4), det_drift is the largest over the batch, and fundamental_C's wedges
-of P column pairs are (2, 6, P) or (2, 6, P, N).  The backward direction
+of P column pairs are (orders, 6, P) or (orders, 6, P, N): the values, then
+each order of jet that the run carries.  The backward direction
 serves only fundamental_S: every Delta_jk comes from the end values of the
 forward fundamental_C (see weyl).
 """
@@ -144,23 +152,34 @@ def _shift(coeffs, delta):
 
 class _Block:
     """The states of a system over the columns it carries: the values, then
-    the jets of the value columns `jet_cols` (a slice).  signs[c] is -Q at
-    (target, source) in column c's own rows."""
+    one jet per column of the jet run `jet_cols`, a slice of the state's
+    columns from a value column on, in its order.  A run that reaches past
+    the values into the first jets also carries their jets, the next
+    lambda-Taylor coefficients (J2' = A J2 + E J: half the second
+    derivative).  signs[c] is -Q at (target, source) in value column c's own
+    rows; src[s] is the value column that state column s is a jet of (or
+    is), and order[s] its order."""
 
     def __init__(self, system, X0, lams, signs, jet_cols):
         self.system, self.cols, self.jet_cols = system, X0.shape[1], jet_cols
-        self.state = np.concatenate([X0, np.zeros_like(X0[:, jet_cols])], axis=1)
+        src, order = list(range(self.cols)), [0] * self.cols
+        for s in range(jet_cols.start, jet_cols.stop):
+            src.append(src[s])
+            order.append(order[s] + 1)
+        self.src, self.order = np.array(src), np.array(order)
+        self.state = np.concatenate([X0, np.zeros((len(X0), len(src) - self.cols), X0.dtype)],
+                                    axis=1)
         self.low = np.zeros_like(self.state)   # the state is state + low
         self.plans = {}
-        lams = np.concatenate([lams, lams[jet_cols]])
+        lams, signs = lams[self.src], signs[self.src]
         rho = np.maximum(1.0, np.abs(lams) ** 0.25)
         self.weights = rho[None, :] ** -system[3][:, None]
         # -Q is nonzero at (rows[i], cols[i]) alone, each a run of consecutive
         # indices: its products are row updates, by a factor per column
         rows, cols = np.nonzero(system[2])
         self.rows, self.qcols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-        self.jet_sign = signs[jet_cols]
-        self.lam_sign = np.concatenate([signs, self.jet_sign]) * lams
+        self.jet_sign = signs[self.cols:]
+        self.lam_sign = signs * lams
 
     def _plan(self, d):
         """The series buffer for polynomial degree d, which every step of that
@@ -257,10 +276,12 @@ def _block(Y0, lams, wi, wj, want_dlambda):
     """The one _Block of a propagation of Y0 at lams with the wedges of its
     column pairs (wi, wj), and the rows of Y0 in it.  With such wedges it
     runs the stacked system on all ten rows, else Y0's own rows, on which
-    the system is _COLUMNS (4 rows) or _WEDGE (6); it carries the jets of
-    every state of Y0 with want_dlambda, and of the stacked wedges always."""
+    the system is _COLUMNS (4 rows) or _WEDGE (6).  Its jet run is
+    want_dlambda where that is a slice (see propagate), else the jets of
+    every state with want_dlambda and none without."""
     ncols, nw = Y0.shape[1], len(wi)
-    jets = slice(0 if want_dlambda else ncols, ncols + nw)
+    jets = (want_dlambda if isinstance(want_dlambda, slice) else
+            slice(0 if want_dlambda else ncols + nw, ncols + nw))
     if not nw:
         system, sign = (_COLUMNS, _C_SIGN) if len(Y0) == 4 else (_WEDGE, _W_SIGN)
         return _Block(system, Y0, lams, np.full(ncols, sign), jets), slice(None)
@@ -282,8 +303,9 @@ class FundamentalMatrix:
     values: np.ndarray
     dlambda: np.ndarray | None = None   # same shape, entrywise d/dlambda
     quadratures: dict | None = None     # (i, j) -> int_0^1 y_i y_j dx
-    # (2, 6, pairs): the 2-wedges of column pairs where the propagation ends,
-    # then their jets
+    # (orders, 6, pairs): the 2-wedges of column pairs where the propagation
+    # ends, then their lambda-Taylor coefficients of each order the jet run
+    # carries (NaN for a wedge it does not reach)
     wedges: np.ndarray | None = None
     # fundamental_C and fundamental_S only: max |det Y(x) - det Y(0)|, which
     # checks the integration only up to rho ~ 15; past it det Y cancels (its
@@ -312,9 +334,16 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     quad_pairs is a list of column index pairs (i, j); for each, the scalar
     int_0^1 y_i(x) y_j(x) dx is accumulated alongside the trajectory.
     wedge_pairs is a list of column index pairs at one lambda each; their
-    2-wedges and the wedges' jets are returned in wedges, where the
-    propagation ends.  Both read columns: a 6-row init with either raises
-    ValueError.
+    2-wedges are returned in wedges, where the propagation ends.  Both read
+    columns: a 6-row init with either raises ValueError.
+    want_dlambda sets the jet run: True carries the jet of every state (the
+    columns of init, then the wedges), False none.  A slice of those states
+    carries the jets of the states from its start on, in order; where it
+    runs past the last state it continues into the jets themselves, so that
+    the first stop - (number of states) states of the run also carry their
+    second lambda-Taylor coefficient (half the second derivative).  The
+    wedges' coefficients are wedges[k], of order k, NaN where the run
+    carries none.
     """
     Y0 = np.asarray(init, dtype=complex)
     if Y0.ndim == 1:
@@ -389,12 +418,13 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     if quad_pairs:
         quadratures = {pair: complex(sign * quads[k]) for k, pair in enumerate(quad_pairs)}
     wedges = None
-    if len(wi):   # the wedges' values, then their jets: the last state columns
-        end = block.state[_W_ROWS].astype(complex)
-        wedges = np.stack([end[:, ncols:block.cols], end[:, -len(wi):]])
+    if len(wi):   # each wedge state's coefficient at its order and wedge
+        of = block.src >= ncols
+        wedges = np.full((block.order.max() + 1, 6, len(wi)), np.nan, complex)
+        wedges[block.order[of], :, block.src[of] - ncols] = block.state[_W_ROWS][:, of].T
     return FundamentalMatrix(xs=xs_out[order], values=states_out[:, :, :ncols],
                              dlambda=states_out[:, :, block.cols:block.cols + ncols]
-                             if want_dlambda else None,
+                             if block.jet_cols.start == 0 else None,
                              quadratures=quadratures, wedges=wedges)
 
 
@@ -402,11 +432,16 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> 
     """The 4 x 4 `init` propagated at one lambda or at each of a batch, in one
     solve; fields (len(xs),) + lam.shape + (4, 4), det_drift over the batch,
     and with `wedge`, a list of pairs of column labels (1-based), the wedges
-    of those column pairs at each lambda with their jets, (2, 6, len(wedge))
-    + lam.shape."""
+    of those column pairs at each lambda with the jets the run carries,
+    (orders, 6, len(wedge)) + lam.shape.  want_dlambda is a bool, or the jet
+    run of one lambda as a slice of its states (4 columns, the wedges, then
+    the jets in run order) that starts at a wedge: the batch stacks the
+    wedges pair by pair, so it runs the same slice times the batch size."""
     lam = np.asarray(lam, dtype=complex)
     pairs = None if wedge is None else (np.subtract(wedge, 1)[:, None]
                                         + 4 * np.arange(lam.size)[:, None]).reshape(-1, 2).tolist()
+    if isinstance(want_dlambda, slice):
+        want_dlambda = slice(want_dlambda.start * lam.size, want_dlambda.stop * lam.size)
     res = propagate(problem, np.repeat(lam.ravel(), 4), direction, np.tile(init, lam.size),
                     want_dlambda=want_dlambda, wedge_pairs=pairs, x_grid=x_grid)
 
@@ -417,16 +452,16 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> 
     with np.errstate(over="ignore", invalid="ignore"):   # C(1) overflows far out
         drift = np.max(np.abs(np.linalg.det(values) - np.linalg.det(init)))
     return FundamentalMatrix(xs=res.xs, values=values, det_drift=float(drift),
-                             dlambda=per_lambda(res.dlambda) if want_dlambda else None,
+                             dlambda=None if res.dlambda is None else per_lambda(res.dlambda),
                              wedges=None if wedge is None else
-                             res.wedges.reshape(2, 6, len(wedge), *lam.shape))
+                             res.wedges.reshape(len(res.wedges), 6, len(wedge), *lam.shape))
 
 
 def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False, x_grid=None,
                   wedge=None) -> FundamentalMatrix:
     """Solutions C_k with U_s(C_k) = delta_sk; initial matrix U^{-1} at x=0.
-    wedge = [(j, k), ...] also carries each C_j ^ C_k and its jet (see
-    _fundamental)."""
+    wedge = [(j, k), ...] also carries each C_j ^ C_k, with the jets of the
+    run want_dlambda sets (see _fundamental)."""
     U = boundary_form_matrix(problem)
     return _fundamental(problem, lam, "forward", np.linalg.inv(U), want_dlambda, x_grid, wedge)
 

@@ -31,7 +31,9 @@ the beam a Delta_32 zero polished alone and in the batch of the first ten
 differ by 2.5e-12 (rho ~ 10), 1.9e-11 (rho ~ 20) and 4.7e-11 (rho ~ 29),
 relative, a Delta_22 zero by at most 5e-14.  Only a Delta_22 polish also
 solves C(1) and the wedges of Delta_32 and Delta_42, stacked with its own,
-for weight_numbers.  simplicity_check judges a zero against the weighted
+with the jets of all three and the second jet of its own, for
+weight_numbers and weights.weight_matrix_near.  A scan carries no jet.
+simplicity_check judges a zero against the weighted
 norm of its state.  No search forms a determinant, whose cancellation
 once stopped the scan at rho ~ 33 and made the Delta_j1 searches lose or
 invent zeros; each reaches until its state overflows (rho ~ 600 for a
@@ -56,8 +58,9 @@ Newton from the centre with a batch of one; find_zero_near runs it from
 a given point and stops where an iterate would leave a disc around it,
 raising LeftDiscError with that iterate.  Every Zero is made in _polish,
 the one driver of Newton on Delta, with the end state of its accepted
-evaluation, for a Delta_22 also C(1, lambda) and the three wedge values
-(Delta_22, Delta_32, Delta_42) there, and the result of its one
+evaluation, for a Delta_22 also C(1, lambda), the three wedge values
+(Delta_22, Delta_32, Delta_42) there, their jets and Delta_22'', and the
+result of its one
 simplicity_check; weight_numbers trusts them all.  No search takes a
 scale: each judges Delta against values at its own lambda.
 """
@@ -91,6 +94,10 @@ NEWTON_BOX_ASPECT = 2.0
 FIRST_ZEROS_START = 1e-6
 # the selectors whose wedges a Delta_22 polish carries, in wedge_deltas order
 _J2 = ((2, 2), (3, 2), (4, 2))
+# its jet run per lambda (propagator._fundamental): the jets of the three
+# wedges (states 4 to 6, after C's columns) and of the first of those jets,
+# the second lambda-Taylor coefficient of Delta_22's wedge
+_J2_RUN = slice(4, 8)
 
 
 class SearchError(RuntimeError):
@@ -115,13 +122,16 @@ class Zero:
     # the state at x = 1 of the accepted Newton evaluation whose row 0 is
     # Delta up to sign: a C column (4 rows) or a 2-wedge (6 rows), _ENTRIES
     end_state: np.ndarray = field(repr=False, compare=False)
-    # C(1, lambda) of that evaluation and (Delta_22, Delta_32, Delta_42)
-    # there, from its wedges; set by the polish of a Delta_22 only, and not
-    # carried by a copy
+    # C(1, lambda) of that evaluation, (Delta_22, Delta_32, Delta_42) there
+    # from its wedges, their jets, and Delta_22'' from the second jet of its
+    # wedge; set by the polish of a Delta_22 only, and not carried by a copy
     end_values: np.ndarray | None = field(default=None, init=False, repr=False,
                                           compare=False)
     wedge_deltas: np.ndarray | None = field(default=None, init=False, repr=False,
                                             compare=False)
+    wedge_dlambda: np.ndarray | None = field(default=None, init=False, repr=False,
+                                             compare=False)
+    d2delta: complex | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -187,22 +197,26 @@ def _newton(lam0, bracket=None, radius=None):
 
 
 def _jets(problem, selector, lams):
-    """(Delta, dDelta, end state, C(1, lambda), wedge_deltas) of the
+    """(Delta, dDelta, end state, C(1, lambda), wedge Taylor table) of the
     selected pair at each lambda, in one solve; if it fails, lambda by
     lambda, each PropagationError in its lambda's place.  For every
     selector but Delta_22 the solve is _samples' with the jet, one state per
-    lambda, with no C(1) or wedge_deltas (None).  A Delta_22 polish solves C
-    with the 2-wedges of the columns of Delta_22, Delta_32 and Delta_42,
-    which weight_numbers reads: each Delta_j2 and its jet are read by
-    weyl._entry, wedge_deltas the three values, and the end state the wedge
+    lambda, with no C(1) or table (None).  A Delta_22 polish solves C with
+    the 2-wedges of the columns of Delta_22, Delta_32 and Delta_42 and the
+    jet run _J2_RUN, which weight_numbers and weights.weight_matrix_near
+    read: each Delta_j2 and its jets are read by weyl._entry, the table
+    holds their lambda-Taylor coefficients (order, Delta_j2), of order 2
+    for Delta_22 alone (NaN for the others), and the end state is the wedge
     of Delta_22."""
     try:
         if selector == (2, 2):
             wedge = [_ENTRIES[jk][1] for jk in _J2]
-            C = fundamental_C(problem, lams, x_grid=[0.0, 1.0], wedge=wedge)
-            (value, jet, state), *others = (_entry(C, jk, wedge) for jk in _J2)
-            deltas = np.stack([value] + [v for v, _, _ in others], axis=-1)
-            return list(zip(value.tolist(), jet.tolist(), state, C.end, deltas))
+            C = fundamental_C(problem, lams, _J2_RUN, x_grid=[0.0, 1.0], wedge=wedge)
+            reads = [_entry(C, jk, wedge) for jk in _J2]
+            table = np.stack([np.concatenate([v[None], j]) for v, j, _ in reads], axis=-1)
+            value, jets, state = reads[0]
+            return list(zip(value.tolist(), jets[0].tolist(), state, C.end,
+                            np.moveaxis(table, 1, 0)))
         value, jet, end = _samples(problem, selector, lams, jet=True)
         return list(zip(value.tolist(), jet.tolist(), end.T, [None] * len(lams),
                         [None] * len(lams)))
@@ -226,10 +240,13 @@ def _polish(problem, selector, newtons):
                     raise jet
                 todo[i] = newtons[i].send(jet)
             except StopIteration as stop:
-                lam, _, dval, end_state, end, wedge_deltas = stop.value
+                lam, _, dval, end_state, end, table = stop.value
                 out[i] = z = Zero(lam=lam, selector=selector, multiplicity_estimate=1,
                                   ddelta=complex(dval), end_state=end_state)
-                z.end_values, z.wedge_deltas = end, wedge_deltas
+                z.end_values = end
+                if table is not None:
+                    z.wedge_deltas, z.wedge_dlambda = table[0], table[1]
+                    z.d2delta = complex(2 * table[2, 0])
                 z.multiplicity_estimate = 1 if simplicity_check(z) else 2
                 del todo[i]
             except (PropagationError, SearchError) as exc:

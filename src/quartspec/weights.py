@@ -4,9 +4,18 @@ At a simple pole lambda_0 of M, the weight matrix is
 
     N(lambda_0) = M_<0>(lambda_0)^{-1} M_<-1>(lambda_0),
 
-where M_<k> are Laurent coefficients extracted by trapezoid quadrature on a
-circle around lambda_0.  N is strictly lower-triangular and its nonzero
-pattern depends on the classification of lambda_0:
+where M_<k> are the Laurent coefficients of M at lambda_0.  At a case-I
+zero of Delta_22 they are closed forms in the lambda-jets that its Newton
+polish carries (_jet_weight_matrix), and weight_matrix_near takes them from
+there, with no further solve.  In cases II-V (where two columns of M can
+have a pole, and M_<0> needs second jets of both) they are extracted by
+trapezoid quadrature on a circle around lambda_0 (laurent_coefficients,
+weight_matrix), which also serves the tests as the oracle of case I.  The
+two differ where another pole lies inside the circle: the quadrature sums
+the residues of every pole inside it, while the jets give the Laurent
+coefficients at lambda_0 alone, which is what N(lambda_0) is.  N is
+strictly lower-triangular and its nonzero pattern depends on the
+classification of lambda_0:
 
     I   : only n32 != 0, n32 = beta_n = -gamma_n^2
     II  : 2x2 block n31, n32, n41, n42 with zero determinant, n31 = -n42
@@ -26,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mclaughlin import SpectralPoint
+from .mclaughlin import SpectralPoint, weight_numbers
 from .problem import ProblemSpec
 from .propagator import fundamental_C
-from .weyl import POLE_FLOOR, PoleError, _minor_norm, weyl_matrix
+from .spectra import LeftDiscError, find_zero_near
+from .weyl import _ENTRIES, POLE_FLOOR, PoleError, _minor_norm, weyl_matrix
 
 CONVERGENCE_TOL = 1e-8
 # |gamma| below this: y_n(0) = 0 (cases III, IV); within 10x of it: indeterminate
@@ -138,6 +148,56 @@ def weight_matrix(problem: ProblemSpec, lam0, nearby_zeros=()) -> WeightMatrix:
     m_minus1, m_zero = coeffs[-1], coeffs[0]
     n = np.linalg.solve(m_zero, m_minus1)
     return WeightMatrix(lam0=lam0, m_minus1=m_minus1, m_zero=m_zero, n=n)
+
+
+def _jet_weight_matrix(zero) -> WeightMatrix:
+    """M_<-1>, M_<0> and N at a case-I zero of Delta_22 from the state of
+    its polish, with no propagation.  Only column 2 of M has a pole there:
+    with Delta_22 = Delta_22' z + Delta_22'' z^2 / 2 + ... (z = lambda -
+    lambda_0), m_j2 = -Delta_j2 / Delta_22 has the residue -Delta_j2 /
+    Delta_22' and the constant term -(Delta_j2' - Delta_j2 Delta_22'' /
+    (2 Delta_22')) / Delta_22', all from the wedges' jets.  Columns 1 and 3
+    are M's values, from the entries of C(1) (weyl._ENTRIES)."""
+    end = zero.end_values
+    d = {jk: sign * end[0, cols[0] - 1] for jk, (sign, cols) in _ENTRIES.items()
+         if len(cols) == 1}
+    m_zero = np.eye(4, dtype=complex)
+    for j, k in ((2, 1), (3, 1), (4, 1), (4, 3)):
+        m_zero[j - 1, k - 1] = -d[j, k] / d[k, k]
+    delta, dlam = zero.wedge_deltas[1:], zero.wedge_dlambda[1:]   # Delta_32, Delta_42
+    d22p = zero.wedge_dlambda[0]
+    m_minus1 = np.zeros((4, 4), dtype=complex)
+    m_minus1[2:, 1] = -delta / d22p
+    m_zero[2:, 1] = -(dlam - delta * zero.d2delta / (2 * d22p)) / d22p
+    return WeightMatrix(lam0=complex(zero.lam), m_minus1=m_minus1, m_zero=m_zero,
+                        n=np.linalg.solve(m_zero, m_minus1))
+
+
+def weight_matrix_near(problem: ProblemSpec, lam0) -> tuple:
+    """(point, N) at the zero of Delta_22 that Newton from lam0 reaches
+    inside the disc of default_contour_radius(lam0), or at lam0 in case V.
+
+    At that zero the point is weight_numbers', and N comes from its
+    polish's jets in case I (_jet_weight_matrix: no further propagation),
+    from a contour around it otherwise (cases II-IV, indeterminate, or not
+    normalizable).  Where an iterate would leave the disc, lam0 is taken
+    as a pole of m43 (case V), on a contour sized by the zero that iterate
+    points at; where M_<-1> vanishes there to CONVERGENCE_TOL, lam0 is no
+    pole of M, and LaurentError is raised."""
+    lam0 = complex(lam0)
+    try:
+        zero = find_zero_near(problem, (2, 2), lam0, default_contour_radius(lam0))
+    except LeftDiscError as left:
+        point = SpectralPoint(lam=lam0, case_tag="V")
+        w = weight_matrix(problem, lam0, (left.lam,))
+        if np.max(np.abs(w.m_minus1)) <= CONVERGENCE_TOL * (1 + np.max(np.abs(w.m_zero))):
+            raise LaurentError(f"{lam0} is no pole of M: M_<-1> vanishes on its contour, and "
+                               f"Newton on Delta_22 leaves the disc at {left.lam}")
+        return point, w
+    point = weight_numbers(problem, [zero])[0]
+    if point.case_tag == "I":
+        return point, _jet_weight_matrix(zero)
+    return point, weight_matrix(problem, point.lam)
 
 
 def classify_eigenvalue(point: SpectralPoint, delta43, delta33, scale) -> str:

@@ -112,29 +112,31 @@ def _minor_norm(minors, lam, k):
 
 
 def _entry(C, jk, wedge):
-    """(Delta_jk, its jet, its state: rows on the last axis) at the end of C,
-    a fundamental_C made with the `wedge` list: its 2-wedge or C column, as
+    """(Delta_jk, its lambda-Taylor coefficients of order 1, 2, ... on a
+    leading axis, its state: rows on the last axis) at the end of C, a
+    fundamental_C made with the `wedge` list: its 2-wedge or C column, as
     _ENTRIES gives, and its row 0, negated where the sign is -1 (not times
-    -1, which can flip the sign of a zero imaginary part); a wedge always
-    carries its jet, a column of a C without jets has none (None)."""
+    -1, which can flip the sign of a zero imaginary part); the coefficients
+    are those C's jet run carries, None where it carries none."""
     sign, cols = _ENTRIES[jk]
     if len(cols) == 2:
-        w = C.wedges[:, :, wedge.index(cols)]   # (value or jet, row) + lambda's shape
-        state, jet = np.moveaxis(w[0], 0, -1), w[1, 0]
+        w = C.wedges[:, :, wedge.index(cols)]   # (order, row) + lambda's shape
+        state, jets = np.moveaxis(w[0], 0, -1), (w[1:, 0] if len(w) > 1 else None)
     else:
         state = C.end[..., cols[0] - 1]
-        jet = None if C.dlambda is None else C.dlambda[-1][..., 0, cols[0] - 1]
+        jets = None if C.dlambda is None else C.dlambda[-1][None, ..., 0, cols[0] - 1]
     if sign < 0:
-        return -state[..., 0], None if jet is None else -jet, state
-    return state[..., 0], jet, state
+        return -state[..., 0], None if jets is None else -jets, state
+    return state[..., 0], jets, state
 
 
 def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
               want_dlambda=False) -> dict:
     """The characteristic values of `pairs` at `lams`, keyed by pair, each
     field of the shape of lams: one batched propagation of C with the
-    2-wedges of the Delta_j2 among `pairs`, each Delta_jk and its jet read
-    by _entry, none a determinant.  An empty batch propagates nothing."""
+    2-wedges of the Delta_j2 among `pairs`, and the jet of every state only
+    with want_dlambda, each Delta_jk and its jet read by _entry, none a
+    determinant.  An empty batch propagates nothing."""
     lams = np.asarray(lams, dtype=complex)
     if lams.size == 0:
         return {jk: CharacteristicValue(jk, np.empty(lams.shape, complex),
@@ -144,8 +146,8 @@ def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
     C = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0], wedge=wedge)
     read = {jk: _entry(C, jk, wedge) for jk in pairs}
     # [()] makes the fields of one lambda numpy scalars
-    return {jk: CharacteristicValue(jk, value[()], jet[()] if want_dlambda else None)
-            for jk, (value, jet, _) in read.items()}
+    return {jk: CharacteristicValue(jk, value[()], jets[0][()] if want_dlambda else None)
+            for jk, (value, jets, _) in read.items()}
 
 
 def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,

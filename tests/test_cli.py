@@ -145,7 +145,8 @@ class TestSpectrum:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command, option, value, rest", [
-        ("weights", "--lambda0", "-12,3", []),
+        # 0.5 above the beam's pole of m43 at -125.14098: a case-V point
+        ("weights", "--lambda0", "-125.141,0.5", []),
         ("weyl", "--lambda-min", "-1e3", ["--lambda-count", "5"]),
         ("spectrum", "--xmin", "-1e4", ["--selector", "33", "--xmax", "0"]),
     ], ids=["weights", "weyl", "spectrum"])
@@ -286,6 +287,20 @@ class TestDataCommands:
         assert abs(complex(*payload["n"][2][1]) + 4.0) < 1e-6
         assert payload["residuals"]["off_pattern_entries"] < 1e-7
 
+    @pytest.mark.parametrize("n", [7, 10, 20, 30])
+    def test_weights_at_far_beam_modes(self, beam_json, capsys, n):
+        # past the reach of a contour of M from determinants of C(1), which
+        # raised LaurentError from n = 7: N of case I from the jets of the
+        # Delta_22 polish, n32 = -gamma_n^2 = -4
+        code = main(["weights", "--problem", beam_json, "--lambda0", repr(beam_eigenvalue(n))])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["case"] == "I"
+        n_mat = np.array(payload["n"]) @ [1.0, 1j]
+        assert abs(n_mat[2, 1] + 4.0) <= 1e-10
+        n_mat[2, 1] = 0.0
+        assert np.max(np.abs(n_mat)) <= 1e-9
+
     def test_weights_at_pole_of_m43_is_case_five(self, beam_json, capsys):
         # -4 s_1^4 is a zero of Delta_33, not of Delta_22: the first Newton
         # step on Delta_22 leaves the contour
@@ -299,18 +314,18 @@ class TestDataCommands:
     def test_weights_case_five_contour_clear_of_the_nearby_zero(self, tmp_path, capsys):
         # on the beam with b = 0.1, lambda_1 = 11.2384 lies 2.4e-5 outside
         # the disc of radius 1.12362 around 12.362: Newton's first step
-        # leaves it (case V), and the contour at lambda0 is sized by the zero
-        # that step points at, not by the disc that nearly touches it
+        # leaves it, and the contour at lambda0 is sized by the zero that
+        # step points at, not by the disc that nearly touches it.  12.362 is
+        # no pole of M here: M_<-1> vanishes on that contour, so no case V
+        # is reported; the command exits 1 with the structured error
         path = str(tmp_path / "b01.json")
         save_problem(beam_problem(b=0.1), path)
-        assert main(["weights", "--problem", path, "--lambda0", "12.362"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["case"] == "V"
-        # 12.362 is no pole of M here: N vanishes, and the report says so
-        # (n21 is no nonzero entry) instead of scaling its rounding to 1
-        assert np.max(np.abs(np.array(payload["n"]))) < 1e-12
-        assert payload["residuals"]["n21_nonzero"] < 1e-6
-        assert payload["residuals"]["off_pattern_entries"] < 1e-6
+        assert main(["weights", "--problem", path, "--lambda0", "12.362"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "LaurentError"
+        assert "no pole of M" in error["message"] and "11.235" in error["message"]
 
     def test_weights_near_eigenvalue_takes_its_case(self, beam_json, capsys):
         # the README's example: |Delta_22(12.362)| is above the zero floor,
@@ -473,14 +488,15 @@ class TestVerify:
 def test_cli_imports_no_numpy_ma(tmp_path):
     # numpy's unique and union1d import numpy.ma (about 20 ms) at their first
     # call: a fresh interpreter runs a search, a classification, a contour
-    # and a grid without it
+    # (at the beam's pole of m43, case V) and a grid without it
     path = tmp_path / "beam.json"
     save_problem(beam_problem(), path)
     code = ("import contextlib, io, sys\n"
             "from quartspec.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    for argv in ({['spectrum', '--count', '2']!r}, {['classify', '--count', '2']!r},\n"
-            f"                 {['weights', '--lambda0', '500']!r}, {['weyl']!r}):\n"
+            f"                 {['weights', '--lambda0', '-125.141']!r},\n"
+            f"                 {['weyl']!r}):\n"
             f"        assert main(argv + ['--problem', {str(path)!r}]) == 0, argv\n"
             "print('numpy.ma' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(quartspec.__file__))

@@ -339,11 +339,16 @@ class TestKernelBitwise:
     """The Taylor kernel gives bitwise the numbers of the plain loop."""
 
     @pytest.mark.parametrize("degree", [0, 3])
-    @pytest.mark.parametrize("pairs, jets", [([], False), ([], True), ([(0, 1), (2, 4)], False),
-                                             ([(0, 1), (2, 4)], True)],
-                             ids=["columns", "columns_jet", "wedge", "wedge_columns_jet"])
+    @pytest.mark.parametrize("pairs, jets, states", [
+        ([], False, 5), ([], True, 10), ([(0, 1), (2, 4)], False, 7),
+        ([(0, 1), (2, 4)], True, 14),
+        # a jet run past the values: the jets of both wedges (states 5 and
+        # 6), then the jet of the first jet (state 7), the first wedge's
+        # second lambda-Taylor coefficient
+        ([(0, 1), (2, 4)], slice(5, 8), 10)],
+        ids=["columns", "columns_jet", "wedge", "wedge_columns_jet", "wedge_second_jet"])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_series_and_step_bound_match_reference(self, pairs, jets, dtype, degree):
+    def test_series_and_step_bound_match_reference(self, pairs, jets, states, dtype, degree):
         rng = np.random.default_rng(4)
 
         def draw(*shape):
@@ -352,8 +357,7 @@ class TestKernelBitwise:
 
         wi, wj = np.array(pairs, dtype=int).reshape(-1, 2).T
         block, _ = propagator._block(draw(4, 5), draw(5) * 400, wi, wj, jets)
-        assert block.state.shape == ((10, 5 + 2 + (7 if jets else 2)) if pairs else
-                                     (4, 10 if jets else 5))
+        assert block.state.shape == (10 if pairs else 4, states)
         # two steps of one degree: the second reuses the first's buffer, and
         # its state is nonzero in every row of every column
         for _ in range(2):
@@ -433,8 +437,9 @@ class TestWedgeInit:
     @pytest.mark.parametrize("which", ["real", "complex"])
     def test_jet_matches_stacked_wedge_jet(self, which):
         # against the wedges and wedge jets that fundamental_C stacks with
-        # the columns, for rho below 12, on a seeded real problem at real
-        # lambda and a seeded complex problem at complex lambda
+        # the columns under the jet run of the wedges (states 4 to 6), for
+        # rho below 12, on a seeded real problem at real lambda and a seeded
+        # complex problem at complex lambda
         if which == "real":
             pb = make_random_real_problem(11)
             lams = np.array([-2e4, -300.0, 2.5, 150.0, 9000.0, 2e4])
@@ -443,7 +448,7 @@ class TestWedgeInit:
             lams = np.array([-2e4 + 50j, -300.0, 2.5 + 1j, 150.0 - 40j, 9000.0, 2e4j])
         assert np.all(np.abs(lams) ** 0.25 < 12)
         pairs = [(3, 4), (2, 4), (3, 2)]
-        ref = fundamental_C(pb, lams, x_grid=[0.0, 1.0], wedge=pairs).wedges
+        ref = fundamental_C(pb, lams, slice(4, 7), x_grid=[0.0, 1.0], wedge=pairs).wedges
         init = _wedge_init(np.linalg.inv(boundary_form_matrix(pb)), pairs, copies=len(lams))
         res = propagate(pb, np.tile(lams, len(pairs)), "forward", init, want_dlambda=True,
                         x_grid=[0.0, 1.0])

@@ -5,12 +5,15 @@ from quartspec import (
     beam_problem,
     classify_eigenvalue,
     classify_on_problem,
+    deltas_at,
     entry_residue,
+    find_complex_zeros,
     find_first_zeros,
     find_zero_near,
     laurent_coefficients,
     verify_weight_structure,
     weight_matrix,
+    weight_matrix_near,
     weight_numbers,
 )
 from quartspec.mclaughlin import SpectralPoint
@@ -19,7 +22,7 @@ from quartspec.weights import (
 )
 from quartspec.weyl import weyl_matrix
 
-from conftest import beam_eigenvalue, clamped_free_s, make_random_real_problem
+from conftest import beam_eigenvalue, clamped_free_s, make_random_problem, make_random_real_problem
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,42 @@ def _structure(entries, tag, xi=None):
         n[j - 1, k - 1] = v
     w = WeightMatrix(lam0=1.0, m_minus1=None, m_zero=None, n=n)
     return verify_weight_structure(w, SpectralPoint(lam=1.0, xi=xi, case_tag=tag))
+
+
+def _case_one_zeros(which):
+    """A problem and its first case-I zeros of Delta_22: four on the beam and
+    on a seeded real problem, the four in a box of a seeded complex one."""
+    if which == "complex7":
+        pb = make_random_problem(7)
+        return pb, find_complex_zeros(pb, (2, 2), (-500.0, 2e4, -300.0, 300.0))
+    pb = beam_problem() if which == "beam" else make_random_real_problem(11)
+    return pb, find_first_zeros(pb, (2, 2), 4)
+
+
+class TestJetWeights:
+    """Case I from the jets of the Delta_22 polish, against the contour."""
+
+    @pytest.mark.parametrize("which", ["beam", "real11", "complex7"])
+    def test_jets_match_the_contour(self, which):
+        pb, zeros = _case_one_zeros(which)
+        assert len(zeros) == 4
+        for z in zeros:
+            point, w = weight_matrix_near(pb, z.lam)
+            assert point.case_tag == "I" and w.lam0 == point.lam
+            ref = weight_matrix(pb, w.lam0)
+            for got, want in ((w.m_minus1, ref.m_minus1), (w.m_zero, ref.m_zero), (w.n, ref.n)):
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), z.lam
+
+    @pytest.mark.parametrize("which", ["beam", "real11", "complex7"])
+    def test_second_jet_matches_a_central_difference(self, which):
+        # Delta_22'' of the polish's second jet against the central
+        # difference of Delta_22' at lambda +- h, h = 1e-3 (1 + |lambda|)^(1/2)
+        pb, zeros = _case_one_zeros(which)
+        for z in zeros:
+            h = 1e-3 * np.sqrt(1 + abs(z.lam))
+            jet = deltas_at(pb, [z.lam - h, z.lam + h], ((2, 2),), want_dlambda=True)[2, 2]
+            fd = (jet.dvalue[1] - jet.dvalue[0]) / (2 * h)
+            assert abs(z.d2delta - fd) <= 1e-8 * abs(fd), z.lam
 
 
 class TestStructureReport:

@@ -201,15 +201,15 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     last = ends[np.searchsorted(ends, closing, side="right")] - 1
     assert max(lam.real for lam in lams) <= (last * step) ** 4 * (1 + 1e-12)
     # one solve per chunk scanned, the 2-wedge of the two C columns of
-    # Delta_22 at each lambda, then one lockstep Newton solve: every
-    # bracket's start, interpolated through up to ten scan samples, is
-    # accepted at its first evaluation
+    # Delta_22 at each lambda, then one lockstep Newton solve with its jet
+    # run: every bracket's start, interpolated through up to ten scan
+    # samples, is accepted at its first evaluation
     scans, newton = _scans(calls), _polishes(calls)
     assert [len(batch) for batch in scans[:-1]] == [chunk * 2 ** i for i in range(len(scans) - 1)]
     assert 0 < len(scans[-1]) <= chunk * 2 ** (len(scans) - 1)
     assert [len(batch) for batch in newton] == [3]
     assert [call[1:] for call in calls] == ([(6, 1, False, 0)] * len(scans)
-                                            + [(4, 4, False, 3 * len(b)) for b in newton])
+                                            + [(4, 4, True, 3 * len(b)) for b in newton])
     assert props == ([("forward", len(batch)) for batch in scans]
                      + [("forward", 4 * len(batch)) for batch in newton])
 
@@ -304,8 +304,9 @@ def test_weight_numbers_shoots_only_outside_case_one(monkeypatch):
 def test_one_block_per_propagation(beam, monkeypatch, selector):
     # every propagation steps one block: each scan chunk one 6-row wedge
     # per lambda with no jet; a Delta_22 polish solve a stacked block, C
-    # with the wedges of Delta_22, Delta_32 and Delta_42 per lambda, and a
-    # Delta_32 or Delta_42 polish solve its own wedge with its jet.  The
+    # with the wedges of Delta_22, Delta_32 and Delta_42 per lambda, their
+    # jets and the second jet of Delta_22's (11 states), and a Delta_32 or
+    # Delta_42 polish solve its own wedge with its jet.  The
     # polish is one solve, but the third Delta_32 start is 2.5e-12 off its
     # root and takes a second
     blocks = []
@@ -329,7 +330,7 @@ def test_one_block_per_propagation(beam, monkeypatch, selector):
     for (lams, rows, per, jet, pairs), shape in polish:
         n = len(lams)
         if selector == (2, 2):
-            assert (rows, per, jet, pairs, shape) == (4, 4, False, 3 * n, (10, 10 * n))
+            assert (rows, per, jet, pairs, shape) == (4, 4, True, 3 * n, (10, 11 * n))
         else:
             assert (rows, per, jet, pairs, shape) == (6, 1, True, 0, (6, 2 * n))
 
@@ -409,11 +410,12 @@ def test_weyl_grid_is_one_propagation(beam_json, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("where, case, budget", [
-    ("eigenvalue", "I", 3), ("case V", "V", 2), ("complex", "I", 2)])
+    ("eigenvalue", "I", 2), ("case V", "V", 2), ("complex", "I", 2)])
 def test_weights_budget(beam_json, tmp_path, monkeypatch, capsys, where, case, budget):
-    # the contour and the Newton jets from lambda0 (the first is the zero
-    # test), whose wedges give the case-I data; at a case-V point the first
-    # step leaves the contour's disc: one jet
+    # in case I the Newton jets from lambda0 alone (the first is the zero
+    # test), whose wedges and their jets give N, with no contour; at a
+    # case-V point the first step leaves the contour's disc: one jet, then
+    # the contour
     path, lam = beam_json, complex(beam_eigenvalue(1))
     if where == "case V":
         lam = complex(-4 * clamped_free_s(1) ** 4)
@@ -429,6 +431,24 @@ def test_weights_budget(beam_json, tmp_path, monkeypatch, capsys, where, case, b
         assert len(calls) == budget
     else:
         assert len(calls) <= budget
+        assert all(cols == 4 for _, cols in calls)   # C of one lambda, never a contour
+
+
+@pytest.mark.parametrize("jet, states", [(False, 7), (True, 14)])
+def test_deltas_carry_wedge_jets_only_when_asked(beam, monkeypatch, jet, states):
+    # all nine Delta at two lambda: per lambda the 4 columns of C and the 3
+    # wedges of the Delta_j2, 16 + 18 rows, and the jet of each of those 7
+    # states only with want_dlambda
+    shapes = []
+    block_init = propagator._Block.__init__
+
+    def recording_init(self, *args):
+        block_init(self, *args)
+        shapes.append(self.state.shape)
+
+    monkeypatch.setattr(propagator._Block, "__init__", recording_init)
+    weyl.deltas_at(beam, [3.0, 7.3], want_dlambda=jet)
+    assert shapes == [(10, 2 * states)]
 
 
 def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
