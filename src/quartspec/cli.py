@@ -238,17 +238,17 @@ def cmd_verify(args):
         except weyl.PoleError as exc:
             grid = grid[grid != exc.lam]
     m = sample.m
-    m21, m31, m32, m42, m43 = m[:, 1, 0], m[:, 2, 0], m[:, 2, 1], m[:, 3, 1], m[:, 3, 2]
-    record("weyl_symmetry_m21_eq_m43", (m21 - m43) / (1 + abs(m43)), 1e-8)
+    m21, m31, m32, m42 = m[:, 1, 0], m[:, 2, 0], m[:, 2, 1], m[:, 3, 1]
     record("weyl_relation_m31_m21m32_m42", m31 - m21 * m32 + m42, 1e-8)
-    d = sample.deltas
-    c4 = -d[(3, 3)].value
-    aux = [(d[(1, 1)].value - c4) / (1 + abs(c4)),
-           (d[(2, 1)].value + d[(4, 3)].value) / (1 + abs(d[(4, 3)].value))]
-    aux += [(d[jk].value - d[jk].alt_value) / (1 + abs(d[jk].value)) for jk in ((3, 1), (4, 1))]
-    record("delta_shortcut_identities", aux, 1e-8)
-    # the forward entries against the backward solution S_4(0), independently
+    # the C(1) whose entries M reads as its Delta_j1 and Delta_j3, against
+    # the one the bracket identity S(0) = J^-1 U^T C(1)^T J predicts from the
+    # backward solve (J the bracket's matrix, J^-1 = J^T, U^-1 = C(0))
+    C = fundamental_C(problem, grid, x_grid=[0.0, 1.0])
     S = fundamental_S(problem, grid, x_grid=[0.0, 1.0]).start
+    J = np.array([[lagrange_bracket(e, f) for f in np.eye(4)] for e in np.eye(4)])
+    predicted = J.T @ np.swapaxes(S, -1, -2) @ J @ C.start
+    record("delta_shortcut_identities", (predicted - C.end) / (1 + abs(C.end)), 1e-8)
+    d = sample.deltas
     record("delta31_delta41_eq_minus_S4_at_0",
            [(d[jk].value + S[:, row, 3]) / (1 + abs(S[:, row, 3]))
             for row, jk in enumerate(((3, 1), (4, 1)))], 1e-8)

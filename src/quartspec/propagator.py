@@ -53,12 +53,8 @@ norm plus ode_abs, where row r is weighted by rho^-r (rho = max(1,
 |lambda|^(1/4)), r the order of the quasi-derivative, summed over a wedge
 row's pair), so that y and y^[3] count alike.  Steps restart at each
 breakpoint; output points inside a step and the quadratures over it come
-from the same series.  A long step's leading terms are larger than the
-state they move, and their rounding, unlike the truncation error, is not
-the exact solution of a nearby problem: the cancellation in the 3 x 3
-Delta_jk turns it into residuals of the structural identities of M (m21 =
-m43).  So the state and those terms are summed in double-double arithmetic
-(Knuth's TwoSum; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005)).
+from the same series: each point is the state plus one product of its
+powers of t with the series' later terms.
 
 The arithmetic follows the data.  For a real problem (real p, q and
 boundary constants) C(x, conj lambda) = conj C(x, lambda), so C is real on
@@ -94,8 +90,6 @@ from .problem import ProblemSpec, _sorted_unique, boundary_form_matrix
 
 TAYLOR_ORDER = 20
 STEP_SAFETY = 0.9
-# terms of each step added to the state in double-double arithmetic
-SUMMED_TERMS = 3
 # the step bound's powers, one per row: 1/k for the orders k of its two terms
 _BOUND_POWERS = 1.0 / np.array([[TAYLOR_ORDER - 1], [TAYLOR_ORDER]])
 # wedge rows: the (a, b) minor u_a v_b - u_b v_a
@@ -169,7 +163,6 @@ class _Block:
         self.src, self.order = np.array(src), np.array(order)
         self.state = np.concatenate([X0, np.zeros((len(X0), len(src) - self.cols), X0.dtype)],
                                     axis=1)
-        self.low = np.zeros_like(self.state)   # the state is state + low
         self.plans = {}
         lams, signs = lams[self.src], signs[self.src]
         rho = np.maximum(1.0, np.abs(lams) ** 0.25)
@@ -240,20 +233,11 @@ class _Block:
     def advance(self, T, powers):
         """The state at each step point whose powers t^0 .. t^TAYLOR_ORDER
         are the rows of `powers`; the last point becomes the state.  The
-        state and the first SUMMED_TERMS terms are added in double-double
-        arithmetic (TwoSum), the rest of the series in double."""
-        s, low = self.state, self.low
-        terms = [powers[:, k, None, None] * T[k] for k in range(1, SUMMED_TERMS + 1)]
-        tail = T[SUMMED_TERMS + 1:]
-        terms.append((powers[:, SUMMED_TERMS + 1:] @ tail.reshape(len(tail), -1))
-                     .reshape((len(powers),) + s.shape))
-        for u in terms:
-            t = s + u
-            z = t - s
-            low = low + ((s - (t - z)) + (u - z))
-            s = t
-        at = s + low
-        self.state, self.low = at[-1], low[-1] - (at[-1] - s[-1])
+        terms past the state are summed in one product, then added to the
+        state, which so rounds once per point."""
+        at = self.state + (powers[:, 1:] @ T[1:].reshape(len(T) - 1, -1)).reshape(
+            (len(powers),) + self.state.shape)
+        self.state = at[-1]
         return at
 
     def step_bound(self, T, rel, absolute):

@@ -132,9 +132,9 @@ def entry_residue(problem: ProblemSpec, lam0, jk) -> complex:
     """The residue of the entry m_jk of M at lam0, on the default contour:
     the (j, k) entry of the order -1 coefficient, whose own samples alone
     decide node doubling.  The other entries do not enter: at large |lam0|
-    those formed from 3 x 3 Delta_jk carry their cancellation noise, which
-    at a residue of 0 (m21 at a zero of Delta_22) the doubling check reads
-    as non-convergence."""
+    the m_j2 carry the rounding of the 2 x 2 minors that M forms from C(1)
+    (see weyl); judged with them, the doubling check of an entry whose
+    residue is small would read that rounding as non-convergence."""
     lam0 = complex(lam0)
     zs, ms = _contour(problem, lam0, default_contour_radius(lam0))
     return complex(_trapezoid(ms[:, jk[0] - 1, jk[1] - 1], zs, -1, lam0))

@@ -6,20 +6,19 @@ entries of the unit lower-triangular Weyl matrix are
 
     m_jk = -Delta_jk / Delta_kk,   1 <= k < j <= 4.
 
-Each Delta_jk is also row 0 of one propagated state (_ENTRIES), free of the
+Each Delta_jk is also row 0 of one state (_ENTRIES), free of the
 determinant's cancellation: a Delta_j2 of the 2-wedge of its two columns,
-carried in the solve of C, any other of one C column at x = 1.  For the
-Delta_j1 that is the Lagrange bracket, constant in x: S(0) = U^{-1} C(1)^{-1}
-= J^{-1} U^T C(1)^T J for any p, q, a, b, c, so with det U = 1, Delta_31 =
--S_4(0) = C_2(1), Delta_41 = -S_4'(0) = -C_1(1), Delta_11 = -C_4(1) and
-Delta_21 = -C_3(1).  deltas_at and the searches (see spectra) read every
-Delta and its jet so (_entry).  Only M forms minors of C(1) (_MINOR), every
-3 x 3 one in one determinant call and every 2 x 2 in one more: Delta_11 and
-Delta_21 stay determinants there, lest m21 = m43 hold by construction, the
-Delta_j2 since their wedges would cost a contour or grid batch about four
-times its solve of C, and the determinants of Delta_31 and Delta_41 are its
-alt_value.  A Delta vanishes against the weighted norm of its own state or
-columns at the same lambda (_minor_norm).
+any other of one C column at x = 1.  For the Delta_j1 that is the Lagrange
+bracket, constant in x: S(0) = U^{-1} C(1)^{-1} = J^{-1} U^T C(1)^T J for
+any p, q, a, b, c, so with det U = 1, Delta_31 = -S_4(0) = C_2(1), Delta_41
+= -S_4'(0) = -C_1(1), Delta_11 = -C_4(1) and Delta_21 = -C_3(1).  Every
+Delta and its jet is read so (_entry), none is a determinant: deltas_at and
+the searches (see spectra) read wedges carried in the solve of C, M reads
+C(1) and the wedges C3^C4, C2^C4 and C3^C2 formed from it at x = 1
+(_M_WEDGE), which keep the rounding of those 2 x 2 minors.  So in M
+Delta_11 = -Delta_33 and Delta_21 = -Delta_43, and m21 = m43 holds bit for
+bit.  A Delta vanishes against the weighted norm of its own state at the
+same lambda (_minor_norm).
 
 deltas_at, characteristic_delta, weyl_matrix and phi_matrix take one lambda
 or an array of them, one forward fundamental_C solve per batch (phi_matrix's,
@@ -35,34 +34,17 @@ from itertools import combinations
 import numpy as np
 
 from .problem import ProblemSpec
-from .propagator import fundamental_C
+from .propagator import FundamentalMatrix, _wedges, fundamental_C
 
-# (sign, C columns) of each Delta_jk as sign times row 0 of one propagated
-# state: of the column for one, of the 2-wedge of the two for two
+# (sign, C columns) of each Delta_jk as sign times row 0 of one state: of
+# the column for one, of the 2-wedge of the two for two
 _ENTRIES = {(1, 1): (-1, (4,)), (2, 1): (-1, (3,)), (3, 1): (1, (2,)), (4, 1): (-1, (1,)),
             (2, 2): (-1, (3, 4)), (3, 2): (-1, (2, 4)), (4, 2): (-1, (3, 2)),
             (3, 3): (1, (4,)), (4, 3): (1, (3,))}
 ALL_INDEX_PAIRS = tuple(_ENTRIES)
 _DIAG = ((1, 1), (2, 2), (3, 3))
-# each Delta_jk as a determinant, by flat index 4 * row + column into C(1):
-# rows y^(3-k), ..., y', y and columns C_{k+1}, ..., C_4 with C_j replaced
-# by C_k
-_MINOR = {(j, k): 4 * np.arange(3 - k, -1, -1)[:, None]
-          + [k - 1 if c == j else c - 1 for c in range(k + 1, 5)] for j, k in ALL_INDEX_PAIRS}
-
-
-def _row_sets(jk):
-    """Flat indices of the minors of Delta_jk's columns on every row set, in
-    the order of combinations(range(4), size) (see _minor_norm)."""
-    cols = _MINOR[jk][0] % 4
-    return 4 * np.array(list(combinations(range(4), len(cols))))[..., None] + cols
-
-
-# per k = 1, 2, the minors _weyl_sample factors in one determinant call:
-# Delta_kk, ..., Delta_4k (for k = 1 the alt_value of Delta_31 and
-# Delta_41), then Delta_kk's columns on every row set
-_SAMPLED = {k: np.concatenate([[_MINOR[j, k] for j in range(k, 5)], _row_sets((k, k))])
-            for k in (1, 2)}
+# the 2-wedges of the Delta_j2, the columns of Delta_22, Delta_32 and Delta_42
+_M_WEDGE = [_ENTRIES[j, 2][1] for j in (2, 3, 4)]
 
 POLE_FLOOR = 1e-10
 # a Delta value at most this fraction of its magnitude counts as zero
@@ -85,18 +67,12 @@ class CharacteristicValue:
     jk: tuple
     value: complex
     dvalue: complex | None = None
-    alt_value: complex | None = None   # M's determinant of Delta_31 and Delta_41
 
 
 @dataclass
 class WeylSample:
     m: np.ndarray             # lam.shape + (4, 4), unit lower-triangular
     deltas: dict              # (j, k) -> CharacteristicValue
-
-
-def _gather(a, index):
-    """The entries of the 4 x 4 matrices a (last two axes) at flat `index`."""
-    return a.reshape(a.shape[:-2] + (16,))[..., index]
 
 
 def _minor_norm(minors, lam, k):
@@ -172,26 +148,20 @@ def delta_scale(problem: ProblemSpec, k: int) -> float:
 
 
 def _weyl_sample(lam, end) -> WeylSample:
-    """M from C(1) at lam; a pole where Delta_kk < POLE_FLOOR * its magnitude.
-    Every 3 x 3 minor is factored in one determinant call, every 2 x 2 one
-    in another (_SAMPLED); the 1 x 1 Delta are entries of C(1)."""
+    """M from C(1) at lam, each Delta read by _entry from C(1) or from the
+    2-wedges _M_WEDGE formed from it at x = 1; a pole where |Delta_kk| is
+    below POLE_FLOOR times the _minor_norm of its own state."""
     lam = np.asarray(lam, dtype=complex)
-    values, mags = {}, []
-    for k, index in _SAMPLED.items():
-        dets = np.linalg.det(_gather(end, index))
-        values.update({(j, k): dets[..., j - k] for j in range(k, 5)})
-        mags.append(_minor_norm(dets[..., 5 - k:], lam, 4 - k))
-    mags.append(_minor_norm(end[..., 3], lam, 1))   # Delta_33's column C_4
-    alts = {jk: values.pop(jk) for jk in ((3, 1), (4, 1))}
-    for jk in ((3, 1), (4, 1), (3, 3), (4, 3)):
-        sign, (col,) = _ENTRIES[jk]
-        values[jk] = sign * end[..., 0, col - 1]
+    wi, wj = np.subtract(_M_WEDGE, 1).T
+    C = FundamentalMatrix(xs=np.ones(1), values=end[None],
+                          wedges=_wedges(np.moveaxis(end, (-2, -1), (0, 1)), wi, wj)[None])
+    read = {jk: _entry(C, jk, _M_WEDGE) for jk in ALL_INDEX_PAIRS}
     # [()] makes the fields of one lambda numpy scalars
-    deltas = {jk: CharacteristicValue(jk, values[jk][()], alt_value=alts[jk][()] if jk in alts
-                                      else None) for jk in ALL_INDEX_PAIRS}
-    diag = np.stack([np.ravel(deltas[kk].value) for kk in _DIAG])   # (3, N)
+    deltas = {jk: CharacteristicValue(jk, value[()]) for jk, (value, _, _) in read.items()}
+    diag = np.stack([np.ravel(read[kk][0]) for kk in _DIAG])   # (3, N)
     size = np.hypot(diag.real, diag.imag)
-    poles = size < POLE_FLOOR * np.stack([np.ravel(mag) for mag in mags])
+    poles = size < POLE_FLOOR * np.stack([
+        np.ravel(_minor_norm(read[kk][2], lam, len(_ENTRIES[kk][1]))) for kk in _DIAG])
     if poles.any():
         i = np.argmax(poles.any(axis=0))
         k = np.argmax(poles[:, i])

@@ -45,6 +45,7 @@ from quartspec.weyl import PoleError
 from conftest import (
     beam_eigenvalue,
     clamped_free_s,
+    delta_index,
     make_random_problem,
     make_random_real_problem,
     oracle_m43,
@@ -94,18 +95,21 @@ def test_03_structural_identities(beam, random_problem):
 
 
 def test_04_shortcut_identities(beam, random_problem):
-    # Delta_11 and Delta_21 as M's 3 x 3 determinants against the entries
-    # -C_4(1) and -C_3(1), deltas_at's entries Delta_31 and Delta_41 against
-    # the backward solution S_4(0), each over one batch
+    # Delta_11 and Delta_21 as 3 x 3 determinants of C(1), formed here,
+    # against the entries -C_4(1) and -C_3(1) that M reads, deltas_at's
+    # entries Delta_31 and Delta_41 against the backward solution S_4(0),
+    # each over one batch
     lams, worst = np.linspace(0.6, 49.7, 50), 0.0
     for pb in (beam, random_problem):
         m = weyl_matrix(pb, lams).deltas
         d = deltas_at(pb, lams, ((3, 1), (4, 1)))
         C = fundamental_C(pb, lams, x_grid=[0.0, 1.0]).end
         S = fundamental_S(pb, lams, x_grid=[0.0, 1.0]).start
+        det = {jk: np.linalg.det(C[:, rows][:, :, cols])
+               for jk in ((1, 1), (2, 1)) for rows, cols in [delta_index(*jk)]}
         pairs = [
-            (m[(1, 1)].value, -C[:, 0, 3]),
-            (m[(2, 1)].value, -C[:, 0, 2]),
+            (det[(1, 1)], m[(1, 1)].value),
+            (det[(2, 1)], m[(2, 1)].value),
             (d[(3, 1)].value, -S[:, 0, 3]),
             (d[(4, 1)].value, -S[:, 1, 3]),
         ]

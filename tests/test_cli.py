@@ -311,6 +311,18 @@ class TestDataCommands:
         assert payload["case"] == "V"
         assert payload["residuals"]["n21_equals_n43"] < 1e-8
 
+    def test_weights_at_third_pole_of_m43_is_case_five(self, beam_json, capsys):
+        # -4 s_3^4 = -22283.85: the contour of M reads Delta_11 = -C_4(1) and
+        # Delta_21 = -C_3(1) as entries, where their 3 x 3 determinants lost
+        # the digits that node doubling asks for
+        lam = -4 * clamped_free_s(3) ** 4
+        code = main(["weights", "--problem", beam_json, "--lambda0", repr(lam)])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["case"] == "V"
+        assert payload["residuals"]["off_pattern_entries"] <= 1e-12
+        assert payload["residuals"]["n21_equals_n43"] < 1e-8
+
     def test_weights_case_five_contour_clear_of_the_nearby_zero(self, tmp_path, capsys):
         # on the beam with b = 0.1, lambda_1 = 11.2384 lies 2.4e-5 outside
         # the disc of radius 1.12362 around 12.362: Newton's first step
@@ -463,8 +475,10 @@ class TestVerify:
         assert all("threshold" in l for l in lines)
         payload = json.loads(out[out.index("{"):])
         assert payload["all_pass"] is True
-        # the forward entries Delta_31, Delta_41 are checked against S_4
-        assert "delta31_delta41_eq_minus_S4_at_0" in [c["check"] for c in payload["checks"]]
+        # the forward entries Delta_31, Delta_41 are checked against S_4, and
+        # all of C(1) against the C(1) the bracket identity predicts from S(0)
+        names = [c["check"] for c in payload["checks"]]
+        assert {"delta31_delta41_eq_minus_S4_at_0", "delta_shortcut_identities"} <= set(names)
 
     def test_pole_on_grid_skipped(self, tmp_path, capsys):
         # with constant q, Delta_22(lambda) is the beam's Delta_22(lambda - q):

@@ -63,12 +63,11 @@ def _reference_end(pb, lam, y0, nodes):
 class TestBatchedDeltas:
     def test_batch_of_one_is_the_scalar_path(self):
         # a batch of one holds, in fields of shape (1,), the numpy scalars of
-        # one lambda, with no alt_value; each value and jet is the signed
-        # row 0 of its column of C(1) or of its 2-wedge from one fundamental_C
-        # solve with the three wedges, within the floor of the determinant
-        # formed from those end values, and Delta_31 and Delta_41, the entries
-        # C_2(1) and -C_1(1), equal -S_4(0) and -S_4'(0) of the backward
-        # solution
+        # one lambda; each value and jet is the signed row 0 of its column of
+        # C(1) or of its 2-wedge from one fundamental_C solve with the three
+        # wedges, within the floor of the determinant formed from those end
+        # values, and Delta_31 and Delta_41, the entries C_2(1) and -C_1(1),
+        # equal -S_4(0) and -S_4'(0) of the backward solution
         pb = make_random_problem()
         wedge = [(3, 4), (2, 4), (3, 2)]
         for lam in (2.7, 41.0 - 3.0j):
@@ -77,7 +76,6 @@ class TestBatchedDeltas:
                 got = all_deltas(pb, lam, want_dlambda=jet)
                 assert list(batch) == list(got) == list(ALL_INDEX_PAIRS)
                 for jk in ALL_INDEX_PAIRS:
-                    assert got[jk].alt_value is None and batch[jk].alt_value is None
                     for field in ("value", "dvalue"):
                         one, of_batch = getattr(got[jk], field), getattr(batch[jk], field)
                         if one is None:
@@ -173,9 +171,10 @@ class TestEntryRoute:
     @given(_problems(), st.floats(0.0, 12.0), st.floats(-np.pi, np.pi))
     def test_entries_are_the_backward_solution(self, pb, rho, theta):
         # deltas_at's entries against -S_4(0) and -S_4'(0) from solve_ivp run
-        # backward from e_4 at x = 1; M's entries against its 3 x 3
-        # determinants (alt_value) within their propagation error, ode_rel
-        # times the mass of their terms
+        # backward from e_4 at x = 1; M's entries Delta_11 .. Delta_41
+        # against the 3 x 3 determinants of the same C(1), formed here,
+        # within their propagation error, ode_rel times the mass of their
+        # terms
         lam = rho ** 4 * np.exp(1j * theta)
         d = all_deltas(pb, lam)
         m = weyl_matrix(pb, lam).deltas
@@ -184,8 +183,9 @@ class TestEntryRoute:
         end = fundamental_C(pb, lam, x_grid=[0.0, 1.0]).end
         for row, jk in enumerate(((3, 1), (4, 1))):
             assert d[jk].value == pytest.approx(-S4[row], rel=1e-8)
-            mass = term_mass(end[np.ix_(*delta_index(*jk))])
-            assert abs(m[jk].value - m[jk].alt_value) <= pb.tolerances.ode_rel * mass
+        for jk in ((1, 1), (2, 1), (3, 1), (4, 1)):
+            sub = end[np.ix_(*delta_index(*jk))]
+            assert abs(m[jk].value - np.linalg.det(sub)) <= pb.tolerances.ode_rel * term_mass(sub)
 
 
 class TestCharacteristicValues:
@@ -214,16 +214,17 @@ class TestCharacteristicValues:
         assert d[(2, 1)].value == pytest.approx(-d[(4, 3)].value, abs=1e-9)
 
     def test_dual_route_cross_check(self):
-        # M's (3,1) and (4,1) carry the determinant-route value alongside the
-        # backward-family shortcut, which deltas_at's entries equal; deltas_at
-        # sets no alt_value
+        # M's Delta_31 and Delta_41, the entries C_2(1) and -C_1(1), against
+        # the 3 x 3 determinants of the same C(1), formed here, and against
+        # deltas_at's entries
         for pb in (beam_problem(), make_random_problem()):
             d = all_deltas(pb, 2.7)
             m = weyl_matrix(pb, 2.7).deltas
+            end = fundamental_C(pb, 2.7, x_grid=[0.0, 1.0]).end
             for jk in ((3, 1), (4, 1)):
                 cv = m[jk]
-                assert d[jk].alt_value is None and cv.alt_value is not None
-                assert abs(cv.value - cv.alt_value) < 1e-8 * (1 + abs(cv.value))
+                det = np.linalg.det(end[np.ix_(*delta_index(*jk))])
+                assert abs(cv.value - det) < 1e-8 * (1 + abs(cv.value))
                 assert abs(d[jk].value - cv.value) < 1e-8 * (1 + abs(cv.value))
 
     @pytest.mark.parametrize("n", [10, 20, 30])
@@ -349,8 +350,9 @@ class TestWeylMatrix:
     def test_pole_at_beam_eigenvalues(self):
         # the pole floor is relative to each Delta_kk's magnitude at its own
         # lambda, not to one maximum over lambda <= 30: lambda_3 (rho = 7.9)
-        # is a pole too.  Past lambda_4 the determinant Delta_22 carries more
-        # cancellation noise than the floor, so no n > 4 is asserted.
+        # is a pole too.  Past lambda_4 the Delta_22 that M forms from C(1) at
+        # x = 1, a 2 x 2 minor, carries more rounding than the floor, so no
+        # n > 4 is asserted.
         from conftest import beam_eigenvalue
         beam = beam_problem()
         for n in range(1, 5):
@@ -386,16 +388,13 @@ class TestWeylMatrix:
         assert delta_scale(fresh, 2) > 10 * delta_scale(beam, 2)
 
 
-# M's minors, magnitudes and poles as _weyl_sample once formed them, one
-# determinant call per pair and per magnitude, from the determinant tables
-# they read
+# Delta_jk as a determinant of C(1), and the weighted norm of its columns'
+# minors on every row set: references below rho ~ 12
 _REF_COLS = {
     (1, 1): [2, 3, 4], (2, 1): [1, 3, 4], (3, 1): [2, 1, 4], (4, 1): [2, 3, 1],
     (2, 2): [3, 4], (3, 2): [2, 4], (4, 2): [3, 2],
     (3, 3): [4], (4, 3): [3],
 }
-_REF_ROWS = {1: [2, 1, 0], 2: [1, 0], 3: [0]}
-_REF_ENTRIES = {(3, 1): (1, 2), (4, 1): (-1, 1)}
 
 
 def _ref_det(sub):
@@ -410,87 +409,74 @@ def _ref_magnitude(end, lam, jk):
     return np.max(np.abs(minors) * rho ** (rows[0].sum() - rows.sum(axis=1)), axis=-1)
 
 
-def _ref_assemble(end):
-    out = {}
-    for jk in ALL_INDEX_PAIRS:
-        rows, cols = _REF_ROWS[jk[1]], [c - 1 for c in _REF_COLS[jk]]
-        alt, sign = None, 1
-        if jk in _REF_ENTRIES:
-            alt = _ref_det(end[..., rows, :][..., cols])
-            sign, col = _REF_ENTRIES[jk]
-            rows, cols = [0], [col - 1]
-        out[jk] = (_ref_det(sign * end[..., rows, :][..., cols]), alt)
-    return out
-
-
-def _ref_sample(lam, end):
-    """(deltas as (value, alt) by pair, m), or PoleError as _weyl_sample
-    raised it."""
-    lam, deltas = np.asarray(lam, dtype=complex), _ref_assemble(end)
-    diag = np.stack([np.ravel(deltas[kk][0]) for kk in ((1, 1), (2, 2), (3, 3))])
-    size = np.hypot(diag.real, diag.imag)
-    poles = size < weyl.POLE_FLOOR * np.stack([np.ravel(_ref_magnitude(end, lam, (k, k)))
-                                               for k in (1, 2, 3)])
-    if poles.any():
-        i = np.argmax(poles.any(axis=0))
-        k = np.argmax(poles[:, i])
-        raise PoleError(k + 1, complex(lam.ravel()[i]), float(size[k, i]))
-    m = np.broadcast_to(np.eye(4, dtype=complex), lam.shape + (4, 4)).copy()
-    for (j, k), (value, _) in deltas.items():
-        if j != k:
-            m[..., j - 1, k - 1] = -value / deltas[(k, k)][0]
-    return deltas, m
-
-
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-class TestStackedMinors:
-    """M's minors, in two determinant calls over every lambda, are bitwise
-    the per-pair determinants, and its poles those of the per-pair
-    magnitudes."""
+def _ends(shape, seed):
+    """(lambda of rho <= 12 and any argument, C(1) at each) of the random
+    complex problem."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 12.0, shape) ** 4 * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    return lam, fundamental_C(make_random_problem(), lam, x_grid=[0.0, 1.0]).end
 
-    @staticmethod
-    def _draw(rng, shape):
-        # entries spread over six decades per row, as C(1)'s grow with rho
-        scale = 10.0 ** rng.uniform(-3, 3, shape + (4, 1))
-        return scale * (rng.standard_normal(shape + (4, 4))
-                        + 1j * rng.standard_normal(shape + (4, 4)))
+
+class TestEntryReads:
+    """M reads every Delta as sign times row 0 of a column of C(1) or of a
+    2-wedge formed from C(1) at x = 1 (weyl._ENTRIES), and judges a pole
+    against the norm of that state."""
 
     @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
-    def test_sample_matches_per_pair_reference(self, shape):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            end = self._draw(rng, shape)
-            lam = rng.uniform(-1e4, 1e4, shape) + 1j * rng.uniform(-1e3, 1e3, shape)
-            deltas, m = _ref_sample(lam, end)
-            got = weyl._weyl_sample(lam, end)
-            assert _same_bits(got.m, m)
-            for jk, (value, alt) in deltas.items():
-                cv = got.deltas[jk]
-                assert cv.jk == jk and cv.dvalue is None and _same_bits(cv.value, value)
-                assert cv.alt_value is None if alt is None else _same_bits(cv.alt_value, alt)
+    def test_each_delta_is_its_signed_row_0(self, shape):
+        lam, end = _ends(shape, 8)
+        got = weyl._weyl_sample(lam, end)
+        for jk, (sign, cols) in weyl._ENTRIES.items():
+            u = end[..., cols[0] - 1]
+            if len(cols) == 1:
+                row0 = u[..., 0]
+            else:   # the (0, 1) minor of the wedge u ^ v
+                v = end[..., cols[1] - 1]
+                row0 = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+            cv = got.deltas[jk]
+            assert cv.jk == jk and cv.dvalue is None
+            assert _same_bits(cv.value, (row0 if sign > 0 else -row0)[()]), jk
+        # Delta_11 = -Delta_33 and Delta_21 = -Delta_43 are the same entries
+        assert _same_bits(got.m[..., 1, 0], got.m[..., 3, 2])
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_pole_names_the_same_k_and_lambda(self, k):
-        # Delta_kk made to vanish at two lambda of the batch, Delta_33 = C_4(1)
-        # row 0 at a third: the first such lambda is named, with the smallest k
-        rng = np.random.default_rng(9)
-        end = self._draw(rng, (6,))
-        lam = rng.uniform(-1e4, 1e4, 6) + 0j
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+    def test_each_delta_is_its_determinant(self, shape):
+        # within 4 times the floor of the determinant, eps k times the mass
+        # of its terms: each of the two ways of forming a complex 2 x 2
+        # minor rounds within about twice that floor, and a Delta_j1 entry,
+        # its 3 x 3 determinant by the bracket identity, stays within one
+        # floor of it below rho ~ 12
+        lam, end = _ends(shape, 9)
+        got = weyl._weyl_sample(lam, end)
+        for jk in ALL_INDEX_PAIRS:
+            rows, cols = delta_index(*jk)
+            ref = _ref_det(end[..., rows, :][..., cols])
+            assert np.all(np.abs(got.deltas[jk].value - ref) <= 4 * determinant_floor(end, jk)), jk
+
+    def test_zero_of_the_delta22_wedge_names_k2(self):
+        # C_3 a multiple of C_4 on rows 0 and 1 at two lambda of the batch:
+        # the wedge C_3 ^ C_4 has row 0 zero, and the first is named
+        lam, end = _ends((6,), 10)
         for i in (2, 4):
-            # C_k+1 on rows 0 .. 3 - k a multiple of C_k+2 (k = 1, 2) or zero
-            end[i, :4 - k, k] = 0 if k == 3 else 1.5 * end[i, :4 - k, k + 1]
-        end[5, 0, 3] = 0
-        with pytest.raises(PoleError) as want:
-            _ref_sample(lam, end)
-        with pytest.raises(PoleError) as got:
+            end[i, :2, 2] = 1.5 * end[i, :2, 3]
+        with pytest.raises(PoleError) as err:
             weyl._weyl_sample(lam, end)
-        assert (got.value.k, got.value.lam, got.value.value) == (
-            want.value.k, want.value.lam, want.value.value)
-        assert (got.value.k, got.value.lam) == (k, lam[2])
+        assert (err.value.k, err.value.lam) == (2, lam[2])
+
+    def test_zero_of_C4_names_k1(self):
+        # Delta_11 = -C_4(1)_0 = -Delta_33, so a zero of C_4's row 0 is a pole
+        # of columns 1 and 3 of M, named by the smaller k
+        lam, end = _ends((6,), 11)
+        for i in (2, 4):
+            end[i, 0, 3] = 0
+        with pytest.raises(PoleError) as err:
+            weyl._weyl_sample(lam, end)
+        assert (err.value.k, err.value.lam, err.value.value) == (1, lam[2], 0.0)
 
 
 class TestPhiMatrix:

@@ -109,7 +109,7 @@ def test_laurent_samples_weyl_matrix_once_per_fine_node(beam, monkeypatch):
 def test_no_delta_propagates_backward(beam, monkeypatch):
     # all nine Delta_jk, with or without the jet, come from one forward solve
     # of C with the wedges of the Delta_j2, each within the floor of its
-    # determinant formed from the end values of C, with no alt_value; Delta_22
+    # determinant formed from the end values of C; Delta_22
     # alone is bitwise the solve of C with its one wedge
     lam = 7.3
     end = fundamental_C(beam, lam, x_grid=[0.0, 1.0]).end
@@ -124,7 +124,6 @@ def test_no_delta_propagates_backward(beam, monkeypatch):
             rows, cols = delta_index(*jk)
             det = np.linalg.det(end[np.ix_(rows, cols)])
             assert abs(cv.value - det) <= 1e-10 * abs(det) + determinant_floor(end, jk), jk
-            assert cv.alt_value is None
     calls.clear()
     assert characteristic_delta(beam, lam, (2, 2)).value == alone
     assert calls == [("forward", 4)]
@@ -460,7 +459,6 @@ def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
             assert np.shape(cv.value) == (0,)
             assert (cv.dvalue is not None) == jet
             assert not jet or np.shape(cv.dvalue) == (0,)
-            assert cv.alt_value is None
     for selector in weyl.ALL_INDEX_PAIRS:
         assert np.shape(spectra._ring_fun(beam, selector)(np.array([], complex))) == (0,)
     assert calls == []
