@@ -458,25 +458,33 @@ class TestEntryReads:
             ref = _ref_det(end[..., rows, :][..., cols])
             assert np.all(np.abs(got.deltas[jk].value - ref) <= 4 * determinant_floor(end, jk)), jk
 
-    def test_zero_of_the_delta22_wedge_names_k2(self):
-        # C_3 a multiple of C_4 on rows 0 and 1 at two lambda of the batch:
-        # the wedge C_3 ^ C_4 has row 0 zero, and the first is named
+
+class TestStackedMinors:
+    """M's pole test on real fundamental_C ends: a Delta_kk forced to zero
+    names the same k and lambda as the diagonal entries read in the test."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pole_names_the_same_k_and_lambda(self, k):
+        # Delta_kk made to vanish at two lambda of the batch, Delta_33 = C_4(1)
+        # row 0 at a third: the first such lambda is named, with the smallest k.
+        # Delta_11 = -C_4(1)_0 = -Delta_33, so k = 3 is the same zero as k = 1
+        # and is named k = 1; Delta_22 vanishes with the wedge C_3 ^ C_4 when
+        # C_3 is a multiple of C_4 on rows 0 and 1
         lam, end = _ends((6,), 10)
         for i in (2, 4):
-            end[i, :2, 2] = 1.5 * end[i, :2, 3]
-        with pytest.raises(PoleError) as err:
+            if k == 2:
+                end[i, :2, 2] = 1.5 * end[i, :2, 3]
+            else:
+                end[i, 0, 3] = 0
+        end[5, 0, 3] = 0
+        # over the whole batch, as M forms its wedges
+        u, v = end[..., 2], end[..., 3]
+        want_k = 2 if k == 2 else 1
+        ref = {1: end[..., 0, 3], 2: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]}[want_k][2]
+        with pytest.raises(PoleError) as got:
             weyl._weyl_sample(lam, end)
-        assert (err.value.k, err.value.lam) == (2, lam[2])
-
-    def test_zero_of_C4_names_k1(self):
-        # Delta_11 = -C_4(1)_0 = -Delta_33, so a zero of C_4's row 0 is a pole
-        # of columns 1 and 3 of M, named by the smaller k
-        lam, end = _ends((6,), 11)
-        for i in (2, 4):
-            end[i, 0, 3] = 0
-        with pytest.raises(PoleError) as err:
-            weyl._weyl_sample(lam, end)
-        assert (err.value.k, err.value.lam, err.value.value) == (1, lam[2], 0.0)
+        assert (got.value.k, got.value.lam, got.value.value) == (
+            want_k, lam[2], float(np.hypot(ref.real, ref.imag)))
 
 
 class TestPhiMatrix:
