@@ -37,10 +37,9 @@ from .spectra import (
     simplicity_check,
     three_spectra,
 )
-from .mclaughlin import SpectralPoint, eigenfunction, weight_numbers
+from .mclaughlin import SpectralPoint, classify_eigenvalue, eigenfunction, weight_numbers
 from .weights import (
     WeightMatrix,
-    classify_eigenvalue,
     classify_on_problem,
     entry_residue,
     laurent_coefficients,

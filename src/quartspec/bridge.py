@@ -30,7 +30,7 @@ class BridgeError(ValueError):
 
 def mclaughlin_to_barcilon_values(point: SpectralPoint, ddelta22):
     """(Delta_32, Delta_42) at the point's eigenvalue, from (gamma, xi); the
-    formulas hold in case I only (weights.classify_eigenvalue)."""
+    formulas hold in case I only (mclaughlin.classify_eigenvalue)."""
     if point.case_tag != "I":
         raise BridgeError(f"lambda={point.lam} is in case {point.case_tag!r}, not I; "
                           "the bridge formulas do not apply")

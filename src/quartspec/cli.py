@@ -253,8 +253,9 @@ def cmd_verify(args):
            [(d[jk].value + S[:, row, 3]) / (1 + abs(S[:, row, 3]))
             for row, jk in enumerate(((3, 1), (4, 1)))], 1e-8)
 
-    drift = fundamental_C(problem, rng.uniform(-50, 500, 6)).det_drift
-    record("determinant_conservation", drift, 1e-8)
+    # trace(F + Lambda) = 0, so det C(x) keeps its value at x = 0
+    dets = np.linalg.det(fundamental_C(problem, rng.uniform(-50, 500, 6)).values)
+    record("determinant_conservation", dets - dets[0], 1e-8)
 
     # six (lambda, mu) pairs with data y0 at lambda and z0 at mu, as columns
     # 2k and 2k + 1 of one propagation

@@ -20,9 +20,9 @@ with C(1, lambda) and judged against that wedge's magnitude, both free of
 the determinant's cancellation.
 
 The case of each eigenvalue (I-IV, or indeterminate) is decided in one
-place, weights.classify_eigenvalue, which weight_numbers calls for every
-point, reading Delta_33 = C4(1), Delta_43 = C3(1) and its magnitude (see
-weyl) from the zero's end values.  Only in case I is the weight number
+place, classify_eigenvalue, which weight_numbers calls for every point,
+reading Delta_33 = C4(1), Delta_43 = C3(1) and its magnitude (see weyl)
+from the zero's end values.  Only in case I is the weight number
 beta_n = -gamma_n^2; beta_residual checks the wedges against the m43 of
 C(1), contour-free.
 """
@@ -35,9 +35,13 @@ import numpy as np
 
 from .problem import ProblemSpec, boundary_form_matrix
 from .propagator import fundamental_C, propagate
-from .weyl import ZERO_FLOOR, _ENTRIES, _entry, _minor_norm
+from .weyl import POLE_FLOOR, ZERO_FLOOR, _ENTRIES, _entry, _minor_norm
 
 NORMALIZATION_FLOOR = 1e-8
+# |gamma| below this: y_n(0) = 0 (cases III, IV); within 10x of it: indeterminate
+GAMMA_FLOOR = 1e-6
+# relative tolerance of the case-I identity m43(lambda_n) = xi_n / gamma_n
+MATCH_TOL = 1e-6
 
 
 class NormalizationError(ArithmeticError):
@@ -122,10 +126,36 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     return got
 
 
+def classify_eigenvalue(point: SpectralPoint, delta43, delta33, scale) -> str:
+    """Assign the case tag (I)-(IV) from (gamma, xi) and Delta_43, Delta_33
+    at point.lam.
+
+    gamma_n = y_n(0) = c3, so at gamma = 0 the eigenfunction is a multiple
+    of C4 and Delta_33(lambda_n) = C4(1) vanishes with it: no test of
+    Delta_33 tells case III from IV.  That is decided on Delta_43 = C3(1),
+    III iff |Delta_43| is above POLE_FLOOR * scale, scale its magnitude (the
+    weighted norm of C3(1), weyl._minor_norm), as for the pole test.  m43 =
+    -Delta_43 / Delta_33 is formed only when |gamma| is clear of the floor,
+    never in cases III and IV.
+    """
+    gamma, xi = point.gamma, point.xi
+    if gamma is None:
+        raise ValueError("point carries no gamma; normalize the eigenfunction first")
+    ag = abs(gamma)
+    if 0.1 * GAMMA_FLOOR <= ag <= 10 * GAMMA_FLOOR:
+        return "indeterminate"
+    if ag < 0.1 * GAMMA_FLOOR:
+        return "III" if abs(delta43) > POLE_FLOOR * scale else "IV"
+    m = -delta43 / delta33
+    if abs(m - xi / gamma) <= MATCH_TOL * (1 + abs(m)):
+        return "I"
+    return "II"
+
+
 def _tagged(z, gamma, xi):
     """The spectral point of zero z with data (gamma, xi) up to a common
-    sign, tagged by weights.classify_eigenvalue; in case I with beta_n =
-    -gamma_n^2 and beta_residual, |beta_n + gamma_n xi_n / m43| at the root.
+    sign, tagged by classify_eigenvalue; in case I with beta_n = -gamma_n^2
+    and beta_residual, |beta_n + gamma_n xi_n / m43| at the root.
 
     m43 = -Delta_43 / Delta_33 comes from the zero's C(1).  By the Pluecker
     relation of the y row of C(1) and the wedges, Delta_22 C2(1) = Delta_32
@@ -134,8 +164,6 @@ def _tagged(z, gamma, xi):
     Delta_43): the Newton step not taken there, times C2(1) / C3(1).  That
     term is taken off, and the residual shows how far the wedges and C(1)
     disagree."""
-    from .weights import classify_eigenvalue  # deferred, avoids import cycle
-
     sgn = _sign_convention(gamma, xi)
     pt = SpectralPoint(lam=z.lam, gamma=sgn * gamma, xi=sgn * xi)
     c2, delta43, delta33 = z.end_values[0, 1:4].tolist()
@@ -149,7 +177,7 @@ def _tagged(z, gamma, xi):
 
 
 def weight_numbers(problem: ProblemSpec, zeros) -> list:
-    """Spectral points, each tagged by weights.classify_eigenvalue.
+    """Spectral points, each tagged by classify_eigenvalue.
 
     Every zero must come from a search for zeros of Delta_22 (else
     ValueError), with the C(1, lambda) and wedge_deltas of its accepted

@@ -205,9 +205,6 @@ class BoundaryParams:
 class Tolerances:
     ode_rel: float = 1e-10
     ode_abs: float = 1e-12
-    # nodes of the contour of M (weights.laurent_coefficients): it serves the
-    # weight matrix of cases II-V, not case I, which comes from jets
-    contour_nodes: int = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,9 +240,6 @@ def validate_problem(raw: ProblemSpec) -> ProblemSpec:
         v = getattr(tol, name)
         if not (isinstance(v, numbers.Real) and v > 0):
             raise ProblemError(f"tolerance {name} must be a positive number")
-    n = tol.contour_nodes
-    if not isinstance(n, numbers.Integral) or n < 16 or (n & (n - 1)) != 0:
-        raise ProblemError("contour_nodes must be an integer >= 16 and a power of two")
     for fname, fld in (("p", raw.p), ("q", raw.q)):
         for x0, x1, coeffs in fld.segments:
             # on a segment of width <= 1, |value| <= sum |c_k|
@@ -298,7 +292,6 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
         "c": [complex(b.c).real, complex(b.c).imag],
         "tolerances": {
             "ode_rel": tol.ode_rel, "ode_abs": tol.ode_abs,
-            "contour_nodes": tol.contour_nodes,
         },
     }
 
@@ -310,7 +303,7 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
 
     try:
         # the keys present, the defaults of Tolerances for the rest; keys no
-        # longer in use (root_tol of older files) are ignored
+        # longer in use (in older files: root_tol, the contour's node count) are ignored
         tol = obj.get("tolerances", {})
         spec = ProblemSpec(
             p=CoefficientField.from_dict(obj["p"]),

@@ -10,7 +10,7 @@ matrix is
 
 and Lambda has the single entry lambda at position (4, 1).  Since
 trace(F + Lambda) = 0, the determinant of any fundamental matrix is
-constant in x (Liouville-Ostrogradski); the observed drift is recorded.
+constant in x (Liouville-Ostrogradski), which `quartspec verify` checks.
 
 Alongside the columns, one propagation can carry
 - quadratures int_0^1 y_i y_j dx of column pairs;
@@ -62,21 +62,19 @@ the real axis: a propagation at real lambda of real initial data runs in
 float64, and any complex lambda, coefficient or initial entry runs the
 whole batch in complex128.  Callers see complex arrays either way, with
 exactly zero imaginary part from the real kernel.  (weights._contour uses
-the same symmetry off the axis.)  Real p and q make the series' matrix real
-even where the state is complex, as at every contour node of a real
-problem: the recursion is linear in the state, so one float64 product
-steps its real and imaginary parts side by side, and only the lambda and
-jet terms are complex products.
+the same symmetry off the axis.)  A block steps in its state's dtype alone:
+p and q are taken real only where the state is, and each Taylor order is
+one matrix product, the row updates of the lambda and jet terms, and one
+division by k + 1, all in that dtype.
 
 propagate takes lam as one value, or one per column.  fundamental_C and
 fundamental_S take one lambda or a batch of N as one solve with one step
 sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
 column of its tile); values and dlambda are (len(xs), 4, 4) or (len(xs), N,
-4, 4), det_drift is the largest over the batch, and fundamental_C's wedges
-of P column pairs are (orders, 6, P) or (orders, 6, P, N): the values, then
-each order of jet that the run carries.  The backward direction
-serves only fundamental_S: every Delta_jk comes from the end values of the
-forward fundamental_C (see weyl).
+4, 4), and fundamental_C's wedges of P column pairs are (orders, 6, P) or
+(orders, 6, P, N): the values, then each order of jet that the run
+carries.  The backward direction serves only fundamental_S: every Delta_jk
+comes from the end values of the forward fundamental_C (see weyl).
 """
 
 from __future__ import annotations
@@ -178,9 +176,8 @@ class _Block:
         """The series buffer for polynomial degree d, which every step of that
         degree reuses (rows below d stay zero), per order k the views the
         recursion reads and writes: Y_{k+1} and the window Y_{k-d} .. Y_k,
-        both also as float64 (a complex state's real and imaginary parts
-        side by side), each row update's target, factor, source and
-        temporary, and the division by k + 1; and the real basis of the
+        each row update's target, factor, source and temporary, and the
+        divisor k + 1; and the real basis of the
         step's matrix A_d, ..., A_1, A_0 side by side (A_i = p_i P + q_i Q,
         plus K in A_0), which is [p_d, q_d, ..., p_0, q_0, 1] @ basis,
         exactly: K, P and Q have disjoint supports."""
@@ -196,10 +193,7 @@ class _Block:
             if m > c:
                 updates.append((nxt[rows, c:], self.jet_sign, Tk[qcols, self.jet_cols],
                                 jet_tmp))
-            # a complex division by k + 1 is, bitwise, both parts times 1 / (k + 1)
-            divide = ((np.true_divide, k + 1) if T.dtype == float else
-                      (np.multiply, 1.0 / (k + 1)))
-            steps.append((nxt, window, nxt.view(float), window.view(float), updates, divide))
+            steps.append((nxt, window, updates, k + 1))
         K, P, Q, _ = self.system
         basis = np.zeros((2 * d + 3, n, d + 1, n))
         for i in range(d + 1):
@@ -214,20 +208,14 @@ class _Block:
         there."""
         d = len(pq) - 1
         T, steps, basis = self.plans.get(d) or self._plan(d)
-        # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k;
-        # a real A multiplies the float64 views: one real product over a
-        # complex state's real and imaginary parts
+        # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k
         A = (np.append(np.ravel(pq[::-1]), 1.0) @ basis).reshape(len(self.state), -1)
-        real = A.dtype == float
         T[d] = self.state
-        for nxt, window, flat, flat_window, updates, (divide, by) in steps:
-            if real:
-                np.matmul(A, flat_window, out=flat)
-            else:
-                np.matmul(A, window, out=nxt)
+        for nxt, window, updates, by in steps:
+            np.matmul(A, window, out=nxt)
             for target, factor, source, tmp in updates:
                 target += np.multiply(factor, source, out=tmp)
-            divide(flat, by, out=flat)
+            np.true_divide(nxt, by, out=nxt)
         return T[d:]
 
     def advance(self, T, powers):
@@ -291,10 +279,6 @@ class FundamentalMatrix:
     # ends, then their lambda-Taylor coefficients of each order the jet run
     # carries (NaN for a wedge it does not reach)
     wedges: np.ndarray | None = None
-    # fundamental_C and fundamental_S only: max |det Y(x) - det Y(0)|, which
-    # checks the integration only up to rho ~ 15; past it det Y cancels (its
-    # columns grow like exp(rho)) and the field reads that rounding
-    det_drift: float = 0.0
 
     @property
     def start(self):
@@ -336,7 +320,6 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     lams = np.broadcast_to(np.asarray(lam, dtype=complex).ravel(), ncols)
     if not np.all(np.isfinite(lams)):
         raise PropagationError("non-finite lambda")
-    real_pq = problem.p.is_real and problem.q.is_real
     real = problem.is_real and not np.any(lams.imag) and not np.any(Y0.imag)
     if real:
         Y0, lams = Y0.real, lams.real
@@ -370,7 +353,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
         interior = grid[(grid > left + 1e-15) & (grid < right - 1e-15)]
         t_eval = np.append(interior[::int(sign)], x1)
         (p0, pc), (q0, qc) = problem.p.piece(left, right), problem.q.piece(left, right)
-        if real_pq:
+        if real:
             pc, qc = [c.real for c in pc], [c.real for c in qc]
         x, done = x0, 0
         while done < len(t_eval):
@@ -414,13 +397,12 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
 
 def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> FundamentalMatrix:
     """The 4 x 4 `init` propagated at one lambda or at each of a batch, in one
-    solve; fields (len(xs),) + lam.shape + (4, 4), det_drift over the batch,
-    and with `wedge`, a list of pairs of column labels (1-based), the wedges
-    of those column pairs at each lambda with the jets the run carries,
-    (orders, 6, len(wedge)) + lam.shape.  want_dlambda is a bool, or the jet
-    run of one lambda as a slice of its states (4 columns, the wedges, then
-    the jets in run order) that starts at a wedge: the batch stacks the
-    wedges pair by pair, so it runs the same slice times the batch size."""
+    solve; fields (len(xs),) + lam.shape + (4, 4), and with `wedge` (pairs of
+    1-based column labels) those pairs' wedges at each lambda with the jets
+    the run carries, (orders, 6, len(wedge)) + lam.shape.  want_dlambda is a
+    bool, or the jet run of one lambda as a slice of its states (4 columns,
+    the wedges, then the jets in run order) that starts at a wedge: the batch
+    stacks the wedges pair by pair, so it runs the same slice times the batch size."""
     lam = np.asarray(lam, dtype=complex)
     pairs = None if wedge is None else (np.subtract(wedge, 1)[:, None]
                                         + 4 * np.arange(lam.size)[:, None]).reshape(-1, 2).tolist()
@@ -432,10 +414,7 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> 
     def per_lambda(a):   # (len(xs), 4, 4N): row, then lambda-major columns
         return np.moveaxis(a.reshape(len(a), 4, *lam.shape, 4), 1, -2)
 
-    values = per_lambda(res.values)
-    with np.errstate(over="ignore", invalid="ignore"):   # C(1) overflows far out
-        drift = np.max(np.abs(np.linalg.det(values) - np.linalg.det(init)))
-    return FundamentalMatrix(xs=res.xs, values=values, det_drift=float(drift),
+    return FundamentalMatrix(xs=res.xs, values=per_lambda(res.values),
                              dlambda=None if res.dlambda is None else per_lambda(res.dlambda),
                              wedges=None if wedge is None else
                              res.wedges.reshape(len(res.wedges), 6, len(wedge), *lam.shape))

@@ -25,8 +25,8 @@ classification of lambda_0:
 
 Regardless of the case, n21 = n43 and n31 = -n42 at every simple pole.
 
-The case of an eigenvalue is decided only by classify_eigenvalue, which
-mclaughlin.weight_numbers applies to every normalized point.
+The case of an eigenvalue is decided only by mclaughlin.classify_eigenvalue,
+which mclaughlin.weight_numbers applies to every normalized point.
 """
 
 from __future__ import annotations
@@ -35,17 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mclaughlin import SpectralPoint, weight_numbers
+from .mclaughlin import SpectralPoint, classify_eigenvalue, weight_numbers
 from .problem import ProblemSpec
 from .propagator import fundamental_C
-from .spectra import LeftDiscError, find_zero_near
-from .weyl import _ENTRIES, POLE_FLOOR, PoleError, _minor_norm, weyl_matrix
+from .spectra import LeftDiscError, find_first_zeros, find_zero_near
+from .weyl import _ENTRIES, PoleError, _minor_norm, weyl_matrix
 
 CONVERGENCE_TOL = 1e-8
-# |gamma| below this: y_n(0) = 0 (cases III, IV); within 10x of it: indeterminate
-GAMMA_FLOOR = 1e-6
-# relative tolerance of the case-I identity m43(lambda_n) = xi_n / gamma_n
-MATCH_TOL = 1e-6
 
 
 class LaurentError(ArithmeticError):
@@ -78,8 +74,12 @@ def _pairwise_mean(terms):
     return terms[0] / n
 
 
+# N, the nodes of the coarse rule on the contour of M (the fine rule takes 2N)
+CONTOUR_NODES = 64
+
+
 def _contour(problem, lam0, radius):
-    """(nodes z, M(lam0 + z)): 2N = 2 * contour_nodes equispaced points on
+    """(nodes z, M(lam0 + z)): 2N = 2 * CONTOUR_NODES equispaced points on
     the circle of `radius`, M sampled in one batched weyl_matrix call.
 
     The nodes are exact conjugate pairs: node 2N - j is conj(node j), and
@@ -87,16 +87,15 @@ def _contour(problem, lam0, radius):
     conj M(lam), so around a real lam0 M is solved only at the N + 1 nodes
     with Im z >= 0, and each other node takes the conjugate of its mirror's.
     """
-    nodes = problem.tolerances.contour_nodes
-    upper = radius * np.exp(1j * np.pi * np.arange(nodes + 1) / nodes)
-    upper[nodes] = -radius
-    zs = np.concatenate([upper, upper[nodes - 1:0:-1].conj()])
+    upper = radius * np.exp(1j * np.pi * np.arange(CONTOUR_NODES + 1) / CONTOUR_NODES)
+    upper[CONTOUR_NODES] = -radius
+    zs = np.concatenate([upper, upper[CONTOUR_NODES - 1:0:-1].conj()])
     folded = problem.is_real and lam0.imag == 0
     try:
         ms = weyl_matrix(problem, lam0 + (upper if folded else zs)).m
     except PoleError as exc:
         raise LaurentError(f"contour node at {exc.lam} hits a pole") from exc
-    return zs, np.concatenate([ms, ms[nodes - 1:0:-1].conj()]) if folded else ms
+    return zs, np.concatenate([ms, ms[CONTOUR_NODES - 1:0:-1].conj()]) if folded else ms
 
 
 def _trapezoid(samples, zs, order, lam0):
@@ -118,8 +117,8 @@ def laurent_coefficients(problem: ProblemSpec, lam0, orders, radius=None) -> dic
     The coefficient of order k is (2 pi i)^-1 times the contour integral of
     M(lam) (lam - lam0)^(-k-1) dlam; on the circle lam = lam0 + r e^(i t) it
     is the mean of M(lam) (r e^(i t))^(-k) over equispaced t.  M is sampled
-    once at 2 * nodes points (see _contour); the nodes-point rule (nodes =
-    problem.tolerances.contour_nodes) uses the even-indexed ones.
+    once at 2 * CONTOUR_NODES points (see _contour); the CONTOUR_NODES-point
+    rule uses the even-indexed ones.
     """
     lam0 = complex(lam0)
     if radius is None:
@@ -200,32 +199,6 @@ def weight_matrix_near(problem: ProblemSpec, lam0) -> tuple:
     return point, weight_matrix(problem, point.lam)
 
 
-def classify_eigenvalue(point: SpectralPoint, delta43, delta33, scale) -> str:
-    """Assign the case tag (I)-(IV) from (gamma, xi) and Delta_43, Delta_33
-    at point.lam.
-
-    gamma_n = y_n(0) = c3, so at gamma = 0 the eigenfunction is a multiple
-    of C4 and Delta_33(lambda_n) = C4(1) vanishes with it: no test of
-    Delta_33 tells case III from IV.  That is decided on Delta_43 = C3(1),
-    III iff |Delta_43| is above POLE_FLOOR * scale, scale its magnitude (the
-    weighted norm of C3(1), weyl._minor_norm), as for the pole test.  m43 =
-    -Delta_43 / Delta_33 is formed only when |gamma| is clear of the floor,
-    never in cases III and IV.
-    """
-    gamma, xi = point.gamma, point.xi
-    if gamma is None:
-        raise ValueError("point carries no gamma; normalize the eigenfunction first")
-    ag = abs(gamma)
-    if 0.1 * GAMMA_FLOOR <= ag <= 10 * GAMMA_FLOOR:
-        return "indeterminate"
-    if ag < 0.1 * GAMMA_FLOOR:
-        return "III" if abs(delta43) > POLE_FLOOR * scale else "IV"
-    m = -delta43 / delta33
-    if abs(m - xi / gamma) <= MATCH_TOL * (1 + abs(m)):
-        return "I"
-    return "II"
-
-
 def classify_on_problem(problem: ProblemSpec, point: SpectralPoint) -> str:
     """classify_eigenvalue on one C-only evaluation at point.lam."""
     end = fundamental_C(problem, point.lam, x_grid=[0.0, 1.0]).end
@@ -274,8 +247,11 @@ def verify_weight_structure(w: WeightMatrix, point: SpectralPoint) -> dict:
     checks["off_pattern_entries"] = float(off / scale)
 
     if tag == "I" and point.gamma is not None:
+        # n32 and gamma^2 share one wedge value over Delta_22': read n32 against xi
+        # by McLaughlin's m43(lambda_n) = xi / gamma, m43 from C(1): n32 m43 = -gamma xi
+        gamma, m43 = point.gamma, w.m_zero[3, 2]
         checks["n32_equals_minus_gamma_sq"] = float(
-            abs(n[2, 1] + point.gamma ** 2) / (1 + abs(point.gamma) ** 2))
+            abs(n[2, 1] * m43 + gamma * point.xi) / ((1 + abs(gamma) ** 2) * (1 + abs(m43))))
     if tag == "II":
         det = n[2, 0] * n[3, 1] - n[3, 0] * n[2, 1]
         checks["block_determinant_zero"] = float(abs(det) / scale ** 2)
@@ -295,9 +271,6 @@ def case_search(problem_factory, parameter_grid, count=3):
     returned as (parameter, point, tag).  No claim is made that any family
     actually realizes cases II-IV.
     """
-    from .mclaughlin import weight_numbers
-    from .spectra import find_first_zeros
-
     hits = []
     for par in parameter_grid:
         problem = problem_factory(par)

@@ -99,7 +99,7 @@ class TestSpectrum:
         bad.write_text("{not json")
         assert main(["spectrum", "--problem", str(bad)]) == 2
 
-    @pytest.mark.parametrize("key, value", [("contour_nodes", 64.0), ("ode_rel", "1e-10")])
+    @pytest.mark.parametrize("key, value", [("ode_abs", "1e-12"), ("ode_rel", "1e-10")])
     def test_tolerance_of_wrong_type_usage_error(self, tmp_path, key, value, capsys):
         obj = problem_to_dict(beam_problem())
         obj["tolerances"][key] = value

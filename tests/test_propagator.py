@@ -146,8 +146,8 @@ class TestInvariants:
         # trace of the system matrix is zero, so det is constant in x
         pb = make_random_problem()
         for lam in (1.0, -20.0, 5 + 2j):
-            res = fundamental_C(pb, lam, x_grid=np.linspace(0, 1, 11))
-            assert res.det_drift < 1e-8
+            dets = np.linalg.det(fundamental_C(pb, lam, x_grid=np.linspace(0, 1, 11)).values)
+            assert np.max(np.abs(dets - dets[0])) < 1e-8
 
     def test_lagrange_identity_random_pair(self):
         pb = make_random_problem()
@@ -393,41 +393,6 @@ class TestKernelBitwise:
                 assert block.step_bound(got, 1e-10, 1e-12) == _reference_step_bound(
                     block, ref, 1e-10, 1e-12)
                 block.state = draw(*block.state.shape)
-
-
-class TestRealCoefficients:
-    """Real p and q on a complex state take one real product over the
-    state's real and imaginary parts; complex p and q (the same values) the
-    complex product.  The two sum in different orders, so they agree to
-    rounding, not bitwise."""
-
-    @pytest.mark.parametrize("degree", [0, 3])
-    @pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
-    @pytest.mark.parametrize("rows", [4, 6, 10])
-    def test_real_product_matches_complex_product(self, rows, jets, degree):
-        rng = np.random.default_rng(6)
-
-        def draw(*shape):
-            return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-
-        # 10 rows: five columns with the wedges of columns (0, 1) and (2, 4)
-        pairs = [(0, 1), (2, 4)] if rows == 10 else []
-        wi, wj = np.array(pairs, dtype=int).reshape(-1, 2).T
-        lams = draw(5) * 400
-        lams[[1, 4]] = lams[[0, 2]]   # each wedge at its columns' lambda
-        block, _ = propagator._block(draw(6 if rows == 6 else 4, 5), lams, wi, wj, jets)
-        assert len(block.state) == rows and block.state.dtype == complex
-        eps = np.finfo(float).eps
-        for _ in range(2):
-            block.state = draw(*block.state.shape)
-            pq = [tuple(rng.uniform(-1, 1, 2)) for _ in range(degree + 1)]
-            got = block.series(pq).copy()   # the next call reuses the buffer
-            want = block.series([tuple(map(complex, c)) for c in pq])
-            # 4 ulp of each column's largest weighted norm over the series
-            norm = np.max(np.abs(want) * block.weights, axis=(0, 1))
-            assert np.all(np.abs(got - want) * block.weights <= 4 * eps * norm)
-            h_got, h_want = (block.step_bound(T, 1e-10, 1e-12) for T in (got, want))
-            assert abs(h_got - h_want) <= 4 * eps * h_want
 
 
 class TestWedgeInit:

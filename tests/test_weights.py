@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from quartspec import (
 )
 from quartspec.mclaughlin import SpectralPoint
 from quartspec.weights import (
-    LaurentError, WeightMatrix, _contour, _trapezoid, case_search, default_contour_radius,
+    CONTOUR_NODES, LaurentError, WeightMatrix, _contour, _trapezoid, case_search,
+    default_contour_radius,
 )
 from quartspec.weyl import weyl_matrix
 
@@ -72,7 +75,7 @@ class TestLaurent:
 class TestConjugateContour:
     @pytest.mark.parametrize("lam0", [12.0, 12.0 + 0.5j])
     def test_nodes_are_conjugate_pairs(self, beam, lam0):
-        nodes = beam.tolerances.contour_nodes
+        nodes = CONTOUR_NODES
         zs, _ = _contour(beam, complex(lam0), 0.75)
         assert len(zs) == 2 * nodes
         # node 2N - j is conj(node j), and nodes 0 and N sit on the axis
@@ -128,6 +131,20 @@ class TestWeightMatrix:
         assert checks["n31_equals_minus_n42"] < 1e-7
         assert checks["off_pattern_entries"] < 1e-7
         assert checks["n32_equals_minus_gamma_sq"] < 1e-6
+
+    def test_case_one_check_reads_xi(self, beam, beam_zeros):
+        # n32 and gamma^2 come from the same wedge value over the same
+        # Delta_22', so the check reads n32 against xi, through m43 = xi /
+        # gamma: xi off by 1e-6 relative shows as |gamma xi| 1e-6 / ((1 +
+        # |gamma|^2)(1 + |m43|)), 4.6e-7 at beam lambda_1
+        point, w = weight_matrix_near(beam, beam_zeros[0].lam)
+
+        def check(pt):
+            return verify_weight_structure(w, pt)["checks"]["n32_equals_minus_gamma_sq"]
+
+        assert check(point) < 1e-13
+        off = check(dataclasses.replace(point, xi=point.xi * (1 + 1e-6)))
+        assert off == pytest.approx(4.6e-7, rel=0.02)
 
     def test_verify_report_never_raises_on_mismatch(self, w_case5):
         # feed the case-V matrix a case-I point: large residual, no exception

@@ -264,7 +264,6 @@ class TestBatchShape:
             assert np.array_equal(batch.xs, one.xs)
             assert np.array_equal(batch.values[:, 0], one.values)
             assert np.array_equal(batch.dlambda[:, 0], one.dlambda)
-            assert batch.det_drift == one.det_drift
             _, phi_one = phi_matrix(pb, lam, x_grid=xs)
             _, phi_batch = phi_matrix(pb, [lam], x_grid=xs)
             assert np.array_equal(phi_batch[:, 0], phi_one)

@@ -90,7 +90,7 @@ def test_laurent_samples_weyl_matrix_once_per_fine_node(beam, monkeypatch):
     # conjugates), over all 2N distinct nodes for a complex problem
     calls = _recording(monkeypatch, weights, "weyl_matrix")
     batches = _recording_batches(monkeypatch)
-    nodes = beam.tolerances.contour_nodes
+    nodes = weights.CONTOUR_NODES
     for pb, lam0, count in ((beam, beam_eigenvalue(1), nodes + 1),
                             (make_random_problem(), 30.0, 2 * nodes)):
         calls.clear()
@@ -390,7 +390,7 @@ def test_weight_matrix_is_one_propagation(beam, monkeypatch):
     # real problem around a real centre, all 2N nodes around a complex
     # centre or on a complex problem
     calls = _counting_propagations(monkeypatch)
-    nodes = beam.tolerances.contour_nodes
+    nodes = weights.CONTOUR_NODES
     for pb, lam0, count in ((beam, beam_eigenvalue(1), nodes + 1),
                             (beam, beam_eigenvalue(1) + 0.5j, 2 * nodes),
                             (make_random_problem(), 30.0, 2 * nodes)):
