@@ -22,6 +22,10 @@ from .weyl import phi_matrix, weyl_matrix
 
 # |alpha_n| below this means the case-II premise fails
 ALPHA_FLOOR = 1e-10
+# spectral_mappings_deviation's grid: this many x in [0, 1] and lambda in
+# [0.6, 9.9], clear of the low beam poles
+P_GRID_X = 10
+P_GRID_LAMBDA = 10
 
 
 class BridgeError(ValueError):
@@ -176,10 +180,10 @@ def _phi_at(problem, lams, xs):
     return phi[np.isin(got, xs)]
 
 
-def spectral_mappings_deviation(problem_a, problem_b, x_count=10, lam_count=10):
-    """max over an (x, lambda) grid of |P(x, lambda) - I| with P = Phi Phi~^{-1}."""
-    xs = np.linspace(0.0, 1.0, x_count)
-    lams = np.linspace(0.6, 9.9, lam_count)  # clear of the low beam poles
+def spectral_mappings_deviation(problem_a, problem_b):
+    """max |P(x, lambda) - I| on the P_GRID_X x P_GRID_LAMBDA grid, P = Phi Phi~^{-1}."""
+    xs = np.linspace(0.0, 1.0, P_GRID_X)
+    lams = np.linspace(0.6, 9.9, P_GRID_LAMBDA)
     P = _phi_at(problem_a, lams, xs) @ np.linalg.inv(_phi_at(problem_b, lams, xs))
     return float(np.max(np.abs(P - np.eye(4))))
 

@@ -65,7 +65,8 @@ exactly zero imaginary part from the real kernel.  (weights._contour uses
 the same symmetry off the axis.)  A block steps in its state's dtype alone:
 p and q are taken real only where the state is, and each Taylor order is
 one matrix product, the row updates of the lambda and jet terms, and one
-division by k + 1, all in that dtype.
+division by k + 1, all in that dtype (for a complex state, the product
+with the float 1 / (k + 1) that numpy's complex division by a real forms).
 
 propagate takes lam as one value, or one per column.  fundamental_C and
 fundamental_S take one lambda or a batch of N as one solve with one step
@@ -177,7 +178,7 @@ class _Block:
         degree reuses (rows below d stay zero), per order k the views the
         recursion reads and writes: Y_{k+1} and the window Y_{k-d} .. Y_k,
         each row update's target, factor, source and temporary, and the
-        divisor k + 1; and the real basis of the
+        division by k + 1 (see below); and the real basis of the
         step's matrix A_d, ..., A_1, A_0 side by side (A_i = p_i P + q_i Q,
         plus K in A_0), which is [p_d, q_d, ..., p_0, q_0, 1] @ basis,
         exactly: K, P and Q have disjoint supports."""
@@ -186,6 +187,9 @@ class _Block:
         T = np.zeros((TAYLOR_ORDER + 1 + d, n, m), self.state.dtype)
         lam_tmp = np.empty_like(T[0, rows])
         jet_tmp = np.empty_like(T[0, rows, c:])
+        # a complex state multiplies by the float 1 / (k + 1), the product that
+        # numpy's complex division by a real forms in its slower complex loop
+        complex_state = np.iscomplexobj(T)
         steps = []
         for k in range(TAYLOR_ORDER):
             Tk, nxt, window = T[k + d], T[k + d + 1], T[k:k + d + 1].reshape(-1, m)
@@ -193,7 +197,8 @@ class _Block:
             if m > c:
                 updates.append((nxt[rows, c:], self.jet_sign, Tk[qcols, self.jet_cols],
                                 jet_tmp))
-            steps.append((nxt, window, updates, k + 1))
+            steps.append((nxt, window, updates) + ((np.multiply, 1.0 / (k + 1)) if complex_state
+                                                   else (np.true_divide, k + 1)))
         K, P, Q, _ = self.system
         basis = np.zeros((2 * d + 3, n, d + 1, n))
         for i in range(d + 1):
@@ -211,11 +216,11 @@ class _Block:
         # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k
         A = (np.append(np.ravel(pq[::-1]), 1.0) @ basis).reshape(len(self.state), -1)
         T[d] = self.state
-        for nxt, window, updates, by in steps:
+        for nxt, window, updates, scale, by in steps:
             np.matmul(A, window, out=nxt)
             for target, factor, source, tmp in updates:
                 target += np.multiply(factor, source, out=tmp)
-            np.true_divide(nxt, by, out=nxt)
+            scale(nxt, by, out=nxt)
         return T[d:]
 
     def advance(self, T, powers):
@@ -425,8 +430,8 @@ def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False, x_grid=None,
     """Solutions C_k with U_s(C_k) = delta_sk; initial matrix U^{-1} at x=0.
     wedge = [(j, k), ...] also carries each C_j ^ C_k, with the jets of the
     run want_dlambda sets (see _fundamental)."""
-    U = boundary_form_matrix(problem)
-    return _fundamental(problem, lam, "forward", np.linalg.inv(U), want_dlambda, x_grid, wedge)
+    return _fundamental(problem, lam, "forward", np.linalg.inv(boundary_form_matrix(problem)),
+                        want_dlambda, x_grid, wedge)
 
 
 def fundamental_S(problem: ProblemSpec, lam, x_grid=None) -> FundamentalMatrix:

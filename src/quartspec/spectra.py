@@ -30,9 +30,9 @@ lambda, so a root moves with its batch within the integration tolerance: on
 the beam a Delta_32 zero polished alone and in the batch of the first ten
 differ by 2.5e-12 (rho ~ 10), 1.9e-11 (rho ~ 20) and 4.7e-11 (rho ~ 29),
 relative, a Delta_22 zero by at most 5e-14.  Only a Delta_22 polish also
-solves C(1) and the wedges of Delta_32 and Delta_42, stacked with its own,
-with the jets of all three and the second jet of its own, for
-weight_numbers and weights.weight_matrix_near.  A scan carries no jet.
+solves C and the wedges of Delta_32 and Delta_42 (weyl._M_WEDGE), stacked
+with its own, with the jets of all three and the second jet of its own,
+for weight_numbers and weights.weight_matrix_near.  A scan carries no jet.
 simplicity_check judges a zero against the weighted
 norm of its state.  No search forms a determinant, whose cancellation
 once stopped the scan at rho ~ 33 and made the Delta_j1 searches lose or
@@ -58,10 +58,9 @@ Newton from the centre with a batch of one; find_zero_near runs it from
 a given point and stops where an iterate would leave a disc around it,
 raising LeftDiscError with that iterate.  Every Zero is made in _polish,
 the one driver of Newton on Delta, with the end state of its accepted
-evaluation, for a Delta_22 also C(1, lambda), the three wedge values
-(Delta_22, Delta_32, Delta_42) there, their jets and Delta_22'', and the
-result of its one
-simplicity_check; weight_numbers trusts them all.  No search takes a
+evaluation, for a Delta_22 also its C (Zero.C, the three wedges and their
+jets included), and the result of its one simplicity_check;
+weight_numbers trusts them all.  No search takes a
 scale: each judges Delta against values at its own lambda.
 """
 
@@ -73,8 +72,8 @@ from itertools import islice
 import numpy as np
 
 from .problem import ProblemSpec, _sorted_unique, boundary_form_matrix
-from .propagator import PropagationError, _wedges, fundamental_C, propagate
-from .weyl import _ENTRIES, _entry, _minor_norm
+from .propagator import FundamentalMatrix, PropagationError, _wedges, fundamental_C, propagate
+from .weyl import _ENTRIES, _M_WEDGE, _entry, _minor_norm
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
@@ -92,11 +91,9 @@ WINDING_SIDE_SAMPLES = 32
 NEWTON_BOX_ASPECT = 2.0
 # find_first_zeros scans up from here, just above lambda = 0
 FIRST_ZEROS_START = 1e-6
-# the selectors whose wedges a Delta_22 polish carries, in wedge_deltas order
-_J2 = ((2, 2), (3, 2), (4, 2))
-# its jet run per lambda (propagator._fundamental): the jets of the three
-# wedges (states 4 to 6, after C's columns) and of the first of those jets,
-# the second lambda-Taylor coefficient of Delta_22's wedge
+# the jet run per lambda of a Delta_22 polish (propagator._fundamental):
+# the jets of the wedges _M_WEDGE (states 4 to 6, after C's columns) and of
+# the first of those jets, the second lambda-Taylor coefficient of Delta_22
 _J2_RUN = slice(4, 8)
 
 
@@ -122,16 +119,10 @@ class Zero:
     # the state at x = 1 of the accepted Newton evaluation whose row 0 is
     # Delta up to sign: a C column (4 rows) or a 2-wedge (6 rows), _ENTRIES
     end_state: np.ndarray = field(repr=False, compare=False)
-    # C(1, lambda) of that evaluation, (Delta_22, Delta_32, Delta_42) there
-    # from its wedges, their jets, and Delta_22'' from the second jet of its
-    # wedge; set by the polish of a Delta_22 only, and not carried by a copy
-    end_values: np.ndarray | None = field(default=None, init=False, repr=False,
-                                          compare=False)
-    wedge_deltas: np.ndarray | None = field(default=None, init=False, repr=False,
-                                            compare=False)
-    wedge_dlambda: np.ndarray | None = field(default=None, init=False, repr=False,
-                                             compare=False)
-    d2delta: complex | None = field(default=None, init=False, repr=False, compare=False)
+    # that evaluation's fundamental_C, C(0) to C(1), with the wedges
+    # _M_WEDGE and their lambda-Taylor table, each Delta read by weyl._entry;
+    # set by the polish of a Delta_22 only, and not carried by a copy
+    C: FundamentalMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -197,29 +188,22 @@ def _newton(lam0, bracket=None, radius=None):
 
 
 def _jets(problem, selector, lams):
-    """(Delta, dDelta, end state, C(1, lambda), wedge Taylor table) of the
-    selected pair at each lambda, in one solve; if it fails, lambda by
-    lambda, each PropagationError in its lambda's place.  For every
-    selector but Delta_22 the solve is _samples' with the jet, one state per
-    lambda, with no C(1) or table (None).  A Delta_22 polish solves C with
-    the 2-wedges of the columns of Delta_22, Delta_32 and Delta_42 and the
-    jet run _J2_RUN, which weight_numbers and weights.weight_matrix_near
-    read: each Delta_j2 and its jets are read by weyl._entry, the table
-    holds their lambda-Taylor coefficients (order, Delta_j2), of order 2
-    for Delta_22 alone (NaN for the others), and the end state is the wedge
-    of Delta_22."""
+    """(Delta, dDelta, end state, C) of the selected pair at each lambda, in
+    one solve; if it fails, lambda by lambda, each PropagationError in its
+    lambda's place.  For every selector but Delta_22 the solve is _samples'
+    with the jet, one state per lambda, and C is None.  A Delta_22 polish
+    solves C with the wedges _M_WEDGE and the jet run _J2_RUN, whose every
+    Delta weight_numbers and weights.weight_matrix_near read by
+    weyl._entry, and passes that solve at each lambda as its C."""
     try:
         if selector == (2, 2):
-            wedge = [_ENTRIES[jk][1] for jk in _J2]
-            C = fundamental_C(problem, lams, _J2_RUN, x_grid=[0.0, 1.0], wedge=wedge)
-            reads = [_entry(C, jk, wedge) for jk in _J2]
-            table = np.stack([np.concatenate([v[None], j]) for v, j, _ in reads], axis=-1)
-            value, jets, state = reads[0]
-            return list(zip(value.tolist(), jets[0].tolist(), state, C.end,
-                            np.moveaxis(table, 1, 0)))
+            C = fundamental_C(problem, lams, _J2_RUN, x_grid=[0.0, 1.0], wedge=_M_WEDGE)
+            value, jets, state = _entry(C, selector, _M_WEDGE)
+            return [(v, dv, s, FundamentalMatrix(xs=C.xs, values=C.values[:, i],
+                                                 wedges=C.wedges[..., i]))
+                    for i, (v, dv, s) in enumerate(zip(value.tolist(), jets[0].tolist(), state))]
         value, jet, end = _samples(problem, selector, lams, jet=True)
-        return list(zip(value.tolist(), jet.tolist(), end.T, [None] * len(lams),
-                        [None] * len(lams)))
+        return list(zip(value.tolist(), jet.tolist(), end.T, [None] * len(lams)))
     except PropagationError as exc:
         if len(lams) == 1:
             return [exc]
@@ -240,13 +224,10 @@ def _polish(problem, selector, newtons):
                     raise jet
                 todo[i] = newtons[i].send(jet)
             except StopIteration as stop:
-                lam, _, dval, end_state, end, table = stop.value
+                lam, _, dval, end_state, C = stop.value
                 out[i] = z = Zero(lam=lam, selector=selector, multiplicity_estimate=1,
                                   ddelta=complex(dval), end_state=end_state)
-                z.end_values = end
-                if table is not None:
-                    z.wedge_deltas, z.wedge_dlambda = table[0], table[1]
-                    z.d2delta = complex(2 * table[2, 0])
+                z.C = C
                 z.multiplicity_estimate = 1 if simplicity_check(z) else 2
                 del todo[i]
             except (PropagationError, SearchError) as exc:
@@ -258,9 +239,10 @@ def _polish(problem, selector, newtons):
 def _samples(problem, selector, lams, jet):
     """Delta_selector at each of lams, its jet (None without `jet`) and the
     end state it is read from, (rows, len(lams)), in one solve of that one
-    state per lambda, propagated alone: sign times row 0 of the 2-wedge of
-    its two C columns (6 rows) or of its one C column (4 rows) at x = 1, as
-    _ENTRIES gives.  Neither forms a determinant."""
+    state per lambda, propagated alone: row 0 of the 2-wedge of its two C
+    columns (6 rows) or of its one C column (4 rows) at x = 1, negated
+    where the sign is -1, as weyl._entry reads _ENTRIES.  Neither forms a
+    determinant."""
     lams = np.asarray(lams, dtype=complex)
     sign, cols = _ENTRIES[selector]
     Uinv = np.linalg.inv(boundary_form_matrix(problem))
@@ -268,7 +250,8 @@ def _samples(problem, selector, lams, jet):
     init = Uinv[:, i] if len(i) == 1 else _wedges(Uinv, i[:1], i[1:])
     res = propagate(problem, lams, "forward", np.tile(init, lams.size), want_dlambda=jet,
                     x_grid=[0.0, 1.0])
-    return sign * res.end[0], (sign * res.dlambda[-1, 0] if jet else None), res.end
+    signed = np.negative if sign < 0 else np.positive
+    return signed(res.end[0]), (signed(res.dlambda[-1, 0]) if jet else None), res.end
 
 
 def _scan_start(a, b, near):
@@ -475,7 +458,7 @@ def simplicity_check(zero: Zero) -> bool:
     norm (weyl._minor_norm) of the state its Delta is an entry of, its
     end_state: a 2-wedge's rows are the exact 2 x 2 minors, and a column's
     row r is weighted by rho^-r."""
-    mag = _minor_norm(zero.end_state, zero.lam, len(_ENTRIES[zero.selector][1]))
+    mag = _minor_norm(zero.end_state, zero.lam)
     return bool(abs(zero.ddelta) * (1 + abs(zero.lam)) > SIMPLICITY_FLOOR * mag)
 
 

@@ -5,15 +5,16 @@ At a simple pole lambda_0 of M, the weight matrix is
     N(lambda_0) = M_<0>(lambda_0)^{-1} M_<-1>(lambda_0),
 
 where M_<k> are the Laurent coefficients of M at lambda_0.  At a case-I
-zero of Delta_22 they are closed forms in the lambda-jets that its Newton
-polish carries (_jet_weight_matrix), and weight_matrix_near takes them from
-there, with no further solve.  In cases II-V (where two columns of M can
-have a pole, and M_<0> needs second jets of both) they are extracted by
-trapezoid quadrature on a circle around lambda_0 (laurent_coefficients,
-weight_matrix), which also serves the tests as the oracle of case I.  The
-two differ where another pole lies inside the circle: the quadrature sums
-the residues of every pole inside it, while the jets give the Laurent
-coefficients at lambda_0 alone, which is what N(lambda_0) is.  N is
+zero of Delta_22 they are closed forms in the lambda-jets of the C that
+its Newton polish carries (spectra.Zero.C, read by _jet_weight_matrix),
+and weight_matrix_near takes them from there, with no further solve.  In
+cases II-V (where two columns of M can have a pole, and M_<0> needs second
+jets of both) they are extracted by trapezoid quadrature on a circle
+around lambda_0 (laurent_coefficients, weight_matrix), which also serves
+the tests as the oracle of case I.  The two differ where another pole
+lies inside the circle: the quadrature sums the residues of every pole
+inside it, while the jets give the Laurent coefficients at lambda_0
+alone, which is what N(lambda_0) is.  N is
 strictly lower-triangular and its nonzero pattern depends on the
 classification of lambda_0:
 
@@ -39,7 +40,7 @@ from .mclaughlin import SpectralPoint, classify_eigenvalue, weight_numbers
 from .problem import ProblemSpec
 from .propagator import fundamental_C
 from .spectra import LeftDiscError, find_first_zeros, find_zero_near
-from .weyl import _ENTRIES, PoleError, _minor_norm, weyl_matrix
+from .weyl import _M_WEDGE, ALL_INDEX_PAIRS, PoleError, _entry, _minor_norm, weyl_matrix
 
 CONVERGENCE_TOL = 1e-8
 
@@ -156,18 +157,17 @@ def _jet_weight_matrix(zero) -> WeightMatrix:
     lambda_0), m_j2 = -Delta_j2 / Delta_22 has the residue -Delta_j2 /
     Delta_22' and the constant term -(Delta_j2' - Delta_j2 Delta_22'' /
     (2 Delta_22')) / Delta_22', all from the wedges' jets.  Columns 1 and 3
-    are M's values, from the entries of C(1) (weyl._ENTRIES)."""
-    end = zero.end_values
-    d = {jk: sign * end[0, cols[0] - 1] for jk, (sign, cols) in _ENTRIES.items()
-         if len(cols) == 1}
+    are M's values, from the entries of C(1); weyl._entry reads each."""
+    d = {jk: _entry(zero.C, jk, _M_WEDGE)[:2] for jk in ALL_INDEX_PAIRS}
     m_zero = np.eye(4, dtype=complex)
     for j, k in ((2, 1), (3, 1), (4, 1), (4, 3)):
-        m_zero[j - 1, k - 1] = -d[j, k] / d[k, k]
-    delta, dlam = zero.wedge_deltas[1:], zero.wedge_dlambda[1:]   # Delta_32, Delta_42
-    d22p = zero.wedge_dlambda[0]
+        m_zero[j - 1, k - 1] = -d[j, k][0] / d[k, k][0]
+    d22p, d22pp = d[2, 2][1]   # Delta_22' and Delta_22'' / 2
     m_minus1 = np.zeros((4, 4), dtype=complex)
-    m_minus1[2:, 1] = -delta / d22p
-    m_zero[2:, 1] = -(dlam - delta * zero.d2delta / (2 * d22p)) / d22p
+    for j in (3, 4):
+        delta, (dlam, _) = d[j, 2]
+        m_minus1[j - 1, 1] = -delta / d22p
+        m_zero[j - 1, 1] = -(dlam - delta * d22pp / d22p) / d22p
     return WeightMatrix(lam0=complex(zero.lam), m_minus1=m_minus1, m_zero=m_zero,
                         n=np.linalg.solve(m_zero, m_minus1))
 
@@ -200,9 +200,11 @@ def weight_matrix_near(problem: ProblemSpec, lam0) -> tuple:
 
 
 def classify_on_problem(problem: ProblemSpec, point: SpectralPoint) -> str:
-    """classify_eigenvalue on one C-only evaluation at point.lam."""
-    end = fundamental_C(problem, point.lam, x_grid=[0.0, 1.0]).end
-    return classify_eigenvalue(point, *end[0, 2:4].tolist(), _minor_norm(end[:, 2], point.lam, 1))
+    """classify_eigenvalue on one C-only evaluation at point.lam, each
+    Delta read by weyl._entry."""
+    C = fundamental_C(problem, point.lam, x_grid=[0.0, 1.0])
+    (delta43, _, c3), (delta33, _, _) = (_entry(C, jk, None) for jk in ((4, 3), (3, 3)))
+    return classify_eigenvalue(point, delta43, delta33, _minor_norm(c3, point.lam))
 
 
 # per case: entries allowed nonzero, and equality constraints checked

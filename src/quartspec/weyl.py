@@ -43,7 +43,8 @@ _ENTRIES = {(1, 1): (-1, (4,)), (2, 1): (-1, (3,)), (3, 1): (1, (2,)), (4, 1): (
             (3, 3): (1, (4,)), (4, 3): (1, (3,))}
 ALL_INDEX_PAIRS = tuple(_ENTRIES)
 _DIAG = ((1, 1), (2, 2), (3, 3))
-# the 2-wedges of the Delta_j2, the columns of Delta_22, Delta_32 and Delta_42
+# the 2-wedges of Delta_22, Delta_32 and Delta_42: M forms them at x = 1, a
+# Delta_22 polish propagates them (spectra.Zero.C)
 _M_WEDGE = [_ENTRIES[j, 2][1] for j in (2, 3, 4)]
 
 POLE_FLOOR = 1e-10
@@ -75,16 +76,16 @@ class WeylSample:
     deltas: dict              # (j, k) -> CharacteristicValue
 
 
-def _minor_norm(minors, lam, k):
-    """Largest |minor| of k columns at lam, the minors on the last axis in
-    the order of combinations(range(4), k) of their rows (a column's rows
-    for k = 1, a 2-wedge's for k = 2), each weighted by rho^(the row orders
+def _minor_norm(state, lam):
+    """Largest |minor| of the k columns of a state at lam, its rows on the
+    last axis in the order of combinations(range(4), k): a column's 4 rows
+    (k = 1) or a 2-wedge's 6 (k = 2), each weighted by rho^(the row orders
     of a Delta_jk on k columns, rows k-1 .. 0, - the minor's) as in the step
     norm: their compound-matrix norm (Allen & Bridges 2002)."""
-    rows = np.array(list(combinations(range(4), k)))
+    rows = np.array(list(combinations(range(4), 1 if np.shape(state)[-1] == 4 else 2)))
     rho = np.maximum(1.0, np.abs(np.asarray(lam)) ** 0.25)[..., None]
     weight = rho ** (rows[0].sum() - rows.sum(axis=1))
-    return np.max(np.abs(minors) * weight, axis=-1)
+    return np.max(np.abs(state) * weight, axis=-1)
 
 
 def _entry(C, jk, wedge):
@@ -97,7 +98,8 @@ def _entry(C, jk, wedge):
     sign, cols = _ENTRIES[jk]
     if len(cols) == 2:
         w = C.wedges[:, :, wedge.index(cols)]   # (order, row) + lambda's shape
-        state, jets = np.moveaxis(w[0], 0, -1), (w[1:, 0] if len(w) > 1 else None)
+        # rows to the last axis by a transpose, several times cheaper than np.moveaxis
+        state, jets = w[0].transpose(*range(1, w.ndim - 1), 0), (w[1:, 0] if len(w) > 1 else None)
     else:
         state = C.end[..., cols[0] - 1]
         jets = None if C.dlambda is None else C.dlambda[-1][None, ..., 0, cols[0] - 1]
@@ -160,8 +162,8 @@ def _weyl_sample(lam, end) -> WeylSample:
     deltas = {jk: CharacteristicValue(jk, value[()]) for jk, (value, _, _) in read.items()}
     diag = np.stack([np.ravel(read[kk][0]) for kk in _DIAG])   # (3, N)
     size = np.hypot(diag.real, diag.imag)
-    poles = size < POLE_FLOOR * np.stack([
-        np.ravel(_minor_norm(read[kk][2], lam, len(_ENTRIES[kk][1]))) for kk in _DIAG])
+    poles = size < POLE_FLOOR * np.stack([np.ravel(_minor_norm(read[kk][2], lam))
+                                          for kk in _DIAG])
     if poles.any():
         i = np.argmax(poles.any(axis=0))
         k = np.argmax(poles[:, i])

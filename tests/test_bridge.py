@@ -10,7 +10,7 @@ from quartspec import (
     reconstruct_m32,
     twin_comparison,
 )
-from quartspec.bridge import BridgeError, spectral_mappings_deviation
+from quartspec.bridge import P_GRID_LAMBDA, P_GRID_X, BridgeError, spectral_mappings_deviation
 from quartspec.mclaughlin import SpectralPoint
 from quartspec.spectra import three_spectra
 from quartspec.weyl import all_deltas, phi_matrix
@@ -106,8 +106,7 @@ class TestTwins:
         assert r["p_matrix_deviation"] < 1e-7
 
     def test_spectral_mappings_identity(self, beam):
-        dev = spectral_mappings_deviation(beam, beam_problem(),
-                                          x_count=4, lam_count=4)
+        dev = spectral_mappings_deviation(beam, beam_problem())
         assert dev < 1e-7
 
     def test_spectral_mappings_compared_at_the_same_x(self, beam):
@@ -115,7 +114,7 @@ class TestTwins:
         # so its x grid is longer than the beam's; in either order P is taken
         # at the requested x, as a per-lambda evaluation there gives it
         real = make_random_real_problem()
-        xs = np.linspace(0.0, 1.0, 4)
+        xs = np.linspace(0.0, 1.0, P_GRID_X)
         assert len(np.setdiff1d(real.breakpoints, xs)) > 0
 
         def phi_at(pb, lam):
@@ -125,9 +124,9 @@ class TestTwins:
         for a, b in ((real, beam), (beam, real)):
             direct = max(float(np.max(np.abs(phi_at(a, lam) @ np.linalg.inv(phi_at(b, lam))
                                               - np.eye(4))))
-                         for lam in np.linspace(0.6, 9.9, 3))
+                         for lam in np.linspace(0.6, 9.9, P_GRID_LAMBDA))
             assert direct > 1e-3
-            got = spectral_mappings_deviation(a, b, x_count=4, lam_count=3)
+            got = spectral_mappings_deviation(a, b)
             assert got == pytest.approx(direct, rel=1e-6)
 
     def test_unknown_kind_rejected(self, beam):

@@ -124,10 +124,9 @@ class TestWeightNumbers:
         # weight_numbers trusts the search's simplicity test and its C(1, lambda)
         with pytest.raises(NonSimpleError):
             weight_numbers(beam, [replace(beam_zeros[0], multiplicity_estimate=2)])
-        # a copy carries no C(1) and no wedge values (init=False fields): it
-        # is no searched zero
+        # a copy carries no C (an init=False field): it is no searched zero
         copy = replace(beam_zeros[0])
-        assert copy.end_values is None and copy.wedge_deltas is None
+        assert copy.C is None
         with pytest.raises(ValueError, match="no searched zero of Delta_22"):
             weight_numbers(beam, [copy])
         # a zero of another Delta_jk is no eigenvalue of the main problem
@@ -151,12 +150,12 @@ class TestWeightNumbers:
 class TestHandoff:
     @pytest.mark.parametrize("seed", [None, 11])
     def test_carried_evaluation_matches_own_solve(self, seed):
-        # weight_numbers reads A, Delta_33 and Delta_43 from the C(1, lambda)
-        # a searched zero carries; eigenfunction and classify_on_problem
-        # solve them at the same lambda themselves
+        # weight_numbers reads A, Delta_33 and Delta_43 from the C a searched
+        # zero carries; eigenfunction and classify_on_problem solve them at
+        # the same lambda themselves
         pb = beam_problem() if seed is None else make_random_real_problem(seed)
         zeros = find_first_zeros(pb, (2, 2), 4)
-        assert all(z.end_values is not None for z in zeros)
+        assert all(z.C is not None for z in zeros)
         for z, pt in zip(zeros, weight_numbers(pb, zeros)):
             _, gamma, xi = eigenfunction(pb, z.lam)
             assert pt.gamma == pytest.approx(gamma, rel=1e-10, abs=1e-10)
@@ -171,4 +170,4 @@ class TestHandoff:
         assert len(zeros) == 5
         for z in zeros:
             end = fundamental_C(beam, z.lam, x_grid=[0.0, 1.0]).end
-            assert np.allclose(z.end_values, end, rtol=1e-8, atol=1e-8 * np.max(np.abs(end)))
+            assert np.allclose(z.C.end, end, rtol=1e-8, atol=1e-8 * np.max(np.abs(end)))

@@ -393,8 +393,8 @@ class TestSampleAtRoot:
 
         def jets(problem, selector, lams):
             # the end wedge C3 ^ C4 of the identity for the simplicity test of
-            # the Delta_22 zero, a C(1), and no wedge values
-            return [(lam - r, 1.0, np.eye(6)[5], np.eye(4), None) for lam in lams]
+            # the Delta_22 zero, and no C
+            return [(lam - r, 1.0, np.eye(6)[5], None) for lam in lams]
 
         monkeypatch.setattr(spectra, "_samples", samples)
         monkeypatch.setattr(spectra, "_jets", jets)
@@ -459,7 +459,7 @@ class TestZeroNear:
     def test_reaches_lambda1_from_nearby(self, beam):
         z = find_zero_near(beam, (2, 2), 12.362, default_contour_radius(12.362))
         assert z.selector == (2, 2) and z.multiplicity_estimate == 1
-        assert z.end_values.shape == (4, 4)
+        assert z.C.end.shape == (4, 4)
         assert z.lam == pytest.approx(beam_eigenvalue(1), rel=1e-10)
 
     @pytest.mark.parametrize("error", [PropagationError, SearchError])

@@ -234,7 +234,7 @@ class TestCharacteristicValues:
         # above 1e-11 of the norm, and its jet is the search's ddelta
         z = beam_zeros_30[n - 1]
         cv = characteristic_delta(beam, z.lam, (2, 2), want_dlambda=True)
-        assert abs(cv.value) <= 1e-11 * weyl._minor_norm(z.end_state, z.lam, 2)
+        assert abs(cv.value) <= 1e-11 * weyl._minor_norm(z.end_state, z.lam)
         assert abs(cv.dvalue - z.ddelta) <= 1e-10 * abs(z.ddelta)
 
     def test_dvalue_matches_finite_difference(self):
