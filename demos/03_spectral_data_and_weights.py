@@ -1,9 +1,9 @@
 """Norming constants, weight matrices and eigenvalue classification.
 
 For each beam eigenvalue lambda_n the eigenfunction normalised by
-y^[3](1) = 1 yields the pair (gamma_n, xi_n) of end values at x = 0 and the
-number beta_n = -gamma_n^2.  The free-clamped beam is the classic example
-where |gamma_n| = 2 for every n.  gamma_n and xi_n come from the bridge
+int_0^1 y^2 dx = 1 yields the pair (gamma_n, xi_n) of end values at x = 0
+and the number beta_n = -gamma_n^2.  The free-clamped beam is the classic
+example where |gamma_n| = 2 for every n.  gamma_n and xi_n come from the bridge
 identities Delta_32(lambda_n) = Delta_22'(lambda_n) gamma_n^2 and
 Delta_42(lambda_n) = Delta_22'(lambda_n) xi_n gamma_n, read from the wedges
 the searched zero carries; beta_residual, |beta_n + gamma_n xi_n / m43|,

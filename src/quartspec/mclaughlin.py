@@ -35,7 +35,7 @@ import numpy as np
 
 from .problem import ProblemSpec
 from .propagator import fundamental_C, propagate
-from .weyl import _M_WEDGE, POLE_FLOOR, ZERO_FLOOR, _entry, _minor_norm
+from .weyl import _ENTRIES, POLE_FLOOR, ZERO_FLOOR, _entry, _minor_norm
 
 NORMALIZATION_FLOOR = 1e-8
 # |gamma| below this: y_n(0) = 0 (cases III, IV); within 10x of it: indeterminate
@@ -113,9 +113,8 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
     Raises NonSimpleError where Delta_22(lam_n) does not vanish against the
     magnitude of its own wedge."""
-    wedge = _M_WEDGE[:1]
-    C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=wedge)
-    delta22, _, state = _entry(C, (2, 2), wedge)
+    C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=[_ENTRIES[2, 2][1]])
+    delta22, _, state = _entry(C.ends, (2, 2))
     if abs(delta22) > ZERO_FLOOR * _minor_norm(state, lam_n):
         raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "
                              f"(|Delta_22| = {abs(delta22):.2e})")
@@ -165,13 +164,13 @@ def _tagged(z, gamma, xi):
     residual shows how far the wedges and C(1) disagree."""
     sgn = _sign_convention(gamma, xi)
     pt = SpectralPoint(lam=z.lam, gamma=sgn * gamma, xi=sgn * xi)
-    delta31, delta43, delta33 = (complex(_entry(z.C, jk, _M_WEDGE)[0])
+    delta31, delta43, delta33 = (complex(_entry(z.C.ends, jk)[0])
                                  for jk in ((3, 1), (4, 3), (3, 3)))
     pt.case_tag = classify_eigenvalue(pt, delta43, delta33,
-                                      _minor_norm(_entry(z.C, (4, 3), _M_WEDGE)[2], z.lam))
+                                      _minor_norm(_entry(z.C.ends, (4, 3))[2], z.lam))
     if pt.case_tag == "I":
         pt.beta = -pt.gamma ** 2
-        off_root = _entry(z.C, (2, 2), _M_WEDGE)[0] * delta31 / z.ddelta
+        off_root = _entry(z.C.ends, (2, 2))[0] * delta31 / z.ddelta
         pt.beta_residual = float(abs(pt.beta - (pt.gamma * pt.xi * delta33 - off_root) / delta43))
     return pt
 
@@ -198,7 +197,7 @@ def weight_numbers(problem: ProblemSpec, zeros) -> list:
             raise ValueError(f"{z.lam} is no searched zero of Delta_22; take it from a search")
     points = []
     for z in zeros:
-        delta32, delta42 = (complex(_entry(z.C, jk, _M_WEDGE)[0]) for jk in ((3, 2), (4, 2)))
+        delta32, delta42 = (complex(_entry(z.C.ends, jk)[0]) for jk in ((3, 2), (4, 2)))
         gamma = complex(np.sqrt(delta32 / z.ddelta))
         # gamma = 0 is not case I, and its xi is not read
         pt = _tagged(z, gamma, delta42 / (z.ddelta * gamma) if gamma else 0j)

@@ -68,14 +68,14 @@ one matrix product, the row updates of the lambda and jet terms, and one
 division by k + 1, all in that dtype (for a complex state, the product
 with the float 1 / (k + 1) that numpy's complex division by a real forms).
 
-propagate takes lam as one value, or one per column.  fundamental_C and
+propagate takes lam as one value, or one per column, and leaves one table
+where it ends, ends (see FundamentalMatrix).  fundamental_C and
 fundamental_S take one lambda or a batch of N as one solve with one step
 sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
-column of its tile); values and dlambda are (len(xs), 4, 4) or (len(xs), N,
-4, 4), and fundamental_C's wedges of P column pairs are (orders, 6, P) or
-(orders, 6, P, N): the values, then each order of jet that the run
-carries.  The backward direction serves only fundamental_S: every Delta_jk
-comes from the end values of the forward fundamental_C (see weyl).
+column of its tile); values are (len(xs), 4, 4) or (len(xs), N, 4, 4), and
+ends is keyed by the labels of weyl._ENTRIES.  The backward direction
+serves only fundamental_S: every Delta_jk is an entry of the ends of the
+forward fundamental_C (see weyl).
 """
 
 from __future__ import annotations
@@ -243,19 +243,18 @@ class _Block:
             return np.min((tol / norms[1:]) ** _BOUND_POWERS)
 
 
-def _wedges(Y0, wi, wj):
-    """The 2-wedges of the column pairs (wi, wj) of Y0, (6, pairs)."""
-    return np.array([Y0[a, wi] * Y0[b, wj] - Y0[b, wi] * Y0[a, wj] for a, b in _WEDGE_ROWS],
-                    Y0.dtype)
+def _wedges(u, v):
+    """The 2-wedges u ^ v, rows (_WEDGE_ROWS) on the last axis as u's and v's."""
+    return np.stack([u[..., a] * v[..., b] - u[..., b] * v[..., a] for a, b in _WEDGE_ROWS], -1)
 
 
 def _block(Y0, lams, wi, wj, want_dlambda):
     """The one _Block of a propagation of Y0 at lams with the wedges of its
-    column pairs (wi, wj), and the rows of Y0 in it.  With such wedges it
-    runs the stacked system on all ten rows, else Y0's own rows, on which
-    the system is _COLUMNS (4 rows) or _WEDGE (6).  Its jet run is
-    want_dlambda where that is a slice (see propagate), else the jets of
-    every state with want_dlambda and none without."""
+    column pairs (wi, wj), and its rows in the order Y0's, then the wedges'.
+    With such wedges it runs the stacked system on all ten rows, else Y0's
+    own rows, on which the system is _COLUMNS (4 rows) or _WEDGE (6).  Its
+    jet run is want_dlambda where that is a slice (see propagate), else the
+    jets of every state with want_dlambda and none without."""
     ncols, nw = Y0.shape[1], len(wi)
     jets = (want_dlambda if isinstance(want_dlambda, slice) else
             slice(0 if want_dlambda else ncols + nw, ncols + nw))
@@ -264,9 +263,9 @@ def _block(Y0, lams, wi, wj, want_dlambda):
         return _Block(system, Y0, lams, np.full(ncols, sign), jets), slice(None)
     X0 = np.zeros((10, ncols + nw), Y0.dtype)
     X0[_C_ROWS, :ncols] = Y0
-    X0[_W_ROWS, ncols:] = _wedges(Y0, wi, wj)
+    X0[_W_ROWS, ncols:] = _wedges(Y0[:, wi].T, Y0[:, wj].T).T
     return _Block(_STACKED, X0, np.append(lams, lams[wi]),
-                  np.repeat([_C_SIGN, _W_SIGN], [ncols, nw]), jets), _C_ROWS
+                  np.repeat([_C_SIGN, _W_SIGN], [ncols, nw]), jets), _C_ROWS + _W_ROWS
 
 
 @dataclass
@@ -278,12 +277,15 @@ class FundamentalMatrix:
     # shape (len(xs), 4, k), or (len(xs), 6, k) for k 2-wedges, or
     # (len(xs), N, 4, 4)
     values: np.ndarray
-    dlambda: np.ndarray | None = None   # same shape, entrywise d/dlambda
+    # where the propagation ends, each state's value, then its lambda-Taylor
+    # coefficient of each order the jet run carries (NaN for a state it does
+    # not reach), complex: from propagate (orders, states, rows), the states
+    # init's columns then the wedges of column pairs, a stacked state's rows
+    # 0-3 those of a column and 4-9 those of a wedge; from fundamental_C and
+    # fundamental_S a dict, (k,) -> column k and (j, k) -> the wedge of
+    # columns j and k, each (orders,) + lam.shape + (rows,)
+    ends: np.ndarray | dict
     quadratures: dict | None = None     # (i, j) -> int_0^1 y_i y_j dx
-    # (orders, 6, pairs): the 2-wedges of column pairs where the propagation
-    # ends, then their lambda-Taylor coefficients of each order the jet run
-    # carries (NaN for a wedge it does not reach)
-    wedges: np.ndarray | None = None
 
     @property
     def start(self):
@@ -300,23 +302,22 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
 
     The system follows the rows of init: 4 rows are k columns, 6 rows are
     k 2-wedges (rows in the order of _WEDGE_ROWS), stepped under the
-    compound; values, and with want_dlambda their jets in dlambda, have
-    those rows.  lam is one spectral parameter for every column, or one per
-    column (a lambda batch, or a Lagrange-identity check across two).
-    direction 'forward' starts the init data at x=0, 'backward' at x=1.
+    compound; values have those rows.  lam is one lambda for every column,
+    or one per column (a lambda batch, or a Lagrange-identity check across
+    two).  direction 'forward' starts the init data at x=0, 'backward' at x=1.
     quad_pairs is a list of column index pairs (i, j); for each, the scalar
     int_0^1 y_i(x) y_j(x) dx is accumulated alongside the trajectory.
     wedge_pairs is a list of column index pairs at one lambda each; their
-    2-wedges are returned in wedges, where the propagation ends.  Both read
+    2-wedges are states of ends alone, after init's columns.  Both read
     columns: a 6-row init with either raises ValueError.
     want_dlambda sets the jet run: True carries the jet of every state (the
     columns of init, then the wedges), False none.  A slice of those states
     carries the jets of the states from its start on, in order; where it
     runs past the last state it continues into the jets themselves, so that
     the first stop - (number of states) states of the run also carry their
-    second lambda-Taylor coefficient (half the second derivative).  The
-    wedges' coefficients are wedges[k], of order k, NaN where the run
-    carries none.
+    second lambda-Taylor coefficient (half the second derivative).  Each
+    state's coefficient of order k is ends[k], NaN where the run carries
+    none.
     """
     Y0 = np.asarray(init, dtype=complex)
     if Y0.ndim == 1:
@@ -340,7 +341,7 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     wi, wj = np.array(wedge_pairs or [], dtype=int).reshape(-1, 2).T
     if np.any(lams[wi] != lams[wj]):
         raise ValueError("a wedge pairs columns at different lambda")
-    block, crows = _block(Y0, lams, wi, wj, want_dlambda)
+    block, rows = _block(Y0, lams, wi, wj, want_dlambda)
     rel, absolute = problem.tolerances.ode_rel, problem.tolerances.ode_abs
     hilbert = 1.0 / (np.arange(TAYLOR_ORDER + 1)[:, None] + np.arange(TAYLOR_ORDER + 1) + 1)
     quads = np.zeros(len(quad_pairs), Y0.dtype)
@@ -385,26 +386,21 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
 
     xs_out = np.asarray(xs_out)
     order = np.argsort(xs_out)
-    states_out = np.asarray(states_out, dtype=complex)[order][:, crows]
+    values = np.asarray(states_out, dtype=complex)[order][:, rows][:, :len(Y0), :ncols]
     quadratures = None
     if quad_pairs:
         quadratures = {pair: complex(sign * quads[k]) for k, pair in enumerate(quad_pairs)}
-    wedges = None
-    if len(wi):   # each wedge state's coefficient at its order and wedge
-        of = block.src >= ncols
-        wedges = np.full((block.order.max() + 1, 6, len(wi)), np.nan, complex)
-        wedges[block.order[of], :, block.src[of] - ncols] = block.state[_W_ROWS][:, of].T
-    return FundamentalMatrix(xs=xs_out[order], values=states_out[:, :, :ncols],
-                             dlambda=states_out[:, :, block.cols:block.cols + ncols]
-                             if block.jet_cols.start == 0 else None,
-                             quadratures=quadratures, wedges=wedges)
+    # complex, as values are, also where the real kernel fills it
+    ends = np.full((block.order.max() + 1, block.cols, len(block.state)), np.nan, complex)
+    ends[block.order, block.src] = block.state[rows].T
+    return FundamentalMatrix(xs=xs_out[order], values=values, ends=ends, quadratures=quadratures)
 
 
 def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> FundamentalMatrix:
     """The 4 x 4 `init` propagated at one lambda or at each of a batch, in one
-    solve; fields (len(xs),) + lam.shape + (4, 4), and with `wedge` (pairs of
-    1-based column labels) those pairs' wedges at each lambda with the jets
-    the run carries, (orders, 6, len(wedge)) + lam.shape.  want_dlambda is a
+    solve; values (len(xs),) + lam.shape + (4, 4), and ends keyed (k,) for
+    column k and, with `wedge` (pairs of 1-based column labels), (j, k) for
+    each pair's wedge, with the jets the run carries.  want_dlambda is a
     bool, or the jet run of one lambda as a slice of its states (4 columns,
     the wedges, then the jets in run order) that starts at a wedge: the batch
     stacks the wedges pair by pair, so it runs the same slice times the batch size."""
@@ -415,21 +411,23 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> 
         want_dlambda = slice(want_dlambda.start * lam.size, want_dlambda.stop * lam.size)
     res = propagate(problem, np.repeat(lam.ravel(), 4), direction, np.tile(init, lam.size),
                     want_dlambda=want_dlambda, wedge_pairs=pairs, x_grid=x_grid)
-
-    def per_lambda(a):   # (len(xs), 4, 4N): row, then lambda-major columns
-        return np.moveaxis(a.reshape(len(a), 4, *lam.shape, 4), 1, -2)
-
-    return FundamentalMatrix(xs=res.xs, values=per_lambda(res.values),
-                             dlambda=None if res.dlambda is None else per_lambda(res.dlambda),
-                             wedges=None if wedge is None else
-                             res.wedges.reshape(len(res.wedges), 6, len(wedge), *lam.shape))
+    # the states: 4 columns per lambda, lambda-major, then the wedges pair-major
+    n, e = 4 * lam.size, res.ends
+    cols = e[:, :n, :4].reshape(len(e), *lam.shape, 4, 4)
+    wedges = e[:, n:, 4:].reshape(len(e), len(wedge or ()), *lam.shape, 6)
+    ends = {(k + 1,): cols[..., k, :] for k in range(4)}
+    ends.update({tuple(jk): wedges[:, i] for i, jk in enumerate(wedge or ())})
+    # values: row, then lambda-major columns
+    return FundamentalMatrix(xs=res.xs, values=np.moveaxis(
+        res.values.reshape(len(res.values), 4, *lam.shape, 4), 1, -2), ends=ends)
 
 
 def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False, x_grid=None,
                   wedge=None) -> FundamentalMatrix:
     """Solutions C_k with U_s(C_k) = delta_sk; initial matrix U^{-1} at x=0.
-    wedge = [(j, k), ...] also carries each C_j ^ C_k, with the jets of the
-    run want_dlambda sets (see _fundamental)."""
+    wedge = [(j, k), ...] also carries each C_j ^ C_k; ends holds each C_k
+    and C_j ^ C_k at x = 1 with the jets of the run want_dlambda sets (see
+    _fundamental)."""
     return _fundamental(problem, lam, "forward", np.linalg.inv(boundary_form_matrix(problem)),
                         want_dlambda, x_grid, wedge)
 

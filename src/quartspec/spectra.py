@@ -25,8 +25,9 @@ Delta is an entry of (weyl._ENTRIES), alone: minus row 0 of the 2-wedge of
 the selector's two C columns for a Delta_j2 (C3 ^ C4, C2 ^ C4, C3 ^ C2),
 and +-row 0 of one C column at x = 1 for any other Delta.  The samples of
 the real scan and of a winding ring come from _samples without the jet,
-the polish from _samples with it.  A batch takes the steps of its largest
-lambda, so a root moves with its batch within the integration tolerance: on
+the polish from _samples with it, each read by weyl._entry from the
+ends of its propagation.  A batch takes the steps of its largest lambda,
+so a root moves with its batch within the integration tolerance: on
 the beam a Delta_32 zero polished alone and in the batch of the first ten
 differ by 2.5e-12 (rho ~ 10), 1.9e-11 (rho ~ 20) and 4.7e-11 (rho ~ 29),
 relative, a Delta_22 zero by at most 5e-14.  Only a Delta_22 polish also
@@ -58,8 +59,8 @@ Newton from the centre with a batch of one; find_zero_near runs it from
 a given point and stops where an iterate would leave a disc around it,
 raising LeftDiscError with that iterate.  Every Zero is made in _polish,
 the one driver of Newton on Delta, with the end state of its accepted
-evaluation, for a Delta_22 also its C (Zero.C, the three wedges and their
-jets included), and the result of its one simplicity_check;
+evaluation, for a Delta_22 also its C (Zero.C, whose ends hold the three
+wedges and their jets), and the result of its one simplicity_check;
 weight_numbers trusts them all.  No search takes a
 scale: each judges Delta against values at its own lambda.
 """
@@ -119,8 +120,8 @@ class Zero:
     # the state at x = 1 of the accepted Newton evaluation whose row 0 is
     # Delta up to sign: a C column (4 rows) or a 2-wedge (6 rows), _ENTRIES
     end_state: np.ndarray = field(repr=False, compare=False)
-    # that evaluation's fundamental_C, C(0) to C(1), with the wedges
-    # _M_WEDGE and their lambda-Taylor table, each Delta read by weyl._entry;
+    # that evaluation's fundamental_C, C(0) to C(1), with the ends of its
+    # columns and wedges _M_WEDGE, each Delta read by weyl._entry;
     # set by the polish of a Delta_22 only, and not carried by a copy
     C: FundamentalMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -198,12 +199,12 @@ def _jets(problem, selector, lams):
     try:
         if selector == (2, 2):
             C = fundamental_C(problem, lams, _J2_RUN, x_grid=[0.0, 1.0], wedge=_M_WEDGE)
-            value, jets, state = _entry(C, selector, _M_WEDGE)
+            value, jets, state = _entry(C.ends, selector)
             return [(v, dv, s, FundamentalMatrix(xs=C.xs, values=C.values[:, i],
-                                                 wedges=C.wedges[..., i]))
+                                                 ends={c: e[:, i] for c, e in C.ends.items()}))
                     for i, (v, dv, s) in enumerate(zip(value.tolist(), jets[0].tolist(), state))]
-        value, jet, end = _samples(problem, selector, lams, jet=True)
-        return list(zip(value.tolist(), jet.tolist(), end.T, [None] * len(lams)))
+        value, jet, state = _samples(problem, selector, lams, jet=True)
+        return list(zip(value.tolist(), jet.tolist(), state, [None] * len(lams)))
     except PropagationError as exc:
         if len(lams) == 1:
             return [exc]
@@ -238,20 +239,19 @@ def _polish(problem, selector, newtons):
 
 def _samples(problem, selector, lams, jet):
     """Delta_selector at each of lams, its jet (None without `jet`) and the
-    end state it is read from, (rows, len(lams)), in one solve of that one
-    state per lambda, propagated alone: row 0 of the 2-wedge of its two C
-    columns (6 rows) or of its one C column (4 rows) at x = 1, negated
-    where the sign is -1, as weyl._entry reads _ENTRIES.  Neither forms a
-    determinant."""
+    end state it is read from, (len(lams), rows), in one solve of that one
+    state per lambda, propagated alone: the 2-wedge of its two C columns (6
+    rows) or its one C column (4 rows), keyed by those columns for
+    weyl._entry, which reads it at x = 1.  Neither forms a determinant."""
     lams = np.asarray(lams, dtype=complex)
-    sign, cols = _ENTRIES[selector]
+    cols = _ENTRIES[selector][1]
     Uinv = np.linalg.inv(boundary_form_matrix(problem))
     i = np.subtract(cols, 1)
-    init = Uinv[:, i] if len(i) == 1 else _wedges(Uinv, i[:1], i[1:])
+    init = Uinv[:, i] if len(i) == 1 else _wedges(*Uinv[:, i].T)[:, None]
     res = propagate(problem, lams, "forward", np.tile(init, lams.size), want_dlambda=jet,
                     x_grid=[0.0, 1.0])
-    signed = np.negative if sign < 0 else np.positive
-    return signed(res.end[0]), (signed(res.dlambda[-1, 0]) if jet else None), res.end
+    value, jets, state = _entry({cols: res.ends}, selector)
+    return value, (jets[0] if jet else None), state
 
 
 def _scan_start(a, b, near):

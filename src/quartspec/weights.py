@@ -40,7 +40,7 @@ from .mclaughlin import SpectralPoint, classify_eigenvalue, weight_numbers
 from .problem import ProblemSpec
 from .propagator import fundamental_C
 from .spectra import LeftDiscError, find_first_zeros, find_zero_near
-from .weyl import _M_WEDGE, ALL_INDEX_PAIRS, PoleError, _entry, _minor_norm, weyl_matrix
+from .weyl import ALL_INDEX_PAIRS, PoleError, _entry, _minor_norm, weyl_matrix
 
 CONVERGENCE_TOL = 1e-8
 
@@ -158,7 +158,7 @@ def _jet_weight_matrix(zero) -> WeightMatrix:
     Delta_22' and the constant term -(Delta_j2' - Delta_j2 Delta_22'' /
     (2 Delta_22')) / Delta_22', all from the wedges' jets.  Columns 1 and 3
     are M's values, from the entries of C(1); weyl._entry reads each."""
-    d = {jk: _entry(zero.C, jk, _M_WEDGE)[:2] for jk in ALL_INDEX_PAIRS}
+    d = {jk: _entry(zero.C.ends, jk)[:2] for jk in ALL_INDEX_PAIRS}
     m_zero = np.eye(4, dtype=complex)
     for j, k in ((2, 1), (3, 1), (4, 1), (4, 3)):
         m_zero[j - 1, k - 1] = -d[j, k][0] / d[k, k][0]
@@ -202,8 +202,8 @@ def weight_matrix_near(problem: ProblemSpec, lam0) -> tuple:
 def classify_on_problem(problem: ProblemSpec, point: SpectralPoint) -> str:
     """classify_eigenvalue on one C-only evaluation at point.lam, each
     Delta read by weyl._entry."""
-    C = fundamental_C(problem, point.lam, x_grid=[0.0, 1.0])
-    (delta43, _, c3), (delta33, _, _) = (_entry(C, jk, None) for jk in ((4, 3), (3, 3)))
+    ends = fundamental_C(problem, point.lam, x_grid=[0.0, 1.0]).ends
+    (delta43, _, c3), (delta33, _, _) = (_entry(ends, jk) for jk in ((4, 3), (3, 3)))
     return classify_eigenvalue(point, delta43, delta33, _minor_norm(c3, point.lam))
 
 

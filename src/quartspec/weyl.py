@@ -12,10 +12,11 @@ any other of one C column at x = 1.  For the Delta_j1 that is the Lagrange
 bracket, constant in x: S(0) = U^{-1} C(1)^{-1} = J^{-1} U^T C(1)^T J for
 any p, q, a, b, c, so with det U = 1, Delta_31 = -S_4(0) = C_2(1), Delta_41
 = -S_4'(0) = -C_1(1), Delta_11 = -C_4(1) and Delta_21 = -C_3(1).  Every
-Delta and its jet is read so (_entry), none is a determinant: deltas_at and
-the searches (see spectra) read wedges carried in the solve of C, M reads
-C(1) and the wedges C3^C4, C2^C4 and C3^C2 formed from it at x = 1
-(_M_WEDGE), which keep the rounding of those 2 x 2 minors.  So in M
+Delta and its jet is read so, by _entry alone from the ends of a
+propagation (propagator.FundamentalMatrix.ends), none is a determinant:
+deltas_at and the searches (see spectra) read wedges carried in the solve
+of C, M reads C(1) and the wedges C3^C4, C2^C4 and C3^C2 formed from it at
+x = 1 (_M_WEDGE), which keep the rounding of those 2 x 2 minors.  So in M
 Delta_11 = -Delta_33 and Delta_21 = -Delta_43, and m21 = m43 holds bit for
 bit.  A Delta vanishes against the weighted norm of its own state at the
 same lambda (_minor_norm).
@@ -34,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .problem import ProblemSpec
-from .propagator import FundamentalMatrix, _wedges, fundamental_C
+from .propagator import _wedges, fundamental_C
 
 # (sign, C columns) of each Delta_jk as sign times row 0 of one state: of
 # the column for one, of the 2-wedge of the two for two
@@ -65,7 +66,6 @@ class PoleError(ArithmeticError):
 @dataclass
 class CharacteristicValue:
     # each field has the shape of the lambda it was evaluated at
-    jk: tuple
     value: complex
     dvalue: complex | None = None
 
@@ -88,24 +88,17 @@ def _minor_norm(state, lam):
     return np.max(np.abs(state) * weight, axis=-1)
 
 
-def _entry(C, jk, wedge):
+def _entry(ends, jk):
     """(Delta_jk, its lambda-Taylor coefficients of order 1, 2, ... on a
-    leading axis, its state: rows on the last axis) at the end of C, a
-    fundamental_C made with the `wedge` list: its 2-wedge or C column, as
-    _ENTRIES gives, and its row 0, negated where the sign is -1 (not times
-    -1, which can flip the sign of a zero imaginary part); the coefficients
-    are those C's jet run carries, None where it carries none."""
+    leading axis, its state: rows on the last axis) from the `ends` of a
+    propagation, keyed by C columns: the state _ENTRIES gives, its row 0
+    negated where the sign is -1 (not times -1, which can flip the sign of a
+    zero imaginary part); the coefficients are those the jet run carries,
+    an empty axis without a jet run, NaN where it does not reach the state."""
     sign, cols = _ENTRIES[jk]
-    if len(cols) == 2:
-        w = C.wedges[:, :, wedge.index(cols)]   # (order, row) + lambda's shape
-        # rows to the last axis by a transpose, several times cheaper than np.moveaxis
-        state, jets = w[0].transpose(*range(1, w.ndim - 1), 0), (w[1:, 0] if len(w) > 1 else None)
-    else:
-        state = C.end[..., cols[0] - 1]
-        jets = None if C.dlambda is None else C.dlambda[-1][None, ..., 0, cols[0] - 1]
-    if sign < 0:
-        return -state[..., 0], None if jets is None else -jets, state
-    return state[..., 0], jets, state
+    end = ends[cols]   # (orders,) + lambda's shape + (rows,)
+    row0 = -end[..., 0] if sign < 0 else end[..., 0]
+    return row0[0], row0[1:], end[0]
 
 
 def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
@@ -114,17 +107,21 @@ def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
     field of the shape of lams: one batched propagation of C with the
     2-wedges of the Delta_j2 among `pairs`, and the jet of every state only
     with want_dlambda, each Delta_jk and its jet read by _entry, none a
-    determinant.  An empty batch propagates nothing."""
+    determinant.  A pair with no Delta_jk raises ValueError.  An empty batch
+    propagates nothing."""
+    for jk in pairs:
+        if jk not in _ENTRIES:
+            raise ValueError(f"no characteristic function with index pair {jk}")
     lams = np.asarray(lams, dtype=complex)
     if lams.size == 0:
-        return {jk: CharacteristicValue(jk, np.empty(lams.shape, complex),
+        return {jk: CharacteristicValue(np.empty(lams.shape, complex),
                                         np.empty(lams.shape, complex) if want_dlambda else None)
                 for jk in pairs}
     wedge = [_ENTRIES[jk][1] for jk in pairs if jk[1] == 2] or None
-    C = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0], wedge=wedge)
-    read = {jk: _entry(C, jk, wedge) for jk in pairs}
+    ends = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0], wedge=wedge).ends
+    read = {jk: _entry(ends, jk) for jk in pairs}
     # [()] makes the fields of one lambda numpy scalars
-    return {jk: CharacteristicValue(jk, value[()], jets[0][()] if want_dlambda else None)
+    return {jk: CharacteristicValue(value[()], jets[0][()] if want_dlambda else None)
             for jk, (value, jets, _) in read.items()}
 
 
@@ -136,8 +133,6 @@ def all_deltas(problem: ProblemSpec, lam, want_dlambda=False,
 
 def characteristic_delta(problem: ProblemSpec, lam, jk, want_dlambda=False) -> CharacteristicValue:
     jk = tuple(jk)
-    if jk not in _ENTRIES:
-        raise ValueError(f"no characteristic function with index pair {jk}")
     return deltas_at(problem, lam, (jk,), want_dlambda)[jk]
 
 
@@ -150,16 +145,15 @@ def delta_scale(problem: ProblemSpec, k: int) -> float:
 
 
 def _weyl_sample(lam, end) -> WeylSample:
-    """M from C(1) at lam, each Delta read by _entry from C(1) or from the
-    2-wedges _M_WEDGE formed from it at x = 1; a pole where |Delta_kk| is
-    below POLE_FLOOR times the _minor_norm of its own state."""
+    """M from C(1) at lam, each Delta read by _entry from the columns of C(1)
+    or from the 2-wedges _M_WEDGE formed from them at x = 1; a pole where
+    |Delta_kk| is below POLE_FLOOR times the _minor_norm of its own state."""
     lam = np.asarray(lam, dtype=complex)
-    wi, wj = np.subtract(_M_WEDGE, 1).T
-    C = FundamentalMatrix(xs=np.ones(1), values=end[None],
-                          wedges=_wedges(np.moveaxis(end, (-2, -1), (0, 1)), wi, wj)[None])
-    read = {jk: _entry(C, jk, _M_WEDGE) for jk in ALL_INDEX_PAIRS}
+    ends = {(k + 1,): end[None, ..., k] for k in range(4)}
+    ends.update({(j, k): _wedges(ends[j,], ends[k,]) for j, k in _M_WEDGE})
+    read = {jk: _entry(ends, jk) for jk in ALL_INDEX_PAIRS}
     # [()] makes the fields of one lambda numpy scalars
-    deltas = {jk: CharacteristicValue(jk, value[()]) for jk, (value, _, _) in read.items()}
+    deltas = {jk: CharacteristicValue(value[()]) for jk, (value, _, _) in read.items()}
     diag = np.stack([np.ravel(read[kk][0]) for kk in _DIAG])   # (3, N)
     size = np.hypot(diag.real, diag.imag)
     poles = size < POLE_FLOOR * np.stack([np.ravel(_minor_norm(read[kk][2], lam))

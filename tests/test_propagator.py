@@ -43,6 +43,11 @@ def _wedge_init(Y, pairs, copies=1):
                      for a, b in combinations(range(4), 2)])
 
 
+def _column_jets(C):
+    """d/dlambda of C(1), rows then columns, from a fundamental_C's ends."""
+    return np.stack([C.ends[k,][1] for k in range(1, 5)], -1)
+
+
 def _kernel_steps(monkeypatch):
     """(dtype kind, step length) of every step a propagation's one block takes."""
     steps = []
@@ -99,10 +104,12 @@ class TestClosedForm:
         lam = float(rho) ** 4
         res = propagate(pb, lam, "forward", np.linalg.inv(boundary_form_matrix(pb)),
                         want_dlambda=True, wedge_pairs=[(2, 3)], x_grid=[0.0, 1.0])
-        assert -res.wedges[0, 0, 0] == pytest.approx(oracle_delta22(lam), rel=1e-11)
+        # ends: the 4 columns, then the wedge, whose rows follow the columns'
+        assert res.ends.shape == (2, 5, 10)
+        assert -res.ends[0, 4, 4] == pytest.approx(oracle_delta22(lam), rel=1e-11)
         r = lam ** 0.25
         ddelta = (np.sin(r) * np.cosh(r) - np.cos(r) * np.sinh(r)) / (8 * r ** 3)
-        assert -res.wedges[1, 0, 0] == pytest.approx(ddelta, rel=1e-10)
+        assert -res.ends[1, 4, 4] == pytest.approx(ddelta, rel=1e-10)
 
     @pytest.mark.parametrize("rho", [10, 35, 60, 120])
     def test_wedge_only_delta22_matches_closed_form(self, rho):
@@ -112,7 +119,7 @@ class TestClosedForm:
         lams = float(rho) ** 4 * np.array([1.0, 1.01])
         init = _wedge_init(np.linalg.inv(boundary_form_matrix(pb)), [(3, 4)], copies=2)
         res = propagate(pb, lams, "forward", init, x_grid=[0.0, 1.0])
-        assert res.values.shape == (2, 6, 2) and res.dlambda is None and res.wedges is None
+        assert res.values.shape == (2, 6, 2) and res.ends.shape == (1, 2, 6)
         got = -res.end[0]
         assert got.tolist() == pytest.approx([oracle_delta22(lam) for lam in lams], rel=1e-11)
 
@@ -123,7 +130,7 @@ class TestClosedForm:
         plus = fundamental_C(pb, lam + h)
         minus = fundamental_C(pb, lam - h)
         fd = (plus.end - minus.end) / (2 * h)
-        assert np.max(np.abs(res.dlambda[-1] - fd)) < 1e-5
+        assert np.max(np.abs(_column_jets(res) - fd)) < 1e-5
 
 
 class TestInitialData:
@@ -243,7 +250,7 @@ class TestRealKernel:
         res = fundamental_C(pb, REAL_BATCH, want_dlambda=True, wedge=[(3, 4)],
                             x_grid=np.linspace(0, 1, 5))
         assert {kind for kind, _ in steps} == {"f"}
-        for a in (res.values, res.dlambda, res.wedges):
+        for a in (res.values, *res.ends.values()):
             assert a.dtype == complex and not np.any(a.imag)
         res = propagate(pb, 12.0, "forward", np.linalg.inv(boundary_form_matrix(pb)),
                         quad_pairs=[(0, 0), (2, 3)])
@@ -268,7 +275,8 @@ class TestRealKernel:
         assert len(steps) == len(real_steps)
         np.testing.assert_allclose([h for _, h in steps], [h for _, h in real_steps],
                                    rtol=1e-12)
-        for got, ref in ((mixed.end[:-1], real.end), (mixed.dlambda[-1, :-1], real.dlambda[-1])):
+        for got, ref in ((mixed.end[:-1], real.end),
+                         (_column_jets(mixed)[:-1], _column_jets(real))):
             scale = np.max(np.abs(ref), axis=(-2, -1))
             assert np.all(np.max(np.abs(got - ref), axis=(-2, -1)) <= 1e-13 * scale)
 
@@ -413,16 +421,17 @@ class TestWedgeInit:
             lams = np.array([-2e4 + 50j, -300.0, 2.5 + 1j, 150.0 - 40j, 9000.0, 2e4j])
         assert np.all(np.abs(lams) ** 0.25 < 12)
         pairs = [(3, 4), (2, 4), (3, 2)]
-        ref = fundamental_C(pb, lams, slice(4, 7), x_grid=[0.0, 1.0], wedge=pairs).wedges
+        ref = fundamental_C(pb, lams, slice(4, 7), x_grid=[0.0, 1.0], wedge=pairs).ends
         init = _wedge_init(np.linalg.inv(boundary_form_matrix(pb)), pairs, copies=len(lams))
         res = propagate(pb, np.tile(lams, len(pairs)), "forward", init, want_dlambda=True,
                         x_grid=[0.0, 1.0])
-        assert res.values.shape[1:] == res.dlambda.shape[1:] == (6, len(pairs) * len(lams))
-        assert res.wedges is None
-        for got, want in ((res.end, ref[0]), (res.dlambda[-1], ref[1])):
-            got = got.reshape(6, len(pairs), len(lams))
-            assert np.all(np.max(np.abs(got - want), axis=0)
-                          <= 1e-12 * np.max(np.abs(want), axis=0))
+        assert res.values.shape[1:] == (6, len(pairs) * len(lams))
+        assert res.ends.shape == (2, len(pairs) * len(lams), 6)
+        for k in (0, 1):   # the values, then the jets
+            got = res.ends[k].reshape(len(pairs), len(lams), 6)
+            want = np.array([ref[p][k] for p in pairs])
+            assert np.all(np.max(np.abs(got - want), axis=-1)
+                          <= 1e-12 * np.max(np.abs(want), axis=-1))
 
     @pytest.mark.parametrize("extra", [{"quad_pairs": [(0, 0)]}, {"wedge_pairs": [(0, 1)]}],
                              ids=["quad_pairs", "wedge_pairs"])

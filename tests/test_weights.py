@@ -23,7 +23,7 @@ from quartspec.weights import (
     CONTOUR_NODES, LaurentError, WeightMatrix, _contour, _trapezoid, case_search,
     default_contour_radius,
 )
-from quartspec.weyl import _M_WEDGE, _entry, weyl_matrix
+from quartspec.weyl import _entry, weyl_matrix
 
 from conftest import beam_eigenvalue, clamped_free_s, make_random_problem, make_random_real_problem
 
@@ -196,7 +196,7 @@ class TestJetWeights:
             h = 1e-3 * np.sqrt(1 + abs(z.lam))
             jet = deltas_at(pb, [z.lam - h, z.lam + h], ((2, 2),), want_dlambda=True)[2, 2]
             fd = (jet.dvalue[1] - jet.dvalue[0]) / (2 * h)
-            d2delta = 2 * _entry(z.C, (2, 2), _M_WEDGE)[1][1]
+            d2delta = 2 * _entry(z.C.ends, (2, 2))[1][1]
             assert abs(d2delta - fd) <= 1e-8 * abs(fd), z.lam
 
 

@@ -88,8 +88,8 @@ class TestBatchedDeltas:
                                x_grid=[0.0, 1.0])
                 entries = {(1, 1): -C.end[0, 3], (2, 1): -C.end[0, 2], (3, 1): C.end[0, 1],
                            (4, 1): -C.end[0, 0], (3, 3): C.end[0, 3], (4, 3): C.end[0, 2],
-                           (2, 2): -C.wedges[0, 0, 0], (3, 2): -C.wedges[0, 0, 1],
-                           (4, 2): -C.wedges[0, 0, 2]}
+                           (2, 2): -C.ends[3, 4][0, 0], (3, 2): -C.ends[2, 4][0, 0],
+                           (4, 2): -C.ends[3, 2][0, 0]}
                 for jk in ALL_INDEX_PAIRS:
                     rows, cols = delta_index(*jk)
                     det = np.linalg.det(C.end[np.ix_(rows, cols)])
@@ -99,10 +99,10 @@ class TestBatchedDeltas:
                 for row, jk in enumerate(((3, 1), (4, 1))):
                     assert got[jk].value == pytest.approx(-S4.start[row, 0], rel=1e-8)
                 if jet:
-                    assert got[(3, 1)].dvalue == C.dlambda[-1][0, 1]
-                    assert got[(4, 1)].dvalue == -C.dlambda[-1][0, 0]
-                    assert got[(2, 2)].dvalue == -C.wedges[1, 0, 0]
-                    assert got[(3, 1)].dvalue == pytest.approx(-S4.dlambda[0][0, 0], rel=1e-8)
+                    assert got[(3, 1)].dvalue == C.ends[2,][1, 0]
+                    assert got[(4, 1)].dvalue == -C.ends[1,][1, 0]
+                    assert got[(2, 2)].dvalue == -C.ends[3, 4][1, 0]
+                    assert got[(3, 1)].dvalue == pytest.approx(-S4.ends[1, 0, 0], rel=1e-8)
 
     @pytest.mark.parametrize("lams", [
         480.0 + 5.8 * np.exp(2j * np.pi * np.arange(32) / 32),   # contour nodes
@@ -198,6 +198,18 @@ class TestCharacteristicValues:
         for jk, expect in BEAM_DELTAS_AT_ZERO.items():
             assert d[jk].value == pytest.approx(expect, abs=1e-10), jk
 
+    def test_unknown_pair_raises_the_same_error(self):
+        # deltas_at checks the pairs, for its two one-lambda wrappers too,
+        # before any solve, an empty batch included
+        pb = beam_problem()
+        for call in (lambda: deltas_at(pb, [1.0], ((1, 2),)),
+                     lambda: deltas_at(pb, [], ((1, 2),)),
+                     lambda: all_deltas(pb, 1.0, pairs=((1, 2),)),
+                     lambda: characteristic_delta(pb, 1.0, (1, 2))):
+            with pytest.raises(ValueError, match=r"no characteristic function with index pair "
+                                                 r"\(1, 2\)$"):
+                call()
+
     def test_beam_delta22_at_lambda_one(self):
         # -(1 + cos 1 cosh 1)/2
         val = characteristic_delta(beam_problem(), 1.0, (2, 2)).value
@@ -250,7 +262,8 @@ class TestCharacteristicValues:
 
 class TestBatchShape:
     def test_batch_of_one_is_bitwise_the_one_lambda_call(self):
-        # fundamental_C and phi_matrix of a batch of one are bitwise their
+        # fundamental_C (its values on the grid, its ends with their jets at
+        # x = 1) and phi_matrix of a batch of one are bitwise their
         # one-lambda results; m is within one ulp of Python's scalar
         # -Delta_jk / Delta_kk of the one-lambda M (numpy rounds complex
         # division differently)
@@ -263,7 +276,9 @@ class TestBatchShape:
             assert batch.values.shape == (len(one.xs), 1, 4, 4)
             assert np.array_equal(batch.xs, one.xs)
             assert np.array_equal(batch.values[:, 0], one.values)
-            assert np.array_equal(batch.dlambda[:, 0], one.dlambda)
+            assert batch.ends.keys() == one.ends.keys()
+            for cols, end in one.ends.items():
+                assert np.array_equal(batch.ends[cols][:, 0], end), cols
             _, phi_one = phi_matrix(pb, lam, x_grid=xs)
             _, phi_batch = phi_matrix(pb, [lam], x_grid=xs)
             assert np.array_equal(phi_batch[:, 0], phi_one)
@@ -438,7 +453,7 @@ class TestEntryReads:
                 v = end[..., cols[1] - 1]
                 row0 = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
             cv = got.deltas[jk]
-            assert cv.jk == jk and cv.dvalue is None
+            assert cv.dvalue is None, jk
             assert _same_bits(cv.value, (row0 if sign > 0 else -row0)[()]), jk
         # Delta_11 = -Delta_33 and Delta_21 = -Delta_43 are the same entries
         assert _same_bits(got.m[..., 1, 0], got.m[..., 3, 2])

@@ -113,7 +113,7 @@ def test_no_delta_propagates_backward(beam, monkeypatch):
     # alone is bitwise the solve of C with its one wedge
     lam = 7.3
     end = fundamental_C(beam, lam, x_grid=[0.0, 1.0]).end
-    alone = -fundamental_C(beam, lam, x_grid=[0.0, 1.0], wedge=[(3, 4)]).wedges[0, 0, 0]
+    alone = -fundamental_C(beam, lam, x_grid=[0.0, 1.0], wedge=[(3, 4)]).ends[3, 4][0, 0]
     calls = _counting_propagations(monkeypatch)
     for jet in (True, False):
         calls.clear()
