@@ -155,12 +155,8 @@ class _Block:
 
     def __init__(self, system, X0, lams, signs, jet_cols):
         self.system, self.cols, self.jet_cols = system, X0.shape[1], jet_cols
-        src, order = list(range(self.cols)), [0] * self.cols
-        for s in range(jet_cols.start, jet_cols.stop):
-            src.append(src[s])
-            order.append(order[s] + 1)
-        self.src, self.order = np.array(src), np.array(order)
-        self.state = np.concatenate([X0, np.zeros((len(X0), len(src) - self.cols), X0.dtype)],
+        self.src, self.order = _jet_run(self.cols, jet_cols)
+        self.state = np.concatenate([X0, np.zeros((len(X0), len(self.src) - self.cols), X0.dtype)],
                                     axis=1)
         self.plans = {}
         lams, signs = lams[self.src], signs[self.src]
@@ -243,6 +239,33 @@ class _Block:
             return np.min((tol / norms[1:]) ** _BOUND_POWERS)
 
 
+def _jet_run(cols, jet_cols):
+    """(src, order) of the state columns of `cols` values and the jet run
+    `jet_cols` (see _Block)."""
+    src, order = list(range(cols)), [0] * cols
+    for s in range(jet_cols.start, jet_cols.stop):
+        src.append(src[s])
+        order.append(order[s] + 1)
+    return np.array(src, dtype=int), np.array(order, dtype=int)
+
+
+def _run(want_dlambda, states):
+    """The jet run that propagate's want_dlambda sets over `states` state
+    columns: the slice itself, every state for True, none for False."""
+    return (want_dlambda if isinstance(want_dlambda, slice) else
+            slice(0 if want_dlambda else states, states))
+
+
+def _grid(problem, x_grid):
+    """The x at which a propagation records its state, ascending: the
+    breakpoints, and the points of x_grid (17 equispaced by default) inside
+    [0, 1] more than 1e-15 from each."""
+    nodes = problem.breakpoints
+    grid = np.linspace(0.0, 1.0, 17) if x_grid is None else np.asarray(x_grid, float)
+    apart = np.min(np.abs(grid[:, None] - nodes), axis=1) > 1e-15
+    return _sorted_unique(np.append(grid[apart & (grid > nodes[0]) & (grid < nodes[-1])], nodes))
+
+
 def _wedges(u, v):
     """The 2-wedges u ^ v, rows (_WEDGE_ROWS) on the last axis as u's and v's."""
     return np.stack([u[..., a] * v[..., b] - u[..., b] * v[..., a] for a, b in _WEDGE_ROWS], -1)
@@ -256,8 +279,7 @@ def _block(Y0, lams, wi, wj, want_dlambda):
     jet run is want_dlambda where that is a slice (see propagate), else the
     jets of every state with want_dlambda and none without."""
     ncols, nw = Y0.shape[1], len(wi)
-    jets = (want_dlambda if isinstance(want_dlambda, slice) else
-            slice(0 if want_dlambda else ncols + nw, ncols + nw))
+    jets = _run(want_dlambda, ncols + nw)
     if not nw:
         system, sign = (_COLUMNS, _C_SIGN) if len(Y0) == 4 else (_WEDGE, _W_SIGN)
         return _Block(system, Y0, lams, np.full(ncols, sign), jets), slice(None)
@@ -346,17 +368,15 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     hilbert = 1.0 / (np.arange(TAYLOR_ORDER + 1)[:, None] + np.arange(TAYLOR_ORDER + 1) + 1)
     quads = np.zeros(len(quad_pairs), Y0.dtype)
 
-    breakpoints = problem.breakpoints
-    grid = _sorted_unique(np.append(np.linspace(0.0, 1.0, 17) if x_grid is None else
-                                    np.asarray(x_grid, float), breakpoints))
-    nodes = breakpoints if direction == "forward" else breakpoints[::-1]
+    grid = _grid(problem, x_grid)
+    nodes = problem.breakpoints if direction == "forward" else problem.breakpoints[::-1]
     min_step = 4 * np.finfo(float).eps   # relative to max(1, |x|)
     xs_out = [float(nodes[0])]
     states_out = [block.state]
     for x0, x1 in zip(nodes[:-1], nodes[1:]):
         x0, x1 = float(x0), float(x1)
         left, right = min(x0, x1), max(x0, x1)
-        interior = grid[(grid > left + 1e-15) & (grid < right - 1e-15)]
+        interior = grid[(grid > left) & (grid < right)]
         t_eval = np.append(interior[::int(sign)], x1)
         (p0, pc), (q0, qc) = problem.p.piece(left, right), problem.q.piece(left, right)
         if real:
@@ -403,14 +423,22 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> 
     each pair's wedge, with the jets the run carries.  want_dlambda is a
     bool, or the jet run of one lambda as a slice of its states (4 columns,
     the wedges, then the jets in run order) that starts at a wedge: the batch
-    stacks the wedges pair by pair, so it runs the same slice times the batch size."""
+    stacks the wedges pair by pair, so it runs the same slice times the batch
+    size.  An empty batch propagates nothing: its fields have an empty
+    lambda axis, and ends the orders one lambda's run would carry."""
     lam = np.asarray(lam, dtype=complex)
-    pairs = None if wedge is None else (np.subtract(wedge, 1)[:, None]
-                                        + 4 * np.arange(lam.size)[:, None]).reshape(-1, 2).tolist()
-    if isinstance(want_dlambda, slice):
-        want_dlambda = slice(want_dlambda.start * lam.size, want_dlambda.stop * lam.size)
-    res = propagate(problem, np.repeat(lam.ravel(), 4), direction, np.tile(init, lam.size),
-                    want_dlambda=want_dlambda, wedge_pairs=pairs, x_grid=x_grid)
+    if lam.size == 0:
+        xs, states = _grid(problem, x_grid), 4 + len(wedge or ())
+        orders = _jet_run(states, _run(want_dlambda, states))[1].max() + 1
+        res = FundamentalMatrix(xs=xs, values=np.empty((len(xs), 4, 0), complex),
+                                ends=np.empty((orders, 0, 10), complex))
+    else:
+        pairs = None if wedge is None else (np.subtract(wedge, 1)[:, None] + 4 * np.arange(
+            lam.size)[:, None]).reshape(-1, 2).tolist()
+        if isinstance(want_dlambda, slice):
+            want_dlambda = slice(want_dlambda.start * lam.size, want_dlambda.stop * lam.size)
+        res = propagate(problem, np.repeat(lam.ravel(), 4), direction, np.tile(init, lam.size),
+                        want_dlambda=want_dlambda, wedge_pairs=pairs, x_grid=x_grid)
     # the states: 4 columns per lambda, lambda-major, then the wedges pair-major
     n, e = 4 * lam.size, res.ends
     cols = e[:, :n, :4].reshape(len(e), *lam.shape, 4, 4)

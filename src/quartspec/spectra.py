@@ -7,16 +7,17 @@ problem; the zero sets of Delta_22, Delta_32, Delta_42 are the three
 Barcilon spectra.
 
 Real-axis search scans in rho = |lambda|^(1/4) (zeros are near-uniform in
-rho), one batched solve per chunk.  The first chunk spans about one zero
-spacing and each next one twice the last, so the first n zeros take about
-log2(n) + 1 scan solves, and no chunk is solved once the brackets asked for
-are in hand.  A Taylor step costs about the same whatever the width of its
-batch, and a chunk takes the steps of its largest lambda, so a doubled
-chunk costs about what one chunk at its far end costs.
-Where a doubled chunk raises PropagationError (its far end past where the
-wedge overflows), the scan goes back to chunks of the first size from that
-chunk's start and stays there, so it fails only where one such chunk
-fails.  A pair of
+rho, about pi apart), one batched solve per chunk.  The first chunk spans
+max_count + 1/4 zero spacings and each next one twice the last, so the
+first n zeros of Delta_22 take one scan solve (on the beam a Delta_32
+search of n < 5 takes two: its n-th zero lies just past the first chunk),
+and no chunk is solved once the brackets asked for are in hand.  A Taylor
+step costs about the same whatever the width of its batch, and a chunk
+takes the steps of its largest lambda, so a wide chunk costs about what one
+chunk at its far end costs.  Where a chunk raises PropagationError (its far
+end past where the wedge overflows), the scan goes back to chunks of one
+spacing (_SCAN_CHUNK points) from that chunk's start and stays there, so it
+fails only where one such chunk fails.  A pair of
 samples (a, b) in scan order opens a bracket where Delta changes sign, or
 where Delta(a) is exactly 0; the brackets are polished with Newton in
 lockstep (one batched solve of the variationally computed derivative per
@@ -78,10 +79,14 @@ from .weyl import _ENTRIES, _M_WEDGE, _entry, _minor_norm
 
 SIMPLICITY_FLOOR = 1e-6
 RHO_SCAN_STEP = 0.05
-# grid points of the first batched scan solve, about one zero spacing (pi in
-# rho); each next solve takes twice the last, and after a doubled solve that
+# grid points of about one zero spacing (pi in rho); after a scan solve that
 # raises PropagationError the scan goes on in solves of this size
 _SCAN_CHUNK = int(np.ceil(np.pi / RHO_SCAN_STEP))
+# the first scan solve takes (max_count + _SCAN_LEAD) _SCAN_CHUNK points, each
+# next one twice the last: on the beam the n-th zero of Delta_22, Delta_32 and
+# Delta_42 lies near (n - 1/2) pi, (n + 1/4) pi and n pi in rho, so from rho = 0
+# that many spacings bracket the first max_count zeros in about one solve
+_SCAN_LEAD = 0.25
 # Newton accepts once a step is below this fraction of 1 + |lambda|
 REFINE_TOL = 1e-12
 NEWTON_MAX_ITER = 40
@@ -286,8 +291,9 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
     """All real zeros of Delta_selector in region = (xmin, xmax), sorted ascending.
 
     The grid is scanned (up from xmin, or out from 0 if xmax <= 0) one chunk
-    per solve, each twice the last, until there are brackets for max_count
-    zeros; the first in scan order are polished in lockstep, each from the
+    per solve, the first of max_count + _SCAN_LEAD zero spacings and each
+    next twice the last, until there are brackets for max_count zeros; the
+    first in scan order are polished in lockstep, each from the
     root of the interpolant through up to ten scan samples around it (one
     solve where that start is within REFINE_TOL), and dropped ones resume
     the scan.  Raises ValueError unless xmin < xmax."""
@@ -311,14 +317,15 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
 
     def brackets():
         # a Newton coroutine per bracket in scan order; a chunk is solved only
-        # when the caller asks past the brackets already met.  Each chunk is
-        # twice the last, until one raises PropagationError: the scan then
-        # goes back to _SCAN_CHUNK points from that chunk's start and stays
-        # there, so it fails only where a chunk of _SCAN_CHUNK points fails
+        # when the caller asks past the brackets already met.  The first chunk
+        # spans max_count + _SCAN_LEAD zero spacings and each next one twice
+        # the last, until one raises PropagationError: the scan then goes
+        # back to _SCAN_CHUNK points from that chunk's start and stays there,
+        # so it fails only where a chunk of _SCAN_CHUNK points fails
         # the previous chunk's last five samples, a bracket's first sample and
         # its four neighbours before it across the chunk boundary: no lambda twice
         tail = []
-        start, size, grow = 0, _SCAN_CHUNK, 2
+        start, size, grow = 0, int(np.ceil((max_count + _SCAN_LEAD) * _SCAN_CHUNK)), 2
         while start < len(lams):
             chunk = lams[start:start + size]
             try:

@@ -112,11 +112,6 @@ def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
     for jk in pairs:
         if jk not in _ENTRIES:
             raise ValueError(f"no characteristic function with index pair {jk}")
-    lams = np.asarray(lams, dtype=complex)
-    if lams.size == 0:
-        return {jk: CharacteristicValue(np.empty(lams.shape, complex),
-                                        np.empty(lams.shape, complex) if want_dlambda else None)
-                for jk in pairs}
     wedge = [_ENTRIES[jk][1] for jk in pairs if jk[1] == 2] or None
     ends = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0], wedge=wedge).ends
     read = {jk: _entry(ends, jk) for jk in pairs}
@@ -172,9 +167,8 @@ def _weyl_sample(lam, end) -> WeylSample:
 def weyl_matrix(problem: ProblemSpec, lam) -> WeylSample:
     """M at one lambda or a batch; raises PoleError at the first lambda where
     a needed Delta_kk vanishes (naming the smallest such k)."""
-    lam = np.asarray(lam, dtype=complex)   # an empty batch propagates nothing
-    return _weyl_sample(lam, np.empty(lam.shape + (4, 4), dtype=complex) if lam.size == 0
-                        else fundamental_C(problem, lam, x_grid=[0.0, 1.0]).end)
+    lam = np.asarray(lam, dtype=complex)
+    return _weyl_sample(lam, fundamental_C(problem, lam, x_grid=[0.0, 1.0]).end)
 
 
 def weyl_inverse(sample: WeylSample) -> np.ndarray:

@@ -410,26 +410,28 @@ class TestSampleAtRoot:
         assert [z.lam for z in find_real_zeros(beam, (2, 2), region)] == [r]
 
     @pytest.mark.parametrize("pos, offsets", [
-        (0, [2, 3, 4, 5]), (61, [-4, -3, -2, -1]), (62, [-4, -3, -2, -1, 2, 3, 4, 5]),
-        (63, [-4, -3, -2, -1, 2, 3, 4, 5])],
+        (0, [2, 3, 4, 5]), (77, [-4, -3, -2, -1]), (78, [-4, -3, -2, -1, 2, 3, 4, 5]),
+        (79, [-4, -3, -2, -1, 2, 3, 4, 5])],
         ids=["scan_start", "chunk_end", "across", "after"])
     def test_neighbours_come_from_solved_chunks(self, beam, monkeypatch, pos, offsets):
         # a bracket between grid samples pos and pos + 1 starts from up to
         # four finite neighbours on each side, among those already solved:
         # none before the scan's first sample, none after the last of a
-        # chunk (63 samples) until the next chunk is solved, and across a
-        # chunk boundary both, the earlier ones from the last chunk's tail
+        # chunk (79 samples, 1 + 1/4 zero spacings for max_count = 1) until
+        # the next chunk is solved, and across a chunk boundary both, the
+        # earlier ones from the last chunk's tail
         grid = []
         self._linear(monkeypatch, 1e9, grid)   # no root: records the scan grid
         assert find_real_zeros(beam, (2, 2), (0.0, 1e4)) == []
-        assert spectra._SCAN_CHUNK == 63 and len(grid) > 2 * 63
+        first = int(np.ceil((1 + spectra._SCAN_LEAD) * spectra._SCAN_CHUNK))
+        assert first == 79 and len(grid) > 2 * first
         near = []
         scan_start = spectra._scan_start
         monkeypatch.setattr(spectra, "_scan_start",
                             lambda a, b, nb: near.append(nb) or scan_start(a, b, nb))
         r = 0.5 * (grid[pos] + grid[pos + 1])
         self._linear(monkeypatch, r, [])
-        zeros = find_real_zeros(beam, (2, 2), (0.0, 1e4))
+        zeros = find_real_zeros(beam, (2, 2), (0.0, 1e4), max_count=1)
         assert [z.lam.real for z in zeros] == pytest.approx([r], rel=1e-14)
         assert [lam for lam, _ in near[0]] == [grid[pos + k] for k in offsets]
 

@@ -190,13 +190,14 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     lams = [lam for batch, *_ in calls for lam in batch]
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
     # the grid is uniform in rho (index i at rho = i step) and taken in chunks
-    # of chunk, 2 chunk, 4 chunk, ... points; nothing past the end of the
-    # solve holding the grid point that closes the bracket of the third zero
-    # is sampled
+    # of first, 2 first, 4 first, ... points, the first spanning 3 + 1/4 zero
+    # spacings; nothing past the end of the solve holding the grid point that
+    # closes the bracket of the third zero is sampled
     rho3 = zeros[2].lam.real ** 0.25
-    step, chunk = spectra.RHO_SCAN_STEP, spectra._SCAN_CHUNK
+    step = spectra.RHO_SCAN_STEP
+    first = int(np.ceil((3 + spectra._SCAN_LEAD) * spectra._SCAN_CHUNK))
     closing = int(np.ceil(rho3 / step + 1e-9))
-    ends = chunk * (2 ** np.arange(1, 12) - 1)     # one past each solve's last index
+    ends = first * (2 ** np.arange(1, 12) - 1)     # one past each solve's last index
     last = ends[np.searchsorted(ends, closing, side="right")] - 1
     assert max(lam.real for lam in lams) <= (last * step) ** 4 * (1 + 1e-12)
     # one solve per chunk scanned, the 2-wedge of the two C columns of
@@ -204,8 +205,8 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     # run: every bracket's start, interpolated through up to ten scan
     # samples, is accepted at its first evaluation
     scans, newton = _scans(calls), _polishes(calls)
-    assert [len(batch) for batch in scans[:-1]] == [chunk * 2 ** i for i in range(len(scans) - 1)]
-    assert 0 < len(scans[-1]) <= chunk * 2 ** (len(scans) - 1)
+    assert [len(batch) for batch in scans[:-1]] == [first * 2 ** i for i in range(len(scans) - 1)]
+    assert 0 < len(scans[-1]) <= first * 2 ** (len(scans) - 1)
     assert [len(batch) for batch in newton] == [3]
     assert [call[1:] for call in calls] == ([(6, 1, False, 0)] * len(scans)
                                             + [(4, 4, True, 3 * len(b)) for b in newton])
@@ -213,43 +214,74 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
                      + [("forward", 4 * len(batch)) for batch in newton])
 
 
-def test_beam_count_thirty_scans_in_five_solves(beam, beam_zeros_30, monkeypatch):
-    # doubling chunks: 63 + 126 + ... + 1008 points reach past rho ~ 96, the
-    # thirtieth zero, in five solves of one 2-wedge per lambda (one per 63 points was 30)
+def test_beam_count_thirty_scans_in_one_solve(beam, beam_zeros_30, monkeypatch):
+    # the first chunk, 30 + 1/4 zero spacings (1906 points, to rho 95.25),
+    # reaches past rho ~ 92.7, the thirtieth zero, in one solve of one 2-wedge
+    # per lambda (doubling from one spacing took five, one per 63 points 30)
     calls = _recording_solves(monkeypatch)
     zeros = find_first_zeros(beam, (2, 2), 30)
     assert [z.lam for z in zeros] == [z.lam for z in beam_zeros_30]
-    assert len(_scans(calls)) <= 5
+    assert len(_scans(calls)) == 1
 
 
 @pytest.mark.parametrize("count", [4, 5])
 def test_doubled_chunk_that_overflows_falls_back(beam, monkeypatch, count):
-    # the third doubled chunk (rho ~ 584 to 597) overflows past rho ~ 591;
-    # the scan goes back to 63-point chunks from its start and stays there
-    # (a doubled chunk from rho ~ 587.6 would overflow again), and finds the
-    # zeros that 63-point chunks find
-    calls = _recording_solves(monkeypatch)
-    zeros = find_real_zeros(beam, (2, 2), (575.0 ** 4, 700.0 ** 4), max_count=count)
+    # the first chunk, count + 1/4 zero spacings from rho0 (to rho 591.35 and
+    # 591.5), raises PropagationError past a wall put at rho 591; the scan
+    # goes back to 63-point chunks from its start and stays there (a doubled
+    # chunk would raise again), and finds the zeros that 63-point chunks
+    # find, the last below the wall.  The real wall moves with the batch
+    # (rho 590.74 for 63 points, 591.50 for 268), so on the 0.05 grid no
+    # first chunk of 268 points crosses it while four 63-point chunks clear it
+    rho0 = {4: 578.0, 5: 575.0}[count]
+    chunks = []
+    samples = spectra._samples
+
+    def walled(problem, selector, lams, jet):
+        chunks.append(len(lams))
+        if max(np.real(lams)) > 591.0 ** 4:
+            raise propagator.PropagationError("past the wall")
+        return samples(problem, selector, lams, jet)
+
+    monkeypatch.setattr(spectra, "_samples", walled)
+    zeros = find_real_zeros(beam, (2, 2), (rho0 ** 4, 700.0 ** 4), max_count=count)
     assert [z.lam.real ** 0.25 / np.pi for z in zeros] == pytest.approx(
-        [183.5, 184.5, 185.5, 186.5, 187.5][:count], rel=1e-12)
+        [183.5, 184.5, 185.5, 186.5, 187.5][-count:], rel=1e-12)
     chunk = spectra._SCAN_CHUNK
-    assert [len(batch) for batch in _scans(calls)] == [
-        chunk, 2 * chunk, 4 * chunk] + [chunk] * (count - 3)
+    first = int(np.ceil((count + spectra._SCAN_LEAD) * chunk))
+    assert chunks == [first] + [chunk] * count
 
 
-@pytest.mark.parametrize("which, selector, solves", [("random", (2, 2), 1), ("beam", (3, 2), 2)],
+@pytest.mark.parametrize("which, selector, solves", [("random", (2, 2), 1), ("beam", (3, 2), 1)],
                          ids=["random-22", "beam-32"])
 def test_scan_polish_solve_count(beam, monkeypatch, which, selector, solves):
-    # a random real problem's Delta_22 zeros are accepted at their
-    # interpolated starts, one lockstep solve; the third beam Delta_32
-    # start is 2.5e-12 off the polished root, the scan chunk's own
-    # integration error, and takes a second solve alone
+    # a random real problem's Delta_22 zeros and the beam's Delta_32 zeros
+    # are accepted at their interpolated starts, one lockstep solve (the
+    # third Delta_32 start, 2.5e-12 off the root when its samples came from
+    # chunks of 63 and 126 points, took a second solve alone)
     pb = make_random_real_problem(11) if which == "random" else beam
     calls = _recording_solves(monkeypatch)
     find_first_zeros(pb, selector, 3)
     newton = _polishes(calls)
     assert len(newton) == solves
     assert len(newton[0]) == 3
+
+
+@pytest.mark.parametrize("which, selector, count, budget", [
+    ("beam", (2, 2), 3, 16), ("beam", (3, 2), 3, 34), ("beam", (4, 2), 3, 29),
+    ("beam", (2, 2), 10, 74), ("random", (2, 2), 3, 24)])
+def test_first_zeros_taylor_steps(beam, monkeypatch, which, selector, count, budget):
+    # Taylor steps over every solve of the search, polish included, at most
+    # those of a scan whose first chunk spans one zero spacing (budget); the
+    # first chunk spans count + 1/4 spacings, and brackets the first three
+    # Delta_22 zeros in one scan solve (13, 26, 14, 43 and 19 steps)
+    pb = make_random_real_problem(11) if which == "random" else beam
+    steps = _recording(monkeypatch, propagator._Block, "series")
+    calls = _recording_solves(monkeypatch)
+    assert len(find_first_zeros(pb, selector, count)) == count
+    assert len(steps) <= budget
+    if selector == (2, 2) and count == 3:
+        assert len(_scans(calls)) == 1
 
 
 def test_beam_count_ten_polish_takes_one_solve(beam, monkeypatch):
@@ -306,8 +338,7 @@ def test_one_block_per_propagation(beam, monkeypatch, selector):
     # with the wedges of Delta_22, Delta_32 and Delta_42 per lambda, their
     # jets and the second jet of Delta_22's (11 states), and a Delta_32 or
     # Delta_42 polish solve its own wedge with its jet.  The
-    # polish is one solve, but the third Delta_32 start is 2.5e-12 off its
-    # root and takes a second
+    # polish is one solve for each
     blocks = []
     block_init = propagator._Block.__init__
 
@@ -325,7 +356,7 @@ def test_one_block_per_propagation(beam, monkeypatch, selector):
     assert scans and all(shape == (6, n) for n, shape in scans)
     polish = [(call, shape) for call, shape in zip(calls, shapes) if call[3] or call[4]]
     assert len(scans) + len(polish) == len(calls)
-    assert len(polish) == {(2, 2): 1, (3, 2): 2, (4, 2): 1}[selector]
+    assert len(polish) == 1
     for (lams, rows, per, jet, pairs), shape in polish:
         n = len(lams)
         if selector == (2, 2):
@@ -461,6 +492,17 @@ def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
             assert not jet or np.shape(cv.dvalue) == (0,)
     for selector in weyl.ALL_INDEX_PAIRS:
         assert np.shape(spectra._ring_fun(beam, selector)(np.array([], complex))) == (0,)
+    # C, S and Phi of no lambda: the recorded grid, and ends with the
+    # orders of one lambda's jet run (value, jet, second jet of the wedges)
+    for C, orders in ((fundamental_C(beam, []), 1), (propagator.fundamental_S(beam, []), 1),
+                      (fundamental_C(beam, [], True), 2),
+                      (fundamental_C(beam, [], spectra._J2_RUN, wedge=weyl._M_WEDGE), 3)):
+        assert C.xs.tolist() == np.linspace(0.0, 1.0, 17).tolist()
+        assert C.values.shape == (17, 0, 4, 4)
+        assert {jk: end.shape for jk, end in C.ends.items()} == {
+            jk: (orders, 0, {1: 4, 2: 6}[len(jk)]) for jk in C.ends}
+    xs, phi = weyl.phi_matrix(beam, [], x_grid=[0.0, 0.5, 1.0])
+    assert xs.tolist() == [0.0, 0.5, 1.0] and phi.shape == (3, 0, 4, 4)
     assert calls == []
 
 
