@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemSpec
-from .propagator import fundamental_C, propagate
+from .propagator import _ALL_COLUMNS, fundamental_C, propagate
 from .weyl import _ENTRIES, POLE_FLOOR, ZERO_FLOOR, _entry, _minor_norm
 
 NORMALIZATION_FLOOR = 1e-8
@@ -113,7 +113,8 @@ def eigenfunction(problem: ProblemSpec, lam_n, x_grid=None):
     """Normalized eigenfunction trajectory at an eigenvalue; (traj, gamma, xi).
     Raises NonSimpleError where Delta_22(lam_n) does not vanish against the
     magnitude of its own wedge."""
-    C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0], wedge=[_ENTRIES[2, 2][1]])
+    C = fundamental_C(problem, lam_n, x_grid=[0.0, 1.0],
+                      states=_ALL_COLUMNS + [_ENTRIES[2, 2][1]])
     delta22, _, state = _entry(C.ends, (2, 2))
     if abs(delta22) > ZERO_FLOOR * _minor_norm(state, lam_n):
         raise NonSimpleError(f"lambda={lam_n} is not a zero of Delta_22 "

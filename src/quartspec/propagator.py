@@ -28,8 +28,7 @@ Alongside the columns, one propagation can carry
   Delta_22 polish carries the jets of its three wedges and the second of
   the first (see spectra).
 An initial matrix of 6 rows is a set of such 2-wedges, propagated under
-the compound alone, with their jet under want_dlambda: the state that a
-search of a Delta_j2 reads (see spectra).
+the compound alone, with their jet under want_dlambda.
 
 A propagation steps one block.  With wedges of column pairs, columns and
 wedges are stacked block-diagonally on 10 rows, ordered so that the sources
@@ -69,13 +68,14 @@ division by k + 1, all in that dtype (for a complex state, the product
 with the float 1 / (k + 1) that numpy's complex division by a real forms).
 
 propagate takes lam as one value, or one per column, and leaves one table
-where it ends, ends (see FundamentalMatrix).  fundamental_C and
-fundamental_S take one lambda or a batch of N as one solve with one step
-sequence (the 4 x 4 initial matrix tiled N times, each lambda repeated per
-column of its tile); values are (len(xs), 4, 4) or (len(xs), N, 4, 4), and
-ends is keyed by the labels of weyl._ENTRIES.  The backward direction
-serves only fundamental_S: every Delta_jk is an entry of the ends of the
-forward fundamental_C (see weyl).
+where it ends, ends (see FundamentalMatrix).  fundamental_C, the one door
+to C's states, and fundamental_S take one lambda or a batch of N as one
+solve with one step sequence, each state tiled N times, ends keyed by the
+labels of weyl._ENTRIES.  fundamental_C propagates the states asked for:
+C's columns with wedges of their pairs (M, deltas_at, a Delta_22 polish),
+or the one state per lambda that a search of any other Delta reads, alone
+(see spectra).  The backward direction serves only fundamental_S: every
+Delta_jk is an entry of the ends of fundamental_C.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ STEP_SAFETY = 0.9
 _BOUND_POWERS = 1.0 / np.array([[TAYLOR_ORDER - 1], [TAYLOR_ORDER]])
 # wedge rows: the (a, b) minor u_a v_b - u_b v_a
 _WEDGE_ROWS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the labels of C's four columns among the states of fundamental_C
+_ALL_COLUMNS = [(1,), (2,), (3,), (4,)]
 
 
 class PropagationError(RuntimeError):
@@ -292,12 +294,11 @@ def _block(Y0, lams, wi, wj, want_dlambda):
 
 @dataclass
 class FundamentalMatrix:
-    """Trajectory of a 4 x k solution matrix over a grid of x values, or of
-    a 4 x 4 one at each lambda of a batch."""
+    """Trajectory of k solutions or 2-wedges over a grid of x values, at one
+    lambda or at each of a batch."""
 
     xs: np.ndarray            # ascending grid, includes both endpoints
-    # shape (len(xs), 4, k), or (len(xs), 6, k) for k 2-wedges, or
-    # (len(xs), N, 4, 4)
+    # shape (len(xs), rows, k), 4 rows or 6 of 2-wedges; or (len(xs), N, rows, k)
     values: np.ndarray
     # where the propagation ends, each state's value, then its lambda-Taylor
     # coefficient of each order the jet run carries (NaN for a state it does
@@ -416,50 +417,61 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     return FundamentalMatrix(xs=xs_out[order], values=values, ends=ends, quadratures=quadratures)
 
 
-def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, wedge) -> FundamentalMatrix:
-    """The 4 x 4 `init` propagated at one lambda or at each of a batch, in one
-    solve; values (len(xs),) + lam.shape + (4, 4), and ends keyed (k,) for
-    column k and, with `wedge` (pairs of 1-based column labels), (j, k) for
-    each pair's wedge, with the jets the run carries.  want_dlambda is a
-    bool, or the jet run of one lambda as a slice of its states (4 columns,
-    the wedges, then the jets in run order) that starts at a wedge: the batch
-    stacks the wedges pair by pair, so it runs the same slice times the batch
-    size.  An empty batch propagates nothing: its fields have an empty
-    lambda axis, and ends the orders one lambda's run would carry."""
+def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, states) -> FundamentalMatrix:
+    """The states (labels of weyl._ENTRIES) of the 4 x 4 `init` at one lambda
+    or at each of a batch, in one solve, ends keyed by label.  Listed columns
+    are stacked with the listed wedges of their pairs (ValueError for a wedge
+    of an unlisted one), values (len(xs),) + lam.shape + (4, columns); with
+    no column the wedges are stepped alone, values ... + (6, wedges).
+    want_dlambda is a bool, or the jet run of one lambda as a slice of its
+    states (columns, wedges, then jets in run order) from a wedge on, run
+    times the batch size: the batch lays the wedges out pair by pair.  An
+    empty batch propagates nothing: its fields have an empty lambda axis,
+    and ends the orders one lambda's run would carry."""
     lam = np.asarray(lam, dtype=complex)
-    if lam.size == 0:
-        xs, states = _grid(problem, x_grid), 4 + len(wedge or ())
-        orders = _jet_run(states, _run(want_dlambda, states))[1].max() + 1
-        res = FundamentalMatrix(xs=xs, values=np.empty((len(xs), 4, 0), complex),
-                                ends=np.empty((orders, 0, 10), complex))
+    cols, wedges = [s for s in states if len(s) == 1], [s for s in states if len(s) == 2]
+    if cols and not {(k,) for w in wedges for k in w} <= set(cols):
+        raise ValueError(f"a wedge of columns not among the listed {cols}")
+    N, n = lam.size, len(cols or wedges)
+    if cols:   # lambda-major columns, then their wedges pair-major
+        pairs = (np.array([[cols.index((k,)) for k in w] for w in wedges], int).reshape(-1, 1, 2)
+                 + n * np.arange(N)[:, None]).reshape(-1, 2).tolist()
+        lams, Y0 = np.repeat(lam.ravel(), n), np.tile(init[:, np.subtract(cols, 1).ravel()], N)
+    else:      # the wedges alone, pair-major
+        (wi, wj), pairs, lams = np.subtract(wedges, 1).T, None, np.tile(lam.ravel(), n)
+        Y0 = np.repeat(_wedges(init[:, wi].T, init[:, wj].T).T, N, axis=1)
+    if not N:
+        xs, count = _grid(problem, x_grid), len(states)
+        orders = _jet_run(count, _run(want_dlambda, count))[1].max() + 1
+        res = FundamentalMatrix(xs, np.empty((len(xs),) + Y0.shape, complex),
+                                np.empty((orders, 0, 10), complex))
     else:
-        pairs = None if wedge is None else (np.subtract(wedge, 1)[:, None] + 4 * np.arange(
-            lam.size)[:, None]).reshape(-1, 2).tolist()
         if isinstance(want_dlambda, slice):
-            want_dlambda = slice(want_dlambda.start * lam.size, want_dlambda.stop * lam.size)
-        res = propagate(problem, np.repeat(lam.ravel(), 4), direction, np.tile(init, lam.size),
-                        want_dlambda=want_dlambda, wedge_pairs=pairs, x_grid=x_grid)
-    # the states: 4 columns per lambda, lambda-major, then the wedges pair-major
-    n, e = 4 * lam.size, res.ends
-    cols = e[:, :n, :4].reshape(len(e), *lam.shape, 4, 4)
-    wedges = e[:, n:, 4:].reshape(len(e), len(wedge or ()), *lam.shape, 6)
-    ends = {(k + 1,): cols[..., k, :] for k in range(4)}
-    ends.update({tuple(jk): wedges[:, i] for i, jk in enumerate(wedge or ())})
-    # values: row, then lambda-major columns
-    return FundamentalMatrix(xs=res.xs, values=np.moveaxis(
-        res.values.reshape(len(res.values), 4, *lam.shape, 4), 1, -2), ends=ends)
+            want_dlambda = slice(want_dlambda.start * N, want_dlambda.stop * N)
+        res = propagate(problem, lams, direction, Y0, want_dlambda=want_dlambda,
+                        wedge_pairs=pairs, x_grid=x_grid)
+    e, m = res.ends, len(cols) * N
+    ends = dict(zip(cols, np.moveaxis(e[:, :m, :4].reshape(len(e), *lam.shape, len(cols), 4),
+                                      -2, 0)))
+    ends.update(zip(wedges, np.moveaxis(
+        e[:, m:, -6:].reshape(len(e), len(wedges), *lam.shape, 6), 1, 0)))
+    values = res.values.reshape(len(res.xs), len(Y0), *(lam.shape + (n,) if cols else
+                                                        (n,) + lam.shape))
+    return FundamentalMatrix(xs=res.xs, ends=ends, values=np.moveaxis(
+        values, 1, -2) if cols else np.moveaxis(values, (1, 2), (-2, -1)))
 
 
 def fundamental_C(problem: ProblemSpec, lam, want_dlambda=False, x_grid=None,
-                  wedge=None) -> FundamentalMatrix:
+                  states=None) -> FundamentalMatrix:
     """Solutions C_k with U_s(C_k) = delta_sk; initial matrix U^{-1} at x=0.
-    wedge = [(j, k), ...] also carries each C_j ^ C_k; ends holds each C_k
-    and C_j ^ C_k at x = 1 with the jets of the run want_dlambda sets (see
-    _fundamental)."""
+    states lists labels of weyl._ENTRIES, (k,) for C_k and (j, k) for C_j ^
+    C_k, None the four columns; ends holds each at x = 1 with the jets of
+    the run want_dlambda sets (see _fundamental)."""
     return _fundamental(problem, lam, "forward", np.linalg.inv(boundary_form_matrix(problem)),
-                        want_dlambda, x_grid, wedge)
+                        want_dlambda, x_grid, _ALL_COLUMNS if states is None else states)
 
 
 def fundamental_S(problem: ProblemSpec, lam, x_grid=None) -> FundamentalMatrix:
     """Solutions S_k with V_s(S_k) = delta_sk; identity data at x=1."""
-    return _fundamental(problem, lam, "backward", np.eye(4, dtype=complex), False, x_grid, None)
+    return _fundamental(problem, lam, "backward", np.eye(4, dtype=complex), False, x_grid,
+                        _ALL_COLUMNS)

@@ -17,17 +17,16 @@ takes the steps of its largest lambda, so a wide chunk costs about what one
 chunk at its far end costs.  Where a chunk raises PropagationError (its far
 end past where the wedge overflows), the scan goes back to chunks of one
 spacing (_SCAN_CHUNK points) from that chunk's start and stays there, so it
-fails only where one such chunk fails.  A pair of
-samples (a, b) in scan order opens a bracket where Delta changes sign, or
-where Delta(a) is exactly 0; the brackets are polished with Newton in
-lockstep (one batched solve of the variationally computed derivative per
-iteration).  Every search propagates one state per lambda, the state its
+fails only where one such chunk fails.  A pair of samples (a, b) in scan
+order opens a bracket where Delta changes sign, or where Delta(a) is
+exactly 0; the brackets are polished with Newton in lockstep (one batched
+solve of the variationally computed derivative per iteration).  Every
+search solves, through fundamental_C, one state per lambda, the state its
 Delta is an entry of (weyl._ENTRIES), alone: minus row 0 of the 2-wedge of
 the selector's two C columns for a Delta_j2 (C3 ^ C4, C2 ^ C4, C3 ^ C2),
-and +-row 0 of one C column at x = 1 for any other Delta.  The samples of
-the real scan and of a winding ring come from _samples without the jet,
-the polish from _samples with it, each read by weyl._entry from the
-ends of its propagation.  A batch takes the steps of its largest lambda,
+and +-row 0 of one C column at x = 1 for any other Delta.  The real scan
+and a winding ring read it from _samples, the polish from _jets, with its
+jet, each by weyl._entry.  A batch takes the steps of its largest lambda,
 so a root moves with its batch within the integration tolerance: on
 the beam a Delta_32 zero polished alone and in the batch of the first ten
 differ by 2.5e-12 (rho ~ 10), 1.9e-11 (rho ~ 20) and 4.7e-11 (rho ~ 29),
@@ -35,8 +34,7 @@ relative, a Delta_22 zero by at most 5e-14.  Only a Delta_22 polish also
 solves C and the wedges of Delta_32 and Delta_42 (weyl._M_WEDGE), stacked
 with its own, with the jets of all three and the second jet of its own,
 for weight_numbers and weights.weight_matrix_near.  A scan carries no jet.
-simplicity_check judges a zero against the weighted
-norm of its state.  No search forms a determinant, whose cancellation
+No search forms a determinant, whose cancellation
 once stopped the scan at rho ~ 33 and made the Delta_j1 searches lose or
 invent zeros; each reaches until its state overflows (rho ~ 600 for a
 wedge on the beam), where the propagation raises.
@@ -59,11 +57,11 @@ and are longer than NEWTON_BOX_ASPECT times their width, and the same
 Newton from the centre with a batch of one; find_zero_near runs it from
 a given point and stops where an iterate would leave a disc around it,
 raising LeftDiscError with that iterate.  Every Zero is made in _polish,
-the one driver of Newton on Delta, with the end state of its accepted
-evaluation, for a Delta_22 also its C (Zero.C, whose ends hold the three
-wedges and their jets), and the result of its one simplicity_check;
-weight_numbers trusts them all.  No search takes a
-scale: each judges Delta against values at its own lambda.
+the one driver of Newton on Delta, with the solve of its accepted
+evaluation (Zero.C) and the result of its one simplicity_check, which
+judges the zero against the weighted norm of the state in that C;
+weight_numbers trusts them all.  No search takes a scale: each judges
+Delta against values at its own lambda.
 """
 
 from __future__ import annotations
@@ -73,8 +71,8 @@ from itertools import islice
 
 import numpy as np
 
-from .problem import ProblemSpec, _sorted_unique, boundary_form_matrix
-from .propagator import FundamentalMatrix, PropagationError, _wedges, fundamental_C, propagate
+from .problem import ProblemSpec, _sorted_unique
+from .propagator import _ALL_COLUMNS, FundamentalMatrix, PropagationError, fundamental_C
 from .weyl import _ENTRIES, _M_WEDGE, _entry, _minor_norm
 
 SIMPLICITY_FLOOR = 1e-6
@@ -122,12 +120,8 @@ class Zero:
     selector: tuple
     multiplicity_estimate: int
     ddelta: complex
-    # the state at x = 1 of the accepted Newton evaluation whose row 0 is
-    # Delta up to sign: a C column (4 rows) or a 2-wedge (6 rows), _ENTRIES
-    end_state: np.ndarray = field(repr=False, compare=False)
-    # that evaluation's fundamental_C, C(0) to C(1), with the ends of its
-    # columns and wedges _M_WEDGE, each Delta read by weyl._entry;
-    # set by the polish of a Delta_22 only, and not carried by a copy
+    # the fundamental_C solve at x = 0 and 1 of the accepted Newton
+    # evaluation (_jets), whose ends weyl._entry reads; not carried by a copy
     C: FundamentalMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -194,22 +188,19 @@ def _newton(lam0, bracket=None, radius=None):
 
 
 def _jets(problem, selector, lams):
-    """(Delta, dDelta, end state, C) of the selected pair at each lambda, in
-    one solve; if it fails, lambda by lambda, each PropagationError in its
-    lambda's place.  For every selector but Delta_22 the solve is _samples'
-    with the jet, one state per lambda, and C is None.  A Delta_22 polish
-    solves C with the wedges _M_WEDGE and the jet run _J2_RUN, whose every
-    Delta weight_numbers and weights.weight_matrix_near read by
-    weyl._entry, and passes that solve at each lambda as its C."""
+    """(Delta, dDelta, C) of the selected pair at each lambda, C its one
+    fundamental_C solve at that lambda; if it fails, lambda by lambda, each
+    PropagationError in its lambda's place.  The solve is _samples' with the
+    jet, but for Delta_22: C's columns and the wedges _M_WEDGE with the jet
+    run _J2_RUN, read by weight_numbers and weights.weight_matrix_near."""
+    states, run = ((_ALL_COLUMNS + _M_WEDGE, _J2_RUN) if selector == (2, 2)
+                   else ([_ENTRIES[selector][1]], True))
     try:
-        if selector == (2, 2):
-            C = fundamental_C(problem, lams, _J2_RUN, x_grid=[0.0, 1.0], wedge=_M_WEDGE)
-            value, jets, state = _entry(C.ends, selector)
-            return [(v, dv, s, FundamentalMatrix(xs=C.xs, values=C.values[:, i],
-                                                 ends={c: e[:, i] for c, e in C.ends.items()}))
-                    for i, (v, dv, s) in enumerate(zip(value.tolist(), jets[0].tolist(), state))]
-        value, jet, state = _samples(problem, selector, lams, jet=True)
-        return list(zip(value.tolist(), jet.tolist(), state, [None] * len(lams)))
+        C = fundamental_C(problem, lams, run, x_grid=[0.0, 1.0], states=states)
+        value, jets, _ = _entry(C.ends, selector)
+        return [(v, dv, FundamentalMatrix(xs=C.xs, values=C.values[:, i],
+                                          ends={c: e[:, i] for c, e in C.ends.items()}))
+                for i, (v, dv) in enumerate(zip(value.tolist(), jets[0].tolist()))]
     except PropagationError as exc:
         if len(lams) == 1:
             return [exc]
@@ -230,9 +221,8 @@ def _polish(problem, selector, newtons):
                     raise jet
                 todo[i] = newtons[i].send(jet)
             except StopIteration as stop:
-                lam, _, dval, end_state, C = stop.value
-                out[i] = z = Zero(lam=lam, selector=selector, multiplicity_estimate=1,
-                                  ddelta=complex(dval), end_state=end_state)
+                lam, _, dval, C = stop.value
+                out[i] = z = Zero(lam, selector, 1, complex(dval))
                 z.C = C
                 z.multiplicity_estimate = 1 if simplicity_check(z) else 2
                 del todo[i]
@@ -242,21 +232,12 @@ def _polish(problem, selector, newtons):
     return out
 
 
-def _samples(problem, selector, lams, jet):
-    """Delta_selector at each of lams, its jet (None without `jet`) and the
-    end state it is read from, (len(lams), rows), in one solve of that one
-    state per lambda, propagated alone: the 2-wedge of its two C columns (6
-    rows) or its one C column (4 rows), keyed by those columns for
-    weyl._entry, which reads it at x = 1.  Neither forms a determinant."""
-    lams = np.asarray(lams, dtype=complex)
-    cols = _ENTRIES[selector][1]
-    Uinv = np.linalg.inv(boundary_form_matrix(problem))
-    i = np.subtract(cols, 1)
-    init = Uinv[:, i] if len(i) == 1 else _wedges(*Uinv[:, i].T)[:, None]
-    res = propagate(problem, lams, "forward", np.tile(init, lams.size), want_dlambda=jet,
-                    x_grid=[0.0, 1.0])
-    value, jets, state = _entry({cols: res.ends}, selector)
-    return value, (jets[0] if jet else None), state
+def _samples(problem, selector, lams):
+    """Delta_selector at each of lams, read by weyl._entry at x = 1 from one
+    fundamental_C solve of the state it is an entry of per lambda, alone."""
+    states = [_ENTRIES[selector][1]]
+    return _entry(fundamental_C(problem, lams, x_grid=[0.0, 1.0], states=states).ends,
+                  selector)[0]
 
 
 def _scan_start(a, b, near):
@@ -329,7 +310,7 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
         while start < len(lams):
             chunk = lams[start:start + size]
             try:
-                value = _samples(problem, selector, chunk, jet=False)[0]
+                value = _samples(problem, selector, chunk)
             except PropagationError:
                 if size == _SCAN_CHUNK:
                     raise
@@ -399,7 +380,7 @@ def _ring_fun(problem, selector):
         zs = zs.tolist()
         new = [z for z in dict.fromkeys(zs) if z not in memo]
         if new:
-            memo.update(zip(new, _samples(problem, selector, new, jet=False)[0].tolist()))
+            memo.update(zip(new, _samples(problem, selector, new).tolist()))
         return np.array([memo[z] for z in zs])
 
     return ring
@@ -462,10 +443,13 @@ def find_zero_near(problem: ProblemSpec, selector, lam0, radius) -> Zero:
 def simplicity_check(zero: Zero) -> bool:
     """True iff the zero is simple: |dDelta| (1 + |lambda|) strictly above
     SIMPLICITY_FLOOR times the magnitude of Delta at the zero, the weighted
-    norm (weyl._minor_norm) of the state its Delta is an entry of, its
-    end_state: a 2-wedge's rows are the exact 2 x 2 minors, and a column's
-    row r is weighted by rho^-r."""
-    mag = _minor_norm(zero.end_state, zero.lam)
+    norm (weyl._minor_norm) of the state its Delta is an entry of, read from
+    its C by weyl._entry: a 2-wedge's rows are the exact 2 x 2 minors, and a
+    column's row r is weighted by rho^-r.  ValueError for a zero without C."""
+    if zero.C is None:
+        raise ValueError("{} is no searched zero of Delta_{}{}; take it from a search".format(
+            zero.lam, *zero.selector))
+    mag = _minor_norm(_entry(zero.C.ends, zero.selector)[2], zero.lam)
     return bool(abs(zero.ddelta) * (1 + abs(zero.lam)) > SIMPLICITY_FLOOR * mag)
 
 

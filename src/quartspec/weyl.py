@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .problem import ProblemSpec
-from .propagator import _wedges, fundamental_C
+from .propagator import _ALL_COLUMNS, _wedges, fundamental_C
 
 # (sign, C columns) of each Delta_jk as sign times row 0 of one state: of
 # the column for one, of the 2-wedge of the two for two
@@ -107,13 +107,16 @@ def deltas_at(problem: ProblemSpec, lams, pairs=ALL_INDEX_PAIRS,
     field of the shape of lams: one batched propagation of C with the
     2-wedges of the Delta_j2 among `pairs`, and the jet of every state only
     with want_dlambda, each Delta_jk and its jet read by _entry, none a
-    determinant.  A pair with no Delta_jk raises ValueError.  An empty batch
-    propagates nothing."""
+    determinant.  A pair with no Delta_jk raises ValueError.  An empty batch,
+    or no pair, propagates nothing."""
     for jk in pairs:
         if jk not in _ENTRIES:
             raise ValueError(f"no characteristic function with index pair {jk}")
-    wedge = [_ENTRIES[jk][1] for jk in pairs if jk[1] == 2] or None
-    ends = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0], wedge=wedge).ends
+    if not pairs:
+        return {}
+    wedges = [_ENTRIES[jk][1] for jk in pairs if jk[1] == 2]
+    ends = fundamental_C(problem, lams, want_dlambda, x_grid=[0.0, 1.0],
+                         states=_ALL_COLUMNS + wedges).ends
     read = {jk: _entry(ends, jk) for jk in pairs}
     # [()] makes the fields of one lambda numpy scalars
     return {jk: CharacteristicValue(value[()], jets[0][()] if want_dlambda else None)
@@ -139,13 +142,13 @@ def delta_scale(problem: ProblemSpec, k: int) -> float:
     return max(float(np.max(np.hypot(v.real, v.imag))), 1e-300)
 
 
-def _weyl_sample(lam, end) -> WeylSample:
-    """M from C(1) at lam, each Delta read by _entry from the columns of C(1)
-    or from the 2-wedges _M_WEDGE formed from them at x = 1; a pole where
-    |Delta_kk| is below POLE_FLOOR times the _minor_norm of its own state."""
+def _weyl_sample(lam, ends) -> WeylSample:
+    """M at lam from the ends of a fundamental_C solve of C's columns, each
+    Delta read by _entry from a column of C(1) or from the 2-wedges _M_WEDGE
+    formed from them at x = 1; a pole where |Delta_kk| is below POLE_FLOOR
+    times the _minor_norm of its own state."""
     lam = np.asarray(lam, dtype=complex)
-    ends = {(k + 1,): end[None, ..., k] for k in range(4)}
-    ends.update({(j, k): _wedges(ends[j,], ends[k,]) for j, k in _M_WEDGE})
+    ends = {**ends, **{(j, k): _wedges(ends[j,], ends[k,]) for j, k in _M_WEDGE}}
     read = {jk: _entry(ends, jk) for jk in ALL_INDEX_PAIRS}
     # [()] makes the fields of one lambda numpy scalars
     deltas = {jk: CharacteristicValue(value[()]) for jk, (value, _, _) in read.items()}
@@ -168,7 +171,7 @@ def weyl_matrix(problem: ProblemSpec, lam) -> WeylSample:
     """M at one lambda or a batch; raises PoleError at the first lambda where
     a needed Delta_kk vanishes (naming the smallest such k)."""
     lam = np.asarray(lam, dtype=complex)
-    return _weyl_sample(lam, fundamental_C(problem, lam, x_grid=[0.0, 1.0]).end)
+    return _weyl_sample(lam, fundamental_C(problem, lam, x_grid=[0.0, 1.0]).ends)
 
 
 def weyl_inverse(sample: WeylSample) -> np.ndarray:
@@ -194,4 +197,4 @@ def phi_matrix(problem: ProblemSpec, lam, x_grid=None):
     batch, M from the end values of the same C solve; (xs, values of shape
     (len(xs),) + lam.shape + (4, 4))."""
     C = fundamental_C(problem, lam, x_grid=x_grid)
-    return C.xs, C.values @ _weyl_sample(lam, C.end).m
+    return C.xs, C.values @ _weyl_sample(lam, C.ends).m

@@ -5,9 +5,11 @@ import pytest
 from scipy.integrate import quad, trapezoid
 
 from quartspec import (
-    beam_problem, classify_on_problem, eigenfunction, find_first_zeros, weight_numbers,
+    beam_problem, classify_on_problem, eigenfunction, find_first_zeros, simplicity_check,
+    weight_numbers,
 )
 from quartspec.mclaughlin import NonSimpleError
+from quartspec.spectra import Zero
 
 from conftest import beam_eigenvalue, make_random_real_problem, oracle_mode_shape
 
@@ -129,6 +131,11 @@ class TestWeightNumbers:
         assert copy.C is None
         with pytest.raises(ValueError, match="no searched zero of Delta_22"):
             weight_numbers(beam, [copy])
+        # nor can its simplicity be judged, as for a Zero built by hand
+        for zero in (copy, Zero(lam=copy.lam, selector=(2, 2), multiplicity_estimate=1,
+                                ddelta=copy.ddelta)):
+            with pytest.raises(ValueError, match="no searched zero of Delta_22"):
+                simplicity_check(zero)
         # a zero of another Delta_jk is no eigenvalue of the main problem
         with pytest.raises(ValueError, match="no searched zero of Delta_22"):
             weight_numbers(beam, find_first_zeros(beam, (3, 2), 1))

@@ -10,6 +10,7 @@ from quartspec import (
     validate_problem,
 )
 from quartspec import propagator
+from quartspec.weyl import _ENTRIES, ALL_INDEX_PAIRS
 from quartspec.problem import BoundaryParams, boundary_form_matrix, lagrange_bracket
 
 from conftest import (
@@ -247,7 +248,8 @@ class TestRealKernel:
     def test_real_batch_returns_exactly_real_values(self, which, monkeypatch):
         pb = _real_problem(which)
         steps = _kernel_steps(monkeypatch)
-        res = fundamental_C(pb, REAL_BATCH, want_dlambda=True, wedge=[(3, 4)],
+        res = fundamental_C(pb, REAL_BATCH, want_dlambda=True,
+                            states=propagator._ALL_COLUMNS + [(3, 4)],
                             x_grid=np.linspace(0, 1, 5))
         assert {kind for kind, _ in steps} == {"f"}
         for a in (res.values, *res.ends.values()):
@@ -421,7 +423,8 @@ class TestWedgeInit:
             lams = np.array([-2e4 + 50j, -300.0, 2.5 + 1j, 150.0 - 40j, 9000.0, 2e4j])
         assert np.all(np.abs(lams) ** 0.25 < 12)
         pairs = [(3, 4), (2, 4), (3, 2)]
-        ref = fundamental_C(pb, lams, slice(4, 7), x_grid=[0.0, 1.0], wedge=pairs).ends
+        ref = fundamental_C(pb, lams, slice(4, 7), x_grid=[0.0, 1.0],
+                            states=propagator._ALL_COLUMNS + pairs).ends
         init = _wedge_init(np.linalg.inv(boundary_form_matrix(pb)), pairs, copies=len(lams))
         res = propagate(pb, np.tile(lams, len(pairs)), "forward", init, want_dlambda=True,
                         x_grid=[0.0, 1.0])
@@ -441,3 +444,49 @@ class TestWedgeInit:
         init = _wedge_init(np.linalg.inv(boundary_form_matrix(pb)), [(3, 4), (2, 4)])
         with pytest.raises(ValueError, match="6-row init"):
             propagate(pb, 10.0, "forward", init, **extra)
+
+
+class TestLoneStates:
+    """fundamental_C with no column listed steps each listed state alone, one
+    per lambda: the search's solve of the state its Delta is an entry of."""
+
+    @staticmethod
+    def _batch(which):
+        if which == "real":
+            return make_random_real_problem(11), np.array([-2e4, -300.0, 2.5, 150.0, 9000.0])
+        return make_random_problem(7), np.array([-2e4 + 50j, -300.0, 2.5 + 1j, 150.0 - 40j])
+
+    @pytest.mark.parametrize("jet", [False, True])
+    @pytest.mark.parametrize("which", ["real", "complex"])
+    def test_one_state_is_the_plain_propagation(self, which, jet):
+        # the state written out: U^{-1}'s column, or the 2-wedge of two of
+        # its columns, tiled once per lambda and propagated on its own rows
+        pb, lams = self._batch(which)
+        Uinv = np.linalg.inv(boundary_form_matrix(pb))
+        for jk in ALL_INDEX_PAIRS:
+            label = _ENTRIES[jk][1]
+            i = np.subtract(label, 1)
+            init = Uinv[:, i] if len(i) == 1 else propagator._wedges(*Uinv[:, i].T)[:, None]
+            ref = propagate(pb, lams, "forward", np.tile(init, lams.size), want_dlambda=jet,
+                            x_grid=[0.0, 1.0])
+            got = fundamental_C(pb, lams, jet, x_grid=[0.0, 1.0], states=[label])
+            assert list(got.ends) == [label]
+            assert np.array_equal(got.ends[label], ref.ends, equal_nan=True), jk
+            assert got.values.shape == (len(ref.xs), lams.size, {1: 4, 2: 6}[len(label)], 1)
+
+    def test_wedges_alone_are_laid_out_pair_by_pair(self):
+        pb, lams = self._batch("complex")
+        pairs = [(3, 4), (2, 4), (3, 2)]
+        init = _wedge_init(np.linalg.inv(boundary_form_matrix(pb)), pairs, copies=len(lams))
+        ref = propagate(pb, np.tile(lams, len(pairs)), "forward", init, want_dlambda=True,
+                        x_grid=[0.0, 1.0])
+        got = fundamental_C(pb, lams, True, x_grid=[0.0, 1.0], states=pairs)
+        for p, jk in enumerate(pairs):
+            assert np.array_equal(got.ends[jk], ref.ends[:, p * len(lams):(p + 1) * len(lams)])
+            assert np.array_equal(got.values[:, :, :, p], np.moveaxis(
+                ref.values[:, :, p * len(lams):(p + 1) * len(lams)], 1, 2))
+
+    @pytest.mark.parametrize("states", [[(3,), (2, 4)], [(1,), (2,), (3,), (3, 4)]])
+    def test_wedge_of_an_unlisted_column_raises(self, states):
+        with pytest.raises(ValueError, match="not among the listed"):
+            fundamental_C(beam_problem(), [3.0, 7.0], states=states)

@@ -16,8 +16,9 @@ from quartspec import (
     three_spectra,
 )
 from quartspec import spectra
-from quartspec.propagator import PropagationError, fundamental_C
+from quartspec.propagator import FundamentalMatrix, PropagationError, fundamental_C
 from quartspec.spectra import SearchError
+from quartspec.weyl import _entry, _minor_norm
 from quartspec.weights import default_contour_radius
 from conftest import (
     beam_eigenvalue, beam_rho, clamped_free_s, delta_index, determinant_floor, make_random_problem,
@@ -193,7 +194,7 @@ class TestWedgeSamples:
     @_SEEDED
     def test_wedge_equals_determinant(self, which, seed, selector):
         pb, lams = _seeded_lams(which, seed)
-        got = spectra._samples(pb, selector, lams, jet=False)[0]
+        got = spectra._samples(pb, selector, lams)
         assert _within_determinant(pb, lams, selector, got)
 
 
@@ -206,7 +207,7 @@ class TestColumnSamples:
     @_SEEDED
     def test_column_equals_determinant(self, which, seed, selector):
         pb, lams = _seeded_lams(which, seed)
-        got = spectra._samples(pb, selector, lams, jet=False)[0]
+        got = spectra._samples(pb, selector, lams)
         assert _within_determinant(pb, lams, selector, got)
 
 
@@ -241,6 +242,19 @@ class TestEntrySearches:
         c = -4 * clamped_free_s(n) ** 4
         got, = find_complex_zeros(beam, (1, 1), (1.01 * c, 0.99 * c, -5.0, 5.0))
         assert got.lam == pytest.approx(c, rel=1e-12)
+
+    @pytest.mark.parametrize("search, selector, region, count", [
+        (find_real_zeros, (3, 3), (-3e4, -1.0), 3),
+        (find_complex_zeros, (3, 2), (100.0, 600.0, -3.0, 3.0), 1)], ids=["real-33", "complex-32"])
+    def test_every_zero_carries_its_state(self, beam, search, selector, region, count):
+        # the C of a zero of any Delta holds the state of its accepted Newton
+        # evaluation: its jet there is the zero's ddelta
+        zeros = search(beam, selector, region)
+        assert len(zeros) == count
+        for z in zeros:
+            value, jets, state = _entry(z.C.ends, selector)
+            assert complex(jets[0]) == z.ddelta
+            assert abs(value) <= 1e-10 * _minor_norm(state, z.lam)
 
 
 def _beam_ddelta(lam):
@@ -387,14 +401,16 @@ class TestSampleAtRoot:
 
     @staticmethod
     def _linear(monkeypatch, r, seen):
-        def samples(problem, selector, lams, jet):
+        def samples(problem, selector, lams):
             seen.extend(lams)
-            return np.asarray(lams) - r, None, None
+            return np.asarray(lams) - r
 
         def jets(problem, selector, lams):
-            # the end wedge C3 ^ C4 of the identity for the simplicity test of
-            # the Delta_22 zero, and no C
-            return [(lam - r, 1.0, np.eye(6)[5], None) for lam in lams]
+            # a C that holds the end wedge C3 ^ C4 of the identity alone, for
+            # the simplicity test of the Delta_22 zero
+            C = FundamentalMatrix(xs=np.array([0.0, 1.0]), values=None,
+                                  ends={(3, 4): np.eye(6)[5:]})
+            return [(lam - r, 1.0, C) for lam in lams]
 
         monkeypatch.setattr(spectra, "_samples", samples)
         monkeypatch.setattr(spectra, "_jets", jets)

@@ -83,7 +83,8 @@ class TestBatchedDeltas:
                         else:
                             assert np.ndim(one) == 0 and np.shape(of_batch) == (1,)
                             assert of_batch[0] == one, (jk, field)
-                C = fundamental_C(pb, lam, want_dlambda=jet, x_grid=[0.0, 1.0], wedge=wedge)
+                C = fundamental_C(pb, lam, want_dlambda=jet, x_grid=[0.0, 1.0],
+                                  states=[(1,), (2,), (3,), (4,)] + wedge)
                 S4 = propagate(pb, lam, "backward", [0, 0, 0, 1], want_dlambda=jet,
                                x_grid=[0.0, 1.0])
                 entries = {(1, 1): -C.end[0, 3], (2, 1): -C.end[0, 2], (3, 1): C.end[0, 1],
@@ -246,7 +247,7 @@ class TestCharacteristicValues:
         # above 1e-11 of the norm, and its jet is the search's ddelta
         z = beam_zeros_30[n - 1]
         cv = characteristic_delta(beam, z.lam, (2, 2), want_dlambda=True)
-        assert abs(cv.value) <= 1e-11 * weyl._minor_norm(z.end_state, z.lam)
+        assert abs(cv.value) <= 1e-11 * weyl._minor_norm(weyl._entry(z.C.ends, (2, 2))[2], z.lam)
         assert abs(cv.dvalue - z.ddelta) <= 1e-10 * abs(z.ddelta)
 
     def test_dvalue_matches_finite_difference(self):
@@ -429,11 +430,12 @@ def _same_bits(a, b):
 
 
 def _ends(shape, seed):
-    """(lambda of rho <= 12 and any argument, C(1) at each) of the random
-    complex problem."""
+    """(lambda of rho <= 12 and any argument, C(1) at each, the ends of that
+    solve) of the random complex problem."""
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.0, 12.0, shape) ** 4 * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
-    return lam, fundamental_C(make_random_problem(), lam, x_grid=[0.0, 1.0]).end
+    C = fundamental_C(make_random_problem(), lam, x_grid=[0.0, 1.0])
+    return lam, C.end, C.ends
 
 
 class TestEntryReads:
@@ -443,8 +445,8 @@ class TestEntryReads:
 
     @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
     def test_each_delta_is_its_signed_row_0(self, shape):
-        lam, end = _ends(shape, 8)
-        got = weyl._weyl_sample(lam, end)
+        lam, end, ends = _ends(shape, 8)
+        got = weyl._weyl_sample(lam, ends)
         for jk, (sign, cols) in weyl._ENTRIES.items():
             u = end[..., cols[0] - 1]
             if len(cols) == 1:
@@ -465,8 +467,8 @@ class TestEntryReads:
         # minor rounds within about twice that floor, and a Delta_j1 entry,
         # its 3 x 3 determinant by the bracket identity, stays within one
         # floor of it below rho ~ 12
-        lam, end = _ends(shape, 9)
-        got = weyl._weyl_sample(lam, end)
+        lam, end, ends = _ends(shape, 9)
+        got = weyl._weyl_sample(lam, ends)
         for jk in ALL_INDEX_PAIRS:
             rows, cols = delta_index(*jk)
             ref = _ref_det(end[..., rows, :][..., cols])
@@ -484,7 +486,7 @@ class TestStackedMinors:
         # Delta_11 = -C_4(1)_0 = -Delta_33, so k = 3 is the same zero as k = 1
         # and is named k = 1; Delta_22 vanishes with the wedge C_3 ^ C_4 when
         # C_3 is a multiple of C_4 on rows 0 and 1
-        lam, end = _ends((6,), 10)
+        lam, end, _ = _ends((6,), 10)
         for i in (2, 4):
             if k == 2:
                 end[i, :2, 2] = 1.5 * end[i, :2, 3]
@@ -495,8 +497,8 @@ class TestStackedMinors:
         u, v = end[..., 2], end[..., 3]
         want_k = 2 if k == 2 else 1
         ref = {1: end[..., 0, 3], 2: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]}[want_k][2]
-        with pytest.raises(PoleError) as got:
-            weyl._weyl_sample(lam, end)
+        with pytest.raises(PoleError) as got:   # the end table of the columns of `end`
+            weyl._weyl_sample(lam, {(k + 1,): end[None, ..., k] for k in range(4)})
         assert (got.value.k, got.value.lam, got.value.value) == (
             want_k, lam[2], float(np.hypot(ref.real, ref.imag)))
 

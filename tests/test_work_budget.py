@@ -61,9 +61,9 @@ def _recording_samples(monkeypatch):
     lams = []
     orig = spectra._samples
 
-    def wrapper(problem, selector, batch, jet):
+    def wrapper(problem, selector, batch):
         lams.extend(complex(lam) for lam in np.ravel(batch))
-        return orig(problem, selector, batch, jet)
+        return orig(problem, selector, batch)
 
     monkeypatch.setattr(spectra, "_samples", wrapper)
     return lams
@@ -113,7 +113,8 @@ def test_no_delta_propagates_backward(beam, monkeypatch):
     # alone is bitwise the solve of C with its one wedge
     lam = 7.3
     end = fundamental_C(beam, lam, x_grid=[0.0, 1.0]).end
-    alone = -fundamental_C(beam, lam, x_grid=[0.0, 1.0], wedge=[(3, 4)]).ends[3, 4][0, 0]
+    alone = -fundamental_C(beam, lam, x_grid=[0.0, 1.0],
+                           states=[(1,), (2,), (3,), (4,), (3, 4)]).ends[3, 4][0, 0]
     calls = _counting_propagations(monkeypatch)
     for jet in (True, False):
         calls.clear()
@@ -130,17 +131,16 @@ def test_no_delta_propagates_backward(beam, monkeypatch):
 
 
 def _recording_batches(monkeypatch):
-    """(lambda batch, jet) of every fundamental_C call: a Delta_22 polish's
-    with the jets of the wedges of Delta_j2's columns (a scan, and any other
-    polish, propagates one wedge or one column per lambda, with no
-    fundamental_C call)."""
+    """(lambda batch, jet) of every fundamental_C call: a search's with the
+    one state of its Delta per lambda (its jet in a polish), a Delta_22
+    polish's with C's columns and the jets of the wedges of Delta_j2's
+    columns."""
     calls = []
     orig = propagator.fundamental_C
 
-    def wrapper(problem, lams, want_dlambda=False, x_grid=None, wedge=None):
-        calls.append(([complex(lam) for lam in np.ravel(lams)],
-                      want_dlambda or wedge is not None))
-        return orig(problem, lams, want_dlambda, x_grid, wedge)
+    def wrapper(problem, lams, want_dlambda=False, x_grid=None, states=None):
+        calls.append(([complex(lam) for lam in np.ravel(lams)], bool(want_dlambda)))
+        return orig(problem, lams, want_dlambda, x_grid, states)
 
     _patch_bindings(monkeypatch, orig, wrapper)
     return calls
@@ -237,11 +237,11 @@ def test_doubled_chunk_that_overflows_falls_back(beam, monkeypatch, count):
     chunks = []
     samples = spectra._samples
 
-    def walled(problem, selector, lams, jet):
+    def walled(problem, selector, lams):
         chunks.append(len(lams))
         if max(np.real(lams)) > 591.0 ** 4:
             raise propagator.PropagationError("past the wall")
-        return samples(problem, selector, lams, jet)
+        return samples(problem, selector, lams)
 
     monkeypatch.setattr(spectra, "_samples", walled)
     zeros = find_real_zeros(beam, (2, 2), (rho0 ** 4, 700.0 ** 4), max_count=count)
@@ -385,11 +385,10 @@ def test_failed_newton_lambda_drops_only_its_bracket(beam, monkeypatch):
     # holds a lambda near the second fails, and only that bracket is lost
     orig = propagator.fundamental_C
 
-    def failing(problem, lams, want_dlambda=False, x_grid=None, wedge=None):
-        jet = want_dlambda or wedge is not None
-        if jet and any(400 < complex(lam).real < 600 for lam in np.ravel(lams)):
+    def failing(problem, lams, want_dlambda=False, x_grid=None, states=None):
+        if want_dlambda and any(400 < complex(lam).real < 600 for lam in np.ravel(lams)):
             raise propagator.PropagationError("injected")
-        return orig(problem, lams, want_dlambda, x_grid, wedge)
+        return orig(problem, lams, want_dlambda, x_grid, states)
 
     _patch_bindings(monkeypatch, orig, failing)
     zeros = find_real_zeros(beam, (2, 2), (0.0, 5000.0))
@@ -490,17 +489,26 @@ def test_empty_delta_batch_makes_no_propagation(beam, monkeypatch):
             assert np.shape(cv.value) == (0,)
             assert (cv.dvalue is not None) == jet
             assert not jet or np.shape(cv.dvalue) == (0,)
+    # no pair at two lambda: nothing to read, so no C is solved
+    assert weyl.deltas_at(beam, [3.0, 7.3], pairs=()) == {}
     for selector in weyl.ALL_INDEX_PAIRS:
         assert np.shape(spectra._ring_fun(beam, selector)(np.array([], complex))) == (0,)
     # C, S and Phi of no lambda: the recorded grid, and ends with the
     # orders of one lambda's jet run (value, jet, second jet of the wedges)
     for C, orders in ((fundamental_C(beam, []), 1), (propagator.fundamental_S(beam, []), 1),
                       (fundamental_C(beam, [], True), 2),
-                      (fundamental_C(beam, [], spectra._J2_RUN, wedge=weyl._M_WEDGE), 3)):
+                      (fundamental_C(beam, [], spectra._J2_RUN,
+                                     states=propagator._ALL_COLUMNS + weyl._M_WEDGE), 3)):
         assert C.xs.tolist() == np.linspace(0.0, 1.0, 17).tolist()
         assert C.values.shape == (17, 0, 4, 4)
         assert {jk: end.shape for jk, end in C.ends.items()} == {
             jk: (orders, 0, {1: 4, 2: 6}[len(jk)]) for jk in C.ends}
+    # the states of a search, each alone: a wedge's 6 rows, a column's 4
+    for states, rows in (([(3, 4)], 6), ([(2, 4), (3, 2)], 6), ([(4,)], 4)):
+        C = fundamental_C(beam, [], True, states=states)
+        assert C.values.shape == (17, 0, rows, len(states))
+        assert {jk: end.shape for jk, end in C.ends.items()} == {
+            jk: (2, 0, rows) for jk in states}
     xs, phi = weyl.phi_matrix(beam, [], x_grid=[0.0, 0.5, 1.0])
     assert xs.tolist() == [0.0, 0.5, 1.0] and phi.shape == (3, 0, 4, 4)
     assert calls == []
