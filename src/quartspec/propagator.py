@@ -36,24 +36,26 @@ and the targets of the lambda and jet terms are contiguous runs of rows;
 each column carries its own lambda factor and jet factor, and the jets
 follow the values in the order of the run, whose sources are so one slice
 of the state's columns and its targets the columns after the values.  So
-each step makes one series, one step bound and one advance call, and each
-Taylor order one product per term, whatever the propagation carries.  A
+each step makes one step call (its series and bound) and one advance call,
+and each Taylor order one product per term, whatever the block carries.  A
 column is zero in the other part's rows, which leaves its weighted norm,
 and so the step sequence, as it is.  Without them the block is the initial
 matrix's own rows: 4 of columns, or 6 of wedges.
 
-The integrator is a Taylor series of order TAYLOR_ORDER (Jorba & Zou,
-Experiment. Math. 14 (2005)).  p and q are polynomials on each mesh segment;
-at each step start they are re-expanded, F = sum_i F_i t^i, and the
-coefficients of the block follow from (k+1) Y_{k+1} = sum_i F_i Y_{k-i} +
-lambda E Y_k.  The step is STEP_SAFETY times the largest h at which the last
-two terms Y_k h^k of every column stay within ode_rel times the column's
-norm plus ode_abs, where row r is weighted by rho^-r (rho = max(1,
-|lambda|^(1/4)), r the order of the quasi-derivative, summed over a wedge
-row's pair), so that y and y^[3] count alike.  Steps restart at each
-breakpoint; output points inside a step and the quadratures over it come
-from the same series: each point is the state plus one product of its
-powers of t with the series' later terms.
+The integrator is a Taylor series, its order chosen per step with the step
+(Jorba & Zou, Experiment. Math. 14 (2005)).  p and q are polynomials on each
+mesh segment; at each step start they are re-expanded, F = sum_i F_i t^i,
+and the coefficients of the block follow from (k+1) Y_{k+1} = sum_i F_i
+Y_{k-i} + lambda E Y_k.  The step is STEP_SAFETY times the largest h at
+which the last two terms Y_k h^k of every column stay within ode_rel times
+the column's norm plus ode_abs, where row r is weighted by rho^-r (rho =
+max(1, |lambda|^(1/4)), r the order of the quasi-derivative, summed over a
+wedge row's pair), so that y and y^[3] count alike.  Steps restart at each
+breakpoint; a step's order is the lowest in [8, ORDER_CAP] that reaches
+the segment end, else TAYLOR_ORDER, the most where more overflows (see
+_Block.step).  Output points inside a step and the quadratures over it
+come from the same series: each point is the state plus one product of
+its powers of t with the series' later terms.
 
 The arithmetic follows the data.  For a real problem (real p, q and
 boundary constants) C(x, conj lambda) = conj C(x, lambda), so C is real on
@@ -82,15 +84,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import ceil, inf, log, nan
 
 import numpy as np
 
 from .problem import ProblemSpec, _sorted_unique, boundary_form_matrix
 
 TAYLOR_ORDER = 20
+# the orders that a step's order is chosen from (see _Block.step)
+_ORDER_MIN, ORDER_CAP = 8, 28
 STEP_SAFETY = 0.9
-# the step bound's powers, one per row: 1/k for the orders k of its two terms
-_BOUND_POWERS = 1.0 / np.array([[TAYLOR_ORDER - 1], [TAYLOR_ORDER]])
+# the step bound's powers 1/k, k = 1 .. ORDER_CAP; the quadratures' 1 / (i + j + 1)
+_BOUND_POWERS = 1.0 / np.arange(1, ORDER_CAP + 1)
+_HILBERT = 1.0 / (np.arange(ORDER_CAP + 1)[:, None] + np.arange(ORDER_CAP + 1) + 1)
 # wedge rows: the (a, b) minor u_a v_b - u_b v_a
 _WEDGE_ROWS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # the labels of C's four columns among the states of fundamental_C
@@ -160,7 +166,7 @@ class _Block:
         self.src, self.order = _jet_run(self.cols, jet_cols)
         self.state = np.concatenate([X0, np.zeros((len(X0), len(self.src) - self.cols), X0.dtype)],
                                     axis=1)
-        self.plans = {}
+        self.plans, self.margins = {}, None
         lams, signs = lams[self.src], signs[self.src]
         rho = np.maximum(1.0, np.abs(lams) ** 0.25)
         self.weights = rho[None, :] ** -system[3][:, None]
@@ -182,14 +188,14 @@ class _Block:
         exactly: K, P and Q have disjoint supports."""
         n, m = self.state.shape
         rows, qcols, c = self.rows, self.qcols, self.cols
-        T = np.zeros((TAYLOR_ORDER + 1 + d, n, m), self.state.dtype)
+        T = np.zeros((ORDER_CAP + 1 + d, n, m), self.state.dtype)
         lam_tmp = np.empty_like(T[0, rows])
         jet_tmp = np.empty_like(T[0, rows, c:])
         # a complex state multiplies by the float 1 / (k + 1), the product that
         # numpy's complex division by a real forms in its slower complex loop
         complex_state = np.iscomplexobj(T)
         steps = []
-        for k in range(TAYLOR_ORDER):
+        for k in range(ORDER_CAP):
             Tk, nxt, window = T[k + d], T[k + d + 1], T[k:k + d + 1].reshape(-1, m)
             updates = [(nxt[rows], self.lam_sign, Tk[qcols], lam_tmp)]
             if m > c:
@@ -205,40 +211,79 @@ class _Block:
         self.plans[d] = T, steps, basis.reshape(2 * d + 3, -1)
         return self.plans[d]
 
-    def series(self, pq):
-        """The Taylor coefficients (TAYLOR_ORDER + 1, n, m) of the state at
-        the step start, for the ascending coefficients (p_i, q_i) of p and q
-        there."""
+    def _start(self, pq):
+        """fill(k0, k1): orders k0 + 1 .. k1, in place, of the series of the
+        state for the ascending coefficients (p_i, q_i) of p and q at the step
+        start; returns orders 0 .. k1, or 0 .. TAYLOR_ORDER where those past
+        it are not all finite."""
         d = len(pq) - 1
         T, steps, basis = self.plans.get(d) or self._plan(d)
         # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k
         A = (np.append(np.ravel(pq[::-1]), 1.0) @ basis).reshape(len(self.state), -1)
         T[d] = self.state
-        for nxt, window, updates, scale, by in steps:
-            np.matmul(A, window, out=nxt)
-            for target, factor, source, tmp in updates:
-                target += np.multiply(factor, source, out=tmp)
-            scale(nxt, by, out=nxt)
-        return T[d:]
+
+        def fill(k0, k1):
+            for nxt, window, updates, scale, by in steps[k0:k1]:
+                np.matmul(A, window, out=nxt)
+                for target, factor, source, tmp in updates:
+                    target += np.multiply(factor, source, out=tmp)
+                scale(nxt, by, out=nxt)
+            if k1 > TAYLOR_ORDER and not np.all(np.isfinite(T[d + TAYLOR_ORDER + 1:d + k1 + 1])):
+                k1 = TAYLOR_ORDER
+            return T[d:d + k1 + 1]
+        return fill
+
+    def series(self, pq):
+        """The TAYLOR_ORDER + 1 Taylor coefficients of the state (_start)."""
+        return self._start(pq)(0, TAYLOR_ORDER)
+
+    def step(self, pq, span, rel, absolute):
+        """The series of a step toward a point `span` away, and its length h,
+        STEP_SAFETY times its bound, of the order that the last step's margins
+        say reaches the point, else of TAYLOR_ORDER, continued in place to the
+        order that its own margins say does where h falls short of span."""
+        fill, reach = self._start(pq), span / STEP_SAFETY
+        T = fill(0, self._order(reach) or TAYLOR_ORDER)
+        h = self.step_bound(T, rel, absolute)
+        if h < reach and (order := self._order(reach) or 0) >= len(T):
+            T = fill(len(T) - 1, order)
+            h = self.step_bound(T, rel, absolute)
+        return T, STEP_SAFETY * h
+
+    def _order(self, reach):
+        """The lowest order k in [_ORDER_MIN, ORDER_CAP] whose bound exp(min(
+        L_{k-1} / (k - 1), L_k / k)) reaches `reach`, or None, with the last
+        bound's log-margins L_j = log min_c (tol_c / |Y_j|_c), j = K - 1 and
+        K, extrapolated linearly in j: exact for a geometric decay of |Y_j|,
+        short of a factorial one.  So a + j s >= 0 for j = k - 1 and k."""
+        K, lo, hi = self.margins or (0, nan, nan)   # a non-finite one gives None
+        a, s = K * lo - (K - 1) * hi, hi - lo - log(reach)
+        if min(a + (_ORDER_MIN - 1) * s, a + _ORDER_MIN * s) >= 0.0:
+            return _ORDER_MIN
+        k = 1.0 - a / s if s > 0.0 else inf   # past _ORDER_MIN here
+        return ceil(k) if k <= ORDER_CAP else None
 
     def advance(self, T, powers):
-        """The state at each step point whose powers t^0 .. t^TAYLOR_ORDER
-        are the rows of `powers`; the last point becomes the state.  The
-        terms past the state are summed in one product, then added to the
-        state, which so rounds once per point."""
+        """The state at each step point whose powers t^0 .. t^K are the rows
+        of `powers`, K the order of the series T; the last point becomes the
+        state.  The terms past the state are summed in one product, then
+        added to the state, which so rounds once per point."""
         at = self.state + (powers[:, 1:] @ T[1:].reshape(len(T) - 1, -1)).reshape(
             (len(powers),) + self.state.shape)
         self.state = at[-1]
         return at
 
     def step_bound(self, T, rel, absolute):
-        """Largest h at which the last two terms of every column are within
-        tolerance."""
-        # the weighted column norms of Y_0, Y_{order-1} and Y_order at once
-        norms = np.max(np.abs(T[[0, TAYLOR_ORDER - 1, TAYLOR_ORDER]]) * self.weights, axis=1)
+        """Largest h at which the last two terms of every column of the
+        series T are within tolerance; leaves their log-margins (_order)."""
+        K = len(T) - 1
+        # the weighted column norms of Y_0, Y_{K-1} and Y_K at once
+        norms = np.max(np.abs(T[[0, K - 1, K]]) * self.weights, axis=1)
         tol = rel * norms[0] + absolute
         with np.errstate(divide="ignore"):
-            return np.min((tol / norms[1:]) ** _BOUND_POWERS)
+            ratios = np.min(tol / norms[1:], axis=1)
+            self.margins = (K, *np.log(ratios).tolist())
+        return np.min(ratios ** _BOUND_POWERS[K - 2:K])
 
 
 def _jet_run(cols, jet_cols):
@@ -366,7 +411,6 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
         raise ValueError("a wedge pairs columns at different lambda")
     block, rows = _block(Y0, lams, wi, wj, want_dlambda)
     rel, absolute = problem.tolerances.ode_rel, problem.tolerances.ode_abs
-    hilbert = 1.0 / (np.arange(TAYLOR_ORDER + 1)[:, None] + np.arange(TAYLOR_ORDER + 1) + 1)
     quads = np.zeros(len(quad_pairs), Y0.dtype)
 
     grid = _grid(problem, x_grid)
@@ -386,21 +430,20 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
         while done < len(t_eval):
             # an overflowing series leaves a step bound of 0 or nan, which raises
             with np.errstate(over="ignore", invalid="ignore"):
-                T = block.series(list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0),
-                                                  fillvalue=0)))
-                h = STEP_SAFETY * block.step_bound(T, rel, absolute)
+                pq = list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0), fillvalue=0))
+                T, h = block.step(pq, abs(x1 - x), rel, absolute)
             if not h > min_step * max(1.0, abs(x)):
                 raise PropagationError(f"no step possible at x={x} (step bound {h:.3e})")
             x_next = x1 if h >= abs(x1 - x) else x + sign * h
             reached = done + np.searchsorted(sign * t_eval[done:], sign * x_next, side="right")
             ts = np.append(t_eval[done:reached], x_next) - x
-            powers = ts[:, None] ** np.arange(TAYLOR_ORDER + 1)
+            powers = ts[:, None] ** np.arange(len(T))
             states_out.extend(block.advance(T, powers)[:reached - done])
             xs_out.extend(t_eval[done:reached])
             if len(quad_pairs):   # row 0 is y with or without wedges
                 hp = powers[-1][:, None]
                 U, V = T[:, 0, qi] * hp, T[:, 0, qj] * hp
-                quads += ts[-1] * np.sum(U * (hilbert @ V), axis=0)
+                quads += ts[-1] * np.sum(U * (_HILBERT[:len(T), :len(T)] @ V), axis=0)
             if not np.all(np.isfinite(block.state)):
                 raise PropagationError(f"non-finite state at x={x_next}")
             x, done = x_next, reached

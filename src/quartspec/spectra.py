@@ -8,10 +8,10 @@ Barcilon spectra.
 
 Real-axis search scans in rho = |lambda|^(1/4) (zeros are near-uniform in
 rho, about pi apart), one batched solve per chunk.  The first chunk spans
-max_count + 1/4 zero spacings and each next one twice the last, so the
-first n zeros of Delta_22 take one scan solve (on the beam a Delta_32
-search of n < 5 takes two: its n-th zero lies just past the first chunk),
-and no chunk is solved once the brackets asked for are in hand.  A Taylor
+max_count + 1/4 zero spacings and five points more, and each next one
+twice the last, so the first n zeros of Delta_22 take one scan solve (on
+the beam, those of Delta_32 and Delta_42 too), and no chunk is solved once
+the brackets asked for are in hand.  A Taylor
 step costs about the same whatever the width of its batch, and a chunk
 takes the steps of its largest lambda, so a wide chunk costs about what one
 chunk at its far end costs.  Where a chunk raises PropagationError (its far
@@ -80,10 +80,10 @@ RHO_SCAN_STEP = 0.05
 # grid points of about one zero spacing (pi in rho); after a scan solve that
 # raises PropagationError the scan goes on in solves of this size
 _SCAN_CHUNK = int(np.ceil(np.pi / RHO_SCAN_STEP))
-# the first scan solve takes (max_count + _SCAN_LEAD) _SCAN_CHUNK points, each
-# next one twice the last: on the beam the n-th zero of Delta_22, Delta_32 and
-# Delta_42 lies near (n - 1/2) pi, (n + 1/4) pi and n pi in rho, so from rho = 0
-# that many spacings bracket the first max_count zeros in about one solve
+# the first scan solve takes (max_count + _SCAN_LEAD) _SCAN_CHUNK points and 5
+# more, which from rho = 0 reach four neighbours past (max_count + _SCAN_LEAD) pi,
+# each next one twice the last: on the beam the n-th zero of Delta_22,
+# Delta_32 and Delta_42 lies near (n - 1/2) pi, (n + 1/4) pi and n pi in rho
 _SCAN_LEAD = 0.25
 # Newton accepts once a step is below this fraction of 1 + |lambda|
 REFINE_TOL = 1e-12
@@ -306,7 +306,7 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
         # the previous chunk's last five samples, a bracket's first sample and
         # its four neighbours before it across the chunk boundary: no lambda twice
         tail = []
-        start, size, grow = 0, int(np.ceil((max_count + _SCAN_LEAD) * _SCAN_CHUNK)), 2
+        start, size, grow = 0, int(np.ceil((max_count + _SCAN_LEAD) * _SCAN_CHUNK)) + 5, 2
         while start < len(lams):
             chunk = lams[start:start + size]
             try:

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -312,19 +313,19 @@ class TestRealKernel:
         assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
 
 
-def _reference_series(block, pq):
+def _reference_series(block, pq, order=propagator.TAYLOR_ORDER):
     """_Block.series as it was before each degree's views were built once:
     the same loop over a fresh buffer, with self as `block`, reading its
-    per-column lambda and jet factors."""
+    per-column lambda and jet factors, to Taylor order `order`."""
     K, P, Q, _ = block.system
     n, m = block.state.shape
     d = len(pq) - 1
     A = np.concatenate([p * P + q * Q + (K if i == d else 0)
                         for i, (p, q) in enumerate(pq[::-1])], axis=1)
-    T = np.zeros((propagator.TAYLOR_ORDER + 1 + d, n, m), block.state.dtype)
+    T = np.zeros((order + 1 + d, n, m), block.state.dtype)
     T[d] = block.state
     rows, qcols, c = block.rows, block.qcols, block.cols
-    for k in range(propagator.TAYLOR_ORDER):
+    for k in range(order):
         Tk, nxt = T[k + d], T[k + d + 1]
         np.matmul(A, T[k:k + d + 1].reshape(-1, m), out=nxt)
         nxt[rows] += block.lam_sign * Tk[qcols]
@@ -335,14 +336,14 @@ def _reference_series(block, pq):
 
 
 def _reference_step_bound(block, T, rel, absolute):
-    """_Block.step_bound as it was, one weighted norm per coefficient."""
+    """_Block.step_bound as it was, one weighted norm per coefficient, from
+    the last two orders of T."""
     def norm(a):
         return np.max(np.abs(a) * block.weights, axis=0)
 
     tol = rel * norm(T[0]) + absolute
     with np.errstate(divide="ignore"):
-        return min(np.min((tol / norm(T[k])) ** (1.0 / k))
-                   for k in (propagator.TAYLOR_ORDER - 1, propagator.TAYLOR_ORDER))
+        return min(np.min((tol / norm(T[k])) ** (1.0 / k)) for k in (len(T) - 2, len(T) - 1))
 
 
 class TestKernelBitwise:
@@ -403,6 +404,87 @@ class TestKernelBitwise:
                 assert block.step_bound(got, 1e-10, 1e-12) == _reference_step_bound(
                     block, ref, 1e-10, 1e-12)
                 block.state = draw(*block.state.shape)
+
+
+class TestKernelOrders:
+    """A step's series stops at the order chosen for it, or goes on in place
+    past TAYLOR_ORDER, with the numbers of the plain loop at that order."""
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    @pytest.mark.parametrize("pairs, jets", [([], True), ([(0, 1), (2, 4)], slice(5, 8))],
+                             ids=["columns_jet", "wedge_second_jet"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stopped_and_extended_series_match_reference(self, pairs, jets, dtype, degree):
+        rng = np.random.default_rng(6)
+
+        def draw(*shape):
+            x = rng.uniform(-1, 1, shape)
+            return x + 1j * rng.uniform(-1, 1, shape) if dtype is complex else x
+
+        wi, wj = np.array(pairs, dtype=int).reshape(-1, 2).T
+        block, _ = propagator._block(draw(4, 5), draw(5) * 400, wi, wj, jets)
+        cap, order = propagator.ORDER_CAP, propagator.TAYLOR_ORDER
+        for _ in range(2):
+            pq = [tuple(draw(2)) for _ in range(degree + 1)]
+            fill = block._start(pq)
+            # stopped at order 12; then, in the same buffer, TAYLOR_ORDER
+            # terms continued to ORDER_CAP
+            for got, k in ((fill(0, 12), 12), (fill(0, order), order), (fill(order, cap), cap)):
+                ref = _reference_series(block, pq, k)
+                assert got.shape == ref.shape == (k + 1,) + block.state.shape
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                assert block.step_bound(got, 1e-10, 1e-12) == _reference_step_bound(
+                    block, ref, 1e-10, 1e-12)
+                assert block.margins[0] == k
+            block.state = draw(*block.state.shape)
+
+    def test_order_from_margins(self):
+        # margins of an exact geometric decay |Y_k| = r^k give the lowest
+        # order whose bound reaches, one of factorial decay (rho^k / k!, the
+        # growth of a state at rho) an order whose true bound reaches; none
+        # without margins or past ORDER_CAP
+        block, _ = propagator._block(np.eye(4), np.full(4, 100.0), [], [], False)
+        assert block._order(0.1) is None
+        tol = 1e-10
+
+        def bound(margin, k):
+            return min(margin(k - 1) ** (1.0 / (k - 1)), margin(k) ** (1.0 / k))
+
+        decays = [lambda k: tol / 0.3 ** k, lambda k: tol / 0.05 ** k,
+                  lambda k: tol * math.factorial(k) / 10.0 ** k,
+                  lambda k: tol * math.factorial(k) / 3.0 ** k]
+        for margin in decays:
+            for K in (9, 14, 20, 25):
+                block.margins = (K, math.log(margin(K - 1)), math.log(margin(K)))
+                for reach in (0.01, 0.05, 0.2, 0.5, 1.0):
+                    got = block._order(reach)
+                    reaching = [k for k in range(8, propagator.ORDER_CAP + 1)
+                                if bound(margin, k) >= reach * (1 + 1e-12)]
+                    if margin in decays[:2]:   # geometric: exact
+                        assert got == (reaching[0] if reaching else None)
+                    elif got is not None:      # factorial: it reaches
+                        assert bound(margin, got) >= reach
+        for lo, hi in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (math.inf, math.inf)):
+            block.margins = (20, lo, hi)
+            assert block._order(0.1) is None
+
+    def test_order_past_taylor_order_that_overflows_falls_back(self, monkeypatch):
+        # a step whose series overflows past TAYLOR_ORDER takes the
+        # TAYLOR_ORDER series of the same buffer, and its step bound
+        rng = np.random.default_rng(7)
+        block, _ = propagator._block(rng.uniform(-1, 1, (4, 3)) * 1e280, np.full(3, 1e8),
+                                     [], [], False)
+        pq = [(0.3, -0.2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _reference_series(block, pq, propagator.ORDER_CAP)
+        assert np.all(np.isfinite(ref[:propagator.TAYLOR_ORDER + 1]))
+        assert not np.all(np.isfinite(ref))
+        monkeypatch.setattr(propagator._Block, "_order",
+                            lambda self, reach: propagator.ORDER_CAP)
+        with np.errstate(over="ignore", invalid="ignore"):
+            T, h = block.step(pq, 1.0, 1e-10, 1e-12)
+        assert np.array_equal(T, ref[:propagator.TAYLOR_ORDER + 1])
+        assert h == propagator.STEP_SAFETY * _reference_step_bound(block, T, 1e-10, 1e-12)
 
 
 class TestWedgeInit:

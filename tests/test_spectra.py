@@ -426,21 +426,21 @@ class TestSampleAtRoot:
         assert [z.lam for z in find_real_zeros(beam, (2, 2), region)] == [r]
 
     @pytest.mark.parametrize("pos, offsets", [
-        (0, [2, 3, 4, 5]), (77, [-4, -3, -2, -1]), (78, [-4, -3, -2, -1, 2, 3, 4, 5]),
-        (79, [-4, -3, -2, -1, 2, 3, 4, 5])],
+        (0, [2, 3, 4, 5]), (82, [-4, -3, -2, -1]), (83, [-4, -3, -2, -1, 2, 3, 4, 5]),
+        (84, [-4, -3, -2, -1, 2, 3, 4, 5])],
         ids=["scan_start", "chunk_end", "across", "after"])
     def test_neighbours_come_from_solved_chunks(self, beam, monkeypatch, pos, offsets):
         # a bracket between grid samples pos and pos + 1 starts from up to
         # four finite neighbours on each side, among those already solved:
         # none before the scan's first sample, none after the last of a
-        # chunk (79 samples, 1 + 1/4 zero spacings for max_count = 1) until
+        # chunk (84 samples, 1 + 1/4 zero spacings and 5 for max_count = 1) until
         # the next chunk is solved, and across a chunk boundary both, the
         # earlier ones from the last chunk's tail
         grid = []
         self._linear(monkeypatch, 1e9, grid)   # no root: records the scan grid
         assert find_real_zeros(beam, (2, 2), (0.0, 1e4)) == []
-        first = int(np.ceil((1 + spectra._SCAN_LEAD) * spectra._SCAN_CHUNK))
-        assert first == 79 and len(grid) > 2 * first
+        first = int(np.ceil((1 + spectra._SCAN_LEAD) * spectra._SCAN_CHUNK)) + 5
+        assert first == 84 and len(grid) > 2 * first
         near = []
         scan_start = spectra._scan_start
         monkeypatch.setattr(spectra, "_scan_start",

@@ -191,11 +191,11 @@ def test_first_zeros_scan_stops_at_last_bracket(beam, monkeypatch):
     assert len(lams) == len(set(lams)), "a lambda was sampled twice"
     # the grid is uniform in rho (index i at rho = i step) and taken in chunks
     # of first, 2 first, 4 first, ... points, the first spanning 3 + 1/4 zero
-    # spacings; nothing past the end of the solve holding the grid point that
-    # closes the bracket of the third zero is sampled
+    # spacings and 5 points; nothing past the end of the solve holding the
+    # grid point that closes the bracket of the third zero is sampled
     rho3 = zeros[2].lam.real ** 0.25
     step = spectra.RHO_SCAN_STEP
-    first = int(np.ceil((3 + spectra._SCAN_LEAD) * spectra._SCAN_CHUNK))
+    first = int(np.ceil((3 + spectra._SCAN_LEAD) * spectra._SCAN_CHUNK)) + 5
     closing = int(np.ceil(rho3 / step + 1e-9))
     ends = first * (2 ** np.arange(1, 12) - 1)     # one past each solve's last index
     last = ends[np.searchsorted(ends, closing, side="right")] - 1
@@ -226,13 +226,13 @@ def test_beam_count_thirty_scans_in_one_solve(beam, beam_zeros_30, monkeypatch):
 
 @pytest.mark.parametrize("count", [4, 5])
 def test_doubled_chunk_that_overflows_falls_back(beam, monkeypatch, count):
-    # the first chunk, count + 1/4 zero spacings from rho0 (to rho 591.35 and
-    # 591.5), raises PropagationError past a wall put at rho 591; the scan
-    # goes back to 63-point chunks from its start and stays there (a doubled
-    # chunk would raise again), and finds the zeros that 63-point chunks
-    # find, the last below the wall.  The real wall moves with the batch
-    # (rho 590.74 for 63 points, 591.50 for 268), so on the 0.05 grid no
-    # first chunk of 268 points crosses it while four 63-point chunks clear it
+    # the first chunk, count + 1/4 zero spacings and 5 points from rho0 (to
+    # rho 591.6 and 591.75), raises PropagationError past a wall put at rho
+    # 591; the scan goes back to 63-point chunks from its start and stays
+    # there (a doubled chunk would raise again), and finds the zeros that
+    # 63-point chunks find, the last below the wall.  The real wall moves
+    # with the batch (rho 590.74 for 63 points, 591.50 for 268), and the
+    # 63-point chunks from rho0 clear it
     rho0 = {4: 578.0, 5: 575.0}[count]
     chunks = []
     samples = spectra._samples
@@ -248,7 +248,7 @@ def test_doubled_chunk_that_overflows_falls_back(beam, monkeypatch, count):
     assert [z.lam.real ** 0.25 / np.pi for z in zeros] == pytest.approx(
         [183.5, 184.5, 185.5, 186.5, 187.5][-count:], rel=1e-12)
     chunk = spectra._SCAN_CHUNK
-    first = int(np.ceil((count + spectra._SCAN_LEAD) * chunk))
+    first = int(np.ceil((count + spectra._SCAN_LEAD) * chunk)) + 5
     assert chunks == [first] + [chunk] * count
 
 
@@ -267,6 +267,12 @@ def test_scan_polish_solve_count(beam, monkeypatch, which, selector, solves):
     assert len(newton[0]) == 3
 
 
+# the Taylor orders of each search when every step took TAYLOR_ORDER terms
+# (13, 26, 14, 43 and 19 steps of 20)
+_SEARCH_ORDERS = {("beam", (2, 2), 3): 260, ("beam", (3, 2), 3): 520, ("beam", (4, 2), 3): 280,
+                  ("beam", (2, 2), 10): 860, ("random", (2, 2), 3): 380}
+
+
 @pytest.mark.parametrize("which, selector, count, budget", [
     ("beam", (2, 2), 3, 16), ("beam", (3, 2), 3, 34), ("beam", (4, 2), 3, 29),
     ("beam", (2, 2), 10, 74), ("random", (2, 2), 3, 24)])
@@ -274,13 +280,56 @@ def test_first_zeros_taylor_steps(beam, monkeypatch, which, selector, count, bud
     # Taylor steps over every solve of the search, polish included, at most
     # those of a scan whose first chunk spans one zero spacing (budget); the
     # first chunk spans count + 1/4 spacings, and brackets the first three
-    # Delta_22 zeros in one scan solve (13, 26, 14, 43 and 19 steps)
+    # Delta_22 zeros in one scan solve.  Their Taylor orders add up to at
+    # most those of 20-term steps (_SEARCH_ORDERS): each step's order is
+    # chosen to close its mesh segment where one up to ORDER_CAP does
     pb = make_random_real_problem(11) if which == "random" else beam
-    steps = _recording(monkeypatch, propagator._Block, "series")
+    steps = _recording(monkeypatch, propagator._Block, "advance")
     calls = _recording_solves(monkeypatch)
     assert len(find_first_zeros(pb, selector, count)) == count
     assert len(steps) <= budget
+    assert sum(len(T) - 1 for (_, T, _), _ in steps) <= _SEARCH_ORDERS[which, selector, count]
     if selector == (2, 2) and count == 3:
+        assert len(_scans(calls)) == 1
+
+
+@pytest.mark.parametrize("rho", [8, 10, 12])
+def test_one_taylor_step_per_mesh_segment(monkeypatch, rho):
+    # at rho <= 12 each step of a 5-segment real problem closes its segment,
+    # C's columns alone and with a wedge and the jets of all
+    pb = make_random_real_problem(11)
+    assert len(pb.breakpoints) == 6
+    steps = _recording(monkeypatch, propagator._Block, "advance")
+    for kwargs in ({}, {"states": propagator._ALL_COLUMNS + [(3, 4)], "want_dlambda": True}):
+        steps.clear()
+        fundamental_C(pb, [rho ** 4 / 2, rho ** 4], **kwargs)
+        assert len(steps) == 5
+
+
+def test_classify_takes_a_step_per_segment_and_solve(monkeypatch, tmp_path, capsys):
+    # classify --count 3 on a 5-segment real problem: one scan solve and one
+    # polish solve, each about one Taylor step per mesh segment (20 steps of
+    # 20 terms each when every step took TAYLOR_ORDER terms)
+    path = str(tmp_path / "real.json")
+    save_problem(make_random_real_problem(11), path)
+    steps = _recording(monkeypatch, propagator._Block, "advance")
+    assert main(["classify", "--problem", path, "--count", "3"]) == 0
+    capsys.readouterr()
+    assert len(steps) <= 12
+
+
+@pytest.mark.parametrize("which, selector, counts", [
+    ("beam", (3, 2), [1, 2, 3, 4]), ("random", (3, 2), [1, 2, 3]),
+    ("beam", (2, 2), [1, 2, 3, 4]), ("beam", (4, 2), [1, 2, 3, 4])])
+def test_first_zeros_take_one_scan_solve(beam, monkeypatch, which, selector, counts):
+    # the first chunk ends five points past (count + 1/4) zero spacings from
+    # rho = 0: past the count-th Delta_32 zero near (count + 1/4) pi in rho
+    # and the four scan samples after it, so that it too takes one scan solve
+    pb = make_random_real_problem(11) if which == "random" else beam
+    calls = _recording_solves(monkeypatch)
+    for count in counts:
+        calls.clear()
+        assert len(find_first_zeros(pb, selector, count)) == count
         assert len(_scans(calls)) == 1
 
 
