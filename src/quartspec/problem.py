@@ -214,8 +214,8 @@ class ProblemSpec:
     boundary: BoundaryParams = BoundaryParams()
     tolerances: Tolerances = Tolerances()
 
-    # is_real and breakpoints are fixed by the fields, so each is computed at
-    # its first read and kept
+    # is_real, breakpoints and mesh are fixed by the fields, so each is
+    # computed at its first read and kept
     @cached_property
     def is_real(self):
         b = self.boundary
@@ -227,6 +227,14 @@ class ProblemSpec:
     @cached_property
     def breakpoints(self):
         return _sorted_unique(np.concatenate([self.p.breakpoints, self.q.breakpoints]))
+
+    @cached_property
+    def mesh(self):
+        """(left, right, p's piece, q's piece) of each segment of the union
+        mesh between breakpoints, ascending, each piece as `piece` gives it."""
+        nodes = self.breakpoints.tolist()
+        return tuple((left, right, self.p.piece(left, right), self.q.piece(left, right))
+                     for left, right in zip(nodes[:-1], nodes[1:]))
 
 
 def validate_problem(raw: ProblemSpec) -> ProblemSpec:

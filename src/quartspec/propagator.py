@@ -83,12 +83,13 @@ Delta_jk is an entry of the ends of fundamental_C.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from itertools import zip_longest
 from math import ceil, inf, log, nan
 
 import numpy as np
 
-from .problem import ProblemSpec, _sorted_unique, boundary_form_matrix
+from .problem import ProblemSpec, boundary_form_matrix
 
 TAYLOR_ORDER = 20
 # the orders that a step's order is chosen from (see _Block.step)
@@ -96,6 +97,8 @@ _ORDER_MIN, ORDER_CAP = 8, 28
 STEP_SAFETY = 0.9
 # the step bound's powers 1/k, k = 1 .. ORDER_CAP; the quadratures' 1 / (i + j + 1)
 _BOUND_POWERS = 1.0 / np.arange(1, ORDER_CAP + 1)
+# the powers t^0 .. t^K of a step's output points
+_POWERS = np.arange(ORDER_CAP + 1)
 _HILBERT = 1.0 / (np.arange(ORDER_CAP + 1)[:, None] + np.arange(ORDER_CAP + 1) + 1)
 # wedge rows: the (a, b) minor u_a v_b - u_b v_a
 _WEDGE_ROWS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -240,12 +243,15 @@ class _Block:
     def step(self, pq, span, rel, absolute):
         """The series of a step toward a point `span` away, and its length h,
         STEP_SAFETY times its bound, of the order that the last step's margins
-        say reaches the point, else of TAYLOR_ORDER, continued in place to the
-        order that its own margins say does where h falls short of span."""
+        say reaches the point, else of TAYLOR_ORDER.  While h falls short of
+        span, it is continued in place to the order that its own margins say
+        reaches, until no higher order is asked for or fill falls back to
+        TAYLOR_ORDER (more overflows, and would be asked for again)."""
         fill, reach = self._start(pq), span / STEP_SAFETY
-        T = fill(0, self._order(reach) or TAYLOR_ORDER)
+        order = self._order(reach) or TAYLOR_ORDER
+        T = fill(0, order)
         h = self.step_bound(T, rel, absolute)
-        if h < reach and (order := self._order(reach) or 0) >= len(T):
+        while h < reach and len(T) > order and (order := self._order(reach) or 0) >= len(T):
             T = fill(len(T) - 1, order)
             h = self.step_bound(T, rel, absolute)
         return T, STEP_SAFETY * h
@@ -304,13 +310,13 @@ def _run(want_dlambda, states):
 
 
 def _grid(problem, x_grid):
-    """The x at which a propagation records its state, ascending: the
-    breakpoints, and the points of x_grid (17 equispaced by default) inside
-    [0, 1] more than 1e-15 from each."""
-    nodes = problem.breakpoints
+    """The x at which a propagation records its state, ascending, as floats:
+    the breakpoints, and the points of x_grid (17 equispaced by default)
+    inside [0, 1] more than 1e-15 from each."""
+    nodes = problem.breakpoints.tolist()
     grid = np.linspace(0.0, 1.0, 17) if x_grid is None else np.asarray(x_grid, float)
-    apart = np.min(np.abs(grid[:, None] - nodes), axis=1) > 1e-15
-    return _sorted_unique(np.append(grid[apart & (grid > nodes[0]) & (grid < nodes[-1])], nodes))
+    return sorted({*nodes, *(t for t in grid.tolist() if nodes[0] < t < nodes[-1]
+                             and min(abs(t - x) for x in nodes) > 1e-15)})
 
 
 def _wedges(u, v):
@@ -414,16 +420,15 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     quads = np.zeros(len(quad_pairs), Y0.dtype)
 
     grid = _grid(problem, x_grid)
-    nodes = problem.breakpoints if direction == "forward" else problem.breakpoints[::-1]
+    forward = direction == "forward"
+    mesh = problem.mesh if forward else problem.mesh[::-1]
     min_step = 4 * np.finfo(float).eps   # relative to max(1, |x|)
-    xs_out = [float(nodes[0])]
+    xs_out = [mesh[0][0] if forward else mesh[0][1]]
     states_out = [block.state]
-    for x0, x1 in zip(nodes[:-1], nodes[1:]):
-        x0, x1 = float(x0), float(x1)
-        left, right = min(x0, x1), max(x0, x1)
-        interior = grid[(grid > left) & (grid < right)]
-        t_eval = np.append(interior[::int(sign)], x1)
-        (p0, pc), (q0, qc) = problem.p.piece(left, right), problem.q.piece(left, right)
+    for left, right, (p0, pc), (q0, qc) in mesh:
+        x0, x1 = (left, right) if forward else (right, left)
+        interior = grid[bisect_right(grid, left):bisect_left(grid, right)]
+        t_eval = (interior if forward else interior[::-1]) + [x1]
         if real:
             pc, qc = [c.real for c in pc], [c.real for c in qc]
         x, done = x0, 0
@@ -435,9 +440,11 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
             if not h > min_step * max(1.0, abs(x)):
                 raise PropagationError(f"no step possible at x={x} (step bound {h:.3e})")
             x_next = x1 if h >= abs(x1 - x) else x + sign * h
-            reached = done + np.searchsorted(sign * t_eval[done:], sign * x_next, side="right")
-            ts = np.append(t_eval[done:reached], x_next) - x
-            powers = ts[:, None] ** np.arange(len(T))
+            reached = done
+            while reached < len(t_eval) and sign * t_eval[reached] <= sign * x_next:
+                reached += 1
+            ts = np.array(t_eval[done:reached] + [x_next]) - x
+            powers = ts[:, None] ** _POWERS[:len(T)]
             states_out.extend(block.advance(T, powers)[:reached - done])
             xs_out.extend(t_eval[done:reached])
             if len(quad_pairs):   # row 0 is y with or without wedges
@@ -484,7 +491,7 @@ def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, states) ->
         (wi, wj), pairs, lams = np.subtract(wedges, 1).T, None, np.tile(lam.ravel(), n)
         Y0 = np.repeat(_wedges(init[:, wi].T, init[:, wj].T).T, N, axis=1)
     if not N:
-        xs, count = _grid(problem, x_grid), len(states)
+        xs, count = np.array(_grid(problem, x_grid)), len(states)
         orders = _jet_run(count, _run(want_dlambda, count))[1].max() + 1
         res = FundamentalMatrix(xs, np.empty((len(xs),) + Y0.shape, complex),
                                 np.empty((orders, 0, 10), complex))

@@ -255,13 +255,21 @@ def _scan_start(a, b, near):
     pts = [a, b] + [p for p in near if np.isfinite(p[1])]
     s = [np.sign(lam) * abs(lam) ** 0.25 for lam, _ in pts]
     u = (np.array(s) - 0.5 * (s[0] + s[1])) / (s[1] - s[0])  # a at -1/2, b at 1/2
-    coef = np.linalg.solve(np.vander(u), [f for _, f in pts])
-    dcoef = np.polyder(coef)
+    coef = np.linalg.solve(np.vander(u), [f for _, f in pts]).tolist()
+    # the multiply-adds of np.polyval and np.polyder, in their order, on floats
+    dcoef = [c * k for c, k in zip(coef, range(len(coef) - 1, 0, -1))]
+
+    def horner(cs, x):
+        y = 0.0
+        for c in cs:
+            y = y * x + c
+        return y
+
     newton = _newton(fa / (fa - fb) - 0.5, bracket=(-0.5, 0.5, fa))
     x = next(newton)
     try:
         while True:
-            x = newton.send((np.polyval(coef, x.real), np.polyval(dcoef, x.real)))
+            x = newton.send((horner(coef, x.real), horner(dcoef, x.real)))
     except StopIteration as stop:
         u0 = stop.value[0].real
     s0 = 0.5 * (s[0] + s[1]) + u0 * (s[1] - s[0])
@@ -305,7 +313,7 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
         # so it fails only where a chunk of _SCAN_CHUNK points fails
         # the previous chunk's last five samples, a bracket's first sample and
         # its four neighbours before it across the chunk boundary: no lambda twice
-        tail = []
+        tail_lam = tail_f = np.empty(0)
         start, size, grow = 0, int(np.ceil((max_count + _SCAN_LEAD) * _SCAN_CHUNK)) + 5, 2
         while start < len(lams):
             chunk = lams[start:start + size]
@@ -317,17 +325,19 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
                 size, grow = _SCAN_CHUNK, 1
                 continue
             start, size = start + size, grow * size
-            samples = tail + list(zip(chunk, value.real))
-            for i in range(max(len(tail) - 1, 0), len(samples) - 1):
-                (a, fa), (b, fb) = samples[i:i + 2]
-                if not (np.isfinite(fa) and np.isfinite(fb)):
-                    continue
-                if fa == 0.0 or fa < 0 < fb or fb < 0 < fa:
-                    # a root lies between a and b, or at a when fa = 0
-                    near = samples[max(i - 4, 0):i] + samples[i + 2:i + 6]
-                    yield _newton(_scan_start((a, fa), (b, fb), near),
-                                  bracket=(a, b, fa) if a < b else (b, a, fb))
-            tail = samples[-5:]
+            lam, f = np.append(tail_lam, chunk), np.append(tail_f, value.real)
+            fa, fb = f[:-1], f[1:]
+            # a root lies between a and b, or at a when fa = 0
+            opens = (np.isfinite(fa) & np.isfinite(fb)
+                     & ((fa == 0.0) | (fa < 0) & (0 < fb) | (fb < 0) & (0 < fa)))
+            first = max(len(tail_lam) - 1, 0)
+            for i in (first + np.flatnonzero(opens[first:])).tolist():
+                (a, b), (fa_i, fb_i) = lam[i:i + 2], f[i:i + 2]
+                lo, hi = max(i - 4, 0), i + 6
+                near = [*zip(lam[lo:i], f[lo:i]), *zip(lam[i + 2:hi], f[i + 2:hi])]
+                yield _newton(_scan_start((a, fa_i), (b, fb_i), near),
+                              bracket=(a, b, fa_i) if a < b else (b, a, fb_i))
+            tail_lam, tail_f = lam[-5:], f[-5:]
 
     # the brackets are disjoint and no iterate leaves its own: each root once
     zeros = []
