@@ -52,10 +52,14 @@ the column's norm plus ode_abs, where row r is weighted by rho^-r (rho =
 max(1, |lambda|^(1/4)), r the order of the quasi-derivative, summed over a
 wedge row's pair), so that y and y^[3] count alike.  Steps restart at each
 breakpoint; a step's order is the lowest in [8, ORDER_CAP] that reaches
-the segment end, else TAYLOR_ORDER, the most where more overflows (see
-_Block.step).  Output points inside a step and the quadratures over it
-come from the same series: each point is the state plus one product of
-its powers of t with the series' later terms.
+the segment end, else TAYLOR_ORDER, the most where more overflows, and a
+step whose bound falls short is continued in place, order after order,
+while its own margins ask for more (see _Block.step).  Each segment's
+pieces of p and q come from the problem's mesh table (ProblemSpec.mesh,
+read in reverse backward), looked up once per problem.  Output points
+inside a step and the quadratures over it come from the same series: each
+point is the state plus one product of its powers of t with the series'
+later terms.
 
 The arithmetic follows the data.  For a real problem (real p, q and
 boundary constants) C(x, conj lambda) = conj C(x, lambda), so C is real on
@@ -82,8 +86,8 @@ Delta_jk is an entry of the ends of fundamental_C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from itertools import zip_longest
 from math import ceil, inf, log, nan
 
@@ -222,7 +226,8 @@ class _Block:
         d = len(pq) - 1
         T, steps, basis = self.plans.get(d) or self._plan(d)
         # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k
-        A = (np.append(np.ravel(pq[::-1]), 1.0) @ basis).reshape(len(self.state), -1)
+        A = (np.array([*(c for pair in pq[::-1] for c in pair), 1.0]) @ basis).reshape(
+            len(self.state), -1)
         T[d] = self.state
 
         def fill(k0, k1):
@@ -231,7 +236,7 @@ class _Block:
                 for target, factor, source, tmp in updates:
                     target += np.multiply(factor, source, out=tmp)
                 scale(nxt, by, out=nxt)
-            if k1 > TAYLOR_ORDER and not np.all(np.isfinite(T[d + TAYLOR_ORDER + 1:d + k1 + 1])):
+            if k1 > TAYLOR_ORDER and not np.isfinite(T[d + TAYLOR_ORDER + 1:d + k1 + 1]).all():
                 k1 = TAYLOR_ORDER
             return T[d:d + k1 + 1]
         return fill
@@ -284,12 +289,12 @@ class _Block:
         series T are within tolerance; leaves their log-margins (_order)."""
         K = len(T) - 1
         # the weighted column norms of Y_0, Y_{K-1} and Y_K at once
-        norms = np.max(np.abs(T[[0, K - 1, K]]) * self.weights, axis=1)
+        norms = (np.abs(T[[0, K - 1, K]]) * self.weights).max(axis=1)
         tol = rel * norms[0] + absolute
         with np.errstate(divide="ignore"):
-            ratios = np.min(tol / norms[1:], axis=1)
+            ratios = (tol / norms[1:]).min(axis=1)
             self.margins = (K, *np.log(ratios).tolist())
-        return np.min(ratios ** _BOUND_POWERS[K - 2:K])
+        return (ratios ** _BOUND_POWERS[K - 2:K]).min()
 
 
 def _jet_run(cols, jet_cols):
@@ -451,20 +456,22 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
                 hp = powers[-1][:, None]
                 U, V = T[:, 0, qi] * hp, T[:, 0, qj] * hp
                 quads += ts[-1] * np.sum(U * (_HILBERT[:len(T), :len(T)] @ V), axis=0)
-            if not np.all(np.isfinite(block.state)):
+            if not np.isfinite(block.state).all():
                 raise PropagationError(f"non-finite state at x={x_next}")
             x, done = x_next, reached
 
-    xs_out = np.asarray(xs_out)
-    order = np.argsort(xs_out)
-    values = np.asarray(states_out, dtype=complex)[order][:, rows][:, :len(Y0), :ncols]
+    if not forward:   # ascending x
+        xs_out.reverse()
+        states_out.reverse()
+    values = np.asarray(states_out, dtype=complex)[:, rows][:, :len(Y0), :ncols]
     quadratures = None
     if quad_pairs:
         quadratures = {pair: complex(sign * quads[k]) for k, pair in enumerate(quad_pairs)}
     # complex, as values are, also where the real kernel fills it
     ends = np.full((block.order.max() + 1, block.cols, len(block.state)), np.nan, complex)
     ends[block.order, block.src] = block.state[rows].T
-    return FundamentalMatrix(xs=xs_out[order], values=values, ends=ends, quadratures=quadratures)
+    return FundamentalMatrix(xs=np.asarray(xs_out), values=values, ends=ends,
+                             quadratures=quadratures)
 
 
 def _fundamental(problem, lam, direction, init, want_dlambda, x_grid, states) -> FundamentalMatrix:

@@ -18,9 +18,10 @@ chunk at its far end costs.  Where a chunk raises PropagationError (its far
 end past where the wedge overflows), the scan goes back to chunks of one
 spacing (_SCAN_CHUNK points) from that chunk's start and stays there, so it
 fails only where one such chunk fails.  A pair of samples (a, b) in scan
-order opens a bracket where Delta changes sign, or where Delta(a) is
-exactly 0; the brackets are polished with Newton in lockstep (one batched
-solve of the variationally computed derivative per iteration).  Every
+order opens a bracket where both are finite and Delta changes sign, or
+Delta(a) is exactly 0: one array test over a solved chunk and the last five
+samples before it; the brackets are polished with Newton in lockstep (one
+batched solve of the variationally computed derivative per iteration).  Every
 search solves, through fundamental_C, one state per lambda, the state its
 Delta is an entry of (weyl._ENTRIES), alone: minus row 0 of the 2-wedge of
 the selector's two C columns for a Delta_j2 (C3 ^ C4, C2 ^ C4, C3 ^ C2),
@@ -68,10 +69,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from math import isfinite
 
 import numpy as np
 
-from .problem import ProblemSpec, _sorted_unique
+from .problem import ProblemSpec, _sorted_unique, horner
 from .propagator import _ALL_COLUMNS, FundamentalMatrix, PropagationError, fundamental_C
 from .weyl import _ENTRIES, _M_WEDGE, _entry, _minor_norm
 
@@ -252,24 +254,18 @@ def _scan_start(a, b, near):
     (la, fa), (lb, fb) = a, b
     if fa == 0.0:
         return la
-    pts = [a, b] + [p for p in near if np.isfinite(p[1])]
+    pts = [a, b] + [p for p in near if isfinite(p[1])]
     s = [np.sign(lam) * abs(lam) ** 0.25 for lam, _ in pts]
     u = (np.array(s) - 0.5 * (s[0] + s[1])) / (s[1] - s[0])  # a at -1/2, b at 1/2
-    coef = np.linalg.solve(np.vander(u), [f for _, f in pts]).tolist()
-    # the multiply-adds of np.polyval and np.polyder, in their order, on floats
-    dcoef = [c * k for c, k in zip(coef, range(len(coef) - 1, 0, -1))]
-
-    def horner(cs, x):
-        y = 0.0
-        for c in cs:
-            y = y * x + c
-        return y
-
+    # ascending, for horner, which makes the multiply-adds of numpy's polyval in
+    # their order, on Python numbers: one Newton iterate makes no numpy call
+    coef = np.linalg.solve(np.vander(u), [f for _, f in pts])[::-1].tolist()
+    dcoef = [k * c for k, c in enumerate(coef)][1:]
     newton = _newton(fa / (fa - fb) - 0.5, bracket=(-0.5, 0.5, fa))
     x = next(newton)
     try:
         while True:
-            x = newton.send((horner(coef, x.real), horner(dcoef, x.real)))
+            x = newton.send((horner(coef, x.real).real, horner(dcoef, x.real).real))
     except StopIteration as stop:
         u0 = stop.value[0].real
     s0 = 0.5 * (s[0] + s[1]) + u0 * (s[1] - s[0])
@@ -325,9 +321,10 @@ def find_real_zeros(problem: ProblemSpec, selector, region, max_count=100) -> li
                 size, grow = _SCAN_CHUNK, 1
                 continue
             start, size = start + size, grow * size
+            # the pairs (a, b) of the tail and the chunk, tested at once: a root
+            # lies between a and b, or at a when fa = 0
             lam, f = np.append(tail_lam, chunk), np.append(tail_f, value.real)
             fa, fb = f[:-1], f[1:]
-            # a root lies between a and b, or at a when fa = 0
             opens = (np.isfinite(fa) & np.isfinite(fb)
                      & ((fa == 0.0) | (fa < 0) & (0 < fb) | (fb < 0) & (0 < fa)))
             first = max(len(tail_lam) - 1, 0)

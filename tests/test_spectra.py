@@ -577,3 +577,113 @@ class TestThreeSpectra:
         b = three_spectra(beam, 2)
         for got, z in zip(b.s12, beam_zeros[:2]):
             assert got == pytest.approx(z.lam, rel=1e-10)
+
+
+def _scan_start_polyval(a, b, near):
+    """spectra._scan_start as it was, with the interpolant's Newton on
+    np.polyval and np.polyder."""
+    (la, fa), (lb, fb) = a, b
+    if fa == 0.0:
+        return la
+    pts = [a, b] + [p for p in near if np.isfinite(p[1])]
+    s = [np.sign(lam) * abs(lam) ** 0.25 for lam, _ in pts]
+    u = (np.array(s) - 0.5 * (s[0] + s[1])) / (s[1] - s[0])
+    coef = np.linalg.solve(np.vander(u), [f for _, f in pts])
+    dcoef = np.polyder(coef)
+    newton = spectra._newton(fa / (fa - fb) - 0.5, bracket=(-0.5, 0.5, fa))
+    x = next(newton)
+    try:
+        while True:
+            x = newton.send((np.polyval(coef, x.real), np.polyval(dcoef, x.real)))
+    except StopIteration as stop:
+        u0 = stop.value[0].real
+    s0 = 0.5 * (s[0] + s[1]) + u0 * (s[1] - s[0])
+    return float(np.clip(np.sign(s0) * s0 ** 4, min(la, lb), max(la, lb)))
+
+
+def _scalar_brackets(chunks):
+    """The brackets of the scan's chunks, one pair of samples at a time:
+    (a, b, near) per pair that opens one, with the same five-sample tail
+    across chunk boundaries."""
+    out, tail = [], []
+    for chunk, value in chunks:
+        samples = tail + list(zip(chunk, value.real))
+        for i in range(max(len(tail) - 1, 0), len(samples) - 1):
+            (a, fa), (b, fb) = samples[i:i + 2]
+            if not (np.isfinite(fa) and np.isfinite(fb)):
+                continue
+            if fa == 0.0 or fa < 0 < fb or fb < 0 < fa:
+                out.append(((a, fa), (b, fb), samples[max(i - 4, 0):i] + samples[i + 2:i + 6]))
+        tail = samples[-5:]
+    return out
+
+
+class TestScanBrackets:
+    """The scan tests a chunk's samples as arrays, with the numbers of the
+    sample-by-sample loop."""
+
+    def test_brackets_match_scalar_loop(self, beam, monkeypatch):
+        # chunks of 84, 168, 336 and 13 samples (count 1 up to rho = 30),
+        # with NaN and +-inf samples, exact zeros at either end of a pair,
+        # and sign changes across each chunk boundary
+        n = 601
+        values = np.cos(0.9 * np.arange(n)) + 0.05
+        values[[10, 20, 21, 250]] = np.nan, np.inf, -np.inf, np.nan
+        values[[30, 40, 588, 596]] = 0.0, -0.0, 0.0, 0.0
+        values[[83, 84, 251, 252, 587]] = -0.7, 0.6, 0.3, -0.4, 0.8
+        chunks, opened = [], []
+
+        def samples(problem, selector, lams):
+            start = sum(len(c) for c, _ in chunks)
+            chunks.append((np.array(lams), values[start:start + len(lams)] + 0j))
+            return chunks[-1][1]
+
+        orig_newton, orig_start = spectra._newton, spectra._scan_start
+        starts = []
+
+        def scan_start(a, b, near):
+            starts.append((a, b, near))
+            return orig_start(a, b, near)
+
+        def newton(lam0, bracket=None, radius=None):
+            if bracket is not None and bracket[:2] != (-0.5, 0.5):
+                opened.append((lam0, bracket))
+            return orig_newton(lam0, bracket, radius)
+
+        monkeypatch.setattr(spectra, "_samples", samples)
+        monkeypatch.setattr(spectra, "_scan_start", scan_start)
+        monkeypatch.setattr(spectra, "_newton", newton)
+        monkeypatch.setattr(spectra, "_polish", lambda problem, selector, newtons:
+                            [SearchError("not polished")] * len(newtons))
+        assert find_real_zeros(beam, (2, 2), (spectra.FIRST_ZEROS_START, 30.0 ** 4), 1) == []
+        assert [len(c) for c, _ in chunks] == [84, 168, 336, 13]
+        ref = _scalar_brackets(chunks)
+        assert len(ref) > 150 and len(starts) == len(opened) == len(ref)
+        for (a, b, near), (ra, rb, rnear), (lam0, bracket) in zip(starts, ref, opened):
+            assert a == ra and b == rb
+            assert np.array_equal(np.array(near), np.array(rnear), equal_nan=True)
+            assert lam0 == orig_start(ra, rb, rnear)
+            (la, fa), (lb, fb) = ra, rb
+            assert bracket == ((la, lb, fa) if la < lb else (lb, la, fb))
+        # each special pair as the rule has it
+        first = {float(a[0]) for a, _, _ in ref}
+        lams = np.concatenate([c for c, _ in chunks])
+        assert {lams[30], lams[40], lams[83], lams[251], lams[588], lams[596]} <= first
+        assert not {lams[9], lams[10], lams[19], lams[20], lams[21], lams[29]} & first
+
+    def test_scan_start_matches_polyval(self):
+        # bit for bit the start of the np.polyval Newton, on either side of
+        # lambda = 0, with every neighbour, few, and non-finite ones
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            s = (rng.uniform(-20, 20) + 0.05 * np.arange(-4, 6)) * (1 if trial % 3 else -1)
+            lams = np.sign(s) * s ** 4
+            f = rng.uniform(-1, 1, 10)
+            f[4], f[5] = -0.5 * np.sign(f[5] or 1.0), 0.5 * np.sign(f[5] or 1.0)
+            if trial % 5 == 0:
+                f[rng.integers(0, 4)] = np.nan
+            samples = list(zip(lams, f))
+            keep = rng.integers(0, 5)
+            near = samples[4 - keep:4] + samples[6:6 + keep]
+            a, b = samples[4], samples[5]
+            assert spectra._scan_start(a, b, near) == _scan_start_polyval(a, b, near)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from quartspec import (
+    CoefficientField,
+    ProblemSpec,
     all_deltas,
     beam_problem,
     characteristic_delta,
@@ -304,6 +306,41 @@ def test_one_taylor_step_per_mesh_segment(monkeypatch, rho):
         steps.clear()
         fundamental_C(pb, [rho ** 4 / 2, rho ** 4], **kwargs)
         assert len(steps) == 5
+
+
+def test_continued_step_closes_its_segment(monkeypatch):
+    # a step continued in place whose bound still ends short of its segment
+    # end is continued again, to the order its new margins give: the count-3
+    # scan chunk of this seeded 5-segment real problem (the second of the
+    # scan benchmark's problems at seed 59) takes one step per segment, where
+    # one continuation alone left a short step after the first (23, 8, 24,
+    # 24, 24, 24)
+    rng = np.random.default_rng([59, 0])
+    rng.uniform(size=12)
+    p, q = rng.uniform(-0.5, 0.5, 6), rng.uniform(-0.5, 0.5, 6)
+    pb = ProblemSpec(p=CoefficientField.from_samples(p), q=CoefficientField.from_samples(q))
+    assert len(pb.breakpoints) == 6
+    chunk = (spectra.RHO_SCAN_STEP * np.arange(210)) ** 4
+    steps = _recording(monkeypatch, propagator._Block, "advance")
+    spectra._samples(pb, (2, 2), np.maximum(chunk, spectra.FIRST_ZEROS_START))
+    assert len(steps) == 5
+
+
+def test_propagations_read_the_mesh_table(monkeypatch):
+    # the pieces of p and q on each mesh segment are looked up once per
+    # problem, for its mesh table, however many propagations run
+    pb = make_random_real_problem(11)
+    calls = _recording(monkeypatch, CoefficientField, "piece")
+    solves = _counting_propagations(monkeypatch)
+    assert len(find_first_zeros(pb, (2, 2), 3)) == 3
+    assert len(solves) >= 2 and len(pb.mesh) == 5
+    assert len(calls) == 2 * len(pb.mesh)
+    # a backward propagation reads the same table, reversed: S_4(x, 0) =
+    # (x - 1)^3 / 6 on the beam
+    beam = beam_problem()
+    res = propagator.fundamental_S(beam, 0.0, x_grid=np.linspace(0, 1, 5))
+    assert len(calls) == 2 * len(pb.mesh) + 2
+    assert np.allclose(res.values[:, 0, 3], (res.xs - 1) ** 3 / 6, rtol=0, atol=1e-10)
 
 
 def test_classify_takes_a_step_per_segment_and_solve(monkeypatch, tmp_path, capsys):
