@@ -33,33 +33,35 @@ the compound alone, with their jet under want_dlambda.
 A propagation steps one block.  With wedges of column pairs, columns and
 wedges are stacked block-diagonally on 10 rows, ordered so that the sources
 and the targets of the lambda and jet terms are contiguous runs of rows;
-each column carries its own lambda factor and jet factor, and the jets
-follow the values in the order of the run, whose sources are so one slice
-of the state's columns and its targets the columns after the values.  So
-each step makes one step call (its series and bound) and one advance call,
-and each Taylor order one product per term, whatever the block carries.  A
-column is zero in the other part's rows, which leaves its weighted norm,
-and so the step sequence, as it is.  Without them the block is the initial
-matrix's own rows: 4 of columns, or 6 of wedges.
+each column carries its own lambda, and the jets follow the values in the
+order of the run, whose sources are so one slice of the state's columns and
+its targets the columns after the values.  So each step makes one step call
+(its series and bound) and one advance call, and each Taylor order one
+product, whatever the block carries.  A column is zero in the other part's
+rows, which leaves its weighted norm, and so the step sequence, as it is.
+Without them the block is the initial matrix's own rows: 4 of columns, or 6
+of wedges.
 
 The integrator is a Taylor series, its order chosen per step with the step
 (Jorba & Zou, Experiment. Math. 14 (2005)).  p and q are polynomials on each
 mesh segment; at each step start they are re-expanded, F = sum_i F_i t^i,
 and the coefficients of the block follow from (k+1) Y_{k+1} = sum_i F_i
-Y_{k-i} + lambda E Y_k.  The step is STEP_SAFETY times the largest h at
-which the last two terms Y_k h^k of every column stay within ode_rel times
-the column's norm plus ode_abs, where row r is weighted by rho^-r (rho =
-max(1, |lambda|^(1/4)), r the order of the quasi-derivative, summed over a
-wedge row's pair), so that y and y^[3] count alike.  Steps restart at each
-breakpoint; a step's order is the lowest in [8, ORDER_CAP] that reaches
-the segment end, else TAYLOR_ORDER, the most where more overflows, and a
-step whose bound falls short is continued in place, order after order,
-while its own margins ask for more (see _Block.step).  Each segment's
-pieces of p and q come from the problem's mesh table (ProblemSpec.mesh,
-read in reverse backward), looked up once per problem.  Output points
-inside a step and the quadratures over it come from the same series: each
-point is the state plus one product of its powers of t with the series'
-later terms.
+Y_{k-i} + lambda E Y_k, with 1 / (k+1) taken into the step's matrix and the
+lambda term carried as rows of each order's slab of the series (see _Block).
+The step is STEP_SAFETY times the largest h at which the last two terms Y_k
+h^k of every column stay within ode_rel times the column's norm plus
+ode_abs, where row r is weighted by rho^-r (rho = max(1, |lambda|^(1/4)), r
+the order of the quasi-derivative, summed over a wedge row's pair), so that
+y and y^[3] count alike.  Steps restart at each breakpoint; a step's order
+is the lowest in [8, ORDER_CAP] that reaches the segment end, else
+TAYLOR_ORDER at a propagation's first step and ORDER_CAP after it, and
+TAYLOR_ORDER where more overflows; a step whose bound falls short is
+continued in place, order after order, while its own margins ask for more
+(see _Block.step).  Each segment's pieces of p and q come from the problem's
+mesh table (ProblemSpec.mesh, read in reverse backward), looked up once per
+problem.  Output points inside a step and the quadratures over it come from
+the same series: each point is the state plus one product of its powers of t
+with the series' later terms.
 
 The arithmetic follows the data.  For a real problem (real p, q and
 boundary constants) C(x, conj lambda) = conj C(x, lambda), so C is real on
@@ -69,9 +71,9 @@ whole batch in complex128.  Callers see complex arrays either way, with
 exactly zero imaginary part from the real kernel.  (weights._contour uses
 the same symmetry off the axis.)  A block steps in its state's dtype alone:
 p and q are taken real only where the state is, and each Taylor order is
-one matrix product, the row updates of the lambda and jet terms, and one
-division by k + 1, all in that dtype (for a complex state, the product
-with the float 1 / (k + 1) that numpy's complex division by a real forms).
+one product by A / (k + 1), the step's matrix times the float 1 / (k + 1),
+formed once per step, one scaling of the lambda rows and, with a jet run,
+one add, all in that dtype.
 
 propagate takes lam as one value, or one per column, and leaves one table
 where it ends, ends (see FundamentalMatrix).  fundamental_C, the one door
@@ -90,6 +92,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import ceil, inf, log, nan
+import threading
 
 import numpy as np
 
@@ -99,10 +102,11 @@ TAYLOR_ORDER = 20
 # the orders that a step's order is chosen from (see _Block.step)
 _ORDER_MIN, ORDER_CAP = 8, 28
 STEP_SAFETY = 0.9
-# the step bound's powers 1/k, k = 1 .. ORDER_CAP; the quadratures' 1 / (i + j + 1)
+# the step bound's powers 1/k, k = 1 .. ORDER_CAP, A_k's factors 1 / (k + 1)
 _BOUND_POWERS = 1.0 / np.arange(1, ORDER_CAP + 1)
 # the powers t^0 .. t^K of a step's output points
 _POWERS = np.arange(ORDER_CAP + 1)
+# the quadratures' 1 / (i + j + 1)
 _HILBERT = 1.0 / (np.arange(ORDER_CAP + 1)[:, None] + np.arange(ORDER_CAP + 1) + 1)
 # wedge rows: the (a, b) minor u_a v_b - u_b v_a
 _WEDGE_ROWS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -112,6 +116,10 @@ _ALL_COLUMNS = [(1,), (2,), (3,), (4,)]
 
 class PropagationError(RuntimeError):
     pass
+
+
+# each thread's last _PLAN_CACHE _Block plans, by shape (see _Block._start)
+_PLANS, _PLAN_CACHE = threading.local(), 4
 
 
 def _matrix(n, entries):
@@ -145,8 +153,6 @@ def _stack(columns, wedge):
 
 
 _STACKED = tuple(map(_stack, _COLUMNS, _WEDGE))
-# -Q at a column's (target, source) run: the sign of its lambda and jet terms
-_C_SIGN, _W_SIGN = -_COLUMNS[2][3, 0], -_WEDGE[2][4, 0]
 
 
 def _shift(coeffs, delta):
@@ -164,96 +170,100 @@ class _Block:
     columns from a value column on, in its order.  A run that reaches past
     the values into the first jets also carries their jets, the next
     lambda-Taylor coefficients (J2' = A J2 + E J: half the second
-    derivative).  signs[c] is -Q at (target, source) in value column c's own
-    rows; src[s] is the value column that state column s is a jet of (or
-    is), and order[s] its order."""
+    derivative).  src[s] is the value column that state column s is a jet of
+    (or is), order[s] its order, and lams[s] its lambda.
 
-    def __init__(self, system, X0, lams, signs, jet_cols):
+    Each order's slab of the series holds Y_k on the system's n rows, then
+    L_k = lams * Y_k[qcols] on r more (r = 1 for columns, 2 for a wedge, 3
+    stacked), plus, in a jet column, the Y_k[qcols] of its source: the
+    lambda and jet terms, which -Q (a column of the step's matrix) maps
+    into `rows`.  So each Taylor order is one product, by A / (k + 1), one
+    lambda-row scaling and, with a jet run, one add.  Each thread keeps the
+    last 4 plans (_plan) it built (_PLAN_CACHE), so no two threads share a
+    buffer."""
+
+    def __init__(self, system, X0, lams, jet_cols):
         self.system, self.cols, self.jet_cols = system, X0.shape[1], jet_cols
         self.src, self.order = _jet_run(self.cols, jet_cols)
         self.state = np.concatenate([X0, np.zeros((len(X0), len(self.src) - self.cols), X0.dtype)],
                                     axis=1)
-        self.plans, self.margins = {}, None
-        lams, signs = lams[self.src], signs[self.src]
-        rho = np.maximum(1.0, np.abs(lams) ** 0.25)
+        self.lams, self.margins = lams[self.src], None
+        rho = np.maximum(1.0, np.abs(self.lams) ** 0.25)
         self.weights = rho[None, :] ** -system[3][:, None]
         # -Q is nonzero at (rows[i], cols[i]) alone, each a run of consecutive
-        # indices: its products are row updates, by a factor per column
+        # indices: the L rows are lams * Y[qcols], mapped into `rows`
         rows, cols = np.nonzero(system[2])
         self.rows, self.qcols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-        self.jet_sign = signs[self.cols:]
-        self.lam_sign = signs * lams
 
-    def _plan(self, d):
+    def _plan(self, d, key, plans):
         """The series buffer for polynomial degree d, which every step of that
-        degree reuses (rows below d stay zero), per order k the views the
-        recursion reads and writes: Y_{k+1} and the window Y_{k-d} .. Y_k,
-        each row update's target, factor, source and temporary, and the
-        division by k + 1 (see below); and the real basis of the
-        step's matrix A_d, ..., A_1, A_0 side by side (A_i = p_i P + q_i Q,
-        plus K in A_0), which is [p_d, q_d, ..., p_0, q_0, 1] @ basis,
-        exactly: K, P and Q have disjoint supports."""
+        degree reuses (rows below d stay zero); the buffer `scaled` of A_k = A
+        / (k + 1); per order k the views the recursion reads and writes: A_k, the
+        window Y_{k-d} .. Y_k with L_k, Y_{k+1}, L_{k+1}, Y_{k+1}[qcols] and
+        the jet run's target and source; and the real basis of the step's
+        matrix A_d, ..., A_1, A_0 side by side (A_i = p_i P + q_i Q, plus K
+        and -Q from the L rows in A_0), which is [p_d, q_d, ..., p_0, q_0, 1]
+        @ basis, exactly: K, P, Q and -Q have disjoint supports."""
         n, m = self.state.shape
         rows, qcols, c = self.rows, self.qcols, self.cols
-        T = np.zeros((ORDER_CAP + 1 + d, n, m), self.state.dtype)
-        lam_tmp = np.empty_like(T[0, rows])
-        jet_tmp = np.empty_like(T[0, rows, c:])
-        # a complex state multiplies by the float 1 / (k + 1), the product that
-        # numpy's complex division by a real forms in its slower complex loop
-        complex_state = np.iscomplexobj(T)
-        steps = []
-        for k in range(ORDER_CAP):
-            Tk, nxt, window = T[k + d], T[k + d + 1], T[k:k + d + 1].reshape(-1, m)
-            updates = [(nxt[rows], self.lam_sign, Tk[qcols], lam_tmp)]
-            if m > c:
-                updates.append((nxt[rows, c:], self.jet_sign, Tk[qcols, self.jet_cols],
-                                jet_tmp))
-            steps.append((nxt, window, updates) + ((np.multiply, 1.0 / (k + 1)) if complex_state
-                                                   else (np.true_divide, k + 1)))
+        r = qcols.stop - qcols.start
+        T = np.zeros((ORDER_CAP + 1 + d, n + r, m), self.state.dtype)
+        scaled = np.empty((ORDER_CAP, n, (d + 1) * (n + r)), T.dtype)
+        steps = [(scaled[k], T[k:k + d + 1].reshape(-1, m), T[k + d + 1, :n], T[k + d + 1, n:],
+                  T[k + d + 1, qcols], [(T[k + d + 1, n:, c:], T[k + d + 1, qcols, self.jet_cols])]
+                  * (m > c)) for k in range(ORDER_CAP)]
         K, P, Q, _ = self.system
-        basis = np.zeros((2 * d + 3, n, d + 1, n))
+        basis = np.zeros((2 * d + 3, n, d + 1, n + r))
         for i in range(d + 1):
-            basis[2 * i, :, i], basis[2 * i + 1, :, i] = P, Q
-        basis[-1, :, d] = K
-        self.plans[d] = T, steps, basis.reshape(2 * d + 3, -1)
-        return self.plans[d]
+            basis[2 * i, :, i, :n], basis[2 * i + 1, :, i, :n] = P, Q
+        basis[-1, :, d, :n], basis[-1, rows, d, n:] = K, -Q[rows, qcols]
+        if len(plans) >= _PLAN_CACHE:
+            del plans[next(iter(plans))]
+        plans[key] = T, scaled, steps, basis.reshape(2 * d + 3, -1)
+        return plans[key]
 
     def _start(self, pq):
         """fill(k0, k1): orders k0 + 1 .. k1, in place, of the series of the
         state for the ascending coefficients (p_i, q_i) of p and q at the step
-        start; returns orders 0 .. k1, or 0 .. TAYLOR_ORDER where those past
-        it are not all finite."""
-        d = len(pq) - 1
-        T, steps, basis = self.plans.get(d) or self._plan(d)
-        # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k
-        A = (np.array([*(c for pair in pq[::-1] for c in pair), 1.0]) @ basis).reshape(
-            len(self.state), -1)
-        T[d] = self.state
+        start; returns the slabs of orders 0 .. k1, or 0 .. TAYLOR_ORDER where
+        the states past it are not all finite."""
+        d, (n, m), lams = len(pq) - 1, self.state.shape, self.lams
+        key = (n, m, self.state.dtype, d, self.jet_cols.start, self.jet_cols.stop)
+        plans = vars(_PLANS).setdefault("plans", {})
+        T, scaled, steps, basis = plans.get(key) or self._plan(d, key, plans)
+        # A_d, ..., A_1, A_0 side by side, against the window Y_{k-d} .. Y_k,
+        # and A_k = A / (k + 1) of every order k
+        A = np.array([*(c for pair in pq[::-1] for c in pair), 1.0]) @ basis
+        np.multiply(A.reshape(n, -1), _BOUND_POWERS[:, None, None], out=scaled)
+        T[d, :n] = self.state
+        np.multiply(lams, self.state[self.qcols], out=T[d, n:])
+        T[d, n:, self.cols:] += self.state[self.qcols, self.jet_cols]
 
         def fill(k0, k1):
-            for nxt, window, updates, scale, by in steps[k0:k1]:
-                np.matmul(A, window, out=nxt)
-                for target, factor, source, tmp in updates:
-                    target += np.multiply(factor, source, out=tmp)
-                scale(nxt, by, out=nxt)
-            if k1 > TAYLOR_ORDER and not np.isfinite(T[d + TAYLOR_ORDER + 1:d + k1 + 1]).all():
+            for A_k, window, Y, L, source, jets in steps[k0:k1]:
+                np.dot(A_k, window, out=Y)
+                np.multiply(lams, source, out=L)
+                for target, jet_source in jets:
+                    np.add(target, jet_source, out=target)
+            if k1 > TAYLOR_ORDER and not np.isfinite(T[d + TAYLOR_ORDER + 1:d + k1 + 1, :n]).all():
                 k1 = TAYLOR_ORDER
             return T[d:d + k1 + 1]
         return fill
 
     def series(self, pq):
-        """The TAYLOR_ORDER + 1 Taylor coefficients of the state (_start)."""
+        """The TAYLOR_ORDER + 1 Taylor slabs of the state (_start)."""
         return self._start(pq)(0, TAYLOR_ORDER)
 
     def step(self, pq, span, rel, absolute):
         """The series of a step toward a point `span` away, and its length h,
         STEP_SAFETY times its bound, of the order that the last step's margins
-        say reaches the point, else of TAYLOR_ORDER.  While h falls short of
-        span, it is continued in place to the order that its own margins say
-        reaches, until no higher order is asked for or fill falls back to
-        TAYLOR_ORDER (more overflows, and would be asked for again)."""
+        say reaches the point, else of TAYLOR_ORDER at the first step and
+        ORDER_CAP after it.  While h falls short of span, it is continued in
+        place to the order that its own margins say reaches, until no higher
+        order is asked for or fill falls back to TAYLOR_ORDER (more
+        overflows, and would be asked for again)."""
         fill, reach = self._start(pq), span / STEP_SAFETY
-        order = self._order(reach) or TAYLOR_ORDER
+        order = self._order(reach) or (ORDER_CAP if self.margins else TAYLOR_ORDER)
         T = fill(0, order)
         h = self.step_bound(T, rel, absolute)
         while h < reach and len(T) > order and (order := self._order(reach) or 0) >= len(T):
@@ -277,23 +287,24 @@ class _Block:
     def advance(self, T, powers):
         """The state at each step point whose powers t^0 .. t^K are the rows
         of `powers`, K the order of the series T; the last point becomes the
-        state.  The terms past the state are summed in one product, then
-        added to the state, which so rounds once per point."""
+        state.  The terms past the state are summed in one product over whole
+        slabs, whose L rows are then dropped, and added to the state, which so
+        rounds once per point."""
+        n, m = self.state.shape
         at = self.state + (powers[:, 1:] @ T[1:].reshape(len(T) - 1, -1)).reshape(
-            (len(powers),) + self.state.shape)
+            len(powers), -1, m)[:, :n]
         self.state = at[-1]
         return at
 
     def step_bound(self, T, rel, absolute):
         """Largest h at which the last two terms of every column of the
-        series T are within tolerance; leaves their log-margins (_order)."""
+        series T are within tolerance; leaves their log-margins (_order).  A
+        zero term divides by zero (propagate ignores the warning)."""
         K = len(T) - 1
         # the weighted column norms of Y_0, Y_{K-1} and Y_K at once
-        norms = (np.abs(T[[0, K - 1, K]]) * self.weights).max(axis=1)
-        tol = rel * norms[0] + absolute
-        with np.errstate(divide="ignore"):
-            ratios = (tol / norms[1:]).min(axis=1)
-            self.margins = (K, *np.log(ratios).tolist())
+        norms = (np.abs(T[[0, K - 1, K], :len(self.state)]) * self.weights).max(axis=1)
+        ratios = ((rel * norms[0] + absolute) / norms[1:]).min(axis=1)
+        self.margins = (K, *np.log(ratios).tolist())
         return (ratios ** _BOUND_POWERS[K - 2:K]).min()
 
 
@@ -339,13 +350,11 @@ def _block(Y0, lams, wi, wj, want_dlambda):
     ncols, nw = Y0.shape[1], len(wi)
     jets = _run(want_dlambda, ncols + nw)
     if not nw:
-        system, sign = (_COLUMNS, _C_SIGN) if len(Y0) == 4 else (_WEDGE, _W_SIGN)
-        return _Block(system, Y0, lams, np.full(ncols, sign), jets), slice(None)
+        return _Block(_COLUMNS if len(Y0) == 4 else _WEDGE, Y0, lams, jets), slice(None)
     X0 = np.zeros((10, ncols + nw), Y0.dtype)
     X0[_C_ROWS, :ncols] = Y0
     X0[_W_ROWS, ncols:] = _wedges(Y0[:, wi].T, Y0[:, wj].T).T
-    return _Block(_STACKED, X0, np.append(lams, lams[wi]),
-                  np.repeat([_C_SIGN, _W_SIGN], [ncols, nw]), jets), _C_ROWS + _W_ROWS
+    return _Block(_STACKED, X0, np.append(lams, lams[wi]), jets), _C_ROWS + _W_ROWS
 
 
 @dataclass
@@ -430,35 +439,35 @@ def propagate(problem: ProblemSpec, lam, direction, init, want_dlambda=False,
     min_step = 4 * np.finfo(float).eps   # relative to max(1, |x|)
     xs_out = [mesh[0][0] if forward else mesh[0][1]]
     states_out = [block.state]
-    for left, right, (p0, pc), (q0, qc) in mesh:
-        x0, x1 = (left, right) if forward else (right, left)
-        interior = grid[bisect_right(grid, left):bisect_left(grid, right)]
-        t_eval = (interior if forward else interior[::-1]) + [x1]
-        if real:
-            pc, qc = [c.real for c in pc], [c.real for c in qc]
-        x, done = x0, 0
-        while done < len(t_eval):
-            # an overflowing series leaves a step bound of 0 or nan, which raises
-            with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing series leaves a step bound of 0 or nan, which raises below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for left, right, (p0, pc), (q0, qc) in mesh:
+            x0, x1 = (left, right) if forward else (right, left)
+            interior = grid[bisect_right(grid, left):bisect_left(grid, right)]
+            t_eval = (interior if forward else interior[::-1]) + [x1]
+            if real:
+                pc, qc = [c.real for c in pc], [c.real for c in qc]
+            x, done = x0, 0
+            while done < len(t_eval):
                 pq = list(zip_longest(_shift(pc, x - p0), _shift(qc, x - q0), fillvalue=0))
                 T, h = block.step(pq, abs(x1 - x), rel, absolute)
-            if not h > min_step * max(1.0, abs(x)):
-                raise PropagationError(f"no step possible at x={x} (step bound {h:.3e})")
-            x_next = x1 if h >= abs(x1 - x) else x + sign * h
-            reached = done
-            while reached < len(t_eval) and sign * t_eval[reached] <= sign * x_next:
-                reached += 1
-            ts = np.array(t_eval[done:reached] + [x_next]) - x
-            powers = ts[:, None] ** _POWERS[:len(T)]
-            states_out.extend(block.advance(T, powers)[:reached - done])
-            xs_out.extend(t_eval[done:reached])
-            if len(quad_pairs):   # row 0 is y with or without wedges
-                hp = powers[-1][:, None]
-                U, V = T[:, 0, qi] * hp, T[:, 0, qj] * hp
-                quads += ts[-1] * np.sum(U * (_HILBERT[:len(T), :len(T)] @ V), axis=0)
-            if not np.isfinite(block.state).all():
-                raise PropagationError(f"non-finite state at x={x_next}")
-            x, done = x_next, reached
+                if not h > min_step * max(1.0, abs(x)):
+                    raise PropagationError(f"no step possible at x={x} (step bound {h:.3e})")
+                x_next = x1 if h >= abs(x1 - x) else x + sign * h
+                reached = done
+                while reached < len(t_eval) and sign * t_eval[reached] <= sign * x_next:
+                    reached += 1
+                ts = np.array(t_eval[done:reached] + [x_next]) - x
+                powers = ts[:, None] ** _POWERS[:len(T)]
+                states_out.extend(block.advance(T, powers)[:reached - done])
+                xs_out.extend(t_eval[done:reached])
+                if len(quad_pairs):   # row 0 is y with or without wedges
+                    hp = powers[-1][:, None]
+                    U, V = T[:, 0, qi] * hp, T[:, 0, qj] * hp
+                    quads += ts[-1] * np.sum(U * (_HILBERT[:len(T), :len(T)] @ V), axis=0)
+                if not np.isfinite(block.state).all():
+                    raise PropagationError(f"non-finite state at x={x_next}")
+                x, done = x_next, reached
 
     if not forward:   # ascending x
         xs_out.reverse()

@@ -1,4 +1,5 @@
 import math
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -314,9 +315,36 @@ class TestRealKernel:
 
 
 def _reference_series(block, pq, order=propagator.TAYLOR_ORDER):
-    """_Block.series as it was before each degree's views were built once:
-    the same loop over a fresh buffer, with self as `block`, reading its
-    per-column lambda and jet factors, to Taylor order `order`."""
+    """_Block.series as a plain loop over a fresh buffer, with self as
+    `block`, to Taylor order `order`: each order's slab is Y_k on the
+    system's rows, then L_k = lams * Y_k[qcols] plus, in a jet column, its
+    source's Y_k[qcols]; Y_{k+1} is the product of A * (1 / (k + 1)), whose
+    -Q maps the newest L rows into `rows`, with the window Y_{k-d} .. Y_k."""
+    K, P, Q, _ = block.system
+    n, m = block.state.shape
+    rows, qcols, c = block.rows, block.qcols, block.cols
+    r, d = qcols.stop - qcols.start, len(pq) - 1
+    lam_map = np.zeros((n, r))
+    lam_map[rows] = -Q[rows, qcols]
+    A = np.concatenate([np.concatenate([p * P + q * Q + (K if i == d else 0),
+                                        lam_map if i == d else np.zeros((n, r))], axis=1)
+                        for i, (p, q) in enumerate(pq[::-1])], axis=1)
+    T = np.zeros((order + 1 + d, n + r, m), block.state.dtype)
+    T[d, :n] = block.state
+    for k in range(order + 1):
+        if k:
+            T[k + d, :n] = np.dot(A * (1.0 / k), T[k - 1:k + d].reshape(-1, m))
+        T[k + d, n:] = block.lams * T[k + d, qcols]
+        T[k + d, n:, c:] += T[k + d, qcols, block.jet_cols]
+    return T[d:]
+
+
+def _signed_series(block, pq, signs, order=propagator.TAYLOR_ORDER):
+    """_Block.series as it was before the lambda and jet terms joined the
+    product, to Taylor order `order`: (k + 1) Y_{k+1} = A Y_{k-d} .. Y_k plus
+    the row updates signs * lams * Y_k[qcols] and, in a jet column, signs *
+    its source's Y_k[qcols], signs[s] -Q at (target, source) in state s's
+    own rows; the state rows of each order."""
     K, P, Q, _ = block.system
     n, m = block.state.shape
     d = len(pq) - 1
@@ -328,9 +356,9 @@ def _reference_series(block, pq, order=propagator.TAYLOR_ORDER):
     for k in range(order):
         Tk, nxt = T[k + d], T[k + d + 1]
         np.matmul(A, T[k:k + d + 1].reshape(-1, m), out=nxt)
-        nxt[rows] += block.lam_sign * Tk[qcols]
+        nxt[rows] += signs * block.lams * Tk[qcols]
         if m > c:
-            nxt[rows, c:] += block.jet_sign * Tk[qcols, block.jet_cols]
+            nxt[rows, c:] += signs[c:] * Tk[qcols, block.jet_cols]
         nxt /= k + 1
     return T[d:]
 
@@ -339,7 +367,7 @@ def _reference_step_bound(block, T, rel, absolute):
     """_Block.step_bound as it was, one weighted norm per coefficient, from
     the last two orders of T."""
     def norm(a):
-        return np.max(np.abs(a) * block.weights, axis=0)
+        return np.max(np.abs(a[:len(block.state)]) * block.weights, axis=0)
 
     tol = rel * norm(T[0]) + absolute
     with np.errstate(divide="ignore"):
@@ -406,6 +434,145 @@ class TestKernelBitwise:
                 block.state = draw(*block.state.shape)
 
 
+class TestKernelArithmetic:
+    """The kernel's sums move each term of the series by a few ulps of its
+    magnitude from the loop that added the lambda and jet terms as signed
+    row updates and divided by k + 1 (_signed_series)."""
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    @pytest.mark.parametrize("rows, pairs, jets", [
+        (4, [], False), (4, [], True), (4, [(0, 1), (2, 4)], False),
+        (4, [(0, 1), (2, 4)], True), (4, [(0, 1), (2, 4)], slice(5, 8)),
+        (6, [], False), (6, [], True)],
+        ids=["columns", "columns_jet", "wedge", "wedge_columns_jet", "wedge_second_jet",
+             "wedge_only", "wedge_only_jet"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_series_within_ulps_of_signed_loop(self, rows, pairs, jets, dtype, degree):
+        rng = np.random.default_rng(4)
+
+        def draw(*shape):
+            x = rng.uniform(-1, 1, shape)
+            return x + 1j * rng.uniform(-1, 1, shape) if dtype is complex else x
+
+        cols = 5 if rows == 4 else 2
+        wi, wj = np.array(pairs, dtype=int).reshape(-1, 2).T
+        block, _ = propagator._block(draw(rows, cols), draw(cols) * 400, wi, wj, jets)
+        # -Q at (target, source) in each state's own rows: +1 for a column of
+        # C, -1 for a wedge
+        columns = cols if rows == 4 else 0
+        signs = np.where(block.src < columns, 1.0, -1.0)
+        n, eps = len(block.state), np.finfo(float).eps
+        for _ in range(2):
+            pq = [tuple(draw(2)) for _ in range(degree + 1)]
+            old = _signed_series(block, pq, signs)
+            got = block.series(pq)[:, :n]
+            assert np.all(np.max(np.abs(got - old), axis=(1, 2))
+                          <= 10 * eps * np.max(np.abs(old), axis=(1, 2)))
+            # a second state, zero where propagation keeps it zero: a column
+            # in the wedge rows of the stacked block, a wedge in the column
+            # rows (the old loop scaled every row by the state's own sign)
+            block.state = draw(*block.state.shape)
+            if block.system is propagator._STACKED:
+                block.state[np.ix_(propagator._W_ROWS, block.src < columns)] = 0
+                block.state[np.ix_(propagator._C_ROWS, block.src >= columns)] = 0
+
+
+class TestPlanCache:
+    """Each thread keeps its last few plans by block shape, and a plan holds
+    no number of the block that built it."""
+
+    @staticmethod
+    def _problems():
+        """(problem, lam, states, want_dlambda) of propagations of 7 shapes:
+        C's columns, a lone wedge, a stacked block with jets, at real and
+        complex lambda, on a real and a complex problem, and the columns of
+        the first on the beam, whose coefficients are of degree 0."""
+        real, other = make_random_real_problem(11), make_random_problem(7)
+        return [(real, [150.0, 2e4], None, False), (beam_problem(), [150.0, 2e4], None, False),
+                (real, [-300.0, 9000.0, 40.0], [(3, 4)], False),
+                (real, [2.5], propagator._ALL_COLUMNS + [(3, 4), (2, 4)], True),
+                (real, [150.0 + 4j], None, True),
+                (other, [150.0, 2e4], None, False),
+                (other, [40.0 - 2j, 9000.0], [(3, 4)], True)]
+
+    @staticmethod
+    def _run(case):
+        pb, lam, states, jets = case
+        res = fundamental_C(pb, lam, jets, x_grid=[0.0, 0.5, 1.0], states=states)
+        return res.values, res.ends
+
+    @staticmethod
+    def _same(a, b):
+        (va, ea), (vb, eb) = a, b
+        return (va.tobytes() == vb.tobytes() and ea.keys() == eb.keys()
+                and all(ea[k].tobytes() == eb[k].tobytes() for k in ea))
+
+    def test_blocks_of_one_shape_share_a_plan(self, monkeypatch):
+        # the second block of a shape builds nothing and steps in the first's
+        # plan, with its own lambda and state; past _PLAN_CACHE shapes the
+        # oldest plan goes
+        monkeypatch.setattr(propagator, "_PLANS", threading.local())
+        built = []
+        plan = propagator._Block._plan
+
+        def recording_plan(self, d, key, plans):
+            built.append(key)
+            return plan(self, d, key, plans)
+
+        monkeypatch.setattr(propagator._Block, "_plan", recording_plan)
+        rng = np.random.default_rng(8)
+        pq = [(0.3, -0.2), (0.1, 0.05)]
+        first, _ = propagator._block(rng.uniform(-1, 1, (4, 3)), np.full(3, 100.0), [], [], True)
+        first.series(pq)
+        second, _ = propagator._block(rng.uniform(-1, 1, (4, 3)), rng.uniform(0, 900, 3),
+                                      [], [], True)
+        got = second.series(pq)
+        assert len(built) == 1 and np.array_equal(got, _reference_series(second, pq))
+        plans = vars(propagator._PLANS)["plans"]
+        assert list(plans) == built
+        for m in range(4, 4 + propagator._PLAN_CACHE):
+            propagator._block(np.eye(4)[:, :1].repeat(m, 1), np.ones(m), [], [], True)[0].series(pq)
+        assert len(plans) == propagator._PLAN_CACHE and built[0] not in plans
+
+    def test_interleaved_shapes_match_fresh_runs(self, monkeypatch):
+        # propagations of more shapes than the cache holds, each run twice
+        # in turn, give bitwise the values and ends of each run alone
+        cases = self._problems()
+        assert len(cases) > propagator._PLAN_CACHE
+        fresh = []
+        for case in cases:
+            monkeypatch.setattr(propagator, "_PLANS", threading.local())
+            fresh.append(self._run(case))
+        monkeypatch.setattr(propagator, "_PLANS", threading.local())
+        for i in [0, 1, 2, 0, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 0]:
+            assert self._same(self._run(cases[i]), fresh[i])
+
+    def test_two_threads_match_sequential_runs(self):
+        # two threads propagating at once, each its own cases and then one
+        # that both run, match the same propagations run one after another,
+        # each in buffers of its own
+        cases = self._problems()
+        work = [cases[:3] + cases[2:3], cases[3:] + cases[2:3]]
+        want = [[self._run(case) for case in cases_] for cases_ in work]
+        got, buffers = [[], []], [[], []]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait()
+            got[i].extend(self._run(case) for case in work[i])
+            buffers[i].extend(plan[0] for plan in vars(propagator._PLANS)["plans"].values())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [len(g) for g in got] == [len(w) for w in work]
+        assert all(self._same(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
+        assert all(buffers) and not any(np.shares_memory(a, b)
+                                        for a in buffers[0] for b in buffers[1])
+
+
 class TestKernelOrders:
     """A step's series stops at the order chosen for it, or goes on in place
     past TAYLOR_ORDER, with the numbers of the plain loop at that order."""
@@ -424,6 +591,9 @@ class TestKernelOrders:
         wi, wj = np.array(pairs, dtype=int).reshape(-1, 2).T
         block, _ = propagator._block(draw(4, 5), draw(5) * 400, wi, wj, jets)
         cap, order = propagator.ORDER_CAP, propagator.TAYLOR_ORDER
+        # each order's slab: the state's rows, then one lambda row per -Q source
+        n, m = block.state.shape
+        n += block.qcols.stop - block.qcols.start
         for _ in range(2):
             pq = [tuple(draw(2)) for _ in range(degree + 1)]
             fill = block._start(pq)
@@ -431,7 +601,7 @@ class TestKernelOrders:
             # terms continued to ORDER_CAP
             for got, k in ((fill(0, 12), 12), (fill(0, order), order), (fill(order, cap), cap)):
                 ref = _reference_series(block, pq, k)
-                assert got.shape == ref.shape == (k + 1,) + block.state.shape
+                assert got.shape == ref.shape == (k + 1, n, m)
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
                 assert block.step_bound(got, 1e-10, 1e-12) == _reference_step_bound(
                     block, ref, 1e-10, 1e-12)
@@ -477,8 +647,10 @@ class TestKernelOrders:
         pq = [(0.3, -0.2)]
         with np.errstate(over="ignore", invalid="ignore"):
             ref = _reference_series(block, pq, propagator.ORDER_CAP)
-        assert np.all(np.isfinite(ref[:propagator.TAYLOR_ORDER + 1]))
-        assert not np.all(np.isfinite(ref))
+        # the state rows (the lambda row of order TAYLOR_ORDER, which no
+        # later order reads, overflows here)
+        assert np.all(np.isfinite(ref[:propagator.TAYLOR_ORDER + 1, :4]))
+        assert not np.all(np.isfinite(ref[:, :4]))
         monkeypatch.setattr(propagator._Block, "_order",
                             lambda self, reach: propagator.ORDER_CAP)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -295,6 +295,22 @@ def test_first_zeros_taylor_steps(beam, monkeypatch, which, selector, count, bud
         assert len(_scans(calls)) == 1
 
 
+def test_beam_count_thirty_steps_past_the_segment_reach(beam, monkeypatch):
+    # past rho ~ 12 no order up to ORDER_CAP closes the beam's one mesh
+    # segment, and each step after a propagation's first takes ORDER_CAP
+    # terms, not TAYLOR_ORDER: thirty Delta_22 zeros in at most 70 Taylor
+    # steps and 1,900 orders (125 and 2,513 at TAYLOR_ORDER terms).  The
+    # overflow wall stays where it was: ten zeros in (560^4, 590^4), and a
+    # search of (575^4, 598^4) raises where its wedge overflows
+    steps = _recording(monkeypatch, propagator._Block, "advance")
+    assert len(find_first_zeros(beam, (2, 2), 30)) == 30
+    assert len(steps) <= 70
+    assert sum(len(T) - 1 for (_, T, _), _ in steps) <= 1900
+    assert len(find_real_zeros(beam, (2, 2), (560.0 ** 4, 590.0 ** 4))) == 10
+    with pytest.raises(propagator.PropagationError, match=r"no step possible at x=0\.99"):
+        find_real_zeros(beam, (2, 2), (575.0 ** 4, 598.0 ** 4))
+
+
 @pytest.mark.parametrize("rho", [8, 10, 12])
 def test_one_taylor_step_per_mesh_segment(monkeypatch, rho):
     # at rho <= 12 each step of a 5-segment real problem closes its segment,
